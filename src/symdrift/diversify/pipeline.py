@@ -9,6 +9,7 @@ concept.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..problem import (
@@ -57,6 +58,33 @@ class DiversifyConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+
+
+_COUNT = re.compile(r"\d+\Z")
+_FRACTION = re.compile(r"(\d+\.\d*|\.\d+)\Z")
+
+
+def parse_intensity(text: str) -> int | float:
+    """The one intensity grammar: an integer is a sentence count, a decimal
+    in [0, 1] a fraction of each problem's sentences, and `full` the
+    fraction 1.0 (every sentence, and the question with them)."""
+    text = text.strip()
+    if text == "full":
+        return 1.0
+    if _COUNT.match(text):
+        return int(text)
+    if _FRACTION.match(text) and float(text) <= 1.0:
+        return float(text)
+    raise ValueError(
+        f"intensity must be 'full', a sentence count or a fraction in [0, 1], got {text!r}"
+    )
+
+
+def sentence_count(level: int | float, n_sentences: int) -> int:
+    """Sentences to rewrite at `level`; a count past the end means all."""
+    if isinstance(level, int):
+        return min(level, n_sentences)
+    return round(level * n_sentences)
 
 
 def _splice(unit: TextUnit, chosen: list[tuple[str, object, str]]) -> Candidate:
@@ -180,14 +208,9 @@ class AssemblyResult:
     provenance: dict[str, list[ProvenanceEntry]] = field(default_factory=dict)
 
 
-def assemble(candidates: dict[int, list[Candidate]], rng_seed: int = 0) -> AssemblyResult:
+def assemble(candidates: dict[int, list[Candidate]]) -> AssemblyResult:
     """Greedy pass in unit order, minimizing repeats of already-used surface
-    forms per concept; ties break toward the lower candidate index.
-
-    The seed is accepted for interface parity with randomized selectors; the
-    greedy strategy itself is deterministic and ignores it.
-    """
-    del rng_seed
+    forms per concept; ties break toward the lower candidate index."""
     used: dict[tuple[str, str], int] = {}
     result = AssemblyResult(chosen=[])
     for unit_index in sorted(candidates, key=lambda u: (u == QUESTION_UNIT, u)):
@@ -255,7 +278,7 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
                 _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])
             ]
 
-    assembly = assemble(per_unit, cfg.seed)
+    assembly = assemble(per_unit)
     by_unit = dict(zip(sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u)),
                        assembly.chosen))
     new_sentences = tuple(

@@ -14,7 +14,12 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..diversify.pipeline import DiversifyConfig, diversify_problem
+from ..diversify.pipeline import (
+    DiversifyConfig,
+    diversify_problem,
+    parse_intensity,
+    sentence_count,
+)
 from ..diversify.resources import Resources
 from ..errors import (
     ClientError,
@@ -58,6 +63,10 @@ EXIT_DATA = 2
 EXIT_REMOTE = 3
 
 
+def _parse_levels(text: str) -> list[int | float]:
+    return [parse_intensity(level) for level in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdrift",
@@ -79,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("diversify", help="rewrite problems, logic-invariantly"))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--theta", type=float, default=0.90)
-    p.add_argument("--intensity", default="full",
-                   help="'full', an absolute count, or a fraction like 0.5")
+    p.add_argument("--intensity", default="full", type=parse_intensity,
+                   help="'full', a sentence count like 2, or a fraction like 0.5")
     p.add_argument("--scorer", default="fallback",
                    choices=("fallback", "vectors", "remote"))
 
@@ -108,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator", default="naive")
     p.add_argument("--mental", choices=("on", "off"), default="off")
     p.add_argument("--solver", default=AUTO)
-    p.add_argument("--levels", default="0,0.25,0.5,0.75,1.0")
+    p.add_argument("--levels", default="0,0.25,0.5,0.75,1.0", type=_parse_levels,
+                   help="comma-separated intensities, as for diversify --intensity")
 
     p = common(sub.add_parser("compare", help="error attribution across two runs"))
     p.add_argument("--before", required=True)
@@ -178,16 +188,9 @@ def _cmd_diversify(args) -> int:
     for item in items:
         if isinstance(item, DiversifiedProblem):
             raise FormatError(f"{item.base_id} is already diversified")
-        if args.intensity == "full":
-            intensity = None
-        else:
-            value = float(args.intensity)
-            intensity = int(value) if value >= 1 or value == 0 else round(
-                value * len(item.sentences)
-            )
         out.append(diversify_problem(item, DiversifyConfig(
-            theta=args.theta, intensity=intensity, scorer=args.scorer,
-            seed=args.seed, resources=resources,
+            theta=args.theta, intensity=sentence_count(args.intensity, len(item.sentences)),
+            scorer=args.scorer, seed=args.seed, resources=resources,
         )))
     save_dataset(_require_out(args), out)
     changed = sum(1 for d in out if d.intensity > 0)
@@ -302,8 +305,7 @@ def _cmd_sweep(args) -> int:
     cfg = _translator_cfg(args, values)
     translator = _make_translator(cfg, resources)
     dataset = [p for p in load_dataset(args.input) if isinstance(p, Problem)]
-    levels = [float(x) if "." in x else int(x) for x in args.levels.split(",")]
-    points = intensity_sweep(dataset, translator, cfg, args.solver, levels,
+    points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
                              seed=args.seed, resources=resources)
     csv_text = sweep_to_csv(points)
     if args.out:

@@ -406,11 +406,6 @@ class LLMTranslator:
         self.prompts = prompts
         self.oracle = oracle
         self.semantics_mode = semantics_mode
-        self._proposals: list[Proposal] = []
-
-    def propose(self, p: Problem) -> list[Proposal]:
-        # Filled in by translate() after parsing the model reply.
-        return self._proposals
 
     def translate(self, item: Problem | DiversifiedProblem) -> TranslatorOutput:
         problem, _ = _unwrap(item)
@@ -422,15 +417,16 @@ class LLMTranslator:
         )
         try:
             if self.cfg.mental:
-                self._proposals = parse_proposal_lines(reply.text)
+                proposals = parse_proposal_lines(reply.text)
                 program, table, trace = translate_with_mental(
-                    item, self, self.oracle or ExactMatchOracle(), self.semantics_mode
+                    item, _FixedProposals(proposals),
+                    self.oracle or ExactMatchOracle(), self.semantics_mode,
                 )
                 output.program = program
                 output.parse_error = None
                 output.table = table
                 output.trace = trace
-                output.span_symbols = _ledger(self._proposals, table)
+                output.span_symbols = _ledger(proposals, table)
             elif problem.task_kind == "deduction":
                 spec, options = extract_csp_block(reply.text)
                 output.program = spec

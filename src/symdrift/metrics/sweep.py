@@ -19,7 +19,7 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
     """Evaluate at each intensity level (ints are absolute sentence counts,
     floats are fractions of each problem's sentence count). Levels must be
     sorted ascending; the same seed drives every level's rewrite pass."""
-    from ..diversify.pipeline import DiversifyConfig, diversify_problem
+    from ..diversify.pipeline import DiversifyConfig, diversify_problem, sentence_count
     from ..harness.evaluate import run_evaluation
 
     if levels != sorted(levels):
@@ -28,8 +28,7 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
     for level in levels:
         diversified = []
         for p in dataset:
-            n = len(p.sentences)
-            k = min(int(level), n) if isinstance(level, int) else round(level * n)
+            k = sentence_count(level, len(p.sentences))
             diversified.append(diversify_problem(
                 p, DiversifyConfig(intensity=k, seed=seed, resources=resources)
             ))

@@ -1,13 +1,17 @@
 """Brute-force model enumeration over the Herbrand domain.
 
 This is the independent oracle every other engine is checked against. Each
-formula is grounded over the finite constant domain and compiled once into a
-Python expression over an interpretation bitmask, so walking all 2^n
-interpretations stays fast enough for property tests.
+formula is grounded over the finite constant domain and evaluated bit-parallel
+over truth tables: a block of 2^16 interpretations is one Python int, with bit
+`m` of an atom's column telling whether that atom holds in interpretation `m`
+of the block. And, Or and Not become `&`, `|` and `^ full`, so one walk of a
+formula decides it in every interpretation of the block at once. Programs of
+more than `MAX_ATOM_BITS` ground atoms are refused.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from ..errors import DomainTooLarge
@@ -28,37 +32,54 @@ from ..fol.terms import (
 from .verdict import DISPROVED, PROVED, UNKNOWN, Verdict
 
 MAX_ATOM_BITS = 24
+BLOCK_BITS = 16  # a block holds 2^16 interpretations
 
 
-def _ground_expr(f: Formula, env: dict[str, str], atom_bit: dict[tuple, int],
-                 domain: list[str]) -> str:
-    """Render `f` as a Python boolean expression over bitmask variable `m`."""
+@lru_cache(maxsize=None)
+def _low_column(bit: int, width_bits: int) -> int:
+    """Column of atom `bit` over 2^width_bits interpretations: runs of 2^bit
+    zeros then 2^bit ones, repeated by shift-doubling."""
+    run = 1 << bit
+    column = ((1 << run) - 1) << run
+    width = run << 1
+    while width < 1 << width_bits:
+        column |= column << width
+        width <<= 1
+    return column
+
+
+def _truth(f: Formula, env: dict[str, str], column: dict[tuple, int],
+           domain: list[str], full: int) -> int:
+    """Truth table of `f` over the block: bit `m` set iff `f` holds in `m`."""
     if isinstance(f, Atom):
-        key = (f.pred, tuple(env[a.name] if isinstance(a, Var) else a.symbol for a in f.args))
-        return f"(m>>{atom_bit[key]}&1)"
+        return column[(f.pred, tuple(env[a.name] if isinstance(a, Var) else a.symbol
+                                     for a in f.args))]
     if isinstance(f, Not):
-        return f"(not {_ground_expr(f.body, env, atom_bit, domain)})"
-    if isinstance(f, And):
-        return f"({_ground_expr(f.left, env, atom_bit, domain)} and {_ground_expr(f.right, env, atom_bit, domain)})"
-    if isinstance(f, Or):
-        return f"({_ground_expr(f.left, env, atom_bit, domain)} or {_ground_expr(f.right, env, atom_bit, domain)})"
-    if isinstance(f, Implies):
-        return f"((not {_ground_expr(f.left, env, atom_bit, domain)}) or {_ground_expr(f.right, env, atom_bit, domain)})"
-    if isinstance(f, Iff):
-        return f"(bool({_ground_expr(f.left, env, atom_bit, domain)}) == bool({_ground_expr(f.right, env, atom_bit, domain)}))"
+        return full ^ _truth(f.body, env, column, domain, full)
     if isinstance(f, (ForAll, Exists)):
-        joiner = " and " if isinstance(f, ForAll) else " or "
-        parts = []
+        forall = isinstance(f, ForAll)
+        acc = full if forall else 0
         for c in domain:
-            inner = dict(env)
-            inner[f.var] = c
-            parts.append(_ground_expr(f.body, inner, atom_bit, domain))
-        return "(" + joiner.join(parts) + ")"
+            body = _truth(f.body, {**env, f.var: c}, column, domain, full)
+            acc = acc & body if forall else acc | body
+            if acc == (0 if forall else full):
+                break
+        return acc
+    left = _truth(f.left, env, column, domain, full)
+    right = _truth(f.right, env, column, domain, full)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Implies):
+        return (full ^ left) | right
+    if isinstance(f, Iff):
+        return full ^ left ^ right
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _compile(expr: str):
-    return eval(f"lambda m: {expr}", {"__builtins__": {"bool": bool}})
+def _lowest_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
 
 def enumerate_models(p: LogicProgram, extra_constants: list[str] | None = None) -> Verdict:
@@ -69,6 +90,10 @@ def enumerate_models(p: LogicProgram, extra_constants: list[str] | None = None) 
     model of the premises, Disproved that it fails in every one. A program
     with no models at all counts as Proved, matching the refutation engines'
     order of checks.
+
+    Interpretations are numbered by the atoms' bit indices and searched in
+    that order; `steps` counts the models up to the first interpretation at
+    which the query has been seen both true and false, or all of them.
     """
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("model enumeration expects an open-world program")
@@ -92,26 +117,39 @@ def enumerate_models(p: LogicProgram, extra_constants: list[str] | None = None) 
                     f"{len(atom_bit)}+ ground atoms exceeds the 2^{MAX_ATOM_BITS} guard"
                 )
 
-    premise_fn = _compile(
-        " and ".join(_ground_expr(f, {}, atom_bit, domain) for f in p.premises) or "True"
-    )
-    query_fn = _compile(_ground_expr(p.query, {}, atom_bit, domain))
+    width_bits = min(len(atom_bit), BLOCK_BITS)
+    full = (1 << (1 << width_bits)) - 1
+    column = {key: _low_column(bit, width_bits)
+              for key, bit in atom_bit.items() if bit < BLOCK_BITS}
+    high = [(key, bit - BLOCK_BITS) for key, bit in atom_bit.items() if bit >= BLOCK_BITS]
 
-    q_true = q_false = 0
-    n_models = 0
-    for m in range(1 << len(atom_bit)):
-        if premise_fn(m):
-            n_models += 1
-            if query_fn(m):
-                q_true += 1
-            else:
-                q_false += 1
-            if q_true and q_false:
+    seen_true = seen_false = False
+    steps = 0
+    for block in range(1 << len(high)):
+        for key, shift in high:
+            column[key] = full if block >> shift & 1 else 0
+        models = full
+        for f in p.premises:
+            models &= _truth(f, {}, column, domain, full)
+            if not models:
                 break
+        if not models:
+            continue
+        q_true = models & _truth(p.query, {}, column, domain, full)
+        q_false = models ^ q_true
+        stops = []
+        if q_true and not seen_true:
+            seen_true = True
+            stops.append(_lowest_bit(q_true))
+        if q_false and not seen_false:
+            seen_false = True
+            stops.append(_lowest_bit(q_false))
+        if seen_true and seen_false:
+            # The interpretation-at-a-time walk stopped at the later first sighting.
+            steps += (models & ((2 << max(stops)) - 1)).bit_count()
+            return Verdict(UNKNOWN, steps=steps)
+        steps += models.bit_count()
 
-    steps = n_models
-    if q_true and q_false:
-        return Verdict(UNKNOWN, steps=steps)
-    if q_false == 0:
+    if not seen_false:
         return Verdict(PROVED, steps=steps)  # includes the no-model case
     return Verdict(DISPROVED, steps=steps)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
+from symdrift.errors import DomainTooLarge
 from symdrift.fol import (
     And,
     Atom,
@@ -16,9 +18,12 @@ from symdrift.fol import (
     LogicProgram,
     Not,
     Or,
+    OPEN_WORLD,
     SymbolRegistry,
     Var,
 )
+from symdrift.solver import Verdict
+from symdrift.solver.enumeration import MAX_ATOM_BITS
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -106,3 +111,62 @@ def random_decidable_program(rng: random.Random, max_bits: int = 18) -> LogicPro
         p = random_program(rng)
         if domain_bits(p) <= max_bits:
             return p
+
+
+def holds(f: Formula, interp: dict[tuple, bool], env: dict[str, str],
+          domain: list[str]) -> bool:
+    """Truth of `f` in one Herbrand interpretation (ground atom -> bool)."""
+    if isinstance(f, Atom):
+        return interp[(f.pred, tuple(env[a.name] if isinstance(a, Var) else a.symbol
+                                     for a in f.args))]
+    if isinstance(f, Not):
+        return not holds(f.body, interp, env, domain)
+    if isinstance(f, And):
+        return holds(f.left, interp, env, domain) and holds(f.right, interp, env, domain)
+    if isinstance(f, Or):
+        return holds(f.left, interp, env, domain) or holds(f.right, interp, env, domain)
+    if isinstance(f, Implies):
+        return not holds(f.left, interp, env, domain) or holds(f.right, interp, env, domain)
+    if isinstance(f, Iff):
+        return holds(f.left, interp, env, domain) == holds(f.right, interp, env, domain)
+    if isinstance(f, ForAll):
+        return all(holds(f.body, interp, {**env, f.var: c}, domain) for c in domain)
+    if isinstance(f, Exists):
+        return any(holds(f.body, interp, {**env, f.var: c}, domain) for c in domain)
+    raise TypeError(f)
+
+
+def reference_enumerate_models(p: LogicProgram,
+                               extra_constants: list[str] | None = None) -> Verdict:
+    """One-interpretation-at-a-time model search: the specification that
+    `enumerate_models` must match verdict for verdict, `steps` included.
+    Interpretation `m` makes the atom with bit index `i` true iff bit `i` of
+    `m` is set; the walk stops at the first interpretation after which the
+    query has been seen both true and false in models of the premises."""
+    if p.semantics_mode != OPEN_WORLD:
+        raise ValueError("model enumeration expects an open-world program")
+    registry = p.registry.copy()
+    domain = p.constants()
+    for name in extra_constants or []:
+        sid = registry.lookup(name, "constant") or registry.declare(name, 0, "constant")
+        if sid not in domain:
+            domain.append(sid)
+    if not domain:
+        domain.append(registry.declare("_d0", 0, "constant"))
+    atoms = [(pred, combo) for pred in p.predicates()
+             for combo in product(domain, repeat=registry.info(pred).arity)]
+    if len(atoms) > MAX_ATOM_BITS:
+        raise DomainTooLarge(f"{len(atoms)} ground atoms")
+
+    q_true = q_false = n_models = 0
+    for m in range(1 << len(atoms)):
+        interp = {atom: bool(m >> i & 1) for i, atom in enumerate(atoms)}
+        if all(holds(f, interp, {}, domain) for f in p.premises):
+            n_models += 1
+            if holds(p.query, interp, {}, domain):
+                q_true += 1
+            else:
+                q_false += 1
+            if q_true and q_false:
+                return Verdict("unknown", steps=n_models)
+    return Verdict("proved" if q_false == 0 else "disproved", steps=n_models)

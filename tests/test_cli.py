@@ -80,6 +80,29 @@ class TestPipelineCommands:
         assert lines[0] == "level,k_mean,accuracy,sds"
         assert len(lines) == 3
 
+    def test_intensity_grammar_shared_by_diversify_and_sweep(self, workdir, capsys):
+        run("generate", "--n", "6", "--seed", "4", "--out", "p.jsonl")
+        assert run("diversify", "--in", "p.jsonl", "--intensity", "1.0",
+                   "--out", "d.jsonl") == EXIT_OK
+        rows = [json.loads(l) for l in Path("d.jsonl").read_text().splitlines()]
+        diversify_k = sum(row["intensity"] for row in rows) / len(rows)
+        assert run("sweep", "--in", "p.jsonl", "--translator", "naive",
+                   "--levels", "1.0", "--out", "curve.csv") == EXIT_OK
+        level, sweep_k = Path("curve.csv").read_text().splitlines()[1].split(",")[:2]
+        assert level == "1.0"
+        assert float(sweep_k) == diversify_k > 1
+
+    @pytest.mark.parametrize("argv", [
+        ("diversify", "--intensity", "1.5"),
+        ("diversify", "--intensity", "-1"),
+        ("diversify", "--intensity", "half"),
+        ("sweep", "--levels", "0,2.0"),
+        ("sweep", "--levels", "0,,1"),
+    ])
+    def test_bad_intensity_is_usage_error(self, workdir, argv):
+        run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
+        assert run(*argv, "--in", "p.jsonl", "--out", "out") == EXIT_USAGE
+
     def test_compare_and_export(self, workdir, capsys):
         run("generate", "--n", "4", "--seed", "5", "--out", "p.jsonl")
         run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")

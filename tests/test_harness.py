@@ -294,6 +294,42 @@ class TestLLMTranslator:
                  for s in output.program.registry.symbols("predicate")}
         assert names == {"Kind"}
 
+    def test_mental_records_independent_of_workers(self, resources):
+        """Proposals parsed from one reply never leak into another problem's
+        translation, however the worker threads interleave."""
+        import re
+        import sys
+
+        names = [f"Person{i}" for i in range(120)]
+        problems = [Problem(
+            id=f"p{i}", sentences=(TextUnit.from_text(f"{name} is kind."),),
+            question=TextUnit.from_text(f"Is {name} kind?"),
+            gold_answer="true", task_kind="proofwriter",
+        ) for i, name in enumerate(names)]
+
+        def respond(prompt):
+            name = re.findall(r"Is (Person\d+) kind\?", prompt)[-1]
+            return f"```\nunit 0: Slot0({name}) | kind\nquery: Slot0({name}) | kind\n```"
+
+        cfg = TranslatorConfig(kind="llm", mental=True)
+
+        def records(workers):
+            translator = LLMTranslator(cfg, StubClient(responder=respond),
+                                       PromptLibrary.load())
+            report = run_evaluation(problems, translator, cfg, "auto",
+                                    resources=resources, workers=workers)
+            return [json.dumps(record_to_json(r), sort_keys=True) for r in report.records]
+
+        sequential = records(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # a single run misses the race about one time in three
+                assert records(8) == sequential
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(f'"query": "Kind({name})"' in r for name, r in zip(names, sequential))
+
     def test_shots_rendered_into_prompt(self):
         stub = StubClient(replies=["``` \npremise: A(b)\nquery: A(b)\n```"])
         cfg = TranslatorConfig(kind="llm", shots=2)

@@ -44,7 +44,7 @@ from symdrift.solver import (
     solve_csp,
 )
 
-from .helpers import herbrand_padding, random_decidable_program
+from .helpers import herbrand_padding, random_decidable_program, reference_enumerate_models
 
 
 def _program(premises: list[str], query: str, mode: str = "open_world") -> LogicProgram:
@@ -79,6 +79,36 @@ class TestEnumeration:
     def test_empty_domain_gets_fresh_element(self):
         p = _program(["all x (Kind(x) -> Smart(x))"], "all x Kind(x)")
         assert enumerate_models(p).value == "unknown"
+
+    def test_matches_reference_walk(self, monkeypatch):
+        """Bit-parallel search returns the same Verdict, steps included, as
+        the one-interpretation-at-a-time walk, in one block and (with tiny
+        blocks) across many."""
+        from symdrift.solver import enumeration
+
+        rng = random.Random(4_201)
+        for _ in range(300):
+            p = random_decidable_program(rng, max_bits=12)
+            for extra in (None, herbrand_padding(p)):
+                expected = reference_enumerate_models(p, extra)
+                assert enumerate_models(p, extra) == expected
+                with monkeypatch.context() as m:
+                    m.setattr(enumeration, "BLOCK_BITS", 2)
+                    assert enumerate_models(p, extra) == expected
+
+    def test_24_atom_proved_chain(self):
+        premises = ["A0(a)", "A0(b)", "A0(c)"] + [
+            f"all x (A{i}(x) -> A{i + 1}(x))" for i in range(7)
+        ]
+        p = _program(premises, "A7(c)")
+        assert len(p.constants()) * len(p.predicates()) == 24
+        assert enumerate_models(p) == Verdict("proved", steps=1)
+
+    def test_25_atoms_refused(self):
+        p = _program([f"A{i}(a{i})" for i in range(5)], "A0(a1)")
+        assert len(p.constants()) * len(p.predicates()) == 25
+        with pytest.raises(DomainTooLarge):
+            enumerate_models(p)
 
 
 def _program_raw(r, premises, query):
