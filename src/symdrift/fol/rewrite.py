@@ -35,13 +35,14 @@ def rename_symbol_by_name(p: LogicProgram, old_name: str, new_name: str,
     return rename_symbol(p, sid, new_name)
 
 
-def refine_symbol(p: LogicProgram, compound: str, base: str, modifier: str) -> LogicProgram:
-    """Replace every atom `compound(t)` by `base(t) & modifier(t)`.
+def refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> LogicProgram:
+    """Replace every atom `compound(t)` by `left(t) & right(t)`.
 
-    The compound must be a unary predicate; base and modifier are unary
+    The compound must be a unary predicate; the two parts are unary
     predicate ids (callers auto-register them first via `ensure_unary`).
     The compound is removed from the registry even when it had no occurrences.
-    Substitution happens at the atom level, so it is polarity-safe.
+    Substitution happens at the atom level, so it is polarity-safe. A program
+    still being built may have no query yet; it is mapped only when present.
     """
     registry = p.registry.copy()
     comp_info = registry.info(compound)
@@ -49,7 +50,7 @@ def refine_symbol(p: LogicProgram, compound: str, base: str, modifier: str) -> L
         raise NonUnaryCompound(
             f"{comp_info.name!r} is {comp_info.kind} of arity {comp_info.arity}"
         )
-    for part in (base, modifier):
+    for part in (left, right):
         part_info = registry.info(part)
         if part_info.kind != PREDICATE or part_info.arity != 1:
             raise NonUnaryCompound(
@@ -59,10 +60,10 @@ def refine_symbol(p: LogicProgram, compound: str, base: str, modifier: str) -> L
     def expand(atom: Atom) -> Formula:
         if atom.pred != compound:
             return atom
-        return And(Atom(base, atom.args), Atom(modifier, atom.args))
+        return And(Atom(left, atom.args), Atom(right, atom.args))
 
     premises = tuple(map_atoms(f, expand) for f in p.premises)
-    query = map_atoms(p.query, expand)
+    query = map_atoms(p.query, expand) if p.query is not None else None
     registry.remove(compound)
     return LogicProgram(registry, premises, query, p.semantics_mode)
 

@@ -1,6 +1,6 @@
 """Dataset ingestion, translators, run orchestration, and the CLI."""
 
-from .client import Completion, HttpChatClient, StubClient, TokenBucket, UsageLedger
+from .client import Completion, HttpChatClient, StubClient, UsageLedger
 from .config import (
     GOLD,
     LLM,
@@ -45,7 +45,6 @@ from .translators import (
     LLMTranslator,
     NaiveTranslator,
     SplitAdversaryTranslator,
-    TranslatorOutput,
     extract_csp_block,
     extract_program_block,
     make_translator,
@@ -59,10 +58,10 @@ __all__ = [
     "HttpChatClient", "LLM", "LLMTranslator", "NAIVE", "NAMES",
     "NaiveTranslator", "PromptLibrary", "RESOLUTION", "RunReport",
     "SPLIT_ADVERSARY", "SplitAdversaryTranslator", "StubClient",
-    "SyntheticConfig", "TokenBucket", "TranslatorConfig", "TranslatorOutput",
-    "UsageLedger", "diversified_from_json", "diversified_to_json",
-    "evaluate_one", "export_sft_traces", "extract_csp_block",
-    "extract_program_block", "generate_synthetic", "load_dataset",
+    "SyntheticConfig", "TranslatorConfig", "UsageLedger",
+    "diversified_from_json", "diversified_to_json", "evaluate_one",
+    "export_sft_traces", "extract_csp_block", "extract_program_block",
+    "generate_synthetic", "load_dataset",
     "make_translator", "normalize_items", "parse_proposal_lines",
     "problem_from_json", "problem_to_json", "program_from_json",
     "program_to_json", "proof_depth", "propose_from_templates",

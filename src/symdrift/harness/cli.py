@@ -47,12 +47,15 @@ from .config import (
 from .datasets import load_dataset, save_dataset
 from .evaluate import (
     AUTO,
+    # Unused here, but perfbench's self-test checks its tracer patches cli.evaluate_one.
     evaluate_one,
     normalize_items,
     render_report_text,
     run_evaluation,
+    solve_one,
+    translate_one,
 )
-from .serialize import record_from_json, record_to_json
+from .serialize import read_records, write_records
 from .sft import export_sft_traces
 from .synthetic import generate_synthetic
 from .translators import make_translator
@@ -204,44 +207,11 @@ def _cmd_translate(args) -> int:
     cfg = _translator_cfg(args, values)
     translator = _make_translator(cfg, resources)
     items = normalize_items(load_dataset(args.input), resources)
-    records = []
-    for item in items:
-        output = translator.translate(item)
-        records.append(TranslationRecord(
-            problem_id=item.problem.id,
-            gold=item.problem.gold_answer,
-            raw_output=output.raw_output,
-            program=output.program,
-            parse_error=output.parse_error,
-            tokens_in=output.tokens_in,
-            tokens_out=output.tokens_out,
-            span_symbols=output.span_symbols,
-            mental_trace=output.trace,
-            table_text=output.table.render_text() if output.table else "",
-        ))
-    with _require_out(args).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+    records = [translate_one(item, translator) for item in items]
+    write_records(_require_out(args), records)
     parsed = sum(1 for r in records if r.program is not None)
     print(f"translated {len(records)} problems ({parsed} parsed)")
     return EXIT_OK
-
-
-class _ReplayTranslator:
-    """Feeds a saved record back through the solve/classify path."""
-
-    def __init__(self, record: TranslationRecord):
-        self._record = record
-
-    def translate(self, _item):
-        from .translators import TranslatorOutput
-
-        r = self._record
-        return TranslatorOutput(
-            raw_output=r.raw_output, program=r.program,
-            parse_error=r.parse_error, span_symbols=r.span_symbols,
-            tokens_in=r.tokens_in, tokens_out=r.tokens_out,
-        )
 
 
 def _cmd_solve(args) -> int:
@@ -249,20 +219,15 @@ def _cmd_solve(args) -> int:
     resources = _resources(values)
     items = {i.problem.id: i for i in normalize_items(load_dataset(args.problems), resources)}
     out_path = _require_out(args)
-    rows = []
-    solved = 0
-    for lineno, line in enumerate(Path(args.records).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        record = record_from_json(json.loads(line))
+    records = read_records(args.records)
+    for record in records:
         item = items.get(record.problem_id)
         if item is None:
-            raise FormatError(f"no problem with id {record.problem_id!r}", line=lineno)
-        solved_record = evaluate_one(item, _ReplayTranslator(record), args.solver)
-        solved += solved_record.verdict is not None
-        rows.append(json.dumps(record_to_json(solved_record), sort_keys=True))
-    out_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(f"solved {solved} of {len(rows)} records")
+            raise FormatError(f"no problem with id {record.problem_id!r}")
+        solve_one(record, item, args.solver)
+    write_records(out_path, records)
+    solved = sum(1 for r in records if r.verdict is not None)
+    print(f"solved {solved} of {len(records)} records")
     return EXIT_OK
 
 
@@ -281,11 +246,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sds(args) -> int:
-    records = []
-    for line in Path(args.records).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(record_from_json(json.loads(line)))
-    result = compute_sds(records)
+    result = compute_sds(read_records(args.records))
     payload = {
         "sds": result.value,
         "concepts": result.concepts,
@@ -318,8 +279,7 @@ def _read_run_records(run_dir: str) -> list[TranslationRecord]:
     path = Path(run_dir) / "records.jsonl"
     if not path.exists():
         raise FormatError(f"no records.jsonl under {run_dir}")
-    return [record_from_json(json.loads(line))
-            for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    return read_records(path)
 
 
 def _cmd_compare(args) -> int:

@@ -1,4 +1,4 @@
-"""Remote chat client, deterministic test double, and rate limiting.
+"""Remote chat client and its deterministic test double.
 
 Endpoint protocol: POST JSON {"prompt": ..., "temperature": ...} and read
 {"text": ..., "usage": {"input_tokens": n, "output_tokens": m}}. The endpoint
@@ -38,44 +38,13 @@ class UsageLedger:
             self.calls += 1
 
 
-class TokenBucket:
-    """Simple shared rate limiter: `rate` permits per second, bursts up to
-    `capacity`. A non-positive rate disables limiting."""
-
-    def __init__(self, rate: float, capacity: int = 4, clock=time.monotonic,
-                 sleeper=time.sleep):
-        self._rate = rate
-        self._capacity = max(1, capacity)
-        self._tokens = float(self._capacity)
-        self._stamp = clock()
-        self._clock = clock
-        self._sleep = sleeper
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        if self._rate <= 0:
-            return
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(
-                    self._capacity, self._tokens + (now - self._stamp) * self._rate
-                )
-                self._stamp = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self._rate
-            self._sleep(wait)
-
-
 class HttpChatClient:
     """Blocking JSON client with bounded exponential-backoff retries."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  timeout_s: float = 30.0, max_retries: int = 3,
-                 backoff_s: float = 1.0, bucket: TokenBucket | None = None,
-                 ledger: UsageLedger | None = None, sleeper=time.sleep):
+                 backoff_s: float = 1.0, ledger: UsageLedger | None = None,
+                 sleeper=time.sleep):
         if not endpoint:
             raise ClientError("no endpoint configured")
         self._endpoint = endpoint
@@ -83,7 +52,6 @@ class HttpChatClient:
         self._timeout = timeout_s
         self._max_retries = max_retries
         self._backoff = backoff_s
-        self._bucket = bucket or TokenBucket(rate=0)
         self.ledger = ledger or UsageLedger()
         self._sleep = sleeper
 
@@ -94,7 +62,6 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {self._api_key}"
         last_error: Exception | None = None
         for attempt in range(self._max_retries):
-            self._bucket.acquire()
             request = urllib.request.Request(self._endpoint, data=payload, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self._timeout) as response:

@@ -1,5 +1,9 @@
 """Run orchestration: translate, solve, classify, aggregate, persist.
 
+`evaluate_one` is exactly `translate_one` then `solve_one`, the two steps the
+CLI's `translate` and `solve` subcommands run separately; so a saved
+translation re-solved later gives the record `evaluate` would have written.
+
 A run directory holds four artifacts: `config` (flat key=value snapshot),
 `records.jsonl`, `report` (canonical JSON), and `traces.jsonl`. Everything
 written there is byte-reproducible for deterministic translators; wall-clock
@@ -38,8 +42,8 @@ from ..solver.enumeration import enumerate_models
 from ..solver.resolution import prove_resolution
 from ..solver.verdict import Verdict
 from .config import TranslatorConfig
-from .serialize import record_to_json
-from .translators import TranslatorOutput
+from .serialize import write_records
+from .translators import translation_record
 
 CWA = "cwa"
 RESOLUTION = "resolution"
@@ -85,12 +89,12 @@ def solver_for(task_kind: str, solver: str) -> str:
     return solver
 
 
-def _solve(output: TranslatorOutput, problem: Problem, solver: str) -> Verdict:
+def _solve(record: TranslationRecord, solver: str) -> Verdict:
     if solver == CSP:
-        if not isinstance(output.program, CSPSpec):
+        if not isinstance(record.program, CSPSpec):
             raise SolverMismatch("constraint solving needs a constraint spec")
-        return solve_csp(output.program, output.options)
-    program = output.program
+        return solve_csp(record.program, record.options)
+    program = record.program
     assert isinstance(program, LogicProgram)
     mode = CLOSED_WORLD if solver == CWA else OPEN_WORLD
     program = LogicProgram(program.registry, program.premises, program.query, mode).validate()
@@ -126,28 +130,26 @@ def normalize_items(items: list[Problem | DiversifiedProblem],
     return out
 
 
-def evaluate_one(item: DiversifiedProblem, translator, solver: str) -> TranslationRecord:
+def translate_one(item: DiversifiedProblem, translator) -> TranslationRecord:
+    """Translate one problem; a translation that fails is a parse error."""
+    try:
+        return translator.translate(item)
+    except (MentalError, MissingGold, FolError) as exc:
+        return translation_record(item.problem, parse_error=str(exc))
+
+
+def solve_one(record: TranslationRecord, item: DiversifiedProblem,
+              solver: str) -> TranslationRecord:
+    """Solve and align a translated record in place. What an earlier solve
+    set is cleared first, so solving a solved record again changes nothing."""
     problem = item.problem
     engine = solver_for(problem.task_kind, solver)
-    try:
-        output = translator.translate(item)
-    except (MentalError, MissingGold, FolError) as exc:
-        output = TranslatorOutput(raw_output="", program=None, parse_error=str(exc))
-    record = TranslationRecord(
-        problem_id=problem.id,
-        gold=problem.gold_answer,
-        raw_output=output.raw_output,
-        program=output.program,
-        parse_error=output.parse_error,
-        tokens_in=output.tokens_in,
-        tokens_out=output.tokens_out,
-        span_symbols=output.span_symbols,
-        mental_trace=output.trace,
-        table_text=output.table.render_text() if output.table else "",
-    )
+    record.verdict = record.predicted = record.exec_error = None
+    record.alignment = {}
+    record.alignment_misses = []
     if record.program is not None:
         try:
-            verdict = _solve(output, problem, engine)
+            verdict = _solve(record, engine)
             record.verdict = verdict
             record.predicted = _predicted_label(verdict, problem.task_kind, engine)
         except (SolverError, FolError, SolverMismatch) as exc:
@@ -157,6 +159,10 @@ def evaluate_one(item: DiversifiedProblem, translator, solver: str) -> Translati
         except AlignmentIncomplete:
             pass  # alignment stays empty; dispersion simply sees no concepts
     return record
+
+
+def evaluate_one(item: DiversifiedProblem, translator, solver: str) -> TranslationRecord:
+    return solve_one(translate_one(item, translator), item, solver)
 
 
 def run_evaluation(dataset: list[Problem | DiversifiedProblem], translator,
@@ -255,16 +261,10 @@ def persist_run(out_dir: Path, report: RunReport,
     out_dir.mkdir(parents=True, exist_ok=True)
     config_lines = [f"{key} = {report.config[key]}" for key in sorted(report.config)]
     (out_dir / "config").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
-    with (out_dir / "records.jsonl").open("w", encoding="utf-8") as handle:
-        for record in report.records:
-            handle.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+    write_records(out_dir / "records.jsonl", report.records)
     (out_dir / "report").write_text(
         json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
-    )
-    # Single-line twin of the report for line-oriented aggregation.
-    (out_dir / "metrics.jsonl").write_text(
-        json.dumps(report_to_json(report), sort_keys=True) + "\n", encoding="utf-8"
     )
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
         by_id = {item.problem.id: item for item in items}

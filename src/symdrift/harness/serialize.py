@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from ..fol.terms import LogicProgram
 from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
-from ..solver.csp import Constraint, CSPSpec
+from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
 from .datasets import program_from_json, program_to_json
 
@@ -30,7 +33,8 @@ def record_to_json(r: TranslationRecord) -> dict:
     if isinstance(r.program, LogicProgram):
         program = {"logic": program_to_json(r.program)}
     elif isinstance(r.program, CSPSpec):
-        program = {"csp": csp_to_json(r.program)}
+        program = {"csp": csp_to_json(r.program),
+                   "options": [[o.obj, o.position] for o in r.options]}
     verdict = None
     if r.verdict is not None:
         verdict = {
@@ -66,11 +70,14 @@ def record_to_json(r: TranslationRecord) -> dict:
 
 def record_from_json(data: dict) -> TranslationRecord:
     program = None
+    options = []
     if data.get("program"):
         if "logic" in data["program"]:
             program = program_from_json(data["program"]["logic"])
         else:
             program = csp_from_json(data["program"]["csp"])
+            options = [Option(obj, position)
+                       for obj, position in data["program"].get("options", [])]
     verdict = None
     if data.get("verdict"):
         v = data["verdict"]
@@ -82,6 +89,7 @@ def record_from_json(data: dict) -> TranslationRecord:
         raw_output=data.get("raw_output", ""),
         program=program,
         parse_error=data.get("parse_error"),
+        options=options,
         tokens_in=data.get("tokens_in", 0),
         tokens_out=data.get("tokens_out", 0),
         table_text=data.get("table", ""),
@@ -102,3 +110,16 @@ def record_from_json(data: dict) -> TranslationRecord:
         for expr, decision, symbol, revisions in data.get("trace", [])
     )
     return record
+
+
+def write_records(path: str | Path, records: list[TranslationRecord]) -> None:
+    """Write records as JSONL, one canonical JSON object per line."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+
+
+def read_records(path: str | Path) -> list[TranslationRecord]:
+    return [record_from_json(json.loads(line))
+            for line in Path(path).read_text(encoding="utf-8").splitlines()
+            if line.strip()]

@@ -1,14 +1,14 @@
 """Translator implementations: gold, naive, split-adversary, and LLM-backed.
 
-All of them return a TranslatorOutput carrying the program (or a parse
-failure), the span-to-symbol ledger the provenance aligner consumes, and any
-table/trace produced by table-guided translation.
+Every `translate()` returns an unsolved `TranslationRecord`: the program (or
+a parse failure), the span-to-symbol ledger the provenance aligner consumes,
+any answer options, and the rendered table and trace of table-guided
+translation. `harness.evaluate.solve_one` fills in the rest.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from ..errors import MissingGold, TranslationFailure
 from ..fol.render import render_formula
@@ -19,33 +19,27 @@ from ..fol.terms import (
     Const,
     Formula,
     LogicProgram,
-    Not,
     PREDICATE,
     SymbolRegistry,
     map_atoms,
 )
 from ..mental.oracles import EquivalenceOracle
 from ..mental.table import MentalTable, normalize_expression
-from ..mental.translate import Proposal, TraceEvent, translate_with_mental
+from ..mental.translate import Proposal, translate_with_mental
+from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT
 from ..solver.csp import CSPSpec, Constraint, Option
 from .config import TranslatorConfig
 from .prompts import PromptLibrary
 
-SpanKey = tuple[int, int, int]
 
-
-@dataclass
-class TranslatorOutput:
-    raw_output: str
-    program: LogicProgram | CSPSpec | None
-    parse_error: str | None = None
-    span_symbols: dict[SpanKey, str] = field(default_factory=dict)
-    options: list[Option] = field(default_factory=list)
-    table: MentalTable | None = None
-    trace: tuple[TraceEvent, ...] = ()
-    tokens_in: int = 0
-    tokens_out: int = 0
+def translation_record(problem: Problem, table: MentalTable | None = None,
+                       **fields) -> TranslationRecord:
+    """The unsolved record of one translation of `problem`; a symbol table
+    is stored as its rendered text."""
+    return TranslationRecord(problem_id=problem.id, gold=problem.gold_answer,
+                             table_text=table.render_text() if table else "",
+                             **fields)
 
 
 def _camel(words: str) -> str:
@@ -162,7 +156,7 @@ class NaiveTranslator:
     def propose(self, p: Problem) -> list[Proposal]:
         return propose_from_templates(p)
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslatorOutput:
+    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, _ = _unwrap(item)
         try:
             proposals = self.propose(problem)
@@ -171,14 +165,13 @@ class NaiveTranslator:
                 self.oracle or ExactMatchOracle(), self.semantics_mode,
             )
         except TranslationFailure as exc:
-            return TranslatorOutput(raw_output="", program=None, parse_error=str(exc))
-        raw = _render_program_block(program) if program else ""
-        return TranslatorOutput(
-            raw_output=raw,
+            return translation_record(problem, parse_error=str(exc))
+        return translation_record(
+            problem, table,
+            raw_output=_render_program_block(program),
             program=program,
             span_symbols=_ledger(proposals, table),
-            table=table,
-            trace=trace,
+            mental_trace=trace,
         )
 
 
@@ -186,7 +179,7 @@ class GoldTranslator:
     """Emits the gold program with every diversified surface mapped back to
     its concept symbol through provenance; drift-free by construction."""
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslatorOutput:
+    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, diversified = _unwrap(item)
         if problem.gold_logic is None or problem.gold_concepts is None:
             raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
@@ -200,7 +193,8 @@ class GoldTranslator:
                     continue
                 for e in entries:
                     span_symbols[(e.unit, e.char_start, e.char_end)] = symbol
-        return TranslatorOutput(
+        return translation_record(
+            problem,
             raw_output=_render_program_block(program),
             program=program,
             span_symbols=span_symbols,
@@ -211,7 +205,7 @@ class SplitAdversaryTranslator:
     """Keeps the gold structure but assigns one symbol per distinct surface
     form of each concept: maximal drift with otherwise-correct logic."""
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslatorOutput:
+    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, diversified = _unwrap(item)
         if problem.gold_logic is None or problem.gold_concepts is None:
             raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
@@ -286,7 +280,8 @@ class SplitAdversaryTranslator:
                 span_symbols[(e.unit, e.char_start, e.char_end)] = per_surface_symbol(
                     concept_id, surface
                 )
-        return TranslatorOutput(
+        return translation_record(
+            problem,
             raw_output=_render_program_block(program),
             program=program,
             span_symbols=span_symbols,
@@ -407,14 +402,12 @@ class LLMTranslator:
         self.oracle = oracle
         self.semantics_mode = semantics_mode
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslatorOutput:
+    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, _ = _unwrap(item)
         prompt = self.prompts.render_translation(problem, self.cfg)
         reply = self.client.complete(prompt, temperature=self.cfg.temperature)
-        output = TranslatorOutput(
-            raw_output=reply.text, program=None, parse_error="unparsed",
-            tokens_in=reply.tokens_in, tokens_out=reply.tokens_out,
-        )
+        usage = dict(raw_output=reply.text, tokens_in=reply.tokens_in,
+                     tokens_out=reply.tokens_out)
         try:
             if self.cfg.mental:
                 proposals = parse_proposal_lines(reply.text)
@@ -422,23 +415,20 @@ class LLMTranslator:
                     item, _FixedProposals(proposals),
                     self.oracle or ExactMatchOracle(), self.semantics_mode,
                 )
-                output.program = program
-                output.parse_error = None
-                output.table = table
-                output.trace = trace
-                output.span_symbols = _ledger(proposals, table)
-            elif problem.task_kind == "deduction":
+                return translation_record(
+                    problem, table, program=program, mental_trace=trace,
+                    span_symbols=_ledger(proposals, table), **usage,
+                )
+            if problem.task_kind == "deduction":
                 spec, options = extract_csp_block(reply.text)
-                output.program = spec
-                output.options = options
-                output.parse_error = None
-            else:
-                output.program = extract_program_block(reply.text, self.semantics_mode)
-                output.parse_error = None
+                return translation_record(problem, program=spec, options=options,
+                                          **usage)
+            return translation_record(
+                problem, program=extract_program_block(reply.text, self.semantics_mode),
+                **usage,
+            )
         except Exception as exc:
-            output.program = None
-            output.parse_error = str(exc)
-        return output
+            return translation_record(problem, parse_error=str(exc), **usage)
 
 
 _PROPOSAL_LINE = re.compile(

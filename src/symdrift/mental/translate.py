@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import TranslationFailure
 from ..fol.parser import parse_formula
+from ..fol.rewrite import ensure_unary, refine_symbol
 from ..fol.terms import (
     And,
     Atom,
@@ -72,19 +73,14 @@ def _refine_program(state: TranslationState, compound_name: str, base_name: str,
     compound = registry.lookup(compound_name, PREDICATE)
     if compound is None:
         return state  # symbol never reached the program; nothing to rewrite
-    base = _ensure_pred(registry, base_name)
-    modifier = _ensure_pred(registry, modifier_name)
-
-    def expand(atom: Atom) -> Formula:
-        if atom.pred != compound:
-            return atom
-        return And(Atom(modifier, atom.args), Atom(base, atom.args))
-
-    premises = tuple(map_atoms(f, expand) for f in state.premises)
-    query = map_atoms(state.query, expand) if state.query is not None else None
-    registry.remove(compound)
-    return replace(state, registry=registry, premises=premises, query=query,
-                   revisions=state.revisions + 1)
+    base = ensure_unary(registry, base_name)
+    modifier = ensure_unary(registry, modifier_name)
+    program = refine_symbol(
+        LogicProgram(registry, state.premises, state.query, state.semantics_mode),
+        compound, modifier, base,
+    )
+    return replace(state, registry=program.registry, premises=program.premises,
+                   query=program.query, revisions=state.revisions + 1)
 
 
 def process_expression(st: TranslationState, e: str,

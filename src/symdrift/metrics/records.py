@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fol.terms import LogicProgram
-from ..solver.csp import CSPSpec
+from ..solver.csp import CSPSpec, Option
 from ..solver.verdict import Verdict
 
 CORRECT = "Correct"
@@ -25,6 +25,8 @@ class TranslationRecord:
     raw_output: str = ""
     program: LogicProgram | CSPSpec | None = None
     parse_error: str | None = None
+    # answer options a constraint program is asked about
+    options: list[Option] = field(default_factory=list)
     verdict: Verdict | None = None
     exec_error: str | None = None
     predicted: str | int | None = None

@@ -3,7 +3,8 @@
 The score averages (distinct symbols - 1) over concepts, pooled across the
 whole record set; zero means every concept kept a single symbol. Concepts the
 translator dropped entirely (no symbol at all) score zero drift but are
-counted separately, since the raw formula would go negative on them.
+counted separately, since the raw formula would go negative on them. A record
+set in which no concept got a symbol has no score: dispersion was not measured.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def compute_sds(records: list[TranslationRecord]) -> SdsResult:
                 drifted += 1
         if problem_concepts:
             per_problem[record.problem_id] = problem_drift / problem_concepts
-    if total == 0:
-        raise EmptyConceptSet("no aligned concepts in the record set")
+    if dropped == total:
+        raise EmptyConceptSet("no concept in the record set was aligned to a symbol")
     return SdsResult(
         value=drift_sum / total,
         concepts=total,

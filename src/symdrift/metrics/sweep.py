@@ -10,7 +10,7 @@ class SweepPoint:
     level: float  # requested level (fraction or absolute count)
     k_mean: float  # realized mean sentences rewritten per problem
     accuracy: float
-    sds: float
+    sds: float | None  # None when dispersion was not measured
 
 
 def intensity_sweep(dataset, translator, translator_cfg, solver: str,
@@ -38,7 +38,7 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
             level=float(level),
             k_mean=sum(d.intensity for d in diversified) / len(diversified),
             accuracy=report.accuracy,
-            sds=report.sds.value if report.sds else 0.0,
+            sds=report.sds.value if report.sds else None,
         ))
     return points
 
@@ -46,5 +46,6 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
 def sweep_to_csv(points: list[SweepPoint]) -> str:
     lines = ["level,k_mean,accuracy,sds"]
     for pt in points:
-        lines.append(f"{pt.level},{pt.k_mean},{pt.accuracy},{pt.sds}")
+        sds = "n/a" if pt.sds is None else pt.sds
+        lines.append(f"{pt.level},{pt.k_mean},{pt.accuracy},{sds}")
     return "\n".join(lines) + "\n"

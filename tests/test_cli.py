@@ -63,6 +63,37 @@ class TestPipelineCommands:
         rows = [json.loads(l) for l in Path("solved.jsonl").read_text().splitlines()]
         assert all(row["verdict"] for row in rows)
 
+    @pytest.mark.parametrize("flags", [
+        ("--translator", "naive", "--mental", "off"),
+        ("--translator", "naive", "--mental", "on"),
+        ("--translator", "gold", "--solver", "resolution"),
+        ("--translator", "gold", "--solver", "enumerate"),
+        ("--translator", "split-adversary"),
+    ])
+    def test_translate_then_solve_reproduces_evaluate(self, workdir, capsys, flags):
+        run("generate", "--n", "6", "--seed", "1", "--out", "p.jsonl")
+        run("diversify", "--in", "p.jsonl", "--seed", "1", "--out", "d.jsonl")
+        solver = flags[2:] if flags[2:3] == ("--solver",) else ()
+        translate_flags = flags[:2] if solver else flags
+        assert run("evaluate", "--in", "d.jsonl", *flags, "--out", "run") == EXIT_OK
+        assert run("translate", "--in", "d.jsonl", *translate_flags,
+                   "--out", "t.jsonl") == EXIT_OK
+        assert run("solve", "--records", "t.jsonl", "--problems", "d.jsonl", *solver,
+                   "--out", "s.jsonl") == EXIT_OK
+        assert Path("s.jsonl").read_bytes() == Path("run/records.jsonl").read_bytes()
+        assert run("solve", "--records", "s.jsonl", "--problems", "d.jsonl", *solver,
+                   "--out", "s2.jsonl") == EXIT_OK
+        assert Path("s2.jsonl").read_bytes() == Path("s.jsonl").read_bytes()
+
+    def test_translate_records_missing_gold_as_parse_error(self, workdir, capsys):
+        Path("p.jsonl").write_text(json.dumps({
+            "id": "a", "sentences": ["Anne is kind."], "question": "Is Anne kind?",
+            "answer": "true", "task_kind": "proofwriter"}) + "\n")
+        assert run("translate", "--in", "p.jsonl", "--translator", "gold",
+                   "--out", "t.jsonl") == EXIT_OK
+        row = json.loads(Path("t.jsonl").read_text())
+        assert row["program"] is None and "lacks gold logic" in row["parse_error"]
+
     def test_sds_command(self, workdir, capsys):
         run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")
         run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")

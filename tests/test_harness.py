@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -25,7 +26,6 @@ from symdrift.harness import (
     SplitAdversaryTranslator,
     StubClient,
     SyntheticConfig,
-    TokenBucket,
     TranslatorConfig,
     UsageLedger,
     export_sft_traces,
@@ -33,6 +33,7 @@ from symdrift.harness import (
     extract_program_block,
     generate_synthetic,
     load_dataset,
+    normalize_items,
     proof_depth,
     record_from_json,
     record_to_json,
@@ -404,6 +405,75 @@ class TestEvaluation:
         report = run_evaluation([p], translator, cfg, "auto", resources=resources)
         assert report.histogram["ExecError"] == 1
 
+    def test_deduction_options_survive_the_record_round_trip(self, resources):
+        from symdrift.harness.evaluate import normalize_items, solve_one, translate_one
+
+        reply = (
+            "```\nobjects: Red, Blue, Green\nconstraint: LeftOf(Red, Blue)\n"
+            "constraint: LeftOf(Blue, Green)\noption 0: Blue at 1\n"
+            "option 1: Red at 1\n```"
+        )
+        translator = LLMTranslator(TranslatorConfig(kind="llm"),
+                                   StubClient(replies=[reply]), PromptLibrary.load())
+        p = Problem(
+            id="ded3",
+            sentences=(TextUnit.from_text("The red book is left of the blue book."),
+                       TextUnit.from_text("The blue book is left of the green book.")),
+            question=TextUnit.from_text("Which option is right?"),
+            options=("Blue at 1", "Red at 1"),
+            gold_answer=1, task_kind="deduction",
+        )
+        [item] = normalize_items([p], resources)
+        saved = json.dumps(record_to_json(translate_one(item, translator)), sort_keys=True)
+        record = solve_one(record_from_json(json.loads(saved)), item, "auto")
+        assert [(o.obj, o.position) for o in record.options] == [("Blue", 1), ("Red", 1)]
+        assert record.verdict.option_index == 1
+        assert record.predicted == 1
+
+    def test_solve_one_replaces_an_earlier_solve(self, resources, diversified_batch):
+        from symdrift.harness.evaluate import evaluate_one, solve_one
+
+        def as_json(record):
+            return json.dumps(record_to_json(record), sort_keys=True)
+
+        [item] = normalize_items(diversified_batch[3:4], resources)
+        record = evaluate_one(item, NaiveTranslator(), "auto")
+        by_cwa = as_json(record)
+        by_resolution = as_json(evaluate_one(item, NaiveTranslator(), "resolution"))
+        assert record.alignment_misses and by_cwa != by_resolution
+        assert as_json(solve_one(record, item, "resolution")) == by_resolution
+        assert as_json(solve_one(record, item, "auto")) == by_cwa
+
+    def test_unmeasured_sds_is_not_zero(self, resources):
+        """A stub llm translator with table guidance yields no char spans, so
+        every concept is dropped: the dispersion was not measured."""
+        from symdrift.harness import render_report_text
+        from symdrift.harness.evaluate import report_to_json
+        from symdrift.metrics import intensity_sweep, sweep_to_csv
+
+        problems = [Problem(
+            id=f"p{i}", sentences=(TextUnit.from_text(f"Person{i} is kind."),),
+            question=TextUnit.from_text(f"Is Person{i} kind?"),
+            gold_answer="true", task_kind="proofwriter",
+        ) for i in range(3)]
+
+        def respond(prompt):  # the sweep rewrites "kind", never the name
+            name = re.findall(r"Person\d+", prompt)[-1]
+            return f"```\nunit 0: Slot0({name}) | kind\nquery: Slot0({name}) | kind\n```"
+
+        cfg = TranslatorConfig(kind="llm", mental=True)
+        translator = LLMTranslator(cfg, StubClient(responder=respond), PromptLibrary.load())
+        report = run_evaluation(problems, translator, cfg, "auto", resources=resources)
+        assert report.accuracy == 1.0
+        assert all(r.alignment and not any(r.alignment.values()) for r in report.records)
+        assert report.sds is None and report_to_json(report)["sds"] is None
+        assert "sds        n/a" in render_report_text(report).splitlines()
+        points = intensity_sweep(problems, translator, cfg, "auto", [0, 1.0],
+                                 resources=resources)
+        assert [pt.sds for pt in points] == [None, None]
+        assert [line.split(",")[-1] for line in sweep_to_csv(points).splitlines()] == \
+            ["sds", "n/a", "n/a"]
+
     def test_empty_dataset(self, resources):
         with pytest.raises(EmptyDataset):
             run_evaluation([], NaiveTranslator(), TranslatorConfig(), "auto",
@@ -535,22 +605,6 @@ class TestClient:
         ledger.add(Completion("a", 5, 7))
         ledger.add(Completion("b", 1, 2))
         assert (ledger.tokens_in, ledger.tokens_out, ledger.calls) == (6, 9, 2)
-
-    def test_token_bucket_blocks_until_refill(self):
-        waits = []
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        def sleeper(t):
-            waits.append(t)
-            now[0] += t
-
-        bucket = TokenBucket(rate=1.0, capacity=1, clock=clock, sleeper=sleeper)
-        bucket.acquire()  # burst token
-        bucket.acquire()  # must wait ~1s
-        assert waits and waits[0] == pytest.approx(1.0)
 
     def test_retries_then_client_error(self, monkeypatch):
         import urllib.request
