@@ -103,9 +103,6 @@ class SynonymLexicon:
             return w
         return self._find(w)
 
-    def same_group(self, a: str, b: str) -> bool:
-        return self.representative(a) == self.representative(b)
-
     def entries(self) -> list[tuple[str, str]]:
         return sorted(self._synonyms)
 

@@ -92,14 +92,6 @@ class NoEntailedOption(SolverError):
     """Constraints are satisfiable but no option holds in every solution."""
 
 
-class ExternalUnavailable(SolverError):
-    pass
-
-
-class ExternalTimeout(SolverError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Diversification / resources
 

@@ -2,7 +2,7 @@
 
 from .cnf import Clause, ClauseSet, Literal, SkolemAllocator, to_cnf
 from .parser import parse_formula
-from .render import CANONICAL, PROVER9, render_formula
+from .render import render_formula
 from .rewrite import ensure_unary, refine_symbol, rename_symbol, rename_symbol_by_name
 from .terms import (
     And,
@@ -34,10 +34,10 @@ from .terms import (
 )
 
 __all__ = [
-    "And", "Atom", "CANONICAL", "CLOSED_WORLD", "CONSTANT", "CSP_MODE",
+    "And", "Atom", "CLOSED_WORLD", "CONSTANT", "CSP_MODE",
     "Clause", "ClauseSet", "Const", "Exists", "ForAll", "Formula", "Iff",
     "Implies", "Literal", "LogicProgram", "Not", "OPEN_WORLD", "Or",
-    "PREDICATE", "PROVER9", "SkolemAllocator", "SymbolInfo", "SymbolRegistry",
+    "PREDICATE", "SkolemAllocator", "SymbolInfo", "SymbolRegistry",
     "Term", "Var", "ensure_unary", "free_variables", "horn_parts", "is_horn",
     "map_atoms", "parse_formula", "refine_symbol", "rename_symbol",
     "rename_symbol_by_name", "render_formula", "to_cnf", "type_check",

@@ -1,9 +1,7 @@
-"""Formula rendering in the canonical dialect and the external-prover dialect.
+"""Formula rendering in the canonical dialect.
 
-Canonical output round-trips: parsing it against the same registry rebuilds a
-structurally identical formula. The prover dialect differs only in statement
-termination (`.`), `-` for negation, and escaping of constant names that the
-external tool would silently read as variables.
+The output round-trips: parsing it against the same registry rebuilds a
+structurally identical formula.
 """
 
 from __future__ import annotations
@@ -23,58 +21,47 @@ from .terms import (
     Var,
 )
 
-CANONICAL = "canonical"
-PROVER9 = "prover9"
-
 # Binding strength; higher binds tighter.
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, ForAll: 5, Exists: 5, Atom: 6}
 
 _CONNECTIVE = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 
 
-def render_formula(f: Formula, registry: SymbolRegistry, dialect: str = CANONICAL) -> str:
-    if dialect == CANONICAL:
-        return _render(f, registry, parent_prec=0, neg="~", escape=False)
-    if dialect == PROVER9:
-        return _render(f, registry, parent_prec=0, neg="-", escape=True) + "."
-    raise ValueError(f"unknown dialect {dialect!r}")
+def render_formula(f: Formula, registry: SymbolRegistry) -> str:
+    return _render(f, registry, parent_prec=0)
 
 
-def _term_str(t, registry: SymbolRegistry, escape: bool) -> str:
+def _term_str(t, registry: SymbolRegistry) -> str:
     if isinstance(t, Var):
         return t.name
     assert isinstance(t, Const)
-    name = registry.name_of(t.symbol)
-    if escape and name[0] in "uvwxyz":
-        # The external prover reads free identifiers starting u-z as variables.
-        return "c_" + name
-    return name
+    return registry.name_of(t.symbol)
 
 
-def _render(f: Formula, registry: SymbolRegistry, parent_prec: int, neg: str, escape: bool) -> str:
+def _render(f: Formula, registry: SymbolRegistry, parent_prec: int) -> str:
     if isinstance(f, Atom):
         name = registry.name_of(f.pred)
         if not f.args:
             return name
-        return f"{name}({', '.join(_term_str(a, registry, escape) for a in f.args)})"
+        return f"{name}({', '.join(_term_str(a, registry) for a in f.args)})"
     if isinstance(f, Not):
-        return neg + _render(f.body, registry, _PREC[Not], neg, escape)
+        return "~" + _render(f.body, registry, _PREC[Not])
     if isinstance(f, (ForAll, Exists)):
         kw = "all" if isinstance(f, ForAll) else "exists"
         body = f.body
         if isinstance(body, (Atom, Not, ForAll, Exists)):
-            return f"{kw} {f.var} {_render(body, registry, _PREC[type(f)], neg, escape)}"
-        return f"{kw} {f.var} ({_render(body, registry, 0, neg, escape)})"
+            return f"{kw} {f.var} {_render(body, registry, _PREC[type(f)])}"
+        return f"{kw} {f.var} ({_render(body, registry, 0)})"
     op = _CONNECTIVE[type(f)]
     prec = _PREC[type(f)]
     # Right-associative arrows reparse correctly when the right child keeps the
     # parent's precedence; chains of the left-folded & and | likewise.
     if isinstance(f, (Implies, Iff)):
-        left = _render(f.left, registry, prec + 1, neg, escape)
-        right = _render(f.right, registry, prec, neg, escape)
+        left = _render(f.left, registry, prec + 1)
+        right = _render(f.right, registry, prec)
     else:
-        left = _render(f.left, registry, prec, neg, escape)
-        right = _render(f.right, registry, prec + 1, neg, escape)
+        left = _render(f.left, registry, prec)
+        right = _render(f.right, registry, prec + 1)
     out = f"{left} {op} {right}"
     if prec < parent_prec:
         return f"({out})"

@@ -24,10 +24,6 @@ from .datasets import (
 from .evaluate import (
     ALLOWED_SOLVERS,
     AUTO,
-    CSP,
-    CWA,
-    ENUMERATE,
-    RESOLUTION,
     RunReport,
     evaluate_one,
     normalize_items,
@@ -53,10 +49,10 @@ from .translators import (
 )
 
 __all__ = [
-    "ALLOWED_SOLVERS", "ATTRIBUTES", "AUTO", "CSP", "CWA", "Completion",
-    "ENUMERATE", "ExactMatchOracle", "GOLD", "GoldTranslator",
+    "ALLOWED_SOLVERS", "ATTRIBUTES", "AUTO", "Completion",
+    "ExactMatchOracle", "GOLD", "GoldTranslator",
     "HttpChatClient", "LLM", "LLMTranslator", "NAIVE", "NAMES",
-    "NaiveTranslator", "PromptLibrary", "RESOLUTION", "RunReport",
+    "NaiveTranslator", "PromptLibrary", "RunReport",
     "SPLIT_ADVERSARY", "SplitAdversaryTranslator", "StubClient",
     "SyntheticConfig", "TranslatorConfig", "UsageLedger",
     "diversified_from_json", "diversified_to_json", "evaluate_one",

@@ -43,9 +43,6 @@ class TranslatorConfig:
         if self.oracle not in (ORACLE_LEXICON, ORACLE_LLM):
             raise ValueError(f"unknown oracle {self.oracle!r}")
 
-    def requires_provenance(self) -> bool:
-        return self.kind in (GOLD, SPLIT_ADVERSARY)
-
     def snapshot(self) -> dict[str, str]:
         return {
             "translator.kind": self.kind,

@@ -131,11 +131,8 @@ def diversified_from_json(data: dict, line: int | None = None) -> DiversifiedPro
     )
 
 
-def load_dataset(path: str | Path, format: str = "jsonl"
-                 ) -> list[Problem | DiversifiedProblem]:
+def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
     """Read a JSONL problem file; diversified lines are detected by shape."""
-    if format != "jsonl":
-        raise FormatError(f"unsupported dataset format {format!r}")
     p = Path(path)
     if not p.exists():
         raise FormatError(f"dataset file not found: {p}")

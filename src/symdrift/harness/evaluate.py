@@ -4,6 +4,10 @@
 CLI's `translate` and `solve` subcommands run separately; so a saved
 translation re-solved later gives the record `evaluate` would have written.
 
+Each engine decides a program in its own world (`ENGINES`), and each task is
+read in the world `problem.TASK_KINDS` gives it. When an open-world engine
+serves a closed-world task, an atom it cannot prove reads as false.
+
 A run directory holds four artifacts: `config` (flat key=value snapshot),
 `records.jsonl`, `report` (canonical JSON), and `traces.jsonl`. Everything
 written there is byte-reproducible for deterministic translators; wall-clock
@@ -16,8 +20,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ..diversify.pipeline import DiversifyConfig, diversify_problem
 from ..diversify.resources import Resources
@@ -31,36 +36,45 @@ from ..errors import (
     SolverError,
     SolverMismatch,
 )
-from ..fol.terms import CLOSED_WORLD, LogicProgram, OPEN_WORLD
+from ..fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, Not, OPEN_WORLD
 from ..metrics.records import TranslationRecord
 from ..metrics.sds import SdsResult, align_symbols, compute_sds
 from ..metrics.taxonomy import accuracy, error_histogram
-from ..problem import DiversifiedProblem, Problem
+from ..problem import DiversifiedProblem, Problem, TASK_KINDS
 from ..solver.chaining import forward_chain_cwa
 from ..solver.csp import CSPSpec, solve_csp
 from ..solver.enumeration import enumerate_models
 from ..solver.resolution import prove_resolution
 from ..solver.verdict import Verdict
-from .config import TranslatorConfig
+from .config import TranslatorConfig, write_config_file
 from .serialize import write_records
 from .translators import translation_record
 
-CWA = "cwa"
-RESOLUTION = "resolution"
-CSP = "csp"
-ENUMERATE = "enumerate"
 AUTO = "auto"
 
-# Dataset-to-engine pairings; the first entry is the `auto` choice.
-ALLOWED_SOLVERS: dict[str, tuple[str, ...]] = {
-    "proofwriter": (CWA, RESOLUTION, ENUMERATE),
-    "prontoqa": (CWA,),
-    "folio": (RESOLUTION, ENUMERATE),
-    "proverqa": (RESOLUTION, ENUMERATE),
-    "deduction": (CSP,),
+
+class Engine(NamedTuple):
+    world: str  # the semantics the engine decides a program under
+    decide: Callable[[LogicProgram | CSPSpec, list], Verdict]
+
+
+# Engines call the solvers through their module-level names, so a solver
+# rebound at run time (as a profiler does) is the one that runs.
+ENGINES: dict[str, Engine] = {
+    "cwa": Engine(CLOSED_WORLD, lambda p, _: forward_chain_cwa(p)),
+    "resolution": Engine(OPEN_WORLD, lambda p, _: prove_resolution(p)),
+    "enumerate": Engine(OPEN_WORLD, lambda p, _: enumerate_models(p)),
+    "csp": Engine(CSP_MODE, lambda p, options: solve_csp(p, options)),
 }
 
-BINARY_TASKS = ("proofwriter", "prontoqa")
+# Task-to-engine pairings; the first entry is the `auto` choice.
+ALLOWED_SOLVERS: dict[str, tuple[str, ...]] = {
+    "proofwriter": ("cwa", "resolution", "enumerate"),
+    "prontoqa": ("cwa",),
+    "folio": ("resolution", "enumerate"),
+    "proverqa": ("resolution", "enumerate"),
+    "deduction": ("csp",),
+}
 
 
 @dataclass
@@ -89,29 +103,28 @@ def solver_for(task_kind: str, solver: str) -> str:
     return solver
 
 
-def _solve(record: TranslationRecord, solver: str) -> Verdict:
-    if solver == CSP:
-        if not isinstance(record.program, CSPSpec):
-            raise SolverMismatch("constraint solving needs a constraint spec")
-        return solve_csp(record.program, record.options)
+def _solve(record: TranslationRecord, engine: Engine) -> Verdict:
+    """Decide the record's program in the engine's world."""
     program = record.program
-    assert isinstance(program, LogicProgram)
-    mode = CLOSED_WORLD if solver == CWA else OPEN_WORLD
-    program = LogicProgram(program.registry, program.premises, program.query, mode).validate()
-    if solver == CWA:
-        return forward_chain_cwa(program)
-    if solver == RESOLUTION:
-        return prove_resolution(program)
-    if solver == ENUMERATE:
-        return enumerate_models(program)
-    raise SolverMismatch(f"unknown solver {solver!r}")
+    if engine.world == CSP_MODE:
+        if not isinstance(program, CSPSpec):
+            raise SolverMismatch("constraint solving needs a constraint spec")
+    else:
+        assert isinstance(program, LogicProgram)
+        program = LogicProgram(program.registry, program.premises, program.query,
+                               engine.world).validate()
+    return engine.decide(program, record.options)
 
 
-def _predicted_label(verdict: Verdict, task_kind: str, solver: str) -> str | int:
+def _predicted_label(record: TranslationRecord, task_kind: str,
+                     engine: Engine) -> str | int:
+    verdict = record.verdict
     label = verdict.label()
-    if solver == RESOLUTION and task_kind in BINARY_TASKS and label == "unknown":
-        # Binary rule-base tasks read failure-to-prove as false.
-        return "false"
+    if (label == "unknown" and not verdict.limit_hit
+            and engine.world == OPEN_WORLD and TASK_KINDS[task_kind] == CLOSED_WORLD):
+        # A closed-world task reads an atom that cannot be proved as false
+        # (negation as failure), so its negation holds.
+        return "true" if isinstance(record.program.query, Not) else "false"
     return label
 
 
@@ -143,15 +156,14 @@ def solve_one(record: TranslationRecord, item: DiversifiedProblem,
     """Solve and align a translated record in place. What an earlier solve
     set is cleared first, so solving a solved record again changes nothing."""
     problem = item.problem
-    engine = solver_for(problem.task_kind, solver)
+    engine = ENGINES[solver_for(problem.task_kind, solver)]
     record.verdict = record.predicted = record.exec_error = None
     record.alignment = {}
     record.alignment_misses = []
     if record.program is not None:
         try:
-            verdict = _solve(record, engine)
-            record.verdict = verdict
-            record.predicted = _predicted_label(verdict, problem.task_kind, engine)
+            record.verdict = _solve(record, engine)
+            record.predicted = _predicted_label(record, problem.task_kind, engine)
         except (SolverError, FolError, SolverMismatch) as exc:
             record.exec_error = f"{type(exc).__name__}: {exc}"
         try:
@@ -259,8 +271,7 @@ def render_report_text(report: RunReport) -> str:
 def persist_run(out_dir: Path, report: RunReport,
                 items: list[DiversifiedProblem]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_lines = [f"{key} = {report.config[key]}" for key in sorted(report.config)]
-    (out_dir / "config").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
+    write_config_file(out_dir / "config", report.config)
     write_records(out_dir / "records.jsonl", report.records)
     (out_dir / "report").write_text(
         json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n",

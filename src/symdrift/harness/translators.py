@@ -14,7 +14,6 @@ from ..errors import MissingGold, TranslationFailure
 from ..fol.render import render_formula
 from ..fol.terms import (
     Atom,
-    CLOSED_WORLD,
     CONSTANT,
     Const,
     Formula,
@@ -27,7 +26,7 @@ from ..mental.oracles import EquivalenceOracle
 from ..mental.table import MentalTable, normalize_expression
 from ..mental.translate import Proposal, translate_with_mental
 from ..metrics.records import SpanKey, TranslationRecord
-from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT
+from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
 from ..solver.csp import CSPSpec, Constraint, Option
 from .config import TranslatorConfig
 from .prompts import PromptLibrary
@@ -148,9 +147,7 @@ class NaiveTranslator:
     """Names every predicate after the literal surface form it sees; no
     cross-surface grouping unless wrapped with table guidance."""
 
-    def __init__(self, semantics_mode: str = CLOSED_WORLD,
-                 oracle: EquivalenceOracle | None = None):
-        self.semantics_mode = semantics_mode
+    def __init__(self, oracle: EquivalenceOracle | None = None):
         self.oracle = oracle  # None reproduces the drift-prone baseline
 
     def propose(self, p: Problem) -> list[Proposal]:
@@ -161,8 +158,7 @@ class NaiveTranslator:
         try:
             proposals = self.propose(problem)
             program, table, trace = translate_with_mental(
-                item, _FixedProposals(proposals),
-                self.oracle or ExactMatchOracle(), self.semantics_mode,
+                item, _FixedProposals(proposals), self.oracle or ExactMatchOracle(),
             )
         except TranslationFailure as exc:
             return translation_record(problem, parse_error=str(exc))
@@ -394,13 +390,11 @@ class LLMTranslator:
     """
 
     def __init__(self, cfg: TranslatorConfig, client, prompts: "PromptLibrary",
-                 oracle: EquivalenceOracle | None = None,
-                 semantics_mode: str = CLOSED_WORLD):
+                 oracle: EquivalenceOracle | None = None):
         self.cfg = cfg
         self.client = client
         self.prompts = prompts
         self.oracle = oracle
-        self.semantics_mode = semantics_mode
 
     def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, _ = _unwrap(item)
@@ -412,8 +406,7 @@ class LLMTranslator:
             if self.cfg.mental:
                 proposals = parse_proposal_lines(reply.text)
                 program, table, trace = translate_with_mental(
-                    item, _FixedProposals(proposals),
-                    self.oracle or ExactMatchOracle(), self.semantics_mode,
+                    item, _FixedProposals(proposals), self.oracle or ExactMatchOracle(),
                 )
                 return translation_record(
                     problem, table, program=program, mental_trace=trace,
@@ -423,10 +416,8 @@ class LLMTranslator:
                 spec, options = extract_csp_block(reply.text)
                 return translation_record(problem, program=spec, options=options,
                                           **usage)
-            return translation_record(
-                problem, program=extract_program_block(reply.text, self.semantics_mode),
-                **usage,
-            )
+            program = extract_program_block(reply.text, TASK_KINDS[problem.task_kind])
+            return translation_record(problem, program=program, **usage)
         except Exception as exc:
             return translation_record(problem, parse_error=str(exc), **usage)
 
@@ -468,8 +459,7 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
     return proposals
 
 
-def make_translator(cfg: TranslatorConfig, resources=None, client=None,
-                    semantics_mode: str = CLOSED_WORLD):
+def make_translator(cfg: TranslatorConfig, resources=None, client=None):
     """Build the configured translator; LLM kinds need a client."""
     from ..mental.oracles import lexicon_oracle, llm_oracle
     from .config import GOLD, LLM, NAIVE, ORACLE_LLM, SPLIT_ADVERSARY
@@ -492,10 +482,9 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None,
     if cfg.kind == SPLIT_ADVERSARY:
         return SplitAdversaryTranslator()
     if cfg.kind == NAIVE:
-        return NaiveTranslator(semantics_mode, oracle=oracle)
+        return NaiveTranslator(oracle=oracle)
     if cfg.kind == LLM:
         if client is None:
             raise ValueError("llm translator requires a client")
-        return LLMTranslator(cfg, client, prompts, oracle=oracle,
-                             semantics_mode=semantics_mode)
+        return LLMTranslator(cfg, client, prompts, oracle=oracle)
     raise ValueError(f"unknown translator kind {cfg.kind!r}")

@@ -27,10 +27,6 @@ class SymbolRef:
     base: str
     modifier: str | None = None
 
-    @property
-    def is_decomposed(self) -> bool:
-        return self.modifier is not None
-
     def render(self) -> str:
         if self.modifier is None:
             return self.base

@@ -27,7 +27,7 @@ from ..fol.terms import (
     SymbolRegistry,
     map_atoms,
 )
-from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT
+from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
 from .oracles import EquivalenceOracle
 from .table import EXTEND, MentalTable, REFINE, REUSE, SymbolRef, normalize_expression
 
@@ -227,15 +227,15 @@ def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
 
 def translate_with_mental(p: Problem | DiversifiedProblem, base_translator,
                           oracle: EquivalenceOracle,
-                          semantics_mode: str = CLOSED_WORLD,
                           ) -> tuple[LogicProgram | None, MentalTable, tuple[TraceEvent, ...]]:
-    """Translate with every predicate surface routed through the table.
+    """Translate with every predicate surface routed through the table; the
+    program is built in the world of the problem's task kind.
 
     An input with nothing to translate returns (None, empty table, empty
     trace) rather than fabricating a program.
     """
     problem = p.problem if isinstance(p, DiversifiedProblem) else p
-    state = TranslationState.empty(semantics_mode)
+    state = TranslationState.empty(TASK_KINDS[problem.task_kind])
     proposals = base_translator.propose(problem)
     if not proposals:
         return None, state.table, state.trace

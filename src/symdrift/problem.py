@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .fol.terms import LogicProgram
+from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
 from .textproc import Token, tokenize
 
 QUESTION_UNIT = -1
@@ -19,7 +19,15 @@ TASK_PRONTOQA = "prontoqa"
 TASK_PROVERQA = "proverqa"
 TASK_DEDUCTION = "deduction"
 
-TASK_KINDS = (TASK_FOLIO, TASK_PROOFWRITER, TASK_PRONTOQA, TASK_PROVERQA, TASK_DEDUCTION)
+# Each task kind is read in one world: rule-base tasks closed (what is not
+# derivable is false), first-order tasks open, ordering puzzles as constraints.
+TASK_KINDS = {
+    TASK_FOLIO: OPEN_WORLD,
+    TASK_PROOFWRITER: CLOSED_WORLD,
+    TASK_PRONTOQA: CLOSED_WORLD,
+    TASK_PROVERQA: OPEN_WORLD,
+    TASK_DEDUCTION: CSP_MODE,
+}
 
 
 @dataclass(frozen=True)
@@ -154,9 +162,3 @@ class DiversifiedProblem:
                         f"{text[e.char_start:e.char_end]!r} != {e.surface!r}"
                     )
         return self
-
-    def surfaces_for(self, concept_id: str) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.provenance.get(concept_id, []):
-            seen.setdefault(e.surface.lower())
-        return list(seen)

@@ -14,7 +14,6 @@ from .csp import (
     solve_csp,
 )
 from .enumeration import enumerate_models
-from .prover9 import emit_prover9, normalize_statement, run_external_prover
 from .resolution import DEFAULT_MAX_STEPS, prove_resolution
 from .verdict import DISPROVED, FALSE, OPTION, PROVED, TRUE, UNKNOWN, Verdict
 
@@ -22,7 +21,6 @@ __all__ = [
     "ADJACENT", "AT_POSITION", "CSPSpec", "Constraint", "DEFAULT_MAX_STEPS",
     "DISPROVED", "FALSE", "LEFT_OF", "NOT_AT_POSITION", "OPTION", "Option",
     "PROVED", "RIGHT_OF", "Saturation", "TRUE", "UNKNOWN", "Verdict",
-    "emit_prover9", "enumerate_models", "forward_chain_cwa", "iter_solutions",
-    "normalize_statement", "prove_resolution", "run_external_prover",
-    "saturate", "solve_csp",
+    "enumerate_models", "forward_chain_cwa", "iter_solutions",
+    "prove_resolution", "saturate", "solve_csp",
 ]

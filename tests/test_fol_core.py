@@ -24,7 +24,6 @@ from symdrift.fol import (
     Implies,
     LogicProgram,
     Not,
-    PROVER9,
     SymbolRegistry,
     Var,
     ensure_unary,
@@ -98,13 +97,6 @@ class TestRenderer:
         assert render_formula(f, r) == "all x (Kind(x) -> Smart(x))"
         g = parse_formula("~Kind(Anne)", r)
         assert render_formula(g, r) == "~Kind(Anne)"
-
-    def test_prover_dialect_terminates_statements(self):
-        r = _reg()
-        f = parse_formula("all x (Kind(x) -> Smart(x))", r)
-        assert render_formula(f, r, PROVER9) == "all x (Kind(x) -> Smart(x))."
-        g = parse_formula("~Kind(Anne)", r)
-        assert render_formula(g, r, PROVER9) == "-Kind(Anne)."
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6))

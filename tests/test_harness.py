@@ -16,7 +16,9 @@ from symdrift.errors import (
     NoTraces,
     SolverMismatch,
 )
+from symdrift.fol import Not
 from symdrift.harness import (
+    ALLOWED_SOLVERS,
     Completion,
     GoldTranslator,
     HttpChatClient,
@@ -365,6 +367,56 @@ class TestEvaluation:
                                 "auto", resources=resources)
         assert report.records[0].predicted == "unknown"
         assert report.accuracy == 1.0
+
+    @pytest.mark.parametrize("engine", ALLOWED_SOLVERS["proofwriter"])
+    def test_gold_scores_one_on_every_proofwriter_engine(self, resources, engine):
+        """A closed-world task reads an atom no engine can prove as false,
+        so a negated query about it is true, whatever the engine's world."""
+        problems = generate_synthetic(SyntheticConfig(
+            n_problems=20, depth=3, n_constants=2, n_predicates=5,
+            negation_rate=0.5, seed=7,
+        ))
+        assert any(isinstance(p.gold_logic.query, Not) and p.gold_answer == "true"
+                   for p in problems)
+        diversified = [diversify_problem(p, DiversifyConfig(resources=resources))
+                       for p in problems]
+        for dataset in (problems, diversified):
+            report = run_evaluation(dataset, GoldTranslator(),
+                                    TranslatorConfig(kind="gold"), engine,
+                                    resources=resources)
+            assert report.accuracy == 1.0
+
+    def test_folio_reply_with_a_disjunctive_premise_is_open_world(self, resources):
+        reply = (
+            "```\npremise: Kind(Anne) | Tall(Anne)\n"
+            "premise: all x (Kind(x) -> Happy(x))\n"
+            "premise: all x (Tall(x) -> Happy(x))\nquery: Happy(Anne)\n```"
+        )
+        cfg = TranslatorConfig(kind="llm")
+        translator = LLMTranslator(cfg, StubClient(replies=[reply]), PromptLibrary.load())
+        p = Problem(
+            id="fol-or",
+            sentences=(TextUnit.from_text("Anne is kind or tall."),
+                       TextUnit.from_text("All kind people are happy."),
+                       TextUnit.from_text("All tall people are happy.")),
+            question=TextUnit.from_text("Is Anne happy?"),
+            gold_answer="true", task_kind="folio",
+        )
+        [record] = run_evaluation([p], translator, cfg, "auto", resources=resources).records
+        assert record.parse_error is None and record.program is not None
+        assert record.predicted == "true"
+
+    def test_limit_hit_on_a_closed_world_task_stays_unknown(self, resources, monkeypatch):
+        from symdrift.harness import evaluate
+        from symdrift.solver import Verdict
+
+        monkeypatch.setattr(evaluate, "prove_resolution",
+                            lambda program: Verdict("unknown", limit_hit=True))
+        [item] = normalize_items(
+            generate_synthetic(SyntheticConfig(n_problems=1, seed=3)), resources
+        )
+        record = evaluate.evaluate_one(item, GoldTranslator(), "resolution")
+        assert record.verdict.limit_hit and record.predicted == "unknown"
 
     def test_deduction_lane_with_stub_translator(self, resources):
         reply = (

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import stat
-import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,6 @@ from symdrift.errors import (
     AmbiguousOptions,
     CSPSpecError,
     DomainTooLarge,
-    ExternalUnavailable,
     NoEntailedOption,
     NotHorn,
     Unsatisfiable,
@@ -35,12 +32,9 @@ from symdrift.solver import (
     Option,
     RIGHT_OF,
     Verdict,
-    emit_prover9,
     enumerate_models,
     forward_chain_cwa,
-    normalize_statement,
     prove_resolution,
-    run_external_prover,
     solve_csp,
 )
 
@@ -316,72 +310,6 @@ class TestCsp:
 
 def sorted_items(d):
     return tuple(sorted(d.items()))
-
-
-class TestProver9Adapter:
-    def test_emitted_sections(self):
-        p = _program(["Kind(Anne)"], "Smart(Anne)")
-        text = emit_prover9(p)
-        assert text.splitlines()[0] == "formulas(assumptions)."
-        assert "Kind(Anne)." in text
-        assert "formulas(goals)." in text
-        assert text.count("end_of_list.") == 2
-
-    def test_empty_assumptions_section_present(self):
-        p = _program([], "Smart(Anne)")
-        text = emit_prover9(p)
-        assert text.index("formulas(assumptions).") < text.index("end_of_list.")
-
-    def test_emitted_statements_reparse(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            p = random_decidable_program(rng)
-            text = emit_prover9(p)
-            body = []
-            in_section = False
-            for line in text.splitlines():
-                if line.startswith("formulas("):
-                    in_section = True
-                    continue
-                if line.startswith("end_of_list"):
-                    in_section = False
-                    continue
-                if in_section and line.strip():
-                    body.append(line)
-            reparsed = [parse_formula(normalize_statement(s), p.registry.copy())
-                        for s in body]
-            assert len(reparsed) == len(p.premises) + 1
-
-    def test_missing_binary(self):
-        p = _program(["Kind(Anne)"], "Kind(Anne)")
-        with pytest.raises(ExternalUnavailable):
-            run_external_prover(p, "/nonexistent/prover9")
-
-    def test_fake_binary_proof_marker(self, tmp_path):
-        script = tmp_path / "fakeprover"
-        script.write_text("#!/bin/sh\necho 'THEOREM PROVED'\n")
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        p = _program(["Kind(Anne)"], "Kind(Anne)")
-        assert run_external_prover(p, str(script)).value == "proved"
-
-    def test_fake_binary_no_proof_then_negated_proof(self, tmp_path):
-        # Proves only when the goal line carries a negation: maps to Disproved.
-        script = tmp_path / "fakeprover"
-        script.write_text(textwrap.dedent("""\
-            #!/bin/sh
-            if grep -q -- '-Kind' "$2"; then echo 'THEOREM PROVED'; else echo 'SEARCH FAILED'; fi
-        """))
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        p = _program(["Tall(Anne)"], "Kind(Anne)")
-        assert run_external_prover(p, str(script)).value == "disproved"
-
-    def test_timeout_yields_unknown_with_limit(self, tmp_path):
-        script = tmp_path / "slowprover"
-        script.write_text("#!/bin/sh\nsleep 5\n")
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        p = _program(["Kind(Anne)"], "Kind(Anne)")
-        verdict = run_external_prover(p, str(script), timeout_s=0.3)
-        assert verdict.value == "unknown" and verdict.limit_hit
 
 
 class TestVerdict:
