@@ -447,7 +447,8 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
             s.strip() for s in (pm.group("slots") or "").split("|")[1:] if s.strip()
         )
         # No char spans are known for model-proposed surfaces; the ledger
-        # stays empty and alignment falls back to the llm aligner.
+        # stays empty, so they become alignment misses and the run's SDS
+        # reads `n/a`.
         proposals.append(Proposal(
             unit=QUESTION_UNIT if pm.group("query") else int(pm.group("unit")),
             skeleton=pm.group("skeleton").strip(),

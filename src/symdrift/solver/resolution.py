@@ -4,6 +4,13 @@ A deterministic stand-in for an external first-order prover. Complete for the
 function-free fragment (resolution plus factoring), with forward and backward
 subsumption keeping the clause sets small. Proved means premises plus negated
 query refute; Disproved that premises plus the query itself refute.
+
+Each clause is renamed to its canonical form once, when it is pushed, and a
+kept clause computes its renamed, sorted and frozen literals at most once. A
+processed clause is a resolution partner only when its signature (the set of
+`(polarity, predicate)` it holds) has a complement of one of the given
+clause's, and `c` can subsume `d` only when it is no longer and its signature
+is a subset of `d`'s; both filters run before any unification.
 """
 
 from __future__ import annotations
@@ -81,26 +88,65 @@ def _rename(clause: Clause, tag: str) -> Clause:
     return frozenset(out)
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
+def _sorted_renamed(clause: Clause, tag: str) -> list[Literal]:
+    return sorted(_rename(clause, tag), key=Literal.sort_key)
+
+
+class _Kept:
+    """A canonical clause with what the given-clause loop asks of it, each
+    part computed once, on first use: its signature (the set of
+    `(positive, pred)` it holds), its `h`- and `s`-renamed literals in sort
+    order, and its literals with variables frozen."""
+
+    __slots__ = ("clause", "sig", "_h_lits", "_s_lits", "_frozen")
+
+    def __init__(self, clause: Clause):
+        self.clause = clause
+        self.sig = frozenset((l.positive, l.pred) for l in clause)
+        self._h_lits: list[Literal] | None = None
+        self._s_lits: list[Literal] | None = None
+        self._frozen: dict[tuple[bool, str], list[tuple[Term, ...]]] | None = None
+
+    @property
+    def h_lits(self) -> list[Literal]:
+        """Literals as a resolution partner, apart from the given clause's."""
+        if self._h_lits is None:
+            self._h_lits = _sorted_renamed(self.clause, "h")
+        return self._h_lits
+
+    @property
+    def s_lits(self) -> list[Literal]:
+        """Literals as the subsuming side of a subsumption test."""
+        if self._s_lits is None:
+            self._s_lits = _sorted_renamed(self.clause, "s")
+        return self._s_lits
+
+    @property
+    def frozen(self) -> dict[tuple[bool, str], list[tuple[Term, ...]]]:
+        """Argument tuples keyed by `(positive, pred)`, with variables frozen
+        as pseudo-constants so that matching into them stays one-way."""
+        if self._frozen is None:
+            self._frozen = {}
+            for l in self.clause:
+                args = tuple(Const(f"!frz_{a.name}") if isinstance(a, Var) else a
+                             for a in l.args)
+                self._frozen.setdefault((l.positive, l.pred), []).append(args)
+        return self._frozen
+
+
+def subsumes(c: _Kept, d: _Kept) -> bool:
     """True when some substitution over c's variables maps c into a subset of d."""
-    if len(c) > len(d):
+    if len(c.clause) > len(d.clause) or not c.sig <= d.sig:
         return False
-    # Freeze d's variables as pseudo-constants so matching stays one-way.
-    frozen = [
-        Literal(l.positive, l.pred,
-                tuple(Const(f"!frz_{a.name}") if isinstance(a, Var) else a for a in l.args))
-        for l in sorted(d, key=Literal.sort_key)
-    ]
-    c_lits = sorted(_rename(c, "s"), key=Literal.sort_key)
+    frozen = d.frozen
+    c_lits = c.s_lits
 
     def match(i: int, subst: Subst) -> bool:
         if i == len(c_lits):
             return True
         lit = c_lits[i]
-        for cand in frozen:
-            if cand.positive != lit.positive:
-                continue
-            nxt = unify_atoms(lit.pred, lit.args, cand.pred, cand.args, subst)
+        for args in frozen[lit.positive, lit.pred]:
+            nxt = unify_atoms(lit.pred, lit.args, lit.pred, args, subst)
             if nxt is not None and match(i + 1, nxt):
                 return True
         return False
@@ -108,19 +154,18 @@ def subsumes(c: Clause, d: Clause) -> bool:
     return match(0, {})
 
 
-def _resolvents(given: Clause, other: Clause) -> list[Clause]:
-    a = _rename(given, "g")
-    b = _rename(other, "h")
+def _resolvents(given: list[Literal], other: list[Literal]) -> list[Clause]:
+    """Binary resolvents of two sorted, variable-disjoint literal lists."""
     out = []
-    for lit in sorted(a, key=Literal.sort_key):
-        for cand in sorted(b, key=Literal.sort_key):
-            if cand.positive == lit.positive:
+    for lit in given:
+        for cand in other:
+            if cand.positive == lit.positive or cand.pred != lit.pred:
                 continue
             subst = unify_atoms(lit.pred, lit.args, cand.pred, cand.args)
             if subst is None:
                 continue
-            merged = {apply_subst(x, subst) for x in a if x != lit}
-            merged |= {apply_subst(x, subst) for x in b if x != cand}
+            merged = {apply_subst(x, subst) for x in given if x != lit}
+            merged |= {apply_subst(x, subst) for x in other if x != cand}
             if not any(l.negate() in merged for l in merged):
                 out.append(frozenset(merged))
     return out
@@ -150,7 +195,7 @@ class _Saturation:
 
 
 def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
-    processed: list[Clause] = []
+    processed: list[_Kept] = []
     counter = 0
     queue: list[tuple[int, int, Clause]] = []
     seen: set[Clause] = set()
@@ -171,17 +216,25 @@ def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
     while queue:
         if steps >= max_steps:
             return _Saturation(steps, refuted=False, exhausted=False)
-        _, _, given = heapq.heappop(queue)
-        if not given:
+        _, _, clause = heapq.heappop(queue)
+        if not clause:
             return _Saturation(steps, refuted=True, exhausted=False)
+        given = _Kept(clause)
         if any(subsumes(p, given) for p in processed):
             continue
         steps += 1
         processed = [p for p in processed if not subsumes(given, p)]
         processed.append(given)
-        new: list[Clause] = list(_factors(given))
+        new: list[Clause] = list(_factors(clause))
+        # A partner must hold some literal of opposite polarity on a
+        # predicate of the given clause; any other pair has no resolvent.
+        needs = {(not positive, pred) for positive, pred in given.sig}
+        g_lits: list[Literal] | None = None
         for other in processed:
-            new.extend(_resolvents(given, other))
+            if not needs.isdisjoint(other.sig):
+                if g_lits is None:
+                    g_lits = _sorted_renamed(clause, "g")
+                new.extend(_resolvents(g_lits, other.h_lits))
         for c in new:
             if not c:
                 return _Saturation(steps, refuted=True, exhausted=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import product
 
@@ -9,12 +10,14 @@ from symdrift.errors import DomainTooLarge
 from symdrift.fol import (
     And,
     Atom,
+    Clause,
     Const,
     Exists,
     ForAll,
     Formula,
     Iff,
     Implies,
+    Literal,
     LogicProgram,
     Not,
     Or,
@@ -24,6 +27,7 @@ from symdrift.fol import (
 )
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
+from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -67,6 +71,35 @@ def random_program(rng: random.Random, n_consts: int = 3, n_preds: int = 4,
         quant = ForAll if rng.random() < 0.5 else Exists
         query = quant("x", Atom(rng.choice(preds), (Var("x"),)))
     return LogicProgram(registry, premises, query).validate()
+
+
+def random_relational_program(rng: random.Random) -> LogicProgram:
+    """Random ground literals and universally closed two-literal clauses over
+    binary and unary predicates. Resolvents keep at most two literals, so
+    saturation stays small, but they carry several variables, whose names
+    decide the prover's literal order."""
+    registry = SymbolRegistry()
+    preds = [(registry.declare(f"R{i}", 2, "predicate"), 2) for i in range(rng.randint(1, 3))]
+    preds += [(registry.declare(f"P{i}", 1, "predicate"), 1) for i in range(rng.randint(1, 2))]
+    consts = [Const(registry.declare(f"a{i}", 0, "constant")) for i in range(rng.randint(1, 3))]
+    variables = [Var("x"), Var("y"), Var("z")]
+
+    def literal(terms: list) -> Formula:
+        pred, arity = rng.choice(preds)
+        atom = Atom(pred, tuple(rng.choice(terms) for _ in range(arity)))
+        return Not(atom) if rng.random() < 0.5 else atom
+
+    premises: list[Formula] = []
+    for _ in range(rng.randint(2, 7)):
+        if rng.random() < 0.35:
+            premises.append(literal(consts))
+            continue
+        vs = variables[:rng.randint(1, 3)]
+        f: Formula = Or(literal(vs + consts[:1]), literal(vs))
+        for v in reversed(vs):
+            f = ForAll(v.name, f)
+        premises.append(f)
+    return LogicProgram(registry, tuple(premises), literal(consts)).validate()
 
 
 def herbrand_padding(p: LogicProgram) -> list[str]:
@@ -170,3 +203,137 @@ def reference_enumerate_models(p: LogicProgram,
             if q_true and q_false:
                 return Verdict("unknown", steps=n_models)
     return Verdict("proved" if q_false == 0 else "disproved", steps=n_models)
+
+
+def reference_rename(clause: Clause, tag: str) -> Clause:
+    """Variables renamed to `{tag}0, {tag}1, ...` in sorted-literal order."""
+    mapping: dict[str, Var] = {}
+    out = set()
+    for lit in sorted(clause, key=Literal.sort_key):
+        args = []
+        for a in lit.args:
+            if isinstance(a, Var):
+                if a.name not in mapping:
+                    mapping[a.name] = Var(f"{tag}{len(mapping)}")
+                args.append(mapping[a.name])
+            else:
+                args.append(a)
+        out.add(Literal(lit.positive, lit.pred, tuple(args)))
+    return frozenset(out)
+
+
+def reference_subsumes(c: Clause, d: Clause) -> bool:
+    """Plain one-way matcher: some substitution over c's variables maps c
+    into a subset of d."""
+    if len(c) > len(d):
+        return False
+    frozen = [
+        Literal(l.positive, l.pred,
+                tuple(Const(f"!frz_{a.name}") if isinstance(a, Var) else a for a in l.args))
+        for l in sorted(d, key=Literal.sort_key)
+    ]
+    c_lits = sorted(reference_rename(c, "s"), key=Literal.sort_key)
+
+    def match(i: int, subst: dict) -> bool:
+        if i == len(c_lits):
+            return True
+        lit = c_lits[i]
+        for cand in frozen:
+            if cand.positive != lit.positive:
+                continue
+            nxt = unify_atoms(lit.pred, lit.args, cand.pred, cand.args, subst)
+            if nxt is not None and match(i + 1, nxt):
+                return True
+        return False
+
+    return match(0, {})
+
+
+def _reference_resolvents(given: Clause, other: Clause) -> list[Clause]:
+    a = reference_rename(given, "g")
+    b = reference_rename(other, "h")
+    out = []
+    for lit in sorted(a, key=Literal.sort_key):
+        for cand in sorted(b, key=Literal.sort_key):
+            if cand.positive == lit.positive:
+                continue
+            subst = unify_atoms(lit.pred, lit.args, cand.pred, cand.args)
+            if subst is None:
+                continue
+            merged = {apply_subst(x, subst) for x in a if x != lit}
+            merged |= {apply_subst(x, subst) for x in b if x != cand}
+            if not any(l.negate() in merged for l in merged):
+                out.append(frozenset(merged))
+    return out
+
+
+def _reference_factors(clause: Clause) -> list[Clause]:
+    lits = sorted(clause, key=Literal.sort_key)
+    out = []
+    for i in range(len(lits)):
+        for j in range(i + 1, len(lits)):
+            if lits[i].positive != lits[j].positive:
+                continue
+            subst = unify_atoms(lits[i].pred, lits[i].args, lits[j].pred, lits[j].args)
+            if subst is None:
+                continue
+            factored = frozenset(apply_subst(x, subst) for x in clause)
+            if len(factored) < len(clause):
+                out.append(factored)
+    return out
+
+
+def _reference_saturate(clauses: list[Clause], max_steps: int) -> tuple[int, bool, bool]:
+    """(steps, refuted, exhausted) of the given-clause loop with every clause
+    renamed, sorted and matched afresh at each use."""
+    processed: list[Clause] = []
+    counter = 0
+    queue: list[tuple[int, int, Clause]] = []
+    seen: set[Clause] = set()
+
+    def push(c: Clause) -> None:
+        nonlocal counter
+        c = reference_rename(c, "u")
+        if c in seen:
+            return
+        seen.add(c)
+        counter += 1
+        heapq.heappush(queue, (len(c), counter, c))
+
+    for c in clauses:
+        push(c)
+    steps = 0
+    while queue:
+        if steps >= max_steps:
+            return steps, False, False
+        _, _, given = heapq.heappop(queue)
+        if not given:
+            return steps, True, False
+        if any(reference_subsumes(p, given) for p in processed):
+            continue
+        steps += 1
+        processed = [p for p in processed if not reference_subsumes(given, p)]
+        processed.append(given)
+        new = list(_reference_factors(given))
+        for other in processed:
+            new.extend(_reference_resolvents(given, other))
+        for c in new:
+            if not c:
+                return steps, True, False
+            push(c)
+    return steps, False, True
+
+
+def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
+    """The resolution prover as a plain given-clause loop: the specification
+    that `prove_resolution` must match verdict for verdict, `steps` included."""
+    pos_steps, pos_refuted, pos_exhausted = _reference_saturate(
+        _clausify(p, negate_query=True), max_steps)
+    if pos_refuted:
+        return Verdict("proved", steps=pos_steps)
+    neg_steps, neg_refuted, neg_exhausted = _reference_saturate(
+        _clausify(p, negate_query=False), max_steps)
+    if neg_refuted:
+        return Verdict("disproved", steps=pos_steps + neg_steps)
+    limit = not (pos_exhausted and neg_exhausted)
+    return Verdict("unknown", steps=pos_steps + neg_steps, limit_hit=limit)

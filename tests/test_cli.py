@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -93,6 +94,15 @@ class TestPipelineCommands:
                    "--out", "t.jsonl") == EXIT_OK
         row = json.loads(Path("t.jsonl").read_text())
         assert row["program"] is None and "lacks gold logic" in row["parse_error"]
+
+    def test_gold_resolution_records_are_pinned(self, workdir, capsys):
+        """`records.jsonl` stores each verdict's `steps`, so any change to
+        the prover's clause order, dedup key or subsumption shows here."""
+        run("generate", "--n", "60", "--seed", "1", "--out", "p.jsonl")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "gold",
+                   "--solver", "resolution", "--seed", "1", "--out", "run") == EXIT_OK
+        digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
+        assert digest == "da0ca59b5b8613e48eef52fc0b352763b1a4414e6505798cbf3fa240316867cb"
 
     def test_sds_command(self, workdir, capsys):
         run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")

@@ -18,8 +18,12 @@ from symdrift.errors import (
 )
 from symdrift.fol import (
     CLOSED_WORLD,
+    OPEN_WORLD,
+    Const,
+    Literal,
     LogicProgram,
     SymbolRegistry,
+    Var,
     parse_formula,
 )
 from symdrift.solver import (
@@ -37,8 +41,19 @@ from symdrift.solver import (
     prove_resolution,
     solve_csp,
 )
+from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _Kept, subsumes
 
-from .helpers import herbrand_padding, random_decidable_program, reference_enumerate_models
+from .helpers import (
+    herbrand_padding,
+    random_decidable_program,
+    random_program,
+    random_relational_program,
+    reference_enumerate_models,
+    reference_prove_resolution,
+    reference_subsumes,
+)
 
 
 def _program(premises: list[str], query: str, mode: str = "open_world") -> LogicProgram:
@@ -150,6 +165,64 @@ class TestResolution:
             assert verdict.value == oracle.value
         else:
             assert verdict.value == "unknown"
+
+    def test_matches_reference_prover(self):
+        """Cached canonical clauses, the partner filter and the subsumption
+        pre-filter leave every Verdict, steps included, as the plain
+        given-clause loop gives it, also when the step limit cuts it off."""
+        rng = random.Random(5_303)
+        programs = [random_program(rng) if i % 2 else random_decidable_program(rng)
+                    for i in range(300)]
+        programs += [random_relational_program(rng) for _ in range(300)]
+        verdicts = []
+        for p in programs:
+            for max_steps in (3, 50, DEFAULT_MAX_STEPS):
+                expected = reference_prove_resolution(p, max_steps)
+                assert prove_resolution(p, max_steps) == expected
+                verdicts.append(expected)
+        assert any(v.limit_hit for v in verdicts)
+        assert {v.value for v in verdicts} == {"proved", "disproved", "unknown"}
+
+    def test_matches_reference_prover_on_gold_programs(self):
+        for problem in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
+            gold = problem.gold_logic
+            p = LogicProgram(gold.registry, gold.premises, gold.query, OPEN_WORLD).validate()
+            assert prove_resolution(p) == reference_prove_resolution(p)
+
+    def test_subsumption_prefilter_matches_plain_matcher(self):
+        """Random clause pairs over shared variables, including instances
+        (which subsume), longer subsumers and disjoint signatures."""
+        rng = random.Random(2_004)
+        arity = {"P": 1, "Q": 1, "R": 2, "S": 2, "T": 1, "U": 2}
+        shared, apart = ["P", "Q", "R", "S"], ["T", "U"]
+        terms = [Var("x"), Var("y"), Var("z"), Const("a"), Const("b")]
+
+        def literal(names):
+            name = rng.choice(names)
+            return Literal(rng.random() < 0.5, name,
+                           tuple(rng.choice(terms) for _ in range(arity[name])))
+
+        def clause(names, n):
+            return frozenset(literal(names) for _ in range(n))
+
+        outcomes = set()
+        for _ in range(3_000):
+            c = clause(shared, rng.randint(1, 3))
+            roll = rng.random()
+            if roll < 0.4:  # an instance of c plus extra literals
+                sigma = {v.name: rng.choice(terms) for v in terms if isinstance(v, Var)}
+                d = frozenset(
+                    Literal(l.positive, l.pred,
+                            tuple(sigma[a.name] if isinstance(a, Var) else a for a in l.args))
+                    for l in c) | clause(shared, rng.randint(0, 2))
+            elif roll < 0.6:  # disjoint signatures
+                d = clause(apart, rng.randint(1, 4))
+            else:
+                d = clause(shared, rng.randint(1, 4))
+            expected = reference_subsumes(c, d)
+            assert subsumes(_Kept(c), _Kept(d)) == expected
+            outcomes.add((expected, len(c) > len(d), _Kept(c).sig.isdisjoint(_Kept(d).sig)))
+        assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
 
 
 class TestForwardChaining:
