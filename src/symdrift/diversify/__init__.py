@@ -38,12 +38,12 @@ from .similarity import (
     make_scorer,
     score_similarity,
 )
-from .variants import LLMRewriter, RuleRewriter, build_variants
+from .variants import RuleRewriter, build_variants
 
 __all__ = [
     "ALL_TYPES", "AssemblyResult", "Candidate", "CandidateSite",
     "ConceptConfig", "DerivationTable", "DiversifyConfig", "FALLBACK",
-    "FallbackScorer", "LLMRewriter", "POS_SHIFT", "ParaphraseTable",
+    "FallbackScorer", "POS_SHIFT", "ParaphraseTable",
     "PerturbationSite", "REMOTE", "RemoteScorer", "Resources", "RuleRewriter",
     "SYNONYM", "SYNTACTIC", "SynonymLexicon", "THIRD_PERSON", "VECTORS",
     "VectorScorer", "WordVectors", "assemble", "build_variants",

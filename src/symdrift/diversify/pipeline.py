@@ -26,7 +26,7 @@ from ..textproc import match_surface, tokenize
 from .concepts import ConceptConfig, identify_repeated, select_sites
 from .resources import Resources
 from .similarity import FALLBACK, make_scorer, score_similarity
-from .variants import RuleRewriter, build_variants
+from .variants import build_variants
 
 MAX_CANDIDATES_PER_UNIT = 64
 
@@ -53,7 +53,6 @@ class DiversifyConfig:
     seed: int = 0
     max_n: int = 3
     resources: Resources | None = None
-    rewriter: object | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta <= 1.0):
@@ -263,8 +262,7 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
             intensity=0, no_repeats=not inventory,
         ).validate(p)
 
-    variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases,
-                              cfg.rewriter or RuleRewriter())
+    variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}
     for unit_index, unit in p.units():

@@ -27,14 +27,27 @@ REMOTE = "remote"
 
 
 class FallbackScorer:
-    """Synonym-aware multiset Jaccard over all word lemmas."""
+    """Synonym-aware multiset Jaccard over all word lemmas.
+
+    Each text's bag of representatives is built once per scorer, so a
+    sentence scored against many candidates is bagged once. The bags are
+    shared and never mutated.
+    """
 
     def __init__(self, lexicon: SynonymLexicon):
         self._lexicon = lexicon
+        self._bags: dict[str, Counter] = {}
+
+    def _bag(self, text: str) -> Counter:
+        bag = self._bags.get(text)
+        if bag is None:
+            bag = Counter(self._lexicon.representative(l) for l in word_lemmas(text))
+            self._bags[text] = bag
+        return bag
 
     def score(self, a: str, b: str) -> float:
-        ca = Counter(self._lexicon.representative(l) for l in word_lemmas(a))
-        cb = Counter(self._lexicon.representative(l) for l in word_lemmas(b))
+        ca = self._bag(a)
+        cb = self._bag(b)
         union = sum((ca | cb).values())
         if union == 0:
             return 1.0

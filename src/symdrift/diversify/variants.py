@@ -1,9 +1,9 @@
 """Variant construction: the parallel word / phrase / sentence scheme.
 
 Word-level variants come from the synonym lexicon keyed by (lemma, pos),
-phrase-level from the paraphrase table, sentence-level from a rewriter (rule
-based by default, an LLM callable when configured). When the lexical tables
-yield nothing for a concept, the rewriter is its fallback.
+phrase-level from the paraphrase table, sentence-level from the rule
+rewriter. When the lexical tables yield nothing for a concept, the rewriter
+is its fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from ..problem import (
     PHRASE_LEVEL,
     Problem,
     SENTENCE_LEVEL,
-    SOURCE_LLM,
     SOURCE_PARAPHRASE,
     SOURCE_REWRITE,
     SOURCE_SYNONYM,
@@ -33,6 +32,7 @@ MAX_VARIANT_TOKENS = 4
 @dataclass(frozen=True)
 class RewriteRule:
     pattern: re.Pattern
+    # `str.format` templates over the pattern's groups: `{0}` is group 1.
     templates: tuple[str, ...]
 
 
@@ -42,15 +42,15 @@ class RewriteRule:
 _RULES = (
     RewriteRule(
         re.compile(r"All (\w+) people are (\w+)\."),
-        ("Every \\1 person is \\2.", "If someone is \\1, then they are \\2."),
+        ("Every {0} person is {1}.", "If someone is {0}, then they are {1}."),
     ),
     RewriteRule(
         re.compile(r"Every (\w+) person is (\w+)\."),
-        ("All \\1 people are \\2.", "If someone is \\1, then they are \\2."),
+        ("All {0} people are {1}.", "If someone is {0}, then they are {1}."),
     ),
     RewriteRule(
         re.compile(r"If someone is (\w+), then they are (\w+)\."),
-        ("All \\1 people are \\2.", "Every \\1 person is \\2."),
+        ("All {0} people are {1}.", "Every {0} person is {1}."),
     ),
 )
 
@@ -64,8 +64,9 @@ class RuleRewriter:
             m = rule.pattern.fullmatch(sentence)
             if not m:
                 continue
+            groups = m.groups()
             for template in rule.templates:
-                rewritten = m.expand(template)
+                rewritten = template.format(*groups)
                 if rewritten != sentence:
                     out.append(rewritten)
         return out
@@ -73,26 +74,11 @@ class RuleRewriter:
     source = SOURCE_REWRITE
 
 
-class LLMRewriter:
-    """Sentence rewrites proposed by a chat client; one suggestion per line."""
-
-    source = SOURCE_LLM
-
-    def __init__(self, client, prompt_template: str):
-        self._client = client
-        self._template = prompt_template
-
-    def rewrite(self, sentence: str) -> list[str]:
-        reply = self._client.complete(self._template.format(sentence=sentence))
-        lines = [l.strip() for l in reply.text.splitlines()]
-        return [l for l in lines if l and l != sentence]
-
-
 def build_variants(p: Problem, inv: ConceptInventory, synlex: SynonymLexicon,
-                   paratab: ParaphraseTable, rewriter=None) -> VariantSet:
+                   paratab: ParaphraseTable) -> VariantSet:
     """Per-concept variant lists; concepts the resources cannot cover get an
     empty list (callers treat that as the flagged no-variant case)."""
-    rewriter = rewriter or RuleRewriter()
+    rewriter = RuleRewriter()
     out: VariantSet = {}
     for cid in sorted(inv.entries):
         entry = inv.entries[cid]

@@ -21,6 +21,7 @@ from ..diversify.pipeline import (
     sentence_count,
 )
 from ..diversify.resources import Resources
+from ..diversify.similarity import VECTORS
 from ..errors import (
     ClientError,
     FormatError,
@@ -186,6 +187,9 @@ def _cmd_generate(args) -> int:
 def _cmd_diversify(args) -> int:
     values = _load_values(args)
     resources = _resources(values)
+    if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
+        raise ResourceMissing("--scorer vectors needs a word-vector file: "
+                              "set resources.vectors in the --config file")
     items = load_dataset(args.input)
     out = []
     for item in items:

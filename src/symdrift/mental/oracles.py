@@ -31,9 +31,16 @@ class LexiconOracle:
 
     def __init__(self, synlex: SynonymLexicon, derivtab: DerivationTable | None = None):
         self._lexicon = _closure_with_links(synlex, derivtab)
+        # Expression -> its representative multiset. Shared across worker
+        # threads: a racing miss only recomputes the same value. Never mutated.
+        self._rep_bags: dict[str, Counter] = {}
 
     def _reps(self, e: str) -> Counter:
-        return Counter(self._lexicon.representative(l) for l in content_lemmas(e))
+        bag = self._rep_bags.get(e)
+        if bag is None:
+            bag = Counter(self._lexicon.representative(l) for l in content_lemmas(e))
+            self._rep_bags[e] = bag
+        return bag
 
     def equiv(self, e: str, expressions: tuple[str, ...]) -> bool:
         mine = self._reps(e)

@@ -113,7 +113,6 @@ SENTENCE_LEVEL = "sentence"
 SOURCE_SYNONYM = "synonym-lexicon"
 SOURCE_PARAPHRASE = "paraphrase-table"
 SOURCE_REWRITE = "rewrite-rule"
-SOURCE_LLM = "llm"
 
 
 @dataclass(frozen=True)

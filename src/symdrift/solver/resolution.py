@@ -139,7 +139,9 @@ def subsumes(c: _Kept, d: _Kept) -> bool:
     if len(c.clause) > len(d.clause) or not c.sig <= d.sig:
         return False
     frozen = d.frozen
-    c_lits = c.s_lits
+    # Most constrained first: a literal with few candidates in d fails or
+    # binds its variables before the wide ones multiply the search.
+    c_lits = sorted(c.s_lits, key=lambda l: len(frozen[l.positive, l.pred]))
 
     def match(i: int, subst: Subst) -> bool:
         if i == len(c_lits):

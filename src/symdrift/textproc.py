@@ -3,13 +3,17 @@
 Everything here is rule-based (suffix stripping plus exception tables), so the
 whole pipeline runs offline and byte-reproducibly. Coverage targets the
 benchmark register (short declarative sentences about named individuals and
-their attributes), not open-domain text.
+their attributes), not open-domain text. Tokenizing is pure and memoized for
+the life of the process: each distinct word is annotated once and each
+distinct text tokenized once, and every caller of a text shares its one tuple
+of immutable tokens.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 # Word-internal hyphens/apostrophes stay inside one token.
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*|\d+|[^\sA-Za-z\d]")
@@ -89,8 +93,7 @@ _OPEN_CLASS = {
 _VOWELS = set("aeiou")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     lemma: str
     pos: str
@@ -160,23 +163,28 @@ def _tag(surface: str, lemma: str, sentence_initial: bool) -> str:
     return "NOUN"
 
 
+@lru_cache(maxsize=None)
+def _annotate(surface: str, sentence_initial: bool) -> tuple[str, str]:
+    """(lemma, pos) of one token surface; only words read `sentence_initial`."""
+    if surface[0].isalpha():
+        lemma = lemmatize(surface)
+        pos = _tag(surface, lemma, sentence_initial)
+        return (surface.lower() if pos == "PROPN" else lemma), pos
+    if surface[0].isdigit():
+        return surface, "NUM"
+    return surface, "PUNCT"
+
+
+@lru_cache(maxsize=None)
 def tokenize(text: str) -> tuple[Token, ...]:
     """Tokenize one sentence-sized text into annotated tokens."""
     tokens: list[Token] = []
     first_word = True
     for m in _TOKEN_RE.finditer(text):
         surface = m.group(0)
-        if surface[0].isalpha():
-            lemma = lemmatize(surface)
-            pos = _tag(surface, lemma, sentence_initial=first_word)
-            if pos == "PROPN":
-                lemma = surface.lower()
+        lemma, pos = _annotate(surface, first_word)
+        if pos != "PUNCT":
             first_word = False
-        elif surface[0].isdigit():
-            lemma, pos = surface, "NUM"
-            first_word = False
-        else:
-            lemma, pos = surface, "PUNCT"
         tokens.append(Token(surface, lemma, pos, m.start(), m.end()))
     return tuple(tokens)
 

@@ -28,6 +28,7 @@ from symdrift.fol import (
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
+from symdrift.textproc import _TOKEN_RE, Token, _tag, lemmatize
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -337,3 +338,24 @@ def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STE
         return Verdict("disproved", steps=pos_steps + neg_steps)
     limit = not (pos_exhausted and neg_exhausted)
     return Verdict("unknown", steps=pos_steps + neg_steps, limit_hit=limit)
+
+
+def reference_tokenize(text: str) -> tuple[Token, ...]:
+    """Unmemoized tokenizer: every match lemmatized and tagged afresh."""
+    tokens: list[Token] = []
+    first_word = True
+    for m in _TOKEN_RE.finditer(text):
+        surface = m.group(0)
+        if surface[0].isalpha():
+            lemma = lemmatize(surface)
+            pos = _tag(surface, lemma, sentence_initial=first_word)
+            if pos == "PROPN":
+                lemma = surface.lower()
+            first_word = False
+        elif surface[0].isdigit():
+            lemma, pos = surface, "NUM"
+            first_word = False
+        else:
+            lemma, pos = surface, "PUNCT"
+        tokens.append(Token(surface, lemma, pos, m.start(), m.end()))
+    return tuple(tokens)

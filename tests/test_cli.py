@@ -40,6 +40,18 @@ class TestExitCodes:
                    "--out", "rundir")
         assert code == EXIT_REMOTE
 
+    def test_vector_scorer_without_vector_file_is_data_error(self, workdir, capsys):
+        run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
+        for source in ("p.jsonl", "absent.jsonl"):
+            assert run("diversify", "--in", source, "--scorer", "vectors",
+                       "--out", "d.jsonl") == EXIT_DATA
+            assert "resources.vectors" in capsys.readouterr().err
+        assert not Path("d.jsonl").exists()
+        Path("vectors.txt").write_text("anne 1 0\nkind 0 1\n")
+        Path("run.cfg").write_text("resources.vectors = vectors.txt\n")
+        assert run("diversify", "--in", "p.jsonl", "--scorer", "vectors",
+                   "--config", "run.cfg", "--out", "d.jsonl") == EXIT_OK
+
     def test_help_is_ok(self, workdir):
         assert run("--help") == EXIT_OK
 
@@ -103,6 +115,15 @@ class TestPipelineCommands:
                    "--solver", "resolution", "--seed", "1", "--out", "run") == EXIT_OK
         digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
         assert digest == "da0ca59b5b8613e48eef52fc0b352763b1a4414e6505798cbf3fa240316867cb"
+
+    def test_diversify_output_is_pinned(self, workdir, capsys):
+        """Any change to tokenizing, lemmatizing, similarity scoring or rule
+        rewriting that moves a byte of the diversified set shows here."""
+        run("generate", "--n", "60", "--seed", "1", "--out", "p.jsonl")
+        assert run("diversify", "--in", "p.jsonl", "--intensity", "full",
+                   "--seed", "1", "--out", "d.jsonl") == EXIT_OK
+        digest = hashlib.sha256(Path("d.jsonl").read_bytes()).hexdigest()
+        assert digest == "36dea6bbc27749943750393afe5d80265c95106b34b8ba229b944bede417ab7d"
 
     def test_sds_command(self, workdir, capsys):
         run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")

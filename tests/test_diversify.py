@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from symdrift.diversify import (
     DiversifyConfig,
+    FallbackScorer,
     POS_SHIFT,
     Resources,
+    RuleRewriter,
     SYNONYM,
     SYNTACTIC,
+    SynonymLexicon,
     THIRD_PERSON,
     assemble,
     build_variants,
@@ -24,6 +28,7 @@ from symdrift.diversify import (
     select_sites,
 )
 from symdrift.diversify.pipeline import Candidate, CandidateSite
+from symdrift.diversify.variants import _RULES
 from symdrift.errors import NoApplicableSite, ResourceMissing, ScorerUnavailable
 from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
 
@@ -119,6 +124,29 @@ class TestBuildVariants:
         with pytest.raises(ResourceMissing):
             Resources.load(synonyms_path="/nonexistent/synonyms.tsv")
 
+    def test_rule_rewrites_match_match_expand(self):
+        """The format-string templates give what `Match.expand` gives for
+        the same templates written as backreferences, on every rule shape."""
+        expand_templates = {
+            r"All (\w+) people are (\w+)\.":
+                ("Every \\1 person is \\2.", "If someone is \\1, then they are \\2."),
+            r"Every (\w+) person is (\w+)\.":
+                ("All \\1 people are \\2.", "If someone is \\1, then they are \\2."),
+            r"If someone is (\w+), then they are (\w+)\.":
+                ("All \\1 people are \\2.", "Every \\1 person is \\2."),
+        }
+        assert {rule.pattern.pattern for rule in _RULES} == set(expand_templates)
+        sentences = ["All kind people are smart.", "Every big person is quiet.",
+                     "If someone is red, then they are red.", "Anne is kind."]
+        for sentence in sentences:
+            expected = []
+            for pattern, templates in expand_templates.items():
+                m = re.fullmatch(pattern, sentence)
+                if m:
+                    expected += [m.expand(t) for t in templates if m.expand(t) != sentence]
+            assert RuleRewriter().rewrite(sentence) == expected
+        assert all(RuleRewriter().rewrite(s) for s in sentences[:3])
+
 
 class TestSimilarity:
     def test_synonym_counts_as_equal(self, resources):
@@ -132,6 +160,15 @@ class TestSimilarity:
     def test_identity(self, resources):
         scorer = make_scorer("fallback", lexicon=resources.synonyms)
         assert score_similarity("Anne is kind", "Anne is kind", scorer) == 1.0
+
+    def test_fallback_scorers_do_not_share_bags(self, resources):
+        with_synonyms = FallbackScorer(resources.synonyms)
+        without = FallbackScorer(SynonymLexicon())
+        a, b = "Anne is kind.", "Anne is benevolent."
+        assert with_synonyms.score(a, b) == 1.0
+        assert without.score(a, b) == 0.5
+        assert with_synonyms.score(a, b) == 1.0
+        assert without.score(b, a) == 0.5
 
     def test_vector_scorer(self, tmp_path, resources):
         vec = tmp_path / "vectors.txt"

@@ -43,6 +43,7 @@ from symdrift.solver import (
 )
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
+from symdrift.solver import resolution
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _Kept, subsumes
 
 from .helpers import (
@@ -223,6 +224,33 @@ class TestResolution:
             assert subsumes(_Kept(c), _Kept(d)) == expected
             outcomes.add((expected, len(c) > len(d), _Kept(c).sig.isdisjoint(_Kept(d).sig)))
         assert {(True, False, False), (False, True, False), (False, False, True)} <= outcomes
+
+    def test_subsumption_matches_most_constrained_literal_first(self, monkeypatch):
+        """A chain of four binary literals, each with 30 candidates in d, and
+        one literal with a single candidate. Matched in sort order the single
+        one comes last, after every mapping of the chain (about 30,000
+        unifications when it fails); matched first, the test takes at most one
+        pass over d per literal."""
+        xs = [Var(f"x{i}") for i in range(5)]
+        consts = [Const(f"c{i}") for i in range(6)]
+        chain = [Literal(True, "R", (xs[i], xs[i + 1])) for i in range(4)]
+        c = frozenset(chain + [Literal(True, "Z", (xs[0], Const("a")))])
+        edges = frozenset(Literal(True, "R", (u, v)) for u in consts for v in consts if u != v)
+        calls = 0
+        original = resolution.unify_atoms
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(resolution, "unify_atoms", counting)
+        for tail, expected in (("b", False), ("a", True)):
+            d = edges | {Literal(True, "Z", (consts[0], Const(tail)))}
+            calls = 0
+            assert subsumes(_Kept(c), _Kept(d)) is expected
+            assert reference_subsumes(c, d) is expected
+            assert calls <= len(c) * len(d)
 
 
 class TestForwardChaining:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.synthetic import generate_synthetic
 from symdrift.textproc import (
     content_lemmas,
     lemmatize,
@@ -10,6 +13,8 @@ from symdrift.textproc import (
     tokenize,
     word_lemmas,
 )
+
+from .helpers import reference_tokenize
 
 
 class TestLemmatizer:
@@ -72,3 +77,23 @@ class TestInflection:
 def test_word_vs_content_lemmas():
     assert word_lemmas("Anne is kind") == ["anne", "be", "kind"]
     assert content_lemmas("the popular show") == ["popular", "show"]
+
+
+def test_memoized_tokenize_matches_reference():
+    """Every unit of a generated set and of its full diversification, and
+    every lexicon word alone, capitalized and in a sentence, tokenizes as the
+    unmemoized tokenizer does, on the first call and on the cached second."""
+    resources = Resources.load()
+    texts = []
+    for p in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
+        d = diversify_problem(p, DiversifyConfig(seed=7, resources=resources))
+        texts += [u.text for _, u in p.units()] + [u.text for _, u in d.problem.units()]
+    for lemma, pos in resources.synonyms.entries():
+        for word in (lemma, *resources.synonyms.synonyms(lemma, pos)):
+            texts += [word, word.capitalize(), f"Anne is {word}."]
+    tokenize.cache_clear()
+    for text in texts:
+        first = tokenize(text)
+        assert first == reference_tokenize(text)
+        assert tokenize(text) is first
+    assert tokenize.cache_info().hits >= len(texts)
