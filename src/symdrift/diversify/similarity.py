@@ -1,20 +1,16 @@
 """Sentence-pair similarity scorers for semantic filtering.
 
-Three interchangeable scorers, all symmetric and in [0, 1]:
+Two interchangeable scorers, both symmetric and in [0, 1]:
 
   * fallback: Jaccard over word-lemma multisets, with lemmas of the same
     synonym group counted as equal. No external resources beyond the lexicon.
   * vectors: cosine over sentence vectors built by averaging word vectors
     from an offline file.
-  * remote: cosine over vectors fetched from an embedding endpoint.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import urllib.error
-import urllib.request
 from collections import Counter
 
 from ..errors import ScorerUnavailable
@@ -23,7 +19,6 @@ from .resources import SynonymLexicon, WordVectors
 
 FALLBACK = "fallback"
 VECTORS = "vectors"
-REMOTE = "remote"
 
 
 class FallbackScorer:
@@ -83,48 +78,14 @@ class VectorScorer:
         return _cosine(self._embed(a), self._embed(b))
 
 
-class RemoteScorer:
-    """Cosine over vectors from an embedding endpoint.
-
-    Protocol: POST {"texts": [...]} and read {"vectors": [[...], ...]}.
-    """
-
-    def __init__(self, endpoint: str, timeout_s: float = 10.0):
-        if not endpoint:
-            raise ScorerUnavailable("remote scorer configured without an endpoint")
-        self._endpoint = endpoint
-        self._timeout = timeout_s
-
-    def _embed(self, texts: list[str]) -> list[list[float]]:
-        payload = json.dumps({"texts": texts}).encode("utf-8")
-        request = urllib.request.Request(
-            self._endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise ScorerUnavailable(f"embedding endpoint failed: {exc}") from exc
-        vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise ScorerUnavailable("embedding endpoint returned a malformed reply")
-        return vectors
-
-    def score(self, a: str, b: str) -> float:
-        u, v = self._embed([a, b])
-        return _cosine(u, v)
-
-
 def make_scorer(kind: str, lexicon: SynonymLexicon | None = None,
-                vectors: WordVectors | None = None, endpoint: str | None = None):
+                vectors: WordVectors | None = None):
     if kind == FALLBACK:
         if lexicon is None:
             raise ScorerUnavailable("fallback scorer needs the synonym lexicon")
         return FallbackScorer(lexicon)
     if kind == VECTORS:
         return VectorScorer(vectors)
-    if kind == REMOTE:
-        return RemoteScorer(endpoint or "")
     raise ScorerUnavailable(f"unknown scorer kind {kind!r}")
 
 

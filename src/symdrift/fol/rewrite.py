@@ -39,7 +39,7 @@ def refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> Logi
     """Replace every atom `compound(t)` by `left(t) & right(t)`.
 
     The compound must be a unary predicate; the two parts are unary
-    predicate ids (callers auto-register them first via `ensure_unary`).
+    predicate ids (callers auto-register them first via `ensure_predicate`).
     The compound is removed from the registry even when it had no occurrences.
     Substitution happens at the atom level, so it is polarity-safe. A program
     still being built may have no query yet; it is mapped only when present.
@@ -68,9 +68,9 @@ def refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> Logi
     return LogicProgram(registry, premises, query, p.semantics_mode)
 
 
-def ensure_unary(registry: SymbolRegistry, name: str) -> str:
-    """Fetch-or-declare a unary predicate by name."""
+def ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
+    """Fetch-or-declare a predicate by name; an existing one keeps its arity."""
     sid = registry.lookup(name, PREDICATE)
     if sid is None:
-        sid = registry.declare(name, 1, PREDICATE)
+        sid = registry.declare(name, arity, PREDICATE)
     return sid

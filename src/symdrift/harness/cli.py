@@ -28,7 +28,6 @@ from ..errors import (
     HarnessError,
     OracleFailure,
     ResourceMissing,
-    ScorerUnavailable,
     SymdriftError,
 )
 from ..metrics.records import TranslationRecord
@@ -95,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", default="full", type=parse_intensity,
                    help="'full', a sentence count like 2, or a fraction like 0.5")
     p.add_argument("--scorer", default="fallback",
-                   choices=("fallback", "vectors", "remote"))
+                   choices=("fallback", "vectors"))
 
     p = common(sub.add_parser("translate", help="translate problems to programs"))
     p.add_argument("--in", dest="input", required=True)
@@ -172,10 +171,18 @@ def _require_out(args) -> Path:
     return Path(args.out)
 
 
+def _plain_problems(items: list[Problem | DiversifiedProblem]) -> list[Problem]:
+    """The input of a rewriting subcommand: undiversified problems only."""
+    for item in items:
+        if isinstance(item, DiversifiedProblem):
+            raise FormatError(f"{item.base_id} is already diversified")
+    return items
+
+
 def _cmd_generate(args) -> int:
     values = _load_values(args)
     cfg = synthetic_config_from(values, seed=args.seed)
-    if args.n:
+    if args.n is not None:
         cfg = synthetic_config_from({**values, "synthetic.n_problems": str(args.n)},
                                     seed=args.seed)
     problems = generate_synthetic(cfg)
@@ -190,15 +197,13 @@ def _cmd_diversify(args) -> int:
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
         raise ResourceMissing("--scorer vectors needs a word-vector file: "
                               "set resources.vectors in the --config file")
-    items = load_dataset(args.input)
-    out = []
-    for item in items:
-        if isinstance(item, DiversifiedProblem):
-            raise FormatError(f"{item.base_id} is already diversified")
-        out.append(diversify_problem(item, DiversifyConfig(
+    out = [
+        diversify_problem(item, DiversifyConfig(
             theta=args.theta, intensity=sentence_count(args.intensity, len(item.sentences)),
             scorer=args.scorer, seed=args.seed, resources=resources,
-        )))
+        ))
+        for item in _plain_problems(load_dataset(args.input))
+    ]
     save_dataset(_require_out(args), out)
     changed = sum(1 for d in out if d.intensity > 0)
     print(f"diversified {len(out)} problems ({changed} with rewrites)")
@@ -269,7 +274,7 @@ def _cmd_sweep(args) -> int:
     resources = _resources(values)
     cfg = _translator_cfg(args, values)
     translator = _make_translator(cfg, resources)
-    dataset = [p for p in load_dataset(args.input) if isinstance(p, Problem)]
+    dataset = _plain_problems(load_dataset(args.input))
     points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
                              seed=args.seed, resources=resources)
     csv_text = sweep_to_csv(points)
@@ -324,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ClientError, OracleFailure, ScorerUnavailable) as exc:
+    except (ClientError, OracleFailure) as exc:
         print(f"remote service error: {exc}", file=sys.stderr)
         return EXIT_REMOTE
     except (FormatError, ResourceMissing, HarnessError, SymdriftError) as exc:

@@ -21,7 +21,6 @@ ORACLE_LLM = "llm"
 
 ENDPOINT_ENV = "SYMDRIFT_LLM_ENDPOINT"
 CREDENTIAL_ENV = "SYMDRIFT_LLM_API_KEY"
-EMBED_ENDPOINT_ENV = "SYMDRIFT_EMBED_ENDPOINT"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from ..diversify.pipeline import DiversifyConfig, diversify_problem
 from ..diversify.resources import Resources
 from ..errors import (
-    AlignmentIncomplete,
     EmptyConceptSet,
     EmptyDataset,
     FolError,
@@ -166,10 +165,7 @@ def solve_one(record: TranslationRecord, item: DiversifiedProblem,
             record.predicted = _predicted_label(record, problem.task_kind, engine)
         except (SolverError, FolError, SolverMismatch) as exc:
             record.exec_error = f"{type(exc).__name__}: {exc}"
-        try:
-            align_symbols(record, item, aligner="provenance")
-        except AlignmentIncomplete:
-            pass  # alignment stays empty; dispersion simply sees no concepts
+        align_symbols(record, item)
     return record
 
 

@@ -20,7 +20,6 @@ TEMPLATE_FILES = (
     "translate_mental.txt",
     "equiv.txt",
     "conflict.txt",
-    "align.txt",
     "exemplars.txt",
 )
 
@@ -74,6 +73,3 @@ class PromptLibrary:
 
     def oracle_templates(self) -> tuple[str, str]:
         return self.get("equiv.txt"), self.get("conflict.txt")
-
-    def align_template(self) -> str:
-        return self.get("align.txt")

@@ -1,9 +1,10 @@
 """Translator implementations: gold, naive, split-adversary, and LLM-backed.
 
 Every `translate()` returns an unsolved `TranslationRecord`: the program (or
-a parse failure), the span-to-symbol ledger the provenance aligner consumes,
-any answer options, and the rendered table and trace of table-guided
-translation. `harness.evaluate.solve_one` fills in the rest.
+a parse failure), the span-to-symbol ledger that `align_symbols` joins with
+the diversification provenance, any answer options, and the rendered table
+and trace of table-guided translation. `harness.evaluate.solve_one` fills in
+the rest.
 """
 
 from __future__ import annotations
@@ -134,15 +135,6 @@ def _ledger(proposals: list[Proposal], table: MentalTable) -> dict[SpanKey, str]
     return out
 
 
-class _FixedProposals:
-    def __init__(self, proposals: list[Proposal]):
-        self._proposals = proposals
-
-    def propose(self, p: Problem) -> list[Proposal]:
-        del p
-        return self._proposals
-
-
 class NaiveTranslator:
     """Names every predicate after the literal surface form it sees; no
     cross-surface grouping unless wrapped with table guidance."""
@@ -150,15 +142,12 @@ class NaiveTranslator:
     def __init__(self, oracle: EquivalenceOracle | None = None):
         self.oracle = oracle  # None reproduces the drift-prone baseline
 
-    def propose(self, p: Problem) -> list[Proposal]:
-        return propose_from_templates(p)
-
     def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, _ = _unwrap(item)
         try:
-            proposals = self.propose(problem)
+            proposals = propose_from_templates(problem)
             program, table, trace = translate_with_mental(
-                item, _FixedProposals(proposals), self.oracle or ExactMatchOracle(),
+                problem, proposals, self.oracle or ExactMatchOracle(),
             )
         except TranslationFailure as exc:
             return translation_record(problem, parse_error=str(exc))
@@ -406,7 +395,7 @@ class LLMTranslator:
             if self.cfg.mental:
                 proposals = parse_proposal_lines(reply.text)
                 program, table, trace = translate_with_mental(
-                    item, _FixedProposals(proposals), self.oracle or ExactMatchOracle(),
+                    problem, proposals, self.oracle or ExactMatchOracle(),
                 )
                 return translation_record(
                     problem, table, program=program, mental_trace=trace,
@@ -462,7 +451,7 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
 
 def make_translator(cfg: TranslatorConfig, resources=None, client=None):
     """Build the configured translator; LLM kinds need a client."""
-    from ..mental.oracles import lexicon_oracle, llm_oracle
+    from ..mental.oracles import LexiconOracle, LLMOracle
     from .config import GOLD, LLM, NAIVE, ORACLE_LLM, SPLIT_ADVERSARY
 
     oracle = None
@@ -472,12 +461,12 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None):
             if client is None:
                 raise ValueError("llm oracle requires a client")
             equiv_template, conflict_template = prompts.oracle_templates()
-            oracle = llm_oracle(client, equiv_template, conflict_template)
+            oracle = LLMOracle(client, equiv_template, conflict_template)
         else:
             from ..diversify.resources import Resources
 
             resources = resources or Resources.load()
-            oracle = lexicon_oracle(resources.synonyms, resources.derivations)
+            oracle = LexiconOracle(resources.synonyms, resources.derivations)
     if cfg.kind == GOLD:
         return GoldTranslator()
     if cfg.kind == SPLIT_ADVERSARY:

@@ -1,30 +1,16 @@
 """Table-guided translation: expression routing with extend/reuse/refine."""
 
-from .oracles import EquivalenceOracle, LexiconOracle, LLMOracle, lexicon_oracle, llm_oracle
-from .table import (
-    EXTEND,
-    MentalTable,
-    REFINE,
-    REUSE,
-    SymbolRef,
-    TableEntry,
-    UpdateEvent,
-    camel_case_symbol,
-    normalize_expression,
-)
+from .oracles import LexiconOracle, LLMOracle
+from .table import EXTEND, MentalTable, REFINE, REUSE, camel_case_symbol
 from .translate import (
     Proposal,
-    TraceEvent,
     TranslationState,
-    instantiate,
     process_expression,
     translate_with_mental,
 )
 
 __all__ = [
-    "EXTEND", "EquivalenceOracle", "LLMOracle", "LexiconOracle", "MentalTable",
-    "Proposal", "REFINE", "REUSE", "SymbolRef", "TableEntry", "TraceEvent",
-    "TranslationState", "UpdateEvent", "camel_case_symbol", "instantiate",
-    "lexicon_oracle", "llm_oracle", "normalize_expression",
+    "EXTEND", "LLMOracle", "LexiconOracle", "MentalTable", "Proposal",
+    "REFINE", "REUSE", "TranslationState", "camel_case_symbol",
     "process_expression", "translate_with_mental",
 ]

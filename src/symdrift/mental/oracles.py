@@ -96,10 +96,6 @@ def _closure_with_links(synlex: SynonymLexicon, derivtab: DerivationTable | None
     return closed
 
 
-def lexicon_oracle(synlex: SynonymLexicon, derivtab: DerivationTable | None = None) -> LexiconOracle:
-    return LexiconOracle(synlex, derivtab)
-
-
 class LLMOracle:
     """Yes/no prompts against a chat client, cached per (expression, entry
     contents) so re-queries of a settled pair never hit the endpoint again."""
@@ -154,7 +150,3 @@ class LLMOracle:
 
         result = self._ask("conflict", e, expressions, parse)
         return None if result == (None,) else result
-
-
-def llm_oracle(client, equiv_template: str, conflict_template: str) -> LLMOracle:
-    return LLMOracle(client, equiv_template, conflict_template)

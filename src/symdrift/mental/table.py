@@ -46,13 +46,6 @@ class TableEntry:
         return SymbolRef(self.symbol)
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
-    op: str  # EXTEND | REUSE | REFINE
-    expression: str
-    entry_id: int
-
-
 def normalize_expression(e: str) -> str:
     return " ".join(e.lower().split())
 
@@ -67,7 +60,6 @@ def camel_case_symbol(e: str) -> str:
 @dataclass(frozen=True)
 class MentalTable:
     entries: tuple[TableEntry, ...] = ()
-    log: tuple[UpdateEvent, ...] = ()
 
     def entry_for(self, e: str) -> TableEntry | None:
         norm = normalize_expression(e)
@@ -101,11 +93,7 @@ class MentalTable:
     def extend(self, e: str) -> tuple["MentalTable", TableEntry]:
         norm = normalize_expression(e)
         entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(e))
-        table = MentalTable(
-            self.entries + (entry,),
-            self.log + (UpdateEvent(EXTEND, norm, entry.entry_id),),
-        )
-        return table, entry
+        return MentalTable(self.entries + (entry,)), entry
 
     def reuse(self, e: str, entry_id: int) -> tuple["MentalTable", TableEntry]:
         norm = normalize_expression(e)
@@ -114,29 +102,17 @@ class MentalTable:
         if norm not in entry.expressions:
             entry = replace(entry, expressions=entry.expressions + (norm,))
             entries[entry_id] = entry
-        table = MentalTable(
-            tuple(entries),
-            self.log + (UpdateEvent(REUSE, norm, entry_id),),
-        )
-        return table, entry
+        return MentalTable(tuple(entries)), entry
 
-    def decompose(self, entry_id: int, base: str, modifier: str,
-                  triggered_by: str) -> "MentalTable":
+    def decompose(self, entry_id: int, base: str, modifier: str) -> "MentalTable":
         entries = list(self.entries)
         entries[entry_id] = replace(entries[entry_id], decomposition=(base, modifier))
-        return MentalTable(
-            tuple(entries),
-            self.log + (UpdateEvent(REFINE, normalize_expression(triggered_by), entry_id),),
-        )
+        return MentalTable(tuple(entries))
 
     def add_decomposed(self, e: str, base: str, modifier: str) -> tuple["MentalTable", TableEntry]:
         norm = normalize_expression(e)
         entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(e), (base, modifier))
-        table = MentalTable(
-            self.entries + (entry,),
-            self.log + (UpdateEvent(REFINE, norm, entry.entry_id),),
-        )
-        return table, entry
+        return MentalTable(self.entries + (entry,)), entry
 
     def audit(self) -> None:
         """Raise when the table invariants are broken."""

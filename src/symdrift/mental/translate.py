@@ -4,8 +4,8 @@
 insertion order for an equivalence hit (reuse the symbol), otherwise for a
 conflict hit (refine, keeping the more atomic concept and retroactively
 rewriting the program), otherwise extend with a fresh symbol. The driver
-wraps any base translator that proposes per-sentence formula skeletons with
-named predicate slots.
+takes a problem's per-unit formula skeletons with named predicate slots,
+however they were proposed, and routes every slot surface through the table.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import TranslationFailure
 from ..fol.parser import parse_formula
-from ..fol.rewrite import ensure_unary, refine_symbol
+from ..fol.rewrite import ensure_predicate, refine_symbol
 from ..fol.terms import (
     And,
     Atom,
@@ -27,7 +27,7 @@ from ..fol.terms import (
     SymbolRegistry,
     map_atoms,
 )
-from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
+from ..problem import Problem, QUESTION_UNIT, TASK_KINDS
 from .oracles import EquivalenceOracle
 from .table import EXTEND, MentalTable, REFINE, REUSE, SymbolRef, normalize_expression
 
@@ -61,11 +61,6 @@ class TranslationState:
                             self.semantics_mode).validate()
 
 
-def _ensure_pred(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
-    sid = registry.lookup(name, PREDICATE)
-    return sid if sid is not None else registry.declare(name, arity, PREDICATE)
-
-
 def _refine_program(state: TranslationState, compound_name: str, base_name: str,
                     modifier_name: str) -> TranslationState:
     """Retroactively rewrite compound(t) -> modifier(t) & base(t) everywhere."""
@@ -73,8 +68,8 @@ def _refine_program(state: TranslationState, compound_name: str, base_name: str,
     compound = registry.lookup(compound_name, PREDICATE)
     if compound is None:
         return state  # symbol never reached the program; nothing to rewrite
-    base = ensure_unary(registry, base_name)
-    modifier = ensure_unary(registry, modifier_name)
+    base = ensure_predicate(registry, base_name)
+    modifier = ensure_predicate(registry, modifier_name)
     program = refine_symbol(
         LogicProgram(registry, state.premises, state.query, state.semantics_mode),
         compound, modifier, base,
@@ -118,7 +113,7 @@ def process_expression(st: TranslationState, e: str,
             out = replace(out, table=table)
             out, modifier_ref = _resolve_modifier(out, modifier_text, oracle)
             table = out.table.decompose(entry.entry_id, base_entry.symbol,
-                                        modifier_ref.base, triggered_by=norm)
+                                        modifier_ref.base)
             out = replace(out, table=table)
             out = _refine_program(out, entry.symbol, base_entry.symbol, modifier_ref.base)
             ref = base_entry.ref()
@@ -177,9 +172,6 @@ class Proposal:
     slot_spans: tuple[tuple[int, int], ...] = ()
     anchors: tuple[tuple[int, int, str], ...] = ()
 
-    def slot_name(self, k: int) -> str:
-        return f"Slot{k}"
-
 
 def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
                 state: TranslationState) -> tuple[TranslationState, Formula]:
@@ -193,7 +185,7 @@ def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
     registry = state.registry.copy()
 
     slot_ids = {
-        scratch.lookup(proposal.slot_name(k), PREDICATE): resolved[k]
+        scratch.lookup(f"Slot{k}", PREDICATE): resolved[k]
         for k in range(len(proposal.slots))
     }
     slot_ids.pop(None, None)
@@ -215,28 +207,27 @@ def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
         ref = slot_ids.get(atom.pred)
         if ref is None:
             name = scratch.name_of(atom.pred)
-            return Atom(_ensure_pred(registry, name, len(args)), args)
-        base = Atom(_ensure_pred(registry, ref.base, len(args)), args)
+            return Atom(ensure_predicate(registry, name, len(args)), args)
+        base = Atom(ensure_predicate(registry, ref.base, len(args)), args)
         if ref.modifier is None:
             return base
-        return And(Atom(_ensure_pred(registry, ref.modifier, len(args)), args), base)
+        return And(Atom(ensure_predicate(registry, ref.modifier, len(args)), args), base)
 
     formula = map_atoms(sketch, rebuild)
     return replace(state, registry=registry), formula
 
 
-def translate_with_mental(p: Problem | DiversifiedProblem, base_translator,
+def translate_with_mental(problem: Problem, proposals: list[Proposal],
                           oracle: EquivalenceOracle,
                           ) -> tuple[LogicProgram | None, MentalTable, tuple[TraceEvent, ...]]:
-    """Translate with every predicate surface routed through the table; the
-    program is built in the world of the problem's task kind.
+    """Build `problem`'s program from its proposals, in proposal order, with
+    every slot surface routed through the table; the program is built in the
+    world of the problem's task kind.
 
-    An input with nothing to translate returns (None, empty table, empty
-    trace) rather than fabricating a program.
+    An empty proposal list returns (None, empty table, empty trace) rather
+    than fabricating a program.
     """
-    problem = p.problem if isinstance(p, DiversifiedProblem) else p
     state = TranslationState.empty(TASK_KINDS[problem.task_kind])
-    proposals = base_translator.propose(problem)
     if not proposals:
         return None, state.table, state.trace
     for proposal in proposals:

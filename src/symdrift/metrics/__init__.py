@@ -1,17 +1,9 @@
 """Dispersion scoring, the error taxonomy, and intensity curves."""
 
-from .records import (
-    CORRECT,
-    ERROR_CLASSES,
-    EXEC_ERROR,
-    LOGIC_ERROR,
-    PARSE_ERROR,
-    TranslationRecord,
-)
-from .sds import LLM_ALIGNER, PROVENANCE_ALIGNER, SdsResult, align_symbols, compute_sds
-from .sweep import SweepPoint, intensity_sweep, sweep_to_csv
+from .records import CORRECT, EXEC_ERROR, LOGIC_ERROR, PARSE_ERROR, TranslationRecord
+from .sds import align_symbols, compute_sds
+from .sweep import intensity_sweep, sweep_to_csv
 from .taxonomy import (
-    ATTRIBUTION_CATEGORIES,
     CORRECTED_OTHER,
     CORRECTED_VIA_CONSISTENCY,
     NEWLY_INTRODUCED,
@@ -24,11 +16,9 @@ from .taxonomy import (
 )
 
 __all__ = [
-    "ATTRIBUTION_CATEGORIES", "CORRECT", "CORRECTED_OTHER",
-    "CORRECTED_VIA_CONSISTENCY", "ERROR_CLASSES", "EXEC_ERROR", "LLM_ALIGNER",
-    "LOGIC_ERROR", "NEWLY_INTRODUCED", "PARSE_ERROR", "PROVENANCE_ALIGNER",
-    "REMAINING_OTHER", "REMAINING_WITHOUT_CONSISTENCY", "SdsResult",
-    "SweepPoint", "TranslationRecord", "accuracy", "align_symbols",
-    "attribute_errors", "classify_error", "compute_sds", "error_histogram",
-    "intensity_sweep", "sweep_to_csv",
+    "CORRECT", "CORRECTED_OTHER", "CORRECTED_VIA_CONSISTENCY", "EXEC_ERROR",
+    "LOGIC_ERROR", "NEWLY_INTRODUCED", "PARSE_ERROR", "REMAINING_OTHER",
+    "REMAINING_WITHOUT_CONSISTENCY", "TranslationRecord", "accuracy",
+    "align_symbols", "attribute_errors", "classify_error", "compute_sds",
+    "error_histogram", "intensity_sweep", "sweep_to_csv",
 ]

@@ -5,19 +5,20 @@ whole record set; zero means every concept kept a single symbol. Concepts the
 translator dropped entirely (no symbol at all) score zero drift but are
 counted separately, since the raw formula would go negative on them. A record
 set in which no concept got a symbol has no score: dispersion was not measured.
+
+A concept's symbols come from `align_symbols`, the one aligner: it joins the
+diversification provenance (each occurrence's unit and char span) with the
+span-to-symbol ledger the translator recorded. A translator that records no
+spans leaves its concepts unaligned rather than guessed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..errors import AlignmentIncomplete, EmptyConceptSet
 from ..problem import DiversifiedProblem
 from .records import TranslationRecord
-
-PROVENANCE_ALIGNER = "provenance"
-LLM_ALIGNER = "llm"
 
 
 @dataclass(frozen=True)
@@ -65,45 +66,24 @@ def compute_sds(records: list[TranslationRecord]) -> SdsResult:
     )
 
 
-def align_symbols(record: TranslationRecord, provenance: DiversifiedProblem | dict,
-                  aligner: str = PROVENANCE_ALIGNER, client=None,
-                  prompt_template: str | None = None) -> dict[str, set[str]]:
-    """Fill `record.alignment` from the expression ledger (provenance mode) or
-    a model-proposed mapping (llm mode, recorded on the record for audit)."""
+def align_symbols(record: TranslationRecord,
+                  provenance: DiversifiedProblem | dict) -> dict[str, set[str]]:
+    """Fill `record.alignment` by joining the diversification provenance with
+    the record's span ledger: each concept gets the symbols its occurrence
+    spans were translated to. An occurrence with no ledger entry is appended
+    to `record.alignment_misses` and adds no symbol."""
     if record.program is None:
         raise AlignmentIncomplete("nothing to align: record has no program")
     prov_map = provenance.provenance if isinstance(provenance, DiversifiedProblem) else provenance
-    if aligner == PROVENANCE_ALIGNER:
-        alignment: dict[str, set[str]] = {}
-        for concept_id, entries in prov_map.items():
-            symbols: set[str] = set()
-            for entry in entries:
-                key = (entry.unit, entry.char_start, entry.char_end)
-                symbol = record.span_symbols.get(key)
-                if symbol is None:
-                    record.alignment_misses.append(
-                        f"{concept_id}:{entry.unit}:{entry.surface}"
-                    )
-                else:
-                    symbols.add(symbol)
-            alignment[concept_id] = symbols
-        record.alignment = alignment
-        return alignment
-    if aligner == LLM_ALIGNER:
-        if client is None or prompt_template is None:
-            raise AlignmentIncomplete("llm aligner needs a client and a prompt template")
-        concepts = sorted(prov_map)
-        surfaces = {c: sorted({e.surface for e in prov_map[c]}) for c in concepts}
-        prompt = prompt_template.format(
-            concepts=json.dumps(surfaces), output=record.raw_output
-        )
-        reply = client.complete(prompt)
-        record.raw_output += f"\n# aligner audit\n{reply.text}"
-        try:
-            mapping = json.loads(reply.text)
-            alignment = {c: set(map(str, mapping.get(c, []))) for c in concepts}
-        except (ValueError, AttributeError) as exc:
-            raise AlignmentIncomplete(f"unusable aligner reply: {exc}") from exc
-        record.alignment = alignment
-        return alignment
-    raise AlignmentIncomplete(f"unknown aligner {aligner!r}")
+    alignment: dict[str, set[str]] = {}
+    for concept_id, entries in prov_map.items():
+        symbols: set[str] = set()
+        for entry in entries:
+            symbol = record.span_symbols.get((entry.unit, entry.char_start, entry.char_end))
+            if symbol is None:
+                record.alignment_misses.append(f"{concept_id}:{entry.unit}:{entry.surface}")
+            else:
+                symbols.add(symbol)
+        alignment[concept_id] = symbols
+    record.alignment = alignment
+    return alignment

@@ -30,7 +30,7 @@ from symdrift.harness import (
     generate_synthetic,
     run_evaluation,
 )
-from symdrift.mental import lexicon_oracle
+from symdrift.mental import LexiconOracle
 from symdrift.metrics import (
     CORRECTED_VIA_CONSISTENCY,
     EXEC_ERROR,
@@ -156,7 +156,7 @@ def test_criterion_5_table_guided_mitigation(diversified_200, resources):
     plain = run_evaluation(diversified_200, NaiveTranslator(),
                            TranslatorConfig(kind="naive"), "auto",
                            resources=resources)
-    oracle = lexicon_oracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms, resources.derivations)
     guided = run_evaluation(diversified_200, NaiveTranslator(oracle=oracle),
                             TranslatorConfig(kind="naive", mental=True), "auto",
                             resources=resources)
@@ -290,7 +290,7 @@ def test_criterion_9_error_attribution(diversified_200, resources):
     before = run_evaluation(diversified_200, SplitAdversaryTranslator(),
                             TranslatorConfig(kind="split-adversary"), "auto",
                             resources=resources)
-    oracle = lexicon_oracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms, resources.derivations)
     after = run_evaluation(diversified_200, NaiveTranslator(oracle=oracle),
                            TranslatorConfig(kind="naive", mental=True), "auto",
                            resources=resources)

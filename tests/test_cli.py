@@ -52,6 +52,28 @@ class TestExitCodes:
         assert run("diversify", "--in", "p.jsonl", "--scorer", "vectors",
                    "--config", "run.cfg", "--out", "d.jsonl") == EXIT_OK
 
+    def test_remote_scorer_is_usage_error(self, workdir, capsys):
+        run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
+        assert run("diversify", "--in", "p.jsonl", "--scorer", "remote",
+                   "--out", "d.jsonl") == EXIT_USAGE
+        assert not Path("d.jsonl").exists()
+
+    def test_generate_zero_problems_is_usage_error(self, workdir, capsys):
+        assert run("generate", "--n", "0", "--out", "p.jsonl") == EXIT_USAGE
+        assert not Path("p.jsonl").exists()
+
+    @pytest.mark.parametrize("plain", [5, 0])
+    def test_sweep_refuses_diversified_input(self, workdir, capsys, plain):
+        run("generate", "--n", "5", "--seed", "4", "--out", "p.jsonl")
+        run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
+        lines = Path("p.jsonl").read_text().splitlines()[:plain]
+        lines += Path("d.jsonl").read_text().splitlines()
+        Path("mixed.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("sweep", "--in", "mixed.jsonl", "--translator", "naive",
+                   "--levels", "0,1.0", "--out", "curve.csv") == EXIT_DATA
+        assert "is already diversified" in capsys.readouterr().err
+        assert not Path("curve.csv").exists()
+
     def test_help_is_ok(self, workdir):
         assert run("--help") == EXIT_OK
 
@@ -115,6 +137,22 @@ class TestPipelineCommands:
                    "--solver", "resolution", "--seed", "1", "--out", "run") == EXIT_OK
         digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
         assert digest == "da0ca59b5b8613e48eef52fc0b352763b1a4414e6505798cbf3fa240316867cb"
+
+    @pytest.mark.parametrize("mental, digests", [
+        ("on", {"records.jsonl": "e540979beaa4b70e17e2670056b290d27b552f5895c62ecd7664bc1942ac32c1",
+                "traces.jsonl": "1c45725c794218c1dd8242ee1c0b1100f43b7bca287f9238ec01325910552bd7"}),
+        ("off", {"records.jsonl": "e4cf561ff27638676892af9ee2dd615f92acdbfe0ecdff50d016a26f58105383"}),
+    ])
+    def test_naive_records_are_pinned(self, workdir, capsys, mental, digests):
+        """Template proposals, table routing, the span ledger and alignment
+        all land in these files, so a moved byte on the naive path shows here."""
+        run("generate", "--n", "60", "--seed", "1", "--out", "p.jsonl")
+        run("diversify", "--in", "p.jsonl", "--intensity", "full", "--seed", "1",
+            "--out", "d.jsonl")
+        assert run("evaluate", "--in", "d.jsonl", "--translator", "naive",
+                   "--mental", mental, "--seed", "1", "--out", "run") == EXIT_OK
+        for name, digest in digests.items():
+            assert hashlib.sha256(Path("run", name).read_bytes()).hexdigest() == digest, name
 
     def test_diversify_output_is_pinned(self, workdir, capsys):
         """Any change to tokenizing, lemmatizing, similarity scoring or rule

@@ -187,41 +187,6 @@ class TestSimilarity:
         with pytest.raises(ScorerUnavailable):
             make_scorer("vectors", vectors=None)
 
-    def test_remote_scorer(self, monkeypatch):
-        import io
-        import json as jsonlib
-        import urllib.request
-
-        def fake_urlopen(request, timeout=None):
-            texts = jsonlib.loads(request.data.decode())["texts"]
-            vectors = [[1.0, 0.0] if "kind" in t else [0.0, 1.0] for t in texts]
-            body = jsonlib.dumps({"vectors": vectors}).encode()
-
-            class _Resp(io.BytesIO):
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *args):
-                    return False
-
-            return _Resp(body)
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        scorer = make_scorer("remote", endpoint="http://localhost/embed")
-        assert score_similarity("kind one", "kind two", scorer) == pytest.approx(1.0)
-        assert score_similarity("kind one", "tall two", scorer) == pytest.approx(0.0)
-
-    def test_remote_scorer_failure(self, monkeypatch):
-        import urllib.request
-
-        def boom(request, timeout=None):
-            raise OSError("no route to host")
-
-        monkeypatch.setattr(urllib.request, "urlopen", boom)
-        scorer = make_scorer("remote", endpoint="http://localhost/embed")
-        with pytest.raises(ScorerUnavailable):
-            scorer.score("a", "b")
-
 
 class TestGenerateCandidates:
     def _setup(self, resources, sentences, question="Is Anne smart?"):

@@ -26,7 +26,7 @@ from symdrift.fol import (
     Not,
     SymbolRegistry,
     Var,
-    ensure_unary,
+    ensure_predicate,
     free_variables,
     parse_formula,
     refine_symbol,
@@ -233,8 +233,8 @@ class TestRewrites:
         r = _reg()
         prog = LogicProgram(r, (parse_formula("PopularShow(Idol)", r),),
                             parse_formula("PopularShow(Idol)", r)).validate()
-        base = ensure_unary(prog.registry, "Popular")
-        modifier = ensure_unary(prog.registry, "Show")
+        base = ensure_predicate(prog.registry, "Popular")
+        modifier = ensure_predicate(prog.registry, "Show")
         out = refine_symbol(prog, r.lookup("PopularShow", "predicate"), base, modifier)
         assert render_formula(out.premises[0], out.registry) == "Popular(Idol) & Show(Idol)"
         assert out.registry.lookup("PopularShow", "predicate") is None
@@ -246,8 +246,8 @@ class TestRewrites:
         out = refine_symbol(
             prog,
             r.lookup("PopularShow", "predicate"),
-            ensure_unary(prog.registry, "Popular"),
-            ensure_unary(prog.registry, "Show"),
+            ensure_predicate(prog.registry, "Popular"),
+            ensure_predicate(prog.registry, "Show"),
         )
         assert render_formula(out.premises[0], out.registry) == "~(Popular(Idol) & Show(Idol))"
 
@@ -257,8 +257,8 @@ class TestRewrites:
         prog = LogicProgram(r, (parse_formula("Kind(Anne)", r),),
                             parse_formula("Kind(Anne)", r)).validate()
         out = refine_symbol(prog, compound,
-                            ensure_unary(prog.registry, "Popular"),
-                            ensure_unary(prog.registry, "Show"))
+                            ensure_predicate(prog.registry, "Popular"),
+                            ensure_predicate(prog.registry, "Show"))
         assert out.premises == prog.premises
         assert compound not in out.registry
 
@@ -269,8 +269,8 @@ class TestRewrites:
                             parse_formula("Kind(Anne)", r)).validate()
         with pytest.raises(NonUnaryCompound):
             refine_symbol(prog, compound,
-                          ensure_unary(prog.registry, "Popular"),
-                          ensure_unary(prog.registry, "Show"))
+                          ensure_predicate(prog.registry, "Popular"),
+                          ensure_predicate(prog.registry, "Show"))
 
     def test_refine_preserves_entailment_under_definition(self):
         """When the compound is definitionally base & modifier, query verdicts
@@ -306,8 +306,8 @@ class TestRewrites:
             parse_formula("Fun(Idol)", r),
         ).validate()
         out = refine_symbol(prog, r.lookup("PopularShow", "predicate"),
-                            ensure_unary(prog.registry, "Popular"),
-                            ensure_unary(prog.registry, "Show"))
+                            ensure_predicate(prog.registry, "Popular"),
+                            ensure_predicate(prog.registry, "Show"))
         out = rename_symbol_by_name(out, "Fun", "Enjoyable")
         out.validate()  # type-checks end to end
 

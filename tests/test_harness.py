@@ -36,6 +36,7 @@ from symdrift.harness import (
     generate_synthetic,
     load_dataset,
     normalize_items,
+    problem_to_json,
     proof_depth,
     record_from_json,
     record_to_json,
@@ -43,7 +44,7 @@ from symdrift.harness import (
     save_dataset,
     solver_for,
 )
-from symdrift.mental import lexicon_oracle
+from symdrift.mental import LexiconOracle
 from symdrift.problem import Problem, TextUnit
 
 
@@ -124,12 +125,8 @@ class TestSynthetic:
 
     def test_determinism(self):
         cfg = SyntheticConfig(n_problems=10, seed=42)
-        a = [json.dumps(__import__("symdrift.harness", fromlist=["problem_to_json"])
-                        .problem_to_json(p), sort_keys=True)
-             for p in generate_synthetic(cfg)]
-        b = [json.dumps(__import__("symdrift.harness", fromlist=["problem_to_json"])
-                        .problem_to_json(p), sort_keys=True)
-             for p in generate_synthetic(cfg)]
+        a = [json.dumps(problem_to_json(p), sort_keys=True) for p in generate_synthetic(cfg)]
+        b = [json.dumps(problem_to_json(p), sort_keys=True) for p in generate_synthetic(cfg)]
         assert a == b
 
     def test_depth_matches_rule_applications(self):
@@ -290,7 +287,7 @@ class TestLLMTranslator:
         )
         stub = StubClient(replies=[reply])
         cfg = TranslatorConfig(kind="llm", mental=True)
-        oracle = lexicon_oracle(resources.synonyms, resources.derivations)
+        oracle = LexiconOracle(resources.synonyms, resources.derivations)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load(), oracle=oracle)
         output = translator.translate(self._problem())
         names = {output.program.registry.name_of(s)
@@ -601,7 +598,7 @@ class TestEvaluation:
 
 class TestSftExport:
     def test_export_counts_and_roundtrip(self, tmp_path, resources, diversified_batch):
-        oracle = lexicon_oracle(resources.synonyms, resources.derivations)
+        oracle = LexiconOracle(resources.synonyms, resources.derivations)
         translator = NaiveTranslator(oracle=oracle)
         run_dir = tmp_path / "run"
         report = run_evaluation(diversified_batch[:8], translator,

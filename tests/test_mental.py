@@ -9,17 +9,17 @@ import pytest
 from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
 from symdrift.errors import OracleFailure
 from symdrift.fol import render_formula
-from symdrift.harness import NaiveTranslator, StubClient
+from symdrift.harness import NaiveTranslator, StubClient, propose_from_templates
 from symdrift.mental import (
     EXTEND,
+    LLMOracle,
+    LexiconOracle,
     MentalTable,
     Proposal,
     REFINE,
     REUSE,
     TranslationState,
     camel_case_symbol,
-    lexicon_oracle,
-    llm_oracle,
     process_expression,
     translate_with_mental,
 )
@@ -34,7 +34,7 @@ def resources() -> Resources:
 
 @pytest.fixture(scope="module")
 def oracle(resources):
-    return lexicon_oracle(resources.synonyms, resources.derivations)
+    return LexiconOracle(resources.synonyms, resources.derivations)
 
 
 def drive(expressions, oracle, state=None):
@@ -182,21 +182,21 @@ class TestLexiconOracle:
 class TestLLMOracle:
     def test_cached_pair_not_requeried(self):
         stub = StubClient(replies=["yes"])
-        oracle = llm_oracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         assert oracle.equiv("a", ("b",))
         assert oracle.equiv("a", ("b",))  # would exhaust the stub if re-asked
         assert stub.ledger.calls == 1
 
     def test_malformed_reply_retries_once_then_fails(self):
         stub = StubClient(replies=["garbled", "nonsense"])
-        oracle = llm_oracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         with pytest.raises(OracleFailure):
             oracle.equiv("a", ("b",))
         assert stub.ledger.calls == 2
 
     def test_conflict_reply_parsing(self):
         stub = StubClient(replies=["yes show | popular"])
-        oracle = llm_oracle(stub, "E", "C {expression} {entry}")
+        oracle = LLMOracle(stub, "E", "C {expression} {entry}")
         assert oracle.conflict("popular show", ("show",)) == ("show", "popular")
 
     def test_usage_accumulates(self):
@@ -205,7 +205,7 @@ class TestLLMOracle:
         stub = StubClient(replies=[
             Completion("yes", 10, 2), Completion("no", 11, 3), Completion("no", 12, 4),
         ])
-        oracle = llm_oracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         oracle.equiv("a", ("b",))
         oracle.equiv("c", ("d",))
         oracle.conflict("e", ("f",))
@@ -226,8 +226,8 @@ class TestTranslateWithMental:
 
     def test_guided_translation_unifies_surfaces(self, resources, oracle):
         d = self._diversified_fixture(resources)
-        translator = NaiveTranslator()
-        program, table, trace = translate_with_mental(d, translator, oracle)
+        program, table, trace = translate_with_mental(
+            d.problem, propose_from_templates(d.problem), oracle)
         names = {program.registry.name_of(s)
                  for s in program.registry.symbols("predicate")}
         assert names == {"Kind", "Smart"}
@@ -252,20 +252,14 @@ class TestTranslateWithMental:
             id="none", sentences=(), question=TextUnit.from_text(""),
             gold_answer="true", task_kind="proofwriter",
         )
-
-        class NoProposals:
-            def propose(self, p):
-                return []
-
-        program, table, trace = translate_with_mental(empty, NoProposals(), oracle)
+        program, table, trace = translate_with_mental(empty, [], oracle)
         assert program is None and not table.entries and not trace
 
     def test_trace_length_matches_processed_expressions(self, resources, oracle):
         d = self._diversified_fixture(resources)
-        program, table, trace = translate_with_mental(d, NaiveTranslator(), oracle)
-        from symdrift.harness import propose_from_templates
-
-        n_slots = sum(len(pr.slots) for pr in propose_from_templates(d.problem))
+        proposals = propose_from_templates(d.problem)
+        program, table, trace = translate_with_mental(d.problem, proposals, oracle)
+        n_slots = sum(len(pr.slots) for pr in proposals)
         assert len(trace) == n_slots
 
     def test_zero_drift_with_provenance_oracle(self, resources):

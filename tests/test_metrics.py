@@ -114,19 +114,6 @@ class TestAlignSymbols:
         assert alignment == {"kind": set()}
         assert record.alignment_misses == ["kind:0:kind"]
 
-    def test_llm_mode_records_audit(self):
-        from symdrift.harness import StubClient
-
-        record = _record()
-        record.raw_output = "```\nquery: Kind(Anne)\n```"
-        provenance = {"kind": [ProvenanceEntry(0, 8, 12, "kind")]}
-        stub = StubClient(replies=['{"kind": ["Kind"]}'])
-        alignment = align_symbols(record, provenance, aligner="llm", client=stub,
-                                  prompt_template="{concepts}\n{output}")
-        assert alignment == {"kind": {"Kind"}}
-        assert "aligner audit" in record.raw_output
-
-
 class TestClassifyError:
     def test_parse_error(self):
         record = _record(parse_error="unbalanced parentheses", program=None)
