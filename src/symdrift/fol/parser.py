@@ -12,14 +12,23 @@ Grammar (precedence low to high; `->` and `<->` are right-associative):
 Identifiers in application position are predicates; argument identifiers are
 variables when bound by an enclosing quantifier, constants otherwise. Unseen
 identifiers are auto-registered, with arity locked at first use.
+
+Parsing is memoized per distinct text and bound per registry: each text is
+lexed, parsed and type-checked once into a scratch registry, and each call
+binds the cached shape's symbols to the caller's registry by name. A text
+that cannot bind cleanly (a syntax error, or a name already declared with
+another arity) is parsed afresh on the caller's registry, so errors and the
+declarations they leave behind are those of a plain parse. The memo lives
+for the process and holds only immutable values, so threads share it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ..errors import FormulaSyntaxError
+from ..errors import ArityMismatch, FormulaSyntaxError
 from .terms import (
     CONSTANT,
     PREDICATE,
@@ -33,9 +42,11 @@ from .terms import (
     Implies,
     Not,
     Or,
+    SymbolInfo,
     SymbolRegistry,
     Term,
     Var,
+    map_atoms,
     type_check,
 )
 
@@ -191,12 +202,7 @@ class _Parser:
         return Const(const)
 
 
-def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
-    """Parse one formula, auto-registering unseen symbols into `registry`.
-
-    A trailing `.` (the external-prover statement terminator) is accepted and
-    ignored, so emitted files re-parse through this same entry point.
-    """
+def _parse_uncached(text: str, registry: SymbolRegistry) -> Formula:
     if not text or not text.strip():
         raise FormulaSyntaxError("empty input", 0, "a formula")
     parser = _Parser(text, registry)
@@ -211,3 +217,46 @@ def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
         )
     type_check(result, registry)
     return result
+
+
+@lru_cache(maxsize=None)
+def _parse_shape(text: str) -> tuple[Formula, tuple[tuple[str, SymbolInfo], ...]]:
+    """The formula parsed into a fresh registry, with that registry's symbols
+    in declaration order (first occurrence: an atom's constants, then its
+    predicate)."""
+    scratch = SymbolRegistry()
+    formula = _parse_uncached(text, scratch)
+    return formula, tuple((sid, scratch.info(sid)) for sid in scratch.symbols())
+
+
+def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
+    """Parse one formula, auto-registering unseen symbols into `registry`.
+
+    A trailing `.` (the external-prover statement terminator) is accepted and
+    ignored, so emitted files re-parse through this same entry point.
+    """
+    try:
+        formula, symbols = _parse_shape(text)
+    except Exception:
+        # A text that fails on a fresh registry fails on any; the plain parse
+        # raises and leaves declarations exactly as it always has.
+        return _parse_uncached(text, registry)
+    ids: dict[str, str] = {}
+    for scratch_id, info in symbols:
+        try:
+            sid = registry.declare(info.name, info.arity, info.kind)
+        except ArityMismatch:
+            # The declarations made so far are the ones a plain parse makes
+            # before it meets this name, so it picks up from here.
+            return _parse_uncached(text, registry)
+        if sid != scratch_id:
+            ids[scratch_id] = sid
+    if not ids:
+        return formula
+
+    def bind(atom: Atom) -> Atom:
+        args = tuple(Const(ids.get(a.symbol, a.symbol)) if isinstance(a, Const) else a
+                     for a in atom.args)
+        return Atom(ids.get(atom.pred, atom.pred), args)
+
+    return map_atoms(formula, bind)

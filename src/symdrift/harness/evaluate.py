@@ -32,6 +32,7 @@ from ..errors import (
     FolError,
     MentalError,
     MissingGold,
+    OracleFailure,
     SolverError,
     SolverMismatch,
 )
@@ -143,9 +144,12 @@ def normalize_items(items: list[Problem | DiversifiedProblem],
 
 
 def translate_one(item: DiversifiedProblem, translator) -> TranslationRecord:
-    """Translate one problem; a translation that fails is a parse error."""
+    """Translate one problem; a translation that fails is a parse error. An
+    oracle that fails is an outage, not a translation error, and propagates."""
     try:
         return translator.translate(item)
+    except OracleFailure:
+        raise
     except (MentalError, MissingGold, FolError) as exc:
         return translation_record(item.problem, parse_error=str(exc))
 
@@ -260,11 +264,18 @@ def report_to_json(report: RunReport) -> dict:
 
 
 def render_report_text(report: RunReport) -> str:
+    if report.sds:
+        dropped, concepts = report.sds.dropped_concepts, report.sds.concepts
+    else:  # SDS is unmeasured exactly when no concept kept a symbol
+        dropped = concepts = sum(len(r.alignment) for r in report.records)
+    limit_hits = sum(1 for r in report.records if r.verdict is not None and r.verdict.limit_hit)
     lines = [
         f"run        {report.run_id}",
         f"records    {len(report.records)}",
         f"accuracy   {report.accuracy:.4f}",
         f"sds        {report.sds.value:.4f}" if report.sds else "sds        n/a",
+        f"dropped    {dropped}/{concepts} concepts",
+        f"limit hits {limit_hits}",
         "errors     " + "  ".join(f"{k}={v}" for k, v in sorted(report.histogram.items())),
         f"tokens     in={report.tokens_in} out={report.tokens_out}",
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import MissingGold, TranslationFailure
+from ..errors import MissingGold, OracleFailure, TranslationFailure
 from ..fol.render import render_formula
 from ..fol.terms import (
     Atom,
@@ -407,6 +407,8 @@ class LLMTranslator:
                                           **usage)
             program = extract_program_block(reply.text, TASK_KINDS[problem.task_kind])
             return translation_record(problem, program=program, **usage)
+        except OracleFailure:
+            raise
         except Exception as exc:
             return translation_record(problem, parse_error=str(exc), **usage)
 

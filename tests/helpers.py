@@ -6,7 +6,7 @@ import heapq
 import random
 from itertools import product
 
-from symdrift.errors import DomainTooLarge
+from symdrift.errors import DomainTooLarge, FormulaSyntaxError
 from symdrift.fol import (
     And,
     Atom,
@@ -25,6 +25,8 @@ from symdrift.fol import (
     SymbolRegistry,
     Var,
 )
+from symdrift.fol.parser import _Parser
+from symdrift.fol.terms import type_check
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
@@ -359,3 +361,22 @@ def reference_tokenize(text: str) -> tuple[Token, ...]:
             lemma, pos = surface, "PUNCT"
         tokens.append(Token(surface, lemma, pos, m.start(), m.end()))
     return tuple(tokens)
+
+
+def reference_parse(text: str, registry: SymbolRegistry) -> Formula:
+    """Unmemoized parser: every call lexes, parses and type-checks `text`
+    on `registry` itself."""
+    if not text or not text.strip():
+        raise FormulaSyntaxError("empty input", 0, "a formula")
+    parser = _Parser(text, registry)
+    result = parser.formula()
+    trailing = parser.peek()
+    if trailing is not None and trailing.text == ".":
+        parser.take()
+        trailing = parser.peek()
+    if trailing is not None:
+        raise FormulaSyntaxError(
+            f"unexpected {trailing.text!r}", trailing.pos, "end of input"
+        )
+    type_check(result, registry)
+    return result

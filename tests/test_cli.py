@@ -40,6 +40,18 @@ class TestExitCodes:
                    "--out", "rundir")
         assert code == EXIT_REMOTE
 
+    def test_oracle_outage_is_remote_error(self, workdir, monkeypatch, capsys):
+        from symdrift.harness import StubClient, cli
+
+        monkeypatch.setenv("SYMDRIFT_LLM_ENDPOINT", "http://localhost:1/chat")
+        monkeypatch.setattr(cli, "HttpChatClient",
+                            lambda endpoint, key: StubClient(["garbled"] * 100))
+        run("generate", "--n", "3", "--seed", "1", "--out", "p.jsonl")
+        Path("run.cfg").write_text("translator.oracle = llm\n")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "naive",
+                   "--mental", "on", "--config", "run.cfg", "--out", "rundir") == EXIT_REMOTE
+        assert "unparseable equiv reply" in capsys.readouterr().err
+
     def test_vector_scorer_without_vector_file_is_data_error(self, workdir, capsys):
         run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
         for source in ("p.jsonl", "absent.jsonl"):

@@ -672,3 +672,61 @@ class TestClient:
             client.complete("hello")
         assert len(calls) == 3
         assert sleeps == [1.0, 2.0]
+
+
+class TestOracleOutage:
+    """An oracle that cannot answer is a remote-service failure: it stops the
+    run instead of being scored as the translator's parse errors."""
+
+    @staticmethod
+    def _garbled_oracle():
+        from symdrift.mental import LLMOracle
+
+        return LLMOracle(StubClient(["garbled"] * 100), "E {expression} {entry}",
+                         "C {expression} {entry}")
+
+    def test_naive_run_raises(self, synthetic_batch, resources):
+        from symdrift.errors import OracleFailure
+
+        translator = NaiveTranslator(oracle=self._garbled_oracle())
+        with pytest.raises(OracleFailure):
+            run_evaluation(synthetic_batch[:3], translator,
+                           TranslatorConfig(mental=True), "auto", resources=resources)
+
+    def test_llm_translator_raises(self, resources):
+        from symdrift.errors import OracleFailure
+
+        problem = Problem(
+            id="p0", sentences=(TextUnit.from_text("Anne is kind."),),
+            question=TextUnit.from_text("Is Anne nice?"),
+            gold_answer="true", task_kind="proofwriter",
+        )
+        reply = "```\nunit 0: Slot0(Anne) | kind\nquery: Slot0(Anne) | nice\n```"
+        cfg = TranslatorConfig(kind="llm", mental=True)
+        translator = LLMTranslator(cfg, StubClient(replies=[reply]), PromptLibrary.load(),
+                                   oracle=self._garbled_oracle())
+        with pytest.raises(OracleFailure):
+            run_evaluation([problem], translator, cfg, "auto", resources=resources)
+
+
+def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, resources):
+    """The text report prints the dropped-concept share and the limit hits;
+    an unmeasured SDS is every concept dropped."""
+    from dataclasses import replace
+
+    from symdrift.harness import render_report_text
+    from symdrift.solver import Verdict
+
+    report = run_evaluation(diversified_batch[:5], NaiveTranslator(), TranslatorConfig(),
+                            "auto", resources=resources)
+    lines = render_report_text(report).splitlines()
+    assert f"dropped    {report.sds.dropped_concepts}/{report.sds.concepts} concepts" in lines
+    assert "limit hits 0" in lines
+
+    record = replace(report.records[0], verdict=Verdict("unknown", limit_hit=True),
+                     alignment={concept: set() for concept in report.records[0].alignment})
+    unmeasured = replace(report, records=[record], sds=None)
+    lines = render_report_text(unmeasured).splitlines()
+    n = len(record.alignment)
+    assert n and f"dropped    {n}/{n} concepts" in lines
+    assert "limit hits 1" in lines and "sds        n/a" in lines
