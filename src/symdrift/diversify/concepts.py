@@ -1,16 +1,18 @@
 """Repeated-concept identification: the anchor units for diversification.
 
 Concepts are lemmatized n-grams (default n <= 3) occurring at least twice
-across premises plus question. Grams made only of stopwords are dropped. The
-inventory keeps overlapping entries (both "popular show" and "show"); the
-longest-match rule is applied later, when rewrite sites are selected.
+across premises plus question. Grams made only of stopwords are dropped. Every
+window is first grouped by its lemma sequence, and occurrences are built only
+for the grams seen at least twice. The inventory keeps overlapping entries
+(both "popular show" and "show"); the longest-match rule is applied later,
+when rewrite sites are selected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..problem import ConceptEntry, ConceptInventory, ConceptOccurrence, Problem
+from ..problem import ConceptEntry, ConceptInventory, ConceptOccurrence, Problem, TextUnit
 from ..textproc import STOPWORDS
 
 
@@ -20,42 +22,42 @@ class ConceptConfig:
     stopwords: frozenset[str] = STOPWORDS
 
 
+def _occurrence(unit_index: int, unit: TextUnit, first: int, last: int) -> ConceptOccurrence:
+    start, end = unit.tokens[first].start, unit.tokens[last].end
+    return ConceptOccurrence(unit_index, first, last + 1, start, end, unit.text[start:end])
+
+
 def identify_repeated(p: Problem, cfg: ConceptConfig | None = None) -> ConceptInventory:
     cfg = cfg or ConceptConfig()
-    raw: dict[tuple[str, ...], list[ConceptOccurrence]] = {}
-    tags: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # Every admissible window as (unit index, unit, first token, last token),
+    # grouped by lemma sequence; occurrences are built for repeated grams only.
+    windows: dict[tuple[str, ...], list[tuple[int, TextUnit, int, int]]] = {}
     for unit_index, unit in p.units():
-        words = [(i, t) for i, t in enumerate(unit.tokens) if t.is_word]
-        for start in range(len(words)):
-            for n in range(1, cfg.max_n + 1):
-                if start + n > len(words):
-                    break
-                window = words[start:start + n]
+        tokens = unit.tokens
+        words = [i for i, t in enumerate(tokens) if t.is_word]
+        for start, first in enumerate(words):
+            lemmas: tuple[str, ...] = ()
+            stopwords_only = True
+            for last in words[start:start + cfg.max_n]:
                 # n-grams must be contiguous in token space (no gaps across
                 # punctuation).
-                if window[-1][0] - window[0][0] != n - 1:
+                if last - first != len(lemmas):
                     break
-                lemmas = tuple(t.lemma for _, t in window)
-                if all(l in cfg.stopwords for l in lemmas):
-                    continue
-                first, last = window[0][1], window[-1][1]
-                raw.setdefault(lemmas, []).append(ConceptOccurrence(
-                    unit=unit_index,
-                    tok_start=window[0][0],
-                    tok_end=window[-1][0] + 1,
-                    char_start=first.start,
-                    char_end=last.end,
-                    surface=unit.text[first.start:last.end],
-                ))
-                tags.setdefault(lemmas, tuple(t.pos for _, t in window))
+                lemma = tokens[last].lemma
+                lemmas += (lemma,)
+                stopwords_only = stopwords_only and lemma in cfg.stopwords
+                if not stopwords_only:
+                    windows.setdefault(lemmas, []).append((unit_index, unit, first, last))
 
     inventory = ConceptInventory()
-    for lemmas in sorted(raw, key=lambda k: (len(k), k)):
-        occurrences = raw[lemmas]
-        if len(occurrences) < 2:
-            continue
+    repeated = [lemmas for lemmas, hits in windows.items() if len(hits) > 1]
+    for lemmas in sorted(repeated, key=lambda k: (len(k), k)):
+        hits = windows[lemmas]
+        _, unit, first, last = hits[0]
+        tags = tuple(t.pos for t in unit.tokens[first:last + 1])
+        occurrences = tuple(_occurrence(*hit) for hit in hits)
         cid = " ".join(lemmas)
-        inventory.entries[cid] = ConceptEntry(cid, lemmas, tags[lemmas], tuple(occurrences))
+        inventory.entries[cid] = ConceptEntry(cid, lemmas, tags, occurrences)
     return inventory
 
 

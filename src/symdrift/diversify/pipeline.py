@@ -1,16 +1,19 @@
 """Candidate generation, minimum-repetition assembly, and the full pipeline.
 
 Per sentence, candidates substitute filtered variants at the repeated-concept
-sites (word/phrase in place, sentence rewrites wholesale); a similarity
-threshold keeps only meaning-preserving candidates, and a greedy pass picks
+sites (word/phrase in place, sentence rewrites wholesale). A greedy pass picks
 one candidate per sentence while minimizing reuse of surface forms per
-concept.
+concept. Scoring is lazy, in assembly order: each sentence's candidates are
+tried from least reuse up, and the similarity threshold is tested only until
+one passes, so only meaning-preserving candidates are picked and the rest are
+never scored.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..problem import (
     ConceptInventory,
@@ -31,16 +34,14 @@ from .variants import build_variants
 MAX_CANDIDATES_PER_UNIT = 64
 
 
-@dataclass(frozen=True)
-class CandidateSite:
+class CandidateSite(NamedTuple):
     concept_id: str
     surface: str
     char_start: int
     char_end: int
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     text: str
     sites: tuple[CandidateSite, ...]
 
@@ -50,7 +51,6 @@ class DiversifyConfig:
     theta: float = 0.90
     intensity: int | None = None  # None = rewrite everything
     scorer: str = FALLBACK
-    seed: int = 0
     max_n: int = 3
     resources: Resources | None = None
 
@@ -121,11 +121,12 @@ def _site_options(cid: str, occ, variants: VariantSet, pos: str) -> list[str]:
     return options
 
 
-def _sentence_rewrite_candidates(unit: TextUnit, unit_index: int,
+def _sentence_rewrite_candidates(unit_index: int, site_rows: list[tuple[str, object]],
                                  inventory: ConceptInventory,
                                  variants: VariantSet) -> list[Candidate]:
     """Whole-sentence rewrites, with sites recovered by scanning the new text
-    for each concept's lemma sequence (rewrites only move template glue)."""
+    for each concept's lemma sequence (rewrites only move template glue).
+    `site_rows` are the unit's rewrite sites, as `select_sites` gives them."""
     texts: list[str] = []
     for cid in sorted(variants):
         for variant in variants[cid]:
@@ -133,13 +134,12 @@ def _sentence_rewrite_candidates(unit: TextUnit, unit_index: int,
                 if variant.text not in texts:
                     texts.append(variant.text)
     out = []
-    expected = select_sites(inventory.in_unit(unit_index))
     for text in texts:
         tokens = tokenize(text)
         found: list[tuple[str, object, str]] = []
         ok = True
         used: set[int] = set()
-        for cid, _occ in expected:
+        for cid, _occ in site_rows:
             lemmas = inventory.entries[cid].lemmas
             hit = None
             for i in range(len(tokens) - len(lemmas) + 1):
@@ -166,8 +166,10 @@ def _sentence_rewrite_candidates(unit: TextUnit, unit_index: int,
 
 
 def generate_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
-                        variants: VariantSet, theta: float, scorer) -> list[Candidate]:
-    """Filtered candidate set for one text unit; the original is always first."""
+                        variants: VariantSet) -> list[Candidate]:
+    """Unscored candidate pool for one text unit, without duplicate texts:
+    the original first, then splices in site-option order, then sentence
+    rewrites."""
     site_rows = select_sites(inventory.in_unit(unit_index))
     original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
 
@@ -189,16 +191,11 @@ def generate_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInven
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
-    for candidate in _sentence_rewrite_candidates(unit, unit_index, inventory, variants):
+    for candidate in _sentence_rewrite_candidates(unit_index, site_rows, inventory, variants):
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
-
-    kept = [original]
-    for candidate in produced[1:]:
-        if score_similarity(unit.text, candidate.text, scorer) >= theta:
-            kept.append(candidate)
-    return kept
+    return produced
 
 
 @dataclass
@@ -207,24 +204,33 @@ class AssemblyResult:
     provenance: dict[str, list[ProvenanceEntry]] = field(default_factory=dict)
 
 
-def assemble(candidates: dict[int, list[Candidate]]) -> AssemblyResult:
+def assemble(candidates: dict[int, list[Candidate]],
+             accept: Callable[[int, Candidate], bool] | None = None) -> AssemblyResult:
     """Greedy pass in unit order, minimizing repeats of already-used surface
-    forms per concept; ties break toward the lower candidate index."""
+    forms per concept; ties break toward the lower candidate index.
+
+    Each unit's pool starts with its original, which is always acceptable.
+    The others are tried in (cost, index) order, and `accept(unit, candidate)`
+    is asked only until one passes; none is asked once the original's cost is
+    reached. This picks what filtering every candidate first and then taking
+    the least cost would pick.
+    """
     used: dict[tuple[str, str], int] = {}
     result = AssemblyResult(chosen=[])
     for unit_index in sorted(candidates, key=lambda u: (u == QUESTION_UNIT, u)):
         options = candidates[unit_index]
-        best_idx = 0
-        best_cost = None
-        for idx, candidate in enumerate(options):
-            cost = sum(used.get((s.concept_id, s.surface.lower()), 0) for s in candidate.sites)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_idx = idx
-        chosen = options[best_idx]
+        costs = [sum(used.get((s.concept_id, s.surface.lower()), 0) for s in c.sites)
+                 for c in options]
+        chosen = options[0]
+        cheaper = [idx for idx in range(1, len(options)) if costs[idx] < costs[0]]
+        for idx in sorted(cheaper, key=costs.__getitem__):
+            if accept is None or accept(unit_index, options[idx]):
+                chosen = options[idx]
+                break
         result.chosen.append(chosen)
         for s in chosen.sites:
-            used[(s.concept_id, s.surface.lower())] = used.get((s.concept_id, s.surface.lower()), 0) + 1
+            key = (s.concept_id, s.surface.lower())
+            used[key] = used.get(key, 0) + 1
             result.provenance.setdefault(s.concept_id, []).append(
                 ProvenanceEntry(unit_index, s.char_start, s.char_end, s.surface)
             )
@@ -267,16 +273,18 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     per_unit: dict[int, list[Candidate]] = {}
     for unit_index, unit in p.units():
         if unit_index in eligible:
-            per_unit[unit_index] = generate_candidates(
-                unit, unit_index, inventory, variants, cfg.theta, scorer
-            )
+            per_unit[unit_index] = generate_candidates(unit, unit_index, inventory, variants)
         else:
             sites = select_sites(inventory.in_unit(unit_index))
             per_unit[unit_index] = [
                 _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])
             ]
 
-    assembly = assemble(per_unit)
+    def meaning_preserving(unit_index: int, candidate: Candidate) -> bool:
+        original = p.unit(unit_index).text
+        return score_similarity(original, candidate.text, scorer) >= cfg.theta
+
+    assembly = assemble(per_unit, meaning_preserving)
     by_unit = dict(zip(sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u)),
                        assembly.chosen))
     new_sentences = tuple(

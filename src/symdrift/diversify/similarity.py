@@ -43,10 +43,16 @@ class FallbackScorer:
     def score(self, a: str, b: str) -> float:
         ca = self._bag(a)
         cb = self._bag(b)
-        union = sum((ca | cb).values())
+        if len(cb) < len(ca):
+            ca, cb = cb, ca
+        inter = 0
+        for key, count in ca.items():
+            other = cb.get(key)
+            if other:
+                inter += count if count < other else other
+        union = ca.total() + cb.total() - inter
         if union == 0:
             return 1.0
-        inter = sum((ca & cb).values())
         return inter / union
 
 

@@ -70,6 +70,10 @@ def _parse_levels(text: str) -> list[int | float]:
     return [parse_intensity(level) for level in text.split(",")]
 
 
+_IGNORED_SEED = ("accepted like every subcommand's; the rewrite pass has no "
+                 "randomness, so the output does not depend on it")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdrift",
@@ -79,8 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--seed", type=int, default=0)
+    def common(p: argparse.ArgumentParser, seed_help: str | None = None
+               ) -> argparse.ArgumentParser:
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (file or run directory)")
         return p
@@ -88,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("generate", help="emit synthetic rule-base problems"))
     p.add_argument("--n", type=int, help="number of problems")
 
-    p = common(sub.add_parser("diversify", help="rewrite problems, logic-invariantly"))
+    p = common(sub.add_parser("diversify", help="rewrite problems, logic-invariantly"),
+               seed_help=_IGNORED_SEED)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--theta", type=float, default=0.90)
     p.add_argument("--intensity", default="full", type=parse_intensity,
@@ -115,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("sds", help="symbol dispersion over saved records"))
     p.add_argument("--records", required=True)
 
-    p = common(sub.add_parser("sweep", help="accuracy/SDS curve over intensity"))
+    p = common(sub.add_parser("sweep", help="accuracy/SDS curve over intensity"),
+               seed_help=_IGNORED_SEED)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--translator", default="naive")
     p.add_argument("--mental", choices=("on", "off"), default="off")
@@ -200,7 +207,7 @@ def _cmd_diversify(args) -> int:
     out = [
         diversify_problem(item, DiversifyConfig(
             theta=args.theta, intensity=sentence_count(args.intensity, len(item.sentences)),
-            scorer=args.scorer, seed=args.seed, resources=resources,
+            scorer=args.scorer, resources=resources,
         ))
         for item in _plain_problems(load_dataset(args.input))
     ]
@@ -276,7 +283,7 @@ def _cmd_sweep(args) -> int:
     translator = _make_translator(cfg, resources)
     dataset = _plain_problems(load_dataset(args.input))
     points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
-                             seed=args.seed, resources=resources)
+                             resources=resources)
     csv_text = sweep_to_csv(points)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

@@ -14,11 +14,11 @@ class SweepPoint:
 
 
 def intensity_sweep(dataset, translator, translator_cfg, solver: str,
-                    levels: list[int | float], seed: int = 0,
-                    resources=None) -> list[SweepPoint]:
+                    levels: list[int | float], resources=None) -> list[SweepPoint]:
     """Evaluate at each intensity level (ints are absolute sentence counts,
     floats are fractions of each problem's sentence count). Levels must be
-    sorted ascending; the same seed drives every level's rewrite pass."""
+    sorted ascending. The rewrite pass is deterministic, so the curve depends
+    on no seed."""
     from ..diversify.pipeline import DiversifyConfig, diversify_problem, sentence_count
     from ..harness.evaluate import run_evaluation
 
@@ -30,7 +30,7 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
         for p in dataset:
             k = sentence_count(level, len(p.sentences))
             diversified.append(diversify_problem(
-                p, DiversifyConfig(intensity=k, seed=seed, resources=resources)
+                p, DiversifyConfig(intensity=k, resources=resources)
             ))
         report = run_evaluation(diversified, translator, translator_cfg, solver,
                                 resources=resources)

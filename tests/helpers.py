@@ -6,6 +6,18 @@ import heapq
 import random
 from itertools import product
 
+from symdrift.diversify.concepts import ConceptConfig, select_sites
+from symdrift.diversify.pipeline import (
+    MAX_CANDIDATES_PER_UNIT,
+    Candidate,
+    CandidateSite,
+    _passthrough_provenance,
+    _site_options,
+    _splice,
+    eligible_units,
+)
+from symdrift.diversify.resources import Resources
+from symdrift.diversify.variants import build_variants
 from symdrift.errors import DomainTooLarge, FormulaSyntaxError
 from symdrift.fol import (
     And,
@@ -27,10 +39,21 @@ from symdrift.fol import (
 )
 from symdrift.fol.parser import _Parser
 from symdrift.fol.terms import type_check
+from symdrift.problem import (
+    QUESTION_UNIT,
+    SENTENCE_LEVEL,
+    ConceptEntry,
+    ConceptInventory,
+    ConceptOccurrence,
+    Problem,
+    ProvenanceEntry,
+    TextUnit,
+    VariantSet,
+)
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
-from symdrift.textproc import _TOKEN_RE, Token, _tag, lemmatize
+from symdrift.textproc import _TOKEN_RE, Token, _tag, lemmatize, tokenize
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -380,3 +403,160 @@ def reference_parse(text: str, registry: SymbolRegistry) -> Formula:
         )
     type_check(result, registry)
     return result
+
+
+def reference_identify_repeated(p: Problem, cfg: ConceptConfig | None = None) -> ConceptInventory:
+    """Concept identification that builds an occurrence for every window and
+    drops the singleton grams afterwards."""
+    cfg = cfg or ConceptConfig()
+    raw: dict[tuple[str, ...], list[ConceptOccurrence]] = {}
+    tags: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for unit_index, unit in p.units():
+        words = [(i, t) for i, t in enumerate(unit.tokens) if t.is_word]
+        for start in range(len(words)):
+            for n in range(1, cfg.max_n + 1):
+                if start + n > len(words):
+                    break
+                window = words[start:start + n]
+                if window[-1][0] - window[0][0] != n - 1:
+                    break
+                lemmas = tuple(t.lemma for _, t in window)
+                if all(l in cfg.stopwords for l in lemmas):
+                    continue
+                first, last = window[0][1], window[-1][1]
+                raw.setdefault(lemmas, []).append(ConceptOccurrence(
+                    unit=unit_index,
+                    tok_start=window[0][0],
+                    tok_end=window[-1][0] + 1,
+                    char_start=first.start,
+                    char_end=last.end,
+                    surface=unit.text[first.start:last.end],
+                ))
+                tags.setdefault(lemmas, tuple(t.pos for _, t in window))
+
+    inventory = ConceptInventory()
+    for lemmas in sorted(raw, key=lambda k: (len(k), k)):
+        occurrences = raw[lemmas]
+        if len(occurrences) < 2:
+            continue
+        cid = " ".join(lemmas)
+        inventory.entries[cid] = ConceptEntry(cid, lemmas, tags[lemmas], tuple(occurrences))
+    return inventory
+
+
+def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
+                                  inventory: ConceptInventory,
+                                  variants: VariantSet) -> list[Candidate]:
+    texts: list[str] = []
+    for cid in sorted(variants):
+        for variant in variants[cid]:
+            if variant.level == SENTENCE_LEVEL and variant.unit == unit_index:
+                if variant.text not in texts:
+                    texts.append(variant.text)
+    out = []
+    expected = select_sites(inventory.in_unit(unit_index))
+    for text in texts:
+        tokens = tokenize(text)
+        found = []
+        ok = True
+        used: set[int] = set()
+        for cid, _occ in expected:
+            lemmas = inventory.entries[cid].lemmas
+            hit = None
+            for i in range(len(tokens) - len(lemmas) + 1):
+                if i in used:
+                    continue
+                window = tokens[i:i + len(lemmas)]
+                if tuple(t.lemma for t in window) == lemmas and all(t.is_word for t in window):
+                    hit = (i, window)
+                    break
+            if hit is None:
+                ok = False
+                break
+            i, window = hit
+            used.update(range(i, i + len(lemmas)))
+            found.append((cid, window, text[window[0].start:window[-1].end]))
+        if not ok:
+            continue
+        sites = tuple(
+            CandidateSite(cid, surface, window[0].start, window[-1].end)
+            for cid, window, surface in sorted(found, key=lambda row: row[1][0].start)
+        )
+        out.append(Candidate(text, sites))
+    return out
+
+
+def _reference_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
+                          variants: VariantSet, theta: float, scorer) -> list[Candidate]:
+    """Every candidate scored, the original kept unscored and first."""
+    site_rows = select_sites(inventory.in_unit(unit_index))
+    original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
+    combos: list[list[str]] = [[]]
+    for cid, occ in site_rows:
+        options = _site_options(cid, occ, variants, inventory.entries[cid].pos[0])
+        combos = [prefix + [opt] for prefix in combos for opt in options]
+        if len(combos) > MAX_CANDIDATES_PER_UNIT:
+            combos = combos[:MAX_CANDIDATES_PER_UNIT]
+    produced = [original]
+    seen = {original.text}
+    for combo in combos:
+        candidate = _splice(unit, [
+            (cid, occ, surface) for (cid, occ), surface in zip(site_rows, combo)
+        ])
+        if candidate.text not in seen:
+            seen.add(candidate.text)
+            produced.append(candidate)
+    for candidate in _reference_rewrite_candidates(unit, unit_index, inventory, variants):
+        if candidate.text not in seen:
+            seen.add(candidate.text)
+            produced.append(candidate)
+    return [original] + [c for c in produced[1:] if scorer.score(unit.text, c.text) >= theta]
+
+
+def _reference_assemble(candidates: dict[int, list[Candidate]]
+                        ) -> tuple[list[Candidate], dict[str, list[ProvenanceEntry]]]:
+    """Greedy pass over filtered sets: the first candidate of least reuse."""
+    used: dict[tuple[str, str], int] = {}
+    chosen_all: list[Candidate] = []
+    provenance: dict[str, list[ProvenanceEntry]] = {}
+    for unit_index in sorted(candidates, key=lambda u: (u == QUESTION_UNIT, u)):
+        options = candidates[unit_index]
+        best_idx, best_cost = 0, None
+        for idx, candidate in enumerate(options):
+            cost = sum(used.get((s.concept_id, s.surface.lower()), 0) for s in candidate.sites)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_idx = cost, idx
+        chosen = options[best_idx]
+        chosen_all.append(chosen)
+        for s in chosen.sites:
+            key = (s.concept_id, s.surface.lower())
+            used[key] = used.get(key, 0) + 1
+            provenance.setdefault(s.concept_id, []).append(
+                ProvenanceEntry(unit_index, s.char_start, s.char_end, s.surface))
+    return chosen_all, provenance
+
+
+def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
+                               scorer, resources: Resources
+                               ) -> tuple[dict[int, str], dict[str, list[ProvenanceEntry]]]:
+    """The rewrite pass with eager filtering: every candidate of every
+    rewritten unit is scored against the original, then the greedy pass picks
+    among the survivors. Returns the chosen text per unit and the provenance."""
+    inventory = reference_identify_repeated(p)
+    k = len(p.sentences) if intensity is None else intensity
+    if not inventory or k == 0:
+        return {u: unit.text for u, unit in p.units()}, _passthrough_provenance(p, inventory)
+    variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases)
+    eligible = eligible_units(p, inventory, k)
+    per_unit: dict[int, list[Candidate]] = {}
+    for unit_index, unit in p.units():
+        if unit_index in eligible:
+            per_unit[unit_index] = _reference_candidates(
+                unit, unit_index, inventory, variants, theta, scorer)
+        else:
+            sites = select_sites(inventory.in_unit(unit_index))
+            per_unit[unit_index] = [
+                _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])]
+    chosen, provenance = _reference_assemble(per_unit)
+    order = sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u))
+    return {u: c.text for u, c in zip(order, chosen)}, provenance

@@ -173,7 +173,7 @@ def test_criterion_6_intensity_trend(synthetic_200, resources):
     points = intensity_sweep(problems, NaiveTranslator(),
                              TranslatorConfig(kind="naive"), "auto",
                              levels=[0.0, 0.25, 0.5, 0.75, 1.0],
-                             seed=7, resources=resources)
+                             resources=resources)
     noise_band = 0.02
     for earlier, later in zip(points, points[1:]):
         assert later.accuracy <= earlier.accuracy + noise_band

@@ -175,6 +175,16 @@ class TestPipelineCommands:
         digest = hashlib.sha256(Path("d.jsonl").read_bytes()).hexdigest()
         assert digest == "36dea6bbc27749943750393afe5d80265c95106b34b8ba229b944bede417ab7d"
 
+    def test_diversify_output_does_not_depend_on_seed(self, workdir, capsys):
+        run("generate", "--n", "20", "--seed", "1", "--out", "p.jsonl")
+        for seed in ("1", "2"):
+            assert run("diversify", "--in", "p.jsonl", "--seed", seed,
+                       "--out", f"d{seed}.jsonl") == EXIT_OK
+        assert Path("d1.jsonl").read_bytes() == Path("d2.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run("diversify", "--help") == EXIT_OK
+        assert "output does not depend on it" in " ".join(capsys.readouterr().out.split())
+
     def test_sds_command(self, workdir, capsys):
         run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")
         run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")

@@ -196,13 +196,22 @@ class TestGenerateCandidates:
         scorer = make_scorer("fallback", lexicon=resources.synonyms)
         return p, inv, variants, scorer
 
+    @staticmethod
+    def _accept(p, scorer, theta, asked=None):
+        def accept(unit_index, candidate):
+            if asked is not None:
+                asked.append(candidate.text)
+            return score_similarity(p.unit(unit_index).text, candidate.text, scorer) >= theta
+        return accept
+
     def test_original_always_first(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
-        candidates = generate_candidates(p.sentences[1], 1, inv, variants, 0.9, scorer)
-        assert candidates[0].text == "All kind people are smart."
-        texts = [c.text for c in candidates]
-        assert "All benevolent people are smart." in texts
+        pools = {u: generate_candidates(unit, u, inv, variants) for u, unit in p.units()}
+        assert pools[1][0].text == "All kind people are smart."
+        assert "All benevolent people are smart." in [c.text for c in pools[1]]
+        result = assemble(pools, self._accept(p, scorer, 0.9))
+        assert result.chosen[1].text == "All benevolent people are smart."
 
     def test_threshold_filters(self, resources):
         p, inv, variants, scorer = self._setup(
@@ -212,23 +221,39 @@ class TestGenerateCandidates:
             def score(self, a, b):
                 return 1.0 if a == b else 0.5
 
-        kept = generate_candidates(p.sentences[1], 1, inv, variants, 0.9, HalfScorer())
-        assert [c.text for c in kept] == ["All kind people are smart."]
+        pools = {u: generate_candidates(unit, u, inv, variants) for u, unit in p.units()}
+        asked = []
+        result = assemble(pools, self._accept(p, HalfScorer(), 0.9, asked))
+        assert result.chosen[1].text == "All kind people are smart."
+        assert asked  # the original of unit 1 repeats "kind": others were tried
 
     def test_threshold_monotonicity(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
-        sizes = []
+        pools = {u: generate_candidates(unit, u, inv, variants)[:1] for u, unit in p.units()}
+        for text, surface in (("If someone is benevolent, then they are smart.", "benevolent"),
+                              ("Every caring person is smart.", "caring"),
+                              ("All benevolent people are smart.", "benevolent")):
+            start = text.index(surface)
+            pools[1].append(Candidate(text, (CandidateSite("kind", surface, start,
+                                                           start + len(surface)),)))
+        chosen, sizes = [], []
         for theta in (0.3, 0.6, 0.9, 1.0):
-            sizes.append(len(generate_candidates(
-                p.sentences[1], 1, inv, variants, theta, scorer)))
-        assert sizes == sorted(sizes, reverse=True)
+            asked = []
+            result = assemble(pools, self._accept(p, scorer, theta, asked))
+            chosen.append(result.chosen[1].text)
+            sizes.append(len(asked))
+        assert chosen == ["If someone is benevolent, then they are smart.",
+                          "Every caring person is smart.",
+                          "All benevolent people are smart.",
+                          "All benevolent people are smart."]
+        assert sizes == sorted(sizes)
 
     def test_unit_without_concepts_keeps_original_only(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart.",
                         "Fred is round."])
-        candidates = generate_candidates(p.sentences[2], 2, inv, variants, 0.9, scorer)
+        candidates = generate_candidates(p.sentences[2], 2, inv, variants)
         assert [c.text for c in candidates] == ["Fred is round."]
 
 
@@ -323,7 +348,7 @@ class TestDiversifyProblem:
 
     def test_determinism(self, resources):
         p = make_problem(["Anne is kind.", "All kind people are smart."])
-        cfg = DiversifyConfig(seed=11, resources=resources)
+        cfg = DiversifyConfig(resources=resources)
         a = diversify_problem(p, cfg)
         b = diversify_problem(p, cfg)
         from symdrift.harness import diversified_to_json

@@ -126,7 +126,7 @@ def test_generated_and_diversified_formulas_match_reference():
     resources = Resources.load()
     programs, skeletons = [], []
     for p in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
-        d = diversify_problem(p, DiversifyConfig(seed=7, resources=resources))
+        d = diversify_problem(p, DiversifyConfig(resources=resources))
         for problem in (p, d.problem):
             gold = program_to_json(problem.gold_logic)
             programs.append([*gold["premises"], gold["query"]])

@@ -86,7 +86,7 @@ def test_memoized_tokenize_matches_reference():
     resources = Resources.load()
     texts = []
     for p in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
-        d = diversify_problem(p, DiversifyConfig(seed=7, resources=resources))
+        d = diversify_problem(p, DiversifyConfig(resources=resources))
         texts += [u.text for _, u in p.units()] + [u.text for _, u in d.problem.units()]
     for lemma, pos in resources.synonyms.entries():
         for word in (lemma, *resources.synonyms.synonyms(lemma, pos)):
