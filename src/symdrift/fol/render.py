@@ -15,6 +15,7 @@ from .terms import (
     Formula,
     Iff,
     Implies,
+    LogicProgram,
     Not,
     Or,
     SymbolRegistry,
@@ -29,6 +30,12 @@ _CONNECTIVE = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 
 def render_formula(f: Formula, registry: SymbolRegistry) -> str:
     return _render(f, registry, parent_prec=0)
+
+
+def render_program(program: LogicProgram) -> tuple[str, ...]:
+    """The text of each premise, then of the query."""
+    registry = program.registry
+    return tuple(_render(f, registry, 0) for f in (*program.premises, program.query))
 
 
 def _term_str(t, registry: SymbolRegistry) -> str:

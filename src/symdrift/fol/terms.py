@@ -272,11 +272,26 @@ class LogicProgram:
     semantics_mode: str = OPEN_WORLD
 
     def validate(self) -> "LogicProgram":
+        """Type-check every formula against the registry, require closed
+        sentences, then `check_world`."""
         for premise in self.premises:
             type_check(premise, self.registry)
             require_closed(premise)
         type_check(self.query, self.registry)
         require_closed(self.query)
+        return self.check_world()
+
+    def validate_parsed(self) -> "LogicProgram":
+        """`validate` for formulas that `parse_formula` already type-checked
+        against this registry: closed sentences, then `check_world`."""
+        for premise in self.premises:
+            require_closed(premise)
+        require_closed(self.query)
+        return self.check_world()
+
+    def check_world(self) -> "LogicProgram":
+        """What the program's world requires beyond a valid program: in the
+        closed world, every premise is a fact or a Horn implication."""
         if self.semantics_mode == CLOSED_WORLD:
             for premise in self.premises:
                 if not is_horn(premise):

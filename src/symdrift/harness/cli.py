@@ -24,6 +24,7 @@ from ..diversify.resources import Resources
 from ..diversify.similarity import VECTORS
 from ..errors import (
     ClientError,
+    EmptyConceptSet,
     FormatError,
     HarnessError,
     OracleFailure,
@@ -187,18 +188,20 @@ def _plain_problems(items: list[Problem | DiversifiedProblem]) -> list[Problem]:
 
 
 def _cmd_generate(args) -> int:
+    out_path = _require_out(args)
     values = _load_values(args)
     cfg = synthetic_config_from(values, seed=args.seed)
     if args.n is not None:
         cfg = synthetic_config_from({**values, "synthetic.n_problems": str(args.n)},
                                     seed=args.seed)
     problems = generate_synthetic(cfg)
-    save_dataset(_require_out(args), problems)
+    save_dataset(out_path, problems)
     print(f"wrote {len(problems)} problems")
     return EXIT_OK
 
 
 def _cmd_diversify(args) -> int:
+    out_path = _require_out(args)
     values = _load_values(args)
     resources = _resources(values)
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
@@ -211,30 +214,31 @@ def _cmd_diversify(args) -> int:
         ))
         for item in _plain_problems(load_dataset(args.input))
     ]
-    save_dataset(_require_out(args), out)
+    save_dataset(out_path, out)
     changed = sum(1 for d in out if d.intensity > 0)
     print(f"diversified {len(out)} problems ({changed} with rewrites)")
     return EXIT_OK
 
 
 def _cmd_translate(args) -> int:
+    out_path = _require_out(args)
     values = _load_values(args)
     resources = _resources(values)
     cfg = _translator_cfg(args, values)
     translator = _make_translator(cfg, resources)
     items = normalize_items(load_dataset(args.input), resources)
     records = [translate_one(item, translator) for item in items]
-    write_records(_require_out(args), records)
+    write_records(out_path, records)
     parsed = sum(1 for r in records if r.program is not None)
     print(f"translated {len(records)} problems ({parsed} parsed)")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
+    out_path = _require_out(args)
     values = _load_values(args)
     resources = _resources(values)
     items = {i.problem.id: i for i in normalize_items(load_dataset(args.problems), resources)}
-    out_path = _require_out(args)
     records = read_records(args.records)
     for record in records:
         item = items.get(record.problem_id)
@@ -248,13 +252,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    out_dir = _require_out(args)
     values = _load_values(args)
     resources = _resources(values)
     cfg = _translator_cfg(args, values)
     translator = _make_translator(cfg, resources)
     dataset = load_dataset(args.input)
     report = run_evaluation(dataset, translator, cfg, args.solver,
-                            out_dir=_require_out(args),
+                            out_dir=out_dir,
                             extra_config={"seed": str(args.seed)},
                             resources=resources)
     print(render_report_text(report))
@@ -262,13 +267,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sds(args) -> int:
-    result = compute_sds(read_records(args.records))
-    payload = {
-        "sds": result.value,
-        "concepts": result.concepts,
-        "drifted_concepts": result.drifted_concepts,
-        "dropped_concepts": result.dropped_concepts,
-    }
+    records = read_records(args.records)
+    try:
+        result = compute_sds(records)
+    except EmptyConceptSet:
+        # Unmeasured, as in `evaluate`'s report: every concept was dropped.
+        concepts = sum(len(r.alignment) for r in records)
+        payload = {"sds": None, "concepts": concepts, "drifted_concepts": 0,
+                   "dropped_concepts": concepts}
+    else:
+        payload = {
+            "sds": result.value,
+            "concepts": result.concepts,
+            "drifted_concepts": result.drifted_concepts,
+            "dropped_concepts": result.dropped_concepts,
+        }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from ..errors import FormatError
 from ..fol.parser import parse_formula
-from ..fol.render import render_formula
+from ..fol.render import render_program
 from ..fol.terms import LogicProgram, OPEN_WORLD, SymbolRegistry
 from ..problem import (
     DiversifiedProblem,
@@ -31,19 +31,18 @@ from ..problem import (
 _REQUIRED = ("id", "sentences", "question", "answer", "task_kind")
 
 
-def program_to_json(program: LogicProgram) -> dict:
-    return {
-        "premises": [render_formula(f, program.registry) for f in program.premises],
-        "query": render_formula(program.query, program.registry),
-        "mode": program.semantics_mode,
-    }
+def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
+    """`texts` is the program's `render_program` output when the caller
+    already has it."""
+    *premises, query = texts or render_program(program)
+    return {"premises": premises, "query": query, "mode": program.semantics_mode}
 
 
 def program_from_json(data: dict) -> LogicProgram:
     registry = SymbolRegistry()
     premises = tuple(parse_formula(text, registry) for text in data["premises"])
     query = parse_formula(data["query"], registry)
-    return LogicProgram(registry, premises, query, data.get("mode", OPEN_WORLD)).validate()
+    return LogicProgram(registry, premises, query, data.get("mode", OPEN_WORLD)).validate_parsed()
 
 
 def problem_to_json(p: Problem) -> dict:

@@ -48,7 +48,7 @@ from ..solver.resolution import prove_resolution
 from ..solver.verdict import Verdict
 from .config import TranslatorConfig, write_config_file
 from .serialize import write_records
-from .translators import translation_record
+from .translators import program_block, translation_record
 
 AUTO = "auto"
 
@@ -104,15 +104,18 @@ def solver_for(task_kind: str, solver: str) -> str:
 
 
 def _solve(record: TranslationRecord, engine: Engine) -> Verdict:
-    """Decide the record's program in the engine's world."""
+    """Decide the record's program in the engine's world. Every producer of a
+    record's program validated it, so only what the engine's world adds is
+    checked here."""
     program = record.program
     if engine.world == CSP_MODE:
         if not isinstance(program, CSPSpec):
             raise SolverMismatch("constraint solving needs a constraint spec")
     else:
         assert isinstance(program, LogicProgram)
-        program = LogicProgram(program.registry, program.premises, program.query,
-                               engine.world).validate()
+        if program.semantics_mode != engine.world:
+            program = LogicProgram(program.registry, program.premises, program.query,
+                                   engine.world).check_world()
     return engine.decide(program, record.options)
 
 
@@ -297,21 +300,12 @@ def persist_run(out_dir: Path, report: RunReport,
             if not record.mental_trace:
                 continue
             item = by_id[record.problem_id]
-            trace_rows = [
-                [event.expression, event.decision, event.symbol, event.program_revisions]
-                for event in record.mental_trace
-            ]
-            program_block = ""
-            if isinstance(record.program, LogicProgram):
-                from .translators import _render_program_block
-
-                program_block = _render_program_block(record.program)
             handle.write(json.dumps({
                 "problem_id": record.problem_id,
                 "instruction": item.problem.text(),
                 "table": record.table_text,
-                "trace": trace_rows,
-                "program": program_block,
+                "trace": [list(event) for event in record.mental_trace],
+                "program": program_block(record.rendering) if record.rendering else "",
                 "gold": record.gold,
                 "correct": record.predicted == record.gold,
             }, sort_keys=True) + "\n")

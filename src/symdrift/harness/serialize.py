@@ -31,7 +31,7 @@ def csp_from_json(data: dict) -> CSPSpec:
 def record_to_json(r: TranslationRecord) -> dict:
     program = None
     if isinstance(r.program, LogicProgram):
-        program = {"logic": program_to_json(r.program)}
+        program = {"logic": program_to_json(r.program, r.rendering)}
     elif isinstance(r.program, CSPSpec):
         program = {"csp": csp_to_json(r.program),
                    "options": [[o.obj, o.position] for o in r.options]}
@@ -60,10 +60,7 @@ def record_to_json(r: TranslationRecord) -> dict:
         "alignment_misses": list(r.alignment_misses),
         "tokens_in": r.tokens_in,
         "tokens_out": r.tokens_out,
-        "trace": [
-            [e.expression, e.decision, e.symbol, e.program_revisions]
-            for e in r.mental_trace
-        ],
+        "trace": [list(e) for e in r.mental_trace],
         "table": r.table_text,
     }
 
@@ -105,10 +102,7 @@ def record_from_json(data: dict) -> TranslationRecord:
         for unit, start, end, symbol in data.get("span_symbols", [])
     }
     record.alignment_misses = list(data.get("alignment_misses", []))
-    record.mental_trace = tuple(
-        TraceEvent(expr, decision, symbol, revisions)
-        for expr, decision, symbol, revisions in data.get("trace", [])
-    )
+    record.mental_trace = tuple(TraceEvent(*event) for event in data.get("trace", []))
     return record
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 
 from ..errors import MissingGold, OracleFailure, TranslationFailure
-from ..fol.render import render_formula
 from ..fol.terms import (
     Atom,
     CONSTANT,
@@ -36,10 +35,14 @@ from .prompts import PromptLibrary
 def translation_record(problem: Problem, table: MentalTable | None = None,
                        **fields) -> TranslationRecord:
     """The unsolved record of one translation of `problem`; a symbol table
-    is stored as its rendered text."""
-    return TranslationRecord(problem_id=problem.id, gold=problem.gold_answer,
-                             table_text=table.render_text() if table else "",
-                             **fields)
+    is stored as its rendered text, and a logic program given without a raw
+    output gets its program block as one."""
+    record = TranslationRecord(problem_id=problem.id, gold=problem.gold_answer,
+                               table_text=table.render_text() if table else "",
+                               **fields)
+    if "raw_output" not in fields and record.rendering:
+        record.raw_output = program_block(record.rendering)
+    return record
 
 
 def _camel(words: str) -> str:
@@ -153,7 +156,6 @@ class NaiveTranslator:
             return translation_record(problem, parse_error=str(exc))
         return translation_record(
             problem, table,
-            raw_output=_render_program_block(program),
             program=program,
             span_symbols=_ledger(proposals, table),
             mental_trace=trace,
@@ -178,12 +180,7 @@ class GoldTranslator:
                     continue
                 for e in entries:
                     span_symbols[(e.unit, e.char_start, e.char_end)] = symbol
-        return translation_record(
-            problem,
-            raw_output=_render_program_block(program),
-            program=program,
-            span_symbols=span_symbols,
-        )
+        return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
 class SplitAdversaryTranslator:
@@ -265,12 +262,7 @@ class SplitAdversaryTranslator:
                 span_symbols[(e.unit, e.char_start, e.char_end)] = per_surface_symbol(
                     concept_id, surface
                 )
-        return translation_record(
-            problem,
-            raw_output=_render_program_block(program),
-            program=program,
-            span_symbols=span_symbols,
-        )
+        return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
 def _gold_concept_symbols(problem: Problem) -> dict[str, str]:
@@ -286,15 +278,11 @@ def _gold_concept_symbols(problem: Problem) -> dict[str, str]:
     return out
 
 
-def _render_program_block(program: LogicProgram | None) -> str:
-    if program is None:
-        return ""
-    lines = ["```"]
-    for premise in program.premises:
-        lines.append(f"premise: {render_formula(premise, program.registry)}")
-    lines.append(f"query: {render_formula(program.query, program.registry)}")
-    lines.append("```")
-    return "\n".join(lines)
+def program_block(texts: tuple[str, ...]) -> str:
+    """The fenced `premise:`/`query:` block of a program's `render_program`
+    texts."""
+    *premises, query = texts
+    return "\n".join(["```", *(f"premise: {p}" for p in premises), f"query: {query}", "```"])
 
 
 # ---------------------------------------------------------------------------

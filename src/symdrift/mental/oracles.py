@@ -1,14 +1,16 @@
 """Equivalence/conflict oracles that drive table updates.
 
 The deterministic lexicon oracle answers from synonym-group closure (extended
-with derivation and hypernym links); the remote oracle asks a chat model and
-caches every decision for determinism and cost control.
+with derivation and hypernym links). It builds each distinct expression's
+representative multiset once, so a decision compares precomputed keys and
+sizes. The remote oracle asks a chat model and caches every decision for
+determinism and cost control.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from ..errors import OracleFailure
 from ..diversify.resources import DerivationTable, SynonymLexicon
@@ -24,42 +26,63 @@ class EquivalenceOracle(Protocol):
         ...
 
 
+class _Bag(NamedTuple):
+    """An expression's representative multiset, keyed for cheap comparison."""
+    counts: Counter  # representative lemma -> multiplicity
+    key: tuple  # the counts' items, sorted: equal bags have equal keys
+    size: int  # total multiplicity
+
+
 class LexiconOracle:
     """Closure-based oracle: equivalence is equality of content-lemma
     multisets modulo synonym groups; conflict is strict single-modifier
-    containment, keeping the shorter expression as the atomic one."""
+    containment, keeping the shorter expression as the atomic one.
+
+    Each expression's multiset is built once and kept with its sorted items
+    as a key and its total size. `equiv` compares keys. `conflict` tests
+    containment only between bags whose sizes differ by exactly one, the only
+    pairs a single modifier can separate.
+    """
 
     def __init__(self, synlex: SynonymLexicon, derivtab: DerivationTable | None = None):
         self._lexicon = _closure_with_links(synlex, derivtab)
-        # Expression -> its representative multiset. Shared across worker
-        # threads: a racing miss only recomputes the same value. Never mutated.
-        self._rep_bags: dict[str, Counter] = {}
+        # Expression -> its bag. Shared across worker threads: a racing miss
+        # only recomputes the same value. Never mutated.
+        self._bags: dict[str, _Bag] = {}
 
-    def _reps(self, e: str) -> Counter:
-        bag = self._rep_bags.get(e)
+    def _bag(self, e: str) -> _Bag:
+        bag = self._bags.get(e)
         if bag is None:
-            bag = Counter(self._lexicon.representative(l) for l in content_lemmas(e))
-            self._rep_bags[e] = bag
+            counts = Counter(self._lexicon.representative(l) for l in content_lemmas(e))
+            bag = _Bag(counts, tuple(sorted(counts.items())), counts.total())
+            self._bags[e] = bag
         return bag
 
     def equiv(self, e: str, expressions: tuple[str, ...]) -> bool:
-        mine = self._reps(e)
-        if not mine:
+        mine = self._bag(e)
+        if not mine.size:
             return False
-        return any(self._reps(other) == mine for other in expressions)
+        bag = self._bag
+        return any(bag(other).key == mine.key for other in expressions)
 
     def conflict(self, e: str, expressions: tuple[str, ...]) -> tuple[str, str] | None:
-        mine = self._reps(e)
+        mine = self._bag(e)
+        if not mine.size:
+            return None
         for other in expressions:
-            theirs = self._reps(other)
-            if not mine or not theirs:
+            theirs = self._bag(other)
+            if not theirs.size:
                 continue
-            if _single_modifier_superset(mine, theirs):
-                modifier = _remainder_lemma(e, mine - theirs, self._lexicon)
-                return other, modifier
-            if _single_modifier_superset(theirs, mine):
-                modifier = _remainder_lemma(other, theirs - mine, self._lexicon)
-                return normalize_expression(e), modifier
+            if mine.size == theirs.size + 1:
+                if _single_modifier_superset(mine.counts, theirs.counts):
+                    modifier = _remainder_lemma(e, mine.counts - theirs.counts,
+                                                self._lexicon)
+                    return other, modifier
+            elif theirs.size == mine.size + 1:
+                if _single_modifier_superset(theirs.counts, mine.counts):
+                    modifier = _remainder_lemma(other, theirs.counts - mine.counts,
+                                                self._lexicon)
+                    return normalize_expression(e), modifier
         return None
 
 

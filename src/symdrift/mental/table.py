@@ -4,11 +4,17 @@ Each entry groups semantically equivalent surface expressions under one
 symbol name; an entry may instead carry a decomposition (base & modifier)
 after a compound concept has been refined. Tables are immutable; updates
 return new tables.
+
+The update methods and `entry_for` take expressions already normalized by
+`normalize_expression`, so a routed expression is normalized once; `lookup`
+takes a raw surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..textproc import content_lemmas, word_lemmas
 
@@ -17,8 +23,7 @@ REUSE = "reuse"
 REFINE = "refine"
 
 
-@dataclass(frozen=True)
-class SymbolRef:
+class SymbolRef(NamedTuple):
     """How an expression renders into the logical form.
 
     `base` is the atomic concept's symbol; a decomposed reference renders
@@ -33,8 +38,7 @@ class SymbolRef:
         return f"{self.modifier}&{self.base}"
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     entry_id: int
     expressions: tuple[str, ...]  # normalized, insertion order
     symbol: str  # symbol name
@@ -47,7 +51,9 @@ class TableEntry:
 
 
 def normalize_expression(e: str) -> str:
-    return " ".join(e.lower().split())
+    # Interned: records keep their traces, which repeat a few hundred
+    # distinct expressions thousands of times in a run.
+    return sys.intern(" ".join(e.lower().split()))
 
 
 def camel_case_symbol(e: str) -> str:
@@ -61,8 +67,7 @@ def camel_case_symbol(e: str) -> str:
 class MentalTable:
     entries: tuple[TableEntry, ...] = ()
 
-    def entry_for(self, e: str) -> TableEntry | None:
-        norm = normalize_expression(e)
+    def entry_for(self, norm: str) -> TableEntry | None:
         for entry in self.entries:
             if norm in entry.expressions:
                 return entry
@@ -70,7 +75,7 @@ class MentalTable:
 
     def lookup(self, e: str) -> SymbolRef | None:
         """Exact-surface match; never consults an oracle."""
-        entry = self.entry_for(e)
+        entry = self.entry_for(normalize_expression(e))
         return entry.ref() if entry else None
 
     def symbol_names(self) -> set[str]:
@@ -80,8 +85,8 @@ class MentalTable:
                 names.update(entry.decomposition)
         return names
 
-    def fresh_symbol(self, e: str) -> str:
-        base = camel_case_symbol(e)
+    def fresh_symbol(self, norm: str) -> str:
+        base = camel_case_symbol(norm)
         taken = self.symbol_names()
         if base not in taken:
             return base
@@ -90,29 +95,28 @@ class MentalTable:
             n += 1
         return f"{base}{n}"
 
-    def extend(self, e: str) -> tuple["MentalTable", TableEntry]:
-        norm = normalize_expression(e)
-        entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(e))
+    def extend(self, norm: str) -> tuple["MentalTable", TableEntry]:
+        entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(norm))
         return MentalTable(self.entries + (entry,)), entry
 
-    def reuse(self, e: str, entry_id: int) -> tuple["MentalTable", TableEntry]:
-        norm = normalize_expression(e)
-        entries = list(self.entries)
-        entry = entries[entry_id]
-        if norm not in entry.expressions:
-            entry = replace(entry, expressions=entry.expressions + (norm,))
-            entries[entry_id] = entry
-        return MentalTable(tuple(entries)), entry
+    def reuse(self, norm: str, entry_id: int) -> tuple["MentalTable", TableEntry]:
+        entry = self.entries[entry_id]
+        if norm in entry.expressions:
+            return self, entry
+        entry = entry._replace(expressions=entry.expressions + (norm,))
+        return self._with(entry), entry
 
     def decompose(self, entry_id: int, base: str, modifier: str) -> "MentalTable":
-        entries = list(self.entries)
-        entries[entry_id] = replace(entries[entry_id], decomposition=(base, modifier))
-        return MentalTable(tuple(entries))
+        return self._with(self.entries[entry_id]._replace(decomposition=(base, modifier)))
 
-    def add_decomposed(self, e: str, base: str, modifier: str) -> tuple["MentalTable", TableEntry]:
-        norm = normalize_expression(e)
-        entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(e), (base, modifier))
+    def add_decomposed(self, norm: str, base: str, modifier: str) -> tuple["MentalTable", TableEntry]:
+        entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(norm), (base, modifier))
         return MentalTable(self.entries + (entry,)), entry
+
+    def _with(self, entry: TableEntry) -> "MentalTable":
+        """This table with the entry of the same id replaced by `entry`."""
+        i = entry.entry_id
+        return MentalTable(self.entries[:i] + (entry,) + self.entries[i + 1:])
 
     def audit(self) -> None:
         """Raise when the table invariants are broken."""

@@ -6,11 +6,17 @@ conflict hit (refine, keeping the more atomic concept and retroactively
 rewriting the program), otherwise extend with a fresh symbol. The driver
 takes a problem's per-unit formula skeletons with named predicate slots,
 however they were proposed, and routes every slot surface through the table.
+
+States, trace events and table entries are named tuples, and tables are
+immutable: an update builds a new state that shares everything it did not
+change. `process_expression` normalizes its expression once and hands the
+normalized text to every table method it calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import TranslationFailure
 from ..fol.parser import parse_formula
@@ -32,20 +38,18 @@ from .oracles import EquivalenceOracle
 from .table import EXTEND, MentalTable, REFINE, REUSE, SymbolRef, normalize_expression
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     expression: str
     decision: str  # EXTEND | REUSE | REFINE
     symbol: str  # rendered symbol or "Base&Modifier"
     program_revisions: int  # retroactive rewrites applied so far
 
 
-@dataclass(frozen=True)
-class TranslationState:
+class TranslationState(NamedTuple):
     registry: SymbolRegistry
     premises: tuple[Formula, ...] = ()
     query: Formula | None = None
-    table: MentalTable = field(default_factory=MentalTable)
+    table: MentalTable = MentalTable()
     trace: tuple[TraceEvent, ...] = ()
     revisions: int = 0
     semantics_mode: str = CLOSED_WORLD
@@ -74,8 +78,8 @@ def _refine_program(state: TranslationState, compound_name: str, base_name: str,
         LogicProgram(registry, state.premises, state.query, state.semantics_mode),
         compound, modifier, base,
     )
-    return replace(state, registry=program.registry, premises=program.premises,
-                   query=program.query, revisions=state.revisions + 1)
+    return state._replace(registry=program.registry, premises=program.premises,
+                          query=program.query, revisions=state.revisions + 1)
 
 
 def process_expression(st: TranslationState, e: str,
@@ -96,7 +100,7 @@ def process_expression(st: TranslationState, e: str,
         table, entry = st.table.reuse(norm, hit.entry_id)
         ref = entry.ref()
         trace = st.trace + (TraceEvent(norm, REUSE, ref.render(), st.revisions),)
-        return replace(st, table=table, trace=trace), ref
+        return st._replace(table=table, trace=trace), ref
 
     for entry in st.table.entries:
         found = oracle.conflict(norm, entry.expressions)
@@ -110,11 +114,11 @@ def process_expression(st: TranslationState, e: str,
             # the base, the old compound entry is decomposed, and prior
             # occurrences of the compound are rewritten in the program.
             table, base_entry = out.table.extend(norm)
-            out = replace(out, table=table)
+            out = out._replace(table=table)
             out, modifier_ref = _resolve_modifier(out, modifier_text, oracle)
             table = out.table.decompose(entry.entry_id, base_entry.symbol,
                                         modifier_ref.base)
-            out = replace(out, table=table)
+            out = out._replace(table=table)
             out = _refine_program(out, entry.symbol, base_entry.symbol, modifier_ref.base)
             ref = base_entry.ref()
         else:
@@ -123,15 +127,15 @@ def process_expression(st: TranslationState, e: str,
             out, modifier_ref = _resolve_modifier(out, modifier_text, oracle)
             table, new_entry = out.table.add_decomposed(norm, entry.symbol,
                                                         modifier_ref.base)
-            out = replace(out, table=table)
+            out = out._replace(table=table)
             ref = new_entry.ref()
         trace = out.trace + (TraceEvent(norm, REFINE, ref.render(), out.revisions),)
-        return replace(out, trace=trace), ref
+        return out._replace(trace=trace), ref
 
     table, entry = st.table.extend(norm)
     ref = entry.ref()
     trace = st.trace + (TraceEvent(norm, EXTEND, ref.render(), st.revisions),)
-    return replace(st, table=table, trace=trace), ref
+    return st._replace(table=table, trace=trace), ref
 
 
 def _resolve_modifier(st: TranslationState, modifier_text: str,
@@ -147,9 +151,9 @@ def _resolve_modifier(st: TranslationState, modifier_text: str,
                 break
     if entry is not None:
         table, entry = st.table.reuse(norm, entry.entry_id)
-        return replace(st, table=table), entry.ref()
+        return st._replace(table=table), entry.ref()
     table, entry = st.table.extend(norm)
-    return replace(st, table=table), entry.ref()
+    return st._replace(table=table), entry.ref()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
         return And(Atom(ensure_predicate(registry, ref.modifier, len(args)), args), base)
 
     formula = map_atoms(sketch, rebuild)
-    return replace(state, registry=registry), formula
+    return state._replace(registry=registry), formula
 
 
 def translate_with_mental(problem: Problem, proposals: list[Proposal],
@@ -237,8 +241,8 @@ def translate_with_mental(problem: Problem, proposals: list[Proposal],
             resolved[k] = ref
         state, formula = instantiate(proposal, resolved, state)
         if proposal.is_query or proposal.unit == QUESTION_UNIT:
-            state = replace(state, query=formula)
+            state = state._replace(query=formula)
         else:
-            state = replace(state, premises=state.premises + (formula,))
+            state = state._replace(premises=state.premises + (formula,))
     state.table.audit()
     return state.program(), state.table, state.trace

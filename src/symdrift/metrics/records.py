@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
+from ..fol.render import render_program
 from ..fol.terms import LogicProgram
 from ..solver.csp import CSPSpec, Option
 from ..solver.verdict import Verdict
@@ -39,12 +41,18 @@ class TranslationRecord:
     tokens_out: int = 0
     mental_trace: tuple = ()
     table_text: str = ""
+    # A logic program's `render_program` texts, made once when the record is
+    # built; every writer of the record reads them. Interned: a run's
+    # programs repeat a few hundred distinct formulas thousands of times.
+    rendering: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.program is None) == (self.parse_error is None):
             raise ValueError("exactly one of program / parse_error must be set")
         if self.predicted is not None and self.verdict is None:
             raise ValueError("a prediction requires a verdict")
+        if isinstance(self.program, LogicProgram):
+            self.rendering = tuple(map(sys.intern, render_program(self.program)))
 
     def is_consistent(self) -> bool:
         """Every aligned concept maps to at most one symbol expression."""

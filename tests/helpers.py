@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from symdrift.diversify.concepts import ConceptConfig, select_sites
@@ -18,7 +20,14 @@ from symdrift.diversify.pipeline import (
 )
 from symdrift.diversify.resources import Resources
 from symdrift.diversify.variants import build_variants
-from symdrift.errors import DomainTooLarge, FormulaSyntaxError
+from symdrift.errors import (
+    DomainTooLarge,
+    FolError,
+    FormulaSyntaxError,
+    SolverError,
+    SolverMismatch,
+    TranslationFailure,
+)
 from symdrift.fol import (
     And,
     Atom,
@@ -36,15 +45,27 @@ from symdrift.fol import (
     OPEN_WORLD,
     SymbolRegistry,
     Var,
+    parse_formula,
+    render_formula,
 )
 from symdrift.fol.parser import _Parser
-from symdrift.fol.terms import type_check
+from symdrift.fol.rewrite import ensure_predicate, refine_symbol
+from symdrift.fol.terms import CLOSED_WORLD, CONSTANT, PREDICATE, map_atoms, type_check
+from symdrift.harness.evaluate import ENGINES, _predicted_label, solver_for
+from symdrift.harness.translators import propose_from_templates
+from symdrift.mental.oracles import _closure_with_links, _remainder_lemma
+from symdrift.mental.table import EXTEND, REFINE, REUSE, camel_case_symbol
+from symdrift.mental.translate import Proposal
+from symdrift.metrics.records import TranslationRecord
+from symdrift.metrics.sds import align_symbols
 from symdrift.problem import (
     QUESTION_UNIT,
     SENTENCE_LEVEL,
+    TASK_KINDS,
     ConceptEntry,
     ConceptInventory,
     ConceptOccurrence,
+    DiversifiedProblem,
     Problem,
     ProvenanceEntry,
     TextUnit,
@@ -53,7 +74,7 @@ from symdrift.problem import (
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
-from symdrift.textproc import _TOKEN_RE, Token, _tag, lemmatize, tokenize
+from symdrift.textproc import _TOKEN_RE, Token, _tag, content_lemmas, lemmatize, tokenize
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -560,3 +581,395 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
     chosen, provenance = _reference_assemble(per_unit)
     order = sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u))
     return {u: c.text for u, c in zip(order, chosen)}, provenance
+
+
+def reference_program_from_json(data: dict) -> LogicProgram:
+    """Program loading that parses every formula and then validates the
+    whole program again, type check included."""
+    registry = SymbolRegistry()
+    premises = tuple(parse_formula(text, registry) for text in data["premises"])
+    query = parse_formula(data["query"], registry)
+    return LogicProgram(registry, premises, query, data.get("mode", OPEN_WORLD)).validate()
+
+
+# ---------------------------------------------------------------------------
+# Table-guided translation with Counter-comparing oracle bags, dataclass
+# tables and states updated through `dataclasses.replace`, expressions
+# normalized at every table call, and each program validated in full, then
+# rewrapped and validated again in the engine's world before solving.
+
+
+class ReferenceLexiconOracle:
+    """Compares representative Counters pair by pair, whatever their sizes."""
+
+    def __init__(self, synlex, derivtab=None):
+        self._lexicon = _closure_with_links(synlex, derivtab)
+        self._rep_bags: dict[str, Counter] = {}
+
+    def _reps(self, e: str) -> Counter:
+        bag = self._rep_bags.get(e)
+        if bag is None:
+            bag = Counter(self._lexicon.representative(l) for l in content_lemmas(e))
+            self._rep_bags[e] = bag
+        return bag
+
+    def equiv(self, e: str, expressions: tuple[str, ...]) -> bool:
+        mine = self._reps(e)
+        if not mine:
+            return False
+        return any(self._reps(other) == mine for other in expressions)
+
+    def conflict(self, e: str, expressions: tuple[str, ...]) -> tuple[str, str] | None:
+        mine = self._reps(e)
+        for other in expressions:
+            theirs = self._reps(other)
+            if not mine or not theirs:
+                continue
+            if _reference_single_modifier_superset(mine, theirs):
+                return other, _remainder_lemma(e, mine - theirs, self._lexicon)
+            if _reference_single_modifier_superset(theirs, mine):
+                return (_reference_normalize(e),
+                        _remainder_lemma(other, theirs - mine, self._lexicon))
+        return None
+
+
+def _reference_single_modifier_superset(big: Counter, small: Counter) -> bool:
+    if not (small <= big) or big == small:
+        return False
+    return sum((big - small).values()) == 1
+
+
+def _reference_normalize(e: str) -> str:
+    return " ".join(e.lower().split())
+
+
+@dataclass(frozen=True)
+class ReferenceSymbolRef:
+    base: str
+    modifier: str | None = None
+
+    def render(self) -> str:
+        return self.base if self.modifier is None else f"{self.modifier}&{self.base}"
+
+
+@dataclass(frozen=True)
+class ReferenceTableEntry:
+    entry_id: int
+    expressions: tuple[str, ...]
+    symbol: str
+    decomposition: tuple[str, str] | None = None
+
+    def ref(self) -> ReferenceSymbolRef:
+        if self.decomposition is not None:
+            return ReferenceSymbolRef(*self.decomposition)
+        return ReferenceSymbolRef(self.symbol)
+
+
+@dataclass(frozen=True)
+class ReferenceMentalTable:
+    entries: tuple[ReferenceTableEntry, ...] = ()
+
+    def entry_for(self, e: str) -> ReferenceTableEntry | None:
+        norm = _reference_normalize(e)
+        for entry in self.entries:
+            if norm in entry.expressions:
+                return entry
+        return None
+
+    def lookup(self, e: str) -> ReferenceSymbolRef | None:
+        entry = self.entry_for(e)
+        return entry.ref() if entry else None
+
+    def fresh_symbol(self, e: str) -> str:
+        base = camel_case_symbol(e)
+        taken = {entry.symbol for entry in self.entries}
+        for entry in self.entries:
+            if entry.decomposition:
+                taken.update(entry.decomposition)
+        if base not in taken:
+            return base
+        n = 2
+        while f"{base}{n}" in taken:
+            n += 1
+        return f"{base}{n}"
+
+    def extend(self, e: str):
+        entry = ReferenceTableEntry(len(self.entries), (_reference_normalize(e),),
+                                    self.fresh_symbol(e))
+        return ReferenceMentalTable(self.entries + (entry,)), entry
+
+    def reuse(self, e: str, entry_id: int):
+        norm = _reference_normalize(e)
+        entries = list(self.entries)
+        entry = entries[entry_id]
+        if norm not in entry.expressions:
+            entry = replace(entry, expressions=entry.expressions + (norm,))
+            entries[entry_id] = entry
+        return ReferenceMentalTable(tuple(entries)), entry
+
+    def decompose(self, entry_id: int, base: str, modifier: str):
+        entries = list(self.entries)
+        entries[entry_id] = replace(entries[entry_id], decomposition=(base, modifier))
+        return ReferenceMentalTable(tuple(entries))
+
+    def add_decomposed(self, e: str, base: str, modifier: str):
+        entry = ReferenceTableEntry(len(self.entries), (_reference_normalize(e),),
+                                    self.fresh_symbol(e), (base, modifier))
+        return ReferenceMentalTable(self.entries + (entry,)), entry
+
+
+@dataclass(frozen=True)
+class ReferenceTraceEvent:
+    expression: str
+    decision: str
+    symbol: str
+    program_revisions: int
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    registry: SymbolRegistry
+    premises: tuple[Formula, ...] = ()
+    query: Formula | None = None
+    table: ReferenceMentalTable = field(default_factory=ReferenceMentalTable)
+    trace: tuple[ReferenceTraceEvent, ...] = ()
+    revisions: int = 0
+    semantics_mode: str = CLOSED_WORLD
+
+
+def reference_process_expression(st: ReferenceState, e: str, oracle):
+    if not e or not e.strip():
+        raise TranslationFailure("empty expression")
+    norm = _reference_normalize(e)
+    hit = st.table.entry_for(norm)
+    if hit is None:
+        for entry in st.table.entries:
+            if oracle.equiv(norm, entry.expressions):
+                hit = entry
+                break
+    if hit is not None:
+        table, entry = st.table.reuse(norm, hit.entry_id)
+        ref = entry.ref()
+        trace = st.trace + (ReferenceTraceEvent(norm, REUSE, ref.render(), st.revisions),)
+        return replace(st, table=table, trace=trace), ref
+    for entry in st.table.entries:
+        found = oracle.conflict(norm, entry.expressions)
+        if found is None:
+            continue
+        atomic, modifier_text = found
+        out = st
+        if _reference_normalize(atomic) == norm:
+            table, base_entry = out.table.extend(norm)
+            out = replace(out, table=table)
+            out, modifier_ref = _reference_resolve_modifier(out, modifier_text, oracle)
+            out = replace(out, table=out.table.decompose(
+                entry.entry_id, base_entry.symbol, modifier_ref.base))
+            out = _reference_refine_program(out, entry.symbol, base_entry.symbol,
+                                            modifier_ref.base)
+            ref = base_entry.ref()
+        else:
+            out, modifier_ref = _reference_resolve_modifier(out, modifier_text, oracle)
+            table, new_entry = out.table.add_decomposed(norm, entry.symbol,
+                                                        modifier_ref.base)
+            out = replace(out, table=table)
+            ref = new_entry.ref()
+        trace = out.trace + (ReferenceTraceEvent(norm, REFINE, ref.render(), out.revisions),)
+        return replace(out, trace=trace), ref
+    table, entry = st.table.extend(norm)
+    ref = entry.ref()
+    trace = st.trace + (ReferenceTraceEvent(norm, EXTEND, ref.render(), st.revisions),)
+    return replace(st, table=table, trace=trace), ref
+
+
+def _reference_resolve_modifier(st: ReferenceState, modifier_text: str, oracle):
+    norm = _reference_normalize(modifier_text)
+    entry = st.table.entry_for(norm)
+    if entry is None:
+        for candidate in st.table.entries:
+            if candidate.decomposition is None and oracle.equiv(norm, candidate.expressions):
+                entry = candidate
+                break
+    if entry is not None:
+        table, entry = st.table.reuse(norm, entry.entry_id)
+        return replace(st, table=table), entry.ref()
+    table, entry = st.table.extend(norm)
+    return replace(st, table=table), entry.ref()
+
+
+def _reference_refine_program(state: ReferenceState, compound_name: str, base_name: str,
+                              modifier_name: str) -> ReferenceState:
+    registry = state.registry.copy()
+    compound = registry.lookup(compound_name, PREDICATE)
+    if compound is None:
+        return state
+    base = ensure_predicate(registry, base_name)
+    modifier = ensure_predicate(registry, modifier_name)
+    program = refine_symbol(
+        LogicProgram(registry, state.premises, state.query, state.semantics_mode),
+        compound, modifier, base,
+    )
+    return replace(state, registry=program.registry, premises=program.premises,
+                   query=program.query, revisions=state.revisions + 1)
+
+
+def reference_instantiate(proposal: Proposal, resolved: dict, state: ReferenceState):
+    scratch = SymbolRegistry()
+    try:
+        sketch = parse_formula(proposal.skeleton, scratch)
+    except Exception as exc:
+        raise TranslationFailure(f"unusable skeleton {proposal.skeleton!r}: {exc}") from exc
+    registry = state.registry.copy()
+    slot_ids = {scratch.lookup(f"Slot{k}", PREDICATE): resolved[k]
+                for k in range(len(proposal.slots))}
+    slot_ids.pop(None, None)
+    const_map: dict[str, str] = {}
+
+    def migrate_const(symbol: str) -> str:
+        if symbol not in const_map:
+            name = scratch.name_of(symbol)
+            sid = registry.lookup(name, CONSTANT)
+            const_map[symbol] = sid if sid is not None else registry.declare(name, 0, CONSTANT)
+        return const_map[symbol]
+
+    def rebuild(atom: Atom) -> Formula:
+        args = tuple(Const(migrate_const(a.symbol)) if isinstance(a, Const) else a
+                     for a in atom.args)
+        ref = slot_ids.get(atom.pred)
+        if ref is None:
+            return Atom(ensure_predicate(registry, scratch.name_of(atom.pred), len(args)), args)
+        base = Atom(ensure_predicate(registry, ref.base, len(args)), args)
+        if ref.modifier is None:
+            return base
+        return And(Atom(ensure_predicate(registry, ref.modifier, len(args)), args), base)
+
+    formula = map_atoms(sketch, rebuild)
+    return replace(state, registry=registry), formula
+
+
+def reference_add_formula(state: ReferenceState, proposal: Proposal,
+                          formula: Formula) -> ReferenceState:
+    if proposal.is_query or proposal.unit == QUESTION_UNIT:
+        return replace(state, query=formula)
+    return replace(state, premises=state.premises + (formula,))
+
+
+def reference_translate_with_mental(problem: Problem, proposals: list[Proposal], oracle):
+    """Returns (program, table, trace) as `translate_with_mental` does."""
+    state = ReferenceState(SymbolRegistry(), semantics_mode=TASK_KINDS[problem.task_kind])
+    if not proposals:
+        return None, state.table, state.trace
+    for proposal in proposals:
+        resolved = {}
+        for k, surface in enumerate(proposal.slots):
+            state, resolved[k] = reference_process_expression(state, surface, oracle)
+        state, formula = reference_instantiate(proposal, resolved, state)
+        state = reference_add_formula(state, proposal, formula)
+    if state.query is None:
+        raise TranslationFailure("no query was translated")
+    program = LogicProgram(state.registry, state.premises, state.query,
+                           state.semantics_mode).validate()
+    return program, state.table, state.trace
+
+
+def reference_table_text(table: ReferenceMentalTable) -> str:
+    lines = []
+    for entry in table.entries:
+        if entry.decomposition:
+            base, modifier = entry.decomposition
+            target = f"{modifier}(x) & {base}(x)"
+        else:
+            target = entry.symbol
+        lines.append(f"{{{', '.join(entry.expressions)}}} -> {target}")
+    return "\n".join(lines)
+
+
+def reference_program_block(program: LogicProgram) -> str:
+    lines = ["```"]
+    lines += [f"premise: {render_formula(p, program.registry)}" for p in program.premises]
+    lines += [f"query: {render_formula(program.query, program.registry)}", "```"]
+    return "\n".join(lines)
+
+
+def reference_ledger(proposals: list[Proposal], table: ReferenceMentalTable) -> dict:
+    out = {}
+    for proposal in proposals:
+        for surface, (start, end) in zip(proposal.slots, proposal.slot_spans):
+            ref = table.lookup(surface)
+            if ref is not None:
+                out[(proposal.unit, start, end)] = ref.render()
+        for start, end, symbol in proposal.anchors:
+            out[(proposal.unit, start, end)] = symbol
+    return out
+
+
+def reference_evaluate_json(item: DiversifiedProblem, proposals: list[Proposal] | None,
+                            oracle, raw_output: str | None = None, tokens: tuple = (0, 0),
+                            solver: str = "auto") -> dict:
+    """The serialized record of translating `item` from `proposals` (None: no
+    template matched) through the reference translation and solving it with the
+    full re-validation. `raw_output` None means the program block."""
+    problem = item.problem
+    base = {"problem_id": problem.id, "gold": problem.gold_answer,
+            "tokens_in": tokens[0], "tokens_out": tokens[1]}
+    try:
+        if proposals is None:
+            raise TranslationFailure(propose_failure(problem))
+        program, table, trace = reference_translate_with_mental(problem, proposals, oracle)
+    except TranslationFailure as exc:
+        record = TranslationRecord(parse_error=str(exc), raw_output=raw_output or "",
+                                   problem_id=problem.id, gold=problem.gold_answer)
+        return _reference_record_json(record, None, [], base)
+    record = TranslationRecord(
+        program=program, raw_output=reference_program_block(program)
+        if raw_output is None else raw_output,
+        problem_id=problem.id, gold=problem.gold_answer,
+        span_symbols=reference_ledger(proposals, table),
+        table_text=reference_table_text(table),
+    )
+    engine = ENGINES[solver_for(problem.task_kind, solver)]
+    try:
+        record.verdict = engine.decide(
+            LogicProgram(program.registry, program.premises, program.query,
+                         engine.world).validate(), record.options)
+        record.predicted = _predicted_label(record, problem.task_kind, engine)
+    except (SolverError, FolError, SolverMismatch) as exc:
+        record.exec_error = f"{type(exc).__name__}: {exc}"
+    align_symbols(record, item)
+    return _reference_record_json(record, program, trace, base)
+
+
+def propose_failure(problem: Problem) -> str:
+    try:
+        propose_from_templates(problem)
+    except TranslationFailure as exc:
+        return str(exc)
+    raise AssertionError("templates matched")
+
+
+def _reference_record_json(record: TranslationRecord, program: LogicProgram | None,
+                           trace, base: dict) -> dict:
+    logic = None
+    if program is not None:
+        logic = {"logic": {
+            "premises": [render_formula(f, program.registry) for f in program.premises],
+            "query": render_formula(program.query, program.registry),
+            "mode": program.semantics_mode,
+        }}
+    verdict = None
+    if record.verdict is not None:
+        verdict = {"value": record.verdict.value, "option_index": record.verdict.option_index,
+                   "steps": record.verdict.steps, "limit_hit": record.verdict.limit_hit}
+    return {
+        **base,
+        "raw_output": record.raw_output,
+        "program": logic,
+        "parse_error": record.parse_error,
+        "verdict": verdict,
+        "exec_error": record.exec_error,
+        "predicted": record.predicted,
+        "alignment": {c: sorted(s) for c, s in sorted(record.alignment.items())},
+        "span_symbols": [[u, s, e, sym] for (u, s, e), sym in sorted(record.span_symbols.items())],
+        "alignment_misses": list(record.alignment_misses),
+        "trace": [[t.expression, t.decision, t.symbol, t.program_revisions] for t in trace],
+        "table": record.table_text,
+    }

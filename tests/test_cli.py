@@ -89,6 +89,24 @@ class TestExitCodes:
     def test_help_is_ok(self, workdir):
         assert run("--help") == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--n", "3"),
+        ("diversify", "--in", "p.jsonl"),
+        ("translate", "--in", "p.jsonl"),
+        ("solve", "--records", "r.jsonl", "--problems", "p.jsonl"),
+        ("evaluate", "--in", "p.jsonl"),
+    ], ids=lambda argv: argv[0])
+    def test_missing_out_fails_before_any_work(self, workdir, monkeypatch, capsys, argv):
+        from symdrift.harness import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+
+        for name in ("load_dataset", "generate_synthetic", "read_records"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run(*argv) == EXIT_DATA
+        assert "--out is required for this subcommand" in capsys.readouterr().err
+
 
 class TestPipelineCommands:
     def test_generate_diversify_evaluate(self, workdir, capsys):
@@ -193,6 +211,26 @@ class TestPipelineCommands:
         assert run("sds", "--records", "run1/records.jsonl") == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert "sds" in payload and payload["concepts"] > 0
+
+    def test_sds_command_on_an_unmeasured_set(self, workdir, capsys):
+        """Records whose concepts were all left unaligned have no dispersion:
+        `sds` prints null, as `evaluate`'s report does, and counts every
+        concept as dropped."""
+        run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")
+        run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
+        run("evaluate", "--in", "d.jsonl", "--translator", "naive", "--out", "run1")
+        rows = [json.loads(line) for line in Path("run1/records.jsonl").read_text().splitlines()]
+        for row in rows:
+            row["alignment"] = {concept: [] for concept in row["alignment"]}
+        Path("unaligned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        concepts = sum(len(row["alignment"]) for row in rows)
+        assert concepts > 0
+        capsys.readouterr()
+        assert run("sds", "--records", "unaligned.jsonl", "--out", "sds.json") == EXIT_OK
+        expected = {"sds": None, "concepts": concepts, "drifted_concepts": 0,
+                    "dropped_concepts": concepts}
+        assert json.loads(capsys.readouterr().out) == expected
+        assert json.loads(Path("sds.json").read_text()) == expected
 
     def test_sweep_csv(self, workdir):
         run("generate", "--n", "3", "--seed", "4", "--out", "p.jsonl")

@@ -1,0 +1,357 @@
+"""Keyed oracle bags, tuple states and the one-check, one-rendering record
+path against the reference implementations: the same oracle answers, tables, traces,
+refs and programs, and the same whole records."""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.errors import FormatError, TranslationFailure
+from symdrift.fol import LogicProgram, render_formula
+from symdrift.harness import (
+    Completion,
+    LLMTranslator,
+    NaiveTranslator,
+    PromptLibrary,
+    StubClient,
+    SyntheticConfig,
+    TranslatorConfig,
+    generate_synthetic,
+    normalize_items,
+    record_to_json,
+)
+from symdrift.harness.datasets import problem_from_json, program_from_json
+from symdrift.harness.evaluate import evaluate_one, solve_one
+from symdrift.harness.translators import ExactMatchOracle, program_block, propose_from_templates
+from symdrift.mental import REFINE, LexiconOracle, Proposal, TranslationState, process_expression
+from symdrift.mental.table import normalize_expression
+from symdrift.mental.translate import instantiate
+from symdrift.metrics.records import TranslationRecord
+from symdrift.problem import QUESTION_UNIT
+
+from .helpers import (
+    ReferenceLexiconOracle,
+    ReferenceState,
+    reference_add_formula,
+    reference_evaluate_json,
+    reference_instantiate,
+    reference_process_expression,
+    reference_program_from_json,
+)
+from .test_parse_memo import formula_texts
+
+
+# Hypothesis strategies are built at import time, before any fixture.
+_RESOURCES = Resources.load()
+
+
+@pytest.fixture(scope="module")
+def resources() -> Resources:
+    return _RESOURCES
+
+
+@pytest.fixture(scope="module")
+def oracles(resources):
+    return (LexiconOracle(resources.synonyms, resources.derivations),
+            ReferenceLexiconOracle(resources.synonyms, resources.derivations))
+
+
+def _words(resources, pos: tuple[str, ...]) -> list[str]:
+    out = []
+    for lemma, tag in resources.synonyms.entries():
+        if tag in pos:
+            out += [lemma, *resources.synonyms.synonyms(lemma, tag)]
+    return out
+
+
+def make_expression(rng: random.Random, bases: list[str], modifiers: list[str]) -> str:
+    """A base lemma with zero to two modifiers, in any case and spacing."""
+    words = [rng.choice(modifiers) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+    words.append(rng.choice(bases))
+    words = [w.upper() if rng.random() < 0.15 else w.capitalize() if rng.random() < 0.15
+             else w for w in words]
+    gap = rng.choice((" ", " ", "  ", "\t"))
+    return rng.choice(("", " ")) + gap.join(words) + rng.choice(("", "  "))
+
+
+def make_proposals(rng: random.Random, resources) -> list[Proposal]:
+    """Facts and rules over a few bases and modifiers, ending in a query, so
+    that compounds often meet their atoms in both orders."""
+    # "the" has no content lemma: only an exact match can group it.
+    bases = rng.sample(_words(resources, ("ADJ", "NOUN")), 3) + ["show", "the"]
+    modifiers = rng.sample(_words(resources, ("ADJ",)), 2) + ["popular", "the"]
+    proposals = []
+    for unit in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            proposals.append(Proposal(unit, "Slot0(Anne)",
+                                      (make_expression(rng, bases, modifiers),)))
+        else:
+            proposals.append(Proposal(unit, "all x (Slot0(x) -> Slot1(x))", tuple(
+                make_expression(rng, bases, modifiers) for _ in range(2))))
+    proposals.append(Proposal(QUESTION_UNIT, "~Slot0(Anne)",
+                              (make_expression(rng, bases, modifiers),), is_query=True))
+    return proposals
+
+
+def _outcome(step):
+    try:
+        return step(), None
+    except Exception as exc:  # both implementations must fail alike
+        return None, (type(exc).__name__, str(exc))
+
+
+class RecordingOracle:
+    """Passes every question on and records it with its arguments."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls: list[tuple] = []
+
+    def equiv(self, e, expressions):
+        self.calls.append(("equiv", e, expressions))
+        return self.oracle.equiv(e, expressions)
+
+    def conflict(self, e, expressions):
+        self.calls.append(("conflict", e, expressions))
+        return self.oracle.conflict(e, expressions)
+
+
+def drive_both(proposals: list[Proposal], oracles) -> list[str]:
+    """Route `proposals` through both implementations, comparing every step and the
+    oracle questions asked; returns the decisions taken."""
+    oracle, reference_oracle = (RecordingOracle(o) for o in oracles)
+    state = TranslationState.empty()
+    ref_state = ReferenceState(state.registry.copy())
+    decisions = []
+    for proposal in proposals:
+        resolved, ref_resolved = {}, {}
+        for k, surface in enumerate(proposal.slots):
+            new, new_error = _outcome(lambda: process_expression(state, surface, oracle))
+            old, old_error = _outcome(
+                lambda: reference_process_expression(ref_state, surface, reference_oracle))
+            assert new_error == old_error
+            if new_error:
+                return decisions
+            (state, ref), (ref_state, old_ref) = new, old
+            assert (ref.base, ref.modifier) == (old_ref.base, old_ref.modifier)
+            assert [tuple(e) for e in state.table.entries] == [
+                (e.entry_id, e.expressions, e.symbol, e.decomposition)
+                for e in ref_state.table.entries]
+            assert [tuple(t) for t in state.trace] == [
+                (t.expression, t.decision, t.symbol, t.program_revisions)
+                for t in ref_state.trace]
+            assert state.revisions == ref_state.revisions
+            assert oracle.calls == reference_oracle.calls
+            resolved[k], ref_resolved[k] = ref, old_ref
+            decisions.append(state.trace[-1].decision)
+        state, formula = instantiate(proposal, resolved, state)
+        ref_state, ref_formula = reference_instantiate(proposal, ref_resolved, ref_state)
+        state = state._replace(premises=state.premises + (formula,)) \
+            if proposal.unit != QUESTION_UNIT else state._replace(query=formula)
+        ref_state = reference_add_formula(ref_state, proposal, ref_formula)
+        assert [render_formula(f, state.registry) for f in state.premises] == \
+            [render_formula(f, ref_state.registry) for f in ref_state.premises]
+    program, error = _outcome(state.program)
+    ref_program, ref_error = _outcome(lambda: LogicProgram(
+        ref_state.registry, ref_state.premises, ref_state.query,
+        ref_state.semantics_mode).validate())
+    assert error == ref_error
+    if program is not None:
+        assert render_formula(program.query, program.registry) == \
+            render_formula(ref_program.query, ref_program.registry)
+    return decisions
+
+
+@st.composite
+def expression_queries(draw, resources_):
+    rng = draw(st.randoms(use_true_random=False))
+    bases = _words(resources_, ("ADJ", "NOUN", "PROPN"))
+    modifiers = _words(resources_, ("ADJ",)) + ["popular", "the"]
+    e = make_expression(rng, bases, modifiers)
+    entry = tuple(normalize_expression(make_expression(rng, bases, modifiers))
+                  for _ in range(rng.randint(1, 3)))
+    return e, entry
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_queries(_RESOURCES))
+@example(("popular show", ("show",)))
+@example(("show", ("the popular show", "popular show")))
+@example(("the", ("the",)))
+def test_oracle_answers_equal_the_reference(oracles, query):
+    e, entry = query
+    oracle, reference = oracles
+    norm = normalize_expression(e)
+    assert oracle.equiv(norm, entry) == reference.equiv(norm, entry)
+    assert oracle.conflict(norm, entry) == reference.conflict(norm, entry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_routing_matches_reference(oracles, rng):
+    drive_both(make_proposals(rng, _RESOURCES), oracles)
+
+
+def test_routing_matches_reference_through_refinement(oracles, resources):
+    """Traced benchmark runs take no REFINE decision, so this drives both
+    directions of refinement on purpose: a compound after its atom and an atom
+    after its compound (retroactive rewrite), across seeded sequences."""
+    fixed = [
+        [Proposal(0, "Slot0(Anne)", ("Popular  Show",)),
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", ("show",), is_query=True)],
+        [Proposal(0, "Slot0(Anne)", ("show",)),
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", (" popular SHOW",), is_query=True)],
+    ]
+    decisions = []
+    for proposals in fixed:
+        decisions += drive_both(proposals, oracles)
+    assert decisions.count(REFINE) == 2
+    for seed in range(200):
+        decisions += drive_both(make_proposals(random.Random(seed), resources), oracles)
+    assert decisions.count(REFINE) > 20
+
+
+@pytest.fixture(scope="module")
+def diversified_seed7(resources):
+    problems = generate_synthetic(SyntheticConfig(n_problems=60, seed=7))
+    return normalize_items(
+        [diversify_problem(p, DiversifyConfig(resources=resources)) for p in problems],
+        resources)
+
+
+def _proposals_or_none(item):
+    try:
+        return propose_from_templates(item.problem)
+    except TranslationFailure:
+        return None
+
+
+@pytest.mark.parametrize("mental", [True, False])
+def test_naive_records_equal_the_reference(diversified_seed7, resources, mental):
+    oracle = LexiconOracle(resources.synonyms, resources.derivations) if mental else None
+    reference_oracle = (ReferenceLexiconOracle(resources.synonyms, resources.derivations)
+                        if mental else ExactMatchOracle())
+    translator = NaiveTranslator(oracle=oracle)
+    for item in diversified_seed7:
+        record = evaluate_one(item, translator, "auto")
+        assert record_to_json(record) == reference_evaluate_json(
+            item, _proposals_or_none(item), reference_oracle)
+
+
+def _proposal_reply(proposals: list[Proposal]) -> str:
+    lines = []
+    for p in proposals:
+        head = "query" if p.is_query else f"unit {p.unit}"
+        lines.append(f"{head}: {p.skeleton} | " + " | ".join(p.slots))
+    return "```\n" + "\n".join(lines) + "\n```"
+
+
+def test_llm_mental_records_equal_the_reference(diversified_seed7, resources):
+    from symdrift.harness.translators import parse_proposal_lines
+
+    items = [i for i in diversified_seed7 if _proposals_or_none(i) is not None]
+    replies = [Completion(_proposal_reply(propose_from_templates(i.problem)), 11, 5)
+               for i in items]
+    cfg = TranslatorConfig(kind="llm", mental=True)
+    translator = LLMTranslator(cfg, StubClient(replies=list(replies)), PromptLibrary.load(),
+                               oracle=LexiconOracle(resources.synonyms, resources.derivations))
+    reference_oracle = ReferenceLexiconOracle(resources.synonyms, resources.derivations)
+    for item, reply in zip(items, replies):
+        record = evaluate_one(item, translator, "auto")
+        expected = reference_evaluate_json(
+            item, parse_proposal_lines(reply.text), reference_oracle,
+            raw_output=reply.text, tokens=(11, 5))
+        assert record_to_json(record) == expected
+        # The traces writer's program block comes from the same rendering.
+        premises = expected["program"]["logic"]["premises"]
+        query = expected["program"]["logic"]["query"]
+        assert program_block(record.rendering) == "\n".join(
+            ["```", *(f"premise: {p}" for p in premises), f"query: {query}", "```"])
+
+
+def test_cwa_rechecks_the_horn_form_of_an_open_world_program(resources):
+    """A program built for the open world may hold a premise the closed-world
+    engine cannot read; solving it with `cwa` is an execution error."""
+    from symdrift.harness.translators import extract_program_block
+
+    [item] = normalize_items(generate_synthetic(SyntheticConfig(n_problems=1, seed=3)),
+                             resources)
+    program = extract_program_block(
+        "```\npremise: Kind(Anne) | Tall(Anne)\nquery: Kind(Anne)\n```", "open_world")
+    record = TranslationRecord(problem_id=item.problem.id, gold=item.problem.gold_answer,
+                               program=program)
+    solve_one(record, item, "cwa")
+    assert record.verdict is None
+    assert record.exec_error.startswith("NotHorn: premise is not a fact or Horn implication")
+    solve_one(record, item, "resolution")
+    assert record.exec_error is None and record.verdict is not None
+
+
+# ---------------------------------------------------------------------------
+# The load path checks closure and the Horn form once, after the parse.
+
+# Case -> (gold logic, whether loading it fails). The parser reads an
+# argument no quantifier binds as a constant, so the text of a free variable
+# loads as a constant, on both paths.
+GOLD_CASES = {
+    "syntax error": ({"premises": ["Kind(Anne"], "query": "Kind(Anne)"}, True),
+    "arity clash": ({"premises": ["Kind(Anne)", "Kind(Anne, Bob)"], "query": "Kind(Anne)"},
+                    True),
+    "predicate used as a constant": ({"premises": ["Kind(Tall)", "Tall(Anne)"],
+                                      "query": "Kind(Anne)"}, False),
+    "free variable": ({"premises": ["Kind(x)"], "query": "all y Kind(x)"}, False),
+    "non-Horn closed-world premise": ({"premises": ["Kind(Anne) | Tall(Anne)"],
+                                       "query": "Kind(Anne)", "mode": "closed_world"}, True),
+    "non-Horn open-world premise": ({"premises": ["Kind(Anne) | Tall(Anne)"],
+                                     "query": "Kind(Anne)", "mode": "open_world"}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLD_CASES))
+def test_gold_logic_loads_as_the_reference_does(case):
+    gold_logic, fails = GOLD_CASES[case]
+    row = {"id": "g", "sentences": ["Anne is kind."], "question": "Is Anne kind?",
+           "answer": "true", "task_kind": "proofwriter", "gold_logic": gold_logic}
+    problem, error = _outcome(lambda: problem_from_json(row, line=3))
+    reference, reference_error = _outcome(lambda: reference_program_from_json(gold_logic))
+    assert (error is not None) == fails
+    if fails:
+        assert error == ("FormatError",
+                         str(FormatError(f"bad gold_logic: {reference_error[1]}", line=3)))
+    else:
+        assert reference_error is None
+        _same_program(problem.gold_logic, reference)
+
+
+def _same_program(a, b) -> None:
+    assert (a.premises, a.query, a.semantics_mode) == (b.premises, b.query, b.semantics_mode)
+    assert [(s, a.registry.info(s)) for s in a.registry.symbols()] == \
+        [(s, b.registry.info(s)) for s in b.registry.symbols()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(formula_texts(), min_size=0, max_size=4), formula_texts(),
+       st.sampled_from(("open_world", "closed_world")))
+def test_program_from_json_matches_the_reference(premises, query, mode):
+    data = {"premises": premises, "query": query, "mode": mode}
+    new, new_error = _outcome(lambda: program_from_json(data))
+    old, old_error = _outcome(lambda: reference_program_from_json(data))
+    assert new_error == old_error
+    if new is not None:
+        _same_program(new, old)
+
+
+def test_generated_gold_programs_load_as_the_reference_does():
+    for problem in generate_synthetic(SyntheticConfig(n_problems=40, seed=7)):
+        data = json.loads(json.dumps({
+            "premises": [render_formula(f, problem.gold_logic.registry)
+                         for f in problem.gold_logic.premises],
+            "query": render_formula(problem.gold_logic.query, problem.gold_logic.registry),
+            "mode": problem.gold_logic.semantics_mode,
+        }))
+        _same_program(program_from_json(data), reference_program_from_json(data))
