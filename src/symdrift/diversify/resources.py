@@ -149,9 +149,6 @@ class DerivationTable:
             )
         return DerivationTable(rows)
 
-    def derive(self, lemma: str, pos_from: str, pos_to: str) -> str | None:
-        return self._rows.get((lemma.lower(), pos_from.upper(), pos_to.upper()))
-
     def pairs(self) -> list[tuple[str, str]]:
         return sorted((lemma, form) for (lemma, _, _), form in self._rows.items())
 

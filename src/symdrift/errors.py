@@ -108,10 +108,6 @@ class ScorerUnavailable(DiversifyError):
     pass
 
 
-class NoApplicableSite(DiversifyError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Translation / table maintenance
 

@@ -8,6 +8,7 @@ The output is equisatisfiable with the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import UnsupportedSkolemFunction
 from .terms import (
@@ -28,8 +29,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     positive: bool
     pred: str
     args: tuple[Term, ...]
@@ -63,16 +63,24 @@ class SkolemAllocator:
     """
 
     def __init__(self, registry: SymbolRegistry):
-        self._registry = registry
+        self.registry = registry
         self._n = 0
         self._var_n = 0
         self.allocated: list[tuple[str, str]] = []  # (symbol id, name)
+
+    def fork(self) -> "SkolemAllocator":
+        """A new allocator that continues from this one's state, leaving
+        this one as it is."""
+        out = SkolemAllocator(self.registry)
+        out._n, out._var_n = self._n, self._var_n
+        out.allocated = list(self.allocated)
+        return out
 
     def fresh(self) -> str:
         while True:
             name = f"sk{self._n}"
             self._n += 1
-            if not self._registry.has_name(name):
+            if not self.registry.has_name(name):
                 break
         sid = f"!{name}"
         self.allocated.append((sid, name))

@@ -5,26 +5,43 @@ function-free fragment (resolution plus factoring), with forward and backward
 subsumption keeping the clause sets small. Proved means premises plus negated
 query refute; Disproved that premises plus the query itself refute.
 
-Each clause is renamed to its canonical form once, when it is pushed, and a
-kept clause computes its renamed, sorted and frozen literals at most once. A
-processed clause is a resolution partner only when its signature (the set of
-`(polarity, predicate)` it holds) has a complement of one of the given
-clause's, and `c` can subsume `d` only when it is no longer and its signature
-is a subset of `d`'s; both filters run before any unification.
+Every program's registry hands out the same `p0, c0, ...` ids, so the same
+clauses recur across problems, and clause work is paid once per distinct
+clause for the life of the process. Clauses are interned in canonical form
+(variables renamed `u0, u1, ...` in sorted-literal order): each canonical
+clause has one `_Kept`, which holds its signature (the set of
+`(positive, pred)` it holds) and, computed on first use and kept, its
+`g`/`h`/`s`-renamed sorted literals, its variable-frozen argument lists, its
+factors, its resolvents with each partner and whether it subsumes each clause
+that passes the pre-filter. Memoized factors and resolvents are interned
+`_Kept`s, so they are never renamed again; only the input clauses are renamed
+at the start of each saturation. Only the queue, the set of clauses seen and
+the processed clauses belong to one saturation, so a verdict does not depend
+on what earlier proofs, or other threads, left in the memos.
+
+The processed clauses are indexed by `(positive, pred)`, each bucket in
+processed order. A clause can subsume another only when it is no longer and
+its signature is a subset of the other's, so forward subsumption scans the
+buckets of the given clause's keys and backward subsumption the smallest
+one; a resolution partner holds a complement of one of the given clause's
+keys, and partners are visited in processed order, so the queue receives
+new clauses in the order a scan of every processed clause would give.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 
 from ..fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
-from ..fol.terms import Const, LogicProgram, Not, OPEN_WORLD, Term, Var
+from ..fol.terms import Const, Formula, LogicProgram, Not, OPEN_WORLD, Term, Var
 from .verdict import DISPROVED, PROVED, UNKNOWN, Verdict
 
 DEFAULT_MAX_STEPS = 10_000
 
 Subst = dict[str, Term]
+Key = tuple[bool, str]
 
 
 def _walk(t: Term, subst: Subst) -> Term:
@@ -66,6 +83,17 @@ def apply_subst(lit: Literal, subst: Subst) -> Literal:
     return Literal(lit.positive, lit.pred, tuple(_walk(a, subst) for a in lit.args))
 
 
+# One term per renamed variable and per frozen one, shared by every clause.
+_TERMS: dict[tuple[type, str], Term] = {}
+
+
+def _term(kind: type, name: str) -> Term:
+    t = _TERMS.get((kind, name))
+    if t is None:
+        t = _TERMS.setdefault((kind, name), kind(name))
+    return t
+
+
 def _rename(clause: Clause, tag: str) -> Clause:
     """Rename variables to `{tag}0, {tag}1, ...` in sorted-literal order.
 
@@ -76,11 +104,15 @@ def _rename(clause: Clause, tag: str) -> Clause:
     mapping: dict[str, Var] = {}
     out = set()
     for lit in sorted(clause, key=Literal.sort_key):
+        if not any(isinstance(a, Var) for a in lit.args):
+            # Nothing to rename: the renamed clause shares the literal.
+            out.add(lit)
+            continue
         args: list[Term] = []
         for a in lit.args:
             if isinstance(a, Var):
                 if a.name not in mapping:
-                    mapping[a.name] = Var(f"{tag}{len(mapping)}")
+                    mapping[a.name] = _term(Var, f"{tag}{len(mapping)}")
                 args.append(mapping[a.name])
             else:
                 args.append(a)
@@ -93,19 +125,39 @@ def _sorted_renamed(clause: Clause, tag: str) -> list[Literal]:
 
 
 class _Kept:
-    """A canonical clause with what the given-clause loop asks of it, each
-    part computed once, on first use: its signature (the set of
-    `(positive, pred)` it holds), its `h`- and `s`-renamed literals in sort
-    order, and its literals with variables frozen."""
+    """A clause with what the given-clause loop asks of it, each part a pure
+    function of the clause, computed once, on first use: its signature (the
+    set of `(positive, pred)` it holds), its `g`-, `h`- and `s`-renamed
+    literals in sort order, its literals with variables frozen, its factors,
+    its resolvents with each partner, and whether it subsumes each clause it
+    was tested against. The loop only ever holds the one interned `_Kept` of
+    each canonical clause (see `_intern`). Two threads may compute the same
+    part at once; both get equal values made of interned clauses, so either
+    write may stand."""
 
-    __slots__ = ("clause", "sig", "_h_lits", "_s_lits", "_frozen")
+    __slots__ = ("clause", "sig", "keys", "_g_lits", "_h_lits", "_s_lits", "_frozen",
+                 "_factors", "resolvents", "subsumed")
 
     def __init__(self, clause: Clause):
         self.clause = clause
         self.sig = frozenset((l.positive, l.pred) for l in clause)
+        # The signature in sorted order, so that scans of the index visit
+        # its buckets in the same order in every process.
+        self.keys = tuple(sorted(self.sig))
+        self._g_lits: list[Literal] | None = None
         self._h_lits: list[Literal] | None = None
         self._s_lits: list[Literal] | None = None
-        self._frozen: dict[tuple[bool, str], list[tuple[Term, ...]]] | None = None
+        self._frozen: dict[Key, list[tuple[Term, ...]]] | None = None
+        self._factors: tuple[_Kept, ...] | None = None
+        self.resolvents: dict[_Kept, tuple[_Kept, ...]] = {}
+        self.subsumed: dict[_Kept, bool] = {}
+
+    @property
+    def g_lits(self) -> list[Literal]:
+        """Literals as the given clause of a resolution step."""
+        if self._g_lits is None:
+            self._g_lits = _sorted_renamed(self.clause, "g")
+        return self._g_lits
 
     @property
     def h_lits(self) -> list[Literal]:
@@ -122,16 +174,56 @@ class _Kept:
         return self._s_lits
 
     @property
-    def frozen(self) -> dict[tuple[bool, str], list[tuple[Term, ...]]]:
+    def frozen(self) -> dict[Key, list[tuple[Term, ...]]]:
         """Argument tuples keyed by `(positive, pred)`, with variables frozen
         as pseudo-constants so that matching into them stays one-way."""
         if self._frozen is None:
-            self._frozen = {}
+            frozen: dict[Key, list[tuple[Term, ...]]] = {}
             for l in self.clause:
-                args = tuple(Const(f"!frz_{a.name}") if isinstance(a, Var) else a
+                args = tuple(_term(Const, f"!frz_{a.name}") if isinstance(a, Var) else a
                              for a in l.args)
-                self._frozen.setdefault((l.positive, l.pred), []).append(args)
+                frozen.setdefault((l.positive, l.pred), []).append(args)
+            self._frozen = frozen
         return self._frozen
+
+    @property
+    def factors(self) -> tuple[_Kept, ...]:
+        """Canonical factors, first occurrence first."""
+        if self._factors is None:
+            self._factors = _distinct(_canonical(c) for c in _factors(self.clause))
+        return self._factors
+
+    def resolvents_with(self, other: _Kept) -> tuple[_Kept, ...]:
+        """Canonical binary resolvents with `other`, first occurrence first."""
+        out = self.resolvents.get(other)
+        if out is None:
+            out = _distinct(_canonical(c) for c in _resolvents(self.g_lits, other.h_lits))
+            self.resolvents[other] = out
+        return out
+
+
+# Canonical clause -> its one `_Kept`; the root of every per-clause memo.
+_INTERNED: dict[Clause, _Kept] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(clause: Clause) -> _Kept:
+    """The one `_Kept` of a canonical clause, shared by every thread."""
+    kept = _INTERNED.get(clause)
+    if kept is None:
+        with _INTERN_LOCK:
+            kept = _INTERNED.get(clause)
+            if kept is None:
+                kept = _INTERNED[clause] = _Kept(clause)
+    return kept
+
+
+def _canonical(clause: Clause) -> _Kept:
+    return _intern(_rename(clause, "u"))
+
+
+def _distinct(kepts) -> tuple[_Kept, ...]:
+    return tuple(dict.fromkeys(kepts))
 
 
 def subsumes(c: _Kept, d: _Kept) -> bool:
@@ -154,6 +246,17 @@ def subsumes(c: _Kept, d: _Kept) -> bool:
         return False
 
     return match(0, {})
+
+
+def _subsumes_kept(c: _Kept, d: _Kept) -> bool:
+    """`subsumes(c, d)` for interned clauses: the pre-filter, then the
+    answer memoized on `c`."""
+    if len(c.clause) > len(d.clause) or not c.sig <= d.sig:
+        return False
+    answer = c.subsumed.get(d)
+    if answer is None:
+        answer = c.subsumed[d] = subsumes(c, d)
+    return answer
 
 
 def _resolvents(given: list[Literal], other: list[Literal]) -> list[Clause]:
@@ -196,77 +299,133 @@ class _Saturation:
     exhausted: bool
 
 
+class _Processed:
+    """The processed clauses of one saturation, in processed order.
+
+    `by_key` files each clause under every key of its signature and
+    `by_least` under its least key only; a bucket maps a clause to its serial
+    (its step number) and keeps processed order, also after removals."""
+
+    def __init__(self) -> None:
+        self.by_key: dict[Key, dict[_Kept, int]] = {}
+        self.by_least: dict[Key, dict[_Kept, int]] = {}
+
+    def subsumes(self, given: _Kept) -> bool:
+        """Whether a processed clause subsumes `given`. Such a clause's keys
+        are all `given`'s, so it is filed under one of them as its least."""
+        for key in given.keys:
+            for p in self.by_least.get(key, ()):
+                if _subsumes_kept(p, given):
+                    return True
+        return False
+
+    def remove_subsumed_by(self, given: _Kept) -> None:
+        """Drop every processed clause that `given` subsumes. Each holds all
+        of `given`'s keys, so it sits in the smallest of their buckets."""
+        smallest: dict[_Kept, int] | None = None
+        for key in given.keys:
+            bucket = self.by_key.get(key)
+            if not bucket:
+                return
+            if smallest is None or len(bucket) < len(smallest):
+                smallest = bucket
+        for p in [p for p in smallest if _subsumes_kept(given, p)]:
+            for key in p.keys:
+                del self.by_key[key][p]
+            del self.by_least[p.keys[0]][p]
+
+    def add(self, kept: _Kept, serial: int) -> None:
+        for key in kept.keys:
+            self.by_key.setdefault(key, {})[kept] = serial
+        self.by_least.setdefault(kept.keys[0], {})[kept] = serial
+
+    def partners(self, given: _Kept):
+        """Processed clauses holding a complement of one of `given`'s keys,
+        in processed order; any other clause has no resolvent with it."""
+        buckets = [b for positive, pred in given.keys
+                   if (b := self.by_key.get((not positive, pred)))]
+        if len(buckets) == 1:
+            return buckets[0]
+        merged: dict[_Kept, int] = {}
+        for bucket in buckets:
+            merged.update(bucket)
+        return sorted(merged, key=merged.__getitem__)
+
+
 def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
-    processed: list[_Kept] = []
+    processed = _Processed()
     counter = 0
-    queue: list[tuple[int, int, Clause]] = []
+    queue: list[tuple[int, int, _Kept]] = []
     seen: set[Clause] = set()
 
-    def push(c: Clause) -> None:
+    def push(kept: _Kept) -> None:
         nonlocal counter
-        c = _rename(c, "u")
-        if c in seen:
+        if kept.clause in seen:
             return
-        seen.add(c)
+        seen.add(kept.clause)
         counter += 1
-        heapq.heappush(queue, (len(c), counter, c))
+        heapq.heappush(queue, (len(kept.clause), counter, kept))
 
     for c in clauses:
-        push(c)
+        push(_canonical(c))
 
     steps = 0
     while queue:
         if steps >= max_steps:
             return _Saturation(steps, refuted=False, exhausted=False)
-        _, _, clause = heapq.heappop(queue)
-        if not clause:
+        _, _, given = heapq.heappop(queue)
+        if not given.clause:
             return _Saturation(steps, refuted=True, exhausted=False)
-        given = _Kept(clause)
-        if any(subsumes(p, given) for p in processed):
+        if processed.subsumes(given):
             continue
         steps += 1
-        processed = [p for p in processed if not subsumes(given, p)]
-        processed.append(given)
-        new: list[Clause] = list(_factors(clause))
-        # A partner must hold some literal of opposite polarity on a
-        # predicate of the given clause; any other pair has no resolvent.
-        needs = {(not positive, pred) for positive, pred in given.sig}
-        g_lits: list[Literal] | None = None
-        for other in processed:
-            if not needs.isdisjoint(other.sig):
-                if g_lits is None:
-                    g_lits = _sorted_renamed(clause, "g")
-                new.extend(_resolvents(g_lits, other.h_lits))
-        for c in new:
-            if not c:
+        processed.remove_subsumed_by(given)
+        processed.add(given, steps)
+        new = list(given.factors)
+        for other in processed.partners(given):
+            new.extend(given.resolvents_with(other))
+        for kept in new:
+            if not kept.clause:
                 return _Saturation(steps, refuted=True, exhausted=False)
-            push(c)
+            push(kept)
     return _Saturation(steps, refuted=False, exhausted=True)
 
 
-def _clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
-    registry = p.registry.copy()
-    alloc = SkolemAllocator(registry)
+def _premise_clauses(p: LogicProgram) -> tuple[list[Clause], SkolemAllocator]:
+    """The premises' clauses, and the allocator in its state after them."""
+    alloc = SkolemAllocator(p.registry.copy())
     clauses: list[Clause] = []
     for i, premise in enumerate(p.premises):
-        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100).clauses)
-    goal = Not(p.query) if negate_query else p.query
-    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000).clauses)
-    return clauses
+        clauses.extend(to_cnf(premise, alloc.registry, alloc, start_index=i * 100).clauses)
+    return clauses, alloc
+
+
+def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) -> list[Clause]:
+    """The goal's clauses, allocated from a copy of `alloc`, so that each
+    phase continues from the state the premises left."""
+    goal = Not(query) if negate_query else query
+    return to_cnf(goal, alloc.registry, alloc.fork(), start_index=10_000).clauses
+
+
+def _clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
+    """One phase's clauses: the premises', then the goal's."""
+    premises, alloc = _premise_clauses(p)
+    return premises + _goal_clauses(p.query, alloc, negate_query)
 
 
 def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
     """Three-way entailment check by double refutation.
 
-    Falls back to Unknown with `limit_hit` when either phase runs out of
-    steps before saturating.
+    The premises are clausified once for both phases. Falls back to Unknown
+    with `limit_hit` when either phase runs out of steps before saturating.
     """
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("resolution expects an open-world program")
-    pos = _saturate(_clausify(p, negate_query=True), max_steps)
+    premises, alloc = _premise_clauses(p)
+    pos = _saturate(premises + _goal_clauses(p.query, alloc, negate_query=True), max_steps)
     if pos.refuted:
         return Verdict(PROVED, steps=pos.steps)
-    neg = _saturate(_clausify(p, negate_query=False), max_steps)
+    neg = _saturate(premises + _goal_clauses(p.query, alloc, negate_query=False), max_steps)
     if neg.refuted:
         return Verdict(DISPROVED, steps=pos.steps + neg.steps)
     limit = not (pos.exhausted and neg.exhausted)

@@ -1,4 +1,4 @@
-"""Concept identification, variants, similarity, pipeline, and perturbations."""
+"""Concept identification, variants, similarity and pipeline."""
 
 from __future__ import annotations
 
@@ -10,26 +10,21 @@ import pytest
 from symdrift.diversify import (
     DiversifyConfig,
     FallbackScorer,
-    POS_SHIFT,
     Resources,
     RuleRewriter,
-    SYNONYM,
-    SYNTACTIC,
     SynonymLexicon,
-    THIRD_PERSON,
     assemble,
     build_variants,
     diversify_problem,
     generate_candidates,
     identify_repeated,
     make_scorer,
-    perturb_exploratory,
     score_similarity,
     select_sites,
 )
 from symdrift.diversify.pipeline import Candidate, CandidateSite
 from symdrift.diversify.variants import _RULES
-from symdrift.errors import NoApplicableSite, ResourceMissing, ScorerUnavailable
+from symdrift.errors import ResourceMissing, ScorerUnavailable
 from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
 
 
@@ -375,49 +370,3 @@ class TestDiversifyProblem:
         d = diversify_problem(p, DiversifyConfig(resources=resources))
         # validate() already ran; re-run explicitly against the base
         d.validate(p)
-
-
-class TestPerturb:
-    def test_third_person(self, resources):
-        from symdrift.diversify import perturb_with_sites
-
-        p = make_problem(["Anne is kind.", "Anne is tall."], "Is Anne smart?")
-        out, sites = perturb_with_sites(p, (THIRD_PERSON,), budget=1, seed=0,
-                                        resources=resources)
-        texts = [u.text for u in out.sentences] + [out.question.text]
-        assert any("the person" in t.lower() for t in texts)
-        # the applied site links the mention to its description
-        assert any("Anne" in s.note and "person" in s.note for s in sites)
-
-    def test_synonym_budget_one(self, resources):
-        p = make_problem(["Anne is kind.", "Bob is tall."], "Is Anne smart?")
-        out = perturb_exploratory(p, (SYNONYM,), budget=1, seed=1,
-                                  resources=resources)
-        changed = sum(
-            1 for before, after in zip(p.sentences, out.sentences)
-            if before.text != after.text
-        ) + (p.question.text != out.question.text)
-        assert changed == 1
-
-    def test_pos_shift(self, resources):
-        p = make_problem(["Anne is kind."], "Is Anne kind?")
-        out = perturb_exploratory(p, (POS_SHIFT,), budget=1, seed=0,
-                                  resources=resources)
-        texts = [u.text for u in out.sentences] + [out.question.text]
-        assert "Anne shows kindness." in texts
-
-    def test_syntactic_passive(self, resources):
-        p = make_problem(["Anne likes Bob."], "Is Anne kind?")
-        out = perturb_exploratory(p, (SYNTACTIC,), budget=1, seed=0,
-                                  resources=resources)
-        assert out.sentences[0].text == "Bob is liked by Anne."
-
-    def test_no_applicable_site(self, resources):
-        p = make_problem(["Zzz qqq."], "Is Anne kind?")
-        with pytest.raises(NoApplicableSite):
-            perturb_exploratory(p, (SYNTACTIC,), budget=1, resources=resources)
-
-    def test_budget_validation(self, resources):
-        p = make_problem(["Anne is kind."], "Is Anne kind?")
-        with pytest.raises(ValueError):
-            perturb_exploratory(p, (SYNONYM,), budget=3, resources=resources)
