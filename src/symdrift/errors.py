@@ -48,10 +48,6 @@ class NameCollision(FolError):
     pass
 
 
-class NonUnaryCompound(FolError):
-    pass
-
-
 class FreeVariableError(FolError):
     pass
 

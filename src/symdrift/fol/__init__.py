@@ -3,12 +3,6 @@
 from .cnf import Clause, Literal, to_cnf
 from .parser import parse_formula
 from .render import render_formula
-from .rewrite import (
-    ensure_predicate,
-    refine_symbol,
-    rename_symbol,
-    rename_symbol_by_name,
-)
 from .terms import (
     And,
     Atom,
@@ -31,7 +25,6 @@ from .terms import (
 __all__ = [
     "And", "Atom", "CLOSED_WORLD", "Clause", "Const", "Exists", "ForAll",
     "Formula", "Iff", "Implies", "Literal", "LogicProgram", "Not",
-    "OPEN_WORLD", "Or", "SymbolRegistry", "Var", "ensure_predicate",
-    "free_variables", "parse_formula", "refine_symbol", "rename_symbol",
-    "rename_symbol_by_name", "render_formula", "to_cnf",
+    "OPEN_WORLD", "Or", "SymbolRegistry", "Var", "free_variables",
+    "parse_formula", "render_formula", "to_cnf",
 ]

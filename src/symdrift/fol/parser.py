@@ -220,10 +220,10 @@ def _parse_uncached(text: str, registry: SymbolRegistry) -> Formula:
 
 
 @lru_cache(maxsize=None)
-def _parse_shape(text: str) -> tuple[Formula, tuple[tuple[str, SymbolInfo], ...]]:
+def parse_shape(text: str) -> tuple[Formula, tuple[tuple[str, SymbolInfo], ...]]:
     """The formula parsed into a fresh registry, with that registry's symbols
     in declaration order (first occurrence: an atom's constants, then its
-    predicate)."""
+    predicate). Raises what `parse_formula` raises on a fresh registry."""
     scratch = SymbolRegistry()
     formula = _parse_uncached(text, scratch)
     return formula, tuple((sid, scratch.info(sid)) for sid in scratch.symbols())
@@ -236,7 +236,7 @@ def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
     ignored, so emitted files re-parse through this same entry point.
     """
     try:
-        formula, symbols = _parse_shape(text)
+        formula, symbols = parse_shape(text)
     except Exception:
         # A text that fails on a fresh registry fails on any; the plain parse
         # raises and leaves declarations exactly as it always has.

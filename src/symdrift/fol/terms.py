@@ -1,14 +1,13 @@
 """First-order data model: terms, formulas, symbol registry, logic programs.
 
 The fragment is function-free (constants and predicates only, no equality).
-Formulas store opaque symbol ids; human-readable names live in the registry,
-so renaming a symbol never touches formula structure.
+Formulas store opaque symbol ids; human-readable names live in the registry.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import (
     ArityMismatch,
@@ -26,6 +25,17 @@ CLOSED_WORLD = "closed_world"
 CSP_MODE = "csp"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ALNUM_RUN = re.compile(r"[A-Za-z0-9]+")
+
+
+def camel_identifier(words: str) -> str:
+    """`words` as one CamelCase symbol name that is always a valid identifier:
+    split on non-alphanumerics, each part capitalized and the rest lowercased;
+    `Expr` when no part is left, and an `N` before a leading digit."""
+    name = "".join(p[:1].upper() + p[1:].lower() for p in _ALNUM_RUN.findall(words))
+    if not name:
+        return "Expr"
+    return "N" + name if name[0].isdigit() else name
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +123,7 @@ class SymbolRegistry:
     """Names, arities, and kinds for every symbol a program may reference.
 
     Names are unique case-sensitively within a kind. Ids are allocated
-    sequentially (`p0, p1, ...` / `c0, c1, ...`) and never reused, so they
-    survive renames.
+    sequentially (`p0, p1, ...` / `c0, c1, ...`) in declaration order.
     """
 
     def __init__(self) -> None:
@@ -155,22 +164,6 @@ class SymbolRegistry:
     def has_name(self, name: str) -> bool:
         return any(n == name for (_, n) in self._by_name)
 
-    def rename(self, symbol_id: str, new_name: str) -> None:
-        info = self.info(symbol_id)
-        if not _IDENT_RE.match(new_name):
-            raise NameCollision(f"invalid identifier {new_name!r}")
-        other = self._by_name.get((info.kind, new_name))
-        if other is not None and other != symbol_id:
-            raise NameCollision(f"{info.kind} name {new_name!r} already in use")
-        del self._by_name[(info.kind, info.name)]
-        self._entries[symbol_id] = replace(info, name=new_name)
-        self._by_name[(info.kind, new_name)] = symbol_id
-
-    def remove(self, symbol_id: str) -> None:
-        info = self.info(symbol_id)
-        del self._by_name[(info.kind, info.name)]
-        del self._entries[symbol_id]
-
     def symbols(self, kind: str | None = None) -> list[str]:
         return [s for s, i in self._entries.items() if kind is None or i.kind == kind]
 
@@ -186,6 +179,14 @@ class SymbolRegistry:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
+    """Fetch-or-declare a predicate by name; an existing one keeps its arity."""
+    sid = registry.lookup(name, PREDICATE)
+    if sid is None:
+        sid = registry.declare(name, arity, PREDICATE)
+    return sid
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,8 @@ class LogicProgram:
         if self.semantics_mode == CLOSED_WORLD:
             for premise in self.premises:
                 if not is_horn(premise):
-                    raise NotHorn(f"premise is not a fact or Horn implication: {premise!r}")
+                    raise NotHorn("premise is not a fact or Horn implication: "
+                                  + _text(premise, self.registry))
         return self
 
     def constants(self) -> list[str]:
@@ -313,6 +315,13 @@ class LogicProgram:
             for atom in walk_atoms(f):
                 seen.setdefault(atom.pred)
         return list(seen)
+
+
+def _text(f: Formula, registry: SymbolRegistry) -> str:
+    """`f` in the canonical dialect, for error messages."""
+    from .render import render_formula  # the renderer imports this module
+
+    return render_formula(f, registry)
 
 
 def is_horn(premise: Formula) -> bool:
@@ -339,8 +348,9 @@ def _is_atom_conjunction(f: Formula) -> bool:
     return False
 
 
-def horn_parts(premise: Formula) -> tuple[list[Atom], Atom]:
-    """Split a Horn premise into (body atoms, head atom); facts get empty body."""
+def horn_parts(premise: Formula, registry: SymbolRegistry) -> tuple[list[Atom], Atom]:
+    """Split a Horn premise into (body atoms, head atom); facts get empty body.
+    `registry` names the symbols of a non-Horn premise in the error."""
     f = premise
     while isinstance(f, ForAll):
         f = f.body
@@ -357,6 +367,6 @@ def horn_parts(premise: Formula) -> tuple[list[Atom], Atom]:
                 stack.append(g.right)
                 stack.append(g.left)
             else:
-                raise NotHorn(f"non-atomic rule body: {g!r}")
+                raise NotHorn(f"non-atomic rule body: {_text(g, registry)}")
         return body, f.right
-    raise NotHorn(f"not a Horn premise: {premise!r}")
+    raise NotHorn(f"not a Horn premise: {_text(premise, registry)}")

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 
 from ..fol.parser import parse_formula
-from ..fol.terms import CLOSED_WORLD, LogicProgram, SymbolRegistry
+from ..fol.terms import CLOSED_WORLD, LogicProgram, SymbolRegistry, camel_identifier
 from ..problem import Problem, QUESTION_UNIT, TASK_PROOFWRITER, TextUnit
 from ..solver.chaining import forward_chain_cwa, saturate
 from .config import SyntheticConfig
@@ -30,10 +30,6 @@ NAMES = (
     "Jack", "Kate", "Leo", "Mona", "Nick", "Olive", "Paul", "Quinn", "Rose",
     "Sam", "Tina",
 )
-
-
-def _symbol(word: str) -> str:
-    return word[:1].upper() + word[1:]
 
 
 def _fact_text(name: str, attribute: str) -> str:
@@ -100,8 +96,8 @@ def _generate_one(cfg: SyntheticConfig, rng: random.Random, index: int,
     premises = tuple(
         parse_formula(_sentence_to_logic(s), registry) for s in sentences
     )
-    query_text = f"~{_symbol(target)}({subject})" if negated else f"{_symbol(target)}({subject})"
-    query = parse_formula(query_text, registry)
+    negation = "~" if negated else ""
+    query = parse_formula(f"{negation}{camel_identifier(target)}({subject})", registry)
     gold_logic = LogicProgram(registry, premises, query, CLOSED_WORLD).validate()
 
     problem = Problem(
@@ -120,9 +116,9 @@ def _generate_one(cfg: SyntheticConfig, rng: random.Random, index: int,
 def _sentence_to_logic(sentence: str) -> str:
     words = sentence.rstrip(".").split()
     if words[0] == "All":  # All <attr> people are <attr>.
-        return f"all x ({_symbol(words[1])}(x) -> {_symbol(words[4])}(x))"
+        return f"all x ({camel_identifier(words[1])}(x) -> {camel_identifier(words[4])}(x))"
     name, _is, attribute = words  # <Name> is <attr>.
-    return f"{_symbol(attribute)}({name})"
+    return f"{camel_identifier(attribute)}({name})"
 
 
 def _concept_spans(sentences: list[str], question: str) -> dict[tuple[int, int, int], str]:

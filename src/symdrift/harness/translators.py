@@ -20,10 +20,11 @@ from ..fol.terms import (
     LogicProgram,
     PREDICATE,
     SymbolRegistry,
+    camel_identifier,
     map_atoms,
 )
 from ..mental.oracles import EquivalenceOracle
-from ..mental.table import MentalTable, normalize_expression
+from ..mental.table import MentalTable, normalize_expression, rendering_symbols
 from ..mental.translate import Proposal, translate_with_mental
 from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
@@ -43,11 +44,6 @@ def translation_record(problem: Problem, table: MentalTable | None = None,
     if "raw_output" not in fields and record.rendering:
         record.raw_output = program_block(record.rendering)
     return record
-
-
-def _camel(words: str) -> str:
-    parts = re.findall(r"[A-Za-z0-9]+", words)
-    return "".join(p[:1].upper() + p[1:].lower() for p in parts) or "Expr"
 
 
 def _unwrap(item: Problem | DiversifiedProblem) -> tuple[Problem, DiversifiedProblem | None]:
@@ -78,7 +74,7 @@ def propose_from_templates(p: Problem) -> list[Proposal]:
         m = (_QUESTION if is_query else _FACT).match(text)
         if m:
             negation = "~" if m.groupdict().get("neg") else ""
-            subject = _camel(m.group("subj"))
+            subject = camel_identifier(m.group("subj"))
             proposals.append(Proposal(
                 unit=unit_index,
                 skeleton=f"{negation}Slot0({subject})",
@@ -91,7 +87,7 @@ def propose_from_templates(p: Problem) -> list[Proposal]:
         if not is_query:
             m = _SHOWS.match(text)
             if m:
-                subject = _camel(m.group("subj"))
+                subject = camel_identifier(m.group("subj"))
                 proposals.append(Proposal(
                     unit=unit_index,
                     skeleton=f"Slot0({subject})",
@@ -125,14 +121,13 @@ class ExactMatchOracle:
 
 
 def _ledger(proposals: list[Proposal], table: MentalTable) -> dict[SpanKey, str]:
-    """Resolve every slot against the final table so retroactive refinements
-    are reflected, then add the translator-resolved anchors."""
+    """Each slot's symbols as the program renders it, from the same map of
+    the final table, joined by `&`; then the translator-resolved anchors."""
     out: dict[SpanKey, str] = {}
     for proposal in proposals:
         for surface, (start, end) in zip(proposal.slots, proposal.slot_spans):
-            ref = table.lookup(surface)
-            if ref is not None:
-                out[(proposal.unit, start, end)] = ref.render()
+            rendering = table.renderings[normalize_expression(surface)]
+            out[(proposal.unit, start, end)] = "&".join(rendering_symbols(rendering))
         for start, end, symbol in proposal.anchors:
             out[(proposal.unit, start, end)] = symbol
     return out
@@ -205,10 +200,10 @@ class SplitAdversaryTranslator:
         def per_surface_symbol(concept_id: str, surface: str) -> str:
             key = (concept_id, surface.lower())
             if key not in symbol_names:
-                name = _camel(surface)
+                name = camel_identifier(surface)
                 n = 2
                 while name in taken:
-                    name = f"{_camel(surface)}{n}"
+                    name = f"{camel_identifier(surface)}{n}"
                     n += 1
                 taken.add(name)
                 symbol_names[key] = name
@@ -272,7 +267,7 @@ def _gold_concept_symbols(problem: Problem) -> dict[str, str]:
     out: dict[str, str] = {}
     registry = problem.gold_logic.registry
     for concept_id in set(problem.gold_concepts.values()):
-        name = _camel(concept_id)
+        name = camel_identifier(concept_id)
         if registry.lookup(name, PREDICATE) or registry.lookup(name, CONSTANT):
             out[concept_id] = name
     return out

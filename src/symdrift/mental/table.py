@@ -3,24 +3,40 @@
 Each entry groups semantically equivalent surface expressions under one
 symbol name; an entry may instead carry a decomposition (base & modifier)
 after a compound concept has been refined. Tables are immutable; updates
-return new tables.
+return new tables. `renderings` maps every expression to what it renders as
+in the final table, which is the one place refinement takes effect.
 
-The update methods and `entry_for` take expressions already normalized by
-`normalize_expression`, so a routed expression is normalized once; `lookup`
-takes a raw surface.
+The update methods, `entry_for` and `renderings` take expressions already
+normalized by `normalize_expression`, so routing an expression normalizes it
+once.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Union
 
+from ..errors import TranslationFailure
+from ..fol.terms import camel_identifier
 from ..textproc import content_lemmas, word_lemmas
 
 EXTEND = "extend"
 REUSE = "reuse"
 REFINE = "refine"
+
+# A symbol name, or the (modifier, base) pair of a decomposed entry with each
+# part rendered the same way; it reads as the conjunction modifier & base.
+Rendering = Union[str, tuple["Rendering", "Rendering"]]
+
+
+def rendering_symbols(rendering: Rendering) -> tuple[str, ...]:
+    """The symbol names of a rendering, left to right."""
+    if isinstance(rendering, str):
+        return (rendering,)
+    modifier, base = rendering
+    return rendering_symbols(modifier) + rendering_symbols(base)
 
 
 class SymbolRef(NamedTuple):
@@ -57,10 +73,7 @@ def normalize_expression(e: str) -> str:
 
 
 def camel_case_symbol(e: str) -> str:
-    lemmas = content_lemmas(e) or word_lemmas(e)
-    if not lemmas:
-        return "Expr"
-    return "".join(l[:1].upper() + l[1:] for l in lemmas)
+    return camel_identifier(" ".join(content_lemmas(e) or word_lemmas(e)))
 
 
 @dataclass(frozen=True)
@@ -72,11 +85,6 @@ class MentalTable:
             if norm in entry.expressions:
                 return entry
         return None
-
-    def lookup(self, e: str) -> SymbolRef | None:
-        """Exact-surface match; never consults an oracle."""
-        entry = self.entry_for(normalize_expression(e))
-        return entry.ref() if entry else None
 
     def symbol_names(self) -> set[str]:
         names = {entry.symbol for entry in self.entries}
@@ -119,27 +127,36 @@ class MentalTable:
         return MentalTable(self.entries[:i] + (entry,) + self.entries[i + 1:])
 
     def audit(self) -> None:
-        """Raise when the table invariants are broken."""
+        """Raise TranslationFailure when the table invariants are broken: an
+        expression or a symbol in two entries, a decomposition part that is
+        no entry's symbol, or a decomposition that reaches its own entry."""
         seen_expressions: set[str] = set()
-        seen_symbols: set[str] = set()
+        by_symbol: dict[str, TableEntry] = {}
         for entry in self.entries:
             overlap = seen_expressions & set(entry.expressions)
             if overlap:
-                raise AssertionError(f"expression sets overlap on {sorted(overlap)}")
+                raise TranslationFailure(f"expression sets overlap on {sorted(overlap)}")
             seen_expressions.update(entry.expressions)
-            if entry.symbol in seen_symbols:
-                raise AssertionError(f"symbol {entry.symbol!r} owned by two entries")
-            seen_symbols.add(entry.symbol)
-        atomic_symbols = {e.symbol for e in self.entries if e.decomposition is None}
+            if entry.symbol in by_symbol:
+                raise TranslationFailure(f"symbol {entry.symbol!r} owned by two entries")
+            by_symbol[entry.symbol] = entry
+        done: set[str] = set()
         for entry in self.entries:
-            if entry.decomposition is None:
-                continue
-            for part in entry.decomposition:
-                if part not in atomic_symbols:
-                    raise AssertionError(
-                        f"decomposition part {part!r} of {entry.symbol!r} "
-                        "is not an atomic entry's symbol"
-                    )
+            if entry.decomposition is not None:
+                _check_decomposition(entry, by_symbol, (), done)
+
+    @cached_property
+    def renderings(self) -> dict[str, Rendering]:
+        """Every normalized expression's rendering: an undecomposed entry's
+        symbol, or its decomposition with both parts expanded. Read it only
+        after `audit` has passed, which rules out cycles."""
+        by_symbol = {entry.symbol: entry for entry in self.entries}
+        out: dict[str, Rendering] = {}
+        for entry in self.entries:
+            rendering = _rendering_of(entry, by_symbol)
+            for e in entry.expressions:
+                out[e] = rendering
+        return out
 
     def render_text(self) -> str:
         """Human-readable table used in exported traces."""
@@ -153,3 +170,27 @@ class MentalTable:
                 target = entry.symbol
             lines.append(f"{{{expressions}}} -> {target}")
         return "\n".join(lines)
+
+
+# Module-level recursion: a recursive closure is a reference cycle per call.
+
+def _check_decomposition(entry: TableEntry, by_symbol: dict[str, TableEntry],
+                         path: tuple[str, ...], done: set[str]) -> None:
+    if entry.symbol in path:
+        raise TranslationFailure(f"decomposition cycle {' -> '.join(path + (entry.symbol,))}")
+    if entry.decomposition is None or entry.symbol in done:
+        return
+    for part in entry.decomposition:
+        if part not in by_symbol:
+            raise TranslationFailure(
+                f"decomposition part {part!r} of {entry.symbol!r} is not an entry's symbol")
+        _check_decomposition(by_symbol[part], by_symbol, path + (entry.symbol,), done)
+    done.add(entry.symbol)
+
+
+def _rendering_of(entry: TableEntry, by_symbol: dict[str, TableEntry]) -> Rendering:
+    if entry.decomposition is None:
+        return entry.symbol
+    base, modifier = entry.decomposition
+    return (_rendering_of(by_symbol[modifier], by_symbol),
+            _rendering_of(by_symbol[base], by_symbol))

@@ -2,10 +2,12 @@
 
 `process_expression` implements the three-way update: scan entries in
 insertion order for an equivalence hit (reuse the symbol), otherwise for a
-conflict hit (refine, keeping the more atomic concept and retroactively
-rewriting the program), otherwise extend with a fresh symbol. The driver
-takes a problem's per-unit formula skeletons with named predicate slots,
-however they were proposed, and routes every slot surface through the table.
+conflict hit (refine, keeping the more atomic concept), otherwise extend with
+a fresh symbol. `translate_with_mental` takes a problem's per-unit formula
+skeletons with named predicate slots, however they were proposed, and routes
+every slot surface through the table. Only then does it build the program,
+once, with each slot rendered from the final table, so a refinement reaches
+every unit whether it came before or after the compound.
 
 States, trace events and table entries are named tuples, and tables are
 immutable: an update builds a new state that shares everything it did not
@@ -19,73 +21,53 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import TranslationFailure
-from ..fol.parser import parse_formula
-from ..fol.rewrite import ensure_predicate, refine_symbol
+from ..fol.parser import parse_shape
 from ..fol.terms import (
     And,
     Atom,
-    CLOSED_WORLD,
     CONSTANT,
     Const,
     Formula,
     LogicProgram,
     PREDICATE,
     SymbolRegistry,
+    ensure_predicate,
     map_atoms,
 )
 from ..problem import Problem, QUESTION_UNIT, TASK_KINDS
 from .oracles import EquivalenceOracle
-from .table import EXTEND, MentalTable, REFINE, REUSE, SymbolRef, normalize_expression
+from .table import (
+    EXTEND,
+    MentalTable,
+    REFINE,
+    REUSE,
+    Rendering,
+    SymbolRef,
+    normalize_expression,
+)
 
 
 class TraceEvent(NamedTuple):
     expression: str
     decision: str  # EXTEND | REUSE | REFINE
-    symbol: str  # rendered symbol or "Base&Modifier"
-    program_revisions: int  # retroactive rewrites applied so far
+    symbol: str  # the symbol, or "Modifier&Base" of a decomposed entry
+    program_revisions: int  # refinements of a symbol earlier units used, so far
 
 
 class TranslationState(NamedTuple):
-    registry: SymbolRegistry
-    premises: tuple[Formula, ...] = ()
-    query: Formula | None = None
     table: MentalTable = MentalTable()
     trace: tuple[TraceEvent, ...] = ()
     revisions: int = 0
-    semantics_mode: str = CLOSED_WORLD
-
-    @staticmethod
-    def empty(semantics_mode: str = CLOSED_WORLD) -> "TranslationState":
-        return TranslationState(SymbolRegistry(), semantics_mode=semantics_mode)
-
-    def program(self) -> LogicProgram:
-        if self.query is None:
-            raise TranslationFailure("no query was translated")
-        return LogicProgram(self.registry, self.premises, self.query,
-                            self.semantics_mode).validate()
-
-
-def _refine_program(state: TranslationState, compound_name: str, base_name: str,
-                    modifier_name: str) -> TranslationState:
-    """Retroactively rewrite compound(t) -> modifier(t) & base(t) everywhere."""
-    registry = state.registry.copy()
-    compound = registry.lookup(compound_name, PREDICATE)
-    if compound is None:
-        return state  # symbol never reached the program; nothing to rewrite
-    base = ensure_predicate(registry, base_name)
-    modifier = ensure_predicate(registry, modifier_name)
-    program = refine_symbol(
-        LogicProgram(registry, state.premises, state.query, state.semantics_mode),
-        compound, modifier, base,
-    )
-    return state._replace(registry=program.registry, premises=program.premises,
-                          query=program.query, revisions=state.revisions + 1)
+    # Symbols the slots of earlier units resolved to, as they resolved:
+    # decomposing one of them revises a unit already translated.
+    placed: frozenset[str] = frozenset()
 
 
 def process_expression(st: TranslationState, e: str,
                        oracle: EquivalenceOracle) -> tuple[TranslationState, SymbolRef]:
     """Route one surface expression through the table; returns the new state
-    and the symbol reference the expression should render as."""
+    and the symbol reference the expression resolves to now. The program
+    renders from the final table, which later refinements may still change."""
     if not e or not e.strip():
         raise TranslationFailure("empty expression")
     norm = normalize_expression(e)
@@ -111,19 +93,22 @@ def process_expression(st: TranslationState, e: str,
         out = st
         if atomic == norm:
             # The newcomer is the more atomic concept: its fresh symbol becomes
-            # the base, the old compound entry is decomposed, and prior
-            # occurrences of the compound are rewritten in the program.
+            # the base and the old compound entry is decomposed, which every
+            # occurrence of the compound renders as once the program is built.
             table, base_entry = out.table.extend(norm)
             out = out._replace(table=table)
             out, modifier_ref = _resolve_modifier(out, modifier_text, oracle)
             table = out.table.decompose(entry.entry_id, base_entry.symbol,
                                         modifier_ref.base)
             out = out._replace(table=table)
-            out = _refine_program(out, entry.symbol, base_entry.symbol, modifier_ref.base)
+            if entry.symbol in out.placed:
+                out = out._replace(
+                    revisions=out.revisions + 1,
+                    placed=out.placed - {entry.symbol} | {base_entry.symbol, modifier_ref.base})
             ref = base_entry.ref()
         else:
-            # The newcomer is the compound: render it as entry's atomic base
-            # conjoined with the modifier; no prior occurrences exist.
+            # The newcomer is the compound: render it as entry's base
+            # conjoined with the modifier.
             out, modifier_ref = _resolve_modifier(out, modifier_text, oracle)
             table, new_entry = out.table.add_decomposed(norm, entry.symbol,
                                                         modifier_ref.base)
@@ -177,72 +162,90 @@ class Proposal:
     anchors: tuple[tuple[int, int, str], ...] = ()
 
 
-def instantiate(proposal: Proposal, resolved: dict[int, SymbolRef],
-                state: TranslationState) -> tuple[TranslationState, Formula]:
-    """Replace slot predicates with resolved symbols (or base & modifier
-    conjunctions) and merge the formula into the state's registry."""
-    scratch = SymbolRegistry()
+class Skeleton(NamedTuple):
+    formula: Formula  # over the symbol ids of `names`
+    names: dict[str, str]  # symbol id -> name
+    slots: dict[str, int]  # slot predicate id -> slot index
+
+
+def _parse_skeleton(proposal: Proposal) -> Skeleton:
     try:
-        sketch = parse_formula(proposal.skeleton, scratch)
+        formula, symbols = parse_shape(proposal.skeleton)
     except Exception as exc:
         raise TranslationFailure(f"unusable skeleton {proposal.skeleton!r}: {exc}") from exc
-    registry = state.registry.copy()
+    slot_index = {f"Slot{k}": k for k in range(len(proposal.slots))}
+    slots = {sid: slot_index[info.name] for sid, info in symbols
+             if info.kind == PREDICATE and info.name in slot_index}
+    return Skeleton(formula, {sid: info.name for sid, info in symbols}, slots)
 
-    slot_ids = {
-        scratch.lookup(f"Slot{k}", PREDICATE): resolved[k]
-        for k in range(len(proposal.slots))
-    }
-    slot_ids.pop(None, None)
 
-    const_map: dict[str, str] = {}
+def instantiate(skeleton: Skeleton, renderings: list[Rendering],
+                registry: SymbolRegistry) -> Formula:
+    """The skeleton's formula over `registry`: slot k's predicate replaced by
+    `renderings[k]` (a decomposition as the conjunction modifier & base),
+    every other symbol by the same-named one, declared on first use."""
+    names, slots = skeleton.names, skeleton.slots
 
-    def migrate_const(symbol: str) -> str:
-        if symbol not in const_map:
-            name = scratch.name_of(symbol)
-            sid = registry.lookup(name, CONSTANT)
-            const_map[symbol] = sid if sid is not None else registry.declare(name, 0, CONSTANT)
-        return const_map[symbol]
+    def constant(symbol: str) -> Const:
+        name = names[symbol]
+        return Const(registry.lookup(name, CONSTANT) or registry.declare(name, 0, CONSTANT))
 
     def rebuild(atom: Atom) -> Formula:
-        args = tuple(
-            Const(migrate_const(a.symbol)) if isinstance(a, Const) else a
-            for a in atom.args
-        )
-        ref = slot_ids.get(atom.pred)
-        if ref is None:
-            name = scratch.name_of(atom.pred)
-            return Atom(ensure_predicate(registry, name, len(args)), args)
-        base = Atom(ensure_predicate(registry, ref.base, len(args)), args)
-        if ref.modifier is None:
-            return base
-        return And(Atom(ensure_predicate(registry, ref.modifier, len(args)), args), base)
+        args = tuple(constant(a.symbol) if isinstance(a, Const) else a for a in atom.args)
+        k = slots.get(atom.pred)
+        return _expand(names[atom.pred] if k is None else renderings[k], args, registry)
 
-    formula = map_atoms(sketch, rebuild)
-    return state._replace(registry=registry), formula
+    return map_atoms(skeleton.formula, rebuild)
+
+
+def _expand(rendering: Rendering, args: tuple, registry: SymbolRegistry) -> Formula:
+    # Module level: a recursive closure would be a reference cycle per call.
+    if isinstance(rendering, str):
+        return Atom(ensure_predicate(registry, rendering, len(args)), args)
+    modifier, base = rendering
+    return And(_expand(modifier, args, registry), _expand(base, args, registry))
 
 
 def translate_with_mental(problem: Problem, proposals: list[Proposal],
                           oracle: EquivalenceOracle,
                           ) -> tuple[LogicProgram | None, MentalTable, tuple[TraceEvent, ...]]:
-    """Build `problem`'s program from its proposals, in proposal order, with
-    every slot surface routed through the table; the program is built in the
-    world of the problem's task kind.
+    """Build `problem`'s program from its proposals, in the world of the
+    problem's task kind. Every slot surface is routed through the table in
+    proposal order, each skeleton is parsed once its slots are routed, and
+    the program is built from the final table after the last proposal.
 
     An empty proposal list returns (None, empty table, empty trace) rather
     than fabricating a program.
     """
-    state = TranslationState.empty(TASK_KINDS[problem.task_kind])
+    state = TranslationState()
     if not proposals:
         return None, state.table, state.trace
+    units = []
     for proposal in proposals:
-        resolved: dict[int, SymbolRef] = {}
-        for k, surface in enumerate(proposal.slots):
+        refs, norms = [], []
+        for surface in proposal.slots:
             state, ref = process_expression(state, surface, oracle)
-            resolved[k] = ref
-        state, formula = instantiate(proposal, resolved, state)
-        if proposal.is_query or proposal.unit == QUESTION_UNIT:
-            state = state._replace(query=formula)
-        else:
-            state = state._replace(premises=state.premises + (formula,))
+            refs.append(ref)
+            norms.append(state.trace[-1].expression)  # the surface, normalized
+        skeleton = _parse_skeleton(proposal)
+        units.append((proposal, skeleton, norms))
+        # What this unit's slots resolved to now, base and modifier: a later
+        # refinement of one of them revises this unit (`program_revisions`).
+        placed = {name for k in skeleton.slots.values() for name in refs[k] if name}
+        if not placed <= state.placed:
+            state = state._replace(placed=state.placed | placed)
     state.table.audit()
-    return state.program(), state.table, state.trace
+    renderings = state.table.renderings
+    registry = SymbolRegistry()
+    premises: list[Formula] = []
+    query = None
+    for proposal, skeleton, norms in units:
+        formula = instantiate(skeleton, [renderings[norm] for norm in norms], registry)
+        if proposal.is_query or proposal.unit == QUESTION_UNIT:
+            query = formula
+        else:
+            premises.append(formula)
+    if query is None:
+        raise TranslationFailure("no query was translated")
+    program = LogicProgram(registry, tuple(premises), query, TASK_KINDS[problem.task_kind])
+    return program.validate(), state.table, state.trace

@@ -15,8 +15,6 @@ PARSE_ERROR = "ParseError"
 EXEC_ERROR = "ExecError"
 LOGIC_ERROR = "LogicError"
 
-ERROR_CLASSES = (CORRECT, PARSE_ERROR, EXEC_ERROR, LOGIC_ERROR)
-
 SpanKey = tuple[int, int, int]  # (unit, char start, char end)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import NotHorn
+from ..fol.render import render_formula
 from ..fol.terms import (
     Atom,
     CLOSED_WORLD,
@@ -75,8 +76,8 @@ def saturate(p: LogicProgram) -> Saturation:
     depths: dict[GroundAtom, int] = {}
     for premise in p.premises:
         if not is_horn(premise):
-            raise NotHorn(f"premise is not Horn: {premise!r}")
-        body, head = horn_parts(premise)
+            raise NotHorn(f"premise is not Horn: {render_formula(premise, p.registry)}")
+        body, head = horn_parts(premise, p.registry)
         if not body:
             g = _ground(head, {})
             facts.add(g)
@@ -113,7 +114,8 @@ def forward_chain_cwa(p: LogicProgram) -> Verdict:
         query = query.body
         negated = True
     if not isinstance(query, Atom) or any(isinstance(a, Var) for a in query.args):
-        raise NotHorn(f"closed-world queries must be ground literals: {p.query!r}")
+        raise NotHorn("closed-world queries must be ground literals: "
+                      + render_formula(p.query, p.registry))
     result = saturate(p)
     holds = _ground(query, {}) in result.facts
     if negated:

@@ -11,9 +11,6 @@ TRUE = "true"
 FALSE = "false"
 OPTION = "option"
 
-_OPEN = {PROVED, DISPROVED, UNKNOWN}
-_CLOSED = {TRUE, FALSE}
-
 
 @dataclass(frozen=True)
 class Verdict:

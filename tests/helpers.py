@@ -49,7 +49,6 @@ from symdrift.fol import (
     render_formula,
 )
 from symdrift.fol.parser import _Parser
-from symdrift.fol.rewrite import ensure_predicate, refine_symbol
 from symdrift.fol.terms import CLOSED_WORLD, CONSTANT, PREDICATE, map_atoms, type_check
 from symdrift.harness.evaluate import ENGINES, _predicted_label, solver_for
 from symdrift.harness.translators import propose_from_templates
@@ -796,15 +795,44 @@ def _reference_resolve_modifier(st: ReferenceState, modifier_text: str, oracle):
     return replace(st, table=table), entry.ref()
 
 
+def _ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
+    sid = registry.lookup(name, PREDICATE)
+    if sid is None:
+        sid = registry.declare(name, arity, PREDICATE)
+    return sid
+
+
+def _refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> LogicProgram:
+    """The retired whole-program rewrite: every atom `compound(t)` becomes
+    `left(t) & right(t)`, and the compound leaves the registry."""
+    registry = p.registry.copy()
+    for sid in (compound, left, right):
+        info = registry.info(sid)
+        if info.kind != PREDICATE or info.arity != 1:
+            raise ValueError(f"{info.name!r} is {info.kind} of arity {info.arity}")
+
+    def expand(atom: Atom) -> Formula:
+        if atom.pred != compound:
+            return atom
+        return And(Atom(left, atom.args), Atom(right, atom.args))
+
+    premises = tuple(map_atoms(f, expand) for f in p.premises)
+    query = map_atoms(p.query, expand) if p.query is not None else None
+    info = registry.info(compound)
+    del registry._by_name[(info.kind, info.name)]
+    del registry._entries[compound]
+    return LogicProgram(registry, premises, query, p.semantics_mode)
+
+
 def _reference_refine_program(state: ReferenceState, compound_name: str, base_name: str,
                               modifier_name: str) -> ReferenceState:
     registry = state.registry.copy()
     compound = registry.lookup(compound_name, PREDICATE)
     if compound is None:
         return state
-    base = ensure_predicate(registry, base_name)
-    modifier = ensure_predicate(registry, modifier_name)
-    program = refine_symbol(
+    base = _ensure_predicate(registry, base_name)
+    modifier = _ensure_predicate(registry, modifier_name)
+    program = _refine_symbol(
         LogicProgram(registry, state.premises, state.query, state.semantics_mode),
         compound, modifier, base,
     )
@@ -836,25 +864,21 @@ def reference_instantiate(proposal: Proposal, resolved: dict, state: ReferenceSt
                      for a in atom.args)
         ref = slot_ids.get(atom.pred)
         if ref is None:
-            return Atom(ensure_predicate(registry, scratch.name_of(atom.pred), len(args)), args)
-        base = Atom(ensure_predicate(registry, ref.base, len(args)), args)
+            return Atom(_ensure_predicate(registry, scratch.name_of(atom.pred), len(args)), args)
+        base = Atom(_ensure_predicate(registry, ref.base, len(args)), args)
         if ref.modifier is None:
             return base
-        return And(Atom(ensure_predicate(registry, ref.modifier, len(args)), args), base)
+        return And(Atom(_ensure_predicate(registry, ref.modifier, len(args)), args), base)
 
     formula = map_atoms(sketch, rebuild)
     return replace(state, registry=registry), formula
 
 
-def reference_add_formula(state: ReferenceState, proposal: Proposal,
-                          formula: Formula) -> ReferenceState:
-    if proposal.is_query or proposal.unit == QUESTION_UNIT:
-        return replace(state, query=formula)
-    return replace(state, premises=state.premises + (formula,))
-
-
-def reference_translate_with_mental(problem: Problem, proposals: list[Proposal], oracle):
-    """Returns (program, table, trace) as `translate_with_mental` does."""
+def reference_translate_with_mental(problem: Problem, proposals: list[Proposal], oracle,
+                                    steps: list | None = None):
+    """Returns (program, table, trace) as `translate_with_mental` did when each
+    refinement rewrote the program built so far; appends each routing step's
+    (state, ref) to `steps` when given."""
     state = ReferenceState(SymbolRegistry(), semantics_mode=TASK_KINDS[problem.task_kind])
     if not proposals:
         return None, state.table, state.trace
@@ -862,8 +886,13 @@ def reference_translate_with_mental(problem: Problem, proposals: list[Proposal],
         resolved = {}
         for k, surface in enumerate(proposal.slots):
             state, resolved[k] = reference_process_expression(state, surface, oracle)
+            if steps is not None:
+                steps.append((state, resolved[k]))
         state, formula = reference_instantiate(proposal, resolved, state)
-        state = reference_add_formula(state, proposal, formula)
+        if proposal.is_query or proposal.unit == QUESTION_UNIT:
+            state = replace(state, query=formula)
+        else:
+            state = replace(state, premises=state.premises + (formula,))
     if state.query is None:
         raise TranslationFailure("no query was translated")
     program = LogicProgram(state.registry, state.premises, state.query,

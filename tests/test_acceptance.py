@@ -12,15 +12,7 @@ import time
 import pytest
 
 from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
-from symdrift.fol import (
-    Atom,
-    Const,
-    LogicProgram,
-    Not,
-    SymbolRegistry,
-    parse_formula,
-    refine_symbol,
-)
+from symdrift.fol import LogicProgram, SymbolRegistry, parse_formula
 from symdrift.harness import (
     GoldTranslator,
     NaiveTranslator,
@@ -30,7 +22,8 @@ from symdrift.harness import (
     generate_synthetic,
     run_evaluation,
 )
-from symdrift.mental import LexiconOracle
+from symdrift.harness.translators import ExactMatchOracle
+from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
 from symdrift.metrics import (
     CORRECTED_VIA_CONSISTENCY,
     EXEC_ERROR,
@@ -41,6 +34,7 @@ from symdrift.metrics import (
     classify_error,
     intensity_sweep,
 )
+from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver import enumerate_models, forward_chain_cwa, prove_resolution
 
 from .helpers import herbrand_padding, random_decidable_program
@@ -181,33 +175,43 @@ def test_criterion_6_intensity_trend(synthetic_200, resources):
     report("criterion 6", f"non-increasing accuracy curve [{curve}]")
 
 
-def test_criterion_7_refinement_soundness():
+def test_criterion_7_refinement_soundness(resources):
+    """Verdicts survive refinement: units translated through the table, where
+    `popular show` is refined by `show` or `popular` (before or after it),
+    give the verdict of the same units translated with one symbol per
+    surface plus the definition of the compound."""
     rng = random.Random(99)
-    preserved = 0
+    oracle = LexiconOracle(resources.synonyms, resources.derivations)
+    problem = Problem(id="c7", sentences=(), question=TextUnit.from_text("?"),
+                      gold_answer="proved", task_kind="folio")
+    surfaces = ("popular show", "show", "popular", "fun")
+    preserved, orders = 0, set()
     for _ in range(50):
-        registry = SymbolRegistry()
-        compound = registry.declare("PopularShow", 1, "predicate")
-        base = registry.declare("Popular", 1, "predicate")
-        modifier = registry.declare("Show", 1, "predicate")
-        other = registry.declare("Fun", 1, "predicate")
-        consts = [registry.declare(n, 0, "constant") for n in ("Idol", "Gala")]
-        premises = [parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))",
-                                  registry)]
-        for _ in range(rng.randint(1, 4)):
-            pred = rng.choice([compound, base, modifier, other])
-            atom = Atom(pred, (Const(rng.choice(consts)),))
-            premises.append(Not(atom) if rng.random() < 0.25 else atom)
-        if rng.random() < 0.5:
-            premises.append(parse_formula("all x (PopularShow(x) -> Fun(x))", registry))
-        query = Atom(rng.choice([compound, base, modifier, other]),
-                     (Const(rng.choice(consts)),))
-        program = LogicProgram(registry, tuple(premises), query).validate()
-        before = enumerate_models(program)
-        refined = refine_symbol(program, compound, base, modifier)
-        after = enumerate_models(refined)
-        preserved += before.value == after.value
+        proposals = []
+        for unit in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                proposals.append(Proposal(unit, "all x (Slot0(x) -> Slot1(x))",
+                                          (rng.choice(surfaces), rng.choice(surfaces))))
+            else:
+                negation = "~" if rng.random() < 0.25 else ""
+                proposals.append(Proposal(unit, f"{negation}Slot0({rng.choice(('Idol', 'Gala'))})",
+                                          (rng.choice(surfaces),)))
+        proposals.append(Proposal(QUESTION_UNIT, f"Slot0({rng.choice(('Idol', 'Gala'))})",
+                                  (rng.choice(surfaces),), is_query=True))
+        routed = [surface for p in proposals for surface in p.slots]
+        if "popular show" in routed and "show" in routed:
+            orders.add(routed.index("popular show") < routed.index("show"))
+        refined, _, _ = translate_with_mental(problem, proposals, oracle)
+        plain, _, _ = translate_with_mental(problem, proposals, ExactMatchOracle())
+        definition = parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))",
+                                   plain.registry)
+        unrefined = LogicProgram(plain.registry, (definition, *plain.premises),
+                                 plain.query).validate()
+        preserved += enumerate_models(refined).value == enumerate_models(unrefined).value
     assert preserved == 50
-    report("criterion 7", "50/50 refinement fixtures preserve verdicts")
+    assert orders == {True, False}
+    report("criterion 7", "50/50 refinement fixtures preserve verdicts, "
+           "compound both before and after its atom")
 
 
 def test_criterion_8_error_taxonomy(resources):

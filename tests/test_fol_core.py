@@ -1,4 +1,4 @@
-"""Parser, renderer, clause conversion, and symbol rewrite behaviour."""
+"""Parser, renderer, clause conversion, and refined programs."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ from hypothesis import given, settings, strategies as st
 from symdrift.errors import (
     ArityMismatch,
     FormulaSyntaxError,
-    NameCollision,
-    NonUnaryCompound,
-    UnknownSymbol,
     UnsupportedSkolemFunction,
 )
 from symdrift.fol import (
@@ -26,18 +23,21 @@ from symdrift.fol import (
     Not,
     SymbolRegistry,
     Var,
-    ensure_predicate,
     free_variables,
     parse_formula,
-    refine_symbol,
-    rename_symbol,
-    rename_symbol_by_name,
     render_formula,
     to_cnf,
 )
+from symdrift.diversify import Resources
+from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
+from symdrift.mental.table import camel_case_symbol
+from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver import enumerate_models
 
 from .helpers import random_formula
+
+
+_RESOURCES = Resources.load()
 
 
 def _reg():
@@ -205,111 +205,72 @@ class TestCnf:
         assert satisfiable == (not refuted)
 
 
+def _refined(*proposals):
+    """Translate `(skeleton, surface)` pairs, the last one the query, with the
+    lexicon oracle over an open-world problem; returns the program."""
+    oracle = LexiconOracle(_RESOURCES.synonyms, _RESOURCES.derivations)
+    units = [Proposal(unit, skeleton, (surface,)) for unit, (skeleton, surface)
+             in enumerate(proposals[:-1])]
+    skeleton, surface = proposals[-1]
+    units.append(Proposal(QUESTION_UNIT, skeleton, (surface,), is_query=True))
+    problem = Problem(id="r", sentences=(), question=TextUnit.from_text("?"),
+                      gold_answer="proved", task_kind="folio")
+    program, _, _ = translate_with_mental(problem, units, oracle)
+    return program
+
+
 class TestRewrites:
-    def test_rename(self):
-        r = _reg()
-        prog = LogicProgram(r, (parse_formula("Pupil(Anne)", r),),
-                            parse_formula("Pupil(Anne)", r)).validate()
-        out = rename_symbol_by_name(prog, "Pupil", "Student")
-        assert render_formula(out.premises[0], out.registry) == "Student(Anne)"
-        # structure untouched
-        assert out.premises[0] == prog.premises[0]
-
-    def test_rename_absent_symbol(self):
-        r = _reg()
-        prog = LogicProgram(r, (parse_formula("Kind(Anne)", r),),
-                            parse_formula("Kind(Anne)", r)).validate()
-        with pytest.raises(UnknownSymbol):
-            rename_symbol(prog, "p99", "Other")
-
-    def test_rename_collision(self):
-        r = _reg()
-        prog = LogicProgram(r, (parse_formula("Student(Anne) & Smart(Anne)", r),),
-                            parse_formula("Smart(Anne)", r)).validate()
-        with pytest.raises(NameCollision):
-            rename_symbol_by_name(prog, "Student", "Smart")
+    """A refined compound renders as modifier & base wherever it occurs,
+    before or after the atom that refined it."""
 
     def test_refine_expands_compound(self):
-        r = _reg()
-        prog = LogicProgram(r, (parse_formula("PopularShow(Idol)", r),),
-                            parse_formula("PopularShow(Idol)", r)).validate()
-        base = ensure_predicate(prog.registry, "Popular")
-        modifier = ensure_predicate(prog.registry, "Show")
-        out = refine_symbol(prog, r.lookup("PopularShow", "predicate"), base, modifier)
+        out = _refined(("Slot0(Idol)", "popular show"), ("Slot0(Idol)", "show"))
         assert render_formula(out.premises[0], out.registry) == "Popular(Idol) & Show(Idol)"
         assert out.registry.lookup("PopularShow", "predicate") is None
 
     def test_refine_inside_negation(self):
-        r = _reg()
-        prog = LogicProgram(r, (parse_formula("~PopularShow(Idol)", r),),
-                            parse_formula("Popular(Idol)", r)).validate()
-        out = refine_symbol(
-            prog,
-            r.lookup("PopularShow", "predicate"),
-            ensure_predicate(prog.registry, "Popular"),
-            ensure_predicate(prog.registry, "Show"),
-        )
+        out = _refined(("~Slot0(Idol)", "popular show"), ("Slot0(Idol)", "show"))
         assert render_formula(out.premises[0], out.registry) == "~(Popular(Idol) & Show(Idol))"
 
     def test_refine_zero_occurrences_still_removes(self):
-        r = _reg()
-        compound = r.declare("PopularShow", 1, "predicate")
-        prog = LogicProgram(r, (parse_formula("Kind(Anne)", r),),
-                            parse_formula("Kind(Anne)", r)).validate()
-        out = refine_symbol(prog, compound,
-                            ensure_predicate(prog.registry, "Popular"),
-                            ensure_predicate(prog.registry, "Show"))
-        assert out.premises == prog.premises
-        assert compound not in out.registry
+        """A compound routed through the table but used by no atom leaves no
+        symbol behind."""
+        out = _refined(("Kind(Anne)", "popular show"), ("Slot0(Anne)", "show"))
+        assert [render_formula(f, out.registry) for f in (*out.premises, out.query)] == \
+            ["Kind(Anne)", "Show(Anne)"]
+        assert out.registry.lookup("PopularShow", "predicate") is None
 
-    def test_refine_non_unary_rejected(self):
-        r = _reg()
-        compound = r.declare("Likes", 2, "predicate")
-        prog = LogicProgram(r, (parse_formula("Kind(Anne)", r),),
-                            parse_formula("Kind(Anne)", r)).validate()
-        with pytest.raises(NonUnaryCompound):
-            refine_symbol(prog, compound,
-                          ensure_predicate(prog.registry, "Popular"),
-                          ensure_predicate(prog.registry, "Show"))
+    def test_refine_non_unary_expands(self):
+        out = _refined(("Slot0(Idol, Gala)", "popular show"), ("Slot0(Gala, Idol)", "show"))
+        assert render_formula(out.premises[0], out.registry) == \
+            "Popular(Idol, Gala) & Show(Idol, Gala)"
 
     def test_refine_preserves_entailment_under_definition(self):
-        """When the compound is definitionally base & modifier, query verdicts
-        survive refinement."""
+        """When the compound is definitionally modifier & base, query verdicts
+        survive refinement: the same units translated without refinement,
+        plus the definition, give the same verdict."""
         rng = random.Random(11)
+        surfaces = ["popular show", "show", "popular", "fun"]
         for _ in range(20):
-            r = _reg()
-            compound = r.declare("BigDog", 1, "predicate")
-            base = r.declare("Dog", 1, "predicate")
-            modifier = r.declare("Big", 1, "predicate")
-            extra = r.declare("Happy", 1, "predicate")
-            consts = [r.declare(n, 0, "constant") for n in ("Rex", "Fido")]
-            definition = parse_formula("all x (BigDog(x) <-> Dog(x) & Big(x))", r)
-            prems = [definition]
+            units = []
             for _ in range(rng.randint(1, 3)):
-                pred = rng.choice([compound, base, modifier, extra])
-                atom = Atom(pred, (Const(rng.choice(consts)),))
-                prems.append(Not(atom) if rng.random() < 0.3 else atom)
-            query = Atom(rng.choice([compound, base, modifier, extra]),
-                         (Const(rng.choice(consts)),))
-            prog = LogicProgram(r, tuple(prems), query).validate()
-            before = enumerate_models(prog)
-            refined = refine_symbol(prog, compound, base, modifier)
-            after = enumerate_models(refined)
-            assert before.value == after.value
+                skeleton = "~Slot0({})" if rng.random() < 0.3 else "Slot0({})"
+                units.append((skeleton.format(rng.choice(("Idol", "Gala"))),
+                              rng.choice(surfaces)))
+            units.append((f"Slot0({rng.choice(('Idol', 'Gala'))})", rng.choice(surfaces)))
+            refined = _refined(*units)
+            r = _reg()
+            definition = parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))", r)
+            plain = [parse_formula(s.replace("Slot0", camel_case_symbol(e)), r)
+                     for s, e in units]
+            unrefined = LogicProgram(r, (definition, *plain[:-1]), plain[-1]).validate()
+            assert enumerate_models(refined).value == enumerate_models(unrefined).value
 
     def test_arity_stability_after_rewrites(self):
-        r = _reg()
-        prog = LogicProgram(
-            r,
-            (parse_formula("all x (PopularShow(x) -> Fun(x))", r),
-             parse_formula("PopularShow(Idol)", r)),
-            parse_formula("Fun(Idol)", r),
-        ).validate()
-        out = refine_symbol(prog, r.lookup("PopularShow", "predicate"),
-                            ensure_predicate(prog.registry, "Popular"),
-                            ensure_predicate(prog.registry, "Show"))
-        out = rename_symbol_by_name(out, "Fun", "Enjoyable")
+        out = _refined(("all x (Slot0(x) -> Fun(x))", "popular show"),
+                       ("Slot0(Idol)", "show"), ("Fun(Idol)", "fun"))
         out.validate()  # type-checks end to end
+        assert {out.registry.info(p).arity for p in out.registry.symbols("predicate")} == {1}
 
 
 class TestFreeVariables:

@@ -1,4 +1,4 @@
-"""Table updates, oracles, retroactive refinement, and the driver."""
+"""Table updates, oracles, refinement from the final table, and `translate_with_mental`."""
 
 from __future__ import annotations
 
@@ -7,9 +7,19 @@ import itertools
 import pytest
 
 from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
-from symdrift.errors import OracleFailure
-from symdrift.fol import render_formula
-from symdrift.harness import NaiveTranslator, StubClient, propose_from_templates
+from symdrift.errors import OracleFailure, TranslationFailure
+from symdrift.fol.render import render_program
+from symdrift.fol.terms import _IDENT_RE, camel_identifier, walk_atoms
+from symdrift.harness import (
+    LLMTranslator,
+    NaiveTranslator,
+    PromptLibrary,
+    StubClient,
+    TranslatorConfig,
+    propose_from_templates,
+)
+from symdrift.harness.synthetic import ATTRIBUTES
+from symdrift.harness.translators import _ledger
 from symdrift.mental import (
     EXTEND,
     LLMOracle,
@@ -23,8 +33,9 @@ from symdrift.mental import (
     process_expression,
     translate_with_mental,
 )
-from symdrift.problem import Problem, TextUnit
+from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver import enumerate_models
+from symdrift.textproc import content_lemmas, word_lemmas
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +48,14 @@ def oracle(resources):
     return LexiconOracle(resources.synonyms, resources.derivations)
 
 
+# Open world, so that a refined fact is still a valid premise.
+OPEN_PROBLEM = Problem(id="ow", sentences=(TextUnit.from_text("Idol is a show."),),
+                       question=TextUnit.from_text("Is Idol a show?"),
+                       gold_answer="proved", task_kind="folio")
+
+
 def drive(expressions, oracle, state=None):
-    state = state or TranslationState.empty()
+    state = state or TranslationState()
     refs = []
     for e in expressions:
         state, ref = process_expression(state, e, oracle)
@@ -56,7 +73,7 @@ class TestProcessExpression:
         state, refs = drive(["student", "the pupil"], oracle)
         assert refs[0].render() == refs[1].render() == "Student"
         assert state.trace[1].decision == REUSE
-        assert state.table.lookup("the pupil").render() == "Student"
+        assert state.table.renderings["the pupil"] == "Student"
 
     def test_compound_after_atom_decomposes(self, oracle):
         state, refs = drive(["show", "popular show"], oracle)
@@ -65,42 +82,31 @@ class TestProcessExpression:
         state.table.audit()
 
     def test_atom_after_compound_retroactively_rewrites(self, oracle):
-        state = TranslationState.empty()
-        state, ref = process_expression(state, "popular show", oracle)
-        proposal = Proposal(unit=0, skeleton="Slot0(Idol)", slots=("popular show",))
-        from symdrift.mental.translate import instantiate
-
-        state, formula = instantiate(proposal, {0: ref}, state)
-        state = TranslationState(
-            registry=state.registry, premises=(formula,), query=state.query,
-            table=state.table, trace=state.trace, revisions=state.revisions,
-            semantics_mode=state.semantics_mode,
-        )
-        assert render_formula(state.premises[0], state.registry) == "PopularShow(Idol)"
-        state, ref2 = process_expression(state, "show", oracle)
-        assert render_formula(state.premises[0], state.registry) == "Popular(Idol) & Show(Idol)"
-        assert state.registry.lookup("PopularShow", "predicate") is None
-        assert state.revisions == 1
-        state.table.audit()
+        proposals = [Proposal(0, "Slot0(Idol)", ("popular show",)),
+                     Proposal(QUESTION_UNIT, "Slot0(Idol)", ("show",), is_query=True)]
+        program, table, trace = translate_with_mental(OPEN_PROBLEM, proposals, oracle)
+        assert render_program(program) == ("Popular(Idol) & Show(Idol)", "Show(Idol)")
+        assert program.registry.lookup("PopularShow", "predicate") is None
+        assert [t.program_revisions for t in trace] == [0, 1]
+        table.audit()
 
     def test_lookup_reports_decomposition(self, oracle):
         state, _ = drive(["popular show", "show"], oracle)
-        assert state.table.lookup("popular show").render() == "Popular&Show"
+        assert state.table.renderings["popular show"] == ("Popular", "Show")
 
     def test_lookup_unseen_is_none(self, oracle):
         state, _ = drive(["kind"], oracle)
-        assert state.table.lookup("tall") is None
+        assert "tall" not in state.table.renderings
 
     def test_reuse_idempotent(self, oracle):
         first, _ = drive(["kind", "benevolent"], oracle)
         second, _ = drive(["benevolent"], oracle, state=first)
         assert second.table.entries == first.table.entries
-        assert second.premises == first.premises
         # the trace still records the call
         assert len(second.trace) == len(first.trace) + 1
 
     def test_audit_after_every_step(self, oracle):
-        state = TranslationState.empty()
+        state = TranslationState()
         for e in ["kind", "benevolent", "show", "popular show", "tall", "student"]:
             state, _ = process_expression(state, e, oracle)
             state.table.audit()
@@ -142,12 +148,88 @@ class TestProcessExpression:
         assert len(partitions) == 1
 
 
+class TestRefinementFromTheFinalTable:
+    def test_slot_refined_by_its_own_proposal(self, oracle):
+        """The rule's first slot resolves to PopularShow before its second slot
+        decomposes that entry; the premise still uses the refined symbols."""
+        proposals = [
+            Proposal(0, "all x (Slot0(x) -> Slot1(x))", ("popular show", "show"),
+                     slot_spans=((0, 12), (13, 17))),
+            Proposal(QUESTION_UNIT, "Slot0(Idol)", ("popular show",), is_query=True,
+                     slot_spans=((0, 12),)),
+        ]
+        program, table, _ = translate_with_mental(OPEN_PROBLEM, proposals, oracle)
+        assert render_program(program) == ("all x (Popular(x) & Show(x) -> Show(x))",
+                                           "Popular(Idol) & Show(Idol)")
+        ledger = _ledger(proposals, table)
+        assert ledger == {(0, 0, 12): "Popular&Show", (0, 13, 17): "Show",
+                          (QUESTION_UNIT, 0, 12): "Popular&Show"}
+        rule_body = program.premises[0].body
+        for slot_formula, key in ((rule_body.left, (0, 0, 12)),
+                                  (rule_body.right, (0, 13, 17)),
+                                  (program.query, (QUESTION_UNIT, 0, 12))):
+            assert [program.registry.name_of(a.pred) for a in walk_atoms(slot_formula)] == \
+                ledger[key].split("&")
+
+    def test_nested_refinement_expands_every_part(self, resources):
+        reply = ("```\nunit 0: Slot0(Idol) | big popular show\n"
+                 "unit 1: Slot0(Gala) | popular show\nquery: Slot0(Idol) | show\n```")
+        translator = LLMTranslator(
+            TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
+            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
+                                                       resources.derivations))
+        record = translator.translate(OPEN_PROBLEM)
+        assert record.parse_error is None
+        assert record.rendering == ("Big(Idol) & (Popular(Idol) & Show(Idol))",
+                                    "Popular(Gala) & Show(Gala)", "Show(Idol)")
+        assert [t.decision for t in record.mental_trace] == [EXTEND, REFINE, REFINE]
+
+    def test_decomposition_cycle_is_a_translation_failure(self):
+        class CyclingOracle:
+            """Names the old entry as the modifier of its own decomposition."""
+
+            def equiv(self, e, expressions):
+                return False
+
+            def conflict(self, e, expressions):
+                return ("good", "kind") if (e, expressions) == ("good", ("kind",)) else None
+
+        proposals = [Proposal(0, "Slot0(Anne)", ("kind",)),
+                     Proposal(QUESTION_UNIT, "Slot0(Anne)", ("good",), is_query=True)]
+        with pytest.raises(TranslationFailure, match="decomposition cycle Kind -> Kind"):
+            translate_with_mental(OPEN_PROBLEM, proposals, CyclingOracle())
+
+
 class TestCamelCase:
     def test_drops_stopwords(self):
         assert camel_case_symbol("the pupil") == "Pupil"
 
     def test_multiword(self):
         assert camel_case_symbol("popular show") == "PopularShow"
+
+    @pytest.mark.parametrize("surface", ["good-natured", "Anne's dog", "3 dogs", "--", "café"])
+    def test_always_a_valid_identifier(self, surface):
+        assert _IDENT_RE.match(camel_case_symbol(surface))
+        assert _IDENT_RE.match(camel_identifier(surface))
+
+    def test_punctuated_slot_translates(self, resources):
+        reply = "```\nunit 0: Slot0(Anne) | good-natured\nquery: Slot0(Anne) | good-natured\n```"
+        translator = LLMTranslator(
+            TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
+            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
+                                                       resources.derivations))
+        record = translator.translate(OPEN_PROBLEM)
+        assert record.parse_error is None
+        assert record.rendering == ("GoodNatur(Anne)", "GoodNatur(Anne)")
+
+    def test_plain_words_keep_their_symbols(self, resources):
+        """Lexicon words and generator attributes name the symbols they did
+        before punctuation was split off."""
+        for lemma, _tag in resources.synonyms.entries():
+            lemmas = content_lemmas(lemma) or word_lemmas(lemma)
+            assert camel_case_symbol(lemma) == "".join(w[:1].upper() + w[1:] for w in lemmas)
+        for word in ATTRIBUTES:
+            assert camel_identifier(word) == word[:1].upper() + word[1:]
 
 
 class TestLexiconOracle:

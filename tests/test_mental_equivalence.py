@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
 from symdrift.errors import FormatError, TranslationFailure
 from symdrift.fol import LogicProgram, render_formula
+from symdrift.fol.render import render_program
+from symdrift.fol.terms import walk_atoms
 from symdrift.harness import (
     Completion,
     LLMTranslator,
@@ -27,21 +32,29 @@ from symdrift.harness import (
 )
 from symdrift.harness.datasets import problem_from_json, program_from_json
 from symdrift.harness.evaluate import evaluate_one, solve_one
-from symdrift.harness.translators import ExactMatchOracle, program_block, propose_from_templates
-from symdrift.mental import REFINE, LexiconOracle, Proposal, TranslationState, process_expression
+from symdrift.harness.translators import (
+    ExactMatchOracle,
+    _ledger,
+    program_block,
+    propose_from_templates,
+)
+from symdrift.mental import (
+    REFINE,
+    LexiconOracle,
+    Proposal,
+    process_expression,
+    translate_with_mental,
+)
+from symdrift.mental import translate as mental_translate
 from symdrift.mental.table import normalize_expression
-from symdrift.mental.translate import instantiate
 from symdrift.metrics.records import TranslationRecord
 from symdrift.problem import QUESTION_UNIT
 
 from .helpers import (
     ReferenceLexiconOracle,
-    ReferenceState,
-    reference_add_formula,
     reference_evaluate_json,
-    reference_instantiate,
-    reference_process_expression,
     reference_program_from_json,
+    reference_translate_with_mental,
 )
 from .test_parse_memo import formula_texts
 
@@ -89,12 +102,15 @@ def make_proposals(rng: random.Random, resources) -> list[Proposal]:
     for unit in range(rng.randint(1, 6)):
         if rng.random() < 0.5:
             proposals.append(Proposal(unit, "Slot0(Anne)",
-                                      (make_expression(rng, bases, modifiers),)))
+                                      (make_expression(rng, bases, modifiers),),
+                                      slot_spans=((0, 1),)))
         else:
             proposals.append(Proposal(unit, "all x (Slot0(x) -> Slot1(x))", tuple(
-                make_expression(rng, bases, modifiers) for _ in range(2))))
+                make_expression(rng, bases, modifiers) for _ in range(2)),
+                slot_spans=((0, 1), (1, 2))))
     proposals.append(Proposal(QUESTION_UNIT, "~Slot0(Anne)",
-                              (make_expression(rng, bases, modifiers),), is_query=True))
+                              (make_expression(rng, bases, modifiers),), is_query=True,
+                              slot_spans=((0, 1),)))
     return proposals
 
 
@@ -121,49 +137,85 @@ class RecordingOracle:
         return self.oracle.conflict(e, expressions)
 
 
-def drive_both(proposals: list[Proposal], oracles) -> list[str]:
-    """Route `proposals` through both implementations, comparing every step and the
-    oracle questions asked; returns the decisions taken."""
-    oracle, reference_oracle = (RecordingOracle(o) for o in oracles)
-    state = TranslationState.empty()
-    ref_state = ReferenceState(state.registry.copy())
-    decisions = []
+# Open world, so that a refined fact is still a valid premise.
+_PROBLEM = replace(generate_synthetic(SyntheticConfig(n_problems=1, seed=1))[0],
+                   task_kind="folio")
+
+
+def _expansion(table, surface: str) -> list[str] | None:
+    """The symbols `surface` expands to in `table`, modifiers first, with
+    decomposition parts expanded in turn; None when a part is no entry's."""
+    by_symbol = {entry.symbol: entry for entry in table.entries}
+
+    def leaves(entry):
+        if entry is None:
+            return None
+        if entry.decomposition is None:
+            return [entry.symbol]
+        base, modifier = (leaves(by_symbol.get(part)) for part in entry.decomposition)
+        return None if base is None or modifier is None else modifier + base
+
+    return leaves(table.entry_for(normalize_expression(surface)))
+
+
+def _slot_atoms_match(program: LogicProgram, proposals: list[Proposal], symbols_of) -> bool:
+    """Whether each unit's atoms name, left to right, the symbols
+    `symbols_of(proposal, k)` gives its slots (every skeleton of
+    `make_proposals` holds Slot0, Slot1, ... once each, in order)."""
+    premises = iter(program.premises)
     for proposal in proposals:
-        resolved, ref_resolved = {}, {}
-        for k, surface in enumerate(proposal.slots):
-            new, new_error = _outcome(lambda: process_expression(state, surface, oracle))
-            old, old_error = _outcome(
-                lambda: reference_process_expression(ref_state, surface, reference_oracle))
-            assert new_error == old_error
-            if new_error:
-                return decisions
-            (state, ref), (ref_state, old_ref) = new, old
-            assert (ref.base, ref.modifier) == (old_ref.base, old_ref.modifier)
-            assert [tuple(e) for e in state.table.entries] == [
-                (e.entry_id, e.expressions, e.symbol, e.decomposition)
-                for e in ref_state.table.entries]
-            assert [tuple(t) for t in state.trace] == [
-                (t.expression, t.decision, t.symbol, t.program_revisions)
-                for t in ref_state.trace]
-            assert state.revisions == ref_state.revisions
-            assert oracle.calls == reference_oracle.calls
-            resolved[k], ref_resolved[k] = ref, old_ref
-            decisions.append(state.trace[-1].decision)
-        state, formula = instantiate(proposal, resolved, state)
-        ref_state, ref_formula = reference_instantiate(proposal, ref_resolved, ref_state)
-        state = state._replace(premises=state.premises + (formula,)) \
-            if proposal.unit != QUESTION_UNIT else state._replace(query=formula)
-        ref_state = reference_add_formula(ref_state, proposal, ref_formula)
-        assert [render_formula(f, state.registry) for f in state.premises] == \
-            [render_formula(f, ref_state.registry) for f in ref_state.premises]
-    program, error = _outcome(state.program)
-    ref_program, ref_error = _outcome(lambda: LogicProgram(
-        ref_state.registry, ref_state.premises, ref_state.query,
-        ref_state.semantics_mode).validate())
-    assert error == ref_error
-    if program is not None:
-        assert render_formula(program.query, program.registry) == \
-            render_formula(ref_program.query, ref_program.registry)
+        formula = program.query if proposal.is_query else next(premises)
+        expected = [name for k in range(len(proposal.slots))
+                    for name in (symbols_of(proposal, k) or [None])]
+        if [program.registry.name_of(a.pred) for a in walk_atoms(formula)] != expected:
+            return False
+    return True
+
+
+def drive_both(proposals: list[Proposal], oracles, tally: Counter | None = None) -> list[str]:
+    """Translate `proposals` with both implementations and compare every routing
+    step (tables, traces, refs), the oracle questions asked, and the outcome;
+    returns the decisions taken."""
+    oracle, reference_oracle = (RecordingOracle(o) for o in oracles)
+    steps, ref_steps = [], []
+
+    def recorded(state, e, oracle_):
+        steps.append(process_expression(state, e, oracle_))
+        return steps[-1]
+
+    with mock.patch.object(mental_translate, "process_expression", recorded):
+        new, error = _outcome(lambda: translate_with_mental(_PROBLEM, proposals, oracle))
+    old, ref_error = _outcome(lambda: reference_translate_with_mental(
+        _PROBLEM, proposals, reference_oracle, ref_steps))
+    assert oracle.calls == reference_oracle.calls
+    assert len(steps) == len(ref_steps)
+    for (state, ref), (ref_state, old_ref) in zip(steps, ref_steps):
+        assert (ref.base, ref.modifier) == (old_ref.base, old_ref.modifier)
+        assert [tuple(e) for e in state.table.entries] == [
+            (e.entry_id, e.expressions, e.symbol, e.decomposition)
+            for e in ref_state.table.entries]
+        assert [tuple(t) for t in state.trace] == [
+            (t.expression, t.decision, t.symbol, t.program_revisions)
+            for t in ref_state.trace]
+    decisions = [state.trace[-1].decision for state, _ in steps]
+    if error is not None or ref_error is not None:
+        assert error == ref_error
+        if tally is not None:
+            tally["error"] += 1
+        return decisions
+    (program, table, _), (ref_program, ref_table, _) = new, old
+    ledger = _ledger(proposals, table)
+    assert _slot_atoms_match(program, proposals, lambda p, k: ledger[
+        (p.unit, *p.slot_spans[k])].split("&"))
+    assert all(ledger[(p.unit, *span)] == "&".join(_expansion(table, surface))
+               for p in proposals for surface, span in zip(p.slots, p.slot_spans))
+    if _slot_atoms_match(ref_program, proposals,
+                         lambda p, k: _expansion(ref_table, p.slots[k])):
+        assert render_program(program) == render_program(ref_program)
+        if tally is not None:
+            tally["equal"] += 1
+    elif tally is not None:
+        tally["stale"] += 1
     return decisions
 
 
@@ -200,20 +252,45 @@ def test_routing_matches_reference(oracles, rng):
 def test_routing_matches_reference_through_refinement(oracles, resources):
     """Traced benchmark runs take no REFINE decision, so this drives both
     directions of refinement on purpose: a compound after its atom and an atom
-    after its compound (retroactive rewrite), across seeded sequences."""
+    after its compound, across seeded sequences. Where a slot resolved before
+    its own proposal refined it, the reference's program names a symbol its
+    table decomposed; only there may the programs differ."""
     fixed = [
-        [Proposal(0, "Slot0(Anne)", ("Popular  Show",)),
-         Proposal(QUESTION_UNIT, "Slot0(Anne)", ("show",), is_query=True)],
-        [Proposal(0, "Slot0(Anne)", ("show",)),
-         Proposal(QUESTION_UNIT, "Slot0(Anne)", (" popular SHOW",), is_query=True)],
+        [Proposal(0, "Slot0(Anne)", ("Popular  Show",), slot_spans=((0, 1),)),
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", ("show",), is_query=True,
+                  slot_spans=((0, 1),))],
+        [Proposal(0, "Slot0(Anne)", ("show",), slot_spans=((0, 1),)),
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", (" popular SHOW",), is_query=True,
+                  slot_spans=((0, 1),))],
     ]
     decisions = []
     for proposals in fixed:
         decisions += drive_both(proposals, oracles)
     assert decisions.count(REFINE) == 2
-    for seed in range(200):
-        decisions += drive_both(make_proposals(random.Random(seed), resources), oracles)
+    tally = Counter()
+    for seed in range(300):
+        decisions += drive_both(make_proposals(random.Random(seed), resources), oracles, tally)
     assert decisions.count(REFINE) > 20
+    assert tally["equal"] > 200 and tally["stale"] > 0
+
+
+def test_bad_skeleton_raises_before_later_slots_reach_the_oracle(oracles, resources):
+    """A skeleton that does not parse fails the translation as soon as its own
+    slots are routed, as the reference does: the oracle is asked exactly what
+    routing the proposals up to the broken one asks."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        proposals = make_proposals(rng, resources)
+        at = rng.randrange(len(proposals) - 1)
+        broken = proposals[:at] + [replace(proposals[at], skeleton="all x (Slot0(x) &")]
+        broken += proposals[at + 1:]
+        drive_both(broken, oracles)
+        failing, routed = RecordingOracle(oracles[0]), RecordingOracle(oracles[0])
+        with pytest.raises(TranslationFailure, match="unusable skeleton"):
+            translate_with_mental(_PROBLEM, broken, failing)
+        with pytest.raises(TranslationFailure, match="no query was translated"):
+            translate_with_mental(_PROBLEM, proposals[:at + 1], routed)
+        assert failing.calls == routed.calls
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.fol import SymbolRegistry, parse_formula
-from symdrift.fol.parser import _parse_shape
+from symdrift.fol.parser import parse_shape
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.datasets import program_to_json
 from symdrift.harness.synthetic import generate_synthetic
@@ -64,8 +64,8 @@ def parse_inputs(draw) -> str:
 
 @st.composite
 def registries(draw) -> SymbolRegistry:
-    """A registry with some pool names declared, at random arities, and some
-    removed again, so ids neither start at zero nor run without gaps."""
+    """A registry with some pool names declared, at random arities, so ids do
+    not start at zero."""
     registry = SymbolRegistry()
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("predicate", "constant")))
@@ -74,9 +74,7 @@ def registries(draw) -> SymbolRegistry:
         if registry.lookup(name, kind) is not None:
             continue
         arity = draw(st.integers(0, 2)) if kind == "predicate" else 0
-        sid = registry.declare(name, arity, kind)
-        if draw(st.integers(0, 4)) == 0:
-            registry.remove(sid)
+        registry.declare(name, arity, kind)
     return registry
 
 
@@ -121,8 +119,8 @@ def test_fresh_registry_shares_cached_formula():
 def test_generated_and_diversified_formulas_match_reference():
     """Every gold formula and template skeleton of a generated set and of its
     full diversification parses as the reference does, into one registry per
-    program as the loader does and into a fresh one per skeleton as
-    `instantiate` does, on the first call and from the memo."""
+    program as the loader does and into a fresh one per skeleton, on the
+    first call and from the memo."""
     resources = Resources.load()
     programs, skeletons = [], []
     for p in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
@@ -131,7 +129,7 @@ def test_generated_and_diversified_formulas_match_reference():
             gold = program_to_json(problem.gold_logic)
             programs.append([*gold["premises"], gold["query"]])
             skeletons += [prop.skeleton for prop in propose_from_templates(problem)]
-    _parse_shape.cache_clear()
+    parse_shape.cache_clear()
     for _ in range(2):
         for texts in programs:
             memo, reference = SymbolRegistry(), SymbolRegistry()
@@ -141,4 +139,4 @@ def test_generated_and_diversified_formulas_match_reference():
         for text in skeletons:
             assert _outcome(parse_formula, text, SymbolRegistry()) == \
                 _outcome(reference_parse, text, SymbolRegistry())
-    assert _parse_shape.cache_info().hits >= len(skeletons)
+    assert parse_shape.cache_info().hits >= len(skeletons)

@@ -26,6 +26,7 @@ from symdrift.fol import (
     Var,
     parse_formula,
 )
+from symdrift.fol.terms import horn_parts
 from symdrift.solver import (
     ADJACENT,
     AT_POSITION,
@@ -41,6 +42,7 @@ from symdrift.solver import (
     prove_resolution,
     solve_csp,
 )
+from symdrift.solver.chaining import saturate
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.solver import resolution
@@ -275,6 +277,31 @@ class TestForwardChaining:
         with pytest.raises(NotHorn):
             LogicProgram(r, (premise, fact), parse_formula("Smart(Anne)", r),
                          CLOSED_WORLD).validate()
+
+    def test_not_horn_errors_name_symbols(self):
+        """Every NotHorn text renders its formula with the program's names,
+        never its registry ids."""
+        r = SymbolRegistry()
+        premise = parse_formula("all x (Kind(x) -> Smart(x) | Tall(x))", r)
+        query = parse_formula("all x Smart(x)", r)
+        open_program = LogicProgram(r, (premise,), query, OPEN_WORLD)
+        closed = LogicProgram(r, (premise,), query, CLOSED_WORLD)
+        body = parse_formula("all x (~Kind(x) -> Smart(x))", r)
+        checks = [
+            (closed.validate, "premise is not a fact or Horn implication: "
+             "all x (Kind(x) -> Smart(x) | Tall(x))"),
+            (lambda: saturate(open_program), "premise is not Horn: "
+             "all x (Kind(x) -> Smart(x) | Tall(x))"),
+            (lambda: forward_chain_cwa(LogicProgram(r, (), query, CLOSED_WORLD)),
+             "closed-world queries must be ground literals: all x Smart(x)"),
+            (lambda: horn_parts(premise, r), "not a Horn premise: "
+             "all x (Kind(x) -> Smart(x) | Tall(x))"),
+            (lambda: horn_parts(body, r), "non-atomic rule body: ~Kind(x)"),
+        ]
+        for check, text in checks:
+            with pytest.raises(NotHorn) as raised:
+                check()
+            assert str(raised.value) == text
 
     def test_multi_body_join(self):
         p = _program(
