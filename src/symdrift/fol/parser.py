@@ -13,6 +13,9 @@ Identifiers in application position are predicates; argument identifiers are
 variables when bound by an enclosing quantifier, constants otherwise. Unseen
 identifiers are auto-registered, with arity locked at first use.
 
+`parse_program` is the one way a program is made from texts: a dataset's
+gold logic, a model's fenced program block, the synthetic generator's logic.
+
 Parsing is memoized per distinct text and bound per registry: each text is
 lexed, parsed and type-checked once into a scratch registry, and each call
 binds the cached shape's symbols to the caller's registry by name. A text
@@ -25,6 +28,7 @@ for the process and holds only immutable values, so threads share it.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +44,7 @@ from .terms import (
     Formula,
     Iff,
     Implies,
+    LogicProgram,
     Not,
     Or,
     SymbolInfo,
@@ -260,3 +265,14 @@ def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
         return Atom(ids.get(atom.pred, atom.pred), args)
 
     return map_atoms(formula, bind)
+
+
+def parse_program(premise_texts: Iterable[str], query_text: str,
+                  semantics_mode: str) -> LogicProgram:
+    """Parse the premises, then the query, into one fresh registry. The parse
+    type-checks every formula and reads an unbound argument as a constant, so
+    a parsed sentence is always closed: only `check_world` is left."""
+    registry = SymbolRegistry()
+    premises = tuple(parse_formula(text, registry) for text in premise_texts)
+    query = parse_formula(query_text, registry)
+    return LogicProgram(registry, premises, query, semantics_mode).check_world()

@@ -174,12 +174,6 @@ class SymbolRegistry:
         out._counter = self._counter
         return out
 
-    def __contains__(self, symbol_id: str) -> bool:
-        return symbol_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
     """Fetch-or-declare a predicate by name; an existing one keeps its arity."""
@@ -275,19 +269,9 @@ class LogicProgram:
     def validate(self) -> "LogicProgram":
         """Type-check every formula against the registry, require closed
         sentences, then `check_world`."""
-        for premise in self.premises:
-            type_check(premise, self.registry)
-            require_closed(premise)
-        type_check(self.query, self.registry)
-        require_closed(self.query)
-        return self.check_world()
-
-    def validate_parsed(self) -> "LogicProgram":
-        """`validate` for formulas that `parse_formula` already type-checked
-        against this registry: closed sentences, then `check_world`."""
-        for premise in self.premises:
-            require_closed(premise)
-        require_closed(self.query)
+        for f in (*self.premises, self.query):
+            type_check(f, self.registry)
+            require_closed(f)
         return self.check_world()
 
     def check_world(self) -> "LogicProgram":

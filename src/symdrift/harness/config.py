@@ -73,17 +73,6 @@ class SyntheticConfig:
         if not (0.0 <= self.negation_rate <= 1.0):
             raise ValueError("negation_rate must be a fraction")
 
-    def snapshot(self) -> dict[str, str]:
-        return {
-            "synthetic.n_problems": str(self.n_problems),
-            "synthetic.depth": str(self.depth),
-            "synthetic.n_constants": str(self.n_constants),
-            "synthetic.n_predicates": str(self.n_predicates),
-            "synthetic.rule_branching": str(self.rule_branching),
-            "synthetic.negation_rate": repr(self.negation_rate),
-            "synthetic.seed": str(self.seed),
-        }
-
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; `#` starts a comment."""

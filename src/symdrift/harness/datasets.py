@@ -17,9 +17,9 @@ import json
 from pathlib import Path
 
 from ..errors import FormatError
-from ..fol.parser import parse_formula
+from ..fol.parser import parse_program
 from ..fol.render import render_program
-from ..fol.terms import LogicProgram, OPEN_WORLD, SymbolRegistry
+from ..fol.terms import LogicProgram, OPEN_WORLD
 from ..problem import (
     DiversifiedProblem,
     Problem,
@@ -39,10 +39,7 @@ def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
 
 
 def program_from_json(data: dict) -> LogicProgram:
-    registry = SymbolRegistry()
-    premises = tuple(parse_formula(text, registry) for text in data["premises"])
-    query = parse_formula(data["query"], registry)
-    return LogicProgram(registry, premises, query, data.get("mode", OPEN_WORLD)).validate_parsed()
+    return parse_program(data["premises"], data["query"], data.get("mode", OPEN_WORLD))
 
 
 def problem_to_json(p: Problem) -> dict:

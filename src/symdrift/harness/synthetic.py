@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from ..fol.parser import parse_formula
-from ..fol.terms import CLOSED_WORLD, LogicProgram, SymbolRegistry, camel_identifier
+from ..fol.parser import parse_program
+from ..fol.terms import CLOSED_WORLD, Atom, Not, camel_identifier
 from ..problem import Problem, QUESTION_UNIT, TASK_PROOFWRITER, TextUnit
 from ..solver.chaining import forward_chain_cwa, saturate
 from .config import SyntheticConfig
@@ -92,13 +92,10 @@ def _generate_one(cfg: SyntheticConfig, rng: random.Random, index: int,
         target = unreachable_target
     question = _question_text(subject, target, negated)
 
-    registry = SymbolRegistry()
-    premises = tuple(
-        parse_formula(_sentence_to_logic(s), registry) for s in sentences
-    )
     negation = "~" if negated else ""
-    query = parse_formula(f"{negation}{camel_identifier(target)}({subject})", registry)
-    gold_logic = LogicProgram(registry, premises, query, CLOSED_WORLD).validate()
+    gold_logic = parse_program([_sentence_to_logic(s) for s in sentences],
+                               f"{negation}{camel_identifier(target)}({subject})",
+                               CLOSED_WORLD)
 
     problem = Problem(
         id=f"syn{cfg.seed}_{index:04d}",
@@ -140,8 +137,6 @@ def proof_depth(p: Problem) -> int | None:
     assert p.gold_logic is not None
     saturation = saturate(p.gold_logic)
     query = p.gold_logic.query
-    from ..fol.terms import Atom, Not
-
     atom = query.body if isinstance(query, Not) else query
     assert isinstance(atom, Atom)
     key = (atom.pred, tuple(a.symbol for a in atom.args))

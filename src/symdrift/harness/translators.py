@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import re
 
-from ..errors import MissingGold, OracleFailure, TranslationFailure
+from ..errors import FolError, MissingGold, NotHorn, OracleFailure, TranslationFailure
+from ..fol.parser import parse_program
 from ..fol.terms import (
-    Atom,
     CONSTANT,
-    Const,
-    Formula,
     LogicProgram,
     PREDICATE,
     SymbolRegistry,
     camel_identifier,
-    map_atoms,
+    walk_atoms,
 )
 from ..mental.oracles import EquivalenceOracle
 from ..mental.table import MentalTable, normalize_expression, rendering_symbols
-from ..mental.translate import Proposal, translate_with_mental
+from ..mental.translate import Proposal, Skeleton, instantiate, translate_with_mental
 from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
 from ..solver.csp import CSPSpec, Constraint, Option
@@ -133,28 +131,54 @@ def _ledger(proposals: list[Proposal], table: MentalTable) -> dict[SpanKey, str]
     return out
 
 
+def _table_guided(problem: Problem, proposals: list[Proposal],
+                  oracle: EquivalenceOracle | None, **usage) -> TranslationRecord:
+    """The record of `problem` translated from `proposals` through the table
+    (`oracle` None reproduces the drift-prone baseline). This is the one place
+    a build that fails, on the table, a formula or the world's check, becomes
+    a record with a parse error."""
+    try:
+        program, table, trace = translate_with_mental(
+            problem, proposals, oracle or ExactMatchOracle())
+    except (TranslationFailure, FolError, NotHorn) as exc:
+        return translation_record(problem, parse_error=str(exc), **usage)
+    return translation_record(problem, table, program=program, mental_trace=trace,
+                              span_symbols=_ledger(proposals, table), **usage)
+
+
 class NaiveTranslator:
     """Names every predicate after the literal surface form it sees; no
     cross-surface grouping unless wrapped with table guidance."""
 
     def __init__(self, oracle: EquivalenceOracle | None = None):
-        self.oracle = oracle  # None reproduces the drift-prone baseline
+        self.oracle = oracle
 
     def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, _ = _unwrap(item)
         try:
             proposals = propose_from_templates(problem)
-            program, table, trace = translate_with_mental(
-                problem, proposals, self.oracle or ExactMatchOracle(),
-            )
         except TranslationFailure as exc:
             return translation_record(problem, parse_error=str(exc))
-        return translation_record(
-            problem, table,
-            program=program,
-            span_symbols=_ledger(proposals, table),
-            mental_trace=trace,
-        )
+        return _table_guided(problem, proposals, self.oracle)
+
+
+def _require_gold(problem: Problem) -> LogicProgram:
+    if problem.gold_logic is None or problem.gold_concepts is None:
+        raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
+    return problem.gold_logic
+
+
+def _provenance_ledger(diversified: DiversifiedProblem, concept_symbols: dict[str, str],
+                       symbol) -> dict[SpanKey, str]:
+    """Each provenance span of a concept the gold program names, mapped to
+    `symbol(concept_id, entry)`."""
+    out: dict[SpanKey, str] = {}
+    for concept_id, entries in diversified.provenance.items():
+        if concept_id not in concept_symbols:
+            continue
+        for e in entries:
+            out[(e.unit, e.char_start, e.char_end)] = symbol(concept_id, e)
+    return out
 
 
 class GoldTranslator:
@@ -163,36 +187,29 @@ class GoldTranslator:
 
     def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, diversified = _unwrap(item)
-        if problem.gold_logic is None or problem.gold_concepts is None:
-            raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
-        program = problem.gold_logic
+        program = _require_gold(problem)
         span_symbols: dict[SpanKey, str] = {}
         if diversified is not None:
             concept_symbols = _gold_concept_symbols(problem)
-            for concept_id, entries in diversified.provenance.items():
-                symbol = concept_symbols.get(concept_id)
-                if symbol is None:
-                    continue
-                for e in entries:
-                    span_symbols[(e.unit, e.char_start, e.char_end)] = symbol
+            span_symbols = _provenance_ledger(
+                diversified, concept_symbols,
+                lambda concept_id, _entry: concept_symbols[concept_id])
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
 class SplitAdversaryTranslator:
     """Keeps the gold structure but assigns one symbol per distinct surface
-    form of each concept: maximal drift with otherwise-correct logic."""
+    form of each concept: maximal drift with otherwise-correct logic. Each
+    gold formula is instantiated as a skeleton whose slots are the concept
+    predicates its unit mentions, each rendered as its surface's symbol."""
 
     def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
         problem, diversified = _unwrap(item)
-        if problem.gold_logic is None or problem.gold_concepts is None:
-            raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
+        gold = _require_gold(problem)
         if diversified is None:
             return GoldTranslator().translate(item)
-        gold = problem.gold_logic
         if len(gold.premises) != len(problem.sentences):
-            raise MissingGold(
-                f"problem {problem.id}: premises are not sentence-aligned"
-            )
+            raise MissingGold(f"problem {problem.id}: premises are not sentence-aligned")
         concept_symbols = _gold_concept_symbols(problem)
         symbol_names: dict[tuple[str, str], str] = {}
         taken: set[str] = set()
@@ -200,11 +217,10 @@ class SplitAdversaryTranslator:
         def per_surface_symbol(concept_id: str, surface: str) -> str:
             key = (concept_id, surface.lower())
             if key not in symbol_names:
-                name = camel_identifier(surface)
+                base = name = camel_identifier(surface)
                 n = 2
                 while name in taken:
-                    name = f"{camel_identifier(surface)}{n}"
-                    n += 1
+                    name, n = f"{base}{n}", n + 1
                 taken.add(name)
                 symbol_names[key] = name
             return symbol_names[key]
@@ -215,55 +231,31 @@ class SplitAdversaryTranslator:
             for e in entries:
                 surface_at.setdefault((concept_id, e.unit), e.surface)
 
-        pred_concepts = {
-            symbol: concept_id for concept_id, symbol in concept_symbols.items()
-        }
+        pred_concepts = {symbol: concept_id for concept_id, symbol in concept_symbols.items()}
+        names = {sid: gold.registry.name_of(sid) for sid in gold.registry.symbols()}
         registry = SymbolRegistry()
-        span_symbols: dict[SpanKey, str] = {}
-
-        def rebuild_unit(formula: Formula, unit_index: int) -> Formula:
-            def rebuild(atom: Atom) -> Formula:
-                name = gold.registry.name_of(atom.pred)
-                concept_id = pred_concepts.get(name)
-                surface = surface_at.get((concept_id, unit_index)) if concept_id else None
-                target = per_surface_symbol(concept_id, surface) if surface else name
-                sid = registry.lookup(target, PREDICATE)
-                if sid is None:
-                    sid = registry.declare(target, len(atom.args), PREDICATE)
-                args = []
-                for a in atom.args:
-                    const_name = gold.registry.name_of(a.symbol) if isinstance(a, Const) else None
-                    if const_name is not None:
-                        cid = registry.lookup(const_name, CONSTANT)
-                        if cid is None:
-                            cid = registry.declare(const_name, 0, CONSTANT)
-                        args.append(Const(cid))
-                    else:
-                        args.append(a)
-                return Atom(sid, tuple(args))
-
-            return map_atoms(formula, rebuild)
-
-        premises = tuple(
-            rebuild_unit(premise, i) for i, premise in enumerate(gold.premises)
-        )
-        query = rebuild_unit(gold.query, QUESTION_UNIT)
-        program = LogicProgram(registry, premises, query, gold.semantics_mode).validate()
-        for concept_id, entries in diversified.provenance.items():
-            if concept_id not in concept_symbols:
-                continue
-            for e in entries:
-                surface = surface_at[(concept_id, e.unit)]
-                span_symbols[(e.unit, e.char_start, e.char_end)] = per_surface_symbol(
-                    concept_id, surface
-                )
+        formulas = []
+        for unit, formula in (*enumerate(gold.premises), (QUESTION_UNIT, gold.query)):
+            slots: dict[str, int] = {}
+            renderings = []
+            for atom in walk_atoms(formula):
+                concept_id = pred_concepts.get(names[atom.pred])
+                surface = surface_at.get((concept_id, unit))
+                if surface and atom.pred not in slots:
+                    slots[atom.pred] = len(renderings)
+                    renderings.append(per_surface_symbol(concept_id, surface))
+            formulas.append(instantiate(Skeleton(formula, names, slots), renderings, registry))
+        *premises, query = formulas
+        program = LogicProgram(registry, tuple(premises), query, gold.semantics_mode).validate()
+        span_symbols = _provenance_ledger(
+            diversified, concept_symbols,
+            lambda concept_id, e: per_surface_symbol(concept_id, surface_at[(concept_id, e.unit)]))
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
 def _gold_concept_symbols(problem: Problem) -> dict[str, str]:
     """Concept id -> gold symbol name, for concepts whose camel-cased name is
     declared in the gold registry (predicate or constant)."""
-    assert problem.gold_logic is not None and problem.gold_concepts is not None
     out: dict[str, str] = {}
     registry = problem.gold_logic.registry
     for concept_id in set(problem.gold_concepts.values()):
@@ -281,34 +273,39 @@ def program_block(texts: tuple[str, ...]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fenced-block extraction shared by the LLM translator and trace export
+# Fenced-block readers of the LLM translator
 
 _FENCE = re.compile(r"```(?:[a-z]*\n)?(.*?)```", re.DOTALL)
 
 
-def extract_program_block(text: str, semantics_mode: str) -> LogicProgram:
-    """Parse the first fenced block of `premise:`/`query:` lines."""
+def _reply_lines(text: str, block: str | None) -> list[str]:
+    """The stripped, non-empty lines of the reply's first fenced block. A
+    reply with no fence fails, naming the `block` it lacks; with `block`
+    None it is read whole instead."""
     m = _FENCE.search(text)
-    if not m:
-        raise TranslationFailure("reply contains no fenced program block")
-    from ..fol.parser import parse_formula
+    if m:
+        text = m.group(1)
+    elif block is not None:
+        raise TranslationFailure(f"reply contains no fenced {block} block")
+    return [line for raw in text.splitlines() if (line := raw.strip())]
 
-    registry = SymbolRegistry()
-    premises: list[Formula] = []
-    query: Formula | None = None
-    for raw in m.group(1).splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.lower().startswith("premise:"):
-            premises.append(parse_formula(line.split(":", 1)[1], registry))
-        elif line.lower().startswith("query:"):
-            query = parse_formula(line.split(":", 1)[1], registry)
+
+def extract_program_block(text: str, semantics_mode: str) -> LogicProgram:
+    """Parse the first fenced block of `premise:`/`query:` lines; the last
+    `query:` line is the query."""
+    premises: list[str] = []
+    query: str | None = None
+    for line in _reply_lines(text, "program"):
+        key, _, rest = line.partition(":")
+        if key.lower() == "premise":
+            premises.append(rest)
+        elif key.lower() == "query":
+            query = rest
         else:
             raise TranslationFailure(f"unexpected line in program block: {line!r}")
     if query is None:
         raise TranslationFailure("program block has no query line")
-    return LogicProgram(registry, tuple(premises), query, semantics_mode).validate()
+    return parse_program(premises, query, semantics_mode)
 
 
 _CSP_CONSTRAINT = re.compile(r"^(\w+)\(([^)]*)\)$")
@@ -316,31 +313,22 @@ _CSP_CONSTRAINT = re.compile(r"^(\w+)\(([^)]*)\)$")
 
 def extract_csp_block(text: str) -> tuple[CSPSpec, list[Option]]:
     """Parse a fenced block of `objects:` / `constraint:` / `option k:` lines."""
-    m = _FENCE.search(text)
-    if not m:
-        raise TranslationFailure("reply contains no fenced constraint block")
     objects: list[str] = []
     constraints: list[Constraint] = []
     options: list[Option] = []
-    for raw in m.group(1).splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    for line in _reply_lines(text, "constraint"):
         key, _, rest = line.partition(":")
-        key = key.strip().lower()
-        rest = rest.strip()
+        key, rest = key.strip().lower(), rest.strip()
         if key == "objects":
             objects = [o.strip() for o in rest.split(",") if o.strip()]
         elif key == "constraint":
             cm = _CSP_CONSTRAINT.match(rest)
             if not cm:
                 raise TranslationFailure(f"bad constraint line: {line!r}")
-            args = [a.strip() for a in cm.group(2).split(",")]
-            kind = cm.group(1)
+            kind, args = cm.group(1), [a.strip() for a in cm.group(2).split(",")]
             if kind in ("AtPosition", "NotAtPosition"):
-                constraints.append(Constraint(kind, (args[0], int(args[1]))))
-            else:
-                constraints.append(Constraint(kind, tuple(args)))
+                args = [args[0], int(args[1])]
+            constraints.append(Constraint(kind, tuple(args)))
         elif key.startswith("option"):
             om = re.match(r"^(\w+) at (\d+)$", rest)
             if not om:
@@ -376,18 +364,11 @@ class LLMTranslator:
                      tokens_out=reply.tokens_out)
         try:
             if self.cfg.mental:
-                proposals = parse_proposal_lines(reply.text)
-                program, table, trace = translate_with_mental(
-                    problem, proposals, self.oracle or ExactMatchOracle(),
-                )
-                return translation_record(
-                    problem, table, program=program, mental_trace=trace,
-                    span_symbols=_ledger(proposals, table), **usage,
-                )
+                return _table_guided(problem, parse_proposal_lines(reply.text),
+                                     self.oracle, **usage)
             if problem.task_kind == "deduction":
                 spec, options = extract_csp_block(reply.text)
-                return translation_record(problem, program=spec, options=options,
-                                          **usage)
+                return translation_record(problem, program=spec, options=options, **usage)
             program = extract_program_block(reply.text, TASK_KINDS[problem.task_kind])
             return translation_record(problem, program=program, **usage)
         except OracleFailure:
@@ -407,19 +388,12 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
         unit 0: Slot0(Anne) | benevolent
         query: Slot0(Anne) | smart
     """
-    m = _FENCE.search(text)
-    body = m.group(1) if m else text
     proposals = []
-    for raw in body.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    for line in _reply_lines(text, None):
         pm = _PROPOSAL_LINE.match(line)
         if not pm:
             raise TranslationFailure(f"bad proposal line: {line!r}")
-        slots = tuple(
-            s.strip() for s in (pm.group("slots") or "").split("|")[1:] if s.strip()
-        )
+        slots = tuple(s.strip() for s in pm.group("slots").split("|")[1:] if s.strip())
         # No char spans are known for model-proposed surfaces; the ledger
         # stays empty, so they become alignment misses and the run's SDS
         # reads `n/a`.

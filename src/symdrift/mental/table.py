@@ -159,13 +159,14 @@ class MentalTable:
         return out
 
     def render_text(self) -> str:
-        """Human-readable table used in exported traces."""
+        """Human-readable table used in exported traces: a decomposed entry
+        reads as its rendering in full, as the program and the ledger do."""
         lines = []
+        renderings = self.renderings
         for entry in self.entries:
             expressions = ", ".join(entry.expressions)
             if entry.decomposition:
-                base, modifier = entry.decomposition
-                target = f"{modifier}(x) & {base}(x)"
+                target = _rendering_text(renderings[entry.expressions[0]])
             else:
                 target = entry.symbol
             lines.append(f"{{{expressions}}} -> {target}")
@@ -186,6 +187,16 @@ def _check_decomposition(entry: TableEntry, by_symbol: dict[str, TableEntry],
                 f"decomposition part {part!r} of {entry.symbol!r} is not an entry's symbol")
         _check_decomposition(by_symbol[part], by_symbol, path + (entry.symbol,), done)
     done.add(entry.symbol)
+
+
+def _rendering_text(rendering: Rendering) -> str:
+    """A rendering over the variable x, bracketed as `render_formula`
+    brackets modifier & base: a decomposed base in parentheses."""
+    if isinstance(rendering, str):
+        return f"{rendering}(x)"
+    modifier, base = rendering
+    base_text = _rendering_text(base) if isinstance(base, str) else f"({_rendering_text(base)})"
+    return f"{_rendering_text(modifier)} & {base_text}"
 
 
 def _rendering_of(entry: TableEntry, by_symbol: dict[str, TableEntry]) -> Rendering:

@@ -407,12 +407,6 @@ def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) ->
     return to_cnf(goal, alloc.registry, alloc.fork(), start_index=10_000).clauses
 
 
-def _clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
-    """One phase's clauses: the premises', then the goal's."""
-    premises, alloc = _premise_clauses(p)
-    return premises + _goal_clauses(p.query, alloc, negate_query)
-
-
 def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
     """Three-way entailment check by double refutation.
 

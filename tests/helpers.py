@@ -72,7 +72,13 @@ from symdrift.problem import (
 )
 from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
-from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _clausify, apply_subst, unify_atoms
+from symdrift.solver.resolution import (
+    DEFAULT_MAX_STEPS,
+    _goal_clauses,
+    _premise_clauses,
+    apply_subst,
+    unify_atoms,
+)
 from symdrift.textproc import _TOKEN_RE, Token, _tag, content_lemmas, lemmatize, tokenize
 
 CONNECTIVES = (And, Or, Implies, Iff)
@@ -368,6 +374,12 @@ def _reference_saturate(clauses: list[Clause], max_steps: int) -> tuple[int, boo
                 return steps, True, False
             push(c)
     return steps, False, True
+
+
+def _clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
+    """One phase's clauses: the premises', then the goal's."""
+    premises, alloc = _premise_clauses(p)
+    return premises + _goal_clauses(p.query, alloc, negate_query)
 
 
 def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:

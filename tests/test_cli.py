@@ -184,6 +184,44 @@ class TestPipelineCommands:
         for name, digest in digests.items():
             assert hashlib.sha256(Path("run", name).read_bytes()).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("solver, digest", [
+        ("cwa", "8d9bbdafe279501bdf6a3271b534a02cb823844b6873e3cd93b388b5b5a54799"),
+        ("resolution", "1b4c5dd6d2b9a5a690a3e81365cce72ccda356a8a31034ed666d327122de166e"),
+    ])
+    def test_split_adversary_records_are_pinned(self, workdir, capsys, solver, digest):
+        """Per-surface symbol names, the rebuilt program and its ledger all
+        land in `records.jsonl`, as do the verdict's `steps`."""
+        run("generate", "--n", "60", "--seed", "1", "--out", "p.jsonl")
+        run("diversify", "--in", "p.jsonl", "--intensity", "full", "--seed", "1",
+            "--out", "d.jsonl")
+        assert run("evaluate", "--in", "d.jsonl", "--translator", "split-adversary",
+                   "--solver", solver, "--seed", "1", "--out", "run") == EXIT_OK
+        assert hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mental", ["off", "on"])
+    def test_non_horn_translation_is_a_parse_error(self, workdir, capsys, mental):
+        """A closed-world program with a negated fact fails its world's check:
+        that problem's record has a parse error and the run goes on."""
+        rows = [
+            {"id": "neg", "sentences": ["Anne is not kind.", "All kind people are smart.",
+                                        "Bob is kind."],
+             "question": "Is Bob smart?", "answer": "true", "task_kind": "proofwriter"},
+            {"id": "ok", "sentences": ["Bob is kind.", "All kind people are smart."],
+             "question": "Is Bob smart?", "answer": "true", "task_kind": "proofwriter"},
+        ]
+        Path("p.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        flags = ("--translator", "naive", "--mental", mental)
+        assert run("evaluate", "--in", "p.jsonl", *flags, "--out", "run") == EXIT_OK
+        assert run("translate", "--in", "p.jsonl", *flags, "--out", "t.jsonl") == EXIT_OK
+        for path in ("run/records.jsonl", "t.jsonl"):
+            neg, ok = (json.loads(line) for line in Path(path).read_text().splitlines())
+            assert neg["program"] is None
+            assert neg["parse_error"] == "premise is not a fact or Horn implication: ~Kind(Anne)"
+            assert ok["parse_error"] is None and ok["program"] is not None
+        report = json.loads(Path("run/report").read_text())
+        assert report["histogram"]["ParseError"] == 1
+        assert report["histogram"]["Correct"] == 1
+
     def test_diversify_output_is_pinned(self, workdir, capsys):
         """Any change to tokenizing, lemmatizing, similarity scoring or rule
         rewriting that moves a byte of the diversified set shows here."""

@@ -16,7 +16,7 @@ from symdrift.errors import (
     NoTraces,
     SolverMismatch,
 )
-from symdrift.fol import Not
+from symdrift.fol import Not, render_formula
 from symdrift.harness import (
     ALLOWED_SOLVERS,
     Completion,
@@ -229,6 +229,25 @@ class TestExtraction:
         text = "chatter\n```\npremise: Kind(Anne)\nquery: Kind(Anne)\n```\nmore"
         program = extract_program_block(text, "closed_world")
         assert len(program.premises) == 1
+
+    def test_query_line_first_names_the_same_symbols(self):
+        """Premises are parsed before the query wherever the reply puts its
+        `query:` line, so symbol ids do not depend on the line order."""
+        lines = ["premise: Kind(Anne)", "premise: all x (Kind(x) -> Smart(x))"]
+        query = "query: Smart(Bob)"
+        premise_first, query_first = (
+            extract_program_block("```\n" + "\n".join(order) + "\n```", "closed_world")
+            for order in ([*lines, query], [query, *lines]))
+        assert (query_first.premises, query_first.query) == \
+            (premise_first.premises, premise_first.query)
+        assert [(s, query_first.registry.info(s)) for s in query_first.registry.symbols()] == \
+            [(s, premise_first.registry.info(s)) for s in premise_first.registry.symbols()]
+
+    def test_last_query_line_wins(self):
+        program = extract_program_block(
+            "```\nquery: Kind(Anne)\npremise: Kind(Anne)\nquery: Tall(Bob)\n```",
+            "closed_world")
+        assert render_formula(program.query, program.registry) == "Tall(Bob)"
 
     def test_missing_block(self):
         from symdrift.errors import TranslationFailure

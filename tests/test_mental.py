@@ -164,6 +164,9 @@ class TestRefinementFromTheFinalTable:
         ledger = _ledger(proposals, table)
         assert ledger == {(0, 0, 12): "Popular&Show", (0, 13, 17): "Show",
                           (QUESTION_UNIT, 0, 12): "Popular&Show"}
+        # One level deep, the table text reads `Modifier(x) & Base(x)`.
+        assert table.render_text().splitlines() == [
+            "{popular show} -> Popular(x) & Show(x)", "{show} -> Show", "{popular} -> Popular"]
         rule_body = program.premises[0].body
         for slot_formula, key in ((rule_body.left, (0, 0, 12)),
                                   (rule_body.right, (0, 13, 17)),
@@ -183,6 +186,12 @@ class TestRefinementFromTheFinalTable:
         assert record.rendering == ("Big(Idol) & (Popular(Idol) & Show(Idol))",
                                     "Popular(Gala) & Show(Gala)", "Show(Idol)")
         assert [t.decision for t in record.mental_trace] == [EXTEND, REFINE, REFINE]
+        # The table text expands each decomposition as the program does.
+        assert record.table_text.splitlines() == [
+            "{big popular show} -> Big(x) & (Popular(x) & Show(x))",
+            "{popular show} -> Popular(x) & Show(x)",
+            "{big} -> Big", "{show} -> Show", "{popular} -> Popular",
+        ]
 
     def test_decomposition_cycle_is_a_translation_failure(self):
         class CyclingOracle:

@@ -1,14 +1,20 @@
 """The memoized parser against the unmemoized reference: same formula, same
-declarations and ids on the caller's registry, same error and message."""
+declarations and ids on the caller's registry, same error and message. Then
+`parse_program`, which makes a program from texts: its rendering parses back
+to itself, and the closed world refuses a non-Horn premise."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
+from symdrift.errors import FolError, NotHorn
 from symdrift.fol import SymbolRegistry, parse_formula
-from symdrift.fol.parser import parse_shape
+from symdrift.fol.parser import parse_program, parse_shape
+from symdrift.fol.render import render_program
+from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, is_horn
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.datasets import program_to_json
 from symdrift.harness.synthetic import generate_synthetic
@@ -140,3 +146,24 @@ def test_generated_and_diversified_formulas_match_reference():
             assert _outcome(parse_formula, text, SymbolRegistry()) == \
                 _outcome(reference_parse, text, SymbolRegistry())
     assert parse_shape.cache_info().hits >= len(skeletons)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(formula_texts(), min_size=0, max_size=3), formula_texts())
+def test_rendered_program_parses_back_to_itself(premises, query):
+    try:
+        program = parse_program(premises, query, OPEN_WORLD)
+    except FolError:
+        assume(False)
+    texts = render_program(program)
+    again = parse_program(texts[:-1], texts[-1], OPEN_WORLD)
+    assert render_program(again) == texts
+    assert (again.premises, again.query) == (program.premises, program.query)
+    assert [(s, again.registry.info(s)) for s in again.registry.symbols()] == \
+        [(s, program.registry.info(s)) for s in program.registry.symbols()]
+    if all(is_horn(premise) for premise in program.premises):
+        closed = parse_program(texts[:-1], texts[-1], CLOSED_WORLD)
+        assert render_program(closed) == texts
+    else:
+        with pytest.raises(NotHorn, match="premise is not a fact or Horn implication"):
+            parse_program(texts[:-1], texts[-1], CLOSED_WORLD)
