@@ -162,7 +162,8 @@ class SymbolRegistry:
         return self.info(symbol_id).name
 
     def has_name(self, name: str) -> bool:
-        return any(n == name for (_, n) in self._by_name)
+        """Whether a symbol of any kind has this name."""
+        return (PREDICATE, name) in self._by_name or (CONSTANT, name) in self._by_name
 
     def symbols(self, kind: str | None = None) -> list[str]:
         return [s for s, i in self._entries.items() if kind is None or i.kind == kind]

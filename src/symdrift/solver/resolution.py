@@ -14,10 +14,15 @@ clause has one `_Kept`, which holds its signature (the set of
 `g`/`h`/`s`-renamed sorted literals, its variable-frozen argument lists, its
 factors, its resolvents with each partner and whether it subsumes each clause
 that passes the pre-filter. Memoized factors and resolvents are interned
-`_Kept`s, so they are never renamed again; only the input clauses are renamed
-at the start of each saturation. Only the queue, the set of clauses seen and
-the processed clauses belong to one saturation, so a verdict does not depend
-on what earlier proofs, or other threads, left in the memos.
+`_Kept`s, so they are never renamed again. Clausification is memoized too,
+per distinct Skolem-free `(formula, start_index)`: such a conversion is a
+pure function of its key, and its entry holds the clauses with their
+interned `_Kept`s, so a saturation starts from them without renaming. A
+conversion that allocates a Skolem constant depends on the allocator's count
+and on the registry's names, so it always runs afresh. Only the queue, the
+set of clauses seen and the processed clauses belong to one saturation, so a
+verdict does not depend on what earlier proofs, or other threads, left in the
+memos.
 
 The processed clauses are indexed by `(positive, pred)`, each bucket in
 processed order. A clause can subsume another only when it is no longer and
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
@@ -352,7 +358,7 @@ class _Processed:
         return sorted(merged, key=merged.__getitem__)
 
 
-def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
+def _saturate(inputs: Iterable[_Kept], max_steps: int) -> _Saturation:
     processed = _Processed()
     counter = 0
     queue: list[tuple[int, int, _Kept]] = []
@@ -366,8 +372,8 @@ def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
         counter += 1
         heapq.heappush(queue, (len(kept.clause), counter, kept))
 
-    for c in clauses:
-        push(_canonical(c))
+    for kept in inputs:
+        push(kept)
 
     steps = 0
     while queue:
@@ -391,20 +397,53 @@ def _saturate(clauses: list[Clause], max_steps: int) -> _Saturation:
     return _Saturation(steps, refuted=False, exhausted=True)
 
 
-def _premise_clauses(p: LogicProgram) -> tuple[list[Clause], SkolemAllocator]:
+@dataclass(frozen=True)
+class _Clausified:
+    """Clauses in `to_cnf`'s order, and the interned `_Kept` of each."""
+    clauses: tuple[Clause, ...]
+    kepts: tuple[_Kept, ...]
+
+    def __add__(self, other: _Clausified) -> _Clausified:
+        return _Clausified(self.clauses + other.clauses, self.kepts + other.kepts)
+
+
+# (formula, start_index) -> its clauses, for conversions that allocated no
+# Skolem constant. Two threads may convert the same formula at once; both
+# store equal values made of interned clauses, so either write may stand.
+_CLAUSIFIED: dict[tuple[Formula, int], _Clausified] = {}
+
+
+def _clausify(f: Formula, alloc: SkolemAllocator, start_index: int) -> _Clausified:
+    """`to_cnf(f)`'s clauses, from the memo when the conversion is Skolem-free.
+
+    A hit leaves `alloc`'s variable serial behind where a conversion would
+    have advanced it; the serial only names variables that `to_cnf` renames
+    by first occurrence, so later conversions come out the same."""
+    key = (f, start_index)
+    out = _CLAUSIFIED.get(key)
+    if out is None:
+        allocated = len(alloc.allocated)
+        clauses = tuple(to_cnf(f, alloc.registry, alloc, start_index=start_index).clauses)
+        out = _Clausified(clauses, tuple(_canonical(c) for c in clauses))
+        if len(alloc.allocated) == allocated:
+            _CLAUSIFIED[key] = out
+    return out
+
+
+def _premise_clauses(p: LogicProgram) -> tuple[_Clausified, SkolemAllocator]:
     """The premises' clauses, and the allocator in its state after them."""
     alloc = SkolemAllocator(p.registry.copy())
-    clauses: list[Clause] = []
+    out = _Clausified((), ())
     for i, premise in enumerate(p.premises):
-        clauses.extend(to_cnf(premise, alloc.registry, alloc, start_index=i * 100).clauses)
-    return clauses, alloc
+        out += _clausify(premise, alloc, i * 100)
+    return out, alloc
 
 
-def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) -> list[Clause]:
+def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) -> _Clausified:
     """The goal's clauses, allocated from a copy of `alloc`, so that each
     phase continues from the state the premises left."""
     goal = Not(query) if negate_query else query
-    return to_cnf(goal, alloc.registry, alloc.fork(), start_index=10_000).clauses
+    return _clausify(goal, alloc.fork(), 10_000)
 
 
 def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
@@ -416,10 +455,12 @@ def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Ver
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("resolution expects an open-world program")
     premises, alloc = _premise_clauses(p)
-    pos = _saturate(premises + _goal_clauses(p.query, alloc, negate_query=True), max_steps)
+    goal = _goal_clauses(p.query, alloc, negate_query=True)
+    pos = _saturate(premises.kepts + goal.kepts, max_steps)
     if pos.refuted:
         return Verdict(PROVED, steps=pos.steps)
-    neg = _saturate(premises + _goal_clauses(p.query, alloc, negate_query=False), max_steps)
+    goal = _goal_clauses(p.query, alloc, negate_query=False)
+    neg = _saturate(premises.kepts + goal.kepts, max_steps)
     if neg.refuted:
         return Verdict(DISPROVED, steps=pos.steps + neg.steps)
     limit = not (pos.exhausted and neg.exhausted)

@@ -47,7 +47,9 @@ from symdrift.fol import (
     Var,
     parse_formula,
     render_formula,
+    to_cnf,
 )
+from symdrift.fol.cnf import SkolemAllocator
 from symdrift.fol.parser import _Parser
 from symdrift.fol.terms import CLOSED_WORLD, CONSTANT, PREDICATE, map_atoms, type_check
 from symdrift.harness.evaluate import ENGINES, _predicted_label, solver_for
@@ -74,8 +76,6 @@ from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import (
     DEFAULT_MAX_STEPS,
-    _goal_clauses,
-    _premise_clauses,
     apply_subst,
     unify_atoms,
 )
@@ -376,21 +376,28 @@ def _reference_saturate(clauses: list[Clause], max_steps: int) -> tuple[int, boo
     return steps, False, True
 
 
-def _clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
-    """One phase's clauses: the premises', then the goal's."""
-    premises, alloc = _premise_clauses(p)
-    return premises + _goal_clauses(p.query, alloc, negate_query)
+def reference_clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
+    """One phase's clauses, the premises' then the goal's, converted afresh
+    by `to_cnf` into a fresh registry copy and allocator, past every memo."""
+    registry = p.registry.copy()
+    alloc = SkolemAllocator(registry)
+    clauses = []
+    for i, premise in enumerate(p.premises):
+        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100).clauses)
+    goal = Not(p.query) if negate_query else p.query
+    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000).clauses)
+    return clauses
 
 
 def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
     """The resolution prover as a plain given-clause loop: the specification
     that `prove_resolution` must match verdict for verdict, `steps` included."""
     pos_steps, pos_refuted, pos_exhausted = _reference_saturate(
-        _clausify(p, negate_query=True), max_steps)
+        reference_clausify(p, negate_query=True), max_steps)
     if pos_refuted:
         return Verdict("proved", steps=pos_steps)
     neg_steps, neg_refuted, neg_exhausted = _reference_saturate(
-        _clausify(p, negate_query=False), max_steps)
+        reference_clausify(p, negate_query=False), max_steps)
     if neg_refuted:
         return Verdict("disproved", steps=pos_steps + neg_steps)
     limit = not (pos_exhausted and neg_exhausted)

@@ -129,6 +129,23 @@ class TestCnf:
         (lit,) = clause
         assert lit.args == (Const("!sk0"),)
 
+    def test_skolem_name_skips_a_declared_name_of_either_kind(self):
+        for kind in ("predicate", "constant"):
+            r = _reg()
+            r.declare("sk0", 0, kind)
+            cs = to_cnf(parse_formula("exists x Kind(x)", r), r)
+            assert cs.skolem_names == {"!sk1": "sk1"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["sk0", "sk1", "sk2", "P", "a"]),
+                              st.sampled_from(["predicate", "constant"])), max_size=8),
+           st.sampled_from(["sk0", "sk1", "sk2", "sk3", "P", "a", "b"]))
+    def test_has_name_equals_a_scan_of_every_name(self, declared, name):
+        r = _reg()
+        for declared_name, kind in declared:
+            r.declare(declared_name, 0, kind)
+        assert r.has_name(name) == any(n == name for _, n in r._by_name)
+
     def test_existential_under_universal_rejected(self):
         r = _reg()
         f = parse_formula("all x exists y Likes(x, y)", r)
@@ -155,7 +172,7 @@ class TestCnf:
         """Brute-force satisfiability of f matches refutability of to_cnf(f)."""
         from itertools import product
 
-        from symdrift.solver.resolution import _saturate
+        from symdrift.solver.resolution import _canonical, _saturate
 
         rng = random.Random(seed)
         r = _reg()
@@ -201,7 +218,7 @@ class TestCnf:
             holds(f, {}, frozenset(a for a, bit in zip(atoms, bits) if bit))
             for bits in product((0, 1), repeat=len(atoms))
         )
-        refuted = _saturate(to_cnf(f, r).clauses, 4000).refuted
+        refuted = _saturate([_canonical(c) for c in to_cnf(f, r).clauses], 4000).refuted
         assert satisfiable == (not refuted)
 
 

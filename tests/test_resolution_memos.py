@@ -1,6 +1,8 @@
 """The resolution prover's process-wide memos: verdicts do not depend on what
-earlier proofs left in them, on the order of proofs or on worker threads, and
-the wrapped entry points are still reached through their module globals."""
+earlier proofs left in them, on the order of proofs or on worker threads,
+clausification is served from its memo only when a fresh conversion would
+give the same clauses, and the wrapped entry points are still reached
+through their module globals."""
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .helpers import (
     random_decidable_program,
     random_program,
     random_relational_program,
+    reference_clausify,
     reference_prove_resolution,
 )
 
@@ -37,6 +40,7 @@ def cold_memos(monkeypatch):
     """Empty memos for the test; the process-wide ones come back after it."""
     monkeypatch.setattr(resolution, "_INTERNED", {})
     monkeypatch.setattr(resolution, "_TERMS", {})
+    monkeypatch.setattr(resolution, "_CLAUSIFIED", {})
 
 
 def _reference_programs():
@@ -60,7 +64,7 @@ def test_verdicts_match_reference_with_memos_cold_and_warm(cold_memos):
         random.Random(seed).shuffle(order)
         for i in order:
             assert prove_resolution(*cases[i]) == expected[i]
-    assert resolution._INTERNED
+    assert resolution._INTERNED and resolution._CLAUSIFIED
 
 
 def _gold_records(problems, resources, workers: int) -> list[str]:
@@ -86,11 +90,20 @@ def test_gold_resolution_records_do_not_depend_on_workers(cold_memos, monkeypatc
         sys.setswitchinterval(interval)
 
 
+def _conversions(p, phases: int) -> list[tuple]:
+    """The `(formula, start_index)` of each conversion a proof makes: one per
+    premise, then one per phase run."""
+    out = [(premise, i * 100) for i, premise in enumerate(p.premises)]
+    return out + [(Not(p.query), 10_000), (p.query, 10_000)][:phases]
+
+
 def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkeypatch):
     """A wrapper installed on `resolution.subsumes` and on the `to_cnf` that
-    `resolution` calls sees every call, as the benchmark tracer's does. The
-    premises are clausified once for both phases: a proof costs one `to_cnf`
-    per premise plus one per phase run."""
+    `resolution` calls sees every call, as the benchmark tracer's does. A
+    proof calls `to_cnf` once for each conversion the memo does not hold: a
+    `(formula, start_index)` that no earlier conversion had without a Skolem
+    constant. Every program runs twice, so a second proof of a Skolem-free
+    program calls it not at all."""
     calls = {"subsumes": 0, "to_cnf": 0}
 
     def counting(name, original):
@@ -102,26 +115,28 @@ def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkey
     monkeypatch.setattr(resolution, "subsumes", counting("subsumes", resolution.subsumes))
     monkeypatch.setattr(resolution, "to_cnf", counting("to_cnf", resolution.to_cnf))
     rng = random.Random(41)
-    for _ in range(40):
-        p = random_relational_program(rng)
+    programs = [random_relational_program(rng) for _ in range(40)]
+    programs += [random_program(rng) for _ in range(40)]
+    held: set[tuple] = set()
+    skolemizing = repeats_for_free = 0
+    for rerun, p in [(False, p) for p in programs] + [(True, p) for p in programs]:
         calls["to_cnf"] = 0
         verdict = prove_resolution(p)
-        phases = 1 if verdict.value == "proved" else 2
-        assert calls["to_cnf"] == len(p.premises) + phases
+        expected = 0
+        for key in _conversions(p, 1 if verdict.value == "proved" else 2):
+            if key in held:
+                continue
+            expected += 1
+            if to_cnf(key[0], p.registry.copy()).skolem_symbols:
+                skolemizing += 1
+            else:
+                held.add(key)
+        assert calls["to_cnf"] == expected
+        if rerun and expected == 0:
+            repeats_for_free += 1
     assert calls["subsumes"] > 0
-
-
-def _clausify_afresh(p, negate_query: bool):
-    """Both phases' clauses as they were made before the premises were
-    shared: a fresh registry copy and allocator for each phase."""
-    registry = p.registry.copy()
-    alloc = SkolemAllocator(registry)
-    clauses = []
-    for i, premise in enumerate(p.premises):
-        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100).clauses)
-    goal = Not(p.query) if negate_query else p.query
-    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000).clauses)
-    return clauses
+    assert skolemizing and repeats_for_free
+    assert set(resolution._CLAUSIFIED) == held
 
 
 def _skolems(clauses) -> set[str]:
@@ -129,23 +144,81 @@ def _skolems(clauses) -> set[str]:
             if isinstance(a, Const) and a.symbol.startswith("!sk")}
 
 
-def test_shared_premise_clauses_match_a_fresh_clausification():
-    """Skolem constants in premises and goals come out as they did when each
-    phase clausified the premises again, also when both goals need one."""
-    rng = random.Random(77)
+def _phases(p):
+    """The premises' clauses, then each phase's, as `prove_resolution` makes
+    them."""
+    premises, alloc = resolution._premise_clauses(p)
+    return (premises,
+            premises + resolution._goal_clauses(p.query, alloc, negate_query=True),
+            premises + resolution._goal_clauses(p.query, alloc, negate_query=False))
+
+
+def _program(*texts: str) -> LogicProgram:
+    """Premises, then the query, parsed into one registry."""
     registry = SymbolRegistry()
-    both_goals = LogicProgram(
-        registry,
-        tuple(parse_formula(t, registry) for t in ("exists x P(x)", "all x (P(x) -> Q(x))")),
-        parse_formula("(exists x Q(x)) & (all y P(y))", registry),
-    ).validate()
+    formulas = [parse_formula(t, registry) for t in texts]
+    return LogicProgram(registry, tuple(formulas[:-1]), formulas[-1]).validate()
+
+
+def test_shared_premise_clauses_match_a_fresh_clausification(cold_memos):
+    """Skolem constants in premises and goals come out as they do when each
+    phase is clausified afresh, also when both goals need one, and the
+    clauses served by the memo equal fresh ones: every program runs twice,
+    the second time in shuffled order."""
+    rng = random.Random(77)
+    both_goals = _program("exists x P(x)", "all x (P(x) -> Q(x))",
+                          "(exists x Q(x)) & (all y P(y))")
+    programs = [random_program(rng) for _ in range(300)] + [both_goals]
     skolemized = 0
-    for p in [random_program(rng) for _ in range(300)] + [both_goals]:
-        premises, alloc = resolution._premise_clauses(p)
-        first = resolution._goal_clauses(p.query, alloc, negate_query=True)
-        second = resolution._goal_clauses(p.query, alloc, negate_query=False)
-        assert premises + first == _clausify_afresh(p, negate_query=True)
-        assert premises + second == _clausify_afresh(p, negate_query=False)
-        ours = _skolems(premises)
-        skolemized += bool(ours and _skolems(first) - ours and _skolems(second) - ours)
+    for p in programs + rng.sample(programs, len(programs)):
+        premises, first, second = _phases(p)
+        assert list(first.clauses) == reference_clausify(p, negate_query=True)
+        assert list(second.clauses) == reference_clausify(p, negate_query=False)
+        for phase in (first, second):
+            assert phase.kepts == tuple(resolution._canonical(c) for c in phase.clauses)
+        ours = _skolems(premises.clauses)
+        skolemized += bool(ours and _skolems(first.clauses) - ours
+                           and _skolems(second.clauses) - ours)
     assert skolemized
+    assert resolution._CLAUSIFIED
+
+
+def test_a_skolem_name_taken_by_the_program_is_never_served_from_the_memo(cold_memos):
+    """The same existential premise, first in a program where `sk0` is free,
+    then in one that declares a constant `sk0`: the second must name its
+    witness `sk1`, as a fresh clausification does."""
+    free = _program("exists x P(x)", "Q(a)", "P(a)")
+    taken = _program("exists x P(x)", "Q(sk0)", "P(sk0)")
+    assert free.premises[0] == taken.premises[0]
+    for p in (free, taken):
+        premises, first, second = _phases(p)
+        assert list(first.clauses) == reference_clausify(p, negate_query=True)
+        assert list(second.clauses) == reference_clausify(p, negate_query=False)
+        assert _skolems(premises.clauses) == ({"!sk0"} if p is free else {"!sk1"})
+    assert (taken.premises[0], 0) not in resolution._CLAUSIFIED
+    assert prove_resolution(taken) == reference_prove_resolution(taken)
+
+
+@pytest.mark.parametrize("text", ["all x (P(x) & all x Q(x))", "all x (P(x) | all x Q(x))"])
+def test_a_memo_hit_equals_a_conversion_at_any_variable_serial(cold_memos, text):
+    """A formula that binds one variable name twice, clausified before and
+    after other formulas moved the allocator's variable serial: the memo's
+    clauses equal a fresh conversion's wherever the serial stands."""
+    registry = SymbolRegistry()
+    f = parse_formula(text, registry)
+    others = [parse_formula(t, registry) for t in
+              ("all x all y (R(x, y) -> R(y, x))", "all z (Q(z) | ~P(z))", "R(a, b)")]
+    fresh = tuple(to_cnf(f, registry.copy(), start_index=3).clauses)
+    early = SkolemAllocator(registry.copy())
+    assert resolution._clausify(f, early, 3).clauses == fresh
+    late = SkolemAllocator(registry.copy())
+    for i, other in enumerate(others):
+        resolution._clausify(other, late, i * 100)
+    assert late.var_serial() > early.var_serial()
+    served = resolution._clausify(f, late, 3)
+    assert served is resolution._CLAUSIFIED[f, 3]
+    assert served.clauses == fresh
+    late_fresh = SkolemAllocator(registry.copy())
+    for i, other in enumerate(others):
+        to_cnf(other, late_fresh.registry, late_fresh, start_index=i * 100)
+    assert tuple(to_cnf(f, late_fresh.registry, late_fresh, start_index=3).clauses) == fresh
