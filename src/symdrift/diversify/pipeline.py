@@ -1,12 +1,13 @@
 """Candidate generation, minimum-repetition assembly, and the full pipeline.
 
-Per sentence, candidates substitute filtered variants at the repeated-concept
-sites (word/phrase in place, sentence rewrites wholesale). A greedy pass picks
-one candidate per sentence while minimizing reuse of surface forms per
-concept. Scoring is lazy, in assembly order: each sentence's candidates are
-tried from least reuse up, and the similarity threshold is tested only until
-one passes, so only meaning-preserving candidates are picked and the rest are
-never scored.
+Rewrite sites are chosen once per problem; every unit, rewritten, kept or
+passed through, reads its own. Per sentence, candidates substitute filtered
+variants at those sites (word/phrase in place, sentence rewrites wholesale).
+A greedy pass picks one candidate per sentence while minimizing reuse of
+surface forms per concept. Scoring is lazy, in assembly order: each
+sentence's candidates are tried from least reuse up, and the similarity
+threshold is tested only until one passes, so only meaning-preserving
+candidates are picked and the rest are never scored.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..problem import (
     VariantSet,
 )
 from ..textproc import match_surface, tokenize
-from .concepts import ConceptConfig, identify_repeated, select_sites
+from .concepts import SiteRows, identify_repeated, select_sites
 from .resources import Resources
 from .similarity import FALLBACK, make_scorer, score_similarity
 from .variants import build_variants
@@ -51,7 +52,6 @@ class DiversifyConfig:
     theta: float = 0.90
     intensity: int | None = None  # None = rewrite everything
     scorer: str = FALLBACK
-    max_n: int = 3
     resources: Resources | None = None
 
     def __post_init__(self) -> None:
@@ -121,7 +121,7 @@ def _site_options(cid: str, occ, variants: VariantSet, pos: str) -> list[str]:
     return options
 
 
-def _sentence_rewrite_candidates(unit_index: int, site_rows: list[tuple[str, object]],
+def _sentence_rewrite_candidates(unit_index: int, site_rows: SiteRows,
                                  inventory: ConceptInventory,
                                  variants: VariantSet) -> list[Candidate]:
     """Whole-sentence rewrites, with sites recovered by scanning the new text
@@ -140,7 +140,7 @@ def _sentence_rewrite_candidates(unit_index: int, site_rows: list[tuple[str, obj
         ok = True
         used: set[int] = set()
         for cid, _occ in site_rows:
-            lemmas = inventory.entries[cid].lemmas
+            lemmas = inventory[cid].lemmas
             hit = None
             for i in range(len(tokens) - len(lemmas) + 1):
                 if i in used:
@@ -165,17 +165,16 @@ def _sentence_rewrite_candidates(unit_index: int, site_rows: list[tuple[str, obj
     return out
 
 
-def generate_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
-                        variants: VariantSet) -> list[Candidate]:
+def generate_candidates(unit: TextUnit, unit_index: int, site_rows: SiteRows,
+                        inventory: ConceptInventory, variants: VariantSet) -> list[Candidate]:
     """Unscored candidate pool for one text unit, without duplicate texts:
     the original first, then splices in site-option order, then sentence
-    rewrites."""
-    site_rows = select_sites(inventory.in_unit(unit_index))
+    rewrites. `site_rows` are the unit's rewrite sites."""
     original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
 
     combos: list[list[str]] = [[]]
     for cid, occ in site_rows:
-        pos = inventory.entries[cid].pos[0]
+        pos = inventory[cid].pos[0]
         options = _site_options(cid, occ, variants, pos)
         combos = [prefix + [opt] for prefix in combos for opt in options]
         if len(combos) > MAX_CANDIDATES_PER_UNIT:
@@ -242,7 +241,7 @@ def eligible_units(p: Problem, inventory: ConceptInventory, k: int) -> set[int]:
     (ties by sentence index). The question joins only at full intensity, so
     partial levels stress premise-side consistency progressively."""
     counts = {i: 0 for i in range(len(p.sentences))}
-    for entry in inventory.entries.values():
+    for entry in inventory.values():
         for occ in entry.occurrences:
             if occ.unit != QUESTION_UNIT:
                 counts[occ.unit] += 1
@@ -256,15 +255,20 @@ def eligible_units(p: Problem, inventory: ConceptInventory, k: int) -> set[int]:
 def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     resources = cfg.resources or Resources.load()
     scorer = make_scorer(cfg.scorer, lexicon=resources.synonyms, vectors=resources.vectors)
-    inventory = identify_repeated(p, ConceptConfig(max_n=cfg.max_n))
+    inventory = identify_repeated(p)
     k = len(p.sentences) if cfg.intensity is None else cfg.intensity
     if k > len(p.sentences):
         raise ValueError(f"intensity {k} exceeds sentence count {len(p.sentences)}")
-
-    if not inventory or k == 0:
+    sites = select_sites(inventory)
+    if k == 0 or not inventory:
+        # Pass-through: original surfaces at the sites a rewrite would use.
+        provenance: dict[str, list[ProvenanceEntry]] = {}
+        for unit_index, _unit in p.units():
+            for cid, occ in sites.get(unit_index, []):
+                provenance.setdefault(cid, []).append(
+                    ProvenanceEntry(unit_index, occ.char_start, occ.char_end, occ.surface))
         return DiversifiedProblem(
-            base_id=p.id, problem=p,
-            provenance=_passthrough_provenance(p, inventory),
+            base_id=p.id, problem=p, provenance=provenance,
             intensity=0, no_repeats=not inventory,
         ).validate(p)
 
@@ -272,12 +276,13 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}
     for unit_index, unit in p.units():
+        site_rows = sites.get(unit_index, [])
         if unit_index in eligible:
-            per_unit[unit_index] = generate_candidates(unit, unit_index, inventory, variants)
+            per_unit[unit_index] = generate_candidates(
+                unit, unit_index, site_rows, inventory, variants)
         else:
-            sites = select_sites(inventory.in_unit(unit_index))
             per_unit[unit_index] = [
-                _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])
+                _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
             ]
 
     def meaning_preserving(unit_index: int, candidate: Candidate) -> bool:
@@ -301,16 +306,3 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
         provenance=assembly.provenance,
         intensity=intensity,
     ).validate(p)
-
-
-def _passthrough_provenance(p: Problem, inventory: ConceptInventory
-                            ) -> dict[str, list[ProvenanceEntry]]:
-    """Provenance for the unchanged problem: original surfaces at the sites the
-    rewrite pass would have used."""
-    out: dict[str, list[ProvenanceEntry]] = {}
-    for unit_index, _unit in p.units():
-        for cid, occ in select_sites(inventory.in_unit(unit_index)):
-            out.setdefault(cid, []).append(
-                ProvenanceEntry(occ.unit, occ.char_start, occ.char_end, occ.surface)
-            )
-    return out

@@ -16,9 +16,6 @@ from ..problem import (
     PHRASE_LEVEL,
     Problem,
     SENTENCE_LEVEL,
-    SOURCE_PARAPHRASE,
-    SOURCE_REWRITE,
-    SOURCE_SYNONYM,
     Variant,
     VariantSet,
     WORD_LEVEL,
@@ -71,8 +68,6 @@ class RuleRewriter:
                     out.append(rewritten)
         return out
 
-    source = SOURCE_REWRITE
-
 
 def build_variants(p: Problem, inv: ConceptInventory, synlex: SynonymLexicon,
                    paratab: ParaphraseTable) -> VariantSet:
@@ -80,23 +75,23 @@ def build_variants(p: Problem, inv: ConceptInventory, synlex: SynonymLexicon,
     empty list (callers treat that as the flagged no-variant case)."""
     rewriter = RuleRewriter()
     out: VariantSet = {}
-    for cid in sorted(inv.entries):
-        entry = inv.entries[cid]
+    for cid in sorted(inv):
+        entry = inv[cid]
         variants: list[Variant] = []
         if len(entry.lemmas) == 1:
             for syn in synlex.synonyms(entry.lemmas[0], entry.pos[0]):
                 if syn != entry.lemmas[0]:
-                    variants.append(Variant(syn, WORD_LEVEL, SOURCE_SYNONYM))
+                    variants.append(Variant(syn, WORD_LEVEL))
         for text, _score in paratab.paraphrases(entry.lemmas):
             if len(word_lemmas(text)) <= MAX_VARIANT_TOKENS and text.lower() != cid:
-                variants.append(Variant(text, PHRASE_LEVEL, SOURCE_PARAPHRASE))
+                variants.append(Variant(text, PHRASE_LEVEL))
         rewritten_units: set[int] = set()
         for occ in entry.occurrences:
             if occ.unit in rewritten_units:
                 continue
             rewritten_units.add(occ.unit)
             for text in rewriter.rewrite(p.unit(occ.unit).text):
-                variants.append(Variant(text, SENTENCE_LEVEL, rewriter.source, unit=occ.unit))
+                variants.append(Variant(text, SENTENCE_LEVEL, unit=occ.unit))
         # Drop anything identical to the canonical surface.
         surfaces = {occ.surface.lower() for occ in entry.occurrences}
         out[cid] = [v for v in variants if v.level == SENTENCE_LEVEL or v.text.lower() not in surfaces]

@@ -13,7 +13,7 @@ from .evaluate import (
 from .prompts import PromptLibrary
 from .serialize import record_from_json, record_to_json
 from .sft import export_sft_traces
-from .synthetic import generate_synthetic, proof_depth
+from .synthetic import generate_synthetic
 from .translators import (
     GoldTranslator,
     LLMTranslator,
@@ -31,7 +31,7 @@ __all__ = [
     "TranslatorConfig", "UsageLedger", "diversified_to_json",
     "export_sft_traces", "extract_csp_block", "extract_program_block",
     "generate_synthetic", "load_dataset", "normalize_items",
-    "problem_to_json", "proof_depth", "propose_from_templates",
+    "problem_to_json", "propose_from_templates",
     "record_from_json", "record_to_json", "render_report_text",
     "run_evaluation", "save_dataset", "solver_for",
 ]

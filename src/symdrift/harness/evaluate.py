@@ -135,15 +135,11 @@ def normalize_items(items: list[Problem | DiversifiedProblem],
                     resources: Resources | None = None) -> list[DiversifiedProblem]:
     """Wrap plain problems as zero-intensity diversifications so provenance
     (and therefore alignment) exists for every record."""
-    out = []
-    for item in items:
-        if isinstance(item, DiversifiedProblem):
-            out.append(item)
-        else:
-            out.append(diversify_problem(
-                item, DiversifyConfig(intensity=0, resources=resources)
-            ))
-    return out
+    if resources is None and not all(isinstance(i, DiversifiedProblem) for i in items):
+        resources = Resources.load()  # once per run, not once per problem
+    cfg = DiversifyConfig(intensity=0, resources=resources)
+    return [item if isinstance(item, DiversifiedProblem) else diversify_problem(item, cfg)
+            for item in items]
 
 
 def translate_one(item: DiversifiedProblem, translator) -> TranslationRecord:

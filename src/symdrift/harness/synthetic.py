@@ -13,9 +13,9 @@ import random
 from dataclasses import replace
 
 from ..fol.parser import parse_program
-from ..fol.terms import CLOSED_WORLD, Atom, Not, camel_identifier
+from ..fol.terms import CLOSED_WORLD, camel_identifier
 from ..problem import Problem, QUESTION_UNIT, TASK_PROOFWRITER, TextUnit
-from ..solver.chaining import forward_chain_cwa, saturate
+from ..solver.chaining import forward_chain_cwa
 from .config import SyntheticConfig
 
 # Vocabulary mirrored in the bundled synonym lexicon so that every attribute
@@ -130,14 +130,3 @@ def _concept_spans(sentences: list[str], question: str) -> dict[tuple[int, int, 
                 spans[(unit, i, i + 1)] = token.lemma
     return spans
 
-
-def proof_depth(p: Problem) -> int | None:
-    """Rule applications needed for the (positive form of the) query; None
-    when it is underivable. Used to verify generator depth claims."""
-    assert p.gold_logic is not None
-    saturation = saturate(p.gold_logic)
-    query = p.gold_logic.query
-    atom = query.body if isinstance(query, Not) else query
-    assert isinstance(atom, Atom)
-    key = (atom.pred, tuple(a.symbol for a in atom.args))
-    return saturation.depths.get(key)

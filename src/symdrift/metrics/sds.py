@@ -29,9 +29,6 @@ class SdsResult:
     dropped_concepts: int
     per_problem: dict[str, float] = field(default_factory=dict)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def compute_sds(records: list[TranslationRecord]) -> SdsResult:
     total = 0

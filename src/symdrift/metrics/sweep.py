@@ -20,10 +20,12 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
     sorted ascending. The rewrite pass is deterministic, so the curve depends
     on no seed."""
     from ..diversify.pipeline import DiversifyConfig, diversify_problem, sentence_count
+    from ..diversify.resources import Resources
     from ..harness.evaluate import run_evaluation
 
     if levels != sorted(levels):
         raise ValueError("levels must be sorted ascending")
+    resources = resources or Resources.load()
     points = []
     for level in levels:
         diversified = []

@@ -1,12 +1,13 @@
 """Reasoning-problem data model shared by diversification, translation, metrics.
 
 A problem is an ordered list of premise sentences plus a question; text units
-are addressed by index, with `QUESTION_UNIT` (-1) naming the question.
+are addressed by index, with `QUESTION_UNIT` (-1) naming the question. A
+concept inventory is a plain dict from concept id to entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
 from .textproc import Token, tokenize
@@ -79,47 +80,24 @@ class ConceptOccurrence:
 
 @dataclass(frozen=True)
 class ConceptEntry:
-    concept_id: str  # canonical lemma sequence joined by spaces
     lemmas: tuple[str, ...]
     pos: tuple[str, ...]  # tags aligned with lemmas, from the first occurrence
     occurrences: tuple[ConceptOccurrence, ...]
 
-    @property
-    def frequency(self) -> int:
-        return len(self.occurrences)
 
-
-@dataclass
-class ConceptInventory:
-    entries: dict[str, ConceptEntry] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def in_unit(self, unit: int) -> list[tuple[str, ConceptOccurrence]]:
-        out = []
-        for cid, entry in self.entries.items():
-            for occ in entry.occurrences:
-                if occ.unit == unit:
-                    out.append((cid, occ))
-        out.sort(key=lambda pair: (pair[1].tok_start, -(pair[1].tok_end)))
-        return out
+# Concept id (the lemma sequence joined by spaces) -> entry, shortest first.
+ConceptInventory = dict[str, ConceptEntry]
 
 
 WORD_LEVEL = "word"
 PHRASE_LEVEL = "phrase"
 SENTENCE_LEVEL = "sentence"
 
-SOURCE_SYNONYM = "synonym-lexicon"
-SOURCE_PARAPHRASE = "paraphrase-table"
-SOURCE_REWRITE = "rewrite-rule"
-
 
 @dataclass(frozen=True)
 class Variant:
     text: str
     level: str  # WORD_LEVEL | PHRASE_LEVEL | SENTENCE_LEVEL
-    source: str
     unit: int | None = None  # sentence-level variants apply to one unit only
 
 

@@ -8,12 +8,11 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from symdrift.diversify.concepts import ConceptConfig, select_sites
+from symdrift.diversify.concepts import MAX_N
 from symdrift.diversify.pipeline import (
     MAX_CANDIDATES_PER_UNIT,
     Candidate,
     CandidateSite,
-    _passthrough_provenance,
     _site_options,
     _splice,
     eligible_units,
@@ -73,13 +72,22 @@ from symdrift.problem import (
     VariantSet,
 )
 from symdrift.solver import Verdict
+from symdrift.solver.chaining import saturate
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import (
     DEFAULT_MAX_STEPS,
     apply_subst,
     unify_atoms,
 )
-from symdrift.textproc import _TOKEN_RE, Token, _tag, content_lemmas, lemmatize, tokenize
+from symdrift.textproc import (
+    STOPWORDS,
+    _TOKEN_RE,
+    Token,
+    _tag,
+    content_lemmas,
+    lemmatize,
+    tokenize,
+)
 
 CONNECTIVES = (And, Or, Implies, Iff)
 
@@ -444,23 +452,22 @@ def reference_parse(text: str, registry: SymbolRegistry) -> Formula:
     return result
 
 
-def reference_identify_repeated(p: Problem, cfg: ConceptConfig | None = None) -> ConceptInventory:
+def reference_identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
     """Concept identification that builds an occurrence for every window and
     drops the singleton grams afterwards."""
-    cfg = cfg or ConceptConfig()
     raw: dict[tuple[str, ...], list[ConceptOccurrence]] = {}
     tags: dict[tuple[str, ...], tuple[str, ...]] = {}
     for unit_index, unit in p.units():
         words = [(i, t) for i, t in enumerate(unit.tokens) if t.is_word]
         for start in range(len(words)):
-            for n in range(1, cfg.max_n + 1):
+            for n in range(1, max_n + 1):
                 if start + n > len(words):
                     break
                 window = words[start:start + n]
                 if window[-1][0] - window[0][0] != n - 1:
                     break
                 lemmas = tuple(t.lemma for _, t in window)
-                if all(l in cfg.stopwords for l in lemmas):
+                if all(l in STOPWORDS for l in lemmas):
                     continue
                 first, last = window[0][1], window[-1][1]
                 raw.setdefault(lemmas, []).append(ConceptOccurrence(
@@ -473,14 +480,42 @@ def reference_identify_repeated(p: Problem, cfg: ConceptConfig | None = None) ->
                 ))
                 tags.setdefault(lemmas, tuple(t.pos for _, t in window))
 
-    inventory = ConceptInventory()
+    inventory: ConceptInventory = {}
     for lemmas in sorted(raw, key=lambda k: (len(k), k)):
         occurrences = raw[lemmas]
         if len(occurrences) < 2:
             continue
         cid = " ".join(lemmas)
-        inventory.entries[cid] = ConceptEntry(cid, lemmas, tags[lemmas], tuple(occurrences))
+        inventory[cid] = ConceptEntry(lemmas, tags[lemmas], tuple(occurrences))
     return inventory
+
+
+def reference_unit_sites(inventory: ConceptInventory, unit: int
+                         ) -> list[tuple[str, ConceptOccurrence]]:
+    """One unit's rewrite sites by a scan of every entry: the unit's
+    occurrences sorted by position, ranked longest first (then earlier start,
+    then concept id), taken greedily when they overlap nothing taken, and
+    returned in text order."""
+    occurrences = []
+    for cid, entry in inventory.items():
+        for occ in entry.occurrences:
+            if occ.unit == unit:
+                occurrences.append((cid, occ))
+    occurrences.sort(key=lambda pair: (pair[1].tok_start, -(pair[1].tok_end)))
+    ranked = sorted(
+        occurrences,
+        key=lambda pair: (-(pair[1].tok_end - pair[1].tok_start), pair[1].tok_start, pair[0]),
+    )
+    chosen: list[tuple[str, ConceptOccurrence]] = []
+    taken: set[int] = set()
+    for cid, occ in ranked:
+        span = set(range(occ.tok_start, occ.tok_end))
+        if span & taken:
+            continue
+        taken |= span
+        chosen.append((cid, occ))
+    chosen.sort(key=lambda pair: pair[1].tok_start)
+    return chosen
 
 
 def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
@@ -493,14 +528,14 @@ def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
                 if variant.text not in texts:
                     texts.append(variant.text)
     out = []
-    expected = select_sites(inventory.in_unit(unit_index))
+    expected = reference_unit_sites(inventory, unit_index)
     for text in texts:
         tokens = tokenize(text)
         found = []
         ok = True
         used: set[int] = set()
         for cid, _occ in expected:
-            lemmas = inventory.entries[cid].lemmas
+            lemmas = inventory[cid].lemmas
             hit = None
             for i in range(len(tokens) - len(lemmas) + 1):
                 if i in used:
@@ -528,11 +563,11 @@ def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
 def _reference_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
                           variants: VariantSet, theta: float, scorer) -> list[Candidate]:
     """Every candidate scored, the original kept unscored and first."""
-    site_rows = select_sites(inventory.in_unit(unit_index))
+    site_rows = reference_unit_sites(inventory, unit_index)
     original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
     combos: list[list[str]] = [[]]
     for cid, occ in site_rows:
-        options = _site_options(cid, occ, variants, inventory.entries[cid].pos[0])
+        options = _site_options(cid, occ, variants, inventory[cid].pos[0])
         combos = [prefix + [opt] for prefix in combos for opt in options]
         if len(combos) > MAX_CANDIDATES_PER_UNIT:
             combos = combos[:MAX_CANDIDATES_PER_UNIT]
@@ -584,7 +619,12 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
     inventory = reference_identify_repeated(p)
     k = len(p.sentences) if intensity is None else intensity
     if not inventory or k == 0:
-        return {u: unit.text for u, unit in p.units()}, _passthrough_provenance(p, inventory)
+        provenance: dict[str, list[ProvenanceEntry]] = {}
+        for unit_index, _unit in p.units():
+            for cid, occ in reference_unit_sites(inventory, unit_index):
+                provenance.setdefault(cid, []).append(
+                    ProvenanceEntry(occ.unit, occ.char_start, occ.char_end, occ.surface))
+        return {u: unit.text for u, unit in p.units()}, provenance
     variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}
@@ -593,12 +633,24 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
             per_unit[unit_index] = _reference_candidates(
                 unit, unit_index, inventory, variants, theta, scorer)
         else:
-            sites = select_sites(inventory.in_unit(unit_index))
+            sites = reference_unit_sites(inventory, unit_index)
             per_unit[unit_index] = [
                 _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])]
     chosen, provenance = _reference_assemble(per_unit)
     order = sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u))
     return {u: c.text for u, c in zip(order, chosen)}, provenance
+
+
+def proof_depth(p: Problem) -> int | None:
+    """Rule applications needed for the (positive form of the) query; None
+    when it is underivable. Used to verify generator depth claims."""
+    assert p.gold_logic is not None
+    saturation = saturate(p.gold_logic)
+    query = p.gold_logic.query
+    atom = query.body if isinstance(query, Not) else query
+    assert isinstance(atom, Atom)
+    key = (atom.pred, tuple(a.symbol for a in atom.args))
+    return saturation.depths.get(key)
 
 
 def reference_program_from_json(data: dict) -> LogicProgram:

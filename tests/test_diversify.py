@@ -49,8 +49,8 @@ class TestIdentifyRepeated:
         p = make_problem(["Anne is kind.", "All kind people are smart."],
                          "Is Bob tall?")
         inv = identify_repeated(p)
-        assert "kind" in inv.entries
-        assert inv.entries["kind"].frequency == 2
+        assert "kind" in inv
+        assert len(inv["kind"].occurrences) == 2
 
     def test_no_repeats(self):
         p = make_problem(["Anne is kind."], "Is Bob tall?")
@@ -63,9 +63,9 @@ class TestIdentifyRepeated:
              "A show needs viewers."],
             "Is Idol fun?")
         inv = identify_repeated(p)
-        assert inv.entries["popular show"].frequency == 2
+        assert len(inv["popular show"].occurrences) == 2
         # the head noun counts the compound's occurrences too
-        assert inv.entries["show"].frequency == 3
+        assert len(inv["show"].occurrences) == 3
 
     def test_longest_match_wins_at_extraction(self):
         p = make_problem(
@@ -73,7 +73,7 @@ class TestIdentifyRepeated:
              "A show needs viewers."],
             "Is Idol fun?")
         inv = identify_repeated(p)
-        sites = select_sites(inv.in_unit(0))
+        sites = select_sites(inv)[0]
         surfaces = [(cid, occ.surface) for cid, occ in sites]
         assert ("popular show", "popular show") in surfaces
         assert all(cid != "show" for cid, _ in sites)
@@ -81,14 +81,14 @@ class TestIdentifyRepeated:
     def test_stopword_only_grams_excluded(self):
         p = make_problem(["Anne is kind.", "Bob is kind."], "Is Anne kind?")
         inv = identify_repeated(p)
-        assert "be" not in inv.entries
-        assert "kind" in inv.entries
+        assert "be" not in inv
+        assert "kind" in inv
 
     def test_question_counts_toward_frequency(self):
         p = make_problem(["Anne is tall."], "Is Bob tall?")
         inv = identify_repeated(p)
-        assert inv.entries["tall"].frequency == 2
-        units = {occ.unit for occ in inv.entries["tall"].occurrences}
+        assert len(inv["tall"].occurrences) == 2
+        units = {occ.unit for occ in inv["tall"].occurrences}
         assert units == {0, QUESTION_UNIT}
 
 
@@ -192,6 +192,12 @@ class TestGenerateCandidates:
         return p, inv, variants, scorer
 
     @staticmethod
+    def _pools(p, inv, variants):
+        sites = select_sites(inv)
+        return {u: generate_candidates(unit, u, sites.get(u, []), inv, variants)
+                for u, unit in p.units()}
+
+    @staticmethod
     def _accept(p, scorer, theta, asked=None):
         def accept(unit_index, candidate):
             if asked is not None:
@@ -202,7 +208,7 @@ class TestGenerateCandidates:
     def test_original_always_first(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
-        pools = {u: generate_candidates(unit, u, inv, variants) for u, unit in p.units()}
+        pools = self._pools(p, inv, variants)
         assert pools[1][0].text == "All kind people are smart."
         assert "All benevolent people are smart." in [c.text for c in pools[1]]
         result = assemble(pools, self._accept(p, scorer, 0.9))
@@ -216,7 +222,7 @@ class TestGenerateCandidates:
             def score(self, a, b):
                 return 1.0 if a == b else 0.5
 
-        pools = {u: generate_candidates(unit, u, inv, variants) for u, unit in p.units()}
+        pools = self._pools(p, inv, variants)
         asked = []
         result = assemble(pools, self._accept(p, HalfScorer(), 0.9, asked))
         assert result.chosen[1].text == "All kind people are smart."
@@ -225,7 +231,7 @@ class TestGenerateCandidates:
     def test_threshold_monotonicity(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
-        pools = {u: generate_candidates(unit, u, inv, variants)[:1] for u, unit in p.units()}
+        pools = {u: pool[:1] for u, pool in self._pools(p, inv, variants).items()}
         for text, surface in (("If someone is benevolent, then they are smart.", "benevolent"),
                               ("Every caring person is smart.", "caring"),
                               ("All benevolent people are smart.", "benevolent")):
@@ -248,7 +254,7 @@ class TestGenerateCandidates:
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart.",
                         "Fred is round."])
-        candidates = generate_candidates(p.sentences[2], 2, inv, variants)
+        candidates = self._pools(p, inv, variants)[2]
         assert [c.text for c in candidates] == ["Fred is round."]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdrift.diversify import pipeline
-from symdrift.diversify.concepts import ConceptConfig, identify_repeated
+from symdrift.diversify.concepts import identify_repeated, select_sites
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources, SynonymLexicon
 from symdrift.diversify.similarity import FallbackScorer, make_scorer
@@ -19,7 +19,11 @@ from symdrift.harness.synthetic import generate_synthetic
 from symdrift.problem import Problem, TextUnit
 from symdrift.textproc import STOPWORDS
 
-from .helpers import reference_diversify_choice, reference_identify_repeated
+from .helpers import (
+    reference_diversify_choice,
+    reference_identify_repeated,
+    reference_unit_sites,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +54,8 @@ class CountingScorer:
 
 
 def _intensities(p: Problem) -> list[int | None]:
-    """Intensities 1, 0.5 and full, as sentence counts."""
-    return [1, pipeline.sentence_count(0.5, len(p.sentences)), None]
+    """Intensities 0 (the pass-through), 1, 0.5 and full, as sentence counts."""
+    return [0, 1, pipeline.sentence_count(0.5, len(p.sentences)), None]
 
 
 def _assert_same_choice(problems, resources, monkeypatch, scorer_for, theta: float) -> int:
@@ -128,18 +132,35 @@ def test_identify_repeated_matches_reference(generated, resources):
     for p in generated:
         problems += [p, diversify_problem(p, DiversifyConfig(resources=resources)).problem]
     for max_n in (1, 2, 3, 4):
-        cfg = ConceptConfig(max_n=max_n)
         for p in problems:
-            new, old = identify_repeated(p, cfg), reference_identify_repeated(p, cfg)
-            assert list(new.entries.items()) == list(old.entries.items())
+            new, old = identify_repeated(p, max_n), reference_identify_repeated(p, max_n)
+            assert list(new.items()) == list(old.items())
 
 
 def test_hand_cases_exercise_their_edge():
-    gap, stopwords, question = (identify_repeated(p).entries for p in HAND_CASES)
-    assert "kind smart" in gap and gap["kind smart"].frequency == 2
+    gap, stopwords, question = (identify_repeated(p) for p in HAND_CASES)
+    assert "kind smart" in gap and len(gap["kind smart"].occurrences) == 2
     assert all(any(l not in STOPWORDS for l in cid.split()) for cid in stopwords)
     assert "the kind" in stopwords and "it be not" not in stopwords
     assert [occ.unit for occ in question["kind"].occurrences] == [0, -1]
+
+
+def test_select_sites_matches_the_per_unit_scan(generated, resources):
+    """One pass over the inventory gives every unit the sites that scanning
+    all entries for that unit gives; a unit with no occurrence has no key."""
+    problems = list(HAND_CASES)
+    for p in generated:
+        problems += [p, diversify_problem(p, DiversifyConfig(resources=resources)).problem]
+    keyless = 0
+    for p in problems:
+        inventory = identify_repeated(p)
+        sites = select_sites(inventory)
+        occupied = {occ.unit for entry in inventory.values() for occ in entry.occurrences}
+        assert set(sites) == occupied
+        for unit_index, _unit in p.units():
+            assert sites.get(unit_index, []) == reference_unit_sites(inventory, unit_index)
+            keyless += unit_index not in sites
+    assert keyless > 0
 
 
 LEMMAS = st.sampled_from(["anne", "be", "kind", "benevolent", "smart", "clever", "the", "x"])

@@ -37,7 +37,6 @@ from symdrift.harness import (
     load_dataset,
     normalize_items,
     problem_to_json,
-    proof_depth,
     record_from_json,
     record_to_json,
     run_evaluation,
@@ -46,6 +45,8 @@ from symdrift.harness import (
 )
 from symdrift.mental import LexiconOracle
 from symdrift.problem import Problem, TextUnit
+
+from .helpers import proof_depth
 
 
 @pytest.fixture(scope="module")
@@ -556,6 +557,27 @@ class TestEvaluation:
                                 "auto", resources=resources)
         assert len(report.records) == 3
         assert report.histogram["ParseError"] == 1
+
+    def test_lexicons_load_once_per_run(self, synthetic_batch, monkeypatch):
+        """With no resources given, a run over plain problems loads the
+        bundled lexicons once, not once per problem; so does a sweep."""
+        from symdrift.metrics import intensity_sweep
+
+        loads = []
+        load = Resources.load
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(Resources, "load", staticmethod(counting_load))
+        problems = synthetic_batch[:6]
+        report = run_evaluation(problems, NaiveTranslator(), TranslatorConfig(), "auto")
+        assert len(report.records) == len(problems)
+        assert len(loads) == 1
+        loads.clear()
+        intensity_sweep(problems, NaiveTranslator(), TranslatorConfig(), "auto", [0, 0.5, 1.0])
+        assert len(loads) == 1
 
     def test_report_invariants(self, resources, diversified_batch):
         report = run_evaluation(diversified_batch, NaiveTranslator(),
