@@ -1,8 +1,9 @@
 """Candidate generation, minimum-repetition assembly, and the full pipeline.
 
 Rewrite sites are chosen once per problem; every unit, rewritten, kept or
-passed through, reads its own. Per sentence, candidates substitute filtered
-variants at those sites (word/phrase in place, sentence rewrites wholesale).
+passed through, reads its own. Per sentence, candidates substitute a
+concept's word- and phrase-level variants at those sites, then add the rule
+rewriter's whole-sentence rewrites of the unit's text.
 A greedy pass picks one candidate per sentence while minimizing reuse of
 surface forms per concept. Scoring is lazy, in assembly order: each
 sentence's candidates are tried from least reuse up, and the similarity
@@ -22,7 +23,6 @@ from ..problem import (
     Problem,
     ProvenanceEntry,
     QUESTION_UNIT,
-    SENTENCE_LEVEL,
     TextUnit,
     VariantSet,
 )
@@ -30,7 +30,7 @@ from ..textproc import match_surface, tokenize
 from .concepts import SiteRows, identify_repeated, select_sites
 from .resources import Resources
 from .similarity import FALLBACK, make_scorer, score_similarity
-from .variants import build_variants
+from .variants import RuleRewriter, build_variants
 
 MAX_CANDIDATES_PER_UNIT = 64
 
@@ -113,28 +113,20 @@ def _site_options(cid: str, occ, variants: VariantSet, pos: str) -> list[str]:
     phrase-level variants adapted to the original's inflection and casing."""
     options = [occ.surface]
     for variant in variants.get(cid, []):
-        if variant.level == SENTENCE_LEVEL:
-            continue
         adapted = match_surface(variant.text, occ.surface, pos)
         if adapted.lower() != occ.surface.lower() and adapted not in options:
             options.append(adapted)
     return options
 
 
-def _sentence_rewrite_candidates(unit_index: int, site_rows: SiteRows,
-                                 inventory: ConceptInventory,
-                                 variants: VariantSet) -> list[Candidate]:
-    """Whole-sentence rewrites, with sites recovered by scanning the new text
-    for each concept's lemma sequence (rewrites only move template glue).
-    `site_rows` are the unit's rewrite sites, as `select_sites` gives them."""
-    texts: list[str] = []
-    for cid in sorted(variants):
-        for variant in variants[cid]:
-            if variant.level == SENTENCE_LEVEL and variant.unit == unit_index:
-                if variant.text not in texts:
-                    texts.append(variant.text)
+def _sentence_rewrite_candidates(unit: TextUnit, site_rows: SiteRows,
+                                 inventory: ConceptInventory) -> list[Candidate]:
+    """Whole-sentence rewrites of a unit with rewrite sites, with the sites
+    recovered by scanning the new text for each concept's lemma sequence
+    (rewrites only move template glue). `site_rows` are the unit's rewrite
+    sites, as `select_sites` gives them."""
     out = []
-    for text in texts:
+    for text in RuleRewriter().rewrite(unit.text) if site_rows else ():
         tokens = tokenize(text)
         found: list[tuple[str, object, str]] = []
         ok = True
@@ -165,7 +157,7 @@ def _sentence_rewrite_candidates(unit_index: int, site_rows: SiteRows,
     return out
 
 
-def generate_candidates(unit: TextUnit, unit_index: int, site_rows: SiteRows,
+def generate_candidates(unit: TextUnit, site_rows: SiteRows,
                         inventory: ConceptInventory, variants: VariantSet) -> list[Candidate]:
     """Unscored candidate pool for one text unit, without duplicate texts:
     the original first, then splices in site-option order, then sentence
@@ -190,7 +182,7 @@ def generate_candidates(unit: TextUnit, unit_index: int, site_rows: SiteRows,
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
-    for candidate in _sentence_rewrite_candidates(unit_index, site_rows, inventory, variants):
+    for candidate in _sentence_rewrite_candidates(unit, site_rows, inventory):
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
@@ -272,14 +264,13 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
             intensity=0, no_repeats=not inventory,
         ).validate(p)
 
-    variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases)
+    variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}
     for unit_index, unit in p.units():
         site_rows = sites.get(unit_index, [])
         if unit_index in eligible:
-            per_unit[unit_index] = generate_candidates(
-                unit, unit_index, site_rows, inventory, variants)
+            per_unit[unit_index] = generate_candidates(unit, site_rows, inventory, variants)
         else:
             per_unit[unit_index] = [
                 _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])

@@ -1,9 +1,10 @@
 """Variant construction: the parallel word / phrase / sentence scheme.
 
-Word-level variants come from the synonym lexicon keyed by (lemma, pos),
-phrase-level from the paraphrase table, sentence-level from the rule
-rewriter. When the lexical tables yield nothing for a concept, the rewriter
-is its fallback.
+Word-level variants come from the synonym lexicon keyed by (lemma, pos) and
+phrase-level ones from the paraphrase table; both belong to a concept and
+replace it at each of its sites. Sentence-level rewrites belong to a unit:
+the rule rewriter maps a whole sentence to its other templates, and
+candidate generation asks it for each unit that has rewrite sites.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..problem import (
-    ConceptInventory,
-    PHRASE_LEVEL,
-    Problem,
-    SENTENCE_LEVEL,
-    Variant,
-    VariantSet,
-    WORD_LEVEL,
-)
+from ..problem import ConceptInventory, PHRASE_LEVEL, Variant, VariantSet, WORD_LEVEL
 from ..textproc import word_lemmas
 from .resources import ParaphraseTable, SynonymLexicon
 
@@ -69,11 +62,11 @@ class RuleRewriter:
         return out
 
 
-def build_variants(p: Problem, inv: ConceptInventory, synlex: SynonymLexicon,
+def build_variants(inv: ConceptInventory, synlex: SynonymLexicon,
                    paratab: ParaphraseTable) -> VariantSet:
-    """Per-concept variant lists; concepts the resources cannot cover get an
-    empty list (callers treat that as the flagged no-variant case)."""
-    rewriter = RuleRewriter()
+    """Per-concept word- and phrase-level variants; concepts the resources
+    cannot cover get an empty list (callers treat that as the flagged
+    no-variant case)."""
     out: VariantSet = {}
     for cid in sorted(inv):
         entry = inv[cid]
@@ -85,14 +78,7 @@ def build_variants(p: Problem, inv: ConceptInventory, synlex: SynonymLexicon,
         for text, _score in paratab.paraphrases(entry.lemmas):
             if len(word_lemmas(text)) <= MAX_VARIANT_TOKENS and text.lower() != cid:
                 variants.append(Variant(text, PHRASE_LEVEL))
-        rewritten_units: set[int] = set()
-        for occ in entry.occurrences:
-            if occ.unit in rewritten_units:
-                continue
-            rewritten_units.add(occ.unit)
-            for text in rewriter.rewrite(p.unit(occ.unit).text):
-                variants.append(Variant(text, SENTENCE_LEVEL, unit=occ.unit))
         # Drop anything identical to the canonical surface.
         surfaces = {occ.surface.lower() for occ in entry.occurrences}
-        out[cid] = [v for v in variants if v.level == SENTENCE_LEVEL or v.text.lower() not in surfaces]
+        out[cid] = [v for v in variants if v.text.lower() not in surfaces]
     return out

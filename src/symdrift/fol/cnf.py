@@ -1,13 +1,14 @@
 """Clause-form conversion for the function-free fragment.
 
-Skolemization only introduces fresh constants: an existential quantifier in
-the scope of a universal one would need a Skolem function and is rejected.
-The output is equisatisfiable with the input.
+One pass takes a formula to negation normal form, rewriting `->` and `<->`
+as it goes; Skolemization then drops the quantifiers and distribution gives
+the clauses. Skolemization only introduces fresh constants: an existential
+quantifier in the scope of a universal one would need a Skolem function and
+is rejected. The output is equisatisfiable with the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..errors import UnsupportedSkolemFunction
@@ -48,16 +49,9 @@ class Literal(NamedTuple):
 Clause = frozenset[Literal]
 
 
-@dataclass
-class ClauseSet:
-    clauses: list[Clause] = field(default_factory=list)
-    skolem_symbols: list[str] = field(default_factory=list)
-    # Names of skolem constants, keyed by their synthetic symbol id.
-    skolem_names: dict[str, str] = field(default_factory=dict)
-
-
 class SkolemAllocator:
-    """Deterministic `sk0, sk1, ...` allocation, skipping registry collisions.
+    """Deterministic `sk0, sk1, ...` allocation, skipping registry collisions
+    (the registry is only read, so a program's own can be passed).
 
     Also hands out serial numbers for standardizing universal variables apart.
     """
@@ -91,27 +85,9 @@ class SkolemAllocator:
         return self._var_n
 
 
-def _eliminate_arrows(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_eliminate_arrows(f.body))
-    if isinstance(f, And):
-        return And(_eliminate_arrows(f.left), _eliminate_arrows(f.right))
-    if isinstance(f, Or):
-        return Or(_eliminate_arrows(f.left), _eliminate_arrows(f.right))
-    if isinstance(f, Implies):
-        return Or(Not(_eliminate_arrows(f.left)), _eliminate_arrows(f.right))
-    if isinstance(f, Iff):
-        left = _eliminate_arrows(f.left)
-        right = _eliminate_arrows(f.right)
-        return And(Or(Not(left), right), Or(Not(right), left))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, _eliminate_arrows(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _to_nnf(f: Formula, negate: bool) -> Formula:
+    """Negation normal form of `f` (of `~f` when `negate`), with `A -> B`
+    read as `~A | B` and `A <-> B` as `(~A | B) & (~B | A)`."""
     if isinstance(f, Atom):
         return Not(f) if negate else f
     if isinstance(f, Not):
@@ -122,13 +98,20 @@ def _to_nnf(f: Formula, negate: bool) -> Formula:
     if isinstance(f, Or):
         node = And if negate else Or
         return node(_to_nnf(f.left, negate), _to_nnf(f.right, negate))
+    if isinstance(f, Implies):
+        node = And if negate else Or
+        return node(_to_nnf(f.left, not negate), _to_nnf(f.right, negate))
+    if isinstance(f, Iff):
+        outer, inner = (Or, And) if negate else (And, Or)
+        return outer(inner(_to_nnf(f.left, not negate), _to_nnf(f.right, negate)),
+                     inner(_to_nnf(f.right, not negate), _to_nnf(f.left, negate)))
     if isinstance(f, ForAll):
         node = Exists if negate else ForAll
         return node(f.var, _to_nnf(f.body, negate))
     if isinstance(f, Exists):
         node = ForAll if negate else Exists
         return node(f.var, _to_nnf(f.body, negate))
-    raise TypeError(f"arrows must be eliminated first: {f!r}")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _skolemize(f: Formula, subst: dict[str, Term], under_universal: bool,
@@ -198,22 +181,19 @@ def _is_tautology(clause: Clause) -> bool:
 
 def to_cnf(f: Formula, registry: SymbolRegistry,
            alloc: SkolemAllocator | None = None,
-           start_index: int = 0) -> ClauseSet:
-    """Convert a closed formula to an equisatisfiable clause set.
+           start_index: int = 0) -> list[Clause]:
+    """Convert a closed formula to an equisatisfiable clause list.
 
     Callers converting several formulas into one refutation problem pass a
-    shared allocator so skolem constants never collide.
+    shared allocator so skolem constants never collide; its `allocated`
+    list records the constants each conversion introduced.
     """
     require_closed(f)
-    own_alloc = alloc or SkolemAllocator(registry)
-    first_new = len(own_alloc.allocated)
-    nnf = _to_nnf(_eliminate_arrows(f), negate=False)
-    stripped = _skolemize(nnf, {}, under_universal=False, alloc=own_alloc)
-    out = ClauseSet()
+    stripped = _skolemize(_to_nnf(f, negate=False), {}, under_universal=False,
+                          alloc=alloc or SkolemAllocator(registry))
+    out: list[Clause] = []
     for i, lits in enumerate(_distribute(stripped)):
         clause = _standardize_clause(lits, start_index + i)
-        if not _is_tautology(clause) and clause not in out.clauses:
-            out.clauses.append(clause)
-    out.skolem_symbols = [sid for sid, _ in own_alloc.allocated[first_new:]]
-    out.skolem_names = dict(own_alloc.allocated[first_new:])
+        if not _is_tautology(clause) and clause not in out:
+            out.append(clause)
     return out

@@ -38,6 +38,14 @@ def camel_identifier(words: str) -> str:
     return "N" + name if name[0].isdigit() else name
 
 
+def fresh_name(base: str, taken: set[str]) -> str:
+    """`base`, or the first of `base2`, `base3`, ... that is not in `taken`."""
+    name, n = base, 2
+    while name in taken:
+        name, n = f"{base}{n}", n + 1
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Terms and formula nodes
 

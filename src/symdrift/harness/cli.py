@@ -190,11 +190,9 @@ def _plain_problems(items: list[Problem | DiversifiedProblem]) -> list[Problem]:
 def _cmd_generate(args) -> int:
     out_path = _require_out(args)
     values = _load_values(args)
-    cfg = synthetic_config_from(values, seed=args.seed)
     if args.n is not None:
-        cfg = synthetic_config_from({**values, "synthetic.n_problems": str(args.n)},
-                                    seed=args.seed)
-    problems = generate_synthetic(cfg)
+        values = {**values, "synthetic.n_problems": str(args.n)}
+    problems = generate_synthetic(synthetic_config_from(values, seed=args.seed))
     save_dataset(out_path, problems)
     print(f"wrote {len(problems)} problems")
     return EXIT_OK

@@ -107,7 +107,7 @@ def translator_config_from(values: dict[str, str]) -> TranslatorConfig:
     )
 
 
-def synthetic_config_from(values: dict[str, str], seed: int | None = None) -> SyntheticConfig:
+def synthetic_config_from(values: dict[str, str], seed: int) -> SyntheticConfig:
     return SyntheticConfig(
         n_problems=int(values.get("synthetic.n_problems", "50")),
         depth=int(values.get("synthetic.depth", "5")),
@@ -115,7 +115,7 @@ def synthetic_config_from(values: dict[str, str], seed: int | None = None) -> Sy
         n_predicates=int(values.get("synthetic.n_predicates", "8")),
         rule_branching=int(values.get("synthetic.rule_branching", "2")),
         negation_rate=float(values.get("synthetic.negation_rate", "0.25")),
-        seed=seed if seed is not None else int(values.get("synthetic.seed", "0")),
+        seed=seed,
     )
 
 

@@ -19,6 +19,7 @@ from ..fol.terms import (
     PREDICATE,
     SymbolRegistry,
     camel_identifier,
+    fresh_name,
     walk_atoms,
 )
 from ..mental.oracles import EquivalenceOracle
@@ -217,10 +218,7 @@ class SplitAdversaryTranslator:
         def per_surface_symbol(concept_id: str, surface: str) -> str:
             key = (concept_id, surface.lower())
             if key not in symbol_names:
-                base = name = camel_identifier(surface)
-                n = 2
-                while name in taken:
-                    name, n = f"{base}{n}", n + 1
+                name = fresh_name(camel_identifier(surface), taken)
                 taken.add(name)
                 symbol_names[key] = name
             return symbol_names[key]

@@ -119,16 +119,18 @@ def _closure_with_links(synlex: SynonymLexicon, derivtab: DerivationTable | None
     return closed
 
 
+# Re-asks after an unparseable yes/no reply before the oracle gives up.
+MAX_RETRIES = 1
+
+
 class LLMOracle:
     """Yes/no prompts against a chat client, cached per (expression, entry
     contents) so re-queries of a settled pair never hit the endpoint again."""
 
-    def __init__(self, client, equiv_template: str, conflict_template: str,
-                 max_retries: int = 1):
+    def __init__(self, client, equiv_template: str, conflict_template: str):
         self._client = client
         self._equiv_template = equiv_template
         self._conflict_template = conflict_template
-        self._max_retries = max_retries
         self._cache: dict[tuple, object] = {}
 
     @staticmethod
@@ -142,7 +144,7 @@ class LLMOracle:
             return self._cache[key]
         template = self._equiv_template if kind == "equiv" else self._conflict_template
         prompt = template.format(expression=e, entry=", ".join(expressions))
-        for _ in range(self._max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             reply = self._client.complete(prompt)
             parsed = parse(reply.text)
             if parsed is not None:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple, Union
 
 from ..errors import TranslationFailure
-from ..fol.terms import camel_identifier
+from ..fol.terms import camel_identifier, fresh_name
 from ..textproc import content_lemmas, word_lemmas
 
 EXTEND = "extend"
@@ -94,14 +94,7 @@ class MentalTable:
         return names
 
     def fresh_symbol(self, norm: str) -> str:
-        base = camel_case_symbol(norm)
-        taken = self.symbol_names()
-        if base not in taken:
-            return base
-        n = 2
-        while f"{base}{n}" in taken:
-            n += 1
-        return f"{base}{n}"
+        return fresh_name(camel_case_symbol(norm), self.symbol_names())
 
     def extend(self, norm: str) -> tuple["MentalTable", TableEntry]:
         entry = TableEntry(len(self.entries), (norm,), self.fresh_symbol(norm))

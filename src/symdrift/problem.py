@@ -91,14 +91,12 @@ ConceptInventory = dict[str, ConceptEntry]
 
 WORD_LEVEL = "word"
 PHRASE_LEVEL = "phrase"
-SENTENCE_LEVEL = "sentence"
 
 
 @dataclass(frozen=True)
 class Variant:
     text: str
-    level: str  # WORD_LEVEL | PHRASE_LEVEL | SENTENCE_LEVEL
-    unit: int | None = None  # sentence-level variants apply to one unit only
+    level: str  # WORD_LEVEL | PHRASE_LEVEL
 
 
 VariantSet = dict[str, list[Variant]]

@@ -2,11 +2,12 @@
 
 Saturates the fact base to its least fixed point (finite, because the
 fragment is function-free) and answers queries under negation as failure.
+A firing is a rule application that derives a new fact, so the firing count
+is the number of derived facts, and neither it nor the fixed point depends
+on the order in which rules are matched.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import NotHorn
 from ..fol.render import render_formula
@@ -25,13 +26,6 @@ from .verdict import FALSE, TRUE, Verdict
 GroundAtom = tuple[str, tuple[str, ...]]
 
 
-@dataclass
-class Saturation:
-    facts: set[GroundAtom]
-    depths: dict[GroundAtom, int]
-    firings: int
-
-
 def _ground(atom: Atom, env: dict[str, str]) -> GroundAtom:
     args = []
     for a in atom.args:
@@ -48,7 +42,7 @@ def _match_body(body: list[Atom], facts: set[GroundAtom], env: dict[str, str]):
         yield env
         return
     head, *rest = body
-    for pred, args in sorted(facts):
+    for pred, args in tuple(facts):
         if pred != head.pred or len(args) != len(head.args):
             continue
         new_env = dict(env)
@@ -69,21 +63,18 @@ def _match_body(body: list[Atom], facts: set[GroundAtom], env: dict[str, str]):
             yield from _match_body(rest, facts, new_env)
 
 
-def saturate(p: LogicProgram) -> Saturation:
-    """Least fixed point of the rule base, with per-fact derivation depth."""
+def saturate(p: LogicProgram) -> tuple[set[GroundAtom], int]:
+    """Least fixed point of the rule base, and the number of rule firings."""
     rules: list[tuple[list[Atom], Atom]] = []
     facts: set[GroundAtom] = set()
-    depths: dict[GroundAtom, int] = {}
     for premise in p.premises:
         if not is_horn(premise):
             raise NotHorn(f"premise is not Horn: {render_formula(premise, p.registry)}")
         body, head = horn_parts(premise, p.registry)
-        if not body:
-            g = _ground(head, {})
-            facts.add(g)
-            depths.setdefault(g, 0)
-        else:
+        if body:
             rules.append((body, head))
+        else:
+            facts.add(_ground(head, {}))
 
     firings = 0
     changed = True
@@ -92,16 +83,11 @@ def saturate(p: LogicProgram) -> Saturation:
         for body, head in rules:
             for env in _match_body(body, facts, {}):
                 g = _ground(head, env)
-                depth = 1 + max(depths[_ground(b, env)] for b in body)
                 if g not in facts:
                     facts.add(g)
-                    depths[g] = depth
                     firings += 1
                     changed = True
-                elif depth < depths[g]:
-                    depths[g] = depth
-                    changed = True
-    return Saturation(facts, depths, firings)
+    return facts, firings
 
 
 def forward_chain_cwa(p: LogicProgram) -> Verdict:
@@ -116,8 +102,8 @@ def forward_chain_cwa(p: LogicProgram) -> Verdict:
     if not isinstance(query, Atom) or any(isinstance(a, Var) for a in query.args):
         raise NotHorn("closed-world queries must be ground literals: "
                       + render_formula(p.query, p.registry))
-    result = saturate(p)
-    holds = _ground(query, {}) in result.facts
+    facts, firings = saturate(p)
+    holds = _ground(query, {}) in facts
     if negated:
         holds = not holds
-    return Verdict(TRUE if holds else FALSE, steps=result.firings)
+    return Verdict(TRUE if holds else FALSE, steps=firings)

@@ -423,7 +423,7 @@ def _clausify(f: Formula, alloc: SkolemAllocator, start_index: int) -> _Clausifi
     out = _CLAUSIFIED.get(key)
     if out is None:
         allocated = len(alloc.allocated)
-        clauses = tuple(to_cnf(f, alloc.registry, alloc, start_index=start_index).clauses)
+        clauses = tuple(to_cnf(f, alloc.registry, alloc, start_index=start_index))
         out = _Clausified(clauses, tuple(_canonical(c) for c in clauses))
         if len(alloc.allocated) == allocated:
             _CLAUSIFIED[key] = out
@@ -432,7 +432,7 @@ def _clausify(f: Formula, alloc: SkolemAllocator, start_index: int) -> _Clausifi
 
 def _premise_clauses(p: LogicProgram) -> tuple[_Clausified, SkolemAllocator]:
     """The premises' clauses, and the allocator in its state after them."""
-    alloc = SkolemAllocator(p.registry.copy())
+    alloc = SkolemAllocator(p.registry)
     out = _Clausified((), ())
     for i, premise in enumerate(p.premises):
         out += _clausify(premise, alloc, i * 100)

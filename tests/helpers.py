@@ -18,11 +18,12 @@ from symdrift.diversify.pipeline import (
     eligible_units,
 )
 from symdrift.diversify.resources import Resources
-from symdrift.diversify.variants import build_variants
+from symdrift.diversify.variants import RuleRewriter, build_variants
 from symdrift.errors import (
     DomainTooLarge,
     FolError,
     FormulaSyntaxError,
+    NotHorn,
     SolverError,
     SolverMismatch,
     TranslationFailure,
@@ -50,7 +51,15 @@ from symdrift.fol import (
 )
 from symdrift.fol.cnf import SkolemAllocator
 from symdrift.fol.parser import _Parser
-from symdrift.fol.terms import CLOSED_WORLD, CONSTANT, PREDICATE, map_atoms, type_check
+from symdrift.fol.terms import (
+    CLOSED_WORLD,
+    CONSTANT,
+    PREDICATE,
+    horn_parts,
+    is_horn,
+    map_atoms,
+    type_check,
+)
 from symdrift.harness.evaluate import ENGINES, _predicted_label, solver_for
 from symdrift.harness.translators import propose_from_templates
 from symdrift.mental.oracles import _closure_with_links, _remainder_lemma
@@ -60,7 +69,6 @@ from symdrift.metrics.records import TranslationRecord
 from symdrift.metrics.sds import align_symbols
 from symdrift.problem import (
     QUESTION_UNIT,
-    SENTENCE_LEVEL,
     TASK_KINDS,
     ConceptEntry,
     ConceptInventory,
@@ -72,7 +80,6 @@ from symdrift.problem import (
     VariantSet,
 )
 from symdrift.solver import Verdict
-from symdrift.solver.chaining import saturate
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import (
     DEFAULT_MAX_STEPS,
@@ -343,7 +350,7 @@ def _reference_factors(clause: Clause) -> list[Clause]:
     return out
 
 
-def _reference_saturate(clauses: list[Clause], max_steps: int) -> tuple[int, bool, bool]:
+def _reference_given_clause_loop(clauses: list[Clause], max_steps: int) -> tuple[int, bool, bool]:
     """(steps, refuted, exhausted) of the given-clause loop with every clause
     renamed, sorted and matched afresh at each use."""
     processed: list[Clause] = []
@@ -391,20 +398,20 @@ def reference_clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
     alloc = SkolemAllocator(registry)
     clauses = []
     for i, premise in enumerate(p.premises):
-        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100).clauses)
+        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100))
     goal = Not(p.query) if negate_query else p.query
-    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000).clauses)
+    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000))
     return clauses
 
 
 def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
     """The resolution prover as a plain given-clause loop: the specification
     that `prove_resolution` must match verdict for verdict, `steps` included."""
-    pos_steps, pos_refuted, pos_exhausted = _reference_saturate(
+    pos_steps, pos_refuted, pos_exhausted = _reference_given_clause_loop(
         reference_clausify(p, negate_query=True), max_steps)
     if pos_refuted:
         return Verdict("proved", steps=pos_steps)
-    neg_steps, neg_refuted, neg_exhausted = _reference_saturate(
+    neg_steps, neg_refuted, neg_exhausted = _reference_given_clause_loop(
         reference_clausify(p, negate_query=False), max_steps)
     if neg_refuted:
         return Verdict("disproved", steps=pos_steps + neg_steps)
@@ -519,16 +526,11 @@ def reference_unit_sites(inventory: ConceptInventory, unit: int
 
 
 def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
-                                  inventory: ConceptInventory,
-                                  variants: VariantSet) -> list[Candidate]:
-    texts: list[str] = []
-    for cid in sorted(variants):
-        for variant in variants[cid]:
-            if variant.level == SENTENCE_LEVEL and variant.unit == unit_index:
-                if variant.text not in texts:
-                    texts.append(variant.text)
-    out = []
+                                  inventory: ConceptInventory) -> list[Candidate]:
+    """The rule rewrites of one unit's text, for a unit with rewrite sites."""
     expected = reference_unit_sites(inventory, unit_index)
+    texts = RuleRewriter().rewrite(unit.text) if expected else []
+    out = []
     for text in texts:
         tokens = tokenize(text)
         found = []
@@ -580,7 +582,7 @@ def _reference_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInv
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
-    for candidate in _reference_rewrite_candidates(unit, unit_index, inventory, variants):
+    for candidate in _reference_rewrite_candidates(unit, unit_index, inventory):
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
@@ -625,7 +627,7 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
                 provenance.setdefault(cid, []).append(
                     ProvenanceEntry(occ.unit, occ.char_start, occ.char_end, occ.surface))
         return {u: unit.text for u, unit in p.units()}, provenance
-    variants = build_variants(p, inventory, resources.synonyms, resources.paraphrases)
+    variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}
     for unit_index, unit in p.units():
@@ -641,11 +643,107 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
     return {u: c.text for u, c in zip(order, chosen)}, provenance
 
 
+GroundAtom = tuple[str, tuple[str, ...]]
+
+
+@dataclass
+class Saturation:
+    facts: set[GroundAtom]
+    depths: dict[GroundAtom, int]
+    firings: int
+
+
+def _reference_ground(atom: Atom, env: dict[str, str]) -> GroundAtom:
+    args = []
+    for a in atom.args:
+        if isinstance(a, Var):
+            args.append(env[a.name])
+        else:
+            args.append(a.symbol)
+    return (atom.pred, tuple(args))
+
+
+def _reference_match_body(body: list[Atom], facts: set[GroundAtom], env: dict[str, str]):
+    """Yield environments grounding every body atom against the fact base."""
+    if not body:
+        yield env
+        return
+    head, *rest = body
+    for pred, args in sorted(facts):
+        if pred != head.pred or len(args) != len(head.args):
+            continue
+        new_env = dict(env)
+        ok = True
+        for formal, actual in zip(head.args, args):
+            if isinstance(formal, Const):
+                if formal.symbol != actual:
+                    ok = False
+                    break
+            else:
+                bound = new_env.get(formal.name)
+                if bound is None:
+                    new_env[formal.name] = actual
+                elif bound != actual:
+                    ok = False
+                    break
+        if ok:
+            yield from _reference_match_body(rest, facts, new_env)
+
+
+def reference_saturate(p: LogicProgram) -> Saturation:
+    """Least fixed point of the rule base, with per-fact derivation depth:
+    forward chaining that matches facts in sorted order and keeps going
+    until no fact is new and no depth can be lowered."""
+    rules: list[tuple[list[Atom], Atom]] = []
+    facts: set[GroundAtom] = set()
+    depths: dict[GroundAtom, int] = {}
+    for premise in p.premises:
+        if not is_horn(premise):
+            raise NotHorn(f"premise is not Horn: {render_formula(premise, p.registry)}")
+        body, head = horn_parts(premise, p.registry)
+        if not body:
+            g = _reference_ground(head, {})
+            facts.add(g)
+            depths.setdefault(g, 0)
+        else:
+            rules.append((body, head))
+
+    firings = 0
+    changed = True
+    while changed:
+        changed = False
+        for body, head in rules:
+            for env in _reference_match_body(body, facts, {}):
+                g = _reference_ground(head, env)
+                depth = 1 + max(depths[_reference_ground(b, env)] for b in body)
+                if g not in facts:
+                    facts.add(g)
+                    depths[g] = depth
+                    firings += 1
+                    changed = True
+                elif depth < depths[g]:
+                    depths[g] = depth
+                    changed = True
+    return Saturation(facts, depths, firings)
+
+
+def reference_forward_chain(p: LogicProgram) -> Verdict:
+    """Closed-world verdict of a program with a ground literal query, from
+    `reference_saturate`: the query atom's membership in the fixed point,
+    flipped for a negated query, with the firings as `steps`."""
+    query = p.query
+    negated = isinstance(query, Not)
+    atom = query.body if negated else query
+    saturation = reference_saturate(p)
+    holds = _reference_ground(atom, {}) in saturation.facts
+    return Verdict("true" if holds != negated else "false", steps=saturation.firings)
+
+
 def proof_depth(p: Problem) -> int | None:
     """Rule applications needed for the (positive form of the) query; None
     when it is underivable. Used to verify generator depth claims."""
     assert p.gold_logic is not None
-    saturation = saturate(p.gold_logic)
+    saturation = reference_saturate(p.gold_logic)
     query = p.gold_logic.query
     atom = query.body if isinstance(query, Not) else query
     assert isinstance(atom, Atom)

@@ -96,23 +96,29 @@ class TestBuildVariants:
     def test_word_level_from_lexicon(self, resources):
         p = make_problem(["Anne is kind.", "All kind people are smart."])
         inv = identify_repeated(p)
-        variants = build_variants(p, inv, resources.synonyms, resources.paraphrases)
+        variants = build_variants(inv, resources.synonyms, resources.paraphrases)
         words = [v.text for v in variants["kind"] if v.level == "word"]
         assert words == ["benevolent", "caring"]
 
     def test_sentence_level_rewrites(self, resources):
+        """A rule rewrite belongs to the unit it rewrites: concepts carry no
+        sentence-level variant, and the rewrite reaches that unit's candidate
+        pool and no other unit's."""
         p = make_problem(["All kind people are smart.", "Anne is kind."])
         inv = identify_repeated(p)
-        variants = build_variants(p, inv, resources.synonyms, resources.paraphrases)
-        sentence_level = [v for v in variants["kind"] if v.level == "sentence"]
-        assert any(v.text == "Every kind person is smart." for v in sentence_level)
-        assert all(v.unit == 0 for v in sentence_level)
+        variants = build_variants(inv, resources.synonyms, resources.paraphrases)
+        assert {v.level for vs in variants.values() for v in vs} <= {"word", "phrase"}
+        sites = select_sites(inv)
+        pools = {u: [c.text for c in generate_candidates(unit, sites.get(u, []), inv, variants)]
+                 for u, unit in p.units()}
+        assert "Every kind person is smart." in pools[0]
+        assert [u for u, pool in pools.items() if "Every kind person is smart." in pool] == [0]
 
     def test_concept_without_resources_flagged_empty(self, resources):
         # proper names have no synonyms and facts admit no rule rewrites
         p = make_problem(["Anne is kind.", "Anne is tall."], "Is Anne smart?")
         inv = identify_repeated(p)
-        variants = build_variants(p, inv, resources.synonyms, resources.paraphrases)
+        variants = build_variants(inv, resources.synonyms, resources.paraphrases)
         assert variants["anne"] == []
 
     def test_missing_lexicon_path(self):
@@ -187,14 +193,14 @@ class TestGenerateCandidates:
     def _setup(self, resources, sentences, question="Is Anne smart?"):
         p = make_problem(sentences, question)
         inv = identify_repeated(p)
-        variants = build_variants(p, inv, resources.synonyms, resources.paraphrases)
+        variants = build_variants(inv, resources.synonyms, resources.paraphrases)
         scorer = make_scorer("fallback", lexicon=resources.synonyms)
         return p, inv, variants, scorer
 
     @staticmethod
     def _pools(p, inv, variants):
         sites = select_sites(inv)
-        return {u: generate_candidates(unit, u, sites.get(u, []), inv, variants)
+        return {u: generate_candidates(unit, sites.get(u, []), inv, variants)
                 for u, unit in p.units()}
 
     @staticmethod

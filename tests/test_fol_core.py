@@ -28,6 +28,7 @@ from symdrift.fol import (
     render_formula,
     to_cnf,
 )
+from symdrift.fol.cnf import SkolemAllocator
 from symdrift.diversify import Resources
 from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
 from symdrift.mental.table import camel_case_symbol
@@ -115,17 +116,18 @@ class TestRenderer:
 class TestCnf:
     def test_textbook_implication(self):
         r = _reg()
-        cs = to_cnf(parse_formula("all x (Kind(x) -> Smart(x))", r), r)
-        assert len(cs.clauses) == 1
-        (clause,) = cs.clauses
+        clauses = to_cnf(parse_formula("all x (Kind(x) -> Smart(x))", r), r)
+        assert len(clauses) == 1
+        (clause,) = clauses
         signs = sorted((lit.positive, r.name_of(lit.pred)) for lit in clause)
         assert signs == [(False, "Kind"), (True, "Smart")]
 
     def test_top_level_existential_gets_constant(self):
         r = _reg()
-        cs = to_cnf(parse_formula("exists x Kind(x)", r), r)
-        assert cs.skolem_names == {"!sk0": "sk0"}
-        (clause,) = cs.clauses
+        alloc = SkolemAllocator(r)
+        clauses = to_cnf(parse_formula("exists x Kind(x)", r), r, alloc)
+        assert dict(alloc.allocated) == {"!sk0": "sk0"}
+        (clause,) = clauses
         (lit,) = clause
         assert lit.args == (Const("!sk0"),)
 
@@ -133,8 +135,9 @@ class TestCnf:
         for kind in ("predicate", "constant"):
             r = _reg()
             r.declare("sk0", 0, kind)
-            cs = to_cnf(parse_formula("exists x Kind(x)", r), r)
-            assert cs.skolem_names == {"!sk1": "sk1"}
+            alloc = SkolemAllocator(r)
+            to_cnf(parse_formula("exists x Kind(x)", r), r, alloc)
+            assert dict(alloc.allocated) == {"!sk1": "sk1"}
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["sk0", "sk1", "sk2", "P", "a"]),
@@ -154,15 +157,16 @@ class TestCnf:
 
     def test_negated_universal_is_fine(self):
         r = _reg()
-        cs = to_cnf(parse_formula("~(all x Kind(x))", r), r)
-        assert len(cs.skolem_symbols) == 1
+        alloc = SkolemAllocator(r)
+        to_cnf(parse_formula("~(all x Kind(x))", r), r, alloc)
+        assert len(alloc.allocated) == 1
 
     def test_clauses_standardized_apart(self):
         r = _reg()
-        cs = to_cnf(parse_formula("all x (A(x) -> B(x)) & all y (B(y) -> C(y))", r), r)
+        clauses = to_cnf(parse_formula("all x (A(x) -> B(x)) & all y (B(y) -> C(y))", r), r)
         names = [
             {a.name for lit in clause for a in lit.args if isinstance(a, Var)}
-            for clause in cs.clauses
+            for clause in clauses
         ]
         assert names[0].isdisjoint(names[1])
 
@@ -218,7 +222,7 @@ class TestCnf:
             holds(f, {}, frozenset(a for a, bit in zip(atoms, bits) if bit))
             for bits in product((0, 1), repeat=len(atoms))
         )
-        refuted = _saturate([_canonical(c) for c in to_cnf(f, r).clauses], 4000).refuted
+        refuted = _saturate([_canonical(c) for c in to_cnf(f, r)], 4000).refuted
         assert satisfiable == (not refuted)
 
 

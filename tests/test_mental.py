@@ -9,7 +9,7 @@ import pytest
 from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
 from symdrift.errors import OracleFailure, TranslationFailure
 from symdrift.fol.render import render_program
-from symdrift.fol.terms import _IDENT_RE, camel_identifier, walk_atoms
+from symdrift.fol.terms import _IDENT_RE, camel_identifier, fresh_name, walk_atoms
 from symdrift.harness import (
     LLMTranslator,
     NaiveTranslator,
@@ -215,6 +215,11 @@ class TestCamelCase:
 
     def test_multiword(self):
         assert camel_case_symbol("popular show") == "PopularShow"
+
+    def test_fresh_name_counts_up_from_two(self):
+        assert fresh_name("Kind", set()) == "Kind"
+        assert fresh_name("Kind", {"Kind"}) == "Kind2"
+        assert fresh_name("Kind", {"Kind", "Kind2", "Kind4"}) == "Kind3"
 
     @pytest.mark.parametrize("surface", ["good-natured", "Anne's dog", "3 dogs", "--", "café"])
     def test_always_a_valid_identifier(self, surface):

@@ -127,7 +127,9 @@ def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkey
             if key in held:
                 continue
             expected += 1
-            if to_cnf(key[0], p.registry.copy()).skolem_symbols:
+            alloc = SkolemAllocator(p.registry.copy())
+            to_cnf(key[0], alloc.registry, alloc)
+            if alloc.allocated:
                 skolemizing += 1
             else:
                 held.add(key)
@@ -208,7 +210,7 @@ def test_a_memo_hit_equals_a_conversion_at_any_variable_serial(cold_memos, text)
     f = parse_formula(text, registry)
     others = [parse_formula(t, registry) for t in
               ("all x all y (R(x, y) -> R(y, x))", "all z (Q(z) | ~P(z))", "R(a, b)")]
-    fresh = tuple(to_cnf(f, registry.copy(), start_index=3).clauses)
+    fresh = tuple(to_cnf(f, registry.copy(), start_index=3))
     early = SkolemAllocator(registry.copy())
     assert resolution._clausify(f, early, 3).clauses == fresh
     late = SkolemAllocator(registry.copy())
@@ -221,4 +223,4 @@ def test_a_memo_hit_equals_a_conversion_at_any_variable_serial(cold_memos, text)
     late_fresh = SkolemAllocator(registry.copy())
     for i, other in enumerate(others):
         to_cnf(other, late_fresh.registry, late_fresh, start_index=i * 100)
-    assert tuple(to_cnf(f, late_fresh.registry, late_fresh, start_index=3).clauses) == fresh
+    assert tuple(to_cnf(f, late_fresh.registry, late_fresh, start_index=3)) == fresh
