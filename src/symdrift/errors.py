@@ -128,10 +128,6 @@ class MetricsError(SymdriftError):
     pass
 
 
-class EmptyConceptSet(MetricsError):
-    pass
-
-
 class AlignmentIncomplete(MetricsError):
     """A surface form could not be matched to any symbol (recorded, not fatal)."""
 

@@ -2,7 +2,9 @@
 
 Subcommands: generate, diversify, translate, solve, evaluate, sds, sweep,
 compare, export-sft. Every subcommand accepts --seed, --config (flat
-key=value file), and --out. Exit codes: 0 success, 1 usage error, 2 data
+key=value file), and --out. A flag that names a setting (--n, --translator,
+--mental) stores it under its config key, so a given flag beats the file and
+the file beats the default. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 remote-service error.
 """
 
@@ -22,23 +24,17 @@ from ..diversify.pipeline import (
 )
 from ..diversify.resources import Resources
 from ..diversify.similarity import VECTORS
-from ..errors import (
-    ClientError,
-    EmptyConceptSet,
-    FormatError,
-    HarnessError,
-    OracleFailure,
-    ResourceMissing,
-    SymdriftError,
-)
-from ..metrics.records import TranslationRecord
+from ..errors import ClientError, FormatError, OracleFailure, ResourceMissing, SymdriftError
 from ..metrics.sds import compute_sds
 from ..metrics.sweep import intensity_sweep, sweep_to_csv
 from ..metrics.taxonomy import attribute_errors
 from ..problem import DiversifiedProblem, Problem
 from .client import HttpChatClient
 from .config import (
+    CONFIG_KEYS,
     LLM,
+    ORACLE_LLM,
+    RESOURCE_KINDS,
     TranslatorConfig,
     llm_endpoint,
     read_config_file,
@@ -91,8 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (file or run directory)")
         return p
 
+    # A flag that names a setting stores it under its config key (see
+    # `_load_values`); unset, it leaves the key to the --config file.
+    def translator_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--translator", dest="translator.kind", metavar="TRANSLATOR",
+                       default=argparse.SUPPRESS)
+        p.add_argument("--mental", dest="translator.mental", choices=("on", "off"),
+                       default=argparse.SUPPRESS)
+
     p = common(sub.add_parser("generate", help="emit synthetic rule-base problems"))
-    p.add_argument("--n", type=int, help="number of problems")
+    p.add_argument("--n", dest="synthetic.n_problems", metavar="N", type=int,
+                   default=argparse.SUPPRESS, help="number of problems")
 
     p = common(sub.add_parser("diversify", help="rewrite problems, logic-invariantly"),
                seed_help=_IGNORED_SEED)
@@ -105,8 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("translate", help="translate problems to programs"))
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--translator", default="naive")
-    p.add_argument("--mental", choices=("on", "off"), default="off")
+    translator_flags(p)
 
     p = common(sub.add_parser("solve", help="run the solver over translated records"))
     p.add_argument("--records", required=True)
@@ -115,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("evaluate", help="full translate+solve+score run"))
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--translator", default="naive")
-    p.add_argument("--mental", choices=("on", "off"), default="off")
+    translator_flags(p)
     p.add_argument("--solver", default=AUTO)
 
     p = common(sub.add_parser("sds", help="symbol dispersion over saved records"))
@@ -125,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("sweep", help="accuracy/SDS curve over intensity"),
                seed_help=_IGNORED_SEED)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--translator", default="naive")
-    p.add_argument("--mental", choices=("on", "off"), default="off")
+    translator_flags(p)
     p.add_argument("--solver", default=AUTO)
     p.add_argument("--levels", default="0,0.25,0.5,0.75,1.0", type=_parse_levels,
                    help="comma-separated intensities, as for diversify --intensity")
@@ -142,35 +144,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_values(args) -> dict[str, str]:
-    return read_config_file(args.config) if args.config else {}
-
-
-def _translator_cfg(args, values: dict[str, str]) -> TranslatorConfig:
-    merged = dict(values)
-    if getattr(args, "translator", None):
-        merged["translator.kind"] = args.translator
-    if getattr(args, "mental", None):
-        merged["translator.mental"] = args.mental
-    return translator_config_from(merged)
-
-
-def _make_translator(cfg: TranslatorConfig, resources: Resources):
-    client = None
-    if cfg.kind == LLM or cfg.oracle == "llm":
-        endpoint, key = llm_endpoint()
-        if not endpoint:
-            raise ClientError("set SYMDRIFT_LLM_ENDPOINT to use a remote translator")
-        client = HttpChatClient(endpoint, key)
-    return make_translator(cfg, resources=resources, client=client)
+    """The --config file's settings, with every given flag written over them."""
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, str(value)) for key, value in vars(args).items() if key in CONFIG_KEYS)
+    return values
 
 
 def _resources(values: dict[str, str]) -> Resources:
-    return Resources.load(
-        synonyms_path=values.get("resources.synonyms"),
-        paraphrases_path=values.get("resources.paraphrases"),
-        derivations_path=values.get("resources.derivations"),
-        vectors_path=values.get("resources.vectors"),
-    )
+    return Resources.load(**{f"{kind}_path": values.get(f"resources.{kind}")
+                             for kind in RESOURCE_KINDS})
+
+
+def _translation_setup(args) -> tuple[TranslatorConfig, Resources, object]:
+    """The run's translator settings, resources and translator. A remote
+    endpoint is required only when something will call it: the `llm`
+    translator, or the `llm` oracle of table-guided translation."""
+    values = _load_values(args)
+    resources = _resources(values)
+    cfg = translator_config_from(values)
+    client = None
+    if cfg.kind == LLM or (cfg.mental and cfg.oracle == ORACLE_LLM):
+        endpoint, key = llm_endpoint()
+        if not endpoint:
+            raise ClientError("set SYMDRIFT_LLM_ENDPOINT to use a remote translator or oracle")
+        client = HttpChatClient(endpoint, key)
+    return cfg, resources, make_translator(cfg, resources=resources, client=client)
+
+
+def _emit(args, text: str) -> int:
+    """Print a subcommand's result, and write it to --out when given."""
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
+    return EXIT_OK
 
 
 def _require_out(args) -> Path:
@@ -189,10 +195,7 @@ def _plain_problems(items: list[Problem | DiversifiedProblem]) -> list[Problem]:
 
 def _cmd_generate(args) -> int:
     out_path = _require_out(args)
-    values = _load_values(args)
-    if args.n is not None:
-        values = {**values, "synthetic.n_problems": str(args.n)}
-    problems = generate_synthetic(synthetic_config_from(values, seed=args.seed))
+    problems = generate_synthetic(synthetic_config_from(_load_values(args), seed=args.seed))
     save_dataset(out_path, problems)
     print(f"wrote {len(problems)} problems")
     return EXIT_OK
@@ -200,8 +203,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diversify(args) -> int:
     out_path = _require_out(args)
-    values = _load_values(args)
-    resources = _resources(values)
+    resources = _resources(_load_values(args))
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
         raise ResourceMissing("--scorer vectors needs a word-vector file: "
                               "set resources.vectors in the --config file")
@@ -220,10 +222,7 @@ def _cmd_diversify(args) -> int:
 
 def _cmd_translate(args) -> int:
     out_path = _require_out(args)
-    values = _load_values(args)
-    resources = _resources(values)
-    cfg = _translator_cfg(args, values)
-    translator = _make_translator(cfg, resources)
+    _, resources, translator = _translation_setup(args)
     items = normalize_items(load_dataset(args.input), resources)
     records = [translate_one(item, translator) for item in items]
     write_records(out_path, records)
@@ -234,8 +233,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_solve(args) -> int:
     out_path = _require_out(args)
-    values = _load_values(args)
-    resources = _resources(values)
+    resources = _resources(_load_values(args))
     items = {i.problem.id: i for i in normalize_items(load_dataset(args.problems), resources)}
     records = read_records(args.records)
     for record in records:
@@ -251,10 +249,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out_dir = _require_out(args)
-    values = _load_values(args)
-    resources = _resources(values)
-    cfg = _translator_cfg(args, values)
-    translator = _make_translator(cfg, resources)
+    cfg, resources, translator = _translation_setup(args)
     dataset = load_dataset(args.input)
     report = run_evaluation(dataset, translator, cfg, args.solver,
                             out_dir=out_dir,
@@ -265,57 +260,27 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sds(args) -> int:
-    records = read_records(args.records)
-    try:
-        result = compute_sds(records)
-    except EmptyConceptSet:
-        # Unmeasured, as in `evaluate`'s report: every concept was dropped.
-        concepts = sum(len(r.alignment) for r in records)
-        payload = {"sds": None, "concepts": concepts, "drifted_concepts": 0,
-                   "dropped_concepts": concepts}
-    else:
-        payload = {
-            "sds": result.value,
-            "concepts": result.concepts,
-            "drifted_concepts": result.drifted_concepts,
-            "dropped_concepts": result.dropped_concepts,
-        }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return EXIT_OK
+    result = compute_sds(read_records(args.records))
+    return _emit(args, json.dumps({
+        "sds": result.value,
+        "concepts": result.concepts,
+        "drifted_concepts": result.drifted_concepts,
+        "dropped_concepts": result.dropped_concepts,
+    }, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_sweep(args) -> int:
-    values = _load_values(args)
-    resources = _resources(values)
-    cfg = _translator_cfg(args, values)
-    translator = _make_translator(cfg, resources)
+    cfg, resources, translator = _translation_setup(args)
     dataset = _plain_problems(load_dataset(args.input))
     points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
                              resources=resources)
-    csv_text = sweep_to_csv(points)
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-    print(csv_text, end="")
-    return EXIT_OK
-
-
-def _read_run_records(run_dir: str) -> list[TranslationRecord]:
-    path = Path(run_dir) / "records.jsonl"
-    if not path.exists():
-        raise FormatError(f"no records.jsonl under {run_dir}")
-    return read_records(path)
+    return _emit(args, sweep_to_csv(points))
 
 
 def _cmd_compare(args) -> int:
-    counts = attribute_errors(_read_run_records(args.before), _read_run_records(args.after))
-    text = json.dumps(counts, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return EXIT_OK
+    counts = attribute_errors(read_records(Path(args.before) / "records.jsonl"),
+                              read_records(Path(args.after) / "records.jsonl"))
+    return _emit(args, json.dumps(counts, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_export_sft(args) -> int:
@@ -350,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ClientError, OracleFailure) as exc:
         print(f"remote service error: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except (FormatError, ResourceMissing, HarnessError, SymdriftError) as exc:
+    except SymdriftError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError) as exc:

@@ -4,7 +4,7 @@ the flat key=value config-file format used by every CLI subcommand."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..errors import FormatError
@@ -74,8 +74,20 @@ class SyntheticConfig:
             raise ValueError("negation_rate must be a fraction")
 
 
+# The lexicon files a config file may override, as `resources.<kind> = path`.
+RESOURCE_KINDS = ("synonyms", "paraphrases", "derivations", "vectors")
+
+# Every key a config file may set; the run seed is set by `--seed` alone.
+CONFIG_KEYS = frozenset(
+    [f"translator.{f.name}" for f in fields(TranslatorConfig)]
+    + [f"synthetic.{f.name}" for f in fields(SyntheticConfig) if f.name != "seed"]
+    + [f"resources.{kind}" for kind in RESOURCE_KINDS]
+)
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment."""
+    """Flat `key = value` lines; `#` starts a comment. A key outside
+    `CONFIG_KEYS` is refused, so a misspelt one cannot go unread."""
     p = Path(path)
     if not p.exists():
         raise FormatError(f"config file not found: {p}")
@@ -86,8 +98,10 @@ def read_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"expected key = value, got {line!r}", line=lineno)
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise FormatError(f"unknown config key {key!r}", line=lineno)
+        out[key] = value
     return out
 
 

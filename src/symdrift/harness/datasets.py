@@ -1,4 +1,10 @@
-"""Problem (de)serialization and dataset loading.
+"""Problem (de)serialization, dataset loading, and the JSONL codec.
+
+`read_jsonl` and `write_jsonl` are the toolkit's one JSONL reader and
+writer: problems, translation records, run traces and tuning data all go
+through them. A file is one canonical (key-sorted) JSON object per line;
+reading skips blank lines, yields objects lazily, and reports a missing file
+or a line that is not JSON as a `FormatError` with the line number.
 
 One problem per JSONL line:
 
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from ..errors import FormatError
 from ..fol.parser import parse_program
@@ -127,31 +134,35 @@ def diversified_from_json(data: dict, line: int | None = None) -> DiversifiedPro
     )
 
 
-def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
-    """Read a JSONL problem file; diversified lines are detected by shape."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line, one at a time."""
     p = Path(path)
     if not p.exists():
-        raise FormatError(f"dataset file not found: {p}")
-    out: list[Problem | DiversifiedProblem] = []
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            data = json.loads(raw)
-        except ValueError as exc:
-            raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
-        if "provenance" in data:
-            out.append(diversified_from_json(data, line=lineno))
-        else:
-            out.append(problem_from_json(data, line=lineno))
-    return out
+        raise FormatError(f"file not found: {p}")
+    with p.open(encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                data = json.loads(raw)
+            except ValueError as exc:
+                raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
+            yield lineno, data
+
+
+def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for obj in objects:
+            handle.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
+    """Read a JSONL problem file; diversified lines are detected by shape."""
+    return [diversified_from_json(data, line=lineno) if "provenance" in data
+            else problem_from_json(data, line=lineno)
+            for lineno, data in read_jsonl(path)]
 
 
 def save_dataset(path: str | Path, items: list[Problem | DiversifiedProblem]) -> None:
-    lines = []
-    for item in items:
-        if isinstance(item, DiversifiedProblem):
-            lines.append(json.dumps(diversified_to_json(item), sort_keys=True))
-        else:
-            lines.append(json.dumps(problem_to_json(item), sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (diversified_to_json(item) if isinstance(item, DiversifiedProblem)
+                       else problem_to_json(item) for item in items))

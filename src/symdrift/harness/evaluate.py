@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from ..diversify.pipeline import DiversifyConfig, diversify_problem
 from ..diversify.resources import Resources
 from ..errors import (
-    EmptyConceptSet,
     EmptyDataset,
     FolError,
     MentalError,
@@ -47,6 +46,7 @@ from ..solver.enumeration import enumerate_models
 from ..solver.resolution import prove_resolution
 from ..solver.verdict import Verdict
 from .config import TranslatorConfig, write_config_file
+from .datasets import write_jsonl
 from .serialize import write_records
 from .translators import program_block, translation_record
 
@@ -83,7 +83,7 @@ class RunReport:
     config: dict[str, str]
     records: list[TranslationRecord]
     accuracy: float
-    sds: SdsResult | None
+    sds: SdsResult
     histogram: dict[str, int]
     tokens_in: int
     tokens_out: int
@@ -217,16 +217,12 @@ def run_evaluation(dataset: list[Problem | DiversifiedProblem], translator,
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:12]
 
-    try:
-        sds = compute_sds(records)
-    except EmptyConceptSet:
-        sds = None
     report = RunReport(
         run_id=run_id,
         config=config,
         records=records,
         accuracy=accuracy(records),
-        sds=sds,
+        sds=compute_sds(records),
         histogram=error_histogram(records),
         tokens_in=sum(r.tokens_in for r in records),
         tokens_out=sum(r.tokens_out for r in records),
@@ -242,7 +238,7 @@ def report_to_json(report: RunReport) -> dict:
     """Canonical report payload; volatile fields (wall clock) excluded so
     identical runs serialize byte-identically."""
     sds_payload = None
-    if report.sds is not None:
+    if report.sds.value is not None:
         sds_payload = {
             "value": report.sds.value,
             "concepts": report.sds.concepts,
@@ -263,17 +259,14 @@ def report_to_json(report: RunReport) -> dict:
 
 
 def render_report_text(report: RunReport) -> str:
-    if report.sds:
-        dropped, concepts = report.sds.dropped_concepts, report.sds.concepts
-    else:  # SDS is unmeasured exactly when no concept kept a symbol
-        dropped = concepts = sum(len(r.alignment) for r in report.records)
+    sds = report.sds
     limit_hits = sum(1 for r in report.records if r.verdict is not None and r.verdict.limit_hit)
     lines = [
         f"run        {report.run_id}",
         f"records    {len(report.records)}",
         f"accuracy   {report.accuracy:.4f}",
-        f"sds        {report.sds.value:.4f}" if report.sds else "sds        n/a",
-        f"dropped    {dropped}/{concepts} concepts",
+        "sds        n/a" if sds.value is None else f"sds        {sds.value:.4f}",
+        f"dropped    {sds.dropped_concepts}/{sds.concepts} concepts",
         f"limit hits {limit_hits}",
         "errors     " + "  ".join(f"{k}={v}" for k, v in sorted(report.histogram.items())),
         f"tokens     in={report.tokens_in} out={report.tokens_out}",
@@ -290,18 +283,13 @@ def persist_run(out_dir: Path, report: RunReport,
         json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
-        by_id = {item.problem.id: item for item in items}
-        for record in report.records:
-            if not record.mental_trace:
-                continue
-            item = by_id[record.problem_id]
-            handle.write(json.dumps({
-                "problem_id": record.problem_id,
-                "instruction": item.problem.text(),
-                "table": record.table_text,
-                "trace": [list(event) for event in record.mental_trace],
-                "program": program_block(record.rendering) if record.rendering else "",
-                "gold": record.gold,
-                "correct": record.predicted == record.gold,
-            }, sort_keys=True) + "\n")
+    by_id = {item.problem.id: item for item in items}
+    write_jsonl(out_dir / "traces.jsonl", ({
+        "problem_id": record.problem_id,
+        "instruction": by_id[record.problem_id].problem.text(),
+        "table": record.table_text,
+        "trace": [list(event) for event in record.mental_trace],
+        "program": program_block(record.rendering) if record.rendering else "",
+        "gold": record.gold,
+        "correct": record.predicted == record.gold,
+    } for record in report.records if record.mental_trace))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..fol.terms import LogicProgram
@@ -10,7 +9,7 @@ from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
-from .datasets import program_from_json, program_to_json
+from .datasets import program_from_json, program_to_json, read_jsonl, write_jsonl
 
 
 def csp_to_json(spec: CSPSpec) -> dict:
@@ -107,13 +106,8 @@ def record_from_json(data: dict) -> TranslationRecord:
 
 
 def write_records(path: str | Path, records: list[TranslationRecord]) -> None:
-    """Write records as JSONL, one canonical JSON object per line."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+    write_jsonl(path, map(record_to_json, records))
 
 
 def read_records(path: str | Path) -> list[TranslationRecord]:
-    return [record_from_json(json.loads(line))
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    return [record_from_json(data) for _, data in read_jsonl(path)]

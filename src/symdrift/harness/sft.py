@@ -7,10 +7,10 @@ the final program block.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..errors import NoTraces
+from .datasets import read_jsonl, write_jsonl
 
 
 def export_sft_traces(run_dir: str | Path, out_path: str | Path) -> int:
@@ -19,18 +19,12 @@ def export_sft_traces(run_dir: str | Path, out_path: str | Path) -> int:
     if not traces_file.exists():
         raise NoTraces(f"no traces.jsonl under {run_dir}")
     rows = []
-    for line in traces_file.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
+    for _, data in read_jsonl(traces_file):
         if not data.get("correct"):
             continue
         response = data["table"] + "\n\n" + data["program"] if data["table"] else data["program"]
-        rows.append(json.dumps({
-            "instruction": data["instruction"],
-            "response": response,
-        }, sort_keys=True))
+        rows.append({"instruction": data["instruction"], "response": response})
     if not rows:
         raise NoTraces(f"no successful table-guided translations in {run_dir}")
-    Path(out_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_jsonl(out_path, rows)
     return len(rows)

@@ -4,7 +4,9 @@ The score averages (distinct symbols - 1) over concepts, pooled across the
 whole record set; zero means every concept kept a single symbol. Concepts the
 translator dropped entirely (no symbol at all) score zero drift but are
 counted separately, since the raw formula would go negative on them. A record
-set in which no concept got a symbol has no score: dispersion was not measured.
+set in which no concept got a symbol (none at all included) has no score:
+`compute_sds` returns `value` None, with every concept counted as dropped, and
+every reader prints that as unmeasured (`null`, `n/a`), never as 0.0.
 
 A concept's symbols come from `align_symbols`, the one aligner: it joins the
 diversification provenance (each occurrence's unit and char span) with the
@@ -16,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import AlignmentIncomplete, EmptyConceptSet
+from ..errors import AlignmentIncomplete
 from ..problem import DiversifiedProblem
 from .records import TranslationRecord
 
 
 @dataclass(frozen=True)
 class SdsResult:
-    value: float
+    value: float | None  # None when dispersion was not measured
     concepts: int
     drifted_concepts: int
     dropped_concepts: int
@@ -52,10 +54,8 @@ def compute_sds(records: list[TranslationRecord]) -> SdsResult:
                 drifted += 1
         if problem_concepts:
             per_problem[record.problem_id] = problem_drift / problem_concepts
-    if dropped == total:
-        raise EmptyConceptSet("no concept in the record set was aligned to a symbol")
     return SdsResult(
-        value=drift_sum / total,
+        value=None if dropped == total else drift_sum / total,
         concepts=total,
         drifted_concepts=drifted,
         dropped_concepts=dropped,

@@ -40,7 +40,7 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
             level=float(level),
             k_mean=sum(d.intensity for d in diversified) / len(diversified),
             accuracy=report.accuracy,
-            sds=report.sds.value if report.sds else None,
+            sds=report.sds.value,
         ))
     return points
 

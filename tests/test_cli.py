@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -327,3 +329,121 @@ class TestPipelineCommands:
         Path("run.cfg").write_text("synthetic.n_problems = 7\nsynthetic.depth = 3\n")
         assert run("generate", "--config", "run.cfg", "--out", "p.jsonl") == EXIT_OK
         assert len(Path("p.jsonl").read_text().splitlines()) == 7
+        assert run("generate", "--config", "run.cfg", "--n", "2", "--out", "p.jsonl") == EXIT_OK
+        assert len(Path("p.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.fixture(scope="module")
+def naive_runs(tmp_path_factory):
+    """The 60-problem seed-1 set, fully diversified, evaluated by the naive
+    translator without and with the table; each run's stdout is kept."""
+    root = tmp_path_factory.mktemp("naive_runs")
+    stdout = {}
+
+    def quiet(*argv: str) -> str:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert run(*argv) == EXIT_OK
+        return buffer.getvalue()
+
+    quiet("generate", "--n", "60", "--seed", "1", "--out", str(root / "p.jsonl"))
+    quiet("diversify", "--in", str(root / "p.jsonl"), "--intensity", "full",
+          "--seed", "1", "--out", str(root / "d.jsonl"))
+    for mental in ("off", "on"):
+        stdout[mental] = quiet("evaluate", "--in", str(root / "d.jsonl"),
+                               "--translator", "naive", "--mental", mental,
+                               "--seed", "1", "--out", str(root / f"run_{mental}"))
+    return root, stdout
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRunLayerPins:
+    """The writers of a run's report and config, of `evaluate`'s text report,
+    and of the `sds`, `compare`, `sweep` and `export-sft` outputs."""
+
+    def test_mental_run_report_and_config_are_pinned(self, naive_runs):
+        root, _ = naive_runs
+        assert _sha256(root / "run_on" / "report") == \
+            "20fcc2354eec376e00469d4c5065b6f75005d2f458379074e01e84c9c7bb178c"
+        assert _sha256(root / "run_on" / "config") == \
+            "84b5d8fba8682c7152fc37753b0576546ae440a782a679747d175733808bbc41"
+
+    def test_evaluate_text_report_is_pinned(self, naive_runs):
+        _, stdout = naive_runs
+        assert hashlib.sha256(stdout["on"].encode("utf-8")).hexdigest() == \
+            "db603fbcbb0e9adac8f5b81f40f521a859164430b552739c263e810af5fdb377"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("sds", "--records", "{root}/run_on/records.jsonl"),
+         "b34fc580aa4d8d38691adfaade5a9029fc48e78c6665765a65c2c1bc9a422abc"),
+        (("compare", "--before", "{root}/run_off", "--after", "{root}/run_on"),
+         "cff1f9fd9d771b1253e68d806ee825ce910e85b00f6673b85e54a14b576d27e0"),
+        (("sweep", "--in", "{root}/p.jsonl", "--translator", "naive", "--levels", "0,1.0"),
+         "5f41fd91f6e9d17f449228c40097978eb2d855a1ffbcfeffad07c6ed1ef216a6"),
+    ], ids=["sds", "compare", "sweep"])
+    def test_printed_output_is_pinned(self, workdir, capsys, naive_runs, argv, digest):
+        """What these subcommands print is what they write to `--out`."""
+        root, _ = naive_runs
+        capsys.readouterr()
+        assert run(*(arg.format(root=root) for arg in argv), "--out", "out") == EXIT_OK
+        assert capsys.readouterr().out == Path("out").read_text(encoding="utf-8")
+        assert _sha256(Path("out")) == digest
+
+    def test_export_sft_output_is_pinned(self, workdir, capsys, naive_runs):
+        root, _ = naive_runs
+        assert run("export-sft", "--run", str(root / "run_on"), "--out", "sft.jsonl") == EXIT_OK
+        assert _sha256(Path("sft.jsonl")) == \
+            "4acfe44fd78ddafbc026e7665d1feef13a46f8070c122cba5329c45537b3978f"
+
+
+class TestSettingsAndInputs:
+    """A flag sets its config key, a config key is checked, and a JSONL input
+    that is missing or malformed is a data error in every subcommand."""
+
+    @staticmethod
+    def _run_config(run_dir: str) -> dict[str, str]:
+        lines = Path(run_dir, "config").read_text().splitlines()
+        return dict(line.split(" = ", 1) for line in lines)
+
+    def test_config_keys_drive_evaluate_and_flags_beat_them(self, workdir, capsys):
+        run("generate", "--n", "3", "--seed", "1", "--out", "p.jsonl")
+        Path("run.cfg").write_text("translator.kind = gold\ntranslator.mental = on\n")
+        assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
+                   "--out", "by_file") == EXIT_OK
+        assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
+                   "--translator", "naive", "--mental", "off", "--out", "by_flags") == EXIT_OK
+        by_file, by_flags = self._run_config("by_file"), self._run_config("by_flags")
+        assert (by_file["translator.kind"], by_file["translator.mental"]) == ("gold", "on")
+        assert (by_flags["translator.kind"], by_flags["translator.mental"]) == ("naive", "off")
+
+    def test_unknown_config_key_is_data_error(self, workdir, capsys):
+        Path("run.cfg").write_text("# misspelt\nsynthetic.n_problem = 3\n")
+        assert run("generate", "--config", "run.cfg", "--out", "p.jsonl") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "synthetic.n_problem" in err and "(line 2)" in err
+        assert not Path("p.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["sds", "solve"])
+    def test_missing_or_malformed_records_are_data_errors(self, workdir, capsys, command):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        run("translate", "--in", "p.jsonl", "--out", "t.jsonl")
+        first = Path("t.jsonl").read_text().splitlines()[0]
+        Path("bad.jsonl").write_text(first + "\n{not json\n")
+        extra = ("--problems", "p.jsonl", "--out", "s.jsonl") if command == "solve" else ()
+        capsys.readouterr()
+        assert run(command, "--records", "absent.jsonl", *extra) == EXIT_DATA
+        assert "absent.jsonl" in capsys.readouterr().err
+        assert run(command, "--records", "bad.jsonl", *extra) == EXIT_DATA
+        assert "(line 2)" in capsys.readouterr().err
+        assert not Path("s.jsonl").exists()
+
+    def test_llm_oracle_without_the_table_needs_no_endpoint(self, workdir, monkeypatch, capsys):
+        monkeypatch.delenv("SYMDRIFT_LLM_ENDPOINT", raising=False)
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        Path("run.cfg").write_text("translator.oracle = llm\n")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--mental", "off",
+                   "--config", "run.cfg", "--out", "run") == EXIT_OK
+        assert self._run_config("run")["translator.oracle"] == "llm"

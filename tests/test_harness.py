@@ -535,7 +535,7 @@ class TestEvaluation:
         report = run_evaluation(problems, translator, cfg, "auto", resources=resources)
         assert report.accuracy == 1.0
         assert all(r.alignment and not any(r.alignment.values()) for r in report.records)
-        assert report.sds is None and report_to_json(report)["sds"] is None
+        assert report.sds.value is None and report_to_json(report)["sds"] is None
         assert "sds        n/a" in render_report_text(report).splitlines()
         points = intensity_sweep(problems, translator, cfg, "auto", [0, 1.0],
                                  resources=resources)
@@ -678,6 +678,13 @@ class TestSftExport:
         with pytest.raises(NoTraces):
             export_sft_traces(tmp_path, tmp_path / "out.jsonl")
 
+    def test_malformed_traces_line_is_a_format_error(self, tmp_path):
+        (tmp_path / "traces.jsonl").write_text('{"correct": false}\n{not json\n')
+        with pytest.raises(FormatError) as exc:
+            export_sft_traces(tmp_path, tmp_path / "out.jsonl")
+        assert exc.value.line == 2
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestClient:
     def test_http_client_requires_endpoint(self):
@@ -756,6 +763,7 @@ def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, re
     from dataclasses import replace
 
     from symdrift.harness import render_report_text
+    from symdrift.metrics import compute_sds
     from symdrift.solver import Verdict
 
     report = run_evaluation(diversified_batch[:5], NaiveTranslator(), TranslatorConfig(),
@@ -766,7 +774,7 @@ def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, re
 
     record = replace(report.records[0], verdict=Verdict("unknown", limit_hit=True),
                      alignment={concept: set() for concept in report.records[0].alignment})
-    unmeasured = replace(report, records=[record], sds=None)
+    unmeasured = replace(report, records=[record], sds=compute_sds([record]))
     lines = render_report_text(unmeasured).splitlines()
     n = len(record.alignment)
     assert n and f"dropped    {n}/{n} concepts" in lines

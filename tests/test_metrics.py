@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from symdrift.errors import AlignmentIncomplete, EmptyConceptSet, PairingMismatch
+from symdrift.errors import AlignmentIncomplete, PairingMismatch
 from symdrift.fol import LogicProgram, SymbolRegistry, parse_formula
 from symdrift.metrics import (
     CORRECT,
@@ -82,8 +82,13 @@ class TestComputeSds:
         assert result.per_problem == {"a": 1.0, "b": 0.0}
 
     def test_empty_concept_set(self):
-        with pytest.raises(EmptyConceptSet):
-            compute_sds([_record(alignment={})])
+        """No concept at all, or none aligned: not measured, every concept dropped."""
+        result = compute_sds([_record(alignment={})])
+        assert result.value is None
+        assert (result.concepts, result.dropped_concepts, result.drifted_concepts) == (0, 0, 0)
+        result = compute_sds([_record(alignment={"kind": set(), "smart": set()})])
+        assert result.value is None
+        assert (result.concepts, result.dropped_concepts, result.drifted_concepts) == (2, 2, 0)
 
 
 class TestAlignSymbols:
