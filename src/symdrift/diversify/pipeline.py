@@ -5,17 +5,21 @@ passed through, reads its own. Per sentence, candidates substitute a
 concept's word- and phrase-level variants at those sites, then add the rule
 rewriter's whole-sentence rewrites of the unit's text.
 A greedy pass picks one candidate per sentence while minimizing reuse of
-surface forms per concept. Scoring is lazy, in assembly order: each
-sentence's candidates are tried from least reuse up, and the similarity
-threshold is tested only until one passes, so only meaning-preserving
-candidates are picked and the rest are never scored.
+surface forms per concept. Both text and scores are made on demand: a pool
+holds each site's options and their ranking keys, assembly ranks the
+combinations by those keys alone, and a candidate's text is spliced only
+when the similarity threshold is tested on it or it is chosen. Each
+sentence's candidates are tried from least reuse up, and the threshold is
+tested only until one passes, so only meaning-preserving candidates are
+picked and the rest are never spliced or scored.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from ..problem import (
     ConceptInventory,
@@ -128,65 +132,101 @@ def _sentence_rewrite_candidates(unit: TextUnit, site_rows: SiteRows,
     out = []
     for text in RuleRewriter().rewrite(unit.text) if site_rows else ():
         tokens = tokenize(text)
-        found: list[tuple[str, object, str]] = []
-        ok = True
+        seq = tuple(t.lemma if t.is_word else None for t in tokens)
+        found: list[tuple[str, int, int]] = []
         used: set[int] = set()
         for cid, _occ in site_rows:
             lemmas = inventory[cid].lemmas
-            hit = None
-            for i in range(len(tokens) - len(lemmas) + 1):
-                if i in used:
-                    continue
-                window = tokens[i:i + len(lemmas)]
-                if tuple(t.lemma for t in window) == lemmas and all(t.is_word for t in window):
-                    hit = (i, window)
-                    break
+            n = len(lemmas)
+            hit = next((i for i in range(len(seq) - n + 1)
+                        if i not in used and seq[i:i + n] == lemmas), None)
             if hit is None:
-                ok = False
                 break
-            i, window = hit
-            used.update(range(i, i + len(lemmas)))
-            found.append((cid, window, text[window[0].start:window[-1].end]))
-        if not ok:
-            continue
-        sites = tuple(
-            CandidateSite(cid, surface, window[0].start, window[-1].end)
-            for cid, window, surface in sorted(found, key=lambda row: row[1][0].start)
-        )
-        out.append(Candidate(text, sites))
+            used.update(range(hit, hit + n))
+            found.append((cid, tokens[hit].start, tokens[hit + n - 1].end))
+        else:
+            sites = tuple(CandidateSite(cid, text[start:end], start, end)
+                          for cid, start, end in sorted(found, key=lambda row: row[1]))
+            out.append(Candidate(text, sites))
     return out
 
 
+class CandidatePool:
+    """One unit's candidates without duplicate texts, in pool order: the
+    first `MAX_CANDIDATES_PER_UNIT` combinations of site options in product
+    order (the first, every site's original surface, is the original), then
+    the sentence rewrites. A candidate is addressed by its raw index, its
+    place in that order before duplicates are dropped; a combination's text
+    is spliced only when it is asked for."""
+
+    def __init__(self, unit: TextUnit, site_rows: SiteRows, options: list[list[str]],
+                 rewrites: Sequence[Candidate] = ()) -> None:
+        self.unit = unit
+        self.site_rows = site_rows
+        self.options = options
+        self.rewrites = rewrites
+        # Each site's ranking keys, one per option.
+        self.site_keys = [[(cid, surface.lower()) for surface in opts]
+                          for (cid, _occ), opts in zip(site_rows, options)]
+        self.n_combos = min(math.prod(map(len, options)), MAX_CANDIDATES_PER_UNIT)
+        text, cursor, gaps = unit.text, 0, []
+        for _cid, occ in site_rows:
+            gaps.append(text[cursor:occ.char_start])
+            cursor = occ.char_end
+        gaps.append(text[cursor:])
+        self._gaps = gaps
+
+    def candidate(self, index: int) -> Candidate:
+        if index >= self.n_combos:
+            return self.rewrites[index - self.n_combos]
+        surfaces = []
+        for opts in reversed(self.options):
+            index, digit = divmod(index, len(opts))
+            surfaces.append(opts[digit])
+        return _splice(self.unit, [(cid, occ, surface) for (cid, occ), surface
+                                   in zip(self.site_rows, reversed(surfaces))])
+
+    def repeats(self, index: int, text: str) -> bool:
+        """Whether a candidate before raw `index` has the text `text`."""
+        first = self._first_combo(text, 0, 0, 0)
+        if first is not None and first < min(index, self.n_combos):
+            return True
+        return any(c.text == text for c in self.rewrites[:max(index - self.n_combos, 0)])
+
+    def _first_combo(self, text: str, site: int, pos: int, index: int) -> int | None:
+        """The least combination index, in or past the pool, that splices
+        to `text`: a depth-first walk that matches the unit's text between
+        sites and each site's options in order, from `site` on at `pos`
+        with the digits so far in `index`. Nothing is spliced."""
+        gap = self._gaps[site]
+        if not text.startswith(gap, pos):
+            return None
+        pos += len(gap)
+        if site == len(self.options):
+            return index if pos == len(text) else None
+        opts = self.options[site]
+        for digit, surface in enumerate(opts):
+            if text.startswith(surface, pos):
+                found = self._first_combo(text, site + 1, pos + len(surface),
+                                          index * len(opts) + digit)
+                if found is not None:
+                    return found
+        return None
+
+    def __len__(self) -> int:
+        return len({self.candidate(index).text
+                    for index in range(self.n_combos + len(self.rewrites))})
+
+
 def generate_candidates(unit: TextUnit, site_rows: SiteRows,
-                        inventory: ConceptInventory, variants: VariantSet) -> list[Candidate]:
-    """Unscored candidate pool for one text unit, without duplicate texts:
-    the original first, then splices in site-option order, then sentence
-    rewrites. `site_rows` are the unit's rewrite sites."""
-    original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
-
-    combos: list[list[str]] = [[]]
-    for cid, occ in site_rows:
-        pos = inventory[cid].pos[0]
-        options = _site_options(cid, occ, variants, pos)
-        combos = [prefix + [opt] for prefix in combos for opt in options]
-        if len(combos) > MAX_CANDIDATES_PER_UNIT:
-            combos = combos[:MAX_CANDIDATES_PER_UNIT]
-
-    produced = [original]
-    seen = {original.text}
-    for combo in combos:
-        candidate = _splice(unit, [
-            (cid, occ, surface)
-            for (cid, occ), surface in zip(site_rows, combo)
-        ])
-        if candidate.text not in seen:
-            seen.add(candidate.text)
-            produced.append(candidate)
-    for candidate in _sentence_rewrite_candidates(unit, site_rows, inventory):
-        if candidate.text not in seen:
-            seen.add(candidate.text)
-            produced.append(candidate)
-    return produced
+                        inventory: ConceptInventory, variants: VariantSet) -> CandidatePool:
+    """Unspliced candidate pool for one text unit: substitutions of each
+    site's variants, then sentence rewrites. `site_rows` are the unit's
+    rewrite sites."""
+    options = [_site_options(cid, occ, variants, inventory[cid].pos[0])
+               for cid, occ in site_rows]
+    return CandidatePool(unit, site_rows, options,
+                         _sentence_rewrite_candidates(unit, site_rows, inventory))
 
 
 @dataclass
@@ -195,29 +235,40 @@ class AssemblyResult:
     provenance: dict[str, list[ProvenanceEntry]] = field(default_factory=dict)
 
 
-def assemble(candidates: dict[int, list[Candidate]],
+def assemble(pools: dict[int, CandidatePool],
              accept: Callable[[int, Candidate], bool] | None = None) -> AssemblyResult:
     """Greedy pass in unit order, minimizing repeats of already-used surface
     forms per concept; ties break toward the lower candidate index.
 
     Each unit's pool starts with its original, which is always acceptable.
-    The others are tried in (cost, index) order, and `accept(unit, candidate)`
-    is asked only until one passes; none is asked once the original's cost is
-    reached. This picks what filtering every candidate first and then taking
-    the least cost would pick.
+    The others are tried in (cost, index) order, costs summed from the
+    pool's keys, and `accept(unit, candidate)` is asked only until one
+    passes; none is asked once the original's cost is reached. A candidate
+    whose text an earlier one has is passed over unasked. This picks what
+    filtering every candidate first and then taking the least cost would
+    pick, while splicing only the candidates asked about and the one chosen.
     """
     used: dict[tuple[str, str], int] = {}
     result = AssemblyResult(chosen=[])
-    for unit_index in sorted(candidates, key=lambda u: (u == QUESTION_UNIT, u)):
-        options = candidates[unit_index]
-        costs = [sum(used.get((s.concept_id, s.surface.lower()), 0) for s in c.sites)
-                 for c in options]
-        chosen = options[0]
-        cheaper = [idx for idx in range(1, len(options)) if costs[idx] < costs[0]]
+    for unit_index in sorted(pools, key=lambda u: (u == QUESTION_UNIT, u)):
+        pool = pools[unit_index]
+        costs = [0]
+        for keys in pool.site_keys:
+            site_costs = [used.get(key, 0) for key in keys]
+            costs = [c + extra for c in costs for extra in site_costs][:MAX_CANDIDATES_PER_UNIT]
+        costs += [sum(used.get((s.concept_id, s.surface.lower()), 0) for s in c.sites)
+                  for c in pool.rewrites]
+        chosen = None
+        cheaper = [idx for idx in range(1, len(costs)) if costs[idx] < costs[0]]
         for idx in sorted(cheaper, key=costs.__getitem__):
-            if accept is None or accept(unit_index, options[idx]):
-                chosen = options[idx]
+            candidate = pool.candidate(idx)
+            if pool.repeats(idx, candidate.text):
+                continue
+            if accept is None or accept(unit_index, candidate):
+                chosen = candidate
                 break
+        if chosen is None:
+            chosen = pool.candidate(0)
         result.chosen.append(chosen)
         for s in chosen.sites:
             key = (s.concept_id, s.surface.lower())
@@ -266,15 +317,14 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
 
     variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
-    per_unit: dict[int, list[Candidate]] = {}
+    per_unit: dict[int, CandidatePool] = {}
     for unit_index, unit in p.units():
         site_rows = sites.get(unit_index, [])
         if unit_index in eligible:
             per_unit[unit_index] = generate_candidates(unit, site_rows, inventory, variants)
         else:
-            per_unit[unit_index] = [
-                _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
-            ]
+            per_unit[unit_index] = CandidatePool(
+                unit, site_rows, [[occ.surface] for _cid, occ in site_rows])
 
     def meaning_preserving(unit_index: int, candidate: Candidate) -> bool:
         original = p.unit(unit_index).text

@@ -11,6 +11,7 @@ error, 3 remote-service error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from .client import HttpChatClient
 from .config import (
     CONFIG_KEYS,
     LLM,
+    MENTAL_CHOICES,
     ORACLE_LLM,
     RESOURCE_KINDS,
     TranslatorConfig,
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def translator_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--translator", dest="translator.kind", metavar="TRANSLATOR",
                        default=argparse.SUPPRESS)
-        p.add_argument("--mental", dest="translator.mental", choices=("on", "off"),
+        p.add_argument("--mental", dest="translator.mental", choices=MENTAL_CHOICES,
                        default=argparse.SUPPRESS)
 
     p = common(sub.add_parser("generate", help="emit synthetic rule-base problems"))
@@ -179,6 +181,16 @@ def _emit(args, text: str) -> int:
     return EXIT_OK
 
 
+def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
+    """The command's input dataset. It and the resources loaded before it
+    live until the command ends, so they are frozen out of the cyclic
+    collector, which would otherwise re-scan them in every full collection;
+    `main` unfreezes them."""
+    items = load_dataset(path)
+    gc.freeze()
+    return items
+
+
 def _require_out(args) -> Path:
     if not args.out:
         raise FormatError("--out is required for this subcommand")
@@ -212,7 +224,7 @@ def _cmd_diversify(args) -> int:
             theta=args.theta, intensity=sentence_count(args.intensity, len(item.sentences)),
             scorer=args.scorer, resources=resources,
         ))
-        for item in _plain_problems(load_dataset(args.input))
+        for item in _plain_problems(_load_input(args.input))
     ]
     save_dataset(out_path, out)
     changed = sum(1 for d in out if d.intensity > 0)
@@ -223,7 +235,7 @@ def _cmd_diversify(args) -> int:
 def _cmd_translate(args) -> int:
     out_path = _require_out(args)
     _, resources, translator = _translation_setup(args)
-    items = normalize_items(load_dataset(args.input), resources)
+    items = normalize_items(_load_input(args.input), resources)
     records = [translate_one(item, translator) for item in items]
     write_records(out_path, records)
     parsed = sum(1 for r in records if r.program is not None)
@@ -234,7 +246,7 @@ def _cmd_translate(args) -> int:
 def _cmd_solve(args) -> int:
     out_path = _require_out(args)
     resources = _resources(_load_values(args))
-    items = {i.problem.id: i for i in normalize_items(load_dataset(args.problems), resources)}
+    items = {i.problem.id: i for i in normalize_items(_load_input(args.problems), resources)}
     records = read_records(args.records)
     for record in records:
         item = items.get(record.problem_id)
@@ -250,7 +262,7 @@ def _cmd_solve(args) -> int:
 def _cmd_evaluate(args) -> int:
     out_dir = _require_out(args)
     cfg, resources, translator = _translation_setup(args)
-    dataset = load_dataset(args.input)
+    dataset = _load_input(args.input)
     report = run_evaluation(dataset, translator, cfg, args.solver,
                             out_dir=out_dir,
                             extra_config={"seed": str(args.seed)},
@@ -271,7 +283,7 @@ def _cmd_sds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, resources, translator = _translation_setup(args)
-    dataset = _plain_problems(load_dataset(args.input))
+    dataset = _plain_problems(_load_input(args.input))
     points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
                              resources=resources)
     return _emit(args, sweep_to_csv(points))
@@ -321,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

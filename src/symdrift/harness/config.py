@@ -19,6 +19,9 @@ TRANSLATOR_KINDS = (GOLD, NAIVE, SPLIT_ADVERSARY, LLM)
 ORACLE_LEXICON = "lexicon"
 ORACLE_LLM = "llm"
 
+# Values of `translator.mental`, in a config file as for `--mental`.
+MENTAL_CHOICES = ("on", "off")
+
 ENDPOINT_ENV = "SYMDRIFT_LLM_ENDPOINT"
 CREDENTIAL_ENV = "SYMDRIFT_LLM_API_KEY"
 
@@ -87,7 +90,8 @@ CONFIG_KEYS = frozenset(
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; `#` starts a comment. A key outside
-    `CONFIG_KEYS` is refused, so a misspelt one cannot go unread."""
+    `CONFIG_KEYS` is refused, so a misspelt one cannot go unread, and so is
+    a `translator.mental` other than `on` or `off`."""
     p = Path(path)
     if not p.exists():
         raise FormatError(f"config file not found: {p}")
@@ -101,6 +105,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise FormatError(f"unknown config key {key!r}", line=lineno)
+        if key == "translator.mental" and value not in MENTAL_CHOICES:
+            raise FormatError(f"{key} must be 'on' or 'off', got {value!r}", line=lineno)
         out[key] = value
     return out
 

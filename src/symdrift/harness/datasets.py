@@ -5,6 +5,8 @@ writer: problems, translation records, run traces and tuning data all go
 through them. A file is one canonical (key-sorted) JSON object per line;
 reading skips blank lines, yields objects lazily, and reports a missing file
 or a line that is not JSON as a `FormatError` with the line number.
+`parse_jsonl` does the same for a line that is JSON but not what the file
+should hold, such as a records line without `problem_id`.
 
 One problem per JSONL line:
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import FormatError
 from ..fol.parser import parse_program
@@ -34,6 +36,8 @@ from ..problem import (
     TASK_KINDS,
     TextUnit,
 )
+
+T = TypeVar("T")
 
 _REQUIRED = ("id", "sentences", "question", "answer", "task_kind")
 
@@ -148,6 +152,21 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except ValueError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
             yield lineno, data
+
+
+def parse_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` of each line's object. A line that is JSON but that `parse`
+    cannot read, for a missing key or a wrong shape, is a `FormatError`
+    with its line number."""
+    out = []
+    for lineno, data in read_jsonl(path):
+        try:
+            out.append(parse(data))
+        except KeyError as exc:
+            raise FormatError(f"missing field {exc.args[0]!r}", line=lineno) from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed line: {exc}", line=lineno) from exc
+    return out
 
 
 def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:

@@ -9,7 +9,7 @@ from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
-from .datasets import program_from_json, program_to_json, read_jsonl, write_jsonl
+from .datasets import parse_jsonl, program_from_json, program_to_json, write_jsonl
 
 
 def csp_to_json(spec: CSPSpec) -> dict:
@@ -110,4 +110,4 @@ def write_records(path: str | Path, records: list[TranslationRecord]) -> None:
 
 
 def read_records(path: str | Path) -> list[TranslationRecord]:
-    return [record_from_json(data) for _, data in read_jsonl(path)]
+    return parse_jsonl(path, record_from_json)

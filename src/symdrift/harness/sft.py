@@ -10,7 +10,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import NoTraces
-from .datasets import read_jsonl, write_jsonl
+from .datasets import parse_jsonl, write_jsonl
+
+
+def _training_row(data: dict) -> dict | None:
+    """A traces line's training record, or None if it was not solved."""
+    if not data.get("correct"):
+        return None
+    response = data["table"] + "\n\n" + data["program"] if data["table"] else data["program"]
+    return {"instruction": data["instruction"], "response": response}
 
 
 def export_sft_traces(run_dir: str | Path, out_path: str | Path) -> int:
@@ -18,12 +26,7 @@ def export_sft_traces(run_dir: str | Path, out_path: str | Path) -> int:
     traces_file = Path(run_dir) / "traces.jsonl"
     if not traces_file.exists():
         raise NoTraces(f"no traces.jsonl under {run_dir}")
-    rows = []
-    for _, data in read_jsonl(traces_file):
-        if not data.get("correct"):
-            continue
-        response = data["table"] + "\n\n" + data["program"] if data["table"] else data["program"]
-        rows.append({"instruction": data["instruction"], "response": response})
+    rows = [row for row in parse_jsonl(traces_file, _training_row) if row]
     if not rows:
         raise NoTraces(f"no successful table-guided translations in {run_dir}")
     write_jsonl(out_path, rows)

@@ -108,17 +108,6 @@ def propose_from_templates(p: Problem) -> list[Proposal]:
     return proposals
 
 
-class ExactMatchOracle:
-    """Degenerate oracle: only identical normalized surfaces group together.
-    Routing through it reproduces the drift-prone baseline exactly."""
-
-    def equiv(self, e: str, expressions: tuple[str, ...]) -> bool:
-        return normalize_expression(e) in expressions
-
-    def conflict(self, e: str, expressions: tuple[str, ...]) -> None:
-        return None
-
-
 def _ledger(proposals: list[Proposal], table: MentalTable) -> dict[SpanKey, str]:
     """Each slot's symbols as the program renders it, from the same map of
     the final table, joined by `&`; then the translator-resolved anchors."""
@@ -139,8 +128,7 @@ def _table_guided(problem: Problem, proposals: list[Proposal],
     a build that fails, on the table, a formula or the world's check, becomes
     a record with a parse error."""
     try:
-        program, table, trace = translate_with_mental(
-            problem, proposals, oracle or ExactMatchOracle())
+        program, table, trace = translate_with_mental(problem, proposals, oracle)
     except (TranslationFailure, FolError, NotHorn) as exc:
         return translation_record(problem, parse_error=str(exc), **usage)
     return translation_record(problem, table, program=program, mental_trace=trace,

@@ -3,11 +3,13 @@
 `process_expression` implements the three-way update: scan entries in
 insertion order for an equivalence hit (reuse the symbol), otherwise for a
 conflict hit (refine, keeping the more atomic concept), otherwise extend with
-a fresh symbol. `translate_with_mental` takes a problem's per-unit formula
-skeletons with named predicate slots, however they were proposed, and routes
-every slot surface through the table. Only then does it build the program,
-once, with each slot rendered from the final table, so a refinement reaches
-every unit whether it came before or after the compound.
+a fresh symbol. Without an oracle only an identical normalized surface is a
+hit, which is the drift-prone baseline. `translate_with_mental` takes a
+problem's per-unit formula skeletons with named predicate slots, however
+they were proposed, and routes every slot surface through the table. Only
+then does it build the program, once, with each slot rendered from the final
+table, so a refinement reaches every unit whether it came before or after the
+compound.
 
 States, trace events and table entries are named tuples, and tables are
 immutable: an update builds a new state that shares everything it did not
@@ -63,17 +65,18 @@ class TranslationState(NamedTuple):
     placed: frozenset[str] = frozenset()
 
 
-def process_expression(st: TranslationState, e: str,
-                       oracle: EquivalenceOracle) -> tuple[TranslationState, SymbolRef]:
+def process_expression(st: TranslationState, e: str, oracle: EquivalenceOracle | None,
+                       ) -> tuple[TranslationState, SymbolRef]:
     """Route one surface expression through the table; returns the new state
     and the symbol reference the expression resolves to now. The program
-    renders from the final table, which later refinements may still change."""
+    renders from the final table, which later refinements may still change.
+    With `oracle` None only the exact normalized surface reuses an entry."""
     if not e or not e.strip():
         raise TranslationFailure("empty expression")
     norm = normalize_expression(e)
 
     hit = st.table.entry_for(norm)
-    if hit is None:
+    if hit is None and oracle is not None:
         for entry in st.table.entries:
             if oracle.equiv(norm, entry.expressions):
                 hit = entry
@@ -84,7 +87,7 @@ def process_expression(st: TranslationState, e: str,
         trace = st.trace + (TraceEvent(norm, REUSE, ref.render(), st.revisions),)
         return st._replace(table=table, trace=trace), ref
 
-    for entry in st.table.entries:
+    for entry in st.table.entries if oracle is not None else ():
         found = oracle.conflict(norm, entry.expressions)
         if found is None:
             continue
@@ -207,12 +210,14 @@ def _expand(rendering: Rendering, args: tuple, registry: SymbolRegistry) -> Form
 
 
 def translate_with_mental(problem: Problem, proposals: list[Proposal],
-                          oracle: EquivalenceOracle,
+                          oracle: EquivalenceOracle | None,
                           ) -> tuple[LogicProgram | None, MentalTable, tuple[TraceEvent, ...]]:
     """Build `problem`'s program from its proposals, in the world of the
     problem's task kind. Every slot surface is routed through the table in
     proposal order, each skeleton is parsed once its slots are routed, and
     the program is built from the final table after the last proposal.
+    `oracle` None routes by exact normalized surface only, so every distinct
+    surface gets its own symbol: the drift-prone baseline.
 
     An empty proposal list returns (None, empty table, empty trace) rather
     than fabricating a program.

@@ -12,6 +12,7 @@ from symdrift.diversify.concepts import MAX_N
 from symdrift.diversify.pipeline import (
     MAX_CANDIDATES_PER_UNIT,
     Candidate,
+    CandidatePool,
     CandidateSite,
     _site_options,
     _splice,
@@ -562,30 +563,40 @@ def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
     return out
 
 
-def _reference_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
-                          variants: VariantSet, theta: float, scorer) -> list[Candidate]:
-    """Every candidate scored, the original kept unscored and first."""
+def reference_raw_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
+                             variants: VariantSet) -> list[Candidate]:
+    """The first `MAX_CANDIDATES_PER_UNIT` combinations of site options in
+    product order, every one spliced, then the sentence rewrites, before
+    duplicate texts are dropped. The first is the original."""
     site_rows = reference_unit_sites(inventory, unit_index)
-    original = _splice(unit, [(cid, occ, occ.surface) for cid, occ in site_rows])
     combos: list[list[str]] = [[]]
     for cid, occ in site_rows:
         options = _site_options(cid, occ, variants, inventory[cid].pos[0])
         combos = [prefix + [opt] for prefix in combos for opt in options]
         if len(combos) > MAX_CANDIDATES_PER_UNIT:
             combos = combos[:MAX_CANDIDATES_PER_UNIT]
-    produced = [original]
-    seen = {original.text}
-    for combo in combos:
-        candidate = _splice(unit, [
-            (cid, occ, surface) for (cid, occ), surface in zip(site_rows, combo)
-        ])
+    spliced = [_splice(unit, [(cid, occ, surface) for (cid, occ), surface in zip(site_rows, combo)])
+               for combo in combos]
+    return spliced + _reference_rewrite_candidates(unit, unit_index, inventory)
+
+
+def pool_candidates(pool: CandidatePool) -> list[Candidate]:
+    """A lazy pool's candidates in pool order, each spliced: the first of
+    each distinct text, as assembly finds it."""
+    raw = (pool.candidate(index) for index in range(pool.n_combos + len(pool.rewrites)))
+    return [c for index, c in enumerate(raw) if not pool.repeats(index, c.text)]
+
+
+def _reference_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
+                          variants: VariantSet, theta: float, scorer) -> list[Candidate]:
+    """Every candidate scored, the original kept unscored and first."""
+    produced = []
+    seen = set()
+    for candidate in reference_raw_candidates(unit, unit_index, inventory, variants):
         if candidate.text not in seen:
             seen.add(candidate.text)
             produced.append(candidate)
-    for candidate in _reference_rewrite_candidates(unit, unit_index, inventory):
-        if candidate.text not in seen:
-            seen.add(candidate.text)
-            produced.append(candidate)
+    original = produced[0]
     return [original] + [c for c in produced[1:] if scorer.score(unit.text, c.text) >= theta]
 
 
@@ -765,6 +776,17 @@ def reference_program_from_json(data: dict) -> LogicProgram:
 # tables and states updated through `dataclasses.replace`, expressions
 # normalized at every table call, and each program validated in full, then
 # rewrapped and validated again in the engine's world before solving.
+
+
+class ReferenceExactMatchOracle:
+    """The baseline as an oracle: only identical normalized surfaces group
+    together, and nothing conflicts."""
+
+    def equiv(self, e: str, expressions: tuple[str, ...]) -> bool:
+        return _reference_normalize(e) in expressions
+
+    def conflict(self, e: str, expressions: tuple[str, ...]) -> None:
+        return None
 
 
 class ReferenceLexiconOracle:

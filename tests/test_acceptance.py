@@ -22,7 +22,6 @@ from symdrift.harness import (
     generate_synthetic,
     run_evaluation,
 )
-from symdrift.harness.translators import ExactMatchOracle
 from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
 from symdrift.metrics import (
     CORRECTED_VIA_CONSISTENCY,
@@ -202,7 +201,7 @@ def test_criterion_7_refinement_soundness(resources):
         if "popular show" in routed and "show" in routed:
             orders.add(routed.index("popular show") < routed.index("show"))
         refined, _, _ = translate_with_mental(problem, proposals, oracle)
-        plain, _, _ = translate_with_mental(problem, proposals, ExactMatchOracle())
+        plain, _, _ = translate_with_mental(problem, proposals, None)
         definition = parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))",
                                    plain.registry)
         unrefined = LogicProgram(plain.registry, (definition, *plain.premises),

@@ -447,3 +447,50 @@ class TestSettingsAndInputs:
         assert run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--mental", "off",
                    "--config", "run.cfg", "--out", "run") == EXIT_OK
         assert self._run_config("run")["translator.oracle"] == "llm"
+
+    def test_json_line_that_is_not_a_record_is_data_error(self, workdir, capsys):
+        Path("r.jsonl").write_text('{}\n')
+        assert run("sds", "--records", "r.jsonl") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "missing field 'problem_id'" in err and "(line 1)" in err
+        Path("run").mkdir()
+        Path("run", "traces.jsonl").write_text(
+            '{"correct": false}\n{"correct": true, "table": "", "program": "p"}\n')
+        assert run("export-sft", "--run", "run", "--out", "sft.jsonl") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "missing field 'instruction'" in err and "(line 2)" in err
+        assert not Path("sft.jsonl").exists()
+
+    def test_mental_in_config_file_is_on_or_off(self, workdir, capsys):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        Path("run.cfg").write_text("translator.kind = naive\ntranslator.mental = true\n")
+        capsys.readouterr()
+        assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
+                   "--out", "run") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "translator.mental" in err and "(line 2)" in err
+        assert not Path("run").exists()
+
+    @pytest.mark.parametrize("again", [False, True])
+    def test_loaded_input_is_unfrozen_when_main_returns(self, workdir, capsys, monkeypatch,
+                                                        again):
+        """The input and resources a command freezes out of the collector
+        are handed back to it on success, and on a data error raised after
+        the freeze (diversifying a diversified set)."""
+        import gc
+
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        if again:
+            run("diversify", "--in", "p.jsonl", "--out", "p.jsonl")
+        frozen = []
+        real_freeze = gc.freeze
+
+        def freeze():
+            real_freeze()
+            frozen.append(gc.get_freeze_count())
+
+        monkeypatch.setattr(gc, "freeze", freeze)
+        code = run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
+        assert code == (EXIT_DATA if again else EXIT_OK)
+        assert len(frozen) == 1 and frozen[0] > 0
+        assert gc.get_freeze_count() == 0

@@ -22,10 +22,12 @@ from symdrift.diversify import (
     score_similarity,
     select_sites,
 )
-from symdrift.diversify.pipeline import Candidate, CandidateSite
+from symdrift.diversify.pipeline import Candidate, CandidatePool, CandidateSite
 from symdrift.diversify.variants import _RULES
 from symdrift.errors import ResourceMissing, ScorerUnavailable
-from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
+from symdrift.problem import ConceptOccurrence, Problem, QUESTION_UNIT, TextUnit
+
+from .helpers import pool_candidates
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +111,8 @@ class TestBuildVariants:
         variants = build_variants(inv, resources.synonyms, resources.paraphrases)
         assert {v.level for vs in variants.values() for v in vs} <= {"word", "phrase"}
         sites = select_sites(inv)
-        pools = {u: [c.text for c in generate_candidates(unit, sites.get(u, []), inv, variants)]
+        pools = {u: [c.text for c in pool_candidates(
+                     generate_candidates(unit, sites.get(u, []), inv, variants))]
                  for u, unit in p.units()}
         assert "Every kind person is smart." in pools[0]
         assert [u for u, pool in pools.items() if "Every kind person is smart." in pool] == [0]
@@ -215,8 +218,8 @@ class TestGenerateCandidates:
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
         pools = self._pools(p, inv, variants)
-        assert pools[1][0].text == "All kind people are smart."
-        assert "All benevolent people are smart." in [c.text for c in pools[1]]
+        assert pool_candidates(pools[1])[0].text == "All kind people are smart."
+        assert "All benevolent people are smart." in [c.text for c in pool_candidates(pools[1])]
         result = assemble(pools, self._accept(p, scorer, 0.9))
         assert result.chosen[1].text == "All benevolent people are smart."
 
@@ -237,13 +240,17 @@ class TestGenerateCandidates:
     def test_threshold_monotonicity(self, resources):
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
-        pools = {u: pool[:1] for u, pool in self._pools(p, inv, variants).items()}
+        # Each unit keeps only its original; unit 1 gets three hand rewrites.
+        pools = {u: CandidatePool(pool.unit, pool.site_rows, [opts[:1] for opts in pool.options])
+                 for u, pool in self._pools(p, inv, variants).items()}
+        rewrites = []
         for text, surface in (("If someone is benevolent, then they are smart.", "benevolent"),
                               ("Every caring person is smart.", "caring"),
                               ("All benevolent people are smart.", "benevolent")):
             start = text.index(surface)
-            pools[1].append(Candidate(text, (CandidateSite("kind", surface, start,
+            rewrites.append(Candidate(text, (CandidateSite("kind", surface, start,
                                                            start + len(surface)),)))
+        pools[1] = CandidatePool(pools[1].unit, pools[1].site_rows, pools[1].options, rewrites)
         chosen, sizes = [], []
         for theta in (0.3, 0.6, 0.9, 1.0):
             asked = []
@@ -260,18 +267,20 @@ class TestGenerateCandidates:
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart.",
                         "Fred is round."])
-        candidates = self._pools(p, inv, variants)[2]
+        candidates = pool_candidates(self._pools(p, inv, variants)[2])
         assert [c.text for c in candidates] == ["Fred is round."]
 
 
 class TestAssemble:
     def _candidates(self, unit, options):
-        out = []
-        for text, surface in options:
-            start = text.index(surface)
-            out.append(Candidate(text, (CandidateSite("kind", surface, start,
-                                                      start + len(surface)),)))
-        return out
+        """A pool of one "kind" site whose options give the listed texts."""
+        text, surface = options[0]
+        start = text.index(surface)
+        occ = ConceptOccurrence(unit, 0, 1, start, start + len(surface), surface)
+        pool = CandidatePool(TextUnit.from_text(text), [("kind", occ)],
+                             [[s for _text, s in options]])
+        assert [c.text for c in pool_candidates(pool)] == [t for t, _s in options]
+        return pool
 
     def test_two_sentences_get_distinct_surfaces(self):
         per_unit = {
@@ -322,7 +331,8 @@ class TestAssemble:
 
                 best = min(
                     repeats(choice)
-                    for choice in itertools.product(*(per_unit[i] for i in range(n_sentences)))
+                    for choice in itertools.product(
+                        *(pool_candidates(per_unit[i]) for i in range(n_sentences)))
                 )
                 assert repeats(result.chosen) == best
 

@@ -1,27 +1,42 @@
 """The lazy rewrite pass against the eager reference: the same chosen texts
 and provenance, the same concept inventories, and the same similarity
-scores, with fewer candidates scored."""
+scores, with fewer candidates spliced and scored."""
 
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symdrift.diversify import pipeline
 from symdrift.diversify.concepts import identify_repeated, select_sites
-from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
-from symdrift.diversify.resources import Resources, SynonymLexicon
+from symdrift.diversify.pipeline import (
+    Candidate,
+    CandidatePool,
+    DiversifyConfig,
+    diversify_problem,
+    generate_candidates,
+)
+from symdrift.diversify.resources import (
+    DerivationTable,
+    ParaphraseTable,
+    Resources,
+    SynonymLexicon,
+)
+from symdrift.diversify.variants import build_variants
 from symdrift.diversify.similarity import FallbackScorer, make_scorer
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
-from symdrift.problem import Problem, TextUnit
+from symdrift.problem import ConceptOccurrence, Problem, TextUnit
 from symdrift.textproc import STOPWORDS
 
 from .helpers import (
+    pool_candidates,
     reference_diversify_choice,
     reference_identify_repeated,
+    reference_raw_candidates,
     reference_unit_sites,
 )
 
@@ -34,6 +49,16 @@ def resources() -> Resources:
 @pytest.fixture(scope="module")
 def generated() -> list[Problem]:
     return generate_synthetic(SyntheticConfig(n_problems=60, seed=7))
+
+
+def _problem(sentences: list[str], question: str) -> Problem:
+    return Problem(
+        id="t",
+        sentences=tuple(TextUnit.from_text(s) for s in sentences),
+        question=TextUnit.from_text(question),
+        gold_answer="true",
+        task_kind="proofwriter",
+    )
 
 
 class HashScorer:
@@ -107,16 +132,6 @@ def test_lazy_choice_scores_fewer_candidates_than_the_pool(generated, resources,
     assert 0 < scorer.calls < pooled
 
 
-def _problem(sentences: list[str], question: str) -> Problem:
-    return Problem(
-        id="t",
-        sentences=tuple(TextUnit.from_text(s) for s in sentences),
-        question=TextUnit.from_text(question),
-        gold_answer="true",
-        task_kind="proofwriter",
-    )
-
-
 HAND_CASES = [
     # a punctuation gap inside a would-be gram: "kind, smart" is not "kind smart"
     _problem(["Anne is kind, smart and tall.", "Bob is kind smart."], "Is Anne kind smart?"),
@@ -176,3 +191,112 @@ def test_fallback_score_equals_counter_jaccard(a, b):
     expected = 1.0 if union == 0 else sum((ca & cb).values()) / union
     assert scorer.score(text_a, text_b) == expected
     assert scorer.score(text_b, text_a) == expected
+
+
+class AcceptAll:
+    def score(self, a: str, b: str) -> float:
+        return 1.0
+
+
+# "large" + " " + "red auto" and "large red" + " " + "auto" splice to one
+# text in "Gail has a big car.", whose sites "big" and "car" are one space
+# apart. Earlier units use "large" and "red auto", so the later twin of the
+# two combinations costs less than the first and is ranked before it.
+TWIN_RESOURCES = Resources(
+    SynonymLexicon(),
+    ParaphraseTable({("big",): [("large", 1.0), ("large red", 0.9)],
+                     ("car",): [("red auto", 1.0), ("auto", 0.9)]}),
+    DerivationTable({}),
+)
+TWIN_PROBLEM = _problem(["Anne is big.", "Bob looks big.", "Anne owns one car.",
+                         "Bob sees the car.", "Gail has a big car."], "Is Gail big?")
+
+
+def test_pool_keeps_the_first_of_two_combinations_with_one_text():
+    p = TWIN_PROBLEM
+    inventory = identify_repeated(p)
+    variants = build_variants(inventory, TWIN_RESOURCES.synonyms, TWIN_RESOURCES.paraphrases)
+    unit = p.sentences[4]
+    raw = reference_raw_candidates(unit, 4, inventory, variants)
+    pool = generate_candidates(unit, select_sites(inventory)[4], inventory, variants)
+    twins = [c for c in raw if c.text == "Gail has a large red auto."]
+    assert [s.surface for c in twins for s in c.sites] == ["Gail", "large", "red auto",
+                                                            "Gail", "large red", "auto"]
+    assert [c for c in pool_candidates(pool) if c.text == twins[0].text] == twins[:1]
+    assert [c.text for c in pool_candidates(pool)] == list(dict.fromkeys(c.text for c in raw))
+    assert len(pool) == len(raw) - 1
+
+
+@pytest.mark.parametrize("scorer_for", [AcceptAll, HashScorer])
+def test_lazy_choice_passes_over_a_cheaper_twin(monkeypatch, scorer_for):
+    """The lazy pass reaches the later twin first and must drop it as the
+    eager pool does, choosing what the eager pass chooses."""
+    assert _assert_same_choice([TWIN_PROBLEM], TWIN_RESOURCES, monkeypatch, scorer_for, 0.5)
+    monkeypatch.setattr(pipeline, "make_scorer", lambda *a, **k: AcceptAll())
+    d = diversify_problem(TWIN_PROBLEM, DiversifyConfig(theta=0.5, resources=TWIN_RESOURCES))
+    # Taking the twin would give "Gail has a large red auto." at cost 0.
+    assert d.problem.sentences[4].text == "Gail has a big auto."
+
+
+def test_splices_only_what_assembly_asks_about(generated, resources, monkeypatch):
+    """At full intensity `_splice` runs at most once per `accept` call, once
+    per unit (its choice, when no candidate was accepted), and once per
+    duplicate passed over; the eager pool spliced every combination."""
+    units = duplicates = raw_size = 0
+    for p in generated:
+        inventory = reference_identify_repeated(p)
+        variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
+        for unit_index, unit in p.units():
+            raw = reference_raw_candidates(unit, unit_index, inventory, variants)
+            units += 1
+            raw_size += len(raw)
+            duplicates += len(raw) - len({c.text for c in raw})
+    scorer = CountingScorer(make_scorer("fallback", lexicon=resources.synonyms))
+    monkeypatch.setattr(pipeline, "make_scorer", lambda *a, **k: scorer)
+    splices = 0
+    splice = pipeline._splice
+
+    def counting_splice(*args):
+        nonlocal splices
+        splices += 1
+        return splice(*args)
+
+    monkeypatch.setattr(pipeline, "_splice", counting_splice)
+    for p in generated:
+        diversify_problem(p, DiversifyConfig(resources=resources))
+    assert 0 < splices <= scorer.calls + units + duplicates < raw_size
+
+
+# Surfaces that overlap across the one-space gap between sites, so that
+# different combinations of them splice to the same text.
+SURFACES = st.sampled_from(["x", "y", "x y", "y x", "x y x"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(SURFACES, max_size=4, unique=True), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=0, max_value=299), max_size=4))
+# 256 combinations, cut at 64; the rewrites repeat combinations 200 and 64
+# only, both past the cut, the second at a raw index just past 64.
+@example([["x", "y", "x y"]] * 4, [200, 64])
+def test_pool_drops_exactly_the_later_twins(variant_lists, rewrite_picks):
+    """A pool keeps the first candidate of each distinct text, in
+    raw order, however the options overlap and whether or not the product
+    is cut at `MAX_CANDIDATES_PER_UNIT`; rewrites repeating a combination,
+    one inside the cut or past it, or an earlier rewrite, are dropped."""
+    text = "S " + " ".join(f"o{k}" for k in range(len(variant_lists))) + "."
+    unit = TextUnit.from_text(text)
+    site_rows, options = [], []
+    for k, variants in enumerate(variant_lists):
+        start = text.index(f"o{k}")
+        site_rows.append((f"c{k}", ConceptOccurrence(0, 0, 1, start, start + 2, f"o{k}")))
+        options.append([f"o{k}"] + variants)
+    full = ["S " + " ".join(combo) + "." for combo in itertools.product(*options)]
+    rewrites = [Candidate(full[pick % len(full)], ()) for pick in rewrite_picks]
+    rewrites += rewrites[:1]
+    pool = CandidatePool(unit, site_rows, options, rewrites)
+    raw = [pool.candidate(i) for i in range(pool.n_combos + len(rewrites))]
+    first_of = {}
+    for candidate in raw:
+        first_of.setdefault(candidate.text, candidate)
+    assert pool_candidates(pool) == list(first_of.values())
+    assert len(pool) == len(first_of)

@@ -33,7 +33,6 @@ from symdrift.harness import (
 from symdrift.harness.datasets import problem_from_json, program_from_json
 from symdrift.harness.evaluate import evaluate_one, solve_one
 from symdrift.harness.translators import (
-    ExactMatchOracle,
     _ledger,
     program_block,
     propose_from_templates,
@@ -51,6 +50,7 @@ from symdrift.metrics.records import TranslationRecord
 from symdrift.problem import QUESTION_UNIT
 
 from .helpers import (
+    ReferenceExactMatchOracle,
     ReferenceLexiconOracle,
     reference_evaluate_json,
     reference_program_from_json,
@@ -312,7 +312,7 @@ def _proposals_or_none(item):
 def test_naive_records_equal_the_reference(diversified_seed7, resources, mental):
     oracle = LexiconOracle(resources.synonyms, resources.derivations) if mental else None
     reference_oracle = (ReferenceLexiconOracle(resources.synonyms, resources.derivations)
-                        if mental else ExactMatchOracle())
+                        if mental else ReferenceExactMatchOracle())
     translator = NaiveTranslator(oracle=oracle)
     for item in diversified_seed7:
         record = evaluate_one(item, translator, "auto")
