@@ -2,6 +2,8 @@
 
 The fragment is function-free (constants and predicates only, no equality).
 Formulas store opaque symbol ids; human-readable names live in the registry.
+`horn_parts` is the one reading of the closed world's Horn form: the
+program's `check_world` and forward chaining both take it from there.
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ class LogicProgram:
         closed world, every premise is a fact or a Horn implication."""
         if self.semantics_mode == CLOSED_WORLD:
             for premise in self.premises:
-                if not is_horn(premise):
+                if horn_parts(premise) is None:
                     raise NotHorn("premise is not a fact or Horn implication: "
                                   + _text(premise, self.registry))
         return self
@@ -317,49 +319,28 @@ def _text(f: Formula, registry: SymbolRegistry) -> str:
     return render_formula(f, registry)
 
 
-def is_horn(premise: Formula) -> bool:
-    """Fact (ground atom) or Horn implication with one positive consequent.
-
-    Accepts any nesting of leading universal quantifiers around
-    `body -> head` where the body is a conjunction of atoms.
-    """
+def horn_parts(premise: Formula) -> tuple[list[Atom], Atom] | None:
+    """The closed world's reading of a premise as (body atoms, head atom), or
+    None when it has none. A fact is a ground atom, with an empty body; a
+    rule is `body -> head` with a conjunction of atoms as body, read left to
+    right, and an atom as head. Either may sit under leading universal
+    quantifiers."""
     f = premise
     while isinstance(f, ForAll):
         f = f.body
     if isinstance(f, Atom):
-        return not free_variables(f)
-    if isinstance(f, Implies):
-        return _is_atom_conjunction(f.left) and isinstance(f.right, Atom)
-    return False
-
-
-def _is_atom_conjunction(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, And):
-        return _is_atom_conjunction(f.left) and _is_atom_conjunction(f.right)
-    return False
-
-
-def horn_parts(premise: Formula, registry: SymbolRegistry) -> tuple[list[Atom], Atom]:
-    """Split a Horn premise into (body atoms, head atom); facts get empty body.
-    `registry` names the symbols of a non-Horn premise in the error."""
-    f = premise
-    while isinstance(f, ForAll):
-        f = f.body
-    if isinstance(f, Atom):
-        return [], f
-    if isinstance(f, Implies) and isinstance(f.right, Atom):
-        body: list[Atom] = []
-        stack = [f.left]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, Atom):
-                body.append(g)
-            elif isinstance(g, And):
-                stack.append(g.right)
-                stack.append(g.left)
-            else:
-                raise NotHorn(f"non-atomic rule body: {_text(g, registry)}")
-        return body, f.right
-    raise NotHorn(f"not a Horn premise: {_text(premise, registry)}")
+        return None if free_variables(f) else ([], f)
+    if not (isinstance(f, Implies) and isinstance(f.right, Atom)):
+        return None
+    body: list[Atom] = []
+    stack = [f.left]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            body.append(g)
+        elif isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            return None
+    return body, f.right

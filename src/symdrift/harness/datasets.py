@@ -73,24 +73,27 @@ def problem_to_json(p: Problem) -> dict:
     return out
 
 
-def problem_from_json(data: dict, line: int | None = None) -> Problem:
+def problem_from_json(data: dict) -> Problem:
     for key in _REQUIRED:
         if key not in data:
-            raise FormatError(f"missing field {key!r}", line=line)
+            raise FormatError(f"missing field {key!r}")
     task_kind = data["task_kind"]
     if task_kind not in TASK_KINDS:
-        raise FormatError(f"unknown task_kind {task_kind!r}", line=line)
+        raise FormatError(f"unknown task_kind {task_kind!r}")
     answer = data["answer"]
     if isinstance(answer, str):
         answer = answer.lower()
         if answer not in ("true", "false", "unknown"):
-            raise FormatError(f"bad answer label {data['answer']!r}", line=line)
+            raise FormatError(f"bad answer label {data['answer']!r}")
     elif not isinstance(answer, int):
-        raise FormatError(f"answer must be a label or option index", line=line)
+        raise FormatError(f"answer must be a label or option index")
     try:
         gold_logic = program_from_json(data["gold_logic"]) if "gold_logic" in data else None
     except Exception as exc:
-        raise FormatError(f"bad gold_logic: {exc}", line=line) from exc
+        raise FormatError(f"bad gold_logic: {exc}") from exc
+    sentences = data["sentences"]
+    if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
+        raise FormatError("sentences must be a list of strings")
     gold_concepts = None
     if "gold_concepts" in data:
         gold_concepts = {
@@ -99,7 +102,7 @@ def problem_from_json(data: dict, line: int | None = None) -> Problem:
         }
     return Problem(
         id=str(data["id"]),
-        sentences=tuple(TextUnit.from_text(s) for s in data["sentences"]),
+        sentences=tuple(TextUnit.from_text(s) for s in sentences),
         question=TextUnit.from_text(data["question"]),
         gold_answer=answer,
         task_kind=task_kind,
@@ -122,8 +125,8 @@ def diversified_to_json(d: DiversifiedProblem) -> dict:
     }
 
 
-def diversified_from_json(data: dict, line: int | None = None) -> DiversifiedProblem:
-    problem = problem_from_json(data["problem"], line=line)
+def diversified_from_json(data: dict) -> DiversifiedProblem:
+    problem = problem_from_json(data["problem"])
     provenance = {
         cid: [ProvenanceEntry(int(u), int(cs), int(ce), surface)
               for u, cs, ce, surface in entries]
@@ -157,11 +160,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def parse_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """`parse` of each line's object. A line that is JSON but that `parse`
     cannot read, for a missing key or a wrong shape, is a `FormatError`
-    with its line number."""
+    with its line number; so is a `FormatError` that `parse` raises."""
     out = []
     for lineno, data in read_jsonl(path):
         try:
             out.append(parse(data))
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
         except KeyError as exc:
             raise FormatError(f"missing field {exc.args[0]!r}", line=lineno) from exc
         except (AttributeError, TypeError, ValueError) as exc:
@@ -177,9 +182,8 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
     """Read a JSONL problem file; diversified lines are detected by shape."""
-    return [diversified_from_json(data, line=lineno) if "provenance" in data
-            else problem_from_json(data, line=lineno)
-            for lineno, data in read_jsonl(path)]
+    return parse_jsonl(path, lambda data: diversified_from_json(data) if "provenance" in data
+                       else problem_from_json(data))
 
 
 def save_dataset(path: str | Path, items: list[Problem | DiversifiedProblem]) -> None:

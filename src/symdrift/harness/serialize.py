@@ -16,7 +16,6 @@ def csp_to_json(spec: CSPSpec) -> dict:
     return {
         "objects": list(spec.objects),
         "constraints": [[c.kind, *c.args] for c in spec.constraints],
-        "all_different": spec.all_different,
     }
 
 
@@ -24,7 +23,7 @@ def csp_from_json(data: dict) -> CSPSpec:
     constraints = [
         Constraint(kind, tuple(args)) for kind, *args in data.get("constraints", [])
     ]
-    return CSPSpec(list(data["objects"]), constraints, data.get("all_different", True))
+    return CSPSpec(list(data["objects"]), constraints)
 
 
 def record_to_json(r: TranslationRecord) -> dict:

@@ -1,5 +1,6 @@
 """Closed-world forward chaining over Horn programs.
 
+Each premise is read once, by `fol.terms.horn_parts`, into a fact or a rule.
 Saturates the fact base to its least fixed point (finite, because the
 fragment is function-free) and answers queries under negation as failure.
 A firing is a rule application that derives a new fact, so the firing count
@@ -19,7 +20,6 @@ from ..fol.terms import (
     Not,
     Var,
     horn_parts,
-    is_horn,
 )
 from .verdict import FALSE, TRUE, Verdict
 
@@ -68,9 +68,10 @@ def saturate(p: LogicProgram) -> tuple[set[GroundAtom], int]:
     rules: list[tuple[list[Atom], Atom]] = []
     facts: set[GroundAtom] = set()
     for premise in p.premises:
-        if not is_horn(premise):
+        parts = horn_parts(premise)
+        if parts is None:
             raise NotHorn(f"premise is not Horn: {render_formula(premise, p.registry)}")
-        body, head = horn_parts(premise, p.registry)
+        body, head = parts
         if body:
             rules.append((body, head))
         else:

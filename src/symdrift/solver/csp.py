@@ -1,12 +1,14 @@
 """Finite-domain ordering puzzles: objects assigned to distinct positions.
 
-Backtracking search with forward checking enumerates every solution; an
-option is chosen only when it holds in all of them.
+Every solution is found by filtering all permutations of the positions, in
+lexicographic order; `MAX_OBJECTS` bounds that at 8! = 40,320 candidates.
+An option is chosen only when it holds in all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from ..errors import AmbiguousOptions, CSPSpecError, NoEntailedOption, Unsatisfiable
 from .verdict import OPTION, Verdict
@@ -39,7 +41,6 @@ class Option:
 class CSPSpec:
     objects: list[str]
     constraints: list[Constraint] = field(default_factory=list)
-    all_different: bool = True
 
     @property
     def positions(self) -> range:
@@ -69,65 +70,27 @@ class CSPSpec:
         return self
 
 
-def _holds(c: Constraint, pos: dict[str, int]) -> bool | None:
-    """Evaluate one constraint; None while an endpoint is unassigned."""
-    if c.kind in (LEFT_OF, RIGHT_OF, ADJACENT):
-        a, b = c.args
-        if a not in pos or b not in pos:
-            return None
-        if c.kind == LEFT_OF:
-            return pos[a] < pos[b]
-        if c.kind == RIGHT_OF:
-            return pos[a] > pos[b]
-        return abs(pos[a] - pos[b]) == 1
+def _holds(c: Constraint, pos: dict[str, int]) -> bool:
+    if c.kind == LEFT_OF:
+        return pos[c.args[0]] < pos[c.args[1]]
+    if c.kind == RIGHT_OF:
+        return pos[c.args[0]] > pos[c.args[1]]
+    if c.kind == ADJACENT:
+        return abs(pos[c.args[0]] - pos[c.args[1]]) == 1
     obj, target = c.args
-    if obj not in pos:
-        return None
     if c.kind == AT_POSITION:
         return pos[obj] == target
     return pos[obj] != target
 
 
 def iter_solutions(spec: CSPSpec):
-    """Yield every complete assignment consistent with the constraints."""
+    """Yield every assignment of distinct positions that satisfies the
+    constraints, in lexicographic order of the objects' positions."""
     spec.validate()
-    n = len(spec.objects)
-    assignment: dict[str, int] = {}
-    domains = {obj: set(spec.positions) for obj in spec.objects}
-
-    # Unary constraints prune domains up front.
-    for c in spec.constraints:
-        if c.kind == AT_POSITION:
-            domains[c.args[0]] &= {c.args[1]}
-        elif c.kind == NOT_AT_POSITION:
-            domains[c.args[0]] -= {c.args[1]}
-
-    order = list(spec.objects)
-
-    def consistent() -> bool:
-        return all(_holds(c, assignment) is not False for c in spec.constraints)
-
-    def forward_ok(idx: int) -> bool:
-        # Every unassigned object must keep at least one feasible position.
-        used = set(assignment.values())
-        for obj in order[idx:]:
-            if not (domains[obj] - used):
-                return False
-        return True
-
-    def backtrack(idx: int):
-        if idx == n:
-            yield dict(assignment)
-            return
-        obj = order[idx]
-        used = set(assignment.values())
-        for position in sorted(domains[obj] - used):
-            assignment[obj] = position
-            if consistent() and forward_ok(idx + 1):
-                yield from backtrack(idx + 1)
-            del assignment[obj]
-
-    yield from backtrack(0)
+    for perm in permutations(spec.positions):
+        pos = dict(zip(spec.objects, perm))
+        if all(_holds(c, pos) for c in spec.constraints):
+            yield pos
 
 
 def solve_csp(spec: CSPSpec, options: list[Option]) -> Verdict:
@@ -135,16 +98,18 @@ def solve_csp(spec: CSPSpec, options: list[Option]) -> Verdict:
 
     Raises Unsatisfiable when no assignment satisfies the constraints,
     AmbiguousOptions when several options are entailed, and NoEntailedOption
-    when none is.
+    when none is. A malformed spec or option is a CSPSpecError before any
+    search.
     """
-    solutions = list(iter_solutions(spec))
-    if not solutions:
-        raise Unsatisfiable("constraints admit no assignment")
+    spec.validate()
     for opt in options:
         if opt.obj not in spec.objects:
             raise CSPSpecError(f"option references undeclared object {opt.obj!r}")
         if opt.position not in spec.positions:
             raise CSPSpecError(f"option position {opt.position} outside 1..{len(spec.objects)}")
+    solutions = list(iter_solutions(spec))
+    if not solutions:
+        raise Unsatisfiable("constraints admit no assignment")
     entailed = [
         i for i, opt in enumerate(options)
         if all(sol[opt.obj] == opt.position for sol in solutions)

@@ -56,8 +56,7 @@ from symdrift.fol.terms import (
     CLOSED_WORLD,
     CONSTANT,
     PREDICATE,
-    horn_parts,
-    is_horn,
+    free_variables,
     map_atoms,
     type_check,
 )
@@ -654,6 +653,52 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
     return {u: c.text for u, c in zip(order, chosen)}, provenance
 
 
+def reference_is_horn(premise: Formula) -> bool:
+    """Fact (ground atom) or Horn implication with one positive consequent:
+    any nesting of leading universal quantifiers around `body -> head` where
+    the body is a conjunction of atoms."""
+    f = premise
+    while isinstance(f, ForAll):
+        f = f.body
+    if isinstance(f, Atom):
+        return not free_variables(f)
+    if isinstance(f, Implies):
+        return _reference_is_atom_conjunction(f.left) and isinstance(f.right, Atom)
+    return False
+
+
+def _reference_is_atom_conjunction(f: Formula) -> bool:
+    if isinstance(f, Atom):
+        return True
+    if isinstance(f, And):
+        return _reference_is_atom_conjunction(f.left) and _reference_is_atom_conjunction(f.right)
+    return False
+
+
+def reference_horn_parts(premise: Formula, registry: SymbolRegistry) -> tuple[list[Atom], Atom]:
+    """Split a Horn premise into (body atoms, head atom); facts get empty body.
+    `registry` names the symbols of a non-Horn premise in the error."""
+    f = premise
+    while isinstance(f, ForAll):
+        f = f.body
+    if isinstance(f, Atom):
+        return [], f
+    if isinstance(f, Implies) and isinstance(f.right, Atom):
+        body: list[Atom] = []
+        stack = [f.left]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, Atom):
+                body.append(g)
+            elif isinstance(g, And):
+                stack.append(g.right)
+                stack.append(g.left)
+            else:
+                raise NotHorn(f"non-atomic rule body: {render_formula(g, registry)}")
+        return body, f.right
+    raise NotHorn(f"not a Horn premise: {render_formula(premise, registry)}")
+
+
 GroundAtom = tuple[str, tuple[str, ...]]
 
 
@@ -709,9 +754,9 @@ def reference_saturate(p: LogicProgram) -> Saturation:
     facts: set[GroundAtom] = set()
     depths: dict[GroundAtom, int] = {}
     for premise in p.premises:
-        if not is_horn(premise):
+        if not reference_is_horn(premise):
             raise NotHorn(f"premise is not Horn: {render_formula(premise, p.registry)}")
-        body, head = horn_parts(premise, p.registry)
+        body, head = reference_horn_parts(premise, p.registry)
         if not body:
             g = _reference_ground(head, {})
             facts.add(g)

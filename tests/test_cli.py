@@ -33,6 +33,29 @@ class TestExitCodes:
     def test_missing_input_file_is_data_error(self, workdir, capsys):
         assert run("diversify", "--in", "absent.jsonl", "--out", "x.jsonl") == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["diversify", "evaluate"])
+    @pytest.mark.parametrize("field, value, text", [
+        ("gold_concepts", [[0, 1]], "not enough values to unpack"),
+        ("provenance", {"kind": [[0, 1]]}, "not enough values to unpack"),
+        ("sentences", "Anne is kind.", "sentences must be a list of strings"),
+    ], ids=["gold_concepts", "provenance", "sentences"])
+    def test_malformed_problem_line_is_data_error(self, workdir, capsys, command, field,
+                                                  value, text):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        source = "p.jsonl"
+        if field == "provenance":
+            run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
+            source = "d.jsonl"
+        first, second = Path(source).read_text().splitlines()
+        bad = json.loads(second)
+        bad[field] = value
+        Path("bad.jsonl").write_text(first + "\n" + json.dumps(bad) + "\n")
+        capsys.readouterr()
+        assert run(command, "--in", "bad.jsonl", "--out", "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert text in err and "(line 2)" in err
+        assert not Path("out").exists()
+
     def test_remote_translator_without_endpoint(self, workdir, monkeypatch, capsys):
         monkeypatch.delenv("SYMDRIFT_LLM_ENDPOINT", raising=False)
         Path("p.jsonl").write_text(json.dumps({

@@ -499,6 +499,44 @@ class TestEvaluation:
         assert record.verdict.option_index == 1
         assert record.predicted == 1
 
+    def test_csp_record_with_all_different_still_solves(self, resources, tmp_path):
+        """A records line that still carries the spec's retired
+        `all_different` key reads back and solves to the verdict, option
+        and `steps` it recorded."""
+        from symdrift.harness.evaluate import solve_one
+        from symdrift.harness.serialize import read_records
+
+        line = (
+            '{"alignment": {"book": []}, "alignment_misses": ["book:0:book", "book:0:book"], '
+            '"exec_error": null, "gold": 1, "parse_error": null, "predicted": 1, '
+            '"problem_id": "ded4", "program": {"csp": {"all_different": true, '
+            '"constraints": [["LeftOf", "Red", "Blue"], ["NotAtPosition", "Green", 1]], '
+            '"objects": ["Red", "Blue", "Green"]}, "options": [["Blue", 2], ["Red", 1]]}, '
+            '"raw_output": "```\\nobjects: Red, Blue, Green\\nconstraint: LeftOf(Red, Blue)'
+            '\\nconstraint: NotAtPosition(Green, 1)\\noption 0: Blue at 2\\noption 1: Red at 1'
+            '\\n```", "span_symbols": [], "table": "", "tokens_in": 0, "tokens_out": 0, '
+            '"trace": [], "verdict": {"limit_hit": false, "option_index": 1, "steps": 2, '
+            '"value": "option"}}'
+        )
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n")
+        [record] = read_records(path)
+        recorded = record.verdict
+        p = Problem(
+            id="ded4",
+            sentences=(TextUnit.from_text("The red book is left of the blue book."),),
+            question=TextUnit.from_text("Which option is right?"),
+            options=("Blue at 2", "Red at 1"),
+            gold_answer=1, task_kind="deduction",
+        )
+        [item] = normalize_items([p], resources)
+        solve_one(record, item, "auto")
+        assert record.verdict == recorded
+        assert (record.verdict.option_index, record.verdict.steps) == (1, 2)
+        assert record.predicted == 1 and record.exec_error is None
+        assert json.dumps(record_to_json(record), sort_keys=True) == \
+            line.replace('"all_different": true, ', "")
+
     def test_solve_one_replaces_an_earlier_solve(self, resources, diversified_batch):
         from symdrift.harness.evaluate import evaluate_one, solve_one
 

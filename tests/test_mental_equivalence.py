@@ -30,7 +30,7 @@ from symdrift.harness import (
     normalize_items,
     record_to_json,
 )
-from symdrift.harness.datasets import problem_from_json, program_from_json
+from symdrift.harness.datasets import load_dataset, program_from_json
 from symdrift.harness.evaluate import evaluate_one, solve_one
 from symdrift.harness.translators import (
     _ledger,
@@ -390,11 +390,14 @@ GOLD_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(GOLD_CASES))
-def test_gold_logic_loads_as_the_reference_does(case):
+def test_gold_logic_loads_as_the_reference_does(case, tmp_path):
     gold_logic, fails = GOLD_CASES[case]
     row = {"id": "g", "sentences": ["Anne is kind."], "question": "Is Anne kind?",
            "answer": "true", "task_kind": "proofwriter", "gold_logic": gold_logic}
-    problem, error = _outcome(lambda: problem_from_json(row, line=3))
+    path = tmp_path / "problems.jsonl"
+    path.write_text("\n\n" + json.dumps(row) + "\n")
+    loaded, error = _outcome(lambda: load_dataset(path))
+    problem = loaded[0] if loaded else None
     reference, reference_error = _outcome(lambda: reference_program_from_json(gold_logic))
     assert (error is not None) == fails
     if fails:

@@ -14,7 +14,7 @@ from symdrift.errors import FolError, NotHorn
 from symdrift.fol import SymbolRegistry, parse_formula
 from symdrift.fol.parser import parse_program, parse_shape
 from symdrift.fol.render import render_program
-from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, is_horn
+from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, horn_parts
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.datasets import program_to_json
 from symdrift.harness.synthetic import generate_synthetic
@@ -161,7 +161,7 @@ def test_rendered_program_parses_back_to_itself(premises, query):
     assert (again.premises, again.query) == (program.premises, program.query)
     assert [(s, again.registry.info(s)) for s in again.registry.symbols()] == \
         [(s, program.registry.info(s)) for s in program.registry.symbols()]
-    if all(is_horn(premise) for premise in program.premises):
+    if all(horn_parts(premise) is not None for premise in program.premises):
         closed = parse_program(texts[:-1], texts[-1], CLOSED_WORLD)
         assert render_program(closed) == texts
     else:

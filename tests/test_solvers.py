@@ -19,9 +19,16 @@ from symdrift.errors import (
 from symdrift.fol import (
     CLOSED_WORLD,
     OPEN_WORLD,
+    And,
+    Atom,
     Const,
+    Exists,
+    ForAll,
+    Implies,
     Literal,
     LogicProgram,
+    Not,
+    Or,
     SymbolRegistry,
     Var,
     parse_formula,
@@ -39,9 +46,11 @@ from symdrift.solver import (
     Verdict,
     enumerate_models,
     forward_chain_cwa,
+    iter_solutions,
     prove_resolution,
     solve_csp,
 )
+from symdrift.solver import csp
 from symdrift.solver.chaining import saturate
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
@@ -54,6 +63,8 @@ from .helpers import (
     random_program,
     random_relational_program,
     reference_enumerate_models,
+    reference_horn_parts,
+    reference_is_horn,
     reference_prove_resolution,
     reference_subsumes,
 )
@@ -255,6 +266,33 @@ class TestResolution:
             assert calls <= len(c) * len(d)
 
 
+def horn_candidates():
+    """Premises in and out of the Horn form: facts and non-ground atoms,
+    negated atoms, and rules whose body is a conjunction of atoms or holds a
+    negation or disjunction and whose head is an atom, a negation, a
+    disjunction or a conjunction, each under up to two leading quantifiers."""
+    terms = st.sampled_from([Var("x"), Var("y"), Const("c0"), Const("c1")])
+    atoms = (st.builds(lambda pred, t: Atom(pred, (t,)), st.sampled_from(["p2", "p3"]), terms)
+             | st.builds(lambda a, b: Atom("p4", (a, b)), terms, terms))
+    conjunctions = st.recursive(atoms, lambda inner: st.builds(And, inner, inner),
+                                max_leaves=4)
+    mixed = st.recursive(atoms, lambda inner: st.builds(And, inner, inner)
+                         | st.builds(Or, inner, inner) | st.builds(Not, inner), max_leaves=4)
+    heads = (atoms | st.builds(Not, atoms) | st.builds(Or, atoms, atoms)
+             | st.builds(And, atoms, atoms))
+    matrices = (atoms | st.builds(Not, atoms) | st.builds(Implies, conjunctions, heads)
+                | st.builds(Implies, mixed, heads))
+    prefixes = st.lists(st.sampled_from([(ForAll, "x"), (ForAll, "y"), (Exists, "x")]),
+                        max_size=2)
+
+    def close(matrix, prefix):
+        for quantifier, var in reversed(prefix):
+            matrix = quantifier(var, matrix)
+        return matrix
+
+    return st.builds(close, matrices, prefixes)
+
+
 class TestForwardChaining:
     def test_rule_application(self):
         p = _program(["Kind(Anne)", "all x (Kind(x) -> Smart(x))"], "Smart(Anne)",
@@ -294,14 +332,24 @@ class TestForwardChaining:
              "all x (Kind(x) -> Smart(x) | Tall(x))"),
             (lambda: forward_chain_cwa(LogicProgram(r, (), query, CLOSED_WORLD)),
              "closed-world queries must be ground literals: all x Smart(x)"),
-            (lambda: horn_parts(premise, r), "not a Horn premise: "
-             "all x (Kind(x) -> Smart(x) | Tall(x))"),
-            (lambda: horn_parts(body, r), "non-atomic rule body: ~Kind(x)"),
         ]
         for check, text in checks:
             with pytest.raises(NotHorn) as raised:
                 check()
             assert str(raised.value) == text
+        assert horn_parts(premise) is None
+        assert horn_parts(body) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(horn_candidates())
+    def test_horn_parts_matches_the_reference(self, premise):
+        """One reading of the Horn form accepts what the two-step reference
+        accepted, with the same body atoms in the same order and the same
+        head."""
+        expected = None
+        if reference_is_horn(premise):
+            expected = reference_horn_parts(premise, SymbolRegistry())
+        assert horn_parts(premise) == expected
 
     def test_multi_body_join(self):
         p = _program(
@@ -386,6 +434,24 @@ class TestCsp:
         with pytest.raises(CSPSpecError):
             solve_csp(spec, [Option("A", 1)])
 
+    @pytest.mark.parametrize("option, text", [
+        (Option("Z", 1), "option references undeclared object 'Z'"),
+        (Option("A", 3), "option position 3 outside 1..2"),
+    ], ids=["undeclared object", "position out of range"])
+    def test_bad_option_rejected_before_search(self, monkeypatch, option, text):
+        """A malformed option is a spec error even when the constraints admit
+        no assignment, and no search runs for it."""
+        spec = CSPSpec(["A", "B"], [
+            Constraint(LEFT_OF, ("A", "B")), Constraint(LEFT_OF, ("B", "A")),
+        ])
+        with pytest.raises(Unsatisfiable):
+            solve_csp(spec, [Option("A", 1)])
+        monkeypatch.setattr(csp, "iter_solutions",
+                            lambda spec: pytest.fail("searched for a malformed option"))
+        with pytest.raises(CSPSpecError) as raised:
+            solve_csp(spec, [Option("A", 1), option])
+        assert str(raised.value) == text
+
     def test_mixed_constraint_kinds(self):
         spec = CSPSpec(["A", "B", "C", "D"], [
             Constraint(AT_POSITION, ("D", 4)),
@@ -411,8 +477,7 @@ class TestCsp:
                 constraints.append(Constraint(kind, tuple(rng.sample(objects, 2))))
         spec = CSPSpec(objects, constraints)
 
-        def check(perm):
-            pos = {obj: i + 1 for i, obj in enumerate(perm)}
+        def check(pos):
             for c in constraints:
                 if c.kind == LEFT_OF and not pos[c.args[0]] < pos[c.args[1]]:
                     return False
@@ -426,18 +491,13 @@ class TestCsp:
                     return False
             return True
 
-        brute = [
-            {obj: i + 1 for i, obj in enumerate(perm)}
-            for perm in itertools.permutations(objects) if check(perm)
-        ]
-        from symdrift.solver import iter_solutions
-
+        # Every assignment of distinct positions, in lexicographic order of
+        # the objects' position tuples.
+        assignments = (dict(zip(objects, perm))
+                       for perm in itertools.permutations(range(1, n + 1)))
+        brute = [pos for pos in assignments if check(pos)]
         mine = list(iter_solutions(spec))
-        assert sorted(mine, key=sorted_items) == sorted(brute, key=sorted_items)
-
-
-def sorted_items(d):
-    return tuple(sorted(d.items()))
+        assert [list(pos.items()) for pos in mine] == [list(pos.items()) for pos in brute]
 
 
 class TestVerdict:
