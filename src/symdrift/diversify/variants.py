@@ -3,45 +3,27 @@
 Word-level variants come from the synonym lexicon keyed by (lemma, pos) and
 phrase-level ones from the paraphrase table; both belong to a concept and
 replace it at each of its sites. Sentence-level rewrites belong to a unit:
-the rule rewriter maps a whole sentence to its other templates, and
-candidate generation asks it for each unit that has rewrite sites.
+the rule rewriter maps a sentence that matches one text of a world form
+(`symdrift.world`) to that form's other texts, and candidate generation asks
+it for each unit that has rewrite sites.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from ..problem import ConceptInventory, PHRASE_LEVEL, Variant, VariantSet, WORD_LEVEL
 from ..textproc import word_lemmas
+from ..world import PROOFWRITER
 from .resources import ParaphraseTable, SynonymLexicon
 
 MAX_VARIANT_TOKENS = 4
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    pattern: re.Pattern
-    # `str.format` templates over the pattern's groups: `{0}` is group 1.
-    templates: tuple[str, ...]
-
-
-# Controlled syntactic rewrites over the rule-sentence shapes that dominate
-# rule-base benchmarks. Concept words sit inside the capture groups, so the
-# rewrite never destroys them.
-_RULES = (
-    RewriteRule(
-        re.compile(r"All (\w+) people are (\w+)\."),
-        ("Every {0} person is {1}.", "If someone is {0}, then they are {1}."),
-    ),
-    RewriteRule(
-        re.compile(r"Every (\w+) person is (\w+)\."),
-        ("All {0} people are {1}.", "If someone is {0}, then they are {1}."),
-    ),
-    RewriteRule(
-        re.compile(r"If someone is (\w+), then they are (\w+)\."),
-        ("All {0} people are {1}.", "Every {0} person is {1}."),
-    ),
+# Each text of a world form that has others, with those others in table
+# order. Every slot is a whole word, so a rewrite never breaks a concept word.
+_PARTNERS = tuple(
+    (pattern, tuple(other for other in form.texts if other != text))
+    for form in PROOFWRITER.forms.values() if len(form.texts) > 1
+    for text, pattern in zip(form.texts, form.patterns)
 )
 
 
@@ -50,15 +32,10 @@ class RuleRewriter:
 
     def rewrite(self, sentence: str) -> list[str]:
         out: list[str] = []
-        for rule in _RULES:
-            m = rule.pattern.fullmatch(sentence)
-            if not m:
-                continue
-            groups = m.groups()
-            for template in rule.templates:
-                rewritten = template.format(*groups)
-                if rewritten != sentence:
-                    out.append(rewritten)
+        for pattern, others in _PARTNERS:
+            m = pattern.fullmatch(sentence)
+            if m:
+                out += [other.format_map(m.groupdict()) for other in others]
         return out
 
 

@@ -116,27 +116,27 @@ def write_config_file(path: str | Path, values: dict[str, str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _setting(default, text: str):
+    """`text` read as `default`'s type: a flag from `on`, an empty path as none."""
+    if isinstance(default, bool):
+        return text == "on"
+    return (text or None) if default is None else type(default)(text)
+
+
+def _config_from(cls, prefix: str, values: dict[str, str], **fixed):
+    """`cls` with `fixed`, each other field that `values` sets, and the rest
+    at their defaults."""
+    return cls(**fixed, **{f.name: _setting(f.default, values[f"{prefix}.{f.name}"])
+                           for f in fields(cls)
+                           if f.name not in fixed and f"{prefix}.{f.name}" in values})
+
+
 def translator_config_from(values: dict[str, str]) -> TranslatorConfig:
-    return TranslatorConfig(
-        kind=values.get("translator.kind", NAIVE),
-        prompt_dir=values.get("translator.prompt_dir") or None,
-        shots=int(values.get("translator.shots", "5")),
-        temperature=float(values.get("translator.temperature", "0.2")),
-        mental=values.get("translator.mental", "off") == "on",
-        oracle=values.get("translator.oracle", ORACLE_LEXICON),
-    )
+    return _config_from(TranslatorConfig, "translator", values)
 
 
 def synthetic_config_from(values: dict[str, str], seed: int) -> SyntheticConfig:
-    return SyntheticConfig(
-        n_problems=int(values.get("synthetic.n_problems", "50")),
-        depth=int(values.get("synthetic.depth", "5")),
-        n_constants=int(values.get("synthetic.n_constants", "3")),
-        n_predicates=int(values.get("synthetic.n_predicates", "8")),
-        rule_branching=int(values.get("synthetic.rule_branching", "2")),
-        negation_rate=float(values.get("synthetic.negation_rate", "0.25")),
-        seed=seed,
-    )
+    return _config_from(SyntheticConfig, "synthetic", values, seed=seed)
 
 
 def llm_endpoint() -> tuple[str | None, str | None]:

@@ -40,6 +40,7 @@ from ..problem import (
 T = TypeVar("T")
 
 _REQUIRED = ("id", "sentences", "question", "answer", "task_kind")
+_SPAN_ROW_TYPES = (int, int, int, str)
 
 
 def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
@@ -91,25 +92,37 @@ def problem_from_json(data: dict) -> Problem:
         gold_logic = program_from_json(data["gold_logic"]) if "gold_logic" in data else None
     except Exception as exc:
         raise FormatError(f"bad gold_logic: {exc}") from exc
-    sentences = data["sentences"]
-    if not isinstance(sentences, list) or not all(isinstance(s, str) for s in sentences):
-        raise FormatError("sentences must be a list of strings")
     gold_concepts = None
     if "gold_concepts" in data:
-        gold_concepts = {
-            (int(unit), int(start), int(end)): concept
-            for unit, start, end, concept in data["gold_concepts"]
-        }
+        gold_concepts = {(unit, start, end): concept for unit, start, end, concept
+                         in _span_rows(data["gold_concepts"], "gold_concepts")}
     return Problem(
         id=str(data["id"]),
-        sentences=tuple(TextUnit.from_text(s) for s in sentences),
+        sentences=tuple(TextUnit.from_text(s) for s in _strings(data, "sentences")),
         question=TextUnit.from_text(data["question"]),
         gold_answer=answer,
         task_kind=task_kind,
-        options=tuple(data["options"]) if "options" in data else None,
+        options=tuple(_strings(data, "options")) if "options" in data else None,
         gold_logic=gold_logic,
         gold_concepts=gold_concepts,
     )
+
+
+def _strings(data: dict, key: str) -> list[str]:
+    if not isinstance(data[key], list) or not all(isinstance(s, str) for s in data[key]):
+        raise FormatError(f"{key} must be a list of strings")
+    return data[key]
+
+
+def _span_rows(rows, field: str) -> list:
+    """The rows of a span field (`gold_concepts`, `provenance`), checked to
+    be three ints (not bools), then a string."""
+    if not isinstance(rows, list):
+        raise FormatError(f"{field} must be a list of rows")
+    for row in rows:
+        if not isinstance(row, list) or tuple(map(type, row)) != _SPAN_ROW_TYPES:
+            raise FormatError(f"bad {field} row {row!r}: expected three ints, then a string")
+    return rows
 
 
 def diversified_to_json(d: DiversifiedProblem) -> dict:
@@ -128,8 +141,7 @@ def diversified_to_json(d: DiversifiedProblem) -> dict:
 def diversified_from_json(data: dict) -> DiversifiedProblem:
     problem = problem_from_json(data["problem"])
     provenance = {
-        cid: [ProvenanceEntry(int(u), int(cs), int(ce), surface)
-              for u, cs, ce, surface in entries]
+        cid: [ProvenanceEntry(*row) for row in _span_rows(entries, "provenance")]
         for cid, entries in data["provenance"].items()
     }
     return DiversifiedProblem(

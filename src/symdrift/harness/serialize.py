@@ -33,21 +33,13 @@ def record_to_json(r: TranslationRecord) -> dict:
     elif isinstance(r.program, CSPSpec):
         program = {"csp": csp_to_json(r.program),
                    "options": [[o.obj, o.position] for o in r.options]}
-    verdict = None
-    if r.verdict is not None:
-        verdict = {
-            "value": r.verdict.value,
-            "option_index": r.verdict.option_index,
-            "steps": r.verdict.steps,
-            "limit_hit": r.verdict.limit_hit,
-        }
     return {
         "problem_id": r.problem_id,
         "gold": r.gold,
         "raw_output": r.raw_output,
         "program": program,
         "parse_error": r.parse_error,
-        "verdict": verdict,
+        "verdict": dict(vars(r.verdict)) if r.verdict is not None else None,
         "exec_error": r.exec_error,
         "predicted": r.predicted,
         "alignment": {c: sorted(symbols) for c, symbols in sorted(r.alignment.items())},
@@ -73,11 +65,6 @@ def record_from_json(data: dict) -> TranslationRecord:
             program = csp_from_json(data["program"]["csp"])
             options = [Option(obj, position)
                        for obj, position in data["program"].get("options", [])]
-    verdict = None
-    if data.get("verdict"):
-        v = data["verdict"]
-        verdict = Verdict(v["value"], v.get("option_index"), v.get("steps", 0),
-                          v.get("limit_hit", False))
     record = TranslationRecord(
         problem_id=data["problem_id"],
         gold=data["gold"],
@@ -89,7 +76,7 @@ def record_from_json(data: dict) -> TranslationRecord:
         tokens_out=data.get("tokens_out", 0),
         table_text=data.get("table", ""),
     )
-    record.verdict = verdict
+    record.verdict = Verdict(**data["verdict"]) if data.get("verdict") else None
     record.exec_error = data.get("exec_error")
     record.predicted = data.get("predicted")
     record.alignment = {

@@ -28,6 +28,7 @@ from ..mental.translate import Proposal, Skeleton, instantiate, translate_with_m
 from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
 from ..solver.csp import CSPSpec, Constraint, Option
+from ..world import Form, NAME, PROOFWRITER
 from .config import TranslatorConfig
 from .prompts import PromptLibrary
 
@@ -54,57 +55,39 @@ def _unwrap(item: Problem | DiversifiedProblem) -> tuple[Problem, DiversifiedPro
 # ---------------------------------------------------------------------------
 # Template proposal extraction (shared by naive and table-guided translation)
 
-_SUBJECT = r"(?P<subj>[A-Z]\w*|[Tt]he \w+)"
-_FACT = re.compile(rf"^{_SUBJECT} (?:is|was) (?P<neg>not )?(?P<attr>\w+)\.$")
-_SHOWS = re.compile(rf"^{_SUBJECT} shows (?P<attr>\w+)\.$")
-_RULE_ALL = re.compile(r"^All (?P<a>\w+) \w+ are (?P<b>\w+)\.$")
-_RULE_EVERY = re.compile(r"^Every (?P<a>\w+) \w+ is (?P<b>\w+)\.$")
-_RULE_IF = re.compile(r"^If someone is (?P<a>\w+), then they are (?P<b>\w+)\.$")
-_QUESTION = re.compile(rf"^Is {_SUBJECT} (?P<neg>not )?(?P<attr>\w+)\?$")
+def _reading(form: Form, pattern: re.Pattern) -> tuple[re.Pattern, str, tuple[str, ...]]:
+    """A form's text as a reading: its pattern, the form's formula over
+    `Slot0..` (`{name}` left for the constant), and the predicate slots."""
+    slots = tuple(slot for slot in pattern.groupindex if slot != NAME)
+    names = {slot: f"Slot{i}" for i, slot in enumerate(slots)}
+    return pattern, form.formula.format(name="{name}", **names), slots
+
+
+# Question unit or not -> the readings of the forms read there, in table order.
+_READINGS = {query: tuple(_reading(form, pattern) for form in PROOFWRITER.forms.values()
+                          if form.query == query for pattern in form.patterns)
+             for query in (False, True)}
 
 
 def propose_from_templates(p: Problem) -> list[Proposal]:
-    """Per-unit skeletons for the fixed benchmark templates; raises
-    TranslationFailure on the first sentence no template covers."""
+    """Per-unit skeletons for the world's sentence forms, `name` anchored as a
+    constant; raises TranslationFailure on the first unit no form's text covers."""
     proposals = []
     for unit_index, unit in p.units():
-        text = unit.text
         is_query = unit_index == QUESTION_UNIT
-        m = (_QUESTION if is_query else _FACT).match(text)
-        if m:
-            negation = "~" if m.groupdict().get("neg") else ""
-            subject = camel_identifier(m.group("subj"))
-            proposals.append(Proposal(
-                unit=unit_index,
-                skeleton=f"{negation}Slot0({subject})",
-                slots=(m.group("attr"),),
-                is_query=is_query,
-                slot_spans=(m.span("attr"),),
-                anchors=((*m.span("subj"), subject),),
-            ))
-            continue
-        if not is_query:
-            m = _SHOWS.match(text)
+        for pattern, skeleton, slots in _READINGS[is_query]:
+            m = pattern.fullmatch(unit.text)
             if m:
-                subject = camel_identifier(m.group("subj"))
-                proposals.append(Proposal(
-                    unit=unit_index,
-                    skeleton=f"Slot0({subject})",
-                    slots=(m.group("attr"),),
-                    slot_spans=(m.span("attr"),),
-                    anchors=((*m.span("subj"), subject),),
-                ))
-                continue
-            m = _RULE_ALL.match(text) or _RULE_EVERY.match(text) or _RULE_IF.match(text)
-            if m:
-                proposals.append(Proposal(
-                    unit=unit_index,
-                    skeleton="all x (Slot0(x) -> Slot1(x))",
-                    slots=(m.group("a"), m.group("b")),
-                    slot_spans=(m.span("a"), m.span("b")),
-                ))
-                continue
-        raise TranslationFailure(f"no template matches unit {unit_index}: {text!r}")
+                break
+        else:
+            raise TranslationFailure(f"no template matches unit {unit_index}: {unit.text!r}")
+        anchors = ()
+        if NAME in pattern.groupindex:
+            subject = camel_identifier(m.group(NAME))
+            skeleton, anchors = skeleton.format(name=subject), ((*m.span(NAME), subject),)
+        proposals.append(Proposal(
+            unit=unit_index, skeleton=skeleton, slots=tuple(map(m.group, slots)),
+            is_query=is_query, slot_spans=tuple(map(m.span, slots)), anchors=anchors))
     return proposals
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -56,6 +57,7 @@ from symdrift.fol.terms import (
     CLOSED_WORLD,
     CONSTANT,
     PREDICATE,
+    camel_identifier,
     free_variables,
     map_atoms,
     type_check,
@@ -1201,6 +1203,63 @@ def reference_evaluate_json(item: DiversifiedProblem, proposals: list[Proposal] 
         record.exec_error = f"{type(exc).__name__}: {exc}"
     align_symbols(record, item)
     return _reference_record_json(record, program, trace, base)
+
+
+# The regex template reader that the world's form table replaced.
+_REFERENCE_SUBJECT = r"(?P<subj>[A-Z]\w*|[Tt]he \w+)"
+_REFERENCE_FACT = re.compile(rf"^{_REFERENCE_SUBJECT} (?:is|was) (?P<neg>not )?(?P<attr>\w+)\.$")
+_REFERENCE_SHOWS = re.compile(rf"^{_REFERENCE_SUBJECT} shows (?P<attr>\w+)\.$")
+_REFERENCE_RULE_ALL = re.compile(r"^All (?P<a>\w+) \w+ are (?P<b>\w+)\.$")
+_REFERENCE_RULE_EVERY = re.compile(r"^Every (?P<a>\w+) \w+ is (?P<b>\w+)\.$")
+_REFERENCE_RULE_IF = re.compile(r"^If someone is (?P<a>\w+), then they are (?P<b>\w+)\.$")
+_REFERENCE_QUESTION = re.compile(rf"^Is {_REFERENCE_SUBJECT} (?P<neg>not )?(?P<attr>\w+)\?$")
+
+
+def reference_propose_from_templates(p: Problem) -> list[Proposal]:
+    """Per-unit skeletons from seven fixed regexes; raises
+    TranslationFailure on the first sentence none covers. It also reads the
+    `was` copula, `The X` subjects and any rule restrictor noun."""
+    proposals = []
+    for unit_index, unit in p.units():
+        text = unit.text
+        is_query = unit_index == QUESTION_UNIT
+        m = (_REFERENCE_QUESTION if is_query else _REFERENCE_FACT).match(text)
+        if m:
+            negation = "~" if m.groupdict().get("neg") else ""
+            subject = camel_identifier(m.group("subj"))
+            proposals.append(Proposal(
+                unit=unit_index,
+                skeleton=f"{negation}Slot0({subject})",
+                slots=(m.group("attr"),),
+                is_query=is_query,
+                slot_spans=(m.span("attr"),),
+                anchors=((*m.span("subj"), subject),),
+            ))
+            continue
+        if not is_query:
+            m = _REFERENCE_SHOWS.match(text)
+            if m:
+                subject = camel_identifier(m.group("subj"))
+                proposals.append(Proposal(
+                    unit=unit_index,
+                    skeleton=f"Slot0({subject})",
+                    slots=(m.group("attr"),),
+                    slot_spans=(m.span("attr"),),
+                    anchors=((*m.span("subj"), subject),),
+                ))
+                continue
+            m = (_REFERENCE_RULE_ALL.match(text) or _REFERENCE_RULE_EVERY.match(text)
+                 or _REFERENCE_RULE_IF.match(text))
+            if m:
+                proposals.append(Proposal(
+                    unit=unit_index,
+                    skeleton="all x (Slot0(x) -> Slot1(x))",
+                    slots=(m.group("a"), m.group("b")),
+                    slot_spans=(m.span("a"), m.span("b")),
+                ))
+                continue
+        raise TranslationFailure(f"no template matches unit {unit_index}: {text!r}")
+    return proposals
 
 
 def propose_failure(problem: Problem) -> str:

@@ -11,6 +11,12 @@ from pathlib import Path
 import pytest
 
 from symdrift.harness.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
+from symdrift.harness.config import (
+    SyntheticConfig,
+    TranslatorConfig,
+    synthetic_config_from,
+    translator_config_from,
+)
 
 
 @pytest.fixture()
@@ -35,10 +41,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["diversify", "evaluate"])
     @pytest.mark.parametrize("field, value, text", [
-        ("gold_concepts", [[0, 1]], "not enough values to unpack"),
-        ("provenance", {"kind": [[0, 1]]}, "not enough values to unpack"),
+        ("gold_concepts", [[0, 1]], "bad gold_concepts row [0, 1]"),
+        ("provenance", {"kind": [[0, 1]]}, "bad provenance row [0, 1]"),
         ("sentences", "Anne is kind.", "sentences must be a list of strings"),
-    ], ids=["gold_concepts", "provenance", "sentences"])
+        ("options", "AB", "options must be a list of strings"),
+        ("gold_concepts", ["0124"], "bad gold_concepts row '0124'"),
+        ("gold_concepts", [[0, 1.7, 2, 5]], "bad gold_concepts row [0, 1.7, 2, 5]"),
+        ("gold_concepts", [[0, True, 2, "kind"]], "bad gold_concepts row [0, True, 2, 'kind']"),
+        ("gold_concepts", "0124", "gold_concepts must be a list of rows"),
+        ("provenance", {"kind": [[0, 0, 4.0, "Anne"]]}, "bad provenance row [0, 0, 4.0, 'Anne']"),
+    ], ids=["gold_concepts", "provenance", "sentences", "options", "gold_concepts_string_row",
+            "gold_concepts_float", "gold_concepts_bool", "gold_concepts_string",
+            "provenance_float"])
     def test_malformed_problem_line_is_data_error(self, workdir, capsys, command, field,
                                                   value, text):
         run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
@@ -256,6 +270,17 @@ class TestPipelineCommands:
         digest = hashlib.sha256(Path("d.jsonl").read_bytes()).hexdigest()
         assert digest == "36dea6bbc27749943750393afe5d80265c95106b34b8ba229b944bede417ab7d"
 
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "993107cf39afa1285c9a9aaa6de1d8e2ed7e25e5dae34cbcff14c5df501607bc"),
+        (7, "c78593c7254f7db3fff791fec554f3efbaea3183d7bd16e8fff6cb93aab53a82"),
+    ])
+    def test_generate_output_is_pinned(self, workdir, capsys, seed, digest):
+        """Each sentence, its gold formula and its gold concept spans come
+        from one fill of a world form; a change to the forms, the fill or
+        the order of draws moves a byte here."""
+        assert run("generate", "--n", "1000", "--seed", str(seed), "--out", "p.jsonl") == EXIT_OK
+        assert hashlib.sha256(Path("p.jsonl").read_bytes()).hexdigest() == digest
+
     def test_diversify_output_does_not_depend_on_seed(self, workdir, capsys):
         run("generate", "--n", "20", "--seed", "1", "--out", "p.jsonl")
         for seed in ("1", "2"):
@@ -441,6 +466,14 @@ class TestSettingsAndInputs:
         by_file, by_flags = self._run_config("by_file"), self._run_config("by_flags")
         assert (by_file["translator.kind"], by_file["translator.mental"]) == ("gold", "on")
         assert (by_flags["translator.kind"], by_flags["translator.mental"]) == ("naive", "off")
+
+    def test_config_defaults_are_the_dataclass_defaults(self):
+        assert translator_config_from({}) == TranslatorConfig()
+        for seed in (0, 3):
+            assert synthetic_config_from({}, seed) == SyntheticConfig(seed=seed)
+        assert translator_config_from({"translator.mental": "on", "translator.prompt_dir": "",
+                                       "translator.shots": "2"}) == \
+            TranslatorConfig(mental=True, shots=2)
 
     def test_unknown_config_key_is_data_error(self, workdir, capsys):
         Path("run.cfg").write_text("# misspelt\nsynthetic.n_problem = 3\n")

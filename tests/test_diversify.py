@@ -23,9 +23,9 @@ from symdrift.diversify import (
     select_sites,
 )
 from symdrift.diversify.pipeline import Candidate, CandidatePool, CandidateSite
-from symdrift.diversify.variants import _RULES
 from symdrift.errors import ResourceMissing, ScorerUnavailable
 from symdrift.problem import ConceptOccurrence, Problem, QUESTION_UNIT, TextUnit
+from symdrift.world import PROOFWRITER
 
 from .helpers import pool_candidates
 
@@ -129,8 +129,8 @@ class TestBuildVariants:
             Resources.load(synonyms_path="/nonexistent/synonyms.tsv")
 
     def test_rule_rewrites_match_match_expand(self):
-        """The format-string templates give what `Match.expand` gives for
-        the same templates written as backreferences, on every rule shape."""
+        """The rule form's texts give what `Match.expand` gives for the same
+        templates written as backreferences, on every rule shape."""
         expand_templates = {
             r"All (\w+) people are (\w+)\.":
                 ("Every \\1 person is \\2.", "If someone is \\1, then they are \\2."),
@@ -139,7 +139,8 @@ class TestBuildVariants:
             r"If someone is (\w+), then they are (\w+)\.":
                 ("All \\1 people are \\2.", "Every \\1 person is \\2."),
         }
-        assert {rule.pattern.pattern for rule in _RULES} == set(expand_templates)
+        assert {text.replace("{a}", r"(\w+)").replace("{b}", r"(\w+)").replace(".", r"\.")
+                for text in PROOFWRITER.forms["rule"].texts} == set(expand_templates)
         sentences = ["All kind people are smart.", "Every big person is quiet.",
                      "If someone is red, then they are red.", "Anne is kind."]
         for sentence in sentences:

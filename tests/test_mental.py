@@ -18,7 +18,6 @@ from symdrift.harness import (
     TranslatorConfig,
     propose_from_templates,
 )
-from symdrift.harness.synthetic import ATTRIBUTES
 from symdrift.harness.translators import _ledger
 from symdrift.mental import (
     EXTEND,
@@ -36,6 +35,7 @@ from symdrift.mental import (
 from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver import enumerate_models
 from symdrift.textproc import content_lemmas, word_lemmas
+from symdrift.world import ATTRIBUTES
 
 
 @pytest.fixture(scope="module")
