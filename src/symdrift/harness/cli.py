@@ -32,9 +32,9 @@ from ..metrics.taxonomy import attribute_errors
 from ..problem import DiversifiedProblem, Problem
 from .client import HttpChatClient
 from .config import (
-    CONFIG_KEYS,
+    CONFIG_DEFAULTS,
+    FLAG_CHOICES,
     LLM,
-    MENTAL_CHOICES,
     ORACLE_LLM,
     RESOURCE_KINDS,
     TranslatorConfig,
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def translator_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--translator", dest="translator.kind", metavar="TRANSLATOR",
                        default=argparse.SUPPRESS)
-        p.add_argument("--mental", dest="translator.mental", choices=MENTAL_CHOICES,
+        p.add_argument("--mental", dest="translator.mental", choices=FLAG_CHOICES,
                        default=argparse.SUPPRESS)
 
     p = common(sub.add_parser("generate", help="emit synthetic rule-base problems"))
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_values(args) -> dict[str, str]:
     """The --config file's settings, with every given flag written over them."""
     values = read_config_file(args.config) if args.config else {}
-    values.update((key, str(value)) for key, value in vars(args).items() if key in CONFIG_KEYS)
+    values.update((key, str(value)) for key, value in vars(args).items() if key in CONFIG_DEFAULTS)
     return values
 
 
@@ -161,9 +161,8 @@ def _translation_setup(args) -> tuple[TranslatorConfig, Resources, object]:
     """The run's translator settings, resources and translator. A remote
     endpoint is required only when something will call it: the `llm`
     translator, or the `llm` oracle of table-guided translation."""
-    values = _load_values(args)
-    resources = _resources(values)
-    cfg = translator_config_from(values)
+    resources = _resources(args.values)
+    cfg = translator_config_from(args.values)
     client = None
     if cfg.kind == LLM or (cfg.mental and cfg.oracle == ORACLE_LLM):
         endpoint, key = llm_endpoint()
@@ -207,7 +206,7 @@ def _plain_problems(items: list[Problem | DiversifiedProblem]) -> list[Problem]:
 
 def _cmd_generate(args) -> int:
     out_path = _require_out(args)
-    problems = generate_synthetic(synthetic_config_from(_load_values(args), seed=args.seed))
+    problems = generate_synthetic(synthetic_config_from(args.values, seed=args.seed))
     save_dataset(out_path, problems)
     print(f"wrote {len(problems)} problems")
     return EXIT_OK
@@ -215,7 +214,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diversify(args) -> int:
     out_path = _require_out(args)
-    resources = _resources(_load_values(args))
+    resources = _resources(args.values)
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
         raise ResourceMissing("--scorer vectors needs a word-vector file: "
                               "set resources.vectors in the --config file")
@@ -245,7 +244,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_solve(args) -> int:
     out_path = _require_out(args)
-    resources = _resources(_load_values(args))
+    resources = _resources(args.values)
     items = {i.problem.id: i for i in normalize_items(_load_input(args.problems), resources)}
     records = read_records(args.records)
     for record in records:
@@ -323,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         # keeping 0 for --help/--version.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        # Every subcommand reads its --config file, so a file that does not
+        # read is refused by each of them alike.
+        args.values = _load_values(args)
         return _COMMANDS[args.command](args)
     except (ClientError, OracleFailure) as exc:
         print(f"remote service error: {exc}", file=sys.stderr)

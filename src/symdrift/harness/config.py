@@ -19,8 +19,8 @@ TRANSLATOR_KINDS = (GOLD, NAIVE, SPLIT_ADVERSARY, LLM)
 ORACLE_LEXICON = "lexicon"
 ORACLE_LLM = "llm"
 
-# Values of `translator.mental`, in a config file as for `--mental`.
-MENTAL_CHOICES = ("on", "off")
+# How a flag setting is written, in a config file as for `--mental`.
+FLAG_CHOICES = ("on", "off")
 
 ENDPOINT_ENV = "SYMDRIFT_LLM_ENDPOINT"
 CREDENTIAL_ENV = "SYMDRIFT_LLM_API_KEY"
@@ -80,18 +80,19 @@ class SyntheticConfig:
 # The lexicon files a config file may override, as `resources.<kind> = path`.
 RESOURCE_KINDS = ("synonyms", "paraphrases", "derivations", "vectors")
 
-# Every key a config file may set; the run seed is set by `--seed` alone.
-CONFIG_KEYS = frozenset(
-    [f"translator.{f.name}" for f in fields(TranslatorConfig)]
-    + [f"synthetic.{f.name}" for f in fields(SyntheticConfig) if f.name != "seed"]
-    + [f"resources.{kind}" for kind in RESOURCE_KINDS]
-)
+# Every key a config file may set, with the default its value is read as;
+# the run seed is set by `--seed` alone.
+CONFIG_DEFAULTS = {
+    **{f"translator.{f.name}": f.default for f in fields(TranslatorConfig)},
+    **{f"synthetic.{f.name}": f.default for f in fields(SyntheticConfig) if f.name != "seed"},
+    **{f"resources.{kind}": None for kind in RESOURCE_KINDS},
+}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; `#` starts a comment. A key outside
-    `CONFIG_KEYS` is refused, so a misspelt one cannot go unread, and so is
-    a `translator.mental` other than `on` or `off`."""
+    `CONFIG_DEFAULTS` is refused, so a misspelt one cannot go unread, and so is
+    a value that does not read as its key's default does."""
     p = Path(path)
     if not p.exists():
         raise FormatError(f"config file not found: {p}")
@@ -103,10 +104,12 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise FormatError(f"expected key = value, got {line!r}", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_DEFAULTS:
             raise FormatError(f"unknown config key {key!r}", line=lineno)
-        if key == "translator.mental" and value not in MENTAL_CHOICES:
-            raise FormatError(f"{key} must be 'on' or 'off', got {value!r}", line=lineno)
+        try:
+            _setting(CONFIG_DEFAULTS[key], value)
+        except ValueError as exc:
+            raise FormatError(f"{key}: {exc}", line=lineno) from exc
         out[key] = value
     return out
 
@@ -117,8 +120,11 @@ def write_config_file(path: str | Path, values: dict[str, str]) -> None:
 
 
 def _setting(default, text: str):
-    """`text` read as `default`'s type: a flag from `on`, an empty path as none."""
+    """`text` read as `default`'s type: a flag from `on` or `off`, an empty
+    path as none. Raises ValueError when it does not read."""
     if isinstance(default, bool):
+        if text not in FLAG_CHOICES:
+            raise ValueError(f"expected 'on' or 'off', got {text!r}")
         return text == "on"
     return (text or None) if default is None else type(default)(text)
 

@@ -115,8 +115,8 @@ def _strings(data: dict, key: str) -> list[str]:
 
 
 def _span_rows(rows, field: str) -> list:
-    """The rows of a span field (`gold_concepts`, `provenance`), checked to
-    be three ints (not bools), then a string."""
+    """The rows of a span field (`gold_concepts`, `provenance`, a record's
+    `span_symbols`), checked to be three ints (not bools), then a string."""
     if not isinstance(rows, list):
         raise FormatError(f"{field} must be a list of rows")
     for row in rows:

@@ -9,7 +9,7 @@ from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
-from .datasets import parse_jsonl, program_from_json, program_to_json, write_jsonl
+from .datasets import _span_rows, parse_jsonl, program_from_json, program_to_json, write_jsonl
 
 
 def csp_to_json(spec: CSPSpec) -> dict:
@@ -84,7 +84,7 @@ def record_from_json(data: dict) -> TranslationRecord:
     }
     record.span_symbols = {
         (unit, start, end): symbol
-        for unit, start, end, symbol in data.get("span_symbols", [])
+        for unit, start, end, symbol in _span_rows(data.get("span_symbols", []), "span_symbols")
     }
     record.alignment_misses = list(data.get("alignment_misses", []))
     record.mental_trace = tuple(TraceEvent(*event) for event in data.get("trace", []))

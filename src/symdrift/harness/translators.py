@@ -46,12 +46,6 @@ def translation_record(problem: Problem, table: MentalTable | None = None,
     return record
 
 
-def _unwrap(item: Problem | DiversifiedProblem) -> tuple[Problem, DiversifiedProblem | None]:
-    if isinstance(item, DiversifiedProblem):
-        return item.problem, item
-    return item, None
-
-
 # ---------------------------------------------------------------------------
 # Template proposal extraction (shared by naive and table-guided translation)
 
@@ -125,8 +119,8 @@ class NaiveTranslator:
     def __init__(self, oracle: EquivalenceOracle | None = None):
         self.oracle = oracle
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
-        problem, _ = _unwrap(item)
+    def translate(self, item: DiversifiedProblem) -> TranslationRecord:
+        problem = item.problem
         try:
             proposals = propose_from_templates(problem)
         except TranslationFailure as exc:
@@ -157,15 +151,12 @@ class GoldTranslator:
     """Emits the gold program with every diversified surface mapped back to
     its concept symbol through provenance; drift-free by construction."""
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
-        problem, diversified = _unwrap(item)
+    def translate(self, item: DiversifiedProblem) -> TranslationRecord:
+        problem = item.problem
         program = _require_gold(problem)
-        span_symbols: dict[SpanKey, str] = {}
-        if diversified is not None:
-            concept_symbols = _gold_concept_symbols(problem)
-            span_symbols = _provenance_ledger(
-                diversified, concept_symbols,
-                lambda concept_id, _entry: concept_symbols[concept_id])
+        concept_symbols = _gold_concept_symbols(problem)
+        span_symbols = _provenance_ledger(
+            item, concept_symbols, lambda concept_id, _entry: concept_symbols[concept_id])
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
@@ -175,11 +166,9 @@ class SplitAdversaryTranslator:
     gold formula is instantiated as a skeleton whose slots are the concept
     predicates its unit mentions, each rendered as its surface's symbol."""
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
-        problem, diversified = _unwrap(item)
+    def translate(self, item: DiversifiedProblem) -> TranslationRecord:
+        problem = item.problem
         gold = _require_gold(problem)
-        if diversified is None:
-            return GoldTranslator().translate(item)
         if len(gold.premises) != len(problem.sentences):
             raise MissingGold(f"problem {problem.id}: premises are not sentence-aligned")
         concept_symbols = _gold_concept_symbols(problem)
@@ -196,7 +185,7 @@ class SplitAdversaryTranslator:
 
         # concept -> unit -> surface used there (first provenance entry wins)
         surface_at: dict[tuple[str, int], str] = {}
-        for concept_id, entries in diversified.provenance.items():
+        for concept_id, entries in item.provenance.items():
             for e in entries:
                 surface_at.setdefault((concept_id, e.unit), e.surface)
 
@@ -217,7 +206,7 @@ class SplitAdversaryTranslator:
         *premises, query = formulas
         program = LogicProgram(registry, tuple(premises), query, gold.semantics_mode).validate()
         span_symbols = _provenance_ledger(
-            diversified, concept_symbols,
+            item, concept_symbols,
             lambda concept_id, e: per_surface_symbol(concept_id, surface_at[(concept_id, e.unit)]))
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
@@ -325,8 +314,8 @@ class LLMTranslator:
         self.prompts = prompts
         self.oracle = oracle
 
-    def translate(self, item: Problem | DiversifiedProblem) -> TranslationRecord:
-        problem, _ = _unwrap(item)
+    def translate(self, item: DiversifiedProblem) -> TranslationRecord:
+        problem = item.problem
         prompt = self.prompts.render_translation(problem, self.cfg)
         reply = self.client.complete(prompt, temperature=self.cfg.temperature)
         usage = dict(raw_output=reply.text, tokens_in=reply.tokens_in,

@@ -63,17 +63,15 @@ def compute_sds(records: list[TranslationRecord]) -> SdsResult:
     )
 
 
-def align_symbols(record: TranslationRecord,
-                  provenance: DiversifiedProblem | dict) -> dict[str, set[str]]:
+def align_symbols(record: TranslationRecord, item: DiversifiedProblem) -> dict[str, set[str]]:
     """Fill `record.alignment` by joining the diversification provenance with
     the record's span ledger: each concept gets the symbols its occurrence
     spans were translated to. An occurrence with no ledger entry is appended
     to `record.alignment_misses` and adds no symbol."""
     if record.program is None:
         raise AlignmentIncomplete("nothing to align: record has no program")
-    prov_map = provenance.provenance if isinstance(provenance, DiversifiedProblem) else provenance
     alignment: dict[str, set[str]] = {}
-    for concept_id, entries in prov_map.items():
+    for concept_id, entries in item.provenance.items():
         symbols: set[str] = set()
         for entry in entries:
             symbol = record.span_symbols.get((entry.unit, entry.char_start, entry.char_end))

@@ -1,4 +1,5 @@
-"""Shared fixtures: random program generation and tiny lexicon files."""
+"""Shared fixtures: random program generation, tiny lexicon files, reference
+implementations, and the in-memory chat client."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from symdrift.diversify.pipeline import (
 from symdrift.diversify.resources import Resources
 from symdrift.diversify.variants import RuleRewriter, build_variants
 from symdrift.errors import (
+    ClientError,
     DomainTooLarge,
     FolError,
     FormulaSyntaxError,
@@ -62,7 +64,8 @@ from symdrift.fol.terms import (
     map_atoms,
     type_check,
 )
-from symdrift.harness.evaluate import ENGINES, _predicted_label, solver_for
+from symdrift.harness.client import Completion
+from symdrift.harness.evaluate import ENGINES, _predicted_label, normalize_items, solver_for
 from symdrift.harness.translators import propose_from_templates
 from symdrift.mental.oracles import _closure_with_links, _remainder_lemma
 from symdrift.mental.table import EXTEND, REFINE, REUSE, camel_case_symbol
@@ -1297,3 +1300,37 @@ def _reference_record_json(record: TranslationRecord, program: LogicProgram | No
         "trace": [[t.expression, t.decision, t.symbol, t.program_revisions] for t in trace],
         "table": record.table_text,
     }
+
+
+# ---------------------------------------------------------------------------
+# Translator inputs and the chat client's test double.
+
+
+def as_item(problem: Problem, resources: Resources | None = None) -> DiversifiedProblem:
+    """`problem` as every caller in `src/` hands it to a translator: wrapped
+    by `normalize_items` as a zero-intensity diversification."""
+    [item] = normalize_items([problem], resources)
+    return item
+
+
+class StubClient:
+    """Deterministic in-memory chat client: replies served in order, or
+    computed from the prompt by `responder`; every prompt is kept."""
+
+    def __init__(self, replies=None, responder=None):
+        self._replies = list(replies or [])
+        self._responder = responder
+        self._served = 0
+        self.prompts: list[str] = []
+
+    def complete(self, prompt: str, temperature: float = 0.2) -> Completion:
+        del temperature
+        self.prompts.append(prompt)
+        if self._responder is not None:
+            completion = self._responder(prompt)
+        else:
+            if self._served >= len(self._replies):
+                raise ClientError("stub exhausted its canned replies")
+            completion = self._replies[self._served]
+            self._served += 1
+        return Completion(completion) if isinstance(completion, str) else completion

@@ -80,7 +80,9 @@ class TestExitCodes:
         assert code == EXIT_REMOTE
 
     def test_oracle_outage_is_remote_error(self, workdir, monkeypatch, capsys):
-        from symdrift.harness import StubClient, cli
+        from symdrift.harness import cli
+
+        from .helpers import StubClient
 
         monkeypatch.setenv("SYMDRIFT_LLM_ENDPOINT", "http://localhost:1/chat")
         monkeypatch.setattr(cli, "HttpChatClient",
@@ -526,6 +528,61 @@ class TestSettingsAndInputs:
         err = capsys.readouterr().err
         assert "translator.mental" in err and "(line 2)" in err
         assert not Path("run").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "diversify", "evaluate", "sds",
+                                         "compare", "export-sft"])
+    @pytest.mark.parametrize("line, text", [
+        ("translator.shots = many",
+         "translator.shots: invalid literal for int() with base 10: 'many'"),
+        ("translator.mental = maybe", "translator.mental: expected 'on' or 'off', got 'maybe'"),
+        ("synthetic.negation_rate = some",
+         "synthetic.negation_rate: could not convert string to float: 'some'"),
+    ], ids=["int", "flag", "float"])
+    def test_config_value_that_does_not_read_is_data_error(self, workdir, capsys, command,
+                                                           line, text):
+        """A value is read as its key's type when the file is read, so every
+        subcommand refuses it alike, naming the key and the line."""
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--out", "run")
+        Path("run.cfg").write_text(f"# settings\n{line}\n")
+        argv = {"generate": ("generate",),
+                "diversify": ("diversify", "--in", "p.jsonl"),
+                "evaluate": ("evaluate", "--in", "p.jsonl"),
+                "sds": ("sds", "--records", "run/records.jsonl"),
+                "compare": ("compare", "--before", "run", "--after", "run"),
+                "export-sft": ("export-sft", "--run", "run")}[command]
+        capsys.readouterr()
+        assert run(*argv, "--config", "run.cfg", "--out", "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert text in err and "(line 2)" in err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command", ["sds", "solve", "compare"])
+    @pytest.mark.parametrize("rows, text", [
+        ([[0, 1.5, 2, "X"], "0124"], "bad span_symbols row [0, 1.5, 2, 'X']"),
+        (["0124"], "bad span_symbols row '0124'"),
+        ([[0, True, 2, "X"]], "bad span_symbols row [0, True, 2, 'X']"),
+        ("0124", "span_symbols must be a list of rows"),
+    ], ids=["float", "string_row", "bool", "string"])
+    def test_malformed_span_symbols_are_data_errors(self, workdir, capsys, command, rows,
+                                                    text):
+        """A record's span ledger is read as the problem span fields are:
+        three ints, then a string."""
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--out", "run")
+        first, second = Path("run/records.jsonl").read_text().splitlines()
+        bad = json.loads(second)
+        bad["span_symbols"] = rows
+        Path("bad").mkdir()
+        Path("bad/records.jsonl").write_text(first + "\n" + json.dumps(bad) + "\n")
+        argv = {"sds": ("sds", "--records", "bad/records.jsonl"),
+                "solve": ("solve", "--records", "bad/records.jsonl", "--problems", "p.jsonl"),
+                "compare": ("compare", "--before", "run", "--after", "bad")}[command]
+        capsys.readouterr()
+        assert run(*argv, "--out", "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert text in err and "(line 2)" in err
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize("again", [False, True])
     def test_loaded_input_is_unfrozen_when_main_returns(self, workdir, capsys, monkeypatch,

@@ -26,10 +26,8 @@ from symdrift.harness import (
     NaiveTranslator,
     PromptLibrary,
     SplitAdversaryTranslator,
-    StubClient,
     SyntheticConfig,
     TranslatorConfig,
-    UsageLedger,
     export_sft_traces,
     extract_csp_block,
     extract_program_block,
@@ -46,7 +44,7 @@ from symdrift.harness import (
 from symdrift.mental import LexiconOracle
 from symdrift.problem import Problem, TextUnit
 
-from .helpers import proof_depth
+from .helpers import StubClient, as_item, proof_depth
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +149,17 @@ class TestSynthetic:
 
 
 class TestTranslators:
-    def test_gold_verbatim_on_undiversified(self, synthetic_batch):
+    def test_gold_verbatim_on_undiversified(self, synthetic_batch, resources):
         p = synthetic_batch[0]
-        output = GoldTranslator().translate(p)
+        output = GoldTranslator().translate(as_item(p, resources))
         assert output.program is p.gold_logic
 
-    def test_gold_missing_gold(self):
+    def test_gold_missing_gold(self, resources):
         p = Problem(id="x", sentences=(TextUnit.from_text("Anne is kind."),),
                     question=TextUnit.from_text("Is Anne kind?"),
                     gold_answer="true", task_kind="proofwriter")
         with pytest.raises(MissingGold):
-            GoldTranslator().translate(p)
+            GoldTranslator().translate(as_item(p, resources))
 
     def test_split_adversary_counts_surfaces(self, diversified_batch):
         d = next(item for item in diversified_batch
@@ -181,10 +179,14 @@ class TestTranslators:
             surfaces = {e.surface.lower() for e in entries}
             assert len(alignment[cid]) == len(surfaces)
 
-    def test_split_adversary_identical_to_gold_when_undiversified(self, synthetic_batch):
-        p = synthetic_batch[0]
-        adv = SplitAdversaryTranslator().translate(p)
-        assert adv.program is p.gold_logic
+    def test_split_adversary_identical_to_gold_when_undiversified(self, synthetic_batch,
+                                                                    resources):
+        """With one surface per concept there is nothing to split: the
+        program and the span ledger are the gold translator's."""
+        item = as_item(synthetic_batch[0], resources)
+        adv, gold = SplitAdversaryTranslator().translate(item), GoldTranslator().translate(item)
+        assert adv.rendering == gold.rendering
+        assert adv.span_symbols == gold.span_symbols
 
     def test_split_adversary_degrades_query_to_unknown(self, resources):
         """When the query concept's surfaces split across units, the broken
@@ -216,11 +218,11 @@ class TestTranslators:
                                   output.program.query, "open_world")
         assert enumerate_models(open_world).value == "unknown"
 
-    def test_naive_parse_failure_recorded(self):
+    def test_naive_parse_failure_recorded(self, resources):
         p = Problem(id="x", sentences=(TextUnit.from_text("Gibberish beyond grammar!"),),
                     question=TextUnit.from_text("Is Anne kind?"),
                     gold_answer="true", task_kind="proofwriter")
-        output = NaiveTranslator().translate(p)
+        output = NaiveTranslator().translate(as_item(p, resources))
         assert output.program is None
         assert "no template" in output.parse_error
 
@@ -279,7 +281,7 @@ class TestLLMTranslator:
         stub = StubClient(replies=[Completion(reply, 100, 20)])
         cfg = TranslatorConfig(kind="llm", shots=2)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        output = translator.translate(self._problem())
+        output = translator.translate(as_item(self._problem()))
         assert output.program is not None
         assert output.tokens_in == 100 and output.tokens_out == 20
 
@@ -287,7 +289,7 @@ class TestLLMTranslator:
         stub = StubClient(replies=["sorry, no logic today"])
         cfg = TranslatorConfig(kind="llm")
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        output = translator.translate(self._problem())
+        output = translator.translate(as_item(self._problem()))
         assert output.program is None and output.parse_error
 
     def test_token_totals_equal_stub_sums(self, resources):
@@ -299,7 +301,7 @@ class TestLLMTranslator:
         problems = [self._problem() for _ in range(3)]
         report = run_evaluation(problems, translator, cfg, "auto", resources=resources)
         assert report.tokens_in == 21 and report.tokens_out == 9
-        assert report.tokens_in == stub.ledger.tokens_in
+        assert report.tokens_in == sum(reply.tokens_in for reply in replies)
 
     def test_mental_proposal_routing(self, resources):
         reply = (
@@ -309,7 +311,7 @@ class TestLLMTranslator:
         cfg = TranslatorConfig(kind="llm", mental=True)
         oracle = LexiconOracle(resources.synonyms, resources.derivations)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load(), oracle=oracle)
-        output = translator.translate(self._problem())
+        output = translator.translate(as_item(self._problem()))
         names = {output.program.registry.name_of(s)
                  for s in output.program.registry.symbols("predicate")}
         assert names == {"Kind"}
@@ -354,7 +356,7 @@ class TestLLMTranslator:
         stub = StubClient(replies=["``` \npremise: A(b)\nquery: A(b)\n```"])
         cfg = TranslatorConfig(kind="llm", shots=2)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        translator.translate(self._problem())
+        translator.translate(as_item(self._problem()))
         assert stub.prompts[0].count("Task (proofwriter):") >= 2
 
 
@@ -735,11 +737,16 @@ class TestClient:
         with pytest.raises(ClientError):
             stub.complete("y")
 
-    def test_ledger_totals(self):
-        ledger = UsageLedger()
-        ledger.add(Completion("a", 5, 7))
-        ledger.add(Completion("b", 1, 2))
-        assert (ledger.tokens_in, ledger.tokens_out, ledger.calls) == (6, 9, 2)
+    def test_no_test_opens_a_socket(self):
+        """The suite-wide guard refuses a connection before it is made."""
+        import socket
+
+        with pytest.raises(RuntimeError, match="network connection"):
+            HttpChatClient("http://localhost:1/x", sleeper=pytest.fail).complete("hello")
+        with socket.socket() as sock:
+            for connect in (socket.create_connection, sock.connect, sock.connect_ex):
+                with pytest.raises(RuntimeError, match="network connection"):
+                    connect(("localhost", 1))
 
     def test_retries_then_client_error(self, monkeypatch):
         import urllib.request
@@ -752,8 +759,7 @@ class TestClient:
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
         sleeps = []
-        client = HttpChatClient("http://localhost:1/x", max_retries=3,
-                                sleeper=sleeps.append)
+        client = HttpChatClient("http://localhost:1/x", sleeper=sleeps.append)
         with pytest.raises(ClientError):
             client.complete("hello")
         assert len(calls) == 3

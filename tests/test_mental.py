@@ -14,7 +14,6 @@ from symdrift.harness import (
     LLMTranslator,
     NaiveTranslator,
     PromptLibrary,
-    StubClient,
     TranslatorConfig,
     propose_from_templates,
 )
@@ -36,6 +35,8 @@ from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver import enumerate_models
 from symdrift.textproc import content_lemmas, word_lemmas
 from symdrift.world import ATTRIBUTES
+
+from .helpers import StubClient, as_item
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +182,7 @@ class TestRefinementFromTheFinalTable:
             TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
             PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
                                                        resources.derivations))
-        record = translator.translate(OPEN_PROBLEM)
+        record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
         assert record.rendering == ("Big(Idol) & (Popular(Idol) & Show(Idol))",
                                     "Popular(Gala) & Show(Gala)", "Show(Idol)")
@@ -232,7 +233,7 @@ class TestCamelCase:
             TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
             PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
                                                        resources.derivations))
-        record = translator.translate(OPEN_PROBLEM)
+        record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
         assert record.rendering == ("GoodNatur(Anne)", "GoodNatur(Anne)")
 
@@ -281,14 +282,14 @@ class TestLLMOracle:
         oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         assert oracle.equiv("a", ("b",))
         assert oracle.equiv("a", ("b",))  # would exhaust the stub if re-asked
-        assert stub.ledger.calls == 1
+        assert len(stub.prompts) == 1
 
     def test_malformed_reply_retries_once_then_fails(self):
         stub = StubClient(replies=["garbled", "nonsense"])
         oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         with pytest.raises(OracleFailure):
             oracle.equiv("a", ("b",))
-        assert stub.ledger.calls == 2
+        assert len(stub.prompts) == 2
 
     def test_conflict_reply_parsing(self):
         stub = StubClient(replies=["yes show | popular"])
@@ -296,16 +297,14 @@ class TestLLMOracle:
         assert oracle.conflict("popular show", ("show",)) == ("show", "popular")
 
     def test_usage_accumulates(self):
-        from symdrift.harness import Completion
-
-        stub = StubClient(replies=[
-            Completion("yes", 10, 2), Completion("no", 11, 3), Completion("no", 12, 4),
-        ])
+        """Each distinct question reaches the client once, rendered from its
+        own template."""
+        stub = StubClient(replies=["yes", "no", "no"])
         oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
         oracle.equiv("a", ("b",))
         oracle.equiv("c", ("d",))
         oracle.conflict("e", ("f",))
-        assert stub.ledger.tokens_in == 33 and stub.ledger.tokens_out == 9
+        assert stub.prompts == ["E a b", "E c d", "C e f"]
 
 
 class TestTranslateWithMental:

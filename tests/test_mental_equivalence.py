@@ -23,7 +23,6 @@ from symdrift.harness import (
     LLMTranslator,
     NaiveTranslator,
     PromptLibrary,
-    StubClient,
     SyntheticConfig,
     TranslatorConfig,
     generate_synthetic,
@@ -52,6 +51,7 @@ from symdrift.problem import QUESTION_UNIT
 from .helpers import (
     ReferenceExactMatchOracle,
     ReferenceLexiconOracle,
+    StubClient,
     reference_evaluate_json,
     reference_program_from_json,
     reference_translate_with_mental,

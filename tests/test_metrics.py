@@ -24,7 +24,7 @@ from symdrift.metrics import (
     compute_sds,
     error_histogram,
 )
-from symdrift.problem import ProvenanceEntry
+from symdrift.problem import DiversifiedProblem, Problem, ProvenanceEntry, TextUnit
 from symdrift.solver import Verdict
 
 
@@ -91,31 +91,40 @@ class TestComputeSds:
         assert (result.concepts, result.dropped_concepts, result.drifted_concepts) == (2, 2, 0)
 
 
+def _item(provenance) -> DiversifiedProblem:
+    """A diversified problem with `provenance`, the one field the aligner reads."""
+    problem = Problem(id="p0", sentences=(TextUnit.from_text("Anne is kind."),),
+                      question=TextUnit.from_text("Is Anne kind?"),
+                      gold_answer="true", task_kind="proofwriter")
+    return DiversifiedProblem(base_id="p0", problem=problem, provenance=provenance,
+                              intensity=0)
+
+
 class TestAlignSymbols:
     def test_provenance_mode_joins_spans(self):
         record = _record()
         record.span_symbols = {(0, 8, 12): "Kind", (1, 4, 14): "Benevolent"}
         provenance = {"kind": [ProvenanceEntry(0, 8, 12, "kind"),
                                ProvenanceEntry(1, 4, 14, "benevolent")]}
-        alignment = align_symbols(record, provenance)
+        alignment = align_symbols(record, _item(provenance))
         assert alignment == {"kind": {"Kind", "Benevolent"}}
 
     def test_decomposed_span_reports_pair(self):
         record = _record()
         record.span_symbols = {(0, 0, 12): "Popular&Show"}
         provenance = {"popular show": [ProvenanceEntry(0, 0, 12, "popular show")]}
-        alignment = align_symbols(record, provenance)
+        alignment = align_symbols(record, _item(provenance))
         assert alignment == {"popular show": {"Popular&Show"}}
 
     def test_empty_program_raises(self):
         record = _record(parse_error="unbalanced", program=None)
         with pytest.raises(AlignmentIncomplete):
-            align_symbols(record, {})
+            align_symbols(record, _item({}))
 
     def test_unmatched_span_recorded_not_fatal(self):
         record = _record()
         provenance = {"kind": [ProvenanceEntry(0, 8, 12, "kind")]}
-        alignment = align_symbols(record, provenance)
+        alignment = align_symbols(record, _item(provenance))
         assert alignment == {"kind": set()}
         assert record.alignment_misses == ["kind:0:kind"]
 

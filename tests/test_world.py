@@ -17,7 +17,7 @@ from symdrift.harness import (
 from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
 from symdrift.world import ATTRIBUTES, NAMES, PROOFWRITER
 
-from .helpers import reference_propose_from_templates
+from .helpers import as_item, reference_propose_from_templates
 
 # One hand-written sentence per text of each form, in table order.
 HAND_WRITTEN = {
@@ -127,7 +127,8 @@ def test_forms_no_world_writes_are_refused(premise, question):
     reference_propose_from_templates(problem)
     with pytest.raises(TranslationFailure, match="no template matches"):
         propose_from_templates(problem)
-    assert NaiveTranslator().translate(problem).parse_error.startswith("no template matches")
+    record = NaiveTranslator().translate(as_item(problem))
+    assert record.parse_error.startswith("no template matches")
 
 
 def test_texts_of_one_form_give_one_skeleton_and_formula():
@@ -138,7 +139,7 @@ def test_texts_of_one_form_give_one_skeleton_and_formula():
         for text in texts:
             problem, unit = hand_written_problem(form_name, text)
             proposal = next(p for p in propose_from_templates(problem) if p.unit == unit)
-            record = NaiveTranslator().translate(problem)
+            record = NaiveTranslator().translate(as_item(problem))
             formula = record.rendering[unit] if record.program else record.parse_error
             readings.add((proposal.skeleton, proposal.slots, formula))
         assert len(readings) == 1, readings
