@@ -1,14 +1,22 @@
 """Repeated-concept identification and rewrite-site selection.
 
 Concepts are lemmatized n-grams (n <= `MAX_N`) occurring at least twice
-across premises plus question. Grams made only of stopwords are dropped. Every
-window is first grouped by its lemma sequence, and occurrences are built only
-for the grams seen at least twice. The inventory keeps overlapping entries
-(both "popular show" and "show"); `select_sites` applies the longest-match
-rule once per problem and gives every unit its rewrite sites.
+across premises plus question. Grams made only of stopwords are dropped.
+A text's admissible windows are found once per process: a memo keyed by
+(unit text, `max_n`) holds them as immutable, shared rows, each gram's
+interned id with its token and character span, in site precedence order
+(longer spans first, then earlier starts). Counting ids over a problem's
+windows tells which grams repeat; occurrences are built only for those.
+The inventory keeps overlapping entries (both "popular show" and "show");
+`select_sites` walks each unit's windows once in precedence order and keeps
+the repeated ones that overlap no kept one.
 """
 
 from __future__ import annotations
+
+import sys
+from collections import Counter
+from typing import Collection
 
 from ..problem import ConceptEntry, ConceptInventory, ConceptOccurrence, Problem, TextUnit
 from ..textproc import STOPWORDS
@@ -17,19 +25,22 @@ MAX_N = 3
 
 SiteRows = list[tuple[str, ConceptOccurrence]]
 
+# (concept id, first token, last token, char start, char end)
+Window = tuple[str, int, int, int, int]
 
-def _occurrence(unit_index: int, unit: TextUnit, first: int, last: int) -> ConceptOccurrence:
-    start, end = unit.tokens[first].start, unit.tokens[last].end
-    return ConceptOccurrence(unit_index, first, last + 1, start, end, unit.text[start:end])
+_WINDOWS: dict[tuple[str, int], tuple[Window, ...]] = {}
+# One object per distinct row: texts of one template share most of theirs.
+_ROWS: dict[Window, Window] = {}
 
 
-def identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
-    # Every admissible window as (unit index, unit, first token, last token),
-    # grouped by lemma sequence; occurrences are built for repeated grams only.
-    windows: dict[tuple[str, ...], list[tuple[int, TextUnit, int, int]]] = {}
-    for unit_index, unit in p.units():
+def _windows(unit: TextUnit, max_n: int) -> tuple[Window, ...]:
+    """The unit's admissible windows in site precedence order, memoized."""
+    key = (unit.text, max_n)
+    found = _WINDOWS.get(key)
+    if found is None:
         tokens = unit.tokens
         words = [i for i, t in enumerate(tokens) if t.is_word]
+        rows: list[Window] = []
         for start, first in enumerate(words):
             lemmas: tuple[str, ...] = ()
             stopwords_only = True
@@ -42,37 +53,57 @@ def identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
                 lemmas += (lemma,)
                 stopwords_only = stopwords_only and lemma in STOPWORDS
                 if not stopwords_only:
-                    windows.setdefault(lemmas, []).append((unit_index, unit, first, last))
-
-    inventory: ConceptInventory = {}
-    repeated = [lemmas for lemmas, hits in windows.items() if len(hits) > 1]
-    for lemmas in sorted(repeated, key=lambda k: (len(k), k)):
-        hits = windows[lemmas]
-        _, unit, first, last = hits[0]
-        tags = tuple(t.pos for t in unit.tokens[first:last + 1])
-        occurrences = tuple(_occurrence(*hit) for hit in hits)
-        cid = " ".join(lemmas)
-        inventory[cid] = ConceptEntry(lemmas, tags, occurrences)
-    return inventory
+                    row = (sys.intern(" ".join(lemmas)), first, last,
+                           tokens[first].start, tokens[last].end)
+                    rows.append(_ROWS.setdefault(row, row))
+        rows.sort(key=lambda w: (w[1] - w[2], w[1]))
+        found = _WINDOWS[key] = tuple(rows)
+    return found
 
 
-def select_sites(inventory: ConceptInventory) -> dict[int, SiteRows]:
+def repeated_ids(p: Problem, max_n: int = MAX_N) -> set[str]:
+    """The ids of the grams occurring at least twice across the problem."""
+    counts = Counter(w[0] for _, unit in p.units() for w in _windows(unit, max_n))
+    return {cid for cid, n in counts.items() if n > 1}
+
+
+def identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
+    repeated = repeated_ids(p, max_n)
+    occurrences: dict[str, list[ConceptOccurrence]] = {}
+    tags: dict[str, tuple[str, ...]] = {}
+    for unit_index, unit in p.units():
+        # A gram's windows in one unit share a length, so precedence order
+        # lists them by start.
+        for cid, first, last, start, end in _windows(unit, max_n):
+            if cid in repeated:
+                if cid not in occurrences:
+                    occurrences[cid] = []
+                    tags[cid] = tuple(t.pos for t in unit.tokens[first:last + 1])
+                occurrences[cid].append(ConceptOccurrence(
+                    unit_index, first, last + 1, start, end, unit.text[start:end]))
+    lemmas = {cid: tuple(cid.split(" ")) for cid in occurrences}
+    return {cid: ConceptEntry(lemmas[cid], tags[cid], tuple(occurrences[cid]))
+            for cid in sorted(lemmas, key=lambda c: (len(lemmas[c]), lemmas[c]))}
+
+
+def select_sites(p: Problem, repeated: Collection[str],
+                 max_n: int = MAX_N) -> dict[int, SiteRows]:
     """Each unit's non-overlapping rewrite sites, in text order, as
-    (concept id, occurrence) rows. Longest-match precedence: longer spans win,
-    ties go to the earlier start, then to the smaller concept id. A unit with
-    no occurrence has no key."""
+    (concept id, occurrence) rows, over the grams in `repeated` (an
+    inventory serves). Longest-match precedence: longer spans win, ties go
+    to the earlier start. A unit with no repeated gram has no key."""
     sites: dict[int, SiteRows] = {}
-    for cid, entry in inventory.items():
-        for occ in entry.occurrences:
-            sites.setdefault(occ.unit, []).append((cid, occ))
-    for unit, rows in sites.items():
-        rows.sort(key=lambda row: (row[1].tok_start - row[1].tok_end, row[1].tok_start, row[0]))
+    for unit_index, unit in p.units():
         chosen: SiteRows = []
-        taken: set[int] = set()
-        for cid, occ in rows:
-            span = range(occ.tok_start, occ.tok_end)
-            if taken.isdisjoint(span):
-                taken.update(span)
-                chosen.append((cid, occ))
-        sites[unit] = sorted(chosen, key=lambda row: row[1].tok_start)
+        taken = 0  # bit i set: token i is inside a chosen site
+        for cid, first, last, start, end in _windows(unit, max_n):
+            if cid not in repeated:
+                continue
+            span = (1 << (last + 1)) - (1 << first)
+            if not taken & span:
+                taken |= span
+                chosen.append((cid, ConceptOccurrence(
+                    unit_index, first, last + 1, start, end, unit.text[start:end])))
+        if chosen:
+            sites[unit_index] = sorted(chosen, key=lambda row: row[1].tok_start)
     return sites

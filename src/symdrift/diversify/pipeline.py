@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from ..problem import (
     ConceptInventory,
@@ -31,7 +31,7 @@ from ..problem import (
     VariantSet,
 )
 from ..textproc import match_surface, tokenize
-from .concepts import SiteRows, identify_repeated, select_sites
+from .concepts import SiteRows, identify_repeated, repeated_ids, select_sites
 from .resources import Resources
 from .similarity import FALLBACK, make_scorer, score_similarity
 from .variants import RuleRewriter, build_variants
@@ -295,26 +295,32 @@ def eligible_units(p: Problem, inventory: ConceptInventory, k: int) -> set[int]:
     return chosen
 
 
+def _pass_through(p: Problem, repeated: Collection[str]) -> DiversifiedProblem:
+    """The problem unchanged, with its original surfaces as provenance at
+    the sites a rewrite would use."""
+    provenance: dict[str, list[ProvenanceEntry]] = {}
+    for unit_index, rows in select_sites(p, repeated).items():
+        for cid, occ in rows:
+            provenance.setdefault(cid, []).append(
+                ProvenanceEntry(unit_index, occ.char_start, occ.char_end, occ.surface))
+    return DiversifiedProblem(
+        base_id=p.id, problem=p, provenance=provenance,
+        intensity=0, no_repeats=not repeated,
+    ).validate(p)
+
+
 def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     resources = cfg.resources or Resources.load()
     scorer = make_scorer(cfg.scorer, lexicon=resources.synonyms, vectors=resources.vectors)
-    inventory = identify_repeated(p)
     k = len(p.sentences) if cfg.intensity is None else cfg.intensity
     if k > len(p.sentences):
         raise ValueError(f"intensity {k} exceeds sentence count {len(p.sentences)}")
-    sites = select_sites(inventory)
-    if k == 0 or not inventory:
-        # Pass-through: original surfaces at the sites a rewrite would use.
-        provenance: dict[str, list[ProvenanceEntry]] = {}
-        for unit_index, _unit in p.units():
-            for cid, occ in sites.get(unit_index, []):
-                provenance.setdefault(cid, []).append(
-                    ProvenanceEntry(unit_index, occ.char_start, occ.char_end, occ.surface))
-        return DiversifiedProblem(
-            base_id=p.id, problem=p, provenance=provenance,
-            intensity=0, no_repeats=not inventory,
-        ).validate(p)
-
+    if k == 0:
+        return _pass_through(p, repeated_ids(p))
+    inventory = identify_repeated(p)
+    if not inventory:
+        return _pass_through(p, inventory)
+    sites = select_sites(p, inventory)
     variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, CandidatePool] = {}

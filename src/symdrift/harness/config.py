@@ -89,10 +89,15 @@ CONFIG_DEFAULTS = {
 }
 
 
+# The settings classes whose range checks a config file's values must pass.
+_CHECKED = {"translator": TranslatorConfig, "synthetic": SyntheticConfig}
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; `#` starts a comment. A key outside
     `CONFIG_DEFAULTS` is refused, so a misspelt one cannot go unread, and so is
-    a value that does not read as its key's default does."""
+    a value that does not read as its key's default does or that its
+    settings class rejects."""
     p = Path(path)
     if not p.exists():
         raise FormatError(f"config file not found: {p}")
@@ -106,8 +111,13 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise FormatError(f"unknown config key {key!r}", line=lineno)
+        section, name = key.split(".", 1)
         try:
-            _setting(CONFIG_DEFAULTS[key], value)
+            setting = _setting(CONFIG_DEFAULTS[key], value)
+            if section in _CHECKED:
+                # Each range check reads one field, so the others' defaults
+                # pass and a failure is this key's.
+                _CHECKED[section](**{name: setting})
         except ValueError as exc:
             raise FormatError(f"{key}: {exc}", line=lineno) from exc
         out[key] = value

@@ -97,7 +97,7 @@ def problem_from_json(data: dict) -> Problem:
         gold_concepts = {(unit, start, end): concept for unit, start, end, concept
                          in _span_rows(data["gold_concepts"], "gold_concepts")}
     return Problem(
-        id=str(data["id"]),
+        id=_id(data, "id"),
         sentences=tuple(TextUnit.from_text(s) for s in _strings(data, "sentences")),
         question=TextUnit.from_text(data["question"]),
         gold_answer=answer,
@@ -106,6 +106,14 @@ def problem_from_json(data: dict) -> Problem:
         gold_logic=gold_logic,
         gold_concepts=gold_concepts,
     )
+
+
+def _id(data: dict, key: str) -> str:
+    """An id field as text: a string, or an integer (not a bool)."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise FormatError(f"{key} must be a string or an integer, got {value!r}")
+    return str(value)
 
 
 def _strings(data: dict, key: str) -> list[str]:
@@ -145,7 +153,7 @@ def diversified_from_json(data: dict) -> DiversifiedProblem:
         for cid, entries in data["provenance"].items()
     }
     return DiversifiedProblem(
-        base_id=str(data["base_id"]),
+        base_id=_id(data, "base_id"),
         problem=problem,
         provenance=provenance,
         intensity=int(data["intensity"]),

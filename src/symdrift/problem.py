@@ -8,6 +8,7 @@ concept inventory is a plain dict from concept id to entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
 from .textproc import Token, tokenize
@@ -68,8 +69,7 @@ class Problem:
         return " ".join([u.text for u in self.sentences] + [self.question.text])
 
 
-@dataclass(frozen=True)
-class ConceptOccurrence:
+class ConceptOccurrence(NamedTuple):
     unit: int
     tok_start: int
     tok_end: int  # exclusive

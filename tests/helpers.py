@@ -464,6 +464,27 @@ def reference_parse(text: str, registry: SymbolRegistry) -> Formula:
     return result
 
 
+def plain_problem(sentences: list[str], question: str) -> Problem:
+    return Problem(
+        id="t",
+        sentences=tuple(TextUnit.from_text(s) for s in sentences),
+        question=TextUnit.from_text(question),
+        gold_answer="true",
+        task_kind="proofwriter",
+    )
+
+
+HAND_CASES = [
+    # a punctuation gap inside a would-be gram: "kind, smart" is not "kind smart"
+    plain_problem(["Anne is kind, smart and tall.", "Bob is kind smart."],
+                  "Is Anne kind smart?"),
+    # repeated grams made only of stopwords, next to repeated mixed grams
+    plain_problem(["It is not the kind one.", "It is not the kind."], "Is it the kind one?"),
+    # a gram whose only repeat is in the question
+    plain_problem(["Anne is kind.", "Bob is tall."], "Is Gail very kind?"),
+]
+
+
 def reference_identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
     """Concept identification that builds an occurrence for every window and
     drops the singleton grams afterwards."""
@@ -500,6 +521,20 @@ def reference_identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInvent
         cid = " ".join(lemmas)
         inventory[cid] = ConceptEntry(lemmas, tags[lemmas], tuple(occurrences))
     return inventory
+
+
+def reference_passthrough(p: Problem) -> DiversifiedProblem:
+    """The intensity-0 wrap over a full inventory: the problem unchanged,
+    with its original surfaces as provenance at each unit's sites, found by
+    a scan of every entry."""
+    inventory = reference_identify_repeated(p)
+    provenance: dict[str, list[ProvenanceEntry]] = {}
+    for unit_index, _unit in p.units():
+        for cid, occ in reference_unit_sites(inventory, unit_index):
+            provenance.setdefault(cid, []).append(
+                ProvenanceEntry(occ.unit, occ.char_start, occ.char_end, occ.surface))
+    return DiversifiedProblem(base_id=p.id, problem=p, provenance=provenance,
+                              intensity=0, no_repeats=not inventory)
 
 
 def reference_unit_sites(inventory: ConceptInventory, unit: int
@@ -636,12 +671,7 @@ def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
     inventory = reference_identify_repeated(p)
     k = len(p.sentences) if intensity is None else intensity
     if not inventory or k == 0:
-        provenance: dict[str, list[ProvenanceEntry]] = {}
-        for unit_index, _unit in p.units():
-            for cid, occ in reference_unit_sites(inventory, unit_index):
-                provenance.setdefault(cid, []).append(
-                    ProvenanceEntry(occ.unit, occ.char_start, occ.char_end, occ.surface))
-        return {u: unit.text for u, unit in p.units()}, provenance
+        return {u: unit.text for u, unit in p.units()}, reference_passthrough(p).provenance
     variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, list[Candidate]] = {}

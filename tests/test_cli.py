@@ -50,14 +50,17 @@ class TestExitCodes:
         ("gold_concepts", [[0, True, 2, "kind"]], "bad gold_concepts row [0, True, 2, 'kind']"),
         ("gold_concepts", "0124", "gold_concepts must be a list of rows"),
         ("provenance", {"kind": [[0, 0, 4.0, "Anne"]]}, "bad provenance row [0, 0, 4.0, 'Anne']"),
+        ("id", ["x"], "id must be a string or an integer, got ['x']"),
+        ("id", None, "id must be a string or an integer, got None"),
+        ("base_id", None, "base_id must be a string or an integer, got None"),
     ], ids=["gold_concepts", "provenance", "sentences", "options", "gold_concepts_string_row",
             "gold_concepts_float", "gold_concepts_bool", "gold_concepts_string",
-            "provenance_float"])
+            "provenance_float", "id_list", "id_null", "base_id_null"])
     def test_malformed_problem_line_is_data_error(self, workdir, capsys, command, field,
                                                   value, text):
         run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
         source = "p.jsonl"
-        if field == "provenance":
+        if field in ("provenance", "base_id"):
             run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
             source = "d.jsonl"
         first, second = Path(source).read_text().splitlines()
@@ -69,6 +72,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert text in err and "(line 2)" in err
         assert not Path("out").exists()
+
+    def test_integer_ids_load_as_text(self, workdir, capsys):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        rows = [json.loads(line) for line in Path("p.jsonl").read_text().splitlines()]
+        for number, row in enumerate(rows):
+            row["id"] = number
+        Path("ints.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert run("diversify", "--in", "ints.jsonl", "--out", "d.jsonl") == EXIT_OK
+        diversified = [json.loads(line) for line in Path("d.jsonl").read_text().splitlines()]
+        assert [row["base_id"] for row in diversified] == ["0", "1"]
+        for row in diversified:
+            row["base_id"] = int(row["base_id"])
+        Path("d_ints.jsonl").write_text("".join(json.dumps(row) + "\n" for row in diversified))
+        assert run("evaluate", "--in", "d_ints.jsonl", "--translator", "gold",
+                   "--out", "run") == EXIT_OK
+        records = [json.loads(line) for line in Path("run/records.jsonl").read_text().splitlines()]
+        assert [r["problem_id"] for r in records] == ["0", "1"]
 
     def test_remote_translator_without_endpoint(self, workdir, monkeypatch, capsys):
         monkeypatch.delenv("SYMDRIFT_LLM_ENDPOINT", raising=False)
@@ -209,6 +229,19 @@ class TestPipelineCommands:
         digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
         assert digest == "da0ca59b5b8613e48eef52fc0b352763b1a4414e6505798cbf3fa240316867cb"
 
+    def test_gold_enumerate_records_are_pinned(self, workdir, capsys):
+        """Plain problems are wrapped as intensity-0 diversifications before
+        the gold program is solved over a small Herbrand domain; the concept
+        sites that wrap finds land in each record's SDS fields."""
+        Path("oracle.cfg").write_text("synthetic.n_constants = 3\n"
+                                      "synthetic.n_predicates = 5\nsynthetic.depth = 3\n")
+        run("generate", "--n", "60", "--seed", "1", "--config", "oracle.cfg",
+            "--out", "p.jsonl")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "gold",
+                   "--solver", "enumerate", "--seed", "1", "--out", "run") == EXIT_OK
+        digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
+        assert digest == "ab67e69ad363a5a3a1e9f2f2fb35720c75618a9809257b48be43deb020217d0f"
+
     @pytest.mark.parametrize("mental, digests", [
         ("on", {"records.jsonl": "e540979beaa4b70e17e2670056b290d27b552f5895c62ecd7664bc1942ac32c1",
                 "traces.jsonl": "1c45725c794218c1dd8242ee1c0b1100f43b7bca287f9238ec01325910552bd7"}),
@@ -271,6 +304,16 @@ class TestPipelineCommands:
                    "--seed", "1", "--out", "d.jsonl") == EXIT_OK
         digest = hashlib.sha256(Path("d.jsonl").read_bytes()).hexdigest()
         assert digest == "36dea6bbc27749943750393afe5d80265c95106b34b8ba229b944bede417ab7d"
+
+    def test_passthrough_output_is_pinned(self, workdir, capsys):
+        """At intensity 0 the text is kept and the provenance lists the
+        rewrite sites: any change to concept windows, their precedence or
+        the no-repeats flag moves a byte here."""
+        run("generate", "--n", "60", "--seed", "1", "--out", "p.jsonl")
+        assert run("diversify", "--in", "p.jsonl", "--intensity", "0",
+                   "--seed", "1", "--out", "d.jsonl") == EXIT_OK
+        digest = hashlib.sha256(Path("d.jsonl").read_bytes()).hexdigest()
+        assert digest == "3e6c8225a4f7856781dfbfcf63cca55e6bb05e09b4896b047c3bff81b2e7fb34"
 
     @pytest.mark.parametrize("seed, digest", [
         (1, "993107cf39afa1285c9a9aaa6de1d8e2ed7e25e5dae34cbcff14c5df501607bc"),
@@ -537,11 +580,14 @@ class TestSettingsAndInputs:
         ("translator.mental = maybe", "translator.mental: expected 'on' or 'off', got 'maybe'"),
         ("synthetic.negation_rate = some",
          "synthetic.negation_rate: could not convert string to float: 'some'"),
-    ], ids=["int", "flag", "float"])
+        ("synthetic.depth = 9", "synthetic.depth: depth must be within 1..5"),
+        ("translator.kind = bogus", "translator.kind: unknown translator kind 'bogus'"),
+    ], ids=["int", "flag", "float", "depth_range", "kind_range"])
     def test_config_value_that_does_not_read_is_data_error(self, workdir, capsys, command,
                                                            line, text):
-        """A value is read as its key's type when the file is read, so every
-        subcommand refuses it alike, naming the key and the line."""
+        """A value is read as its key's type and range-checked by its settings
+        class when the file is read, so every subcommand refuses it alike,
+        naming the key and the line."""
         run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
         run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--out", "run")
         Path("run.cfg").write_text(f"# settings\n{line}\n")
@@ -555,6 +601,18 @@ class TestSettingsAndInputs:
         assert run(*argv, "--config", "run.cfg", "--out", "out") == EXIT_DATA
         err = capsys.readouterr().err
         assert text in err and "(line 2)" in err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        (("evaluate", "--in", "p.jsonl", "--translator", "bogus"),
+         "unknown translator kind 'bogus'"),
+        (("generate", "--n", "0"), "all counts must be positive"),
+    ], ids=["translator", "n"])
+    def test_flag_value_out_of_range_is_usage_error(self, workdir, capsys, argv, text):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        capsys.readouterr()
+        assert run(*argv, "--out", "out") == EXIT_USAGE
+        assert text in capsys.readouterr().err
         assert not Path("out").exists()
 
     @pytest.mark.parametrize("command", ["sds", "solve", "compare"])

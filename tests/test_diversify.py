@@ -75,7 +75,7 @@ class TestIdentifyRepeated:
              "A show needs viewers."],
             "Is Idol fun?")
         inv = identify_repeated(p)
-        sites = select_sites(inv)[0]
+        sites = select_sites(p, inv)[0]
         surfaces = [(cid, occ.surface) for cid, occ in sites]
         assert ("popular show", "popular show") in surfaces
         assert all(cid != "show" for cid, _ in sites)
@@ -110,7 +110,7 @@ class TestBuildVariants:
         inv = identify_repeated(p)
         variants = build_variants(inv, resources.synonyms, resources.paraphrases)
         assert {v.level for vs in variants.values() for v in vs} <= {"word", "phrase"}
-        sites = select_sites(inv)
+        sites = select_sites(p, inv)
         pools = {u: [c.text for c in pool_candidates(
                      generate_candidates(unit, sites.get(u, []), inv, variants))]
                  for u, unit in p.units()}
@@ -203,7 +203,7 @@ class TestGenerateCandidates:
 
     @staticmethod
     def _pools(p, inv, variants):
-        sites = select_sites(inv)
+        sites = select_sites(p, inv)
         return {u: generate_candidates(unit, sites.get(u, []), inv, variants)
                 for u, unit in p.units()}
 
