@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..errors import ArityMismatch, FormulaSyntaxError
 from .terms import (
@@ -60,8 +60,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     pos: int
 

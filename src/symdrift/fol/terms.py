@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (
     ArityMismatch,
@@ -52,65 +53,69 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # Terms and formula nodes
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     symbol: str  # registry id
 
 
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: str  # registry id
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAll:
+class ForAll(NamedTuple):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(NamedTuple):
     var: str
     body: "Formula"
 
+
+def _node_eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _node_hash(self) -> int:
+    return hash((self.__class__.__name__, *self))
+
+
+# Nodes are tuples that also compare and hash by class, so `Var("c0")` is not
+# `Const("c0")` and `ForAll` is not `Exists`; `object.__ne__` inverts `__eq__`.
+for _node in (Var, Const, Atom, Not, And, Or, Implies, Iff, ForAll, Exists):
+    _node.__eq__, _node.__ne__, _node.__hash__ = _node_eq, object.__ne__, _node_hash
+del _node
 
 Formula = Atom | Not | And | Or | Implies | Iff | ForAll | Exists
 
@@ -122,8 +127,7 @@ _QUANT = (ForAll, Exists)
 # Symbol registry
 
 
-@dataclass(frozen=True)
-class SymbolInfo:
+class SymbolInfo(NamedTuple):
     name: str
     arity: int
     kind: str  # PREDICATE | CONSTANT

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ClientError
 
@@ -20,8 +18,7 @@ MAX_RETRIES = 3
 BACKOFF_S = 1.0  # the first retry's wait; each later one doubles it
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     text: str
     tokens_in: int = 0
     tokens_out: int = 0
@@ -38,6 +35,10 @@ class HttpChatClient:
         self._sleep = sleeper
 
     def complete(self, prompt: str, temperature: float = 0.2) -> Completion:
+        # Loaded on the first request, so an offline run never imports the
+        # HTTP stack. Its errors, `URLError` and `HTTPError`, are `OSError`s.
+        import urllib.request
+
         payload = json.dumps({"prompt": prompt, "temperature": temperature}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self._api_key:
@@ -48,13 +49,16 @@ class HttpChatClient:
             try:
                 with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                     body = json.loads(response.read().decode("utf-8"))
-                usage = body.get("usage", {})
-                return Completion(
-                    text=str(body.get("text", "")),
-                    tokens_in=int(usage.get("input_tokens", 0)),
-                    tokens_out=int(usage.get("output_tokens", 0)),
-                )
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+                # A reply that is JSON but not the protocol's object is as
+                # unusable as one that is not JSON, and is retried the same way.
+                usage = body.get("usage", {}) if isinstance(body, dict) else None
+                if not isinstance(usage, dict):
+                    raise ValueError(f"reply is not a protocol object: {body!r}")
+                tokens = (usage.get("input_tokens", 0), usage.get("output_tokens", 0))
+                if not all(type(n) is int for n in tokens):
+                    raise ValueError(f"token counts are not integers: {usage!r}")
+                return Completion(str(body.get("text", "")), *tokens)
+            except (OSError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < MAX_RETRIES:
                     self._sleep(BACKOFF_S * (2 ** attempt))

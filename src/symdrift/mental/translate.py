@@ -19,7 +19,6 @@ normalized text to every table method it calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import TranslationFailure
@@ -148,8 +147,7 @@ def _resolve_modifier(st: TranslationState, modifier_text: str,
 # Skeleton proposals and the driver
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """One unit's translation sketch: a formula over Slot0..SlotN predicate
     placeholders plus the surface expression behind each slot.
 

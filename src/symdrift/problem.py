@@ -32,8 +32,7 @@ TASK_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class TextUnit:
+class TextUnit(NamedTuple):
     text: str
     tokens: tuple[Token, ...]
 
@@ -78,8 +77,7 @@ class ConceptOccurrence(NamedTuple):
     surface: str
 
 
-@dataclass(frozen=True)
-class ConceptEntry:
+class ConceptEntry(NamedTuple):
     lemmas: tuple[str, ...]
     pos: tuple[str, ...]  # tags aligned with lemmas, from the first occurrence
     occurrences: tuple[ConceptOccurrence, ...]
@@ -93,8 +91,7 @@ WORD_LEVEL = "word"
 PHRASE_LEVEL = "phrase"
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     text: str
     level: str  # WORD_LEVEL | PHRASE_LEVEL
 
@@ -102,8 +99,7 @@ class Variant:
 VariantSet = dict[str, list[Variant]]
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     """One concept occurrence in the rewritten text."""
     unit: int
     char_start: int

@@ -99,6 +99,27 @@ class TestExitCodes:
                    "--out", "rundir")
         assert code == EXIT_REMOTE
 
+    @pytest.mark.parametrize("body", [b"[]", b'"hi"', b'{"text": "x", "usage": null}'],
+                             ids=["list", "string", "null_usage"])
+    def test_malformed_reply_is_remote_error(self, workdir, monkeypatch, capsys, body):
+        """A reply that is JSON but not the protocol's object ends the run
+        as a remote-service error, not a traceback."""
+        import urllib.request
+
+        from symdrift.harness import client
+
+        monkeypatch.setenv("SYMDRIFT_LLM_ENDPOINT", "http://localhost:1/chat")
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: io.BytesIO(body))
+        monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+        Path("p.jsonl").write_text(json.dumps({
+            "id": "a", "sentences": ["Anne is kind."], "question": "Is Anne kind?",
+            "answer": "true", "task_kind": "proofwriter"}) + "\n")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "llm",
+                   "--out", "rundir") == EXIT_REMOTE
+        assert "remote service error: endpoint failed after 3 attempts" \
+            in capsys.readouterr().err
+
     def test_oracle_outage_is_remote_error(self, workdir, monkeypatch, capsys):
         from symdrift.harness import cli
 

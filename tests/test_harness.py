@@ -765,6 +765,46 @@ class TestClient:
         assert len(calls) == 3
         assert sleeps == [1.0, 2.0]
 
+    @staticmethod
+    def _replying(monkeypatch, body: bytes) -> list:
+        """Patch `urlopen` to answer every request with `body`; returns the
+        list of requests it saw."""
+        import io
+        import urllib.request
+
+        requests = []
+
+        def reply(request, timeout):
+            requests.append(request)
+            return io.BytesIO(body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", reply)
+        return requests
+
+    def test_protocol_reply_is_read(self, monkeypatch):
+        self._replying(monkeypatch, b'{"text": "ok", "usage": {"input_tokens": 3, '
+                                    b'"output_tokens": 4}}')
+        client = HttpChatClient("http://localhost:1/x", sleeper=pytest.fail)
+        assert client.complete("hello") == Completion("ok", 3, 4)
+        self._replying(monkeypatch, b'{"text": "ok"}')
+        assert client.complete("hello") == Completion("ok", 0, 0)
+
+    @pytest.mark.parametrize("body", [
+        b"[]", b'"hi"', b'{"text": "x", "usage": null}', b"{not json",
+        b'{"text": "x", "usage": {"input_tokens": "3"}}',
+        b'{"text": "x", "usage": {"output_tokens": null}}',
+    ], ids=["list", "string", "null_usage", "not_json", "string_count", "null_count"])
+    def test_malformed_reply_is_retried_then_client_error(self, monkeypatch, body):
+        """A body that is JSON but not the protocol's object fails as one
+        that is not JSON does: retried, then a `ClientError`."""
+        requests = self._replying(monkeypatch, body)
+        sleeps = []
+        client = HttpChatClient("http://localhost:1/x", sleeper=sleeps.append)
+        with pytest.raises(ClientError, match="after 3 attempts"):
+            client.complete("hello")
+        assert len(requests) == 3
+        assert sleeps == [1.0, 2.0]
+
 
 class TestOracleOutage:
     """An oracle that cannot answer is a remote-service failure: it stops the

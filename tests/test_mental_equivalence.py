@@ -282,7 +282,7 @@ def test_bad_skeleton_raises_before_later_slots_reach_the_oracle(oracles, resour
         rng = random.Random(seed)
         proposals = make_proposals(rng, resources)
         at = rng.randrange(len(proposals) - 1)
-        broken = proposals[:at] + [replace(proposals[at], skeleton="all x (Slot0(x) &")]
+        broken = proposals[:at] + [proposals[at]._replace(skeleton="all x (Slot0(x) &")]
         broken += proposals[at + 1:]
         drive_both(broken, oracles)
         failing, routed = RecordingOracle(oracles[0]), RecordingOracle(oracles[0])
