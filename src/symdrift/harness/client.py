@@ -1,7 +1,8 @@
 """Remote chat client.
 
 Endpoint protocol: POST JSON {"prompt": ..., "temperature": ...} and read
-{"text": ..., "usage": {"input_tokens": n, "output_tokens": m}}. The endpoint
+{"text": ..., "usage": {"input_tokens": n, "output_tokens": m}}, the shape
+`datasets.REPLY`; `usage` and its counts are optional. The endpoint
 URL and credential come from environment variables (see config module).
 """
 
@@ -11,7 +12,8 @@ import json
 import time
 from typing import NamedTuple
 
-from ..errors import ClientError
+from ..errors import ClientError, FormatError
+from .datasets import REPLY, check
 
 TIMEOUT_S = 30.0
 MAX_RETRIES = 3
@@ -51,14 +53,11 @@ class HttpChatClient:
                     body = json.loads(response.read().decode("utf-8"))
                 # A reply that is JSON but not the protocol's object is as
                 # unusable as one that is not JSON, and is retried the same way.
-                usage = body.get("usage", {}) if isinstance(body, dict) else None
-                if not isinstance(usage, dict):
-                    raise ValueError(f"reply is not a protocol object: {body!r}")
-                tokens = (usage.get("input_tokens", 0), usage.get("output_tokens", 0))
-                if not all(type(n) is int for n in tokens):
-                    raise ValueError(f"token counts are not integers: {usage!r}")
-                return Completion(str(body.get("text", "")), *tokens)
-            except (OSError, ValueError) as exc:
+                check(body, REPLY, "reply")
+                usage = body.get("usage", {})
+                return Completion(body["text"], usage.get("input_tokens", 0),
+                                  usage.get("output_tokens", 0))
+            except (OSError, ValueError, FormatError) as exc:
                 last_error = exc
                 if attempt + 1 < MAX_RETRIES:
                     self._sleep(BACKOFF_S * (2 ** attempt))

@@ -5,18 +5,11 @@ writer: problems, translation records, run traces and tuning data all go
 through them. A file is one canonical (key-sorted) JSON object per line;
 reading skips blank lines, yields objects lazily, and reports a missing file
 or a line that is not JSON as a `FormatError` with the line number.
-`parse_jsonl` does the same for a line that is JSON but not what the file
-should hold, such as a records line without `problem_id`.
 
-One problem per JSONL line:
-
-    {"id": ..., "sentences": [...], "question": ..., "answer": "true",
-     "task_kind": "proofwriter", "options": [...]?,
-     "gold_logic": {"premises": [...], "query": ..., "mode": ...}?,
-     "gold_concepts": [[unit, tok_start, tok_end, concept], ...]?}
-
-Diversified problems add `base_id`, `provenance`, `intensity`, `no_repeats`
-around a nested `problem` object.
+Each row kind's fields are declared once, as a shape below (`PROBLEM`,
+`DIVERSIFIED`, `RECORD` with its `PROGRAM` and `VERDICT`, `TRACE`, `REPLY`).
+Every reader passes its row to `check` first, which raises a `FormatError`
+naming the field; `parse_jsonl` adds the line number.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from ..errors import FormatError
 from ..fol.parser import parse_program
 from ..fol.render import render_program
-from ..fol.terms import LogicProgram, OPEN_WORLD
+from ..fol.terms import CLOSED_WORLD, LogicProgram, OPEN_WORLD
 from ..problem import (
     DiversifiedProblem,
     Problem,
@@ -36,11 +29,86 @@ from ..problem import (
     TASK_KINDS,
     TextUnit,
 )
+from ..solver.verdict import DISPROVED, FALSE, OPTION, PROVED, TRUE, UNKNOWN
 
 T = TypeVar("T")
 
-_REQUIRED = ("id", "sentences", "question", "answer", "task_kind")
-_SPAN_ROW_TYPES = (int, int, int, str)
+# The shape of each JSONL row kind, read by `check`. A shape is a type (an int is
+# never a bool); a set of alternatives (types, string literals, rows); `(None, shape)`,
+# null or that shape; `[shape]`, a list; a tuple of types, a fixed row; `{str: shape}`,
+# a map; or `{"key": shape, "key?": shape}`, an object whose `?` keys are optional and
+# others ignored. The problem a diversified row nests is checked by its own reader.
+ID = {str, int}
+ANSWER = {"true", "false", "unknown", int}
+SPAN_ROW = (int, int, int, str)
+LOGIC = {"premises": [str], "query": str, "mode?": {OPEN_WORLD, CLOSED_WORLD}}
+PROBLEM = {"id": ID, "sentences": [str], "question": str, "answer": ANSWER,
+           "task_kind": set(TASK_KINDS), "options?": [str], "gold_logic?": LOGIC,
+           "gold_concepts?": [SPAN_ROW]}
+DIVERSIFIED = {"base_id": ID, "problem": dict, "provenance": {str: [SPAN_ROW]},
+               "intensity": int, "no_repeats?": bool}
+PROGRAM = {"logic?": LOGIC, "options?": [(str, int)],
+           "csp?": {"objects": [str], "constraints?": [{(str, str, str), (str, str, int)}]}}
+VERDICT = {"value": {PROVED, DISPROVED, UNKNOWN, TRUE, FALSE, OPTION},
+           "option_index?": (None, int), "steps?": int, "limit_hit?": bool}
+RECORD = {"problem_id": ID, "gold": ANSWER, "raw_output?": str, "program?": (None, PROGRAM),
+          "parse_error?": (None, str), "verdict?": (None, VERDICT), "exec_error?": (None, str),
+          "predicted?": (None, ANSWER), "alignment?": {str: [str]},
+          "span_symbols?": [SPAN_ROW], "alignment_misses?": [str], "tokens_in?": int,
+          "tokens_out?": int, "trace?": [(str, str, str, int)], "table?": str}
+TRACE = {"problem_id?": ID, "gold?": ANSWER, "correct?": bool, "instruction?": str,
+         "table?": str, "program?": str, "trace?": RECORD["trace?"]}
+SOLVED_TRACE = {"instruction": str, "table": str, "program": str}
+REPLY = {"text": str, "usage?": {"input_tokens?": int, "output_tokens?": int}}
+
+_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object"}
+
+
+def check(value, shape, field: str, item: bool = False) -> None:
+    """Raise `FormatError` naming `field` (dotted object keys, "" for the line)
+    unless `value` has `shape`; an `item` of a list or map is named by its list or map."""
+    kind = type(value)
+    if kind is shape or type(shape) is set and (kind in shape or kind is str and value in shape):
+        return  # the common leaves first: every row of a file passes through here
+    if isinstance(shape, tuple) and shape[0] is None:
+        if value is not None:
+            check(value, shape[1], field, item)
+    elif isinstance(shape, list) and kind is list:
+        sub = shape[0]
+        rows = type(sub) is tuple
+        for element in value:
+            if not (type(element) is sub or rows and type(element) is list
+                    and tuple(map(type, element)) == sub):
+                check(element, sub, field, item=True)
+    elif isinstance(shape, dict) and kind is dict:
+        for key, sub in shape.items():
+            if key is str:
+                for element in value.values():
+                    check(element, sub, field, item=True)
+                continue
+            name = key.rstrip("?")
+            path = f"{field}.{name}" if field else name
+            if name in value:
+                check(value[name], sub, path)
+            elif name == key:
+                raise FormatError(f"missing field {path!r}")
+    elif kind is not list or tuple(map(type, value)) not in (
+            shape if type(shape) is set else [shape]):
+        if item:
+            noun = "row" if isinstance(shape, (tuple, set)) else "entry"
+            raise FormatError(f"bad {field} {noun} {value!r}: expected {_describe(shape)}")
+        raise FormatError(f"{field or 'a line'} must be {_describe(shape)}, got {value!r}")
+
+
+def _describe(shape) -> str:
+    """The shape in words, a set's alternatives sorted: no message depends on set order."""
+    if isinstance(shape, set):
+        return " or ".join(sorted(map(_describe, shape)))
+    if isinstance(shape, tuple):
+        return "[" + ", ".join(t.__name__ for t in shape) + "]"
+    if isinstance(shape, list):
+        return "a list of strings" if shape[0] is str else "a list of rows"
+    return "an object" if isinstance(shape, dict) else _NAMES.get(shape, repr(shape))
 
 
 def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
@@ -74,63 +142,26 @@ def problem_to_json(p: Problem) -> dict:
     return out
 
 
-def problem_from_json(data: dict) -> Problem:
-    for key in _REQUIRED:
-        if key not in data:
-            raise FormatError(f"missing field {key!r}")
-    task_kind = data["task_kind"]
-    if task_kind not in TASK_KINDS:
-        raise FormatError(f"unknown task_kind {task_kind!r}")
-    answer = data["answer"]
-    if isinstance(answer, str):
-        answer = answer.lower()
-        if answer not in ("true", "false", "unknown"):
-            raise FormatError(f"bad answer label {data['answer']!r}")
-    elif not isinstance(answer, int):
-        raise FormatError(f"answer must be a label or option index")
+def problem_from_json(data: dict, field: str = "") -> Problem:
+    check(data, PROBLEM, field)
     try:
         gold_logic = program_from_json(data["gold_logic"]) if "gold_logic" in data else None
     except Exception as exc:
         raise FormatError(f"bad gold_logic: {exc}") from exc
     gold_concepts = None
     if "gold_concepts" in data:
-        gold_concepts = {(unit, start, end): concept for unit, start, end, concept
-                         in _span_rows(data["gold_concepts"], "gold_concepts")}
+        gold_concepts = {(unit, start, end): concept
+                         for unit, start, end, concept in data["gold_concepts"]}
     return Problem(
-        id=_id(data, "id"),
-        sentences=tuple(TextUnit.from_text(s) for s in _strings(data, "sentences")),
+        id=str(data["id"]),
+        sentences=tuple(map(TextUnit.from_text, data["sentences"])),
         question=TextUnit.from_text(data["question"]),
-        gold_answer=answer,
-        task_kind=task_kind,
-        options=tuple(_strings(data, "options")) if "options" in data else None,
+        gold_answer=data["answer"],
+        task_kind=data["task_kind"],
+        options=tuple(data["options"]) if "options" in data else None,
         gold_logic=gold_logic,
         gold_concepts=gold_concepts,
     )
-
-
-def _id(data: dict, key: str) -> str:
-    """An id field as text: a string, or an integer (not a bool)."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise FormatError(f"{key} must be a string or an integer, got {value!r}")
-    return str(value)
-
-
-def _strings(data: dict, key: str) -> list[str]:
-    if not isinstance(data[key], list) or not all(isinstance(s, str) for s in data[key]):
-        raise FormatError(f"{key} must be a list of strings")
-    return data[key]
-
-
-def _span_rows(rows, field: str) -> list:
-    """The rows of a span field (`gold_concepts`, `provenance`, a record's
-    `span_symbols`), checked to be three ints (not bools), then a string."""
-    if not isinstance(rows, list):
-        raise FormatError(f"{field} must be a list of rows")
-    for row in rows:
-        if not isinstance(row, list) or tuple(map(type, row)) != _SPAN_ROW_TYPES:
-            raise FormatError(f"bad {field} row {row!r}: expected three ints, then a string")
-    return rows
 
 
 def diversified_to_json(d: DiversifiedProblem) -> dict:
@@ -147,17 +178,17 @@ def diversified_to_json(d: DiversifiedProblem) -> dict:
 
 
 def diversified_from_json(data: dict) -> DiversifiedProblem:
-    problem = problem_from_json(data["problem"])
+    check(data, DIVERSIFIED, "")
     provenance = {
-        cid: [ProvenanceEntry(*row) for row in _span_rows(entries, "provenance")]
+        cid: [ProvenanceEntry(*row) for row in entries]
         for cid, entries in data["provenance"].items()
     }
     return DiversifiedProblem(
-        base_id=_id(data, "base_id"),
-        problem=problem,
+        base_id=str(data["base_id"]),
+        problem=problem_from_json(data["problem"], "problem"),
         provenance=provenance,
-        intensity=int(data["intensity"]),
-        no_repeats=bool(data.get("no_repeats", False)),
+        intensity=data["intensity"],
+        no_repeats=data.get("no_repeats", False),
     )
 
 
@@ -178,18 +209,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def parse_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` of each line's object. A line that is JSON but that `parse`
-    cannot read, for a missing key or a wrong shape, is a `FormatError`
-    with its line number; so is a `FormatError` that `parse` raises."""
+    """`parse` of each line's object. A `FormatError` that `parse` raises
+    gets the line number; so does a value the row's constructor refuses,
+    such as a record with both a program and a parse error."""
     out = []
     for lineno, data in read_jsonl(path):
         try:
             out.append(parse(data))
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno) from exc
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc.args[0]!r}", line=lineno) from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"malformed line: {exc}", line=lineno) from exc
     return out
 
@@ -201,9 +230,9 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 
 def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
-    """Read a JSONL problem file; diversified lines are detected by shape."""
-    return parse_jsonl(path, lambda data: diversified_from_json(data) if "provenance" in data
-                       else problem_from_json(data))
+    """Read a JSONL problem file; a line with `problem` or `provenance` is diversified."""
+    return parse_jsonl(path, lambda data: diversified_from_json(data)
+                       if "problem" in data or "provenance" in data else problem_from_json(data))
 
 
 def save_dataset(path: str | Path, items: list[Problem | DiversifiedProblem]) -> None:

@@ -91,9 +91,7 @@ class RunReport:
 
 
 def solver_for(task_kind: str, solver: str) -> str:
-    allowed = ALLOWED_SOLVERS.get(task_kind)
-    if allowed is None:
-        raise SolverMismatch(f"unknown task kind {task_kind!r}")
+    allowed = ALLOWED_SOLVERS[task_kind]
     if solver == AUTO:
         return allowed[0]
     if solver not in allowed:

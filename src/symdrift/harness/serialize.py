@@ -9,7 +9,7 @@ from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
-from .datasets import _span_rows, parse_jsonl, program_from_json, program_to_json, write_jsonl
+from .datasets import RECORD, check, parse_jsonl, program_from_json, program_to_json, write_jsonl
 
 
 def csp_to_json(spec: CSPSpec) -> dict:
@@ -56,17 +56,16 @@ def record_to_json(r: TranslationRecord) -> dict:
 
 
 def record_from_json(data: dict) -> TranslationRecord:
-    program = None
-    options = []
-    if data.get("program"):
-        if "logic" in data["program"]:
-            program = program_from_json(data["program"]["logic"])
-        else:
-            program = csp_from_json(data["program"]["csp"])
-            options = [Option(obj, position)
-                       for obj, position in data["program"].get("options", [])]
+    check(data, RECORD, "")
+    block = data.get("program") or {}
+    program, options = None, []
+    if "logic" in block:
+        program = program_from_json(block["logic"])
+    elif "csp" in block:
+        program = csp_from_json(block["csp"])
+        options = [Option(obj, position) for obj, position in block.get("options", [])]
     record = TranslationRecord(
-        problem_id=data["problem_id"],
+        problem_id=str(data["problem_id"]),
         gold=data["gold"],
         raw_output=data.get("raw_output", ""),
         program=program,
@@ -84,7 +83,7 @@ def record_from_json(data: dict) -> TranslationRecord:
     }
     record.span_symbols = {
         (unit, start, end): symbol
-        for unit, start, end, symbol in _span_rows(data.get("span_symbols", []), "span_symbols")
+        for unit, start, end, symbol in data.get("span_symbols", [])
     }
     record.alignment_misses = list(data.get("alignment_misses", []))
     record.mental_trace = tuple(TraceEvent(*event) for event in data.get("trace", []))

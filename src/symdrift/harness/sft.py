@@ -10,13 +10,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import NoTraces
-from .datasets import parse_jsonl, write_jsonl
+from .datasets import SOLVED_TRACE, TRACE, check, parse_jsonl, write_jsonl
 
 
 def _training_row(data: dict) -> dict | None:
     """A traces line's training record, or None if it was not solved."""
+    check(data, TRACE, "")
     if not data.get("correct"):
         return None
+    check(data, SOLVED_TRACE, "")
     response = data["table"] + "\n\n" + data["program"] if data["table"] else data["program"]
     return {"instruction": data["instruction"], "response": response}
 

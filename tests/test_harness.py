@@ -793,7 +793,9 @@ class TestClient:
         b"[]", b'"hi"', b'{"text": "x", "usage": null}', b"{not json",
         b'{"text": "x", "usage": {"input_tokens": "3"}}',
         b'{"text": "x", "usage": {"output_tokens": null}}',
-    ], ids=["list", "string", "null_usage", "not_json", "string_count", "null_count"])
+        b'{"text": null}', b'{"usage": {}}',
+    ], ids=["list", "string", "null_usage", "not_json", "string_count", "null_count",
+            "null_text", "no_text"])
     def test_malformed_reply_is_retried_then_client_error(self, monkeypatch, body):
         """A body that is JSON but not the protocol's object fails as one
         that is not JSON does: retried, then a `ClientError`."""

@@ -178,6 +178,18 @@ def tour(workdir: Path) -> None:
                                             "premises": premises, "query": "Kind(Anne)",
                                             "mode": "closed_world"}))
         run(2, "evaluate", "--in", f"{name}.jsonl", "--out", f"run-{name}")
+    # One malformed line of each row kind, refused by the shape checker.
+    _rows("bad-problem.jsonl", _problem("bad", "Anne is kind.", "Is Anne kind?"))
+    run(2, "evaluate", "--in", "bad-problem.jsonl", "--out", "run-bad-problem")
+    diversified = json.loads(Path("d.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    _rows("bad-diversified.jsonl", {**diversified, "provenance": {"kind": [[0, 1]]}})
+    run(2, "evaluate", "--in", "bad-diversified.jsonl", "--out", "run-bad-diversified")
+    record = json.loads(Path("s.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    _rows("bad-records.jsonl", {**record, "alignment": {"kind": "ab"}})
+    run(2, "sds", "--records", "bad-records.jsonl")
+    Path("run-bad-traces").mkdir()
+    _rows("run-bad-traces/traces.jsonl", {"correct": True, "table": "", "program": "p"})
+    run(2, "export-sft", "--run", "run-bad-traces", "--out", "bad-sft.jsonl")
     os.environ.pop("SYMDRIFT_LLM_ENDPOINT", None)
     run(3, "evaluate", "--in", "p.jsonl", "--translator", "llm", "--out", "run-remote")
     run(1, "frobnicate")
