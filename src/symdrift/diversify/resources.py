@@ -19,6 +19,7 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 
 from ..errors import ResourceMissing
+from ..textproc import lemmatize, word_lemmas
 
 
 def _read_rows(path: str | Path, n_cols: int, optional_last: bool = False) -> list[list[str]]:
@@ -52,8 +53,6 @@ class SynonymLexicon:
 
     @staticmethod
     def load(path: str | Path) -> "SynonymLexicon":
-        from ..textproc import lemmatize
-
         lex = SynonymLexicon()
         for cols in _read_rows(path, 4, optional_last=True):
             lemma, pos = cols[0].strip().lower(), cols[1].strip().upper()
@@ -120,8 +119,6 @@ class ParaphraseTable:
 
     @staticmethod
     def load(path: str | Path) -> "ParaphraseTable":
-        from ..textproc import word_lemmas
-
         rows: dict[tuple[str, ...], list[tuple[str, float]]] = {}
         for phrase, paraphrase, score in _read_rows(path, 3):
             key = tuple(word_lemmas(phrase))

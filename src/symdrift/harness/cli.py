@@ -27,7 +27,6 @@ from ..diversify.resources import Resources
 from ..diversify.similarity import VECTORS
 from ..errors import ClientError, FormatError, OracleFailure, ResourceMissing, SymdriftError
 from ..metrics.sds import compute_sds
-from ..metrics.sweep import intensity_sweep, sweep_to_csv
 from ..metrics.taxonomy import attribute_errors
 from ..problem import DiversifiedProblem, Problem
 from .client import HttpChatClient
@@ -48,10 +47,12 @@ from .evaluate import (
     AUTO,
     # Unused here, but perfbench's self-test checks its tracer patches cli.evaluate_one.
     evaluate_one,
+    intensity_sweep,
     normalize_items,
     render_report_text,
     run_evaluation,
     solve_one,
+    sweep_to_csv,
     translate_one,
 )
 from .serialize import read_records, write_records

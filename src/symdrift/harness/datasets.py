@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from ..errors import FormatError
+from ..errors import FormatError, SymdriftError
 from ..fol.parser import parse_program
 from ..fol.render import render_program
 from ..fol.terms import CLOSED_WORLD, LogicProgram, OPEN_WORLD
@@ -118,8 +118,11 @@ def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
     return {"premises": premises, "query": query, "mode": program.semantics_mode}
 
 
-def program_from_json(data: dict) -> LogicProgram:
-    return parse_program(data["premises"], data["query"], data.get("mode", OPEN_WORLD))
+def program_from_json(data: dict, field: str) -> LogicProgram:
+    try:
+        return parse_program(data["premises"], data["query"], data.get("mode", OPEN_WORLD))
+    except (SymdriftError, RecursionError) as exc:  # the parser recurses on nesting
+        raise FormatError(f"bad {field}: {exc}") from exc
 
 
 def problem_to_json(p: Problem) -> dict:
@@ -144,10 +147,7 @@ def problem_to_json(p: Problem) -> dict:
 
 def problem_from_json(data: dict, field: str = "") -> Problem:
     check(data, PROBLEM, field)
-    try:
-        gold_logic = program_from_json(data["gold_logic"]) if "gold_logic" in data else None
-    except Exception as exc:
-        raise FormatError(f"bad gold_logic: {exc}") from exc
+    logic = data.get("gold_logic")
     gold_concepts = None
     if "gold_concepts" in data:
         gold_concepts = {(unit, start, end): concept
@@ -159,7 +159,7 @@ def problem_from_json(data: dict, field: str = "") -> Problem:
         gold_answer=data["answer"],
         task_kind=data["task_kind"],
         options=tuple(data["options"]) if "options" in data else None,
-        gold_logic=gold_logic,
+        gold_logic=logic and program_from_json(logic, "gold_logic"),
         gold_concepts=gold_concepts,
     )
 
@@ -231,8 +231,8 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 def load_dataset(path: str | Path) -> list[Problem | DiversifiedProblem]:
     """Read a JSONL problem file; a line with `problem` or `provenance` is diversified."""
-    return parse_jsonl(path, lambda data: diversified_from_json(data)
-                       if "problem" in data or "provenance" in data else problem_from_json(data))
+    return parse_jsonl(path, lambda row: diversified_from_json(row) if type(row) is dict
+                       and ("problem" in row or "provenance" in row) else problem_from_json(row))
 
 
 def save_dataset(path: str | Path, items: list[Problem | DiversifiedProblem]) -> None:

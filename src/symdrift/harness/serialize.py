@@ -9,7 +9,15 @@ from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
 from ..solver.verdict import Verdict
-from .datasets import RECORD, check, parse_jsonl, program_from_json, program_to_json, write_jsonl
+from .datasets import (
+    RECORD,
+    VERDICT,
+    check,
+    parse_jsonl,
+    program_from_json,
+    program_to_json,
+    write_jsonl,
+)
 
 
 def csp_to_json(spec: CSPSpec) -> dict:
@@ -60,7 +68,7 @@ def record_from_json(data: dict) -> TranslationRecord:
     block = data.get("program") or {}
     program, options = None, []
     if "logic" in block:
-        program = program_from_json(block["logic"])
+        program = program_from_json(block["logic"], "program.logic")
     elif "csp" in block:
         program = csp_from_json(block["csp"])
         options = [Option(obj, position) for obj, position in block.get("options", [])]
@@ -75,7 +83,10 @@ def record_from_json(data: dict) -> TranslationRecord:
         tokens_out=data.get("tokens_out", 0),
         table_text=data.get("table", ""),
     )
-    record.verdict = Verdict(**data["verdict"]) if data.get("verdict") else None
+    verdict = data.get("verdict")
+    if verdict:
+        names = {key.rstrip("?") for key in VERDICT}
+        record.verdict = Verdict(**{k: v for k, v in verdict.items() if k in names})
     record.exec_error = data.get("exec_error")
     record.predicted = data.get("predicted")
     record.alignment = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from ..diversify.resources import Resources
 from ..errors import FolError, MissingGold, NotHorn, OracleFailure, TranslationFailure
 from ..fol.parser import parse_program
 from ..fol.terms import (
@@ -22,14 +23,14 @@ from ..fol.terms import (
     fresh_name,
     walk_atoms,
 )
-from ..mental.oracles import EquivalenceOracle
+from ..mental.oracles import EquivalenceOracle, LexiconOracle, LLMOracle
 from ..mental.table import MentalTable, normalize_expression, rendering_symbols
 from ..mental.translate import Proposal, Skeleton, instantiate, translate_with_mental
 from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
 from ..solver.csp import CSPSpec, Constraint, Option
 from ..world import Form, NAME, PROOFWRITER
-from .config import TranslatorConfig
+from .config import GOLD, LLM, NAIVE, ORACLE_LLM, SPLIT_ADVERSARY, TranslatorConfig
 from .prompts import PromptLibrary
 
 
@@ -368,9 +369,6 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
 
 def make_translator(cfg: TranslatorConfig, resources=None, client=None):
     """Build the configured translator; LLM kinds need a client."""
-    from ..mental.oracles import LexiconOracle, LLMOracle
-    from .config import GOLD, LLM, NAIVE, ORACLE_LLM, SPLIT_ADVERSARY
-
     oracle = None
     prompts = PromptLibrary.load(cfg.prompt_dir)
     if cfg.mental:
@@ -380,8 +378,6 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None):
             equiv_template, conflict_template = prompts.oracle_templates()
             oracle = LLMOracle(client, equiv_template, conflict_template)
         else:
-            from ..diversify.resources import Resources
-
             resources = resources or Resources.load()
             oracle = LexiconOracle(resources.synonyms, resources.derivations)
     if cfg.kind == GOLD:

@@ -32,33 +32,27 @@ from symdrift.errors import (
     SolverMismatch,
     TranslationFailure,
 )
-from symdrift.fol import (
+from symdrift.fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
+from symdrift.fol.parser import _Parser, parse_formula
+from symdrift.fol.render import render_formula
+from symdrift.fol.terms import (
     And,
     Atom,
-    Clause,
+    CLOSED_WORLD,
+    CONSTANT,
     Const,
     Exists,
     ForAll,
     Formula,
     Iff,
     Implies,
-    Literal,
     LogicProgram,
     Not,
-    Or,
     OPEN_WORLD,
+    Or,
+    PREDICATE,
     SymbolRegistry,
     Var,
-    parse_formula,
-    render_formula,
-    to_cnf,
-)
-from symdrift.fol.cnf import SkolemAllocator
-from symdrift.fol.parser import _Parser
-from symdrift.fol.terms import (
-    CLOSED_WORLD,
-    CONSTANT,
-    PREDICATE,
     camel_identifier,
     free_variables,
     map_atoms,
@@ -84,13 +78,13 @@ from symdrift.problem import (
     TextUnit,
     VariantSet,
 )
-from symdrift.solver import Verdict
 from symdrift.solver.enumeration import MAX_ATOM_BITS
 from symdrift.solver.resolution import (
     DEFAULT_MAX_STEPS,
     apply_subst,
     unify_atoms,
 )
+from symdrift.solver.verdict import Verdict
 from symdrift.textproc import (
     STOPWORDS,
     _TOKEN_RE,

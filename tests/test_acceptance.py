@@ -11,30 +11,22 @@ import time
 
 import pytest
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
-from symdrift.fol import LogicProgram, SymbolRegistry, parse_formula
-from symdrift.harness import (
-    GoldTranslator,
-    NaiveTranslator,
-    SplitAdversaryTranslator,
-    SyntheticConfig,
-    TranslatorConfig,
-    generate_synthetic,
-    run_evaluation,
-)
-from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
-from symdrift.metrics import (
-    CORRECTED_VIA_CONSISTENCY,
-    EXEC_ERROR,
-    LOGIC_ERROR,
-    PARSE_ERROR,
-    TranslationRecord,
-    attribute_errors,
-    classify_error,
-    intensity_sweep,
-)
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.terms import LogicProgram, SymbolRegistry
+from symdrift.harness.config import SyntheticConfig, TranslatorConfig
+from symdrift.harness.evaluate import intensity_sweep, run_evaluation
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.harness.translators import GoldTranslator, NaiveTranslator, SplitAdversaryTranslator
+from symdrift.mental.oracles import LexiconOracle
+from symdrift.mental.translate import Proposal, translate_with_mental
+from symdrift.metrics.records import EXEC_ERROR, LOGIC_ERROR, PARSE_ERROR, TranslationRecord
+from symdrift.metrics.taxonomy import CORRECTED_VIA_CONSISTENCY, attribute_errors, classify_error
 from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
-from symdrift.solver import enumerate_models, forward_chain_cwa, prove_resolution
+from symdrift.solver.chaining import forward_chain_cwa
+from symdrift.solver.enumeration import enumerate_models
+from symdrift.solver.resolution import prove_resolution
 
 from .helpers import herbrand_padding, random_decidable_program
 
@@ -214,8 +206,8 @@ def test_criterion_7_refinement_soundness(resources):
 
 
 def test_criterion_8_error_taxonomy(resources):
-    from symdrift.harness import extract_csp_block, extract_program_block
-    from symdrift.solver import solve_csp
+    from symdrift.harness.translators import extract_csp_block, extract_program_block
+    from symdrift.solver.csp import solve_csp
 
     records: list[tuple[TranslationRecord, str]] = []
 

@@ -7,22 +7,19 @@ import re
 
 import pytest
 
-from symdrift.diversify import (
+from symdrift.diversify.concepts import identify_repeated, select_sites
+from symdrift.diversify.pipeline import (
+    Candidate,
+    CandidatePool,
+    CandidateSite,
     DiversifyConfig,
-    FallbackScorer,
-    Resources,
-    RuleRewriter,
-    SynonymLexicon,
     assemble,
-    build_variants,
     diversify_problem,
     generate_candidates,
-    identify_repeated,
-    make_scorer,
-    score_similarity,
-    select_sites,
 )
-from symdrift.diversify.pipeline import Candidate, CandidatePool, CandidateSite
+from symdrift.diversify.resources import Resources, SynonymLexicon
+from symdrift.diversify.similarity import FallbackScorer, make_scorer, score_similarity
+from symdrift.diversify.variants import RuleRewriter, build_variants
 from symdrift.errors import ResourceMissing, ScorerUnavailable
 from symdrift.problem import ConceptOccurrence, Problem, QUESTION_UNIT, TextUnit
 from symdrift.world import PROOFWRITER
@@ -180,7 +177,7 @@ class TestSimilarity:
         vec.write_text(
             "anne 1 0 0\nbe 0 1 0\nkind 0 0 1\nbenevolent 0 0 1\ntall 0 1 1\n"
         )
-        from symdrift.diversify import WordVectors
+        from symdrift.diversify.resources import WordVectors
 
         scorer = make_scorer("vectors", vectors=WordVectors.load(str(vec)))
         same = score_similarity("Anne is kind", "Anne is benevolent", scorer)
@@ -369,7 +366,7 @@ class TestDiversifyProblem:
         cfg = DiversifyConfig(resources=resources)
         a = diversify_problem(p, cfg)
         b = diversify_problem(p, cfg)
-        from symdrift.harness import diversified_to_json
+        from symdrift.harness.datasets import diversified_to_json
         import json
 
         assert json.dumps(diversified_to_json(a), sort_keys=True) == \

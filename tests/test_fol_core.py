@@ -7,12 +7,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symdrift.diversify.resources import Resources
 from symdrift.errors import (
     ArityMismatch,
     FormulaSyntaxError,
     UnsupportedSkolemFunction,
 )
-from symdrift.fol import (
+from symdrift.fol.cnf import SkolemAllocator, to_cnf
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.render import render_formula
+from symdrift.fol.terms import (
     And,
     Atom,
     Const,
@@ -24,16 +28,12 @@ from symdrift.fol import (
     SymbolRegistry,
     Var,
     free_variables,
-    parse_formula,
-    render_formula,
-    to_cnf,
 )
-from symdrift.fol.cnf import SkolemAllocator
-from symdrift.diversify import Resources
-from symdrift.mental import LexiconOracle, Proposal, translate_with_mental
+from symdrift.mental.oracles import LexiconOracle
 from symdrift.mental.table import camel_case_symbol
+from symdrift.mental.translate import Proposal, translate_with_mental
 from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
-from symdrift.solver import enumerate_models
+from symdrift.solver.enumeration import enumerate_models
 
 from .helpers import random_formula
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 
-from symdrift.fol import CLOSED_WORLD, LogicProgram, Not, SymbolRegistry, parse_formula
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.terms import CLOSED_WORLD, LogicProgram, Not, SymbolRegistry
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
-from symdrift.solver import forward_chain_cwa
+from symdrift.solver.chaining import forward_chain_cwa
 
 from .helpers import reference_forward_chain
 

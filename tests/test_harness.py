@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
 from symdrift.errors import (
     ClientError,
     EmptyDataset,
@@ -16,32 +17,25 @@ from symdrift.errors import (
     NoTraces,
     SolverMismatch,
 )
-from symdrift.fol import Not, render_formula
-from symdrift.harness import (
-    ALLOWED_SOLVERS,
-    Completion,
+from symdrift.fol.render import render_formula
+from symdrift.fol.terms import Not
+from symdrift.harness.client import Completion, HttpChatClient
+from symdrift.harness.config import SyntheticConfig, TranslatorConfig
+from symdrift.harness.datasets import load_dataset, problem_to_json, save_dataset
+from symdrift.harness.evaluate import ALLOWED_SOLVERS, normalize_items, run_evaluation, solver_for
+from symdrift.harness.prompts import PromptLibrary
+from symdrift.harness.serialize import record_from_json, record_to_json
+from symdrift.harness.sft import export_sft_traces
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.harness.translators import (
     GoldTranslator,
-    HttpChatClient,
     LLMTranslator,
     NaiveTranslator,
-    PromptLibrary,
     SplitAdversaryTranslator,
-    SyntheticConfig,
-    TranslatorConfig,
-    export_sft_traces,
     extract_csp_block,
     extract_program_block,
-    generate_synthetic,
-    load_dataset,
-    normalize_items,
-    problem_to_json,
-    record_from_json,
-    record_to_json,
-    run_evaluation,
-    save_dataset,
-    solver_for,
 )
-from symdrift.mental import LexiconOracle
+from symdrift.mental.oracles import LexiconOracle
 from symdrift.problem import Problem, TextUnit
 
 from .helpers import StubClient, as_item, proof_depth
@@ -99,7 +93,7 @@ class TestDatasets:
         (loaded,) = load_dataset(path)
         assert loaded.gold_logic is not None
         loaded.gold_logic.validate()
-        from symdrift.fol import render_formula
+        from symdrift.fol.render import render_formula
 
         original = synthetic_batch[0].gold_logic
         assert [render_formula(f, loaded.gold_logic.registry)
@@ -117,7 +111,7 @@ class TestDatasets:
 
 class TestSynthetic:
     def test_gold_answers_match_solver(self, synthetic_batch):
-        from symdrift.solver import forward_chain_cwa
+        from symdrift.solver.chaining import forward_chain_cwa
 
         for p in synthetic_batch:
             assert forward_chain_cwa(p.gold_logic).value == p.gold_answer
@@ -166,8 +160,8 @@ class TestTranslators:
                  if any(len({e.surface.lower() for e in v}) > 1
                         for v in item.provenance.values()))
         output = SplitAdversaryTranslator().translate(d)
-        from symdrift.metrics import align_symbols
         from symdrift.metrics.records import TranslationRecord
+        from symdrift.metrics.sds import align_symbols
 
         record = TranslationRecord(problem_id="t", gold="true",
                                    program=output.program)
@@ -191,10 +185,9 @@ class TestTranslators:
     def test_split_adversary_degrades_query_to_unknown(self, resources):
         """When the query concept's surfaces split across units, the broken
         chain leaves the query undecided under open-world enumeration."""
-        from symdrift.fol import (
-            LogicProgram, SymbolRegistry, parse_formula,
-        )
-        from symdrift.solver import enumerate_models
+        from symdrift.fol.parser import parse_formula
+        from symdrift.fol.terms import LogicProgram, SymbolRegistry
+        from symdrift.solver.enumeration import enumerate_models
 
         registry = SymbolRegistry()
         premises = (parse_formula("Kind(Anne)", registry),
@@ -368,7 +361,8 @@ class TestEvaluation:
         assert solver_for("folio", "auto") == "resolution"
 
     def test_three_way_open_world_labels(self, resources):
-        from symdrift.fol import LogicProgram, SymbolRegistry, parse_formula
+        from symdrift.fol.parser import parse_formula
+        from symdrift.fol.terms import LogicProgram, SymbolRegistry
 
         registry = SymbolRegistry()
         premises = (parse_formula("Kind(Anne)", registry),)
@@ -427,7 +421,7 @@ class TestEvaluation:
 
     def test_limit_hit_on_a_closed_world_task_stays_unknown(self, resources, monkeypatch):
         from symdrift.harness import evaluate
-        from symdrift.solver import Verdict
+        from symdrift.solver.verdict import Verdict
 
         monkeypatch.setattr(evaluate, "prove_resolution",
                             lambda program: Verdict("unknown", limit_hit=True))
@@ -556,9 +550,12 @@ class TestEvaluation:
     def test_unmeasured_sds_is_not_zero(self, resources):
         """A stub llm translator with table guidance yields no char spans, so
         every concept is dropped: the dispersion was not measured."""
-        from symdrift.harness import render_report_text
-        from symdrift.harness.evaluate import report_to_json
-        from symdrift.metrics import intensity_sweep, sweep_to_csv
+        from symdrift.harness.evaluate import (
+            intensity_sweep,
+            render_report_text,
+            report_to_json,
+            sweep_to_csv,
+        )
 
         problems = [Problem(
             id=f"p{i}", sentences=(TextUnit.from_text(f"Person{i} is kind."),),
@@ -601,7 +598,7 @@ class TestEvaluation:
     def test_lexicons_load_once_per_run(self, synthetic_batch, monkeypatch):
         """With no resources given, a run over plain problems loads the
         bundled lexicons once, not once per problem; so does a sweep."""
-        from symdrift.metrics import intensity_sweep
+        from symdrift.harness.evaluate import intensity_sweep
 
         loads = []
         load = Resources.load
@@ -662,8 +659,8 @@ class TestEvaluation:
     def test_gold_logic_preserved_under_diversification(self, resources):
         """Mapping diversified surfaces back through provenance re-derives a
         program whose verdict matches the original's under enumeration."""
-        from symdrift.fol import LogicProgram as LP
-        from symdrift.solver import enumerate_models
+        from symdrift.fol.terms import LogicProgram as LP
+        from symdrift.solver.enumeration import enumerate_models
 
         small = generate_synthetic(SyntheticConfig(
             n_problems=10, n_predicates=4, n_constants=2, rule_branching=1, seed=8))
@@ -690,11 +687,10 @@ class TestSftExport:
         correct = report.histogram["Correct"]
         assert count == correct
         # exported programs re-parse and re-solve to the gold answer
-        from symdrift.solver import forward_chain_cwa
+        from symdrift.solver.chaining import forward_chain_cwa
 
-        by_id = {item.problem.id: item.problem for item in
-                 __import__("symdrift.harness", fromlist=["normalize_items"])
-                 .normalize_items(diversified_batch[:8], resources)}
+        by_id = {item.problem.id: item.problem
+                 for item in normalize_items(diversified_batch[:8], resources)}
         for line in out.read_text().splitlines():
             data = json.loads(line)
             program = extract_program_block(data["response"], "closed_world")
@@ -814,7 +810,7 @@ class TestOracleOutage:
 
     @staticmethod
     def _garbled_oracle():
-        from symdrift.mental import LLMOracle
+        from symdrift.mental.oracles import LLMOracle
 
         return LLMOracle(StubClient(["garbled"] * 100), "E {expression} {entry}",
                          "C {expression} {entry}")
@@ -848,9 +844,9 @@ def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, re
     an unmeasured SDS is every concept dropped."""
     from dataclasses import replace
 
-    from symdrift.harness import render_report_text
-    from symdrift.metrics import compute_sds
-    from symdrift.solver import Verdict
+    from symdrift.harness.evaluate import render_report_text
+    from symdrift.metrics.sds import compute_sds
+    from symdrift.solver.verdict import Verdict
 
     report = run_evaluation(diversified_batch[:5], NaiveTranslator(), TranslatorConfig(),
                             "auto", resources=resources)

@@ -6,33 +6,29 @@ import itertools
 
 import pytest
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
 from symdrift.errors import OracleFailure, TranslationFailure
 from symdrift.fol.render import render_program
 from symdrift.fol.terms import _IDENT_RE, camel_identifier, fresh_name, walk_atoms
-from symdrift.harness import (
+from symdrift.harness.config import TranslatorConfig
+from symdrift.harness.prompts import PromptLibrary
+from symdrift.harness.translators import (
     LLMTranslator,
     NaiveTranslator,
-    PromptLibrary,
-    TranslatorConfig,
+    _ledger,
     propose_from_templates,
 )
-from symdrift.harness.translators import _ledger
-from symdrift.mental import (
-    EXTEND,
-    LLMOracle,
-    LexiconOracle,
-    MentalTable,
+from symdrift.mental.oracles import LLMOracle, LexiconOracle
+from symdrift.mental.table import EXTEND, MentalTable, REFINE, REUSE, camel_case_symbol
+from symdrift.mental.translate import (
     Proposal,
-    REFINE,
-    REUSE,
     TranslationState,
-    camel_case_symbol,
     process_expression,
     translate_with_mental,
 )
 from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
-from symdrift.solver import enumerate_models
+from symdrift.solver.enumeration import enumerate_models
 from symdrift.textproc import content_lemmas, word_lemmas
 from symdrift.world import ATTRIBUTES
 
@@ -360,9 +356,10 @@ class TestTranslateWithMental:
     def test_zero_drift_with_provenance_oracle(self, resources):
         """An oracle that inverts diversification provenance exactly gives
         dispersion zero on every diversified fixture."""
-        from symdrift.harness import SyntheticConfig, generate_synthetic
+        from symdrift.harness.config import SyntheticConfig
         from symdrift.harness.evaluate import evaluate_one
-        from symdrift.metrics import compute_sds
+        from symdrift.harness.synthetic import generate_synthetic
+        from symdrift.metrics.sds import compute_sds
 
         problems = generate_synthetic(SyntheticConfig(n_problems=8, seed=3))
         for p in problems:

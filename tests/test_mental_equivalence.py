@@ -13,38 +13,29 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
 from symdrift.errors import FormatError, TranslationFailure
-from symdrift.fol import LogicProgram, render_formula
-from symdrift.fol.render import render_program
-from symdrift.fol.terms import walk_atoms
-from symdrift.harness import (
-    Completion,
+from symdrift.fol.render import render_formula, render_program
+from symdrift.fol.terms import LogicProgram, walk_atoms
+from symdrift.harness.client import Completion
+from symdrift.harness.config import SyntheticConfig, TranslatorConfig
+from symdrift.harness.datasets import load_dataset, program_from_json
+from symdrift.harness.evaluate import evaluate_one, normalize_items, solve_one
+from symdrift.harness.prompts import PromptLibrary
+from symdrift.harness.serialize import record_to_json
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.harness.translators import (
     LLMTranslator,
     NaiveTranslator,
-    PromptLibrary,
-    SyntheticConfig,
-    TranslatorConfig,
-    generate_synthetic,
-    normalize_items,
-    record_to_json,
-)
-from symdrift.harness.datasets import load_dataset, program_from_json
-from symdrift.harness.evaluate import evaluate_one, solve_one
-from symdrift.harness.translators import (
     _ledger,
     program_block,
     propose_from_templates,
 )
-from symdrift.mental import (
-    REFINE,
-    LexiconOracle,
-    Proposal,
-    process_expression,
-    translate_with_mental,
-)
 from symdrift.mental import translate as mental_translate
-from symdrift.mental.table import normalize_expression
+from symdrift.mental.oracles import LexiconOracle
+from symdrift.mental.table import REFINE, normalize_expression
+from symdrift.mental.translate import Proposal, process_expression, translate_with_mental
 from symdrift.metrics.records import TranslationRecord
 from symdrift.problem import QUESTION_UNIT
 
@@ -386,6 +377,8 @@ GOLD_CASES = {
                                        "query": "Kind(Anne)", "mode": "closed_world"}, True),
     "non-Horn open-world premise": ({"premises": ["Kind(Anne) | Tall(Anne)"],
                                      "query": "Kind(Anne)", "mode": "open_world"}, False),
+    "nesting past the recursion limit": ({"premises": ["(" * 3000 + "Kind(Anne)" + ")" * 3000],
+                                          "query": "Kind(Anne)"}, True),
 }
 
 
@@ -419,9 +412,9 @@ def _same_program(a, b) -> None:
        st.sampled_from(("open_world", "closed_world")))
 def test_program_from_json_matches_the_reference(premises, query, mode):
     data = {"premises": premises, "query": query, "mode": mode}
-    new, new_error = _outcome(lambda: program_from_json(data))
+    new, new_error = _outcome(lambda: program_from_json(data, "logic"))
     old, old_error = _outcome(lambda: reference_program_from_json(data))
-    assert new_error == old_error
+    assert new_error == (old_error and ("FormatError", f"bad logic: {old_error[1]}"))
     if new is not None:
         _same_program(new, old)
 
@@ -434,4 +427,4 @@ def test_generated_gold_programs_load_as_the_reference_does():
             "query": render_formula(problem.gold_logic.query, problem.gold_logic.registry),
             "mode": problem.gold_logic.semantics_mode,
         }))
-        _same_program(program_from_json(data), reference_program_from_json(data))
+        _same_program(program_from_json(data, "logic"), reference_program_from_json(data))

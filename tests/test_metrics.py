@@ -5,27 +5,29 @@ from __future__ import annotations
 import pytest
 
 from symdrift.errors import AlignmentIncomplete, PairingMismatch
-from symdrift.fol import LogicProgram, SymbolRegistry, parse_formula
-from symdrift.metrics import (
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.terms import LogicProgram, SymbolRegistry
+from symdrift.metrics.records import (
     CORRECT,
-    CORRECTED_OTHER,
-    CORRECTED_VIA_CONSISTENCY,
     EXEC_ERROR,
     LOGIC_ERROR,
-    NEWLY_INTRODUCED,
     PARSE_ERROR,
+    TranslationRecord,
+)
+from symdrift.metrics.sds import align_symbols, compute_sds
+from symdrift.metrics.taxonomy import (
+    CORRECTED_OTHER,
+    CORRECTED_VIA_CONSISTENCY,
+    NEWLY_INTRODUCED,
     REMAINING_OTHER,
     REMAINING_WITHOUT_CONSISTENCY,
-    TranslationRecord,
     accuracy,
-    align_symbols,
     attribute_errors,
     classify_error,
-    compute_sds,
     error_histogram,
 )
 from symdrift.problem import DiversifiedProblem, Problem, ProvenanceEntry, TextUnit
-from symdrift.solver import Verdict
+from symdrift.solver.verdict import Verdict
 
 
 def _program(texts, query):

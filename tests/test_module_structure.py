@@ -1,0 +1,97 @@
+"""Modules are the API: names are imported from the module that defines them.
+
+Every package `__init__.py` under `src/symdrift/` holds only its docstring, so
+no package re-exports a name and no `__all__` list can go stale. A function
+body imports nothing, except for the deliberate lazy imports in
+`LAZY_IMPORTS`, each with its reason. No module outside `harness/` imports
+`harness/`, the top of the pipeline. Every module imports on its own in a
+fresh interpreter, so no import cycle hides behind a load order.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symdrift"
+PACKAGES = sorted(init.parent.name for init in SRC.glob("*/__init__.py"))
+MODULES = sorted(
+    ".".join(("symdrift", *path.relative_to(SRC).with_suffix("").parts))
+    .removesuffix(".__init__")
+    for path in SRC.rglob("*.py")
+)
+
+# (module, function, what it imports) -> why the import waits for the call.
+LAZY_IMPORTS = {
+    ("harness/client.py", "complete", "urllib.request"):
+        "an offline run never loads the HTTP stack; it loads with the first request",
+    ("harness/evaluate.py", "run_evaluation", "concurrent.futures.ThreadPoolExecutor"):
+        "threads load only for a run with more than one worker",
+    ("fol/terms.py", "_text", "symdrift.fol.render.render_formula"):
+        "the renderer imports `terms`, so `terms` reads it at call time",
+}
+
+
+def _trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported(module: str, node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The absolute dotted names an import statement in `module` reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    if node.level:
+        package = ["symdrift", *module.split("/")[:-1]]
+        base = ".".join(package[:len(package) - node.level + 1] + ([base] if base else []))
+    return [f"{base}.{alias.name}" for alias in node.names]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_init_is_docstring_only(package):
+    tree = ast.parse((SRC / package / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree) is not None, \
+        f"symdrift/{package}/__init__.py must hold only its docstring"
+
+
+def test_no_module_declares_all():
+    declared = [module for module, tree in _trees() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "__all__"]
+    assert declared == []
+
+
+def test_function_bodies_import_only_the_lazy_allowlist():
+    found = set()
+    for module, tree in _trees():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((module, function.name, name)
+                             for node in ast.walk(function)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))
+                             for name in _imported(module, node))
+    # Equal, not a subset: a lazy import that was hoisted leaves the list too.
+    assert found == set(LAZY_IMPORTS)
+
+
+def test_only_the_harness_imports_the_harness():
+    upward = [f"{module}:{node.lineno}" for module, tree in _trees()
+              if not module.startswith("harness/") for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and any(f"{name}.".startswith("symdrift.harness.")
+                      for name in _imported(module, node))]
+    assert upward == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 """Every name a module in `src/` imports is used in that module.
 
-Package `__init__` files re-export what they import, so they are skipped.
 `harness/cli.py` keeps `evaluate_one` bound by name: the benchmark's
 self-test checks that patching `harness.evaluate.evaluate_one` reaches it.
 """
@@ -42,8 +41,6 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         module = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)

@@ -11,10 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FolError, NotHorn
-from symdrift.fol import SymbolRegistry, parse_formula
-from symdrift.fol.parser import parse_program, parse_shape
+from symdrift.fol.parser import parse_formula, parse_program, parse_shape
 from symdrift.fol.render import render_program
-from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, horn_parts
+from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, SymbolRegistry, horn_parts
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.datasets import program_to_json
 from symdrift.harness.synthetic import generate_synthetic

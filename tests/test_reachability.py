@@ -103,7 +103,8 @@ def tour(workdir: Path) -> None:
     import contextlib
     import io
 
-    from symdrift.harness import HttpChatClient, cli
+    from symdrift.harness import cli
+    from symdrift.harness.client import HttpChatClient
 
     from tests.helpers import StubClient
 

@@ -12,19 +12,17 @@ import sys
 
 import pytest
 
-from symdrift.diversify import Resources
-from symdrift.fol import Const, LogicProgram, Not, SymbolRegistry, parse_formula, to_cnf
-from symdrift.fol.cnf import SkolemAllocator
-from symdrift.harness import (
-    GoldTranslator,
-    SyntheticConfig,
-    TranslatorConfig,
-    generate_synthetic,
-    record_to_json,
-    run_evaluation,
-)
-from symdrift.solver import prove_resolution, resolution
-from symdrift.solver.resolution import DEFAULT_MAX_STEPS
+from symdrift.diversify.resources import Resources
+from symdrift.fol.cnf import SkolemAllocator, to_cnf
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.terms import Const, LogicProgram, Not, SymbolRegistry
+from symdrift.harness.config import SyntheticConfig, TranslatorConfig
+from symdrift.harness.evaluate import run_evaluation
+from symdrift.harness.serialize import record_to_json
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.harness.translators import GoldTranslator
+from symdrift.solver import resolution
+from symdrift.solver.resolution import DEFAULT_MAX_STEPS, prove_resolution
 
 from .helpers import (
     random_decidable_program,

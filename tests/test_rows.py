@@ -25,18 +25,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdrift.errors import ClientError, FormatError
-from symdrift.harness import (
-    HttpChatClient,
-    LLMTranslator,
-    PromptLibrary,
-    TranslatorConfig,
-    export_sft_traces,
-    load_dataset,
-    run_evaluation,
-    save_dataset,
-)
 from symdrift.harness.cli import EXIT_DATA, EXIT_OK, main
+from symdrift.harness.client import HttpChatClient
+from symdrift.harness.config import TranslatorConfig
+from symdrift.harness.datasets import load_dataset, save_dataset
+from symdrift.harness.evaluate import run_evaluation
+from symdrift.harness.prompts import PromptLibrary
 from symdrift.harness.serialize import read_records
+from symdrift.harness.sft import export_sft_traces
+from symdrift.harness.translators import LLMTranslator
 from symdrift.problem import Problem, TextUnit
 
 from .helpers import StubClient
@@ -404,6 +401,47 @@ def test_sds_refuses_an_alignment_that_is_not_a_list(rows, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "bad alignment entry 'ab': expected a list of strings (line 2)" in err
+
+
+def _logic_record(rows) -> dict:
+    return next(r for r in rows["record"] if r["verdict"] and r["program"]
+                and "logic" in r["program"])
+
+
+def test_sds_names_a_stored_formula_that_does_not_parse(rows, tmp_path, capsys):
+    """The parser's message used to reach the user with no field and no line."""
+    good = _logic_record(rows)
+    bad = mutated(good, ("program", "logic", "premises"), ["Kind(Anne"])
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    assert main(["sds", "--records", str(path)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad program.logic: unexpected end of input at position 9 (line 2)" in err
+
+
+def test_sds_ignores_a_verdict_key_its_shape_does_not_name(rows, tmp_path, capsys):
+    """A verdict object ignores unknown keys, as every other object does."""
+    good = _logic_record(rows)
+    plain, extra = tmp_path / "plain.jsonl", tmp_path / "extra.jsonl"
+    plain.write_text(json.dumps(good) + "\n")
+    extra.write_text(json.dumps(mutated(good, ("verdict", "extra"), 1)) + "\n")
+    capsys.readouterr()
+    assert main(["sds", "--records", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["sds", "--records", str(extra)]) == EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_a_problems_line_that_is_not_an_object_is_named(tmp_path, monkeypatch, capsys):
+    """Such a line used to fail on looking for a diversified row's keys in it."""
+    monkeypatch.chdir(tmp_path)
+    Path("p.jsonl").write_text("5\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--in", "p.jsonl", "--out", "run"]) == EXIT_DATA
+    assert "a line must be an object, got 5 (line 1)" in capsys.readouterr().err
+    assert not Path("run").exists()
 
 
 def _translated() -> tuple[list[dict], list[dict]]:

@@ -16,25 +16,29 @@ from symdrift.errors import (
     NotHorn,
     Unsatisfiable,
 )
-from symdrift.fol import (
-    CLOSED_WORLD,
-    OPEN_WORLD,
+from symdrift.fol.cnf import Literal
+from symdrift.fol.parser import parse_formula
+from symdrift.fol.terms import (
     And,
     Atom,
+    CLOSED_WORLD,
     Const,
     Exists,
     ForAll,
     Implies,
-    Literal,
     LogicProgram,
     Not,
+    OPEN_WORLD,
     Or,
     SymbolRegistry,
     Var,
-    parse_formula,
+    horn_parts,
 )
-from symdrift.fol.terms import horn_parts
-from symdrift.solver import (
+from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.solver import csp, resolution
+from symdrift.solver.chaining import forward_chain_cwa, saturate
+from symdrift.solver.csp import (
     ADJACENT,
     AT_POSITION,
     CSPSpec,
@@ -43,19 +47,12 @@ from symdrift.solver import (
     NOT_AT_POSITION,
     Option,
     RIGHT_OF,
-    Verdict,
-    enumerate_models,
-    forward_chain_cwa,
     iter_solutions,
-    prove_resolution,
     solve_csp,
 )
-from symdrift.solver import csp
-from symdrift.solver.chaining import saturate
-from symdrift.harness.config import SyntheticConfig
-from symdrift.harness.synthetic import generate_synthetic
-from symdrift.solver import resolution
-from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _Kept, subsumes
+from symdrift.solver.enumeration import enumerate_models
+from symdrift.solver.resolution import DEFAULT_MAX_STEPS, _Kept, prove_resolution, subsumes
+from symdrift.solver.verdict import Verdict
 
 from .helpers import (
     herbrand_padding,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.textproc import (

@@ -5,15 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from symdrift.diversify import DiversifyConfig, Resources, diversify_problem
-from symdrift.diversify.pipeline import sentence_count
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem, sentence_count
+from symdrift.diversify.resources import Resources
 from symdrift.errors import TranslationFailure
-from symdrift.harness import (
-    NaiveTranslator,
-    SyntheticConfig,
-    generate_synthetic,
-    propose_from_templates,
-)
+from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.synthetic import generate_synthetic
+from symdrift.harness.translators import NaiveTranslator, propose_from_templates
 from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
 from symdrift.world import ATTRIBUTES, NAMES, PROOFWRITER
 
