@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Collection, NamedTuple, Sequence
 
 from ..problem import (
@@ -51,14 +50,18 @@ class Candidate(NamedTuple):
     sites: tuple[CandidateSite, ...]
 
 
-@dataclass(frozen=True)
-class DiversifyConfig:
+class _DiversifyFields(NamedTuple):
     theta: float = 0.90
     intensity: int | None = None  # None = rewrite everything
     scorer: str = FALLBACK
     resources: Resources | None = None
 
-    def __post_init__(self) -> None:
+
+class DiversifyConfig(_DiversifyFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Checks the value `__new__` built; `_replace` builds without it."""
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
 
@@ -229,10 +232,13 @@ def generate_candidates(unit: TextUnit, site_rows: SiteRows,
                          _sentence_rewrite_candidates(unit, site_rows, inventory))
 
 
-@dataclass
 class AssemblyResult:
-    chosen: list[Candidate]
-    provenance: dict[str, list[ProvenanceEntry]] = field(default_factory=dict)
+    __slots__ = ("chosen", "provenance")
+
+    def __init__(self, chosen: list[Candidate],
+                 provenance: dict[str, list[ProvenanceEntry]] | None = None) -> None:
+        self.chosen = chosen
+        self.provenance = {} if provenance is None else provenance
 
 
 def assemble(pools: dict[int, CandidatePool],

@@ -14,7 +14,6 @@ generator's vocabulary; callers point at their own files for anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -175,12 +174,15 @@ class WordVectors:
         return len(next(iter(self._vectors.values()), ()))
 
 
-@dataclass
 class Resources:
-    synonyms: SynonymLexicon
-    paraphrases: ParaphraseTable
-    derivations: DerivationTable
-    vectors: WordVectors | None = None
+    __slots__ = ("synonyms", "paraphrases", "derivations", "vectors")
+
+    def __init__(self, synonyms: SynonymLexicon, paraphrases: ParaphraseTable,
+                 derivations: DerivationTable, vectors: WordVectors | None = None) -> None:
+        self.synonyms = synonyms
+        self.paraphrases = paraphrases
+        self.derivations = derivations
+        self.vectors = vectors
 
     @staticmethod
     def load(synonyms_path: str | Path | None = None,

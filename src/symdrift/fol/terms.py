@@ -9,7 +9,6 @@ program's `check_world` and forward chaining both take it from there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import (
@@ -274,8 +273,7 @@ def require_closed(f: Formula) -> None:
 # Logic programs
 
 
-@dataclass(frozen=True)
-class LogicProgram:
+class LogicProgram(NamedTuple):
     registry: SymbolRegistry
     premises: tuple[Formula, ...]
     query: Formula

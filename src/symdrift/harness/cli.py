@@ -45,6 +45,7 @@ from .config import (
 from .datasets import load_dataset, save_dataset
 from .evaluate import (
     AUTO,
+    ENGINES,
     # Unused here, but perfbench's self-test checks its tracer patches cli.evaluate_one.
     evaluate_one,
     intensity_sweep,
@@ -118,12 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("solve", help="run the solver over translated records"))
     p.add_argument("--records", required=True)
     p.add_argument("--problems", required=True)
-    p.add_argument("--solver", default=AUTO)
+    p.add_argument("--solver", default=AUTO, choices=(AUTO, *ENGINES))
 
     p = common(sub.add_parser("evaluate", help="full translate+solve+score run"))
     p.add_argument("--in", dest="input", required=True)
     translator_flags(p)
-    p.add_argument("--solver", default=AUTO)
+    p.add_argument("--solver", default=AUTO, choices=(AUTO, *ENGINES))
 
     p = common(sub.add_parser("sds", help="symbol dispersion over saved records"))
     p.add_argument("--records", required=True)
@@ -132,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                seed_help=_IGNORED_SEED)
     p.add_argument("--in", dest="input", required=True)
     translator_flags(p)
-    p.add_argument("--solver", default=AUTO)
+    p.add_argument("--solver", default=AUTO, choices=(AUTO, *ENGINES))
     p.add_argument("--levels", default="0,0.25,0.5,0.75,1.0", type=_parse_levels,
                    help="comma-separated intensities, as for diversify --intensity")
 
@@ -219,11 +220,11 @@ def _cmd_diversify(args) -> int:
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
         raise ResourceMissing("--scorer vectors needs a word-vector file: "
                               "set resources.vectors in the --config file")
+    # Checked once, before the input is read; each problem sets its own count.
+    cfg = DiversifyConfig(theta=args.theta, scorer=args.scorer, resources=resources)
     out = [
-        diversify_problem(item, DiversifyConfig(
-            theta=args.theta, intensity=sentence_count(args.intensity, len(item.sentences)),
-            scorer=args.scorer, resources=resources,
-        ))
+        diversify_problem(item, cfg._replace(
+            intensity=sentence_count(args.intensity, len(item.sentences))))
         for item in _plain_problems(_load_input(args.input))
     ]
     save_dataset(out_path, out)

@@ -4,8 +4,8 @@ the flat key=value config-file format used by every CLI subcommand."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import FormatError
 
@@ -26,8 +26,7 @@ ENDPOINT_ENV = "SYMDRIFT_LLM_ENDPOINT"
 CREDENTIAL_ENV = "SYMDRIFT_LLM_API_KEY"
 
 
-@dataclass(frozen=True)
-class TranslatorConfig:
+class _TranslatorFields(NamedTuple):
     kind: str = NAIVE
     prompt_dir: str | None = None
     shots: int = 5
@@ -35,7 +34,12 @@ class TranslatorConfig:
     mental: bool = False
     oracle: str = ORACLE_LEXICON
 
-    def __post_init__(self) -> None:
+
+class TranslatorConfig(_TranslatorFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Checks the value `__new__` built; `_replace` builds without it."""
         if self.kind not in TRANSLATOR_KINDS:
             raise ValueError(f"unknown translator kind {self.kind!r}")
         if self.shots < 0:
@@ -56,8 +60,7 @@ class TranslatorConfig:
         }
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
+class _SyntheticFields(NamedTuple):
     n_problems: int = 50
     depth: int = 5  # problems cycle through depths 1..depth
     n_constants: int = 3
@@ -66,7 +69,12 @@ class SyntheticConfig:
     negation_rate: float = 0.25
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SyntheticConfig(_SyntheticFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Checks the value `__new__` built; `_replace` builds without it."""
         if self.n_problems <= 0 or self.n_constants <= 0 or self.n_predicates <= 0:
             raise ValueError("all counts must be positive")
         if not (1 <= self.depth <= 5):
@@ -83,8 +91,9 @@ RESOURCE_KINDS = ("synonyms", "paraphrases", "derivations", "vectors")
 # Every key a config file may set, with the default its value is read as;
 # the run seed is set by `--seed` alone.
 CONFIG_DEFAULTS = {
-    **{f"translator.{f.name}": f.default for f in fields(TranslatorConfig)},
-    **{f"synthetic.{f.name}": f.default for f in fields(SyntheticConfig) if f.name != "seed"},
+    **{f"translator.{name}": value for name, value in TranslatorConfig._field_defaults.items()},
+    **{f"synthetic.{name}": value for name, value in SyntheticConfig._field_defaults.items()
+       if name != "seed"},
     **{f"resources.{kind}": None for kind in RESOURCE_KINDS},
 }
 
@@ -142,9 +151,9 @@ def _setting(default, text: str):
 def _config_from(cls, prefix: str, values: dict[str, str], **fixed):
     """`cls` with `fixed`, each other field that `values` sets, and the rest
     at their defaults."""
-    return cls(**fixed, **{f.name: _setting(f.default, values[f"{prefix}.{f.name}"])
-                           for f in fields(cls)
-                           if f.name not in fixed and f"{prefix}.{f.name}" in values})
+    return cls(**fixed, **{name: _setting(default, values[f"{prefix}.{name}"])
+                           for name, default in cls._field_defaults.items()
+                           if name not in fixed and f"{prefix}.{name}" in values})
 
 
 def translator_config_from(values: dict[str, str]) -> TranslatorConfig:

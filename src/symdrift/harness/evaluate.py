@@ -21,7 +21,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -78,8 +77,7 @@ ALLOWED_SOLVERS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     run_id: str
     config: dict[str, str]
     records: list[TranslationRecord]
@@ -233,8 +231,7 @@ def run_evaluation(dataset: list[Problem | DiversifiedProblem], translator,
     return report
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     level: float  # requested level (fraction or absolute count)
     k_mean: float  # realized mean sentences rewritten per problem
     accuracy: float

@@ -47,7 +47,7 @@ def record_to_json(r: TranslationRecord) -> dict:
         "raw_output": r.raw_output,
         "program": program,
         "parse_error": r.parse_error,
-        "verdict": dict(vars(r.verdict)) if r.verdict is not None else None,
+        "verdict": r.verdict._asdict() if r.verdict is not None else None,
         "exec_error": r.exec_error,
         "predicted": r.predicted,
         "alignment": {c: sorted(symbols) for c, symbols in sorted(r.alignment.items())},

@@ -40,7 +40,7 @@ def translation_record(problem: Problem, table: MentalTable | None = None,
     is stored as its rendered text, and a logic program given without a raw
     output gets its program block as one."""
     record = TranslationRecord(problem_id=problem.id, gold=problem.gold_answer,
-                               table_text=table.render_text() if table else "",
+                               table_text=table.render_text() if table is not None else "",
                                **fields)
     if "raw_output" not in fields and record.rendering:
         record.raw_output = program_block(record.rendering)

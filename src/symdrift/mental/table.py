@@ -14,7 +14,6 @@ once.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -76,9 +75,13 @@ def camel_case_symbol(e: str) -> str:
     return camel_identifier(" ".join(content_lemmas(e) or word_lemmas(e)))
 
 
-@dataclass(frozen=True)
-class MentalTable:
+class _TableFields(NamedTuple):
     entries: tuple[TableEntry, ...] = ()
+
+
+class MentalTable(_TableFields):
+    """Declares no `__slots__`, so each table has the instance dict that
+    `renderings` is cached in."""
 
     def entry_for(self, norm: str) -> TableEntry | None:
         for entry in self.entries:

@@ -16,20 +16,29 @@ spans leaves its concepts unaligned rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import AlignmentIncomplete
 from ..problem import DiversifiedProblem
 from .records import TranslationRecord
 
 
-@dataclass(frozen=True)
-class SdsResult:
+class _SdsFields(NamedTuple):
     value: float | None  # None when dispersion was not measured
     concepts: int
     drifted_concepts: int
     dropped_concepts: int
-    per_problem: dict[str, float] = field(default_factory=dict)
+    per_problem: dict[str, float]
+
+
+class SdsResult(_SdsFields):
+    __slots__ = ()
+
+    def __new__(cls, value: float | None, concepts: int, drifted_concepts: int,
+                dropped_concepts: int, per_problem: dict[str, float] | None = None) -> SdsResult:
+        """A result built without `per_problem` gets a dict of its own."""
+        return super().__new__(cls, value, concepts, drifted_concepts, dropped_concepts,
+                               {} if per_problem is None else per_problem)
 
 
 def compute_sds(records: list[TranslationRecord]) -> SdsResult:

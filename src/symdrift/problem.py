@@ -7,7 +7,6 @@ concept inventory is a plain dict from concept id to entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
@@ -41,8 +40,7 @@ class TextUnit(NamedTuple):
         return TextUnit(text, tokenize(text))
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     id: str
     sentences: tuple[TextUnit, ...]
     question: TextUnit
@@ -62,7 +60,7 @@ class Problem:
         return out
 
     def with_units(self, sentences: tuple[TextUnit, ...], question: TextUnit) -> "Problem":
-        return replace(self, sentences=sentences, question=question)
+        return self._replace(sentences=sentences, question=question)
 
     def text(self) -> str:
         return " ".join([u.text for u in self.sentences] + [self.question.text])
@@ -107,13 +105,17 @@ class ProvenanceEntry(NamedTuple):
     surface: str
 
 
-@dataclass
 class DiversifiedProblem:
-    base_id: str
-    problem: Problem  # rewritten sentences/question, retokenized
-    provenance: dict[str, list[ProvenanceEntry]]
-    intensity: int  # premise sentences whose text changed
-    no_repeats: bool = False  # the source problem had nothing to diversify
+    __slots__ = ("base_id", "problem", "provenance", "intensity", "no_repeats")
+
+    def __init__(self, base_id: str, problem: Problem,
+                 provenance: dict[str, list[ProvenanceEntry]], intensity: int,
+                 no_repeats: bool = False) -> None:
+        self.base_id = base_id
+        self.problem = problem  # rewritten sentences/question, retokenized
+        self.provenance = provenance
+        self.intensity = intensity  # premise sentences whose text changed
+        self.no_repeats = no_repeats  # the source problem had nothing to diversify
 
     def validate(self, base: Problem) -> "DiversifiedProblem":
         if len(self.problem.sentences) != len(base.sentences):

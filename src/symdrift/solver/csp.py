@@ -7,8 +7,8 @@ An option is chosen only when it holds in all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
+from typing import NamedTuple
 
 from ..errors import AmbiguousOptions, CSPSpecError, NoEntailedOption, Unsatisfiable
 from .verdict import OPTION, Verdict
@@ -24,23 +24,23 @@ _KINDS = {LEFT_OF, RIGHT_OF, AT_POSITION, ADJACENT, NOT_AT_POSITION}
 MAX_OBJECTS = 8
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     kind: str
     args: tuple  # (obj, obj) for relational kinds, (obj, position) for positional
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """A candidate answer: the named object sits at the named position."""
     obj: str
     position: int
 
 
-@dataclass
 class CSPSpec:
-    objects: list[str]
-    constraints: list[Constraint] = field(default_factory=list)
+    __slots__ = ("objects", "constraints")
+
+    def __init__(self, objects: list[str], constraints: list[Constraint] | None = None) -> None:
+        self.objects = objects
+        self.constraints = [] if constraints is None else constraints
 
     @property
     def positions(self) -> range:

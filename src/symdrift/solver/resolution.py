@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
 from ..fol.terms import Const, Formula, LogicProgram, Not, OPEN_WORLD, Term, Var
@@ -298,8 +298,7 @@ def _factors(clause: Clause) -> list[Clause]:
     return out
 
 
-@dataclass
-class _Saturation:
+class _Saturation(NamedTuple):
     steps: int
     refuted: bool
     exhausted: bool
@@ -397,8 +396,7 @@ def _saturate(inputs: Iterable[_Kept], max_steps: int) -> _Saturation:
     return _Saturation(steps, refuted=False, exhausted=True)
 
 
-@dataclass(frozen=True)
-class _Clausified:
+class _Clausified(NamedTuple):
     """Clauses in `to_cnf`'s order, and the interned `_Kept` of each."""
     clauses: tuple[Clause, ...]
     kepts: tuple[_Kept, ...]

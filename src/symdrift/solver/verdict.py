@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PROVED = "proved"
 DISPROVED = "disproved"
@@ -12,14 +12,18 @@ FALSE = "false"
 OPTION = "option"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     value: str
     option_index: int | None = None
     steps: int = 0
     limit_hit: bool = False
 
-    def __post_init__(self) -> None:
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Checks the value `__new__` built; `_replace` builds without it."""
         if self.value == OPTION and self.option_index is None:
             raise ValueError("option verdicts carry an option index")
         if self.limit_hit and self.value != UNKNOWN:

@@ -152,6 +152,45 @@ class TestExitCodes:
                    "--out", "d.jsonl") == EXIT_USAGE
         assert not Path("d.jsonl").exists()
 
+    def test_theta_out_of_range_is_usage_error_before_the_input_is_read(
+            self, workdir, monkeypatch, capsys):
+        from symdrift.harness import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before --theta was checked")
+
+        Path("empty.jsonl").write_text("")
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        assert run("diversify", "--in", "empty.jsonl", "--theta", "1.5",
+                   "--out", "o.jsonl") == EXIT_USAGE
+        assert "error: theta must be in (0, 1], got 1.5" in capsys.readouterr().err
+        assert not Path("o.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--records", "r.jsonl", "--problems", "p.jsonl"),
+        ("evaluate", "--in", "p.jsonl"),
+        ("sweep", "--in", "p.jsonl"),
+    ], ids=lambda argv: argv[0])
+    def test_misspelt_solver_is_usage_error_before_the_input_is_read(
+            self, workdir, monkeypatch, capsys, argv):
+        from symdrift.harness import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before --solver was checked")
+
+        for name in ("load_dataset", "read_records"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert run(*argv, "--solver", "bogus", "--out", "out") == EXIT_USAGE
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_engine_not_paired_with_the_task_is_data_error(self, workdir, capsys, command):
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        capsys.readouterr()
+        assert run(command, "--in", "p.jsonl", "--solver", "csp", "--out", "out") == EXIT_DATA
+        assert "solver 'csp' is not paired with 'proofwriter'" in capsys.readouterr().err
+
     def test_generate_zero_problems_is_usage_error(self, workdir, capsys):
         assert run("generate", "--n", "0", "--out", "p.jsonl") == EXIT_USAGE
         assert not Path("p.jsonl").exists()

@@ -842,9 +842,8 @@ class TestOracleOutage:
 def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, resources):
     """The text report prints the dropped-concept share and the limit hits;
     an unmeasured SDS is every concept dropped."""
-    from dataclasses import replace
-
     from symdrift.harness.evaluate import render_report_text
+    from symdrift.metrics.records import TranslationRecord
     from symdrift.metrics.sds import compute_sds
     from symdrift.solver.verdict import Verdict
 
@@ -854,9 +853,11 @@ def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, re
     assert f"dropped    {report.sds.dropped_concepts}/{report.sds.concepts} concepts" in lines
     assert "limit hits 0" in lines
 
-    record = replace(report.records[0], verdict=Verdict("unknown", limit_hit=True),
-                     alignment={concept: set() for concept in report.records[0].alignment})
-    unmeasured = replace(report, records=[record], sds=compute_sds([record]))
+    first = report.records[0]
+    record = TranslationRecord(first.problem_id, first.gold, program=first.program,
+                               verdict=Verdict("unknown", limit_hit=True),
+                               alignment={concept: set() for concept in first.alignment})
+    unmeasured = report._replace(records=[record], sds=compute_sds([record]))
     lines = render_report_text(unmeasured).splitlines()
     n = len(record.alignment)
     assert n and f"dropped    {n}/{n} concepts" in lines

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -129,8 +128,8 @@ class RecordingOracle:
 
 
 # Open world, so that a refined fact is still a valid premise.
-_PROBLEM = replace(generate_synthetic(SyntheticConfig(n_problems=1, seed=1))[0],
-                   task_kind="folio")
+_PROBLEM = generate_synthetic(SyntheticConfig(n_problems=1, seed=1))[0]._replace(
+    task_kind="folio")
 
 
 def _expansion(table, surface: str) -> list[str] | None:

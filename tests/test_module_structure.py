@@ -5,7 +5,9 @@ no package re-exports a name and no `__all__` list can go stale. A function
 body imports nothing, except for the deliberate lazy imports in
 `LAZY_IMPORTS`, each with its reason. No module outside `harness/` imports
 `harness/`, the top of the pipeline. Every module imports on its own in a
-fresh interpreter, so no import cycle hides behind a load order.
+fresh interpreter, so no import cycle hides behind a load order. No module
+imports `dataclasses`: a value type is a named tuple or a slotted class,
+which a start does not pay to generate code for.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ def test_only_the_harness_imports_the_harness():
               and any(f"{name}.".startswith("symdrift.harness.")
                       for name in _imported(module, node))]
     assert upward == []
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{module}:{node.lineno}" for module, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any(name.split(".")[0] == "dataclasses" for name in _imported(module, node))]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", MODULES)

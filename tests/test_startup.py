@@ -1,5 +1,6 @@
 """An offline start imports no network stack: the chat client's module loads
-with the CLI, but the HTTP stack loads only when a request is sent."""
+with the CLI, but the HTTP stack loads only when a request is sent. Nor does
+it build a dataclass: `dataclasses`, and `inspect` with it, never load."""
 
 from __future__ import annotations
 
@@ -31,10 +32,19 @@ print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
 """
 
 
-def test_offline_start_imports_no_network_stack():
+def _loaded_at_start(*names: str) -> list[str]:
+    """Which of `names` a fresh interpreter has loaded after an offline start."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, "symdrift.harness.client",
-                           *NETWORK_MODULES], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *names], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["symdrift.harness.client"]
+    return proc.stdout.split()
+
+
+def test_offline_start_imports_no_network_stack():
+    assert _loaded_at_start("symdrift.harness.client", *NETWORK_MODULES) == \
+        ["symdrift.harness.client"]
+
+
+def test_offline_start_imports_no_dataclass_machinery():
+    assert _loaded_at_start("dataclasses", "inspect") == []

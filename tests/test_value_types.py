@@ -1,7 +1,9 @@
 """The immutable value types are named tuples that behave as the frozen
 dataclasses they replaced did: formula nodes compare and hash by class as
 well as by fields, every `repr` reads as before (error texts embed it), and
-positional and keyword construction both work."""
+positional and keyword construction both work. The classes that were
+dataclasses keep their checks' texts, their fresh list and dict defaults and
+their refusal of assignment."""
 
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import re
 
 import pytest
 
+import symdrift.mental.table as table_module
+from symdrift.diversify.pipeline import AssemblyResult, DiversifyConfig
 from symdrift.fol.cnf import Literal
 from symdrift.fol.parser import _Tok
 from symdrift.fol.terms import (
@@ -21,21 +25,32 @@ from symdrift.fol.terms import (
     ForAll,
     Iff,
     Implies,
+    LogicProgram,
     Not,
     Or,
     SymbolInfo,
+    SymbolRegistry,
     Var,
     free_variables,
 )
 from symdrift.harness.client import Completion
+from symdrift.harness.config import CONFIG_DEFAULTS, SyntheticConfig, TranslatorConfig
+from symdrift.harness.evaluate import SweepPoint
+from symdrift.mental.table import MentalTable
 from symdrift.mental.translate import Proposal
+from symdrift.metrics.records import TranslationRecord
+from symdrift.metrics.sds import SdsResult
 from symdrift.problem import (
     ConceptEntry,
     ConceptOccurrence,
+    Problem,
     ProvenanceEntry,
     TextUnit,
     Variant,
 )
+from symdrift.solver.csp import Constraint, CSPSpec, Option
+from symdrift.solver.resolution import _Clausified
+from symdrift.solver.verdict import Verdict
 from symdrift.textproc import Token
 
 ATOM = Atom("p0", (Const("c0"), Var("x")))
@@ -138,3 +153,120 @@ def test_values_are_immutable():
     for value, _ in REPRS:
         with pytest.raises(AttributeError):
             setattr(value, value._fields[0], None)
+
+
+# ---------------------------------------------------------------------------
+# The value types that were dataclasses: named tuples where the value is
+# immutable, slotted classes where it is a record the run fills in.
+
+CHECKS = [
+    (lambda: Verdict("option"), "option verdicts carry an option index"),
+    (lambda: Verdict(value="proved", limit_hit=True),
+     "a hit step limit always yields an unknown verdict"),
+    (lambda: TranslatorConfig(kind="bogus"), "unknown translator kind 'bogus'"),
+    (lambda: TranslatorConfig("naive", None, -1), "shots must be >= 0"),
+    (lambda: TranslatorConfig(temperature=2.5), "temperature must be in [0, 2]"),
+    (lambda: TranslatorConfig(oracle="bogus"), "unknown oracle 'bogus'"),
+    (lambda: SyntheticConfig(n_predicates=0), "all counts must be positive"),
+    (lambda: SyntheticConfig(50, 6), "depth must be within 1..5"),
+    (lambda: SyntheticConfig(rule_branching=-1), "rule_branching must be >= 0"),
+    (lambda: SyntheticConfig(negation_rate=1.5), "negation_rate must be a fraction"),
+    (lambda: DiversifyConfig(theta=1.5), "theta must be in (0, 1], got 1.5"),
+    (lambda: DiversifyConfig(0.0), "theta must be in (0, 1], got 0.0"),
+    (lambda: TranslationRecord("p0", "true"), "exactly one of program / parse_error must be set"),
+    (lambda: TranslationRecord("p0", "true", parse_error="bad", program=CSPSpec(["A"])),
+     "exactly one of program / parse_error must be set"),
+    (lambda: TranslationRecord(problem_id="p0", gold="true", parse_error="bad", predicted="true"),
+     "a prediction requires a verdict"),
+]
+
+
+@pytest.mark.parametrize("build, text", CHECKS, ids=[
+    "verdict-option", "verdict-limit", "translator-kind", "translator-shots",
+    "translator-temperature", "translator-oracle", "synthetic-counts", "synthetic-depth",
+    "synthetic-branching", "synthetic-negation", "diversify-theta-high", "diversify-theta-zero",
+    "record-neither", "record-both", "record-prediction"])
+def test_construction_raises_the_checks_text(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
+
+
+# Each class with a mutable default, built twice from its defaults alone, and
+# the fields that default to a fresh list or dict.
+FRESH_DEFAULTS = [
+    (lambda: TranslationRecord("p0", "true", parse_error="bad"),
+     ("options", "alignment", "span_symbols", "alignment_misses")),
+    (lambda: SdsResult(None, 0, 0, 0), ("per_problem",)),
+    (lambda: CSPSpec(["A"]), ("constraints",)),
+    (lambda: AssemblyResult([]), ("provenance",)),
+]
+
+
+@pytest.mark.parametrize("build, names", FRESH_DEFAULTS,
+                         ids=["TranslationRecord", "SdsResult", "CSPSpec", "AssemblyResult"])
+def test_default_built_values_share_no_list_or_dict(build, names):
+    first, second = build(), build()
+    for name in names:
+        mine, theirs = getattr(first, name), getattr(second, name)
+        assert mine == theirs == type(mine)() and mine is not theirs
+        if isinstance(mine, list):
+            mine.append("x")
+        else:
+            mine["x"] = "x"
+        assert getattr(build(), name) == theirs == type(theirs)()
+
+
+FROZEN = [
+    (LogicProgram(SymbolRegistry(), (), ATOM), "query"),
+    (Problem("p0", (), TextUnit("Is Anne kind?", ()), "true", "proofwriter"), "sentences"),
+    (SdsResult(0.0, 1, 0, 0), "per_problem"),
+    (Verdict("proved"), "value"),
+    (Constraint("LeftOf", ("A", "B")), "args"),
+    (Option("A", 1), "position"),
+    (_Clausified((), ()), "kepts"),
+    (MentalTable(), "entries"),
+    (DiversifyConfig(), "theta"),
+    (TranslatorConfig(), "kind"),
+    (SyntheticConfig(), "seed"),
+    (SweepPoint(0.0, 0.0, 1.0, None), "sds"),
+]
+
+
+@pytest.mark.parametrize("value, name", FROZEN, ids=[type(v).__name__ for v, _ in FROZEN])
+def test_formerly_frozen_values_refuse_assignment(value, name):
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    assert getattr(value, name) is before
+
+
+def test_config_defaults_keep_their_keys_values_and_order():
+    assert list(CONFIG_DEFAULTS.items()) == [
+        ("translator.kind", "naive"), ("translator.prompt_dir", None),
+        ("translator.shots", 5), ("translator.temperature", 0.2),
+        ("translator.mental", False), ("translator.oracle", "lexicon"),
+        ("synthetic.n_problems", 50), ("synthetic.depth", 5), ("synthetic.n_constants", 3),
+        ("synthetic.n_predicates", 8), ("synthetic.rule_branching", 2),
+        ("synthetic.negation_rate", 0.25),
+        ("resources.synonyms", None), ("resources.paraphrases", None),
+        ("resources.derivations", None), ("resources.vectors", None),
+    ]
+
+
+def test_table_renderings_are_computed_once_per_table(monkeypatch):
+    calls = []
+    rendering_of = table_module._rendering_of
+
+    def counted(entry, by_symbol):
+        calls.append(entry.symbol)
+        return rendering_of(entry, by_symbol)
+
+    monkeypatch.setattr(table_module, "_rendering_of", counted)
+    table, _ = MentalTable().extend("kind")
+    table, _ = table.extend("nice")
+    first = table.renderings
+    assert table.renderings is first and table.render_text() and calls == ["Kind", "Nice"]
+    grown, _ = table.extend("red")
+    assert grown.renderings == {**first, "red": "Red"}
+    assert calls == ["Kind", "Nice", "Kind", "Nice", "Red"]
+    assert table.renderings is first
