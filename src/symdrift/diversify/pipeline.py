@@ -316,8 +316,6 @@ def _pass_through(p: Problem, repeated: Collection[str]) -> DiversifiedProblem:
 
 
 def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
-    resources = cfg.resources or Resources.load()
-    scorer = make_scorer(cfg.scorer, lexicon=resources.synonyms, vectors=resources.vectors)
     k = len(p.sentences) if cfg.intensity is None else cfg.intensity
     if k > len(p.sentences):
         raise ValueError(f"intensity {k} exceeds sentence count {len(p.sentences)}")
@@ -326,6 +324,8 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     inventory = identify_repeated(p)
     if not inventory:
         return _pass_through(p, inventory)
+    resources = cfg.resources or Resources.load()
+    scorer = make_scorer(cfg.scorer, lexicon=resources.synonyms, vectors=resources.vectors)
     sites = select_sites(p, inventory)
     variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
     eligible = eligible_units(p, inventory, k)

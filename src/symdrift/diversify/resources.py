@@ -1,11 +1,9 @@
-"""Lexical resources: synonym lexicon, paraphrase table, derivation table,
-word vectors.
+"""Lexical resources: synonym lexicon, paraphrase table, word vectors.
 
 File formats (all TSV, `#` comments allowed):
 
     synonyms.tsv     lemma <TAB> pos <TAB> syn1,syn2,... <TAB> hypernym?
     paraphrases.tsv  phrase <TAB> paraphrase <TAB> score
-    derivations.tsv  lemma <TAB> pos_from <TAB> pos_to <TAB> form
     vectors.txt      token v1 v2 ... vd   (one line per token)
 
 An empty synonym cell is written `-`. The bundled defaults cover the synthetic
@@ -85,8 +83,8 @@ class SynonymLexicon:
             self._parent[hi] = lo
 
     def link(self, a: str, b: str) -> None:
-        """Join two lemmas into one equivalence group (used for derivation
-        and hypernym links when building oracles)."""
+        """Join two lemmas into one equivalence group (used for hypernym
+        links when building oracles)."""
         self._union(a, b)
 
     def synonyms(self, lemma: str, pos: str) -> list[str]:
@@ -130,25 +128,6 @@ class ParaphraseTable:
         return list(self._rows.get(lemmas, []))
 
 
-class DerivationTable:
-    """Cross-category word forms, e.g. kind/ADJ -> kindness/NOUN."""
-
-    def __init__(self, rows: dict[tuple[str, str, str], str]):
-        self._rows = rows
-
-    @staticmethod
-    def load(path: str | Path) -> "DerivationTable":
-        rows = {}
-        for lemma, pos_from, pos_to, form in _read_rows(path, 4):
-            rows[(lemma.strip().lower(), pos_from.strip().upper(), pos_to.strip().upper())] = (
-                form.strip().lower()
-            )
-        return DerivationTable(rows)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted((lemma, form) for (lemma, _, _), form in self._rows.items())
-
-
 class WordVectors:
     def __init__(self, vectors: dict[str, tuple[float, ...]]):
         self._vectors = vectors
@@ -175,24 +154,21 @@ class WordVectors:
 
 
 class Resources:
-    __slots__ = ("synonyms", "paraphrases", "derivations", "vectors")
+    __slots__ = ("synonyms", "paraphrases", "vectors")
 
     def __init__(self, synonyms: SynonymLexicon, paraphrases: ParaphraseTable,
-                 derivations: DerivationTable, vectors: WordVectors | None = None) -> None:
+                 vectors: WordVectors | None = None) -> None:
         self.synonyms = synonyms
         self.paraphrases = paraphrases
-        self.derivations = derivations
         self.vectors = vectors
 
     @staticmethod
     def load(synonyms_path: str | Path | None = None,
              paraphrases_path: str | Path | None = None,
-             derivations_path: str | Path | None = None,
              vectors_path: str | Path | None = None) -> "Resources":
         base = importlib_resources.files("symdrift") / "data"
         return Resources(
             synonyms=SynonymLexicon.load(synonyms_path or base / "synonyms.tsv"),
             paraphrases=ParaphraseTable.load(paraphrases_path or base / "paraphrases.tsv"),
-            derivations=DerivationTable.load(derivations_path or base / "derivations.tsv"),
             vectors=WordVectors.load(vectors_path) if vectors_path else None,
         )

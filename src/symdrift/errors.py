@@ -92,15 +92,11 @@ class NoEntailedOption(SolverError):
 # Diversification / resources
 
 
-class DiversifyError(SymdriftError):
+class ResourceMissing(SymdriftError):
     pass
 
 
-class ResourceMissing(DiversifyError):
-    pass
-
-
-class ScorerUnavailable(DiversifyError):
+class ScorerUnavailable(SymdriftError):
     pass
 
 
@@ -124,15 +120,11 @@ class TranslationFailure(MentalError):
 # Metrics
 
 
-class MetricsError(SymdriftError):
-    pass
-
-
-class AlignmentIncomplete(MetricsError):
+class AlignmentIncomplete(SymdriftError):
     """A surface form could not be matched to any symbol (recorded, not fatal)."""
 
 
-class PairingMismatch(MetricsError):
+class PairingMismatch(SymdriftError):
     pass
 
 
@@ -140,31 +132,27 @@ class PairingMismatch(MetricsError):
 # Harness
 
 
-class HarnessError(SymdriftError):
-    pass
-
-
-class FormatError(HarnessError):
+class FormatError(SymdriftError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"{message}" + (f" (line {line})" if line is not None else ""))
 
 
-class MissingGold(HarnessError):
+class MissingGold(SymdriftError):
     pass
 
 
-class EmptyDataset(HarnessError):
+class EmptyDataset(SymdriftError):
     pass
 
 
-class SolverMismatch(HarnessError):
+class SolverMismatch(SymdriftError):
     """Refused (task_kind, solver) pairing."""
 
 
-class ClientError(HarnessError):
+class ClientError(SymdriftError):
     """Remote LLM endpoint unusable after retries."""
 
 
-class NoTraces(HarnessError):
+class NoTraces(SymdriftError):
     pass

@@ -86,7 +86,7 @@ class SyntheticConfig(_SyntheticFields):
 
 
 # The lexicon files a config file may override, as `resources.<kind> = path`.
-RESOURCE_KINDS = ("synonyms", "paraphrases", "derivations", "vectors")
+RESOURCE_KINDS = ("synonyms", "paraphrases", "vectors")
 
 # Every key a config file may set, with the default its value is read as;
 # the run seed is set by `--seed` alone.

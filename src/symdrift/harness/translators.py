@@ -379,7 +379,7 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None):
             oracle = LLMOracle(client, equiv_template, conflict_template)
         else:
             resources = resources or Resources.load()
-            oracle = LexiconOracle(resources.synonyms, resources.derivations)
+            oracle = LexiconOracle(resources.synonyms)
     if cfg.kind == GOLD:
         return GoldTranslator()
     if cfg.kind == SPLIT_ADVERSARY:

@@ -1,7 +1,7 @@
 """Equivalence/conflict oracles that drive table updates.
 
 The deterministic lexicon oracle answers from synonym-group closure (extended
-with derivation and hypernym links). It builds each distinct expression's
+with proper-noun hypernym links). It builds each distinct expression's
 representative multiset once, so a decision compares precomputed keys and
 sizes. The remote oracle asks a chat model and caches every decision for
 determinism and cost control.
@@ -13,7 +13,7 @@ from collections import Counter
 from typing import NamedTuple, Protocol
 
 from ..errors import OracleFailure
-from ..diversify.resources import DerivationTable, SynonymLexicon
+from ..diversify.resources import SynonymLexicon
 from ..textproc import content_lemmas
 from .table import normalize_expression
 
@@ -44,8 +44,8 @@ class LexiconOracle:
     pairs a single modifier can separate.
     """
 
-    def __init__(self, synlex: SynonymLexicon, derivtab: DerivationTable | None = None):
-        self._lexicon = _closure_with_links(synlex, derivtab)
+    def __init__(self, synlex: SynonymLexicon):
+        self._lexicon = _closure_with_links(synlex)
         # Expression -> its bag. Shared across worker threads: a racing miss
         # only recomputes the same value. Never mutated.
         self._bags: dict[str, _Bag] = {}
@@ -101,11 +101,8 @@ def _remainder_lemma(expression: str, remainder: Counter, lexicon: SynonymLexico
     return rep
 
 
-def _closure_with_links(synlex: SynonymLexicon, derivtab: DerivationTable | None) -> SynonymLexicon:
+def _closure_with_links(synlex: SynonymLexicon) -> SynonymLexicon:
     closed = synlex.clone()
-    if derivtab is not None:
-        for lemma, form in derivtab.pairs():
-            closed.link(lemma, form)
     # Hypernym links make a definite description match the name it replaced
     # ("the person" vs a repeated proper name). Only proper-noun rows link:
     # joining common vocabulary to shared hypernyms would collapse unrelated

@@ -63,6 +63,3 @@ class TranslationRecord:
     def is_consistent(self) -> bool:
         """Every aligned concept maps to at most one symbol expression."""
         return all(len(symbols) <= 1 for symbols in self.alignment.values())
-
-    def has_drift(self) -> bool:
-        return any(len(symbols) > 1 for symbols in self.alignment.values())

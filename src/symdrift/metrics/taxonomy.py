@@ -70,7 +70,7 @@ def attribute_errors(before: list[TranslationRecord],
         if not wrong_before and not wrong_after:
             continue
         if wrong_before and not wrong_after:
-            if b.has_drift() and a.is_consistent():
+            if not b.is_consistent() and a.is_consistent():
                 counts[CORRECTED_VIA_CONSISTENCY] += 1
             else:
                 counts[CORRECTED_OTHER] += 1

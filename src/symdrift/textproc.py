@@ -26,15 +26,20 @@ STOPWORDS = frozenset(
     s""".split()
 )
 
+# Irregular nouns; `pluralize` reads it forward and `lemmatize` inverted.
+_IRREGULAR_PLURALS = {
+    "person": "people", "child": "children", "man": "men", "woman": "women",
+    "mouse": "mice", "goose": "geese", "foot": "feet", "tooth": "teeth",
+    "wolf": "wolves", "life": "lives", "leaf": "leaves", "shelf": "shelves",
+}
+
 # Irregular lemmas the suffix rules would get wrong.
 _LEMMA_EXCEPTIONS = {
     "is": "be", "are": "be", "was": "be", "were": "be", "am": "be",
     "been": "be", "being": "be",
     "has": "have", "had": "have", "having": "have",
     "does": "do", "did": "do", "done": "do", "doing": "do",
-    "people": "person", "children": "child", "men": "man", "women": "woman",
-    "mice": "mouse", "geese": "goose", "feet": "foot", "teeth": "tooth",
-    "wolves": "wolf", "lives": "life", "leaves": "leaf", "shelves": "shelf",
+    **{plural: noun for noun, plural in _IRREGULAR_PLURALS.items()},
     "better": "good", "best": "good", "worse": "bad", "worst": "bad",
     "likes": "like", "liked": "like", "liking": "like",
     "chases": "chase", "chased": "chase", "chasing": "chase",
@@ -205,13 +210,6 @@ def match_surface(variant: str, original_surface: str, pos: str) -> str:
     if original_surface[:1].isupper():
         out = out[:1].upper() + out[1:]
     return out
-
-
-_IRREGULAR_PLURALS = {
-    "person": "people", "child": "children", "man": "men", "woman": "women",
-    "mouse": "mice", "goose": "geese", "foot": "feet", "tooth": "teeth",
-    "wolf": "wolves", "life": "lives", "leaf": "leaves", "shelf": "shelves",
-}
 
 
 def pluralize(word: str) -> str:

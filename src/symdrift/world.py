@@ -83,7 +83,6 @@ NAMES = (
 PROOFWRITER = World(NAMES, ATTRIBUTES, {
     "fact": _form("{attr}({name})", "{name} is {attr}."),
     "negated fact": _form("~{attr}({name})", "{name} is not {attr}."),
-    "shows": _form("{attr}({name})", "{name} shows {attr}."),
     "rule": _form("all x ({a}(x) -> {b}(x))", "All {a} people are {b}.",
                   "Every {a} person is {b}.", "If someone is {a}, then they are {b}."),
     "question": _form("{attr}({name})", "Is {name} {attr}?", query=True),

@@ -866,8 +866,8 @@ class ReferenceExactMatchOracle:
 class ReferenceLexiconOracle:
     """Compares representative Counters pair by pair, whatever their sizes."""
 
-    def __init__(self, synlex, derivtab=None):
-        self._lexicon = _closure_with_links(synlex, derivtab)
+    def __init__(self, synlex):
+        self._lexicon = _closure_with_links(synlex)
         self._rep_bags: dict[str, Counter] = {}
 
     def _reps(self, e: str) -> Counter:
@@ -1235,7 +1235,6 @@ def reference_evaluate_json(item: DiversifiedProblem, proposals: list[Proposal] 
 # The regex template reader that the world's form table replaced.
 _REFERENCE_SUBJECT = r"(?P<subj>[A-Z]\w*|[Tt]he \w+)"
 _REFERENCE_FACT = re.compile(rf"^{_REFERENCE_SUBJECT} (?:is|was) (?P<neg>not )?(?P<attr>\w+)\.$")
-_REFERENCE_SHOWS = re.compile(rf"^{_REFERENCE_SUBJECT} shows (?P<attr>\w+)\.$")
 _REFERENCE_RULE_ALL = re.compile(r"^All (?P<a>\w+) \w+ are (?P<b>\w+)\.$")
 _REFERENCE_RULE_EVERY = re.compile(r"^Every (?P<a>\w+) \w+ is (?P<b>\w+)\.$")
 _REFERENCE_RULE_IF = re.compile(r"^If someone is (?P<a>\w+), then they are (?P<b>\w+)\.$")
@@ -1243,7 +1242,7 @@ _REFERENCE_QUESTION = re.compile(rf"^Is {_REFERENCE_SUBJECT} (?P<neg>not )?(?P<a
 
 
 def reference_propose_from_templates(p: Problem) -> list[Proposal]:
-    """Per-unit skeletons from seven fixed regexes; raises
+    """Per-unit skeletons from six fixed regexes; raises
     TranslationFailure on the first sentence none covers. It also reads the
     `was` copula, `The X` subjects and any rule restrictor noun."""
     proposals = []
@@ -1264,17 +1263,6 @@ def reference_propose_from_templates(p: Problem) -> list[Proposal]:
             ))
             continue
         if not is_query:
-            m = _REFERENCE_SHOWS.match(text)
-            if m:
-                subject = camel_identifier(m.group("subj"))
-                proposals.append(Proposal(
-                    unit=unit_index,
-                    skeleton=f"Slot0({subject})",
-                    slots=(m.group("attr"),),
-                    slot_spans=(m.span("attr"),),
-                    anchors=((*m.span("subj"), subject),),
-                ))
-                continue
             m = (_REFERENCE_RULE_ALL.match(text) or _REFERENCE_RULE_EVERY.match(text)
                  or _REFERENCE_RULE_IF.match(text))
             if m:

@@ -141,7 +141,7 @@ def test_criterion_5_table_guided_mitigation(diversified_200, resources):
     plain = run_evaluation(diversified_200, NaiveTranslator(),
                            TranslatorConfig(kind="naive"), "auto",
                            resources=resources)
-    oracle = LexiconOracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms)
     guided = run_evaluation(diversified_200, NaiveTranslator(oracle=oracle),
                             TranslatorConfig(kind="naive", mental=True), "auto",
                             resources=resources)
@@ -172,7 +172,7 @@ def test_criterion_7_refinement_soundness(resources):
     give the verdict of the same units translated with one symbol per
     surface plus the definition of the compound."""
     rng = random.Random(99)
-    oracle = LexiconOracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms)
     problem = Problem(id="c7", sentences=(), question=TextUnit.from_text("?"),
                       gold_answer="proved", task_kind="folio")
     surfaces = ("popular show", "show", "popular", "fun")
@@ -285,7 +285,7 @@ def test_criterion_9_error_attribution(diversified_200, resources):
     before = run_evaluation(diversified_200, SplitAdversaryTranslator(),
                             TranslatorConfig(kind="split-adversary"), "auto",
                             resources=resources)
-    oracle = LexiconOracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms)
     after = run_evaluation(diversified_200, NaiveTranslator(oracle=oracle),
                            TranslatorConfig(kind="naive", mental=True), "auto",
                            resources=resources)

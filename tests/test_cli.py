@@ -601,6 +601,30 @@ class TestSettingsAndInputs:
         assert "(line 2)" in capsys.readouterr().err
         assert not Path("s.jsonl").exists()
 
+    def test_derivations_config_key_is_refused(self, workdir, capsys):
+        """The derivational level and its lexicon file are gone, so a
+        well-formed derivations file is refused like any unknown key."""
+        run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")
+        Path("derivations.tsv").write_text("kind\tADJ\tNOUN\tkindness\n")
+        Path("run.cfg").write_text("resources.derivations = derivations.tsv\n")
+        capsys.readouterr()
+        assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
+                   "--out", "run") == EXIT_DATA
+        assert "unknown config key 'resources.derivations'" in capsys.readouterr().err
+        assert not Path("run").exists()
+
+    @pytest.mark.parametrize("mental", ["off", "on"])
+    def test_shows_premise_is_a_parse_error(self, workdir, capsys, mental):
+        """The naive reader reads no "X shows A." form."""
+        row = {"id": "shows", "sentences": ["Anne shows kindness."],
+               "question": "Is Anne kind?", "answer": "true", "task_kind": "proofwriter"}
+        Path("p.jsonl").write_text(json.dumps(row) + "\n")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "naive",
+                   "--mental", mental, "--out", "run") == EXIT_OK
+        (record,) = (json.loads(line) for line in Path("run/records.jsonl").read_text().splitlines())
+        assert record["program"] is None
+        assert record["parse_error"] == "no template matches unit 0: 'Anne shows kindness.'"
+
     def test_llm_oracle_without_the_table_needs_no_endpoint(self, workdir, monkeypatch, capsys):
         monkeypatch.delenv("SYMDRIFT_LLM_ENDPOINT", raising=False)
         run("generate", "--n", "2", "--seed", "1", "--out", "p.jsonl")

@@ -20,7 +20,6 @@ from symdrift.diversify.pipeline import (
     generate_candidates,
 )
 from symdrift.diversify.resources import (
-    DerivationTable,
     ParaphraseTable,
     Resources,
     SynonymLexicon,
@@ -159,7 +158,6 @@ TWIN_RESOURCES = Resources(
     SynonymLexicon(),
     ParaphraseTable({("big",): [("large", 1.0), ("large red", 0.9)],
                      ("car",): [("red auto", 1.0), ("auto", 0.9)]}),
-    DerivationTable({}),
 )
 TWIN_PROBLEM = plain_problem(["Anne is big.", "Bob looks big.", "Anne owns one car.",
                          "Bob sees the car.", "Gail has a big car."], "Is Gail big?")

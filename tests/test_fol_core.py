@@ -229,7 +229,7 @@ class TestCnf:
 def _refined(*proposals):
     """Translate `(skeleton, surface)` pairs, the last one the query, with the
     lexicon oracle over an open-world problem; returns the program."""
-    oracle = LexiconOracle(_RESOURCES.synonyms, _RESOURCES.derivations)
+    oracle = LexiconOracle(_RESOURCES.synonyms)
     units = [Proposal(unit, skeleton, (surface,)) for unit, (skeleton, surface)
              in enumerate(proposals[:-1])]
     skeleton, surface = proposals[-1]

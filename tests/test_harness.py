@@ -302,7 +302,7 @@ class TestLLMTranslator:
         )
         stub = StubClient(replies=[reply])
         cfg = TranslatorConfig(kind="llm", mental=True)
-        oracle = LexiconOracle(resources.synonyms, resources.derivations)
+        oracle = LexiconOracle(resources.synonyms)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load(), oracle=oracle)
         output = translator.translate(as_item(self._problem()))
         names = {output.program.registry.name_of(s)
@@ -676,7 +676,7 @@ class TestEvaluation:
 
 class TestSftExport:
     def test_export_counts_and_roundtrip(self, tmp_path, resources, diversified_batch):
-        oracle = LexiconOracle(resources.synonyms, resources.derivations)
+        oracle = LexiconOracle(resources.synonyms)
         translator = NaiveTranslator(oracle=oracle)
         run_dir = tmp_path / "run"
         report = run_evaluation(diversified_batch[:8], translator,

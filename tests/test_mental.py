@@ -42,7 +42,7 @@ def resources() -> Resources:
 
 @pytest.fixture(scope="module")
 def oracle(resources):
-    return LexiconOracle(resources.synonyms, resources.derivations)
+    return LexiconOracle(resources.synonyms)
 
 
 # Open world, so that a refined fact is still a valid premise.
@@ -176,8 +176,7 @@ class TestRefinementFromTheFinalTable:
                  "unit 1: Slot0(Gala) | popular show\nquery: Slot0(Idol) | show\n```")
         translator = LLMTranslator(
             TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
-            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
-                                                       resources.derivations))
+            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms))
         record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
         assert record.rendering == ("Big(Idol) & (Popular(Idol) & Show(Idol))",
@@ -227,8 +226,7 @@ class TestCamelCase:
         reply = "```\nunit 0: Slot0(Anne) | good-natured\nquery: Slot0(Anne) | good-natured\n```"
         translator = LLMTranslator(
             TranslatorConfig(kind="llm", mental=True), StubClient(replies=[reply]),
-            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms,
-                                                       resources.derivations))
+            PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms))
         record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
         assert record.rendering == ("GoodNatur(Anne)", "GoodNatur(Anne)")
@@ -249,9 +247,6 @@ class TestLexiconOracle:
 
     def test_equiv_rejects_unrelated(self, oracle):
         assert not oracle.equiv("kind", ("tall",))
-
-    def test_equiv_derivation_link(self, oracle):
-        assert oracle.equiv("kindness", ("kind",))
 
     def test_equiv_hypernym_link(self, oracle):
         assert oracle.equiv("the person", ("anne",))

@@ -60,8 +60,8 @@ def resources() -> Resources:
 
 @pytest.fixture(scope="module")
 def oracles(resources):
-    return (LexiconOracle(resources.synonyms, resources.derivations),
-            ReferenceLexiconOracle(resources.synonyms, resources.derivations))
+    return (LexiconOracle(resources.synonyms),
+            ReferenceLexiconOracle(resources.synonyms))
 
 
 def _words(resources, pos: tuple[str, ...]) -> list[str]:
@@ -300,8 +300,8 @@ def _proposals_or_none(item):
 
 @pytest.mark.parametrize("mental", [True, False])
 def test_naive_records_equal_the_reference(diversified_seed7, resources, mental):
-    oracle = LexiconOracle(resources.synonyms, resources.derivations) if mental else None
-    reference_oracle = (ReferenceLexiconOracle(resources.synonyms, resources.derivations)
+    oracle = LexiconOracle(resources.synonyms) if mental else None
+    reference_oracle = (ReferenceLexiconOracle(resources.synonyms)
                         if mental else ReferenceExactMatchOracle())
     translator = NaiveTranslator(oracle=oracle)
     for item in diversified_seed7:
@@ -326,8 +326,8 @@ def test_llm_mental_records_equal_the_reference(diversified_seed7, resources):
                for i in items]
     cfg = TranslatorConfig(kind="llm", mental=True)
     translator = LLMTranslator(cfg, StubClient(replies=list(replies)), PromptLibrary.load(),
-                               oracle=LexiconOracle(resources.synonyms, resources.derivations))
-    reference_oracle = ReferenceLexiconOracle(resources.synonyms, resources.derivations)
+                               oracle=LexiconOracle(resources.synonyms))
+    reference_oracle = ReferenceLexiconOracle(resources.synonyms)
     for item, reply in zip(items, replies):
         record = evaluate_one(item, translator, "auto")
         expected = reference_evaluate_json(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.harness.config import SyntheticConfig
@@ -25,6 +27,14 @@ class TestLemmatizer:
 
     def test_irregular_plural(self):
         assert lemmatize("people") == "person"
+
+    @pytest.mark.parametrize("noun", [
+        "person", "child", "man", "woman", "mouse", "goose", "foot", "tooth",
+        "wolf", "life", "leaf", "shelf",
+    ])
+    def test_irregular_plural_lemmatizes_back(self, noun):
+        assert pluralize(noun) != noun + "s"
+        assert lemmatize(pluralize(noun)) == noun
 
     def test_regular_plural(self):
         assert lemmatize("shows") == "show"

@@ -249,7 +249,7 @@ def test_config_defaults_keep_their_keys_values_and_order():
         ("synthetic.n_predicates", 8), ("synthetic.rule_branching", 2),
         ("synthetic.negation_rate", 0.25),
         ("resources.synonyms", None), ("resources.paraphrases", None),
-        ("resources.derivations", None), ("resources.vectors", None),
+        ("resources.vectors", None),
     ]
 
 

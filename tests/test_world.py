@@ -20,7 +20,6 @@ from .helpers import as_item, reference_propose_from_templates
 HAND_WRITTEN = {
     "fact": ["Anne is kind."],
     "negated fact": ["Anne is not kind."],
-    "shows": ["Anne shows kindness."],
     "rule": ["All kind people are smart.", "Every kind person is smart.",
              "If someone is kind, then they are smart."],
     "question": ["Is Anne kind?"],
