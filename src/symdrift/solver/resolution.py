@@ -5,6 +5,17 @@ function-free fragment (resolution plus factoring), with forward and backward
 subsumption keeping the clause sets small. Proved means premises plus negated
 query refute; Disproved that premises plus the query itself refute.
 
+Each refutation searches from the goal when a sign test shows the premises
+satisfiable: every premise clause holds a positive literal (the all-true
+interpretation satisfies them) or every one a negative literal (the
+all-false one does). As no inference among satisfiable premises alone
+reaches the empty clause, the premises and their factors enter the processed
+clauses in clause order, subsumed but not resolved with each other, and only
+the goal's clauses are queued: the set of support (Wos, Robinson & Carson,
+J. ACM 1965). Premises that fail the test, such as `P(a)` and `~P(a)`, are
+queued with the goal, so proofs from inconsistent premises stay. `steps`
+counts given clauses: under the set of support, the goal's descendants.
+
 Every program's registry hands out the same `p0, c0, ...` ids, so the same
 clauses recur across problems, and clause work is paid once per distinct
 clause for the life of the process. Clauses are interned in canonical form
@@ -37,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections.abc import Iterable
 from typing import NamedTuple
 
 from ..fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
@@ -309,11 +319,12 @@ class _Processed:
 
     `by_key` files each clause under every key of its signature and
     `by_least` under its least key only; a bucket maps a clause to its serial
-    (its step number) and keeps processed order, also after removals."""
+    (the count of clauses filed) and keeps processed order, also after removals."""
 
     def __init__(self) -> None:
         self.by_key: dict[Key, dict[_Kept, int]] = {}
         self.by_least: dict[Key, dict[_Kept, int]] = {}
+        self.serial = 0
 
     def subsumes(self, given: _Kept) -> bool:
         """Whether a processed clause subsumes `given`. Such a clause's keys
@@ -339,10 +350,17 @@ class _Processed:
                 del self.by_key[key][p]
             del self.by_least[p.keys[0]][p]
 
-    def add(self, kept: _Kept, serial: int) -> None:
+    def add(self, kept: _Kept) -> bool:
+        """File `kept` unless a processed clause subsumes it, first dropping
+        those it subsumes; whether it was filed."""
+        if self.subsumes(kept):
+            return False
+        self.remove_subsumed_by(kept)
+        self.serial += 1
         for key in kept.keys:
-            self.by_key.setdefault(key, {})[kept] = serial
-        self.by_least.setdefault(kept.keys[0], {})[kept] = serial
+            self.by_key.setdefault(key, {})[kept] = self.serial
+        self.by_least.setdefault(kept.keys[0], {})[kept] = self.serial
+        return True
 
     def partners(self, given: _Kept):
         """Processed clauses holding a complement of one of `given`'s keys,
@@ -357,7 +375,8 @@ class _Processed:
         return sorted(merged, key=merged.__getitem__)
 
 
-def _saturate(inputs: Iterable[_Kept], max_steps: int) -> _Saturation:
+def _saturate(premises: tuple[_Kept, ...], goal: tuple[_Kept, ...],
+              max_steps: int) -> _Saturation:
     processed = _Processed()
     counter = 0
     queue: list[tuple[int, int, _Kept]] = []
@@ -371,7 +390,18 @@ def _saturate(inputs: Iterable[_Kept], max_steps: int) -> _Saturation:
         counter += 1
         heapq.heappush(queue, (len(kept.clause), counter, kept))
 
-    for kept in inputs:
+    # Premises satisfiable by sign enter processed, closed under factoring.
+    if (all(any(positive for positive, _ in k.keys) for k in premises)
+            or all(any(not positive for positive, _ in k.keys) for k in premises)):
+        entering = list(premises)
+        for kept in entering:
+            if kept.clause not in seen:
+                seen.add(kept.clause)
+                if processed.add(kept):
+                    entering.extend(kept.factors)
+    else:
+        goal = premises + goal
+    for kept in goal:
         push(kept)
 
     steps = 0
@@ -381,11 +411,9 @@ def _saturate(inputs: Iterable[_Kept], max_steps: int) -> _Saturation:
         _, _, given = heapq.heappop(queue)
         if not given.clause:
             return _Saturation(steps, refuted=True, exhausted=False)
-        if processed.subsumes(given):
+        if not processed.add(given):
             continue
         steps += 1
-        processed.remove_subsumed_by(given)
-        processed.add(given, steps)
         new = list(given.factors)
         for other in processed.partners(given):
             new.extend(given.resolvents_with(other))
@@ -447,18 +475,19 @@ def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) ->
 def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
     """Three-way entailment check by double refutation.
 
-    The premises are clausified once for both phases. Falls back to Unknown
-    with `limit_hit` when either phase runs out of steps before saturating.
+    The premises are clausified once for both phases, which start from the
+    set of support when they pass the sign test. Falls back to Unknown with
+    `limit_hit` when either phase runs out of steps before saturating.
     """
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("resolution expects an open-world program")
     premises, alloc = _premise_clauses(p)
     goal = _goal_clauses(p.query, alloc, negate_query=True)
-    pos = _saturate(premises.kepts + goal.kepts, max_steps)
+    pos = _saturate(premises.kepts, goal.kepts, max_steps)
     if pos.refuted:
         return Verdict(PROVED, steps=pos.steps)
     goal = _goal_clauses(p.query, alloc, negate_query=False)
-    neg = _saturate(premises.kepts + goal.kepts, max_steps)
+    neg = _saturate(premises.kepts, goal.kepts, max_steps)
     if neg.refuted:
         return Verdict(DISPROVED, steps=pos.steps + neg.steps)
     limit = not (pos.exhausted and neg.exhausted)

@@ -349,13 +349,30 @@ def _reference_factors(clause: Clause) -> list[Clause]:
     return out
 
 
-def _reference_given_clause_loop(clauses: list[Clause], max_steps: int) -> tuple[int, bool, bool]:
+def reference_satisfiable_by_sign(clauses: list[Clause]) -> bool:
+    """Every clause holds a positive literal, or every clause a negative one."""
+    return (all(any(l.positive for l in c) for c in clauses)
+            or all(any(not l.positive for l in c) for c in clauses))
+
+
+def _reference_given_clause_loop(premises: list[Clause], goal: list[Clause], max_steps: int,
+                                 set_of_support: bool) -> tuple[int, bool, bool]:
     """(steps, refuted, exhausted) of the given-clause loop with every clause
-    renamed, sorted and matched afresh at each use."""
+    renamed, sorted and matched afresh at each use. With `set_of_support`
+    the premises, closed under factoring, start out processed and only the
+    goal is queued; without it every clause is queued."""
     processed: list[Clause] = []
     counter = 0
     queue: list[tuple[int, int, Clause]] = []
     seen: set[Clause] = set()
+
+    def process(c: Clause) -> bool:
+        nonlocal processed
+        if any(reference_subsumes(p, c) for p in processed):
+            return False
+        processed = [p for p in processed if not reference_subsumes(c, p)]
+        processed.append(c)
+        return True
 
     def push(c: Clause) -> None:
         nonlocal counter
@@ -366,7 +383,20 @@ def _reference_given_clause_loop(clauses: list[Clause], max_steps: int) -> tuple
         counter += 1
         heapq.heappush(queue, (len(c), counter, c))
 
-    for c in clauses:
+    if set_of_support:
+        entering = list(premises)
+        i = 0
+        while i < len(entering):
+            c = reference_rename(entering[i], "u")
+            i += 1
+            if c not in seen:
+                seen.add(c)
+                if process(c):
+                    entering.extend(_reference_factors(c))
+        queued = goal
+    else:
+        queued = premises + goal
+    for c in queued:
         push(c)
     steps = 0
     while queue:
@@ -375,11 +405,9 @@ def _reference_given_clause_loop(clauses: list[Clause], max_steps: int) -> tuple
         _, _, given = heapq.heappop(queue)
         if not given:
             return steps, True, False
-        if any(reference_subsumes(p, given) for p in processed):
+        if not process(given):
             continue
         steps += 1
-        processed = [p for p in processed if not reference_subsumes(given, p)]
-        processed.append(given)
         new = list(_reference_factors(given))
         for other in processed:
             new.extend(_reference_resolvents(given, other))
@@ -390,28 +418,41 @@ def _reference_given_clause_loop(clauses: list[Clause], max_steps: int) -> tuple
     return steps, False, True
 
 
-def reference_clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
-    """One phase's clauses, the premises' then the goal's, converted afresh
-    by `to_cnf` into a fresh registry copy and allocator, past every memo."""
+def reference_phase_clauses(p: LogicProgram, negate_query: bool) -> tuple[list[Clause], list[Clause]]:
+    """One phase's premise clauses and goal clauses, converted afresh by
+    `to_cnf` into a fresh registry copy and allocator, past every memo."""
     registry = p.registry.copy()
     alloc = SkolemAllocator(registry)
-    clauses = []
+    premises = []
     for i, premise in enumerate(p.premises):
-        clauses.extend(to_cnf(premise, registry, alloc, start_index=i * 100))
+        premises.extend(to_cnf(premise, registry, alloc, start_index=i * 100))
     goal = Not(p.query) if negate_query else p.query
-    clauses.extend(to_cnf(goal, registry, alloc, start_index=10_000))
-    return clauses
+    return premises, list(to_cnf(goal, registry, alloc, start_index=10_000))
 
 
-def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
-    """The resolution prover as a plain given-clause loop: the specification
-    that `prove_resolution` must match verdict for verdict, `steps` included."""
-    pos_steps, pos_refuted, pos_exhausted = _reference_given_clause_loop(
-        reference_clausify(p, negate_query=True), max_steps)
+def reference_clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:
+    """One phase's clauses, the premises' then the goal's."""
+    premises, goal = reference_phase_clauses(p, negate_query)
+    return premises + goal
+
+
+def reference_prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS,
+                               full: bool = False) -> Verdict:
+    """The resolution prover as a plain given-clause loop, from the set of
+    support when the premises are satisfiable by sign: the specification
+    that `prove_resolution` must match verdict for verdict, `steps`
+    included. With `full` every clause is queued and premises are resolved
+    with each other too: full resolution, against which the set of
+    support's values are checked."""
+    def phase(negate_query: bool) -> tuple[int, bool, bool]:
+        premises, goal = reference_phase_clauses(p, negate_query)
+        sos = not full and reference_satisfiable_by_sign(premises)
+        return _reference_given_clause_loop(premises, goal, max_steps, sos)
+
+    pos_steps, pos_refuted, pos_exhausted = phase(negate_query=True)
     if pos_refuted:
         return Verdict("proved", steps=pos_steps)
-    neg_steps, neg_refuted, neg_exhausted = _reference_given_clause_loop(
-        reference_clausify(p, negate_query=False), max_steps)
+    neg_steps, neg_refuted, neg_exhausted = phase(negate_query=False)
     if neg_refuted:
         return Verdict("disproved", steps=pos_steps + neg_steps)
     limit = not (pos_exhausted and neg_exhausted)

@@ -287,7 +287,7 @@ class TestPipelineCommands:
         assert run("evaluate", "--in", "p.jsonl", "--translator", "gold",
                    "--solver", "resolution", "--seed", "1", "--out", "run") == EXIT_OK
         digest = hashlib.sha256(Path("run/records.jsonl").read_bytes()).hexdigest()
-        assert digest == "da0ca59b5b8613e48eef52fc0b352763b1a4414e6505798cbf3fa240316867cb"
+        assert digest == "fa5a6bb55ab3dec094cb810253bcb14c99142ac8eea7c809ececa2c12cf27c57"
 
     def test_gold_enumerate_records_are_pinned(self, workdir, capsys):
         """Plain problems are wrapped as intensity-0 diversifications before
@@ -320,7 +320,7 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("solver, digest", [
         ("cwa", "8d9bbdafe279501bdf6a3271b534a02cb823844b6873e3cd93b388b5b5a54799"),
-        ("resolution", "1b4c5dd6d2b9a5a690a3e81365cce72ccda356a8a31034ed666d327122de166e"),
+        ("resolution", "917639359621deaa7adc275a0cdc411c9f663248eb01cce33fd36704884067c3"),
     ])
     def test_split_adversary_records_are_pinned(self, workdir, capsys, solver, digest):
         """Per-surface symbol names, the rebuilt program and its ledger all

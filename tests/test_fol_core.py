@@ -222,7 +222,7 @@ class TestCnf:
             holds(f, {}, frozenset(a for a, bit in zip(atoms, bits) if bit))
             for bits in product((0, 1), repeat=len(atoms))
         )
-        refuted = _saturate([_canonical(c) for c in to_cnf(f, r)], 4000).refuted
+        refuted = _saturate((), tuple(_canonical(c) for c in to_cnf(f, r)), 4000).refuted
         assert satisfiable == (not refuted)
 
 

@@ -2,7 +2,8 @@
 earlier proofs left in them, on the order of proofs or on worker threads,
 clausification is served from its memo only when a fresh conversion would
 give the same clauses, and the wrapped entry points are still reached
-through their module globals."""
+through their module globals. Its set-of-support start settles every case
+that full resolution settles, with the same value."""
 
 from __future__ import annotations
 
@@ -23,13 +24,16 @@ from symdrift.harness.synthetic import generate_synthetic
 from symdrift.harness.translators import GoldTranslator
 from symdrift.solver import resolution
 from symdrift.solver.resolution import DEFAULT_MAX_STEPS, prove_resolution
+from symdrift.solver.verdict import Verdict
 
 from .helpers import (
     random_decidable_program,
     random_program,
     random_relational_program,
     reference_clausify,
+    reference_phase_clauses,
     reference_prove_resolution,
+    reference_satisfiable_by_sign,
 )
 
 
@@ -63,6 +67,34 @@ def test_verdicts_match_reference_with_memos_cold_and_warm(cold_memos):
         for i in order:
             assert prove_resolution(*cases[i]) == expected[i]
     assert resolution._INTERNED and resolution._CLAUSIFIED
+
+
+def test_set_of_support_settles_what_full_resolution_settles():
+    """Wherever the plain loop that also resolves premises with each other
+    stays within its budget, the prover does too and gives the same value.
+    Both starts are taken: some premises pass the sign test and some fail
+    it, and some cases the plain loop cuts off are settled."""
+    signs = set()
+    settled_only_here = 0
+    for p in _reference_programs():
+        signs.add(reference_satisfiable_by_sign(reference_phase_clauses(p, True)[0]))
+        for max_steps in (3, 50, DEFAULT_MAX_STEPS):
+            full = reference_prove_resolution(p, max_steps, full=True)
+            ours = prove_resolution(p, max_steps)
+            if not full.limit_hit:
+                assert (ours.value, ours.limit_hit) == (full.value, False)
+            settled_only_here += full.limit_hit and not ours.limit_hit
+    assert signs == {True, False}
+    assert settled_only_here
+
+
+def test_premises_unsatisfiable_by_sign_are_resolved_with_each_other():
+    """`P(a)` and `~P(a)` fail the sign test, so they are queued with the
+    goal and refute each other as full resolution does, `Q(b)` unrelated."""
+    p = _program("P(a)", "~P(a)", "Q(b)")
+    assert not reference_satisfiable_by_sign(reference_phase_clauses(p, True)[0])
+    assert prove_resolution(p) == Verdict("proved", steps=2)
+    assert reference_prove_resolution(p, full=True) == Verdict("proved", steps=2)
 
 
 def _gold_records(problems, resources, workers: int) -> list[str]:

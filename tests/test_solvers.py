@@ -149,11 +149,21 @@ class TestResolution:
         assert enumerate_models(p).value == "proved"
 
     def test_unrelated_query_with_tiny_budget(self):
+        """The premises are satisfiable by sign, so only each goal's clause
+        is given, and it has no partner: each phase exhausts in one step."""
         premises = ["A0(c)"] + [f"all x (A{i}(x) -> A{i + 1}(x))" for i in range(8)]
         p = _program(premises, "Zz(c)")
+        assert prove_resolution(p, max_steps=2) == Verdict("unknown", steps=2)
+
+    def test_chain_end_with_tiny_budget_hits_the_limit(self):
+        """Refuting `~A8(c)` walks the chain back one step per given clause,
+        so two steps are not enough."""
+        premises = ["A0(c)"] + [f"all x (A{i}(x) -> A{i + 1}(x))" for i in range(8)]
+        p = _program(premises, "A8(c)")
         verdict = prove_resolution(p, max_steps=2)
         assert verdict.value == "unknown"
         assert verdict.limit_hit
+        assert prove_resolution(p).value == "proved"
 
     def test_disproved(self):
         p = _program(["all x (Kind(x) -> Smart(x))", "~Smart(Anne)"], "Kind(Anne)")
@@ -180,7 +190,8 @@ class TestResolution:
     def test_matches_reference_prover(self):
         """Cached canonical clauses, the partner filter and the subsumption
         pre-filter leave every Verdict, steps included, as the plain
-        given-clause loop gives it, also when the step limit cuts it off."""
+        given-clause loop with the same set-of-support start gives it, also
+        when the step limit cuts it off."""
         rng = random.Random(5_303)
         programs = [random_program(rng) if i % 2 else random_decidable_program(rng)
                     for i in range(300)]
