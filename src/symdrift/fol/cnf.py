@@ -5,11 +5,15 @@ as it goes; Skolemization then drops the quantifiers and distribution gives
 the clauses. Skolemization only introduces fresh constants: an existential
 quantifier in the scope of a universal one would need a Skolem function and
 is rejected. The output is equisatisfiable with the input.
+
+Each clause names its variables `x0, x1, ...` by first occurrence: clauses
+are not standardized apart, a prover keeps each step's two parents apart.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import count
+from typing import Iterator, NamedTuple
 
 from ..errors import UnsupportedSkolemFunction
 from .terms import (
@@ -51,22 +55,18 @@ Clause = frozenset[Literal]
 
 class SkolemAllocator:
     """Deterministic `sk0, sk1, ...` allocation, skipping registry collisions
-    (the registry is only read, so a program's own can be passed).
-
-    Also hands out serial numbers for standardizing universal variables apart.
-    """
+    (the registry is only read, so a program's own can be passed)."""
 
     def __init__(self, registry: SymbolRegistry):
         self.registry = registry
         self._n = 0
-        self._var_n = 0
         self.allocated: list[tuple[str, str]] = []  # (symbol id, name)
 
     def fork(self) -> "SkolemAllocator":
         """A new allocator that continues from this one's state, leaving
         this one as it is."""
         out = SkolemAllocator(self.registry)
-        out._n, out._var_n = self._n, self._var_n
+        out._n = self._n
         out.allocated = list(self.allocated)
         return out
 
@@ -79,10 +79,6 @@ class SkolemAllocator:
         sid = f"!{name}"
         self.allocated.append((sid, name))
         return sid
-
-    def var_serial(self) -> int:
-        self._var_n += 1
-        return self._var_n
 
 
 def _to_nnf(f: Formula, negate: bool) -> Formula:
@@ -115,23 +111,22 @@ def _to_nnf(f: Formula, negate: bool) -> Formula:
 
 
 def _skolemize(f: Formula, subst: dict[str, Term], under_universal: bool,
-               alloc: SkolemAllocator) -> Formula:
+               alloc: SkolemAllocator, universals: Iterator[int]) -> Formula:
     """Drop quantifiers: existential vars become fresh constants, universal
-    vars stay as (renamed-apart) variables."""
+    vars stay as variables, each quantifier's numbered apart by `universals`."""
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(subst.get(a.name, a) if isinstance(a, Var) else a for a in f.args))
     if isinstance(f, Not):
-        return Not(_skolemize(f.body, subst, under_universal, alloc))
+        return Not(_skolemize(f.body, subst, under_universal, alloc, universals))
     if isinstance(f, (And, Or)):
         return type(f)(
-            _skolemize(f.left, subst, under_universal, alloc),
-            _skolemize(f.right, subst, under_universal, alloc),
+            _skolemize(f.left, subst, under_universal, alloc, universals),
+            _skolemize(f.right, subst, under_universal, alloc, universals),
         )
     if isinstance(f, ForAll):
-        fresh = Var(f"{f.var}_{alloc.var_serial()}")
         inner = dict(subst)
-        inner[f.var] = fresh
-        return _skolemize(f.body, inner, True, alloc)
+        inner[f.var] = Var(f"{f.var}_{next(universals)}")
+        return _skolemize(f.body, inner, True, alloc, universals)
     if isinstance(f, Exists):
         if under_universal:
             raise UnsupportedSkolemFunction(
@@ -139,7 +134,7 @@ def _skolemize(f: Formula, subst: dict[str, Term], under_universal: bool,
             )
         inner = dict(subst)
         inner[f.var] = Const(alloc.fresh())
-        return _skolemize(f.body, inner, under_universal, alloc)
+        return _skolemize(f.body, inner, under_universal, alloc, universals)
     raise TypeError(f"unexpected node during skolemization: {f!r}")
 
 
@@ -159,7 +154,8 @@ def _distribute(f: Formula) -> list[list[Literal]]:
     raise TypeError(f"unexpected node in CNF distribution: {f!r}")
 
 
-def _standardize_clause(literals: list[Literal], clause_index: int) -> Clause:
+def _name_clause(literals: list[Literal]) -> Clause:
+    """The clause with its variables named `x0, x1, ...` by first occurrence."""
     mapping: dict[str, Var] = {}
     out = []
     for lit in literals:
@@ -167,7 +163,7 @@ def _standardize_clause(literals: list[Literal], clause_index: int) -> Clause:
         for a in lit.args:
             if isinstance(a, Var):
                 if a.name not in mapping:
-                    mapping[a.name] = Var(f"x{clause_index}_{len(mapping)}")
+                    mapping[a.name] = Var(f"x{len(mapping)}")
                 args.append(mapping[a.name])
             else:
                 args.append(a)
@@ -179,21 +175,17 @@ def _is_tautology(clause: Clause) -> bool:
     return any(lit.negate() in clause for lit in clause)
 
 
-def to_cnf(f: Formula, registry: SymbolRegistry,
-           alloc: SkolemAllocator | None = None,
-           start_index: int = 0) -> list[Clause]:
-    """Convert a closed formula to an equisatisfiable clause list.
-
-    Callers converting several formulas into one refutation problem pass a
-    shared allocator so skolem constants never collide; its `allocated`
-    list records the constants each conversion introduced.
-    """
+def to_cnf(f: Formula, alloc: SkolemAllocator) -> list[Clause]:
+    """Convert a closed formula to an equisatisfiable clause list. Callers
+    converting several formulas into one refutation problem share `alloc`, so
+    that Skolem constants never collide; its `allocated` list records the
+    constants each conversion introduced."""
     require_closed(f)
     stripped = _skolemize(_to_nnf(f, negate=False), {}, under_universal=False,
-                          alloc=alloc or SkolemAllocator(registry))
+                          alloc=alloc, universals=count())
     out: list[Clause] = []
-    for i, lits in enumerate(_distribute(stripped)):
-        clause = _standardize_clause(lits, start_index + i)
+    for lits in _distribute(stripped):
+        clause = _name_clause(lits)
         if not _is_tautology(clause) and clause not in out:
             out.append(clause)
     return out

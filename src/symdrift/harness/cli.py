@@ -163,8 +163,8 @@ def _translation_setup(args) -> tuple[TranslatorConfig, Resources, object]:
     """The run's translator settings, resources and translator. A remote
     endpoint is required only when something will call it: the `llm`
     translator, or the `llm` oracle of table-guided translation."""
-    resources = _resources(args.values)
     cfg = translator_config_from(args.values)
+    resources = _resources(args.values)
     client = None
     if cfg.kind == LLM or (cfg.mental and cfg.oracle == ORACLE_LLM):
         endpoint, key = llm_endpoint()

@@ -48,6 +48,8 @@ class TranslatorConfig(_TranslatorFields):
             raise ValueError("temperature must be in [0, 2]")
         if self.oracle not in (ORACLE_LEXICON, ORACLE_LLM):
             raise ValueError(f"unknown oracle {self.oracle!r}")
+        if self.mental and self.kind in (GOLD, SPLIT_ADVERSARY):
+            raise ValueError(f"mental applies only to the naive and llm translators, not {self.kind!r}")
 
     def snapshot(self) -> dict[str, str]:
         return {

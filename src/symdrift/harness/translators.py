@@ -368,22 +368,21 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
 
 
 def make_translator(cfg: TranslatorConfig, resources=None, client=None):
-    """Build the configured translator; LLM kinds need a client."""
-    oracle = None
-    prompts = PromptLibrary.load(cfg.prompt_dir)
-    if cfg.mental:
-        if cfg.oracle == ORACLE_LLM:
-            if client is None:
-                raise ValueError("llm oracle requires a client")
-            equiv_template, conflict_template = prompts.oracle_templates()
-            oracle = LLMOracle(client, equiv_template, conflict_template)
-        else:
-            resources = resources or Resources.load()
-            oracle = LexiconOracle(resources.synonyms)
+    """Build the configured translator; LLM kinds need a client. Prompts are
+    loaded only for what renders them: the `llm` translator and oracle."""
     if cfg.kind == GOLD:
         return GoldTranslator()
     if cfg.kind == SPLIT_ADVERSARY:
         return SplitAdversaryTranslator()
+    llm_oracle = cfg.mental and cfg.oracle == ORACLE_LLM
+    prompts = PromptLibrary.load(cfg.prompt_dir) if cfg.kind == LLM or llm_oracle else None
+    oracle = None
+    if llm_oracle:
+        if client is None:
+            raise ValueError("llm oracle requires a client")
+        oracle = LLMOracle(client, *prompts.oracle_templates())
+    elif cfg.mental:
+        oracle = LexiconOracle((resources or Resources.load()).synonyms)
     if cfg.kind == NAIVE:
         return NaiveTranslator(oracle=oracle)
     if cfg.kind == LLM:

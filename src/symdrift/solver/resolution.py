@@ -22,18 +22,20 @@ clause for the life of the process. Clauses are interned in canonical form
 (variables renamed `u0, u1, ...` in sorted-literal order): each canonical
 clause has one `_Kept`, which holds its signature (the set of
 `(positive, pred)` it holds) and, computed on first use and kept, its
-`g`/`h`/`s`-renamed sorted literals, its variable-frozen argument lists, its
+`g`/`h`-renamed sorted literals, its variable-frozen argument lists, its
 factors, its resolvents with each partner and whether it subsumes each clause
-that passes the pre-filter. Memoized factors and resolvents are interned
-`_Kept`s, so they are never renamed again. Clausification is memoized too,
-per distinct Skolem-free `(formula, start_index)`: such a conversion is a
-pure function of its key, and its entry holds the clauses with their
-interned `_Kept`s, so a saturation starts from them without renaming. A
-conversion that allocates a Skolem constant depends on the allocator's count
-and on the registry's names, so it always runs afresh. Only the queue, the
-set of clauses seen and the processed clauses belong to one saturation, so a
-verdict does not depend on what earlier proofs, or other threads, left in the
-memos.
+that passes the pre-filter. The `g`/`h` renaming is the one place where
+clauses are kept apart: `to_cnf` names each clause's variables by first
+occurrence, and only the two parents of a resolution step must not share
+one. Memoized factors and resolvents are interned `_Kept`s, so they are
+never renamed again. Clausification is memoized too, once per process for
+each distinct Skolem-free formula: such a conversion is a pure function of
+the formula, and its entry holds the clauses' interned `_Kept`s, so a
+saturation starts from them without renaming. A conversion that allocates a
+Skolem constant depends on the allocator's count and on the registry's
+names, so it always runs afresh. Only the queue, the set of clauses seen and
+the processed clauses belong to one saturation, so a verdict does not depend
+on what earlier proofs, or other threads, left in the memos.
 
 The processed clauses are indexed by `(positive, pred)`, each bucket in
 processed order. A clause can subsume another only when it is no longer and
@@ -143,15 +145,15 @@ def _sorted_renamed(clause: Clause, tag: str) -> list[Literal]:
 class _Kept:
     """A clause with what the given-clause loop asks of it, each part a pure
     function of the clause, computed once, on first use: its signature (the
-    set of `(positive, pred)` it holds), its `g`-, `h`- and `s`-renamed
-    literals in sort order, its literals with variables frozen, its factors,
-    its resolvents with each partner, and whether it subsumes each clause it
-    was tested against. The loop only ever holds the one interned `_Kept` of
+    set of `(positive, pred)` it holds), its `g`- and `h`-renamed literals in
+    sort order, its literals with variables frozen, its factors, its
+    resolvents with each partner, and whether it subsumes each clause it was
+    tested against. The loop only ever holds the one interned `_Kept` of
     each canonical clause (see `_intern`). Two threads may compute the same
     part at once; both get equal values made of interned clauses, so either
     write may stand."""
 
-    __slots__ = ("clause", "sig", "keys", "_g_lits", "_h_lits", "_s_lits", "_frozen",
+    __slots__ = ("clause", "sig", "keys", "_g_lits", "_h_lits", "_frozen",
                  "_factors", "resolvents", "subsumed")
 
     def __init__(self, clause: Clause):
@@ -162,7 +164,6 @@ class _Kept:
         self.keys = tuple(sorted(self.sig))
         self._g_lits: list[Literal] | None = None
         self._h_lits: list[Literal] | None = None
-        self._s_lits: list[Literal] | None = None
         self._frozen: dict[Key, list[tuple[Term, ...]]] | None = None
         self._factors: tuple[_Kept, ...] | None = None
         self.resolvents: dict[_Kept, tuple[_Kept, ...]] = {}
@@ -170,7 +171,8 @@ class _Kept:
 
     @property
     def g_lits(self) -> list[Literal]:
-        """Literals as the given clause of a resolution step."""
+        """Literals as the given clause of a resolution step, and as the
+        subsuming side of a subsumption test."""
         if self._g_lits is None:
             self._g_lits = _sorted_renamed(self.clause, "g")
         return self._g_lits
@@ -181,13 +183,6 @@ class _Kept:
         if self._h_lits is None:
             self._h_lits = _sorted_renamed(self.clause, "h")
         return self._h_lits
-
-    @property
-    def s_lits(self) -> list[Literal]:
-        """Literals as the subsuming side of a subsumption test."""
-        if self._s_lits is None:
-            self._s_lits = _sorted_renamed(self.clause, "s")
-        return self._s_lits
 
     @property
     def frozen(self) -> dict[Key, list[tuple[Term, ...]]]:
@@ -243,13 +238,16 @@ def _distinct(kepts) -> tuple[_Kept, ...]:
 
 
 def subsumes(c: _Kept, d: _Kept) -> bool:
-    """True when some substitution over c's variables maps c into a subset of d."""
+    """True when some substitution over c's variables maps c into a subset of d.
+
+    d's variables are frozen to constants, so c's never meet them and any
+    renaming of c serves."""
     if len(c.clause) > len(d.clause) or not c.sig <= d.sig:
         return False
     frozen = d.frozen
     # Most constrained first: a literal with few candidates in d fails or
     # binds its variables before the wide ones multiply the search.
-    c_lits = sorted(c.s_lits, key=lambda l: len(frozen[l.positive, l.pred]))
+    c_lits = sorted(c.g_lits, key=lambda l: len(frozen[l.positive, l.pred]))
 
     def match(i: int, subst: Subst) -> bool:
         if i == len(c_lits):
@@ -424,52 +422,39 @@ def _saturate(premises: tuple[_Kept, ...], goal: tuple[_Kept, ...],
     return _Saturation(steps, refuted=False, exhausted=True)
 
 
-class _Clausified(NamedTuple):
-    """Clauses in `to_cnf`'s order, and the interned `_Kept` of each."""
-    clauses: tuple[Clause, ...]
-    kepts: tuple[_Kept, ...]
-
-    def __add__(self, other: _Clausified) -> _Clausified:
-        return _Clausified(self.clauses + other.clauses, self.kepts + other.kepts)
+# Formula -> its clauses' interned `_Kept`s in `to_cnf`'s order, for
+# conversions that allocated no Skolem constant. Two threads may convert the
+# same formula at once; both store equal values made of interned clauses, so
+# either write may stand.
+_CLAUSIFIED: dict[Formula, tuple[_Kept, ...]] = {}
 
 
-# (formula, start_index) -> its clauses, for conversions that allocated no
-# Skolem constant. Two threads may convert the same formula at once; both
-# store equal values made of interned clauses, so either write may stand.
-_CLAUSIFIED: dict[tuple[Formula, int], _Clausified] = {}
-
-
-def _clausify(f: Formula, alloc: SkolemAllocator, start_index: int) -> _Clausified:
-    """`to_cnf(f)`'s clauses, from the memo when the conversion is Skolem-free.
-
-    A hit leaves `alloc`'s variable serial behind where a conversion would
-    have advanced it; the serial only names variables that `to_cnf` renames
-    by first occurrence, so later conversions come out the same."""
-    key = (f, start_index)
-    out = _CLAUSIFIED.get(key)
+def _clausify(f: Formula, alloc: SkolemAllocator) -> tuple[_Kept, ...]:
+    """The interned `_Kept`s of `to_cnf(f)`'s clauses, from the memo when
+    the conversion is Skolem-free."""
+    out = _CLAUSIFIED.get(f)
     if out is None:
         allocated = len(alloc.allocated)
-        clauses = tuple(to_cnf(f, alloc.registry, alloc, start_index=start_index))
-        out = _Clausified(clauses, tuple(_canonical(c) for c in clauses))
+        out = tuple(_canonical(c) for c in to_cnf(f, alloc))
         if len(alloc.allocated) == allocated:
-            _CLAUSIFIED[key] = out
+            _CLAUSIFIED[f] = out
     return out
 
 
-def _premise_clauses(p: LogicProgram) -> tuple[_Clausified, SkolemAllocator]:
+def _premise_clauses(p: LogicProgram) -> tuple[tuple[_Kept, ...], SkolemAllocator]:
     """The premises' clauses, and the allocator in its state after them."""
     alloc = SkolemAllocator(p.registry)
-    out = _Clausified((), ())
-    for i, premise in enumerate(p.premises):
-        out += _clausify(premise, alloc, i * 100)
+    out: tuple[_Kept, ...] = ()
+    for premise in p.premises:
+        out += _clausify(premise, alloc)
     return out, alloc
 
 
-def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) -> _Clausified:
+def _goal_clauses(query: Formula, alloc: SkolemAllocator, negate_query: bool) -> tuple[_Kept, ...]:
     """The goal's clauses, allocated from a copy of `alloc`, so that each
     phase continues from the state the premises left."""
     goal = Not(query) if negate_query else query
-    return _clausify(goal, alloc.fork(), 10_000)
+    return _clausify(goal, alloc.fork())
 
 
 def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Verdict:
@@ -483,11 +468,11 @@ def prove_resolution(p: LogicProgram, max_steps: int = DEFAULT_MAX_STEPS) -> Ver
         raise ValueError("resolution expects an open-world program")
     premises, alloc = _premise_clauses(p)
     goal = _goal_clauses(p.query, alloc, negate_query=True)
-    pos = _saturate(premises.kepts, goal.kepts, max_steps)
+    pos = _saturate(premises, goal, max_steps)
     if pos.refuted:
         return Verdict(PROVED, steps=pos.steps)
     goal = _goal_clauses(p.query, alloc, negate_query=False)
-    neg = _saturate(premises.kepts, goal.kepts, max_steps)
+    neg = _saturate(premises, goal, max_steps)
     if neg.refuted:
         return Verdict(DISPROVED, steps=pos.steps + neg.steps)
     limit = not (pos.exhausted and neg.exhausted)

@@ -421,13 +421,12 @@ def _reference_given_clause_loop(premises: list[Clause], goal: list[Clause], max
 def reference_phase_clauses(p: LogicProgram, negate_query: bool) -> tuple[list[Clause], list[Clause]]:
     """One phase's premise clauses and goal clauses, converted afresh by
     `to_cnf` into a fresh registry copy and allocator, past every memo."""
-    registry = p.registry.copy()
-    alloc = SkolemAllocator(registry)
+    alloc = SkolemAllocator(p.registry.copy())
     premises = []
-    for i, premise in enumerate(p.premises):
-        premises.extend(to_cnf(premise, registry, alloc, start_index=i * 100))
+    for premise in p.premises:
+        premises.extend(to_cnf(premise, alloc))
     goal = Not(p.query) if negate_query else p.query
-    return premises, list(to_cnf(goal, registry, alloc, start_index=10_000))
+    return premises, list(to_cnf(goal, alloc))
 
 
 def reference_clausify(p: LogicProgram, negate_query: bool) -> list[Clause]:

@@ -14,6 +14,7 @@ from symdrift.harness.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, ma
 from symdrift.harness.config import (
     SyntheticConfig,
     TranslatorConfig,
+    read_config_file,
     synthetic_config_from,
     translator_config_from,
 )
@@ -563,14 +564,14 @@ class TestSettingsAndInputs:
 
     def test_config_keys_drive_evaluate_and_flags_beat_them(self, workdir, capsys):
         run("generate", "--n", "3", "--seed", "1", "--out", "p.jsonl")
-        Path("run.cfg").write_text("translator.kind = gold\ntranslator.mental = on\n")
+        Path("run.cfg").write_text("translator.kind = naive\ntranslator.mental = on\n")
         assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
                    "--out", "by_file") == EXIT_OK
         assert run("evaluate", "--in", "p.jsonl", "--config", "run.cfg",
-                   "--translator", "naive", "--mental", "off", "--out", "by_flags") == EXIT_OK
+                   "--translator", "gold", "--mental", "off", "--out", "by_flags") == EXIT_OK
         by_file, by_flags = self._run_config("by_file"), self._run_config("by_flags")
-        assert (by_file["translator.kind"], by_file["translator.mental"]) == ("gold", "on")
-        assert (by_flags["translator.kind"], by_flags["translator.mental"]) == ("naive", "off")
+        assert (by_file["translator.kind"], by_file["translator.mental"]) == ("naive", "on")
+        assert (by_flags["translator.kind"], by_flags["translator.mental"]) == ("gold", "off")
 
     def test_config_defaults_are_the_dataclass_defaults(self):
         assert translator_config_from({}) == TranslatorConfig()
@@ -686,6 +687,26 @@ class TestSettingsAndInputs:
         err = capsys.readouterr().err
         assert text in err and "(line 2)" in err
         assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "sweep"])
+    @pytest.mark.parametrize("kind", ["gold", "split-adversary"])
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_mental_with_a_translator_that_reads_no_table_is_usage_error(
+            self, workdir, capsys, command, kind, source):
+        """`gold` and `split-adversary` take no oracle, so `--mental on` would
+        change a run's config but none of its records: the pair is refused
+        before the input is read, though each key passes its own check."""
+        pair = (f"translator.kind = {kind}", "translator.mental = on")
+        Path("run.cfg").write_text("\n".join(pair) + "\n")
+        flags = (("--translator", kind, "--mental", "on") if source == "flags"
+                 else ("--config", "run.cfg"))
+        assert read_config_file("run.cfg") == {"translator.kind": kind, "translator.mental": "on"}
+        assert run(command, "--in", "absent.jsonl", *flags, "--out", "out") == EXIT_USAGE
+        assert f"mental applies only to the naive and llm translators, not '{kind}'" \
+            in capsys.readouterr().err
+        assert not Path("out").exists()
+        with pytest.raises(ValueError, match="mental applies only"):
+            TranslatorConfig(kind=kind, mental=True)
 
     @pytest.mark.parametrize("argv, text", [
         (("evaluate", "--in", "p.jsonl", "--translator", "bogus"),

@@ -34,6 +34,7 @@ from symdrift.mental.table import camel_case_symbol
 from symdrift.mental.translate import Proposal, translate_with_mental
 from symdrift.problem import QUESTION_UNIT, Problem, TextUnit
 from symdrift.solver.enumeration import enumerate_models
+from symdrift.solver.resolution import prove_resolution
 
 from .helpers import random_formula
 
@@ -116,7 +117,7 @@ class TestRenderer:
 class TestCnf:
     def test_textbook_implication(self):
         r = _reg()
-        clauses = to_cnf(parse_formula("all x (Kind(x) -> Smart(x))", r), r)
+        clauses = to_cnf(parse_formula("all x (Kind(x) -> Smart(x))", r), SkolemAllocator(r))
         assert len(clauses) == 1
         (clause,) = clauses
         signs = sorted((lit.positive, r.name_of(lit.pred)) for lit in clause)
@@ -125,7 +126,7 @@ class TestCnf:
     def test_top_level_existential_gets_constant(self):
         r = _reg()
         alloc = SkolemAllocator(r)
-        clauses = to_cnf(parse_formula("exists x Kind(x)", r), r, alloc)
+        clauses = to_cnf(parse_formula("exists x Kind(x)", r), alloc)
         assert dict(alloc.allocated) == {"!sk0": "sk0"}
         (clause,) = clauses
         (lit,) = clause
@@ -136,7 +137,7 @@ class TestCnf:
             r = _reg()
             r.declare("sk0", 0, kind)
             alloc = SkolemAllocator(r)
-            to_cnf(parse_formula("exists x Kind(x)", r), r, alloc)
+            to_cnf(parse_formula("exists x Kind(x)", r), alloc)
             assert dict(alloc.allocated) == {"!sk1": "sk1"}
 
     @settings(max_examples=80, deadline=None)
@@ -153,22 +154,39 @@ class TestCnf:
         r = _reg()
         f = parse_formula("all x exists y Likes(x, y)", r)
         with pytest.raises(UnsupportedSkolemFunction):
-            to_cnf(f, r)
+            to_cnf(f, SkolemAllocator(r))
 
     def test_negated_universal_is_fine(self):
         r = _reg()
         alloc = SkolemAllocator(r)
-        to_cnf(parse_formula("~(all x Kind(x))", r), r, alloc)
+        to_cnf(parse_formula("~(all x Kind(x))", r), alloc)
         assert len(alloc.allocated) == 1
 
-    def test_clauses_standardized_apart(self):
+    def test_each_clause_names_its_variables_by_first_occurrence(self):
+        """Every clause starts again at `x0`, whatever the formula's variable
+        names, and a clause's universals that shared a name stay apart."""
         r = _reg()
-        clauses = to_cnf(parse_formula("all x (A(x) -> B(x)) & all y (B(y) -> C(y))", r), r)
-        names = [
-            {a.name for lit in clause for a in lit.args if isinstance(a, Var)}
-            for clause in clauses
-        ]
-        assert names[0].isdisjoint(names[1])
+        f = parse_formula("all y (A(y) -> B(y)) & all z all w (R(w, z) -> C(z))"
+                          " & (all x A(x) | all x C(x))", r)
+        names = sorted(sorted(a.name for lit in clause for a in lit.args if isinstance(a, Var))
+                       for clause in to_cnf(f, SkolemAllocator(r)))
+        assert names == [["x0", "x0"], ["x0", "x1"], ["x0", "x1", "x1"]]
+
+    def test_variables_named_alike_across_clauses_still_resolve_apart(self):
+        """`x` in one premise's clause is not `x` in another's: a chain of
+        relational rules, each clause named from `x0`, proves its goal, and
+        the converse goal is not proved."""
+        r = _reg()
+        premises = [parse_formula(t, r) for t in (
+            "all x all y (Parent(x, y) -> Ancestor(x, y))",
+            "all x all y all z (Ancestor(x, y) & Parent(y, z) -> Ancestor(x, z))",
+            "Parent(anne, bob)", "Parent(bob, carl)")]
+        clauses = [c for f in premises for c in to_cnf(f, SkolemAllocator(r))]
+        assert {a.name for c in clauses[:2] for l in c for a in l.args} == {"x0", "x1", "x2"}
+        proved = LogicProgram(r, tuple(premises), parse_formula("Ancestor(anne, carl)", r))
+        assert prove_resolution(proved.validate()).value == "proved"
+        unproved = LogicProgram(r, tuple(premises), parse_formula("Ancestor(carl, anne)", r))
+        assert prove_resolution(unproved.validate(), max_steps=10).value == "unknown"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -222,7 +240,8 @@ class TestCnf:
             holds(f, {}, frozenset(a for a, bit in zip(atoms, bits) if bit))
             for bits in product((0, 1), repeat=len(atoms))
         )
-        refuted = _saturate((), tuple(_canonical(c) for c in to_cnf(f, r)), 4000).refuted
+        refuted = _saturate((), tuple(_canonical(c) for c in to_cnf(f, SkolemAllocator(r))),
+                            4000).refuted
         assert satisfiable == (not refuted)
 
 

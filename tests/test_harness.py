@@ -34,6 +34,7 @@ from symdrift.harness.translators import (
     SplitAdversaryTranslator,
     extract_csp_block,
     extract_program_block,
+    make_translator,
 )
 from symdrift.mental.oracles import LexiconOracle
 from symdrift.problem import Problem, TextUnit
@@ -210,6 +211,22 @@ class TestTranslators:
         open_world = LogicProgram(output.program.registry, output.program.premises,
                                   output.program.query, "open_world")
         assert enumerate_models(open_world).value == "unknown"
+
+    def test_only_what_renders_prompts_loads_them(self, resources, monkeypatch):
+        """`gold`, `split-adversary` and `naive` with the lexicon oracle build
+        with no prompt library; `naive` alone takes the oracle."""
+        def refuse(prompt_dir=None):
+            raise AssertionError("prompts loaded")
+
+        monkeypatch.setattr(PromptLibrary, "load", staticmethod(refuse))
+        built = {(kind, mental): make_translator(TranslatorConfig(kind=kind, mental=mental),
+                                                 resources=resources)
+                 for kind, mental in (("gold", False), ("split-adversary", False),
+                                      ("naive", False), ("naive", True))}
+        assert isinstance(built["gold", False], GoldTranslator)
+        assert isinstance(built["split-adversary", False], SplitAdversaryTranslator)
+        assert built["naive", False].oracle is None
+        assert isinstance(built["naive", True].oracle, LexiconOracle)
 
     def test_naive_parse_failure_recorded(self, resources):
         p = Problem(id="x", sentences=(TextUnit.from_text("Gibberish beyond grammar!"),),

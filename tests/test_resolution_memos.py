@@ -120,19 +120,17 @@ def test_gold_resolution_records_do_not_depend_on_workers(cold_memos, monkeypatc
         sys.setswitchinterval(interval)
 
 
-def _conversions(p, phases: int) -> list[tuple]:
-    """The `(formula, start_index)` of each conversion a proof makes: one per
-    premise, then one per phase run."""
-    out = [(premise, i * 100) for i, premise in enumerate(p.premises)]
-    return out + [(Not(p.query), 10_000), (p.query, 10_000)][:phases]
+def _conversions(p, phases: int) -> list:
+    """The formula of each conversion a proof makes: one per premise, then
+    one per phase run."""
+    return list(p.premises) + [Not(p.query), p.query][:phases]
 
 
 def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkeypatch):
     """A wrapper installed on `resolution.subsumes` and on the `to_cnf` that
     `resolution` calls sees every call, as the benchmark tracer's does. A
     proof calls `to_cnf` once for each conversion the memo does not hold: a
-    `(formula, start_index)` that no earlier conversion had without a Skolem
-    constant. Every program runs twice, so a second proof of a Skolem-free
+    formula that no earlier conversion had without a Skolem constant. Every program runs twice, so a second proof of a Skolem-free
     program calls it not at all."""
     calls = {"subsumes": 0, "to_cnf": 0}
 
@@ -147,22 +145,22 @@ def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkey
     rng = random.Random(41)
     programs = [random_relational_program(rng) for _ in range(40)]
     programs += [random_program(rng) for _ in range(40)]
-    held: set[tuple] = set()
+    held = set()
     skolemizing = repeats_for_free = 0
     for rerun, p in [(False, p) for p in programs] + [(True, p) for p in programs]:
         calls["to_cnf"] = 0
         verdict = prove_resolution(p)
         expected = 0
-        for key in _conversions(p, 1 if verdict.value == "proved" else 2):
-            if key in held:
+        for f in _conversions(p, 1 if verdict.value == "proved" else 2):
+            if f in held:
                 continue
             expected += 1
             alloc = SkolemAllocator(p.registry.copy())
-            to_cnf(key[0], alloc.registry, alloc)
+            to_cnf(f, alloc)
             if alloc.allocated:
                 skolemizing += 1
             else:
-                held.add(key)
+                held.add(f)
         assert calls["to_cnf"] == expected
         if rerun and expected == 0:
             repeats_for_free += 1
@@ -171,14 +169,18 @@ def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkey
     assert set(resolution._CLAUSIFIED) == held
 
 
-def _skolems(clauses) -> set[str]:
-    return {a.symbol for c in clauses for l in c for a in l.args
+def _skolems(kepts) -> set[str]:
+    return {a.symbol for k in kepts for l in k.clause for a in l.args
             if isinstance(a, Const) and a.symbol.startswith("!sk")}
 
 
+def _canonical(clauses) -> tuple:
+    return tuple(resolution._canonical(c) for c in clauses)
+
+
 def _phases(p):
-    """The premises' clauses, then each phase's, as `prove_resolution` makes
-    them."""
+    """The premises' interned clauses, then each phase's, as
+    `prove_resolution` makes them."""
     premises, alloc = resolution._premise_clauses(p)
     return (premises,
             premises + resolution._goal_clauses(p.query, alloc, negate_query=True),
@@ -195,8 +197,8 @@ def _program(*texts: str) -> LogicProgram:
 def test_shared_premise_clauses_match_a_fresh_clausification(cold_memos):
     """Skolem constants in premises and goals come out as they do when each
     phase is clausified afresh, also when both goals need one, and the
-    clauses served by the memo equal fresh ones: every program runs twice,
-    the second time in shuffled order."""
+    clauses served by the memo are a fresh conversion's, interned: every
+    program runs twice, the second time in shuffled order."""
     rng = random.Random(77)
     both_goals = _program("exists x P(x)", "all x (P(x) -> Q(x))",
                           "(exists x Q(x)) & (all y P(y))")
@@ -204,13 +206,10 @@ def test_shared_premise_clauses_match_a_fresh_clausification(cold_memos):
     skolemized = 0
     for p in programs + rng.sample(programs, len(programs)):
         premises, first, second = _phases(p)
-        assert list(first.clauses) == reference_clausify(p, negate_query=True)
-        assert list(second.clauses) == reference_clausify(p, negate_query=False)
-        for phase in (first, second):
-            assert phase.kepts == tuple(resolution._canonical(c) for c in phase.clauses)
-        ours = _skolems(premises.clauses)
-        skolemized += bool(ours and _skolems(first.clauses) - ours
-                           and _skolems(second.clauses) - ours)
+        assert first == _canonical(reference_clausify(p, negate_query=True))
+        assert second == _canonical(reference_clausify(p, negate_query=False))
+        ours = _skolems(premises)
+        skolemized += bool(ours and _skolems(first) - ours and _skolems(second) - ours)
     assert skolemized
     assert resolution._CLAUSIFIED
 
@@ -224,33 +223,29 @@ def test_a_skolem_name_taken_by_the_program_is_never_served_from_the_memo(cold_m
     assert free.premises[0] == taken.premises[0]
     for p in (free, taken):
         premises, first, second = _phases(p)
-        assert list(first.clauses) == reference_clausify(p, negate_query=True)
-        assert list(second.clauses) == reference_clausify(p, negate_query=False)
-        assert _skolems(premises.clauses) == ({"!sk0"} if p is free else {"!sk1"})
-    assert (taken.premises[0], 0) not in resolution._CLAUSIFIED
+        assert first == _canonical(reference_clausify(p, negate_query=True))
+        assert second == _canonical(reference_clausify(p, negate_query=False))
+        assert _skolems(premises) == ({"!sk0"} if p is free else {"!sk1"})
+    assert taken.premises[0] not in resolution._CLAUSIFIED
     assert prove_resolution(taken) == reference_prove_resolution(taken)
 
 
 @pytest.mark.parametrize("text", ["all x (P(x) & all x Q(x))", "all x (P(x) | all x Q(x))"])
-def test_a_memo_hit_equals_a_conversion_at_any_variable_serial(cold_memos, text):
-    """A formula that binds one variable name twice, clausified before and
-    after other formulas moved the allocator's variable serial: the memo's
-    clauses equal a fresh conversion's wherever the serial stands."""
+def test_a_conversion_does_not_depend_on_earlier_ones(cold_memos, text):
+    """A formula that binds one variable name twice converts to the same
+    clauses through a fresh allocator and through one that converted other
+    formulas first, and the memo serves those clauses interned, whichever
+    allocator asks."""
     registry = SymbolRegistry()
     f = parse_formula(text, registry)
     others = [parse_formula(t, registry) for t in
               ("all x all y (R(x, y) -> R(y, x))", "all z (Q(z) | ~P(z))", "R(a, b)")]
-    fresh = tuple(to_cnf(f, registry.copy(), start_index=3))
-    early = SkolemAllocator(registry.copy())
-    assert resolution._clausify(f, early, 3).clauses == fresh
+    fresh = to_cnf(f, SkolemAllocator(registry.copy()))
     late = SkolemAllocator(registry.copy())
-    for i, other in enumerate(others):
-        resolution._clausify(other, late, i * 100)
-    assert late.var_serial() > early.var_serial()
-    served = resolution._clausify(f, late, 3)
-    assert served is resolution._CLAUSIFIED[f, 3]
-    assert served.clauses == fresh
-    late_fresh = SkolemAllocator(registry.copy())
-    for i, other in enumerate(others):
-        to_cnf(other, late_fresh.registry, late_fresh, start_index=i * 100)
-    assert tuple(to_cnf(f, late_fresh.registry, late_fresh, start_index=3)) == fresh
+    for other in others:
+        to_cnf(other, late)
+    assert to_cnf(f, late) == fresh
+    served = resolution._clausify(f, SkolemAllocator(registry.copy()))
+    assert served is resolution._CLAUSIFIED[f]
+    assert served == _canonical(fresh)
+    assert resolution._clausify(f, late) is served

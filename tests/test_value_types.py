@@ -49,7 +49,6 @@ from symdrift.problem import (
     Variant,
 )
 from symdrift.solver.csp import Constraint, CSPSpec, Option
-from symdrift.solver.resolution import _Clausified
 from symdrift.solver.verdict import Verdict
 from symdrift.textproc import Token
 
@@ -223,7 +222,6 @@ FROZEN = [
     (Verdict("proved"), "value"),
     (Constraint("LeftOf", ("A", "B")), "args"),
     (Option("A", 1), "position"),
-    (_Clausified((), ()), "kepts"),
     (MentalTable(), "entries"),
     (DiversifyConfig(), "theta"),
     (TranslatorConfig(), "kind"),
