@@ -3,7 +3,7 @@
 Concepts are lemmatized n-grams (n <= `MAX_N`) occurring at least twice
 across premises plus question. Grams made only of stopwords are dropped.
 A text's admissible windows are found once per process: a memo keyed by
-(unit text, `max_n`) holds them as immutable, shared rows, each gram's
+the unit's text holds them as immutable, shared rows, each gram's
 interned id with its token and character span, in site precedence order
 (longer spans first, then earlier starts). Counting ids over a problem's
 windows tells which grams repeat; occurrences are built only for those.
@@ -28,15 +28,14 @@ SiteRows = list[tuple[str, ConceptOccurrence]]
 # (concept id, first token, last token, char start, char end)
 Window = tuple[str, int, int, int, int]
 
-_WINDOWS: dict[tuple[str, int], tuple[Window, ...]] = {}
+_WINDOWS: dict[str, tuple[Window, ...]] = {}
 # One object per distinct row: texts of one template share most of theirs.
 _ROWS: dict[Window, Window] = {}
 
 
-def _windows(unit: TextUnit, max_n: int) -> tuple[Window, ...]:
+def _windows(unit: TextUnit) -> tuple[Window, ...]:
     """The unit's admissible windows in site precedence order, memoized."""
-    key = (unit.text, max_n)
-    found = _WINDOWS.get(key)
+    found = _WINDOWS.get(unit.text)
     if found is None:
         tokens = unit.tokens
         words = [i for i, t in enumerate(tokens) if t.is_word]
@@ -44,7 +43,7 @@ def _windows(unit: TextUnit, max_n: int) -> tuple[Window, ...]:
         for start, first in enumerate(words):
             lemmas: tuple[str, ...] = ()
             stopwords_only = True
-            for last in words[start:start + max_n]:
+            for last in words[start:start + MAX_N]:
                 # n-grams must be contiguous in token space (no gaps across
                 # punctuation).
                 if last - first != len(lemmas):
@@ -57,24 +56,24 @@ def _windows(unit: TextUnit, max_n: int) -> tuple[Window, ...]:
                            tokens[first].start, tokens[last].end)
                     rows.append(_ROWS.setdefault(row, row))
         rows.sort(key=lambda w: (w[1] - w[2], w[1]))
-        found = _WINDOWS[key] = tuple(rows)
+        found = _WINDOWS[unit.text] = tuple(rows)
     return found
 
 
-def repeated_ids(p: Problem, max_n: int = MAX_N) -> set[str]:
+def repeated_ids(p: Problem) -> set[str]:
     """The ids of the grams occurring at least twice across the problem."""
-    counts = Counter(w[0] for _, unit in p.units() for w in _windows(unit, max_n))
+    counts = Counter(w[0] for _, unit in p.units() for w in _windows(unit))
     return {cid for cid, n in counts.items() if n > 1}
 
 
-def identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
-    repeated = repeated_ids(p, max_n)
+def identify_repeated(p: Problem) -> ConceptInventory:
+    repeated = repeated_ids(p)
     occurrences: dict[str, list[ConceptOccurrence]] = {}
     tags: dict[str, tuple[str, ...]] = {}
     for unit_index, unit in p.units():
         # A gram's windows in one unit share a length, so precedence order
         # lists them by start.
-        for cid, first, last, start, end in _windows(unit, max_n):
+        for cid, first, last, start, end in _windows(unit):
             if cid in repeated:
                 if cid not in occurrences:
                     occurrences[cid] = []
@@ -86,8 +85,7 @@ def identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
             for cid in sorted(lemmas, key=lambda c: (len(lemmas[c]), lemmas[c]))}
 
 
-def select_sites(p: Problem, repeated: Collection[str],
-                 max_n: int = MAX_N) -> dict[int, SiteRows]:
+def select_sites(p: Problem, repeated: Collection[str]) -> dict[int, SiteRows]:
     """Each unit's non-overlapping rewrite sites, in text order, as
     (concept id, occurrence) rows, over the grams in `repeated` (an
     inventory serves). Longest-match precedence: longer spans win, ties go
@@ -96,7 +94,7 @@ def select_sites(p: Problem, repeated: Collection[str],
     for unit_index, unit in p.units():
         chosen: SiteRows = []
         taken = 0  # bit i set: token i is inside a chosen site
-        for cid, first, last, start, end in _windows(unit, max_n):
+        for cid, first, last, start, end in _windows(unit):
             if cid not in repeated:
                 continue
             span = (1 << (last + 1)) - (1 << first)

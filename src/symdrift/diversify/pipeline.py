@@ -52,7 +52,7 @@ class Candidate(NamedTuple):
 
 class _DiversifyFields(NamedTuple):
     theta: float = 0.90
-    intensity: int | None = None  # None = rewrite everything
+    intensity: int | float = 1.0  # as `parse_intensity` reads it; 1.0 is `full`
     scorer: str = FALLBACK
     resources: Resources | None = None
 
@@ -235,14 +235,13 @@ def generate_candidates(unit: TextUnit, site_rows: SiteRows,
 class AssemblyResult:
     __slots__ = ("chosen", "provenance")
 
-    def __init__(self, chosen: list[Candidate],
-                 provenance: dict[str, list[ProvenanceEntry]] | None = None) -> None:
-        self.chosen = chosen
-        self.provenance = {} if provenance is None else provenance
+    def __init__(self) -> None:
+        self.chosen: list[Candidate] = []
+        self.provenance: dict[str, list[ProvenanceEntry]] = {}
 
 
 def assemble(pools: dict[int, CandidatePool],
-             accept: Callable[[int, Candidate], bool] | None = None) -> AssemblyResult:
+             accept: Callable[[int, Candidate], bool]) -> AssemblyResult:
     """Greedy pass in unit order, minimizing repeats of already-used surface
     forms per concept; ties break toward the lower candidate index.
 
@@ -255,7 +254,7 @@ def assemble(pools: dict[int, CandidatePool],
     pick, while splicing only the candidates asked about and the one chosen.
     """
     used: dict[tuple[str, str], int] = {}
-    result = AssemblyResult(chosen=[])
+    result = AssemblyResult()
     for unit_index in sorted(pools, key=lambda u: (u == QUESTION_UNIT, u)):
         pool = pools[unit_index]
         costs = [0]
@@ -270,7 +269,7 @@ def assemble(pools: dict[int, CandidatePool],
             candidate = pool.candidate(idx)
             if pool.repeats(idx, candidate.text):
                 continue
-            if accept is None or accept(unit_index, candidate):
+            if accept(unit_index, candidate):
                 chosen = candidate
                 break
         if chosen is None:
@@ -316,9 +315,12 @@ def _pass_through(p: Problem, repeated: Collection[str]) -> DiversifiedProblem:
 
 
 def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
-    k = len(p.sentences) if cfg.intensity is None else cfg.intensity
-    if k > len(p.sentences):
-        raise ValueError(f"intensity {k} exceeds sentence count {len(p.sentences)}")
+    """Rewrite `p` at the run's level `cfg.intensity`, resolved here to this
+    problem's `sentence_count`: that many sentences with the most
+    repeated-concept occurrences are rewritten, and the question with them
+    when the count is every sentence (`eligible_units`). A candidate is kept
+    only if it scores at least `cfg.theta` against the text it replaces."""
+    k = sentence_count(cfg.intensity, len(p.sentences))
     if k == 0:
         return _pass_through(p, repeated_ids(p))
     inventory = identify_repeated(p)

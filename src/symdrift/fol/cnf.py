@@ -81,32 +81,32 @@ class SkolemAllocator:
         return sid
 
 
-def _to_nnf(f: Formula, negate: bool) -> Formula:
+def to_nnf(f: Formula, negate: bool) -> Formula:
     """Negation normal form of `f` (of `~f` when `negate`), with `A -> B`
     read as `~A | B` and `A <-> B` as `(~A | B) & (~B | A)`."""
     if isinstance(f, Atom):
         return Not(f) if negate else f
     if isinstance(f, Not):
-        return _to_nnf(f.body, not negate)
+        return to_nnf(f.body, not negate)
     if isinstance(f, And):
         node = Or if negate else And
-        return node(_to_nnf(f.left, negate), _to_nnf(f.right, negate))
+        return node(to_nnf(f.left, negate), to_nnf(f.right, negate))
     if isinstance(f, Or):
         node = And if negate else Or
-        return node(_to_nnf(f.left, negate), _to_nnf(f.right, negate))
+        return node(to_nnf(f.left, negate), to_nnf(f.right, negate))
     if isinstance(f, Implies):
         node = And if negate else Or
-        return node(_to_nnf(f.left, not negate), _to_nnf(f.right, negate))
+        return node(to_nnf(f.left, not negate), to_nnf(f.right, negate))
     if isinstance(f, Iff):
         outer, inner = (Or, And) if negate else (And, Or)
-        return outer(inner(_to_nnf(f.left, not negate), _to_nnf(f.right, negate)),
-                     inner(_to_nnf(f.right, not negate), _to_nnf(f.left, negate)))
+        return outer(inner(to_nnf(f.left, not negate), to_nnf(f.right, negate)),
+                     inner(to_nnf(f.right, not negate), to_nnf(f.left, negate)))
     if isinstance(f, ForAll):
         node = Exists if negate else ForAll
-        return node(f.var, _to_nnf(f.body, negate))
+        return node(f.var, to_nnf(f.body, negate))
     if isinstance(f, Exists):
         node = ForAll if negate else Exists
-        return node(f.var, _to_nnf(f.body, negate))
+        return node(f.var, to_nnf(f.body, negate))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -181,7 +181,7 @@ def to_cnf(f: Formula, alloc: SkolemAllocator) -> list[Clause]:
     that Skolem constants never collide; its `allocated` list records the
     constants each conversion introduced."""
     require_closed(f)
-    stripped = _skolemize(_to_nnf(f, negate=False), {}, under_universal=False,
+    stripped = _skolemize(to_nnf(f, negate=False), {}, under_universal=False,
                           alloc=alloc, universals=count())
     out: list[Clause] = []
     for lits in _distribute(stripped):

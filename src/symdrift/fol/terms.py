@@ -178,18 +178,11 @@ class SymbolRegistry:
         """Whether a symbol of any kind has this name."""
         return (PREDICATE, name) in self._by_name or (CONSTANT, name) in self._by_name
 
-    def symbols(self, kind: str | None = None) -> list[str]:
-        return [s for s, i in self._entries.items() if kind is None or i.kind == kind]
-
-    def copy(self) -> "SymbolRegistry":
-        out = SymbolRegistry()
-        out._entries = dict(self._entries)
-        out._by_name = dict(self._by_name)
-        out._counter = self._counter
-        return out
+    def symbols(self) -> list[str]:
+        return list(self._entries)
 
 
-def ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> str:
+def ensure_predicate(registry: SymbolRegistry, name: str, arity: int) -> str:
     """Fetch-or-declare a predicate by name; an existing one keeps its arity."""
     sid = registry.lookup(name, PREDICATE)
     if sid is None:

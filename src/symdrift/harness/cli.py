@@ -17,12 +17,7 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..diversify.pipeline import (
-    DiversifyConfig,
-    diversify_problem,
-    parse_intensity,
-    sentence_count,
-)
+from ..diversify.pipeline import DiversifyConfig, diversify_problem, parse_intensity
 from ..diversify.resources import Resources
 from ..diversify.similarity import VECTORS
 from ..errors import ClientError, FormatError, OracleFailure, ResourceMissing, SymdriftError
@@ -220,13 +215,10 @@ def _cmd_diversify(args) -> int:
     if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
         raise ResourceMissing("--scorer vectors needs a word-vector file: "
                               "set resources.vectors in the --config file")
-    # Checked once, before the input is read; each problem sets its own count.
-    cfg = DiversifyConfig(theta=args.theta, scorer=args.scorer, resources=resources)
-    out = [
-        diversify_problem(item, cfg._replace(
-            intensity=sentence_count(args.intensity, len(item.sentences))))
-        for item in _plain_problems(_load_input(args.input))
-    ]
+    # Checked once, before the input is read.
+    cfg = DiversifyConfig(theta=args.theta, intensity=args.intensity, scorer=args.scorer,
+                          resources=resources)
+    out = [diversify_problem(item, cfg) for item in _plain_problems(_load_input(args.input))]
     save_dataset(out_path, out)
     changed = sum(1 for d in out if d.intensity > 0)
     print(f"diversified {len(out)} problems ({changed} with rewrites)")

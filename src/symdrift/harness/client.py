@@ -36,7 +36,7 @@ class HttpChatClient:
         self._api_key = api_key
         self._sleep = sleeper
 
-    def complete(self, prompt: str, temperature: float = 0.2) -> Completion:
+    def complete(self, prompt: str, temperature: float) -> Completion:
         # Loaded on the first request, so an offline run never imports the
         # HTTP stack. Its errors, `URLError` and `HTTPError`, are `OSError`s.
         import urllib.request

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from ..diversify.pipeline import DiversifyConfig, diversify_problem, sentence_count
+from ..diversify.pipeline import DiversifyConfig, diversify_problem
 from ..diversify.resources import Resources
 from ..errors import (
     EmptyDataset,
@@ -249,12 +249,8 @@ def intensity_sweep(dataset, translator, translator_cfg, solver: str,
     resources = resources or Resources.load()
     points = []
     for level in levels:
-        diversified = []
-        for p in dataset:
-            k = sentence_count(level, len(p.sentences))
-            diversified.append(diversify_problem(
-                p, DiversifyConfig(intensity=k, resources=resources)
-            ))
+        cfg = DiversifyConfig(intensity=level, resources=resources)
+        diversified = [diversify_problem(p, cfg) for p in dataset]
         report = run_evaluation(diversified, translator, translator_cfg, solver,
                                 resources=resources)
         points.append(SweepPoint(

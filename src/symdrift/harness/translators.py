@@ -380,7 +380,7 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None):
     if llm_oracle:
         if client is None:
             raise ValueError("llm oracle requires a client")
-        oracle = LLMOracle(client, *prompts.oracle_templates())
+        oracle = LLMOracle(client, cfg.temperature, *prompts.oracle_templates())
     elif cfg.mental:
         oracle = LexiconOracle((resources or Resources.load()).synonyms)
     if cfg.kind == NAIVE:

@@ -121,11 +121,14 @@ MAX_RETRIES = 1
 
 
 class LLMOracle:
-    """Yes/no prompts against a chat client, cached per (expression, entry
-    contents) so re-queries of a settled pair never hit the endpoint again."""
+    """Yes/no prompts against a chat client at the run's `temperature`,
+    cached per (expression, entry contents) so re-queries of a settled pair
+    never hit the endpoint again."""
 
-    def __init__(self, client, equiv_template: str, conflict_template: str):
+    def __init__(self, client, temperature: float, equiv_template: str,
+                 conflict_template: str):
         self._client = client
+        self._temperature = temperature
         self._equiv_template = equiv_template
         self._conflict_template = conflict_template
         self._cache: dict[tuple, object] = {}
@@ -142,7 +145,7 @@ class LLMOracle:
         template = self._equiv_template if kind == "equiv" else self._conflict_template
         prompt = template.format(expression=e, entry=", ".join(expressions))
         for _ in range(MAX_RETRIES + 1):
-            reply = self._client.complete(prompt)
+            reply = self._client.complete(prompt, self._temperature)
             parsed = parse(reply.text)
             if parsed is not None:
                 self._cache[key] = parsed

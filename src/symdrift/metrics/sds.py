@@ -23,22 +23,12 @@ from ..problem import DiversifiedProblem
 from .records import TranslationRecord
 
 
-class _SdsFields(NamedTuple):
+class SdsResult(NamedTuple):
     value: float | None  # None when dispersion was not measured
     concepts: int
     drifted_concepts: int
     dropped_concepts: int
     per_problem: dict[str, float]
-
-
-class SdsResult(_SdsFields):
-    __slots__ = ()
-
-    def __new__(cls, value: float | None, concepts: int, drifted_concepts: int,
-                dropped_concepts: int, per_problem: dict[str, float] | None = None) -> SdsResult:
-        """A result built without `per_problem` gets a dict of its own."""
-        return super().__new__(cls, value, concepts, drifted_concepts, dropped_concepts,
-                               {} if per_problem is None else per_problem)
 
 
 def compute_sds(records: list[TranslationRecord]) -> SdsResult:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from ..errors import DomainTooLarge
+from ..fol.cnf import to_nnf
 from ..fol.terms import (
     And,
     Atom,
@@ -82,14 +83,28 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def enumerate_models(p: LogicProgram, extra_constants: list[str] | None = None) -> Verdict:
+def _witnesses(f: Formula) -> int:
+    """The existential quantifiers of `f`, a formula in negation normal form."""
+    if isinstance(f, Exists):
+        return 1 + _witnesses(f.body)
+    if isinstance(f, ForAll):
+        return _witnesses(f.body)
+    if isinstance(f, (And, Or)):
+        return _witnesses(f.left) + _witnesses(f.right)
+    return 0
+
+
+def enumerate_models(p: LogicProgram) -> Verdict:
     """Decide the query by exhaustive search over Herbrand interpretations.
 
-    The domain is the program's constants plus `extra_constants` (fresh names
-    registered on a registry copy). Proved means the query holds in every
-    model of the premises, Disproved that it fails in every one. A program
-    with no models at all counts as Proved, matching the refutation engines'
-    order of checks.
+    The domain is the program's constants plus one fresh element per
+    existential witness: each existential quantifier of the premises in
+    negation normal form, and those of the query or of its negation,
+    whichever has more. Where no existential lies under a universal (the
+    Bernays-Schoenfinkel class), that domain decides entailment (Ramsey
+    1930). Proved means the query holds in every model of the premises,
+    Disproved that it fails in every one. A program with no models at all
+    counts as Proved, matching the refutation engines' order of checks.
 
     Interpretations are numbered by the atoms' bit indices and searched in
     that order; `steps` counts the models up to the first interpretation at
@@ -97,19 +112,17 @@ def enumerate_models(p: LogicProgram, extra_constants: list[str] | None = None) 
     """
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("model enumeration expects an open-world program")
-    registry = p.registry.copy()
-    domain = p.constants()
-    for name in extra_constants or []:
-        sid = registry.lookup(name, "constant") or registry.declare(name, 0, "constant")
-        if sid not in domain:
-            domain.append(sid)
+    witnesses = sum(_witnesses(to_nnf(f, False)) for f in p.premises) + max(
+        _witnesses(to_nnf(p.query, False)), _witnesses(to_nnf(p.query, True)))
+    # Registry ids never start with "!", so no fresh element is a program's.
+    domain = p.constants() + [f"!w{i}" for i in range(witnesses)]
     if not domain:
         # First-order semantics assumes a non-empty universe.
-        domain.append(registry.declare("_d0", 0, "constant"))
+        domain.append("!d0")
 
     atom_bit: dict[tuple, int] = {}
     for pred in p.predicates():
-        arity = registry.info(pred).arity
+        arity = p.registry.info(pred).arity
         for combo in product(domain, repeat=arity):
             atom_bit[(pred, combo)] = len(atom_bit)
             if len(atom_bit) > MAX_ATOM_BITS:

@@ -7,6 +7,7 @@ import heapq
 import random
 import re
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -244,7 +245,7 @@ def reference_enumerate_models(p: LogicProgram,
     query has been seen both true and false in models of the premises."""
     if p.semantics_mode != OPEN_WORLD:
         raise ValueError("model enumeration expects an open-world program")
-    registry = p.registry.copy()
+    registry = deepcopy(p.registry)
     domain = p.constants()
     for name in extra_constants or []:
         sid = registry.lookup(name, "constant") or registry.declare(name, 0, "constant")
@@ -421,7 +422,7 @@ def _reference_given_clause_loop(premises: list[Clause], goal: list[Clause], max
 def reference_phase_clauses(p: LogicProgram, negate_query: bool) -> tuple[list[Clause], list[Clause]]:
     """One phase's premise clauses and goal clauses, converted afresh by
     `to_cnf` into a fresh registry copy and allocator, past every memo."""
-    alloc = SkolemAllocator(p.registry.copy())
+    alloc = SkolemAllocator(deepcopy(p.registry))
     premises = []
     for premise in p.premises:
         premises.extend(to_cnf(premise, alloc))
@@ -519,7 +520,7 @@ HAND_CASES = [
 ]
 
 
-def reference_identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInventory:
+def reference_identify_repeated(p: Problem) -> ConceptInventory:
     """Concept identification that builds an occurrence for every window and
     drops the singleton grams afterwards."""
     raw: dict[tuple[str, ...], list[ConceptOccurrence]] = {}
@@ -527,7 +528,7 @@ def reference_identify_repeated(p: Problem, max_n: int = MAX_N) -> ConceptInvent
     for unit_index, unit in p.units():
         words = [(i, t) for i, t in enumerate(unit.tokens) if t.is_word]
         for start in range(len(words)):
-            for n in range(1, max_n + 1):
+            for n in range(1, MAX_N + 1):
                 if start + n > len(words):
                     break
                 window = words[start:start + n]
@@ -696,14 +697,14 @@ def _reference_assemble(candidates: dict[int, list[Candidate]]
     return chosen_all, provenance
 
 
-def reference_diversify_choice(p: Problem, theta: float, intensity: int | None,
+def reference_diversify_choice(p: Problem, theta: float, k: int,
                                scorer, resources: Resources
                                ) -> tuple[dict[int, str], dict[str, list[ProvenanceEntry]]]:
     """The rewrite pass with eager filtering: every candidate of every
     rewritten unit is scored against the original, then the greedy pass picks
-    among the survivors. Returns the chosen text per unit and the provenance."""
+    among the survivors, rewriting `k` sentences. Returns the chosen text per
+    unit and the provenance."""
     inventory = reference_identify_repeated(p)
-    k = len(p.sentences) if intensity is None else intensity
     if not inventory or k == 0:
         return {u: unit.text for u, unit in p.units()}, reference_passthrough(p).provenance
     variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
@@ -1110,7 +1111,7 @@ def _ensure_predicate(registry: SymbolRegistry, name: str, arity: int = 1) -> st
 def _refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> LogicProgram:
     """The retired whole-program rewrite: every atom `compound(t)` becomes
     `left(t) & right(t)`, and the compound leaves the registry."""
-    registry = p.registry.copy()
+    registry = deepcopy(p.registry)
     for sid in (compound, left, right):
         info = registry.info(sid)
         if info.kind != PREDICATE or info.arity != 1:
@@ -1131,7 +1132,7 @@ def _refine_symbol(p: LogicProgram, compound: str, left: str, right: str) -> Log
 
 def _reference_refine_program(state: ReferenceState, compound_name: str, base_name: str,
                               modifier_name: str) -> ReferenceState:
-    registry = state.registry.copy()
+    registry = deepcopy(state.registry)
     compound = registry.lookup(compound_name, PREDICATE)
     if compound is None:
         return state
@@ -1151,7 +1152,7 @@ def reference_instantiate(proposal: Proposal, resolved: dict, state: ReferenceSt
         sketch = parse_formula(proposal.skeleton, scratch)
     except Exception as exc:
         raise TranslationFailure(f"unusable skeleton {proposal.skeleton!r}: {exc}") from exc
-    registry = state.registry.copy()
+    registry = deepcopy(state.registry)
     slot_ids = {scratch.lookup(f"Slot{k}", PREDICATE): resolved[k]
                 for k in range(len(proposal.slots))}
     slot_ids.pop(None, None)
@@ -1367,17 +1368,19 @@ def as_item(problem: Problem, resources: Resources | None = None) -> Diversified
 
 class StubClient:
     """Deterministic in-memory chat client: replies served in order, or
-    computed from the prompt by `responder`; every prompt is kept."""
+    computed from the prompt by `responder`; every prompt is kept, and the
+    temperature it was sent at."""
 
     def __init__(self, replies=None, responder=None):
         self._replies = list(replies or [])
         self._responder = responder
         self._served = 0
         self.prompts: list[str] = []
+        self.temperatures: list[float] = []
 
-    def complete(self, prompt: str, temperature: float = 0.2) -> Completion:
-        del temperature
+    def complete(self, prompt: str, temperature: float) -> Completion:
         self.prompts.append(prompt)
+        self.temperatures.append(temperature)
         if self._responder is not None:
             completion = self._responder(prompt)
         else:

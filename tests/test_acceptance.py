@@ -28,7 +28,7 @@ from symdrift.solver.chaining import forward_chain_cwa
 from symdrift.solver.enumeration import enumerate_models
 from symdrift.solver.resolution import prove_resolution
 
-from .helpers import herbrand_padding, random_decidable_program
+from .helpers import random_decidable_program
 
 
 def report(criterion: str, detail: str) -> None:
@@ -61,7 +61,7 @@ def test_criterion_1_solver_oracle_agreement():
     decided = agreements = 0
     for _ in range(500):
         program = random_decidable_program(rng)
-        oracle = enumerate_models(program, herbrand_padding(program))
+        oracle = enumerate_models(program)
         verdict = prove_resolution(program)
         if oracle.value in ("proved", "disproved"):
             decided += 1

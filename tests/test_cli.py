@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
+from symdrift.diversify.resources import Resources
 from symdrift.harness.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from symdrift.harness.config import (
     SyntheticConfig,
@@ -18,6 +20,7 @@ from symdrift.harness.config import (
     synthetic_config_from,
     translator_config_from,
 )
+from symdrift.harness.datasets import load_dataset, save_dataset
 
 
 @pytest.fixture()
@@ -446,6 +449,19 @@ class TestPipelineCommands:
         assert level == "1.0"
         assert float(sweep_k) == diversify_k > 1
 
+    def test_library_config_reads_the_cli_intensity(self, workdir, capsys):
+        """`DiversifyConfig(intensity=0.5)` gives what `diversify
+        --intensity 0.5` gives, problem for problem."""
+        run("generate", "--n", "12", "--seed", "4", "--out", "p.jsonl")
+        assert run("diversify", "--in", "p.jsonl", "--intensity", "0.5",
+                   "--out", "d.jsonl") == EXIT_OK
+        cfg = DiversifyConfig(intensity=0.5, resources=Resources.load())
+        save_dataset("lib.jsonl", [diversify_problem(p, cfg) for p in load_dataset("p.jsonl")])
+        cli_rows = Path("d.jsonl").read_text().splitlines()
+        assert Path("lib.jsonl").read_text().splitlines() == cli_rows
+        assert 0 < sum(json.loads(row)["intensity"] for row in cli_rows) < \
+            sum(len(json.loads(row)["problem"]["sentences"]) for row in cli_rows)
+
     @pytest.mark.parametrize("argv", [
         ("diversify", "--intensity", "1.5"),
         ("diversify", "--intensity", "-1"),
@@ -572,6 +588,21 @@ class TestSettingsAndInputs:
         by_file, by_flags = self._run_config("by_file"), self._run_config("by_flags")
         assert (by_file["translator.kind"], by_file["translator.mental"]) == ("naive", "on")
         assert (by_flags["translator.kind"], by_flags["translator.mental"]) == ("gold", "off")
+
+    def test_llm_oracle_sends_the_run_temperature(self, workdir, monkeypatch, capsys):
+        from symdrift.harness import cli
+
+        from .helpers import StubClient
+
+        stub = StubClient(responder=lambda prompt: "no")
+        monkeypatch.setenv("SYMDRIFT_LLM_ENDPOINT", "http://localhost:1/chat")
+        monkeypatch.setattr(cli, "HttpChatClient", lambda endpoint, key: stub)
+        run("generate", "--n", "3", "--seed", "1", "--out", "p.jsonl")
+        Path("run.cfg").write_text("translator.oracle = llm\ntranslator.temperature = 0.7\n")
+        assert run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--mental", "on",
+                   "--config", "run.cfg", "--out", "run") == EXIT_OK
+        assert stub.temperatures and set(stub.temperatures) == {0.7}
+        assert self._run_config("run")["translator.temperature"] == "0.7"
 
     def test_config_defaults_are_the_dataclass_defaults(self):
         assert translator_config_from({}) == TranslatorConfig()

@@ -1,6 +1,6 @@
 """Concept windows memoized per distinct text against the per-problem scan:
 the same inventories, rewrite sites and intensity-0 pass-throughs, whether
-the memo is cold, warm, or holds the windows of another `max_n`."""
+the memo is cold or warm."""
 
 from __future__ import annotations
 
@@ -42,23 +42,20 @@ def problems(resources) -> list[Problem]:
 
 
 def _assert_matches_reference(problems: list[Problem], resources: Resources) -> None:
-    for max_n in (1, 2, 3, 4):
-        for p in problems:
-            inventory = identify_repeated(p, max_n)
-            reference = reference_identify_repeated(p, max_n)
-            assert list(inventory.items()) == list(reference.items())
-            sites = select_sites(p, inventory, max_n)
-            for unit_index, _unit in p.units():
-                expected = reference_unit_sites(reference, unit_index)
-                assert sites.get(unit_index, []) == expected
-                assert (unit_index in sites) == bool(expected)
-            # The pass-through reads `MAX_N` windows, memoized beside those
-            # of `max_n`.
-            d = diversify_problem(p, DiversifyConfig(intensity=0, resources=resources))
-            ref = reference_passthrough(p)
-            assert list(d.provenance.items()) == list(ref.provenance.items())
-            assert (d.problem, d.base_id, d.intensity, d.no_repeats) == \
-                (ref.problem, ref.base_id, ref.intensity, ref.no_repeats)
+    for p in problems:
+        inventory = identify_repeated(p)
+        reference = reference_identify_repeated(p)
+        assert list(inventory.items()) == list(reference.items())
+        sites = select_sites(p, inventory)
+        for unit_index, _unit in p.units():
+            expected = reference_unit_sites(reference, unit_index)
+            assert sites.get(unit_index, []) == expected
+            assert (unit_index in sites) == bool(expected)
+        d = diversify_problem(p, DiversifyConfig(intensity=0, resources=resources))
+        ref = reference_passthrough(p)
+        assert list(d.provenance.items()) == list(ref.provenance.items())
+        assert (d.problem, d.base_id, d.intensity, d.no_repeats) == \
+            (ref.problem, ref.base_id, ref.intensity, ref.no_repeats)
 
 
 def test_windows_match_the_per_problem_scan(problems, resources, monkeypatch):

@@ -269,6 +269,10 @@ class TestGenerateCandidates:
         assert [c.text for c in candidates] == ["Fred is round."]
 
 
+def _accept_all(unit_index, candidate) -> bool:
+    return True
+
+
 class TestAssemble:
     def _candidates(self, unit, options):
         """A pool of one "kind" site whose options give the listed texts."""
@@ -287,20 +291,20 @@ class TestAssemble:
             1: self._candidates(1, [("All kind people are smart.", "kind"),
                                     ("All benevolent people are smart.", "benevolent")]),
         }
-        result = assemble(per_unit)
+        result = assemble(per_unit, _accept_all)
         surfaces = [c.sites[0].surface for c in result.chosen]
         assert sorted(surfaces) == ["benevolent", "kind"]
 
     def test_index_tiebreak_keeps_original(self):
         per_unit = {0: self._candidates(0, [("Anne is kind.", "kind"),
                                             ("Anne is benevolent.", "benevolent")])}
-        result = assemble(per_unit)
+        result = assemble(per_unit, _accept_all)
         assert result.chosen[0].text == "Anne is kind."
 
     def test_three_sentences_two_variants_distribute(self):
         options = [("S kind.", "kind"), ("S benevolent.", "benevolent")]
         per_unit = {i: self._candidates(i, options) for i in range(3)}
-        result = assemble(per_unit)
+        result = assemble(per_unit, _accept_all)
         counts = {}
         for c in result.chosen:
             counts[c.sites[0].surface] = counts.get(c.sites[0].surface, 0) + 1
@@ -316,7 +320,7 @@ class TestAssemble:
                     i: self._candidates(i, [(f"S {s}.", s) for s in surfaces[:n_candidates]])
                     for i in range(n_sentences)
                 }
-                result = assemble(per_unit)
+                result = assemble(per_unit, _accept_all)
 
                 def repeats(choice):
                     used = {}
@@ -356,10 +360,13 @@ class TestDiversifyProblem:
         d = diversify_problem(p, DiversifyConfig(resources=resources))
         assert d.no_repeats and d.intensity == 0
 
-    def test_intensity_exceeding_sentences_rejected(self, resources):
-        p = make_problem(["Anne is kind."], "Is Anne kind?")
-        with pytest.raises(ValueError):
-            diversify_problem(p, DiversifyConfig(intensity=5, resources=resources))
+    def test_count_past_the_end_is_full(self, resources):
+        p = make_problem(["Anne is kind.", "All kind people are smart."], "Is Anne kind?")
+        full = diversify_problem(p, DiversifyConfig(resources=resources))
+        past = diversify_problem(p, DiversifyConfig(intensity=5, resources=resources))
+        assert full.intensity >= 1
+        assert (past.problem, past.provenance, past.intensity) == \
+            (full.problem, full.provenance, full.intensity)
 
     def test_determinism(self, resources):
         p = make_problem(["Anne is kind.", "All kind people are smart."])

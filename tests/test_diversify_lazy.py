@@ -68,9 +68,9 @@ class CountingScorer:
         return self.inner.score(a, b)
 
 
-def _intensities(p: Problem) -> list[int | None]:
+def _intensities(p: Problem) -> list[int]:
     """Intensities 0 (the pass-through), 1, 0.5 and full, as sentence counts."""
-    return [0, 1, pipeline.sentence_count(0.5, len(p.sentences)), None]
+    return [0, 1, pipeline.sentence_count(0.5, len(p.sentences)), len(p.sentences)]
 
 
 def _assert_same_choice(problems, resources, monkeypatch, scorer_for, theta: float) -> int:

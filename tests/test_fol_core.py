@@ -310,7 +310,8 @@ class TestRewrites:
         out = _refined(("all x (Slot0(x) -> Fun(x))", "popular show"),
                        ("Slot0(Idol)", "show"), ("Fun(Idol)", "fun"))
         out.validate()  # type-checks end to end
-        assert {out.registry.info(p).arity for p in out.registry.symbols("predicate")} == {1}
+        infos = [out.registry.info(s) for s in out.registry.symbols()]
+        assert {i.arity for i in infos if i.kind == "predicate"} == {1}
 
 
 class TestFreeVariables:

@@ -322,8 +322,8 @@ class TestLLMTranslator:
         oracle = LexiconOracle(resources.synonyms)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load(), oracle=oracle)
         output = translator.translate(as_item(self._problem()))
-        names = {output.program.registry.name_of(s)
-                 for s in output.program.registry.symbols("predicate")}
+        registry = output.program.registry
+        names = {i.name for i in map(registry.info, registry.symbols()) if i.kind == "predicate"}
         assert names == {"Kind"}
 
     def test_mental_records_independent_of_workers(self, resources):
@@ -746,16 +746,16 @@ class TestClient:
 
     def test_stub_exhaustion(self):
         stub = StubClient(replies=["one"])
-        stub.complete("x")
+        stub.complete("x", 0.2)
         with pytest.raises(ClientError):
-            stub.complete("y")
+            stub.complete("y", 0.2)
 
     def test_no_test_opens_a_socket(self):
         """The suite-wide guard refuses a connection before it is made."""
         import socket
 
         with pytest.raises(RuntimeError, match="network connection"):
-            HttpChatClient("http://localhost:1/x", sleeper=pytest.fail).complete("hello")
+            HttpChatClient("http://localhost:1/x", sleeper=pytest.fail).complete("hello", 0.2)
         with socket.socket() as sock:
             for connect in (socket.create_connection, sock.connect, sock.connect_ex):
                 with pytest.raises(RuntimeError, match="network connection"):
@@ -774,7 +774,7 @@ class TestClient:
         sleeps = []
         client = HttpChatClient("http://localhost:1/x", sleeper=sleeps.append)
         with pytest.raises(ClientError):
-            client.complete("hello")
+            client.complete("hello", 0.2)
         assert len(calls) == 3
         assert sleeps == [1.0, 2.0]
 
@@ -795,12 +795,13 @@ class TestClient:
         return requests
 
     def test_protocol_reply_is_read(self, monkeypatch):
-        self._replying(monkeypatch, b'{"text": "ok", "usage": {"input_tokens": 3, '
-                                    b'"output_tokens": 4}}')
+        requests = self._replying(monkeypatch, b'{"text": "ok", "usage": {"input_tokens": 3, '
+                                               b'"output_tokens": 4}}')
         client = HttpChatClient("http://localhost:1/x", sleeper=pytest.fail)
-        assert client.complete("hello") == Completion("ok", 3, 4)
+        assert client.complete("hello", 0.7) == Completion("ok", 3, 4)
+        assert json.loads(requests[0].data) == {"prompt": "hello", "temperature": 0.7}
         self._replying(monkeypatch, b'{"text": "ok"}')
-        assert client.complete("hello") == Completion("ok", 0, 0)
+        assert client.complete("hello", 0.2) == Completion("ok", 0, 0)
 
     @pytest.mark.parametrize("body", [
         b"[]", b'"hi"', b'{"text": "x", "usage": null}', b"{not json",
@@ -816,7 +817,7 @@ class TestClient:
         sleeps = []
         client = HttpChatClient("http://localhost:1/x", sleeper=sleeps.append)
         with pytest.raises(ClientError, match="after 3 attempts"):
-            client.complete("hello")
+            client.complete("hello", 0.2)
         assert len(requests) == 3
         assert sleeps == [1.0, 2.0]
 
@@ -829,7 +830,7 @@ class TestOracleOutage:
     def _garbled_oracle():
         from symdrift.mental.oracles import LLMOracle
 
-        return LLMOracle(StubClient(["garbled"] * 100), "E {expression} {entry}",
+        return LLMOracle(StubClient(["garbled"] * 100), 0.2, "E {expression} {entry}",
                          "C {expression} {entry}")
 
     def test_naive_run_raises(self, synthetic_batch, resources):

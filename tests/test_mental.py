@@ -270,28 +270,28 @@ class TestLexiconOracle:
 class TestLLMOracle:
     def test_cached_pair_not_requeried(self):
         stub = StubClient(replies=["yes"])
-        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, 0.2, "E {expression} {entry}", "C {expression} {entry}")
         assert oracle.equiv("a", ("b",))
         assert oracle.equiv("a", ("b",))  # would exhaust the stub if re-asked
         assert len(stub.prompts) == 1
 
     def test_malformed_reply_retries_once_then_fails(self):
         stub = StubClient(replies=["garbled", "nonsense"])
-        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, 0.2, "E {expression} {entry}", "C {expression} {entry}")
         with pytest.raises(OracleFailure):
             oracle.equiv("a", ("b",))
         assert len(stub.prompts) == 2
 
     def test_conflict_reply_parsing(self):
         stub = StubClient(replies=["yes show | popular"])
-        oracle = LLMOracle(stub, "E", "C {expression} {entry}")
+        oracle = LLMOracle(stub, 0.2, "E", "C {expression} {entry}")
         assert oracle.conflict("popular show", ("show",)) == ("show", "popular")
 
     def test_usage_accumulates(self):
         """Each distinct question reaches the client once, rendered from its
         own template."""
         stub = StubClient(replies=["yes", "no", "no"])
-        oracle = LLMOracle(stub, "E {expression} {entry}", "C {expression} {entry}")
+        oracle = LLMOracle(stub, 0.2, "E {expression} {entry}", "C {expression} {entry}")
         oracle.equiv("a", ("b",))
         oracle.equiv("c", ("d",))
         oracle.conflict("e", ("f",))
@@ -314,8 +314,8 @@ class TestTranslateWithMental:
         d = self._diversified_fixture(resources)
         program, table, trace = translate_with_mental(
             d.problem, propose_from_templates(d.problem), oracle)
-        names = {program.registry.name_of(s)
-                 for s in program.registry.symbols("predicate")}
+        names = {i.name for i in map(program.registry.info, program.registry.symbols())
+                 if i.kind == "predicate"}
         assert names == {"Kind", "Smart"}
         open_world = type(program)(program.registry, program.premises,
                                    program.query, "open_world")
@@ -325,8 +325,8 @@ class TestTranslateWithMental:
         d = self._diversified_fixture(resources)
         translator = NaiveTranslator()
         output = translator.translate(d)
-        names = {output.program.registry.name_of(s)
-                 for s in output.program.registry.symbols("predicate")}
+        registry = output.program.registry
+        names = {i.name for i in map(registry.info, registry.symbols()) if i.kind == "predicate"}
         assert len(names) > 2  # distinct symbols for kind and its variant
         open_world = type(output.program)(
             output.program.registry, output.program.premises,

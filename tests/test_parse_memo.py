@@ -5,6 +5,8 @@ to itself, and the closed world refuses a non-Horn premise."""
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -89,17 +91,17 @@ def _outcome(parse, text: str, registry: SymbolRegistry):
     except Exception as exc:  # compared by type and message
         result = ("error", type(exc), str(exc))
     state = [(sid, registry.info(sid)) for sid in registry.symbols()]
-    next_id = registry.copy().declare("Fresh_", 0, "constant")
+    next_id = deepcopy(registry).declare("Fresh_", 0, "constant")
     return result, state, next_id
 
 
 @settings(max_examples=400, deadline=None)
 @given(text=parse_inputs(), registry=registries())
 def test_memoized_parse_matches_reference(text, registry):
-    expected = _outcome(reference_parse, text, registry.copy())
+    expected = _outcome(reference_parse, text, deepcopy(registry))
     # The first call may fill the memo; the second reads it.
-    assert _outcome(parse_formula, text, registry.copy()) == expected
-    assert _outcome(parse_formula, text, registry.copy()) == expected
+    assert _outcome(parse_formula, text, deepcopy(registry)) == expected
+    assert _outcome(parse_formula, text, deepcopy(registry)) == expected
 
 
 def test_arity_clash_on_prepopulated_registry():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from copy import deepcopy
 
 import pytest
 
@@ -155,7 +156,7 @@ def test_wrapped_functions_are_reached_through_module_globals(cold_memos, monkey
             if f in held:
                 continue
             expected += 1
-            alloc = SkolemAllocator(p.registry.copy())
+            alloc = SkolemAllocator(deepcopy(p.registry))
             to_cnf(f, alloc)
             if alloc.allocated:
                 skolemizing += 1
@@ -240,12 +241,12 @@ def test_a_conversion_does_not_depend_on_earlier_ones(cold_memos, text):
     f = parse_formula(text, registry)
     others = [parse_formula(t, registry) for t in
               ("all x all y (R(x, y) -> R(y, x))", "all z (Q(z) | ~P(z))", "R(a, b)")]
-    fresh = to_cnf(f, SkolemAllocator(registry.copy()))
-    late = SkolemAllocator(registry.copy())
+    fresh = to_cnf(f, SkolemAllocator(deepcopy(registry)))
+    late = SkolemAllocator(deepcopy(registry))
     for other in others:
         to_cnf(other, late)
     assert to_cnf(f, late) == fresh
-    served = resolution._clausify(f, SkolemAllocator(registry.copy()))
+    served = resolution._clausify(f, SkolemAllocator(deepcopy(registry)))
     assert served is resolution._CLAUSIFIED[f]
     assert served == _canonical(fresh)
     assert resolution._clausify(f, late) is served

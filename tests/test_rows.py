@@ -276,7 +276,7 @@ def load(kind: str, row, first, workdir: Path):
     if kind == "reply":
         body = json.dumps(row).encode("utf-8")
         with mock.patch("urllib.request.urlopen", lambda request, timeout: io.BytesIO(body)):
-            return HttpChatClient("http://localhost:1/x", sleeper=lambda s: None).complete("q")
+            return HttpChatClient("http://localhost:1/x", sleeper=lambda s: None).complete("q", 0.2)
     path = workdir / ("traces.jsonl" if kind == "trace" else f"{kind}.jsonl")
     path.write_text(json.dumps(first) + "\n" + json.dumps(row) + "\n")
     if kind == "record":

@@ -195,14 +195,13 @@ def test_construction_raises_the_checks_text(build, text):
 FRESH_DEFAULTS = [
     (lambda: TranslationRecord("p0", "true", parse_error="bad"),
      ("options", "alignment", "span_symbols", "alignment_misses")),
-    (lambda: SdsResult(None, 0, 0, 0), ("per_problem",)),
     (lambda: CSPSpec(["A"]), ("constraints",)),
-    (lambda: AssemblyResult([]), ("provenance",)),
+    (AssemblyResult, ("chosen", "provenance")),
 ]
 
 
 @pytest.mark.parametrize("build, names", FRESH_DEFAULTS,
-                         ids=["TranslationRecord", "SdsResult", "CSPSpec", "AssemblyResult"])
+                         ids=["TranslationRecord", "CSPSpec", "AssemblyResult"])
 def test_default_built_values_share_no_list_or_dict(build, names):
     first, second = build(), build()
     for name in names:
@@ -218,7 +217,7 @@ def test_default_built_values_share_no_list_or_dict(build, names):
 FROZEN = [
     (LogicProgram(SymbolRegistry(), (), ATOM), "query"),
     (Problem("p0", (), TextUnit("Is Anne kind?", ()), "true", "proofwriter"), "sentences"),
-    (SdsResult(0.0, 1, 0, 0), "per_problem"),
+    (SdsResult(0.0, 1, 0, 0, {}), "per_problem"),
     (Verdict("proved"), "value"),
     (Constraint("LeftOf", ("A", "B")), "args"),
     (Option("A", 1), "position"),
