@@ -64,6 +64,10 @@ class DiversifyConfig(_DiversifyFields):
         """Checks the value `__new__` built; `_replace` builds without it."""
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+        level = self.intensity  # what `parse_intensity` can return; a bool is no count
+        if not (type(level) is int and level >= 0 or type(level) is float and 0 <= level <= 1):
+            raise ValueError(f"intensity must be a sentence count or a fraction in [0, 1], "
+                             f"got {level!r}")
 
 
 _COUNT = re.compile(r"\d+\Z")
@@ -91,28 +95,6 @@ def sentence_count(level: int | float, n_sentences: int) -> int:
     if isinstance(level, int):
         return min(level, n_sentences)
     return round(level * n_sentences)
-
-
-def _splice(unit: TextUnit, chosen: list[tuple[str, object, str]]) -> Candidate:
-    """Rebuild the sentence with per-site replacement surfaces.
-
-    `chosen` rows are (concept id, occurrence, replacement surface); sites are
-    non-overlapping and sorted by position.
-    """
-    text = unit.text
-    out = []
-    sites = []
-    cursor = 0
-    offset = 0
-    for cid, occ, surface in chosen:
-        out.append(text[cursor:occ.char_start])
-        start = occ.char_start + offset
-        out.append(surface)
-        sites.append(CandidateSite(cid, surface, start, start + len(surface)))
-        offset += len(surface) - (occ.char_end - occ.char_start)
-        cursor = occ.char_end
-    out.append(text[cursor:])
-    return Candidate("".join(out), tuple(sites))
 
 
 def _site_options(cid: str, occ, variants: VariantSet, pos: str) -> list[str]:
@@ -159,12 +141,12 @@ class CandidatePool:
     first `MAX_CANDIDATES_PER_UNIT` combinations of site options in product
     order (the first, every site's original surface, is the original), then
     the sentence rewrites. A candidate is addressed by its raw index, its
-    place in that order before duplicates are dropped; a combination's text
-    is spliced only when it is asked for."""
+    place in that order before duplicates are dropped. The unit's text is cut
+    once, into the gaps between sites: a combination is spliced from them
+    only when it is asked for, and twin texts are found by matching them."""
 
     def __init__(self, unit: TextUnit, site_rows: SiteRows, options: list[list[str]],
                  rewrites: Sequence[Candidate] = ()) -> None:
-        self.unit = unit
         self.site_rows = site_rows
         self.options = options
         self.rewrites = rewrites
@@ -186,8 +168,11 @@ class CandidatePool:
         for opts in reversed(self.options):
             index, digit = divmod(index, len(opts))
             surfaces.append(opts[digit])
-        return _splice(self.unit, [(cid, occ, surface) for (cid, occ), surface
-                                   in zip(self.site_rows, reversed(surfaces))])
+        text, sites = self._gaps[0], []
+        for (cid, _occ), surface, gap in zip(self.site_rows, reversed(surfaces), self._gaps[1:]):
+            sites.append(CandidateSite(cid, surface, len(text), len(text) + len(surface)))
+            text += surface + gap
+        return Candidate(text, tuple(sites))
 
     def repeats(self, index: int, text: str) -> bool:
         """Whether a candidate before raw `index` has the text `text`."""

@@ -48,10 +48,6 @@ class NameCollision(FolError):
     pass
 
 
-class FreeVariableError(FolError):
-    pass
-
-
 class UnsupportedSkolemFunction(FolError):
     """An existential quantifier occurs under a universal one (fragment limit)."""
 

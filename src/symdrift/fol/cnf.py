@@ -30,7 +30,6 @@ from .terms import (
     SymbolRegistry,
     Term,
     Var,
-    require_closed,
 )
 
 
@@ -180,7 +179,6 @@ def to_cnf(f: Formula, alloc: SkolemAllocator) -> list[Clause]:
     converting several formulas into one refutation problem share `alloc`, so
     that Skolem constants never collide; its `allocated` list records the
     constants each conversion introduced."""
-    require_closed(f)
     stripped = _skolemize(to_nnf(f, negate=False), {}, under_universal=False,
                           alloc=alloc, universals=count())
     out: list[Clause] = []

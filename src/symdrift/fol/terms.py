@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from ..errors import (
     ArityMismatch,
-    FreeVariableError,
     NameCollision,
     NotHorn,
     UnknownSymbol,
@@ -256,12 +255,6 @@ def type_check(f: Formula, registry: SymbolRegistry) -> None:
                     )
 
 
-def require_closed(f: Formula) -> None:
-    fv = free_variables(f)
-    if fv:
-        raise FreeVariableError(f"free variables {sorted(fv)} in sentence-level formula")
-
-
 # ---------------------------------------------------------------------------
 # Logic programs
 
@@ -273,11 +266,11 @@ class LogicProgram(NamedTuple):
     semantics_mode: str = OPEN_WORLD
 
     def validate(self) -> "LogicProgram":
-        """Type-check every formula against the registry, require closed
-        sentences, then `check_world`."""
+        """Type-check every formula against the registry, then `check_world`.
+        Every formula is a sentence already: the parser reads an argument no
+        quantifier binds as a constant."""
         for f in (*self.premises, self.query):
             type_check(f, self.registry)
-            require_closed(f)
         return self.check_world()
 
     def check_world(self) -> "LogicProgram":

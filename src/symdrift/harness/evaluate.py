@@ -29,11 +29,11 @@ from ..diversify.resources import Resources
 from ..errors import (
     EmptyDataset,
     FolError,
-    MentalError,
     MissingGold,
-    OracleFailure,
+    NotHorn,
     SolverError,
     SolverMismatch,
+    TranslationFailure,
 )
 from ..fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, Not, OPEN_WORLD
 from ..metrics.records import TranslationRecord
@@ -140,13 +140,12 @@ def normalize_items(items: list[Problem | DiversifiedProblem],
 
 
 def translate_one(item: DiversifiedProblem, translator) -> TranslationRecord:
-    """Translate one problem; a translation that fails is a parse error. An
-    oracle that fails is an outage, not a translation error, and propagates."""
+    """Translate one problem: the one place a translation that raises (no
+    template, no gold, a failed table, formula or world check) becomes a
+    parse-error record. An oracle that fails is an outage and propagates."""
     try:
         return translator.translate(item)
-    except OracleFailure:
-        raise
-    except (MentalError, MissingGold, FolError) as exc:
+    except (TranslationFailure, MissingGold, FolError, NotHorn) as exc:
         return translation_record(item.problem, parse_error=str(exc))
 
 

@@ -1,10 +1,11 @@
 """Translator implementations: gold, naive, split-adversary, and LLM-backed.
 
-Every `translate()` returns an unsolved `TranslationRecord`: the program (or
-a parse failure), the span-to-symbol ledger that `align_symbols` joins with
-the diversification provenance, any answer options, and the rendered table
-and trace of table-guided translation. `harness.evaluate.solve_one` fills in
-the rest.
+Every `translate()` returns an unsolved `TranslationRecord`: the program, the
+span-to-symbol ledger that `align_symbols` joins with the diversification
+provenance, any answer options, and the rendered table and trace of
+table-guided translation. `harness.evaluate.solve_one` fills in the rest. A
+translation that fails raises, and `harness.evaluate.translate_one` records
+it; the `llm` translator records its own, keeping the reply and its tokens.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 
 from ..diversify.resources import Resources
-from ..errors import FolError, MissingGold, NotHorn, OracleFailure, TranslationFailure
+from ..errors import MissingGold, OracleFailure, TranslationFailure
 from ..fol.parser import parse_program
 from ..fol.terms import (
     CONSTANT,
@@ -69,8 +70,7 @@ def propose_from_templates(p: Problem) -> list[Proposal]:
     constant; raises TranslationFailure on the first unit no form's text covers."""
     proposals = []
     for unit_index, unit in p.units():
-        is_query = unit_index == QUESTION_UNIT
-        for pattern, skeleton, slots in _READINGS[is_query]:
+        for pattern, skeleton, slots in _READINGS[unit_index == QUESTION_UNIT]:
             m = pattern.fullmatch(unit.text)
             if m:
                 break
@@ -82,7 +82,7 @@ def propose_from_templates(p: Problem) -> list[Proposal]:
             skeleton, anchors = skeleton.format(name=subject), ((*m.span(NAME), subject),)
         proposals.append(Proposal(
             unit=unit_index, skeleton=skeleton, slots=tuple(map(m.group, slots)),
-            is_query=is_query, slot_spans=tuple(map(m.span, slots)), anchors=anchors))
+            slot_spans=tuple(map(m.span, slots)), anchors=anchors))
     return proposals
 
 
@@ -102,13 +102,9 @@ def _ledger(proposals: list[Proposal], table: MentalTable) -> dict[SpanKey, str]
 def _table_guided(problem: Problem, proposals: list[Proposal],
                   oracle: EquivalenceOracle | None, **usage) -> TranslationRecord:
     """The record of `problem` translated from `proposals` through the table
-    (`oracle` None reproduces the drift-prone baseline). This is the one place
-    a build that fails, on the table, a formula or the world's check, becomes
-    a record with a parse error."""
-    try:
-        program, table, trace = translate_with_mental(problem, proposals, oracle)
-    except (TranslationFailure, FolError, NotHorn) as exc:
-        return translation_record(problem, parse_error=str(exc), **usage)
+    (`oracle` None reproduces the drift-prone baseline). A build that fails,
+    on the table, a formula or the world's check, raises."""
+    program, table, trace = translate_with_mental(problem, proposals, oracle)
     return translation_record(problem, table, program=program, mental_trace=trace,
                               span_symbols=_ledger(proposals, table), **usage)
 
@@ -122,11 +118,7 @@ class NaiveTranslator:
 
     def translate(self, item: DiversifiedProblem) -> TranslationRecord:
         problem = item.problem
-        try:
-            proposals = propose_from_templates(problem)
-        except TranslationFailure as exc:
-            return translation_record(problem, parse_error=str(exc))
-        return _table_guided(problem, proposals, self.oracle)
+        return _table_guided(problem, propose_from_templates(problem), self.oracle)
 
 
 def _require_gold(problem: Problem) -> LogicProgram:
@@ -332,7 +324,7 @@ class LLMTranslator:
             return translation_record(problem, program=program, **usage)
         except OracleFailure:
             raise
-        except Exception as exc:
+        except Exception as exc:  # any garbled reply; recorded here to keep `usage`
             return translation_record(problem, parse_error=str(exc), **usage)
 
 
@@ -360,7 +352,6 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
             unit=QUESTION_UNIT if pm.group("query") else int(pm.group("unit")),
             skeleton=pm.group("skeleton").strip(),
             slots=slots,
-            is_query=bool(pm.group("query")),
         ))
     if not proposals:
         raise TranslationFailure("reply contains no proposal lines")

@@ -148,8 +148,8 @@ def _resolve_modifier(st: TranslationState, modifier_text: str,
 
 
 class Proposal(NamedTuple):
-    """One unit's translation sketch: a formula over Slot0..SlotN predicate
-    placeholders plus the surface expression behind each slot.
+    """One unit's translation sketch (`QUESTION_UNIT` is the question's): a
+    formula over Slot0..SlotN placeholder predicates and each slot's surface.
 
     `slot_spans` carries the char span of each slot surface in the unit text
     and `anchors` the (span, symbol name) of terms the translator resolved
@@ -158,7 +158,6 @@ class Proposal(NamedTuple):
     unit: int
     skeleton: str  # canonical-dialect text using SlotK placeholder predicates
     slots: tuple[str, ...]
-    is_query: bool = False
     slot_spans: tuple[tuple[int, int], ...] = ()
     anchors: tuple[tuple[int, int, str], ...] = ()
 
@@ -244,7 +243,7 @@ def translate_with_mental(problem: Problem, proposals: list[Proposal],
     query = None
     for proposal, skeleton, norms in units:
         formula = instantiate(skeleton, [renderings[norm] for norm in norms], registry)
-        if proposal.is_query or proposal.unit == QUESTION_UNIT:
+        if proposal.unit == QUESTION_UNIT:
             query = formula
         else:
             premises.append(formula)

@@ -85,8 +85,8 @@ def _holds(c: Constraint, pos: dict[str, int]) -> bool:
 
 def iter_solutions(spec: CSPSpec):
     """Yield every assignment of distinct positions that satisfies the
-    constraints, in lexicographic order of the objects' positions."""
-    spec.validate()
+    constraints, in lexicographic order of the objects' positions, of a spec
+    `solve_csp` has validated."""
     for perm in permutations(spec.positions):
         pos = dict(zip(spec.objects, perm))
         if all(_holds(c, pos) for c in spec.constraints):

@@ -18,7 +18,6 @@ from symdrift.diversify.pipeline import (
     CandidatePool,
     CandidateSite,
     _site_options,
-    _splice,
     eligible_units,
 )
 from symdrift.diversify.resources import Resources
@@ -637,6 +636,21 @@ def _reference_rewrite_candidates(unit: TextUnit, unit_index: int,
     return out
 
 
+def reference_splice(unit: TextUnit, chosen: list[tuple[str, object, str]]) -> Candidate:
+    """The unit's text with each (concept id, occurrence, surface) row's
+    occurrence replaced by its surface, cut from the occurrences themselves;
+    rows are non-overlapping and sorted by position."""
+    text, out, sites, cursor = unit.text, [], [], 0
+    for cid, occ, surface in chosen:
+        out.append(text[cursor:occ.char_start])
+        start = sum(map(len, out))
+        out.append(surface)
+        sites.append(CandidateSite(cid, surface, start, start + len(surface)))
+        cursor = occ.char_end
+    out.append(text[cursor:])
+    return Candidate("".join(out), tuple(sites))
+
+
 def reference_raw_candidates(unit: TextUnit, unit_index: int, inventory: ConceptInventory,
                              variants: VariantSet) -> list[Candidate]:
     """The first `MAX_CANDIDATES_PER_UNIT` combinations of site options in
@@ -649,7 +663,8 @@ def reference_raw_candidates(unit: TextUnit, unit_index: int, inventory: Concept
         combos = [prefix + [opt] for prefix in combos for opt in options]
         if len(combos) > MAX_CANDIDATES_PER_UNIT:
             combos = combos[:MAX_CANDIDATES_PER_UNIT]
-    spliced = [_splice(unit, [(cid, occ, surface) for (cid, occ), surface in zip(site_rows, combo)])
+    spliced = [reference_splice(unit, [(cid, occ, surface)
+                                       for (cid, occ), surface in zip(site_rows, combo)])
                for combo in combos]
     return spliced + _reference_rewrite_candidates(unit, unit_index, inventory)
 
@@ -717,7 +732,7 @@ def reference_diversify_choice(p: Problem, theta: float, k: int,
         else:
             sites = reference_unit_sites(inventory, unit_index)
             per_unit[unit_index] = [
-                _splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])]
+                reference_splice(unit, [(cid, occ, occ.surface) for cid, occ in sites])]
     chosen, provenance = _reference_assemble(per_unit)
     order = sorted(per_unit, key=lambda u: (u == QUESTION_UNIT, u))
     return {u: c.text for u, c in zip(order, chosen)}, provenance
@@ -1195,7 +1210,7 @@ def reference_translate_with_mental(problem: Problem, proposals: list[Proposal],
             if steps is not None:
                 steps.append((state, resolved[k]))
         state, formula = reference_instantiate(proposal, resolved, state)
-        if proposal.is_query or proposal.unit == QUESTION_UNIT:
+        if proposal.unit == QUESTION_UNIT:
             state = replace(state, query=formula)
         else:
             state = replace(state, premises=state.premises + (formula,))
@@ -1298,7 +1313,6 @@ def reference_propose_from_templates(p: Problem) -> list[Proposal]:
                 unit=unit_index,
                 skeleton=f"{negation}Slot0({subject})",
                 slots=(m.group("attr"),),
-                is_query=is_query,
                 slot_spans=(m.span("attr"),),
                 anchors=((*m.span("subj"), subject),),
             ))

@@ -188,7 +188,7 @@ def test_criterion_7_refinement_soundness(resources):
                 proposals.append(Proposal(unit, f"{negation}Slot0({rng.choice(('Idol', 'Gala'))})",
                                           (rng.choice(surfaces),)))
         proposals.append(Proposal(QUESTION_UNIT, f"Slot0({rng.choice(('Idol', 'Gala'))})",
-                                  (rng.choice(surfaces),), is_query=True))
+                                  (rng.choice(surfaces),)))
         routed = [surface for p in proposals for surface in p.slots]
         if "popular show" in routed and "show" in routed:
             orders.add(routed.index("popular show") < routed.index("show"))

@@ -239,7 +239,7 @@ class TestGenerateCandidates:
         p, inv, variants, scorer = self._setup(
             resources, ["Anne is kind.", "All kind people are smart."])
         # Each unit keeps only its original; unit 1 gets three hand rewrites.
-        pools = {u: CandidatePool(pool.unit, pool.site_rows, [opts[:1] for opts in pool.options])
+        pools = {u: CandidatePool(p.unit(u), pool.site_rows, [opts[:1] for opts in pool.options])
                  for u, pool in self._pools(p, inv, variants).items()}
         rewrites = []
         for text, surface in (("If someone is benevolent, then they are smart.", "benevolent"),
@@ -248,7 +248,7 @@ class TestGenerateCandidates:
             start = text.index(surface)
             rewrites.append(Candidate(text, (CandidateSite("kind", surface, start,
                                                            start + len(surface)),)))
-        pools[1] = CandidatePool(pools[1].unit, pools[1].site_rows, pools[1].options, rewrites)
+        pools[1] = CandidatePool(p.unit(1), pools[1].site_rows, pools[1].options, rewrites)
         chosen, sizes = [], []
         for theta in (0.3, 0.6, 0.9, 1.0):
             asked = []

@@ -190,9 +190,10 @@ def test_lazy_choice_passes_over_a_cheaper_twin(monkeypatch, scorer_for):
 
 
 def test_splices_only_what_assembly_asks_about(generated, resources, monkeypatch):
-    """At full intensity `_splice` runs at most once per `accept` call, once
-    per unit (its choice, when no candidate was accepted), and once per
-    duplicate passed over; the eager pool spliced every combination."""
+    """At full intensity a pool's `candidate` runs at most once per `accept`
+    call, once per unit (its choice, when no candidate was accepted), and
+    once per duplicate passed over; the eager pool spliced every
+    combination."""
     units = duplicates = raw_size = 0
     for p in generated:
         inventory = reference_identify_repeated(p)
@@ -205,14 +206,14 @@ def test_splices_only_what_assembly_asks_about(generated, resources, monkeypatch
     scorer = CountingScorer(make_scorer("fallback", lexicon=resources.synonyms))
     monkeypatch.setattr(pipeline, "make_scorer", lambda *a, **k: scorer)
     splices = 0
-    splice = pipeline._splice
+    candidate = CandidatePool.candidate
 
-    def counting_splice(*args):
+    def counting_candidate(pool, index):
         nonlocal splices
         splices += 1
-        return splice(*args)
+        return candidate(pool, index)
 
-    monkeypatch.setattr(pipeline, "_splice", counting_splice)
+    monkeypatch.setattr(CandidatePool, "candidate", counting_candidate)
     for p in generated:
         diversify_problem(p, DiversifyConfig(resources=resources))
     assert 0 < splices <= scorer.calls + units + duplicates < raw_size

@@ -252,7 +252,7 @@ def _refined(*proposals):
     units = [Proposal(unit, skeleton, (surface,)) for unit, (skeleton, surface)
              in enumerate(proposals[:-1])]
     skeleton, surface = proposals[-1]
-    units.append(Proposal(QUESTION_UNIT, skeleton, (surface,), is_query=True))
+    units.append(Proposal(QUESTION_UNIT, skeleton, (surface,)))
     problem = Problem(id="r", sentences=(), question=TextUnit.from_text("?"),
                       gold_answer="proved", task_kind="folio")
     program, _, _ = translate_with_mental(problem, units, oracle)

@@ -22,7 +22,13 @@ from symdrift.fol.terms import Not
 from symdrift.harness.client import Completion, HttpChatClient
 from symdrift.harness.config import SyntheticConfig, TranslatorConfig
 from symdrift.harness.datasets import load_dataset, problem_to_json, save_dataset
-from symdrift.harness.evaluate import ALLOWED_SOLVERS, normalize_items, run_evaluation, solver_for
+from symdrift.harness.evaluate import (
+    ALLOWED_SOLVERS,
+    normalize_items,
+    run_evaluation,
+    solver_for,
+    translate_one,
+)
 from symdrift.harness.prompts import PromptLibrary
 from symdrift.harness.serialize import record_from_json, record_to_json
 from symdrift.harness.sft import export_sft_traces
@@ -35,6 +41,7 @@ from symdrift.harness.translators import (
     extract_csp_block,
     extract_program_block,
     make_translator,
+    parse_proposal_lines,
 )
 from symdrift.mental.oracles import LexiconOracle
 from symdrift.problem import Problem, TextUnit
@@ -232,9 +239,9 @@ class TestTranslators:
         p = Problem(id="x", sentences=(TextUnit.from_text("Gibberish beyond grammar!"),),
                     question=TextUnit.from_text("Is Anne kind?"),
                     gold_answer="true", task_kind="proofwriter")
-        output = NaiveTranslator().translate(as_item(p, resources))
+        output = translate_one(as_item(p, resources), NaiveTranslator())
         assert output.program is None
-        assert "no template" in output.parse_error
+        assert output.parse_error == "no template matches unit 0: 'Gibberish beyond grammar!'"
 
 
 class TestExtraction:
@@ -301,6 +308,25 @@ class TestLLMTranslator:
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
         output = translator.translate(as_item(self._problem()))
         assert output.program is None and output.parse_error
+
+    @pytest.mark.parametrize("mental, reply, error", [
+        (False, "sorry, no logic today", "reply contains no fenced program block"),
+        (True, "```\nunit 0: Slot0(Anne | kind\nquery: Slot0(Anne) | kind\n```",
+         "unusable skeleton 'Slot0(Anne': "),
+    ], ids=["no-fence", "mental-unusable-skeleton"])
+    def test_failed_reply_keeps_its_raw_output_and_tokens(self, resources, mental, reply,
+                                                           error):
+        cfg = TranslatorConfig(kind="llm", mental=mental)
+        oracle = LexiconOracle(resources.synonyms) if mental else None
+        translator = LLMTranslator(cfg, StubClient(replies=[Completion(reply, 11, 5)]),
+                                   PromptLibrary.load(), oracle=oracle)
+        record = translate_one(as_item(self._problem(), resources), translator)
+        assert record.program is None and record.parse_error.startswith(error)
+        assert (record.raw_output, record.tokens_in, record.tokens_out) == (reply, 11, 5)
+
+    def test_a_unit_minus_one_line_is_the_query_line(self):
+        assert parse_proposal_lines("unit -1: Slot0(Anne) | kind") == \
+            parse_proposal_lines("query: Slot0(Anne) | kind")
 
     def test_token_totals_equal_stub_sums(self, resources):
         replies = [Completion("```\npremise: Kind(Anne)\nquery: Kind(Anne)\n```", 7, 3)

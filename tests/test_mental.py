@@ -80,7 +80,7 @@ class TestProcessExpression:
 
     def test_atom_after_compound_retroactively_rewrites(self, oracle):
         proposals = [Proposal(0, "Slot0(Idol)", ("popular show",)),
-                     Proposal(QUESTION_UNIT, "Slot0(Idol)", ("show",), is_query=True)]
+                     Proposal(QUESTION_UNIT, "Slot0(Idol)", ("show",))]
         program, table, trace = translate_with_mental(OPEN_PROBLEM, proposals, oracle)
         assert render_program(program) == ("Popular(Idol) & Show(Idol)", "Show(Idol)")
         assert program.registry.lookup("PopularShow", "predicate") is None
@@ -152,7 +152,7 @@ class TestRefinementFromTheFinalTable:
         proposals = [
             Proposal(0, "all x (Slot0(x) -> Slot1(x))", ("popular show", "show"),
                      slot_spans=((0, 12), (13, 17))),
-            Proposal(QUESTION_UNIT, "Slot0(Idol)", ("popular show",), is_query=True,
+            Proposal(QUESTION_UNIT, "Slot0(Idol)", ("popular show",),
                      slot_spans=((0, 12),)),
         ]
         program, table, _ = translate_with_mental(OPEN_PROBLEM, proposals, oracle)
@@ -200,7 +200,7 @@ class TestRefinementFromTheFinalTable:
                 return ("good", "kind") if (e, expressions) == ("good", ("kind",)) else None
 
         proposals = [Proposal(0, "Slot0(Anne)", ("kind",)),
-                     Proposal(QUESTION_UNIT, "Slot0(Anne)", ("good",), is_query=True)]
+                     Proposal(QUESTION_UNIT, "Slot0(Anne)", ("good",))]
         with pytest.raises(TranslationFailure, match="decomposition cycle Kind -> Kind"):
             translate_with_mental(OPEN_PROBLEM, proposals, CyclingOracle())
 

@@ -99,7 +99,7 @@ def make_proposals(rng: random.Random, resources) -> list[Proposal]:
                 make_expression(rng, bases, modifiers) for _ in range(2)),
                 slot_spans=((0, 1), (1, 2))))
     proposals.append(Proposal(QUESTION_UNIT, "~Slot0(Anne)",
-                              (make_expression(rng, bases, modifiers),), is_query=True,
+                              (make_expression(rng, bases, modifiers),),
                               slot_spans=((0, 1),)))
     return proposals
 
@@ -154,7 +154,7 @@ def _slot_atoms_match(program: LogicProgram, proposals: list[Proposal], symbols_
     `make_proposals` holds Slot0, Slot1, ... once each, in order)."""
     premises = iter(program.premises)
     for proposal in proposals:
-        formula = program.query if proposal.is_query else next(premises)
+        formula = program.query if proposal.unit == QUESTION_UNIT else next(premises)
         expected = [name for k in range(len(proposal.slots))
                     for name in (symbols_of(proposal, k) or [None])]
         if [program.registry.name_of(a.pred) for a in walk_atoms(formula)] != expected:
@@ -247,10 +247,10 @@ def test_routing_matches_reference_through_refinement(oracles, resources):
     table decomposed; only there may the programs differ."""
     fixed = [
         [Proposal(0, "Slot0(Anne)", ("Popular  Show",), slot_spans=((0, 1),)),
-         Proposal(QUESTION_UNIT, "Slot0(Anne)", ("show",), is_query=True,
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", ("show",),
                   slot_spans=((0, 1),))],
         [Proposal(0, "Slot0(Anne)", ("show",), slot_spans=((0, 1),)),
-         Proposal(QUESTION_UNIT, "Slot0(Anne)", (" popular SHOW",), is_query=True,
+         Proposal(QUESTION_UNIT, "Slot0(Anne)", (" popular SHOW",),
                   slot_spans=((0, 1),))],
     ]
     decisions = []
@@ -313,7 +313,7 @@ def test_naive_records_equal_the_reference(diversified_seed7, resources, mental)
 def _proposal_reply(proposals: list[Proposal]) -> str:
     lines = []
     for p in proposals:
-        head = "query" if p.is_query else f"unit {p.unit}"
+        head = "query" if p.unit == QUESTION_UNIT else f"unit {p.unit}"
         lines.append(f"{head}: {p.skeleton} | " + " | ".join(p.slots))
     return "```\n" + "\n".join(lines) + "\n```"
 

@@ -7,7 +7,9 @@ body imports nothing, except for the deliberate lazy imports in
 `harness/`, the top of the pipeline. Every module imports on its own in a
 fresh interpreter, so no import cycle hides behind a load order. No module
 imports `dataclasses`: a value type is a named tuple or a slotted class,
-which a start does not pay to generate code for.
+which a start does not pay to generate code for. A failed translation
+becomes a record in one place, `evaluate.translate_one`, besides the `llm`
+translator's own and the reader of saved records (`PARSE_ERROR_RECORDS`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ LAZY_IMPORTS = {
         "threads load only for a run with more than one worker",
     ("fol/terms.py", "_text", "symdrift.fol.render.render_formula"):
         "the renderer imports `terms`, so `terms` reads it at call time",
+}
+
+# (module, function) -> why it builds a record with a parse error.
+PARSE_ERROR_RECORDS = {
+    ("harness/evaluate.py", "translate_one"):
+        "the one place a translation that raised becomes a record",
+    ("harness/translators.py", "LLMTranslator.translate"):
+        "a failed reply keeps its raw output and token counts",
+    ("harness/serialize.py", "record_from_json"):
+        "a saved record is read back as it was written",
 }
 
 
@@ -89,6 +101,30 @@ def test_only_the_harness_imports_the_harness():
               and any(f"{name}.".startswith("symdrift.harness.")
                       for name in _imported(module, node))]
     assert upward == []
+
+
+def _calls(node: ast.AST, scope: str = ""):
+    """(qualified name of the innermost enclosing def, call) for every call
+    under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls(child, scope)
+
+
+def test_parse_error_records_are_built_in_their_homes():
+    found = set()
+    for module, tree in _trees():
+        for scope, call in _calls(tree):
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if (callee in ("translation_record", "TranslationRecord")
+                    and any(k.arg == "parse_error" for k in call.keywords)):
+                found.add((module, scope))
+    # Equal, not a subset: a home that stops building them leaves the list too.
+    assert found == set(PARSE_ERROR_RECORDS)
 
 
 def test_no_module_imports_dataclasses():

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -286,23 +287,37 @@ def load(kind: str, row, first, workdir: Path):
     return load_dataset(path)
 
 
-@pytest.fixture(scope="module")
-def cases(rows, tmp_path_factory):
-    """Every (kind, row, path) to change, the valid first line of each kind
-    (a solved trace, so that an export never runs out of rows) and a
+class Cases(NamedTuple):
+    """Every (row, path) to change by kind, the valid first line of each
+    kind (a solved trace, so that an export never runs out of rows) and a
     directory to write the changed files in."""
+    by_kind: dict[str, list[tuple[dict, tuple]]]
+    first: dict[str, dict]
+    workdir: Path
+
+    def __repr__(self) -> str:
+        # A falsifying example prints its arguments, and hypothesis parses
+        # that text to write a patch: every row in it took gigabytes.
+        return f"Cases({sum(map(len, self.by_kind.values()))} changes)"
+
+
+@pytest.fixture(scope="module")
+def cases(rows, tmp_path_factory) -> Cases:
     first = {kind: next(r for r in found if kind != "trace" or r["correct"])
              for kind, found in rows.items()}
-    every = [(kind, row, path) for kind, found in rows.items() for row in found
-             for path in paths(row)]
-    return every, first, tmp_path_factory.mktemp("fuzz")
+    by_kind = {kind: [(row, path) for row in found for path in paths(row)]
+               for kind, found in rows.items()}
+    return Cases(by_kind, first, tmp_path_factory.mktemp("fuzz"))
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_one_changed_field_loads_or_is_a_format_error_naming_it(cases, data):
-    every, first, workdir = cases
-    kind, row, path = data.draw(st.sampled_from(every), label="case")
+    """The kind is drawn first, uniformly, so that a kind with few paths
+    (a reply has a handful, a record thousands) is changed in every run."""
+    by_kind, first, workdir = cases
+    kind = data.draw(st.sampled_from(sorted(by_kind)), label="kind")
+    row, path = data.draw(st.sampled_from(by_kind[kind]), label="case")
     original = at(row, path)
     replacement = data.draw(st.sampled_from(
         [DROP] + [r for r in REPLACEMENTS if type(r) is not type(original)]), label="change")

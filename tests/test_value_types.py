@@ -12,9 +12,11 @@ import pickle
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import symdrift.mental.table as table_module
-from symdrift.diversify.pipeline import AssemblyResult, DiversifyConfig
+from symdrift.diversify.pipeline import AssemblyResult, DiversifyConfig, parse_intensity
 from symdrift.fol.cnf import Literal
 from symdrift.fol.parser import _Tok
 from symdrift.fol.terms import (
@@ -121,8 +123,7 @@ REPRS = [
     (ProvenanceEntry(-1, 0, 4, "Anne"),
      "ProvenanceEntry(unit=-1, char_start=0, char_end=4, surface='Anne')"),
     (Proposal(0, "Slot0(Anne)", ("kind",)),
-     "Proposal(unit=0, skeleton='Slot0(Anne)', slots=('kind',), is_query=False, "
-     "slot_spans=(), anchors=())"),
+     "Proposal(unit=0, skeleton='Slot0(Anne)', slots=('kind',), slot_spans=(), anchors=())"),
     (Completion("hi"), "Completion(text='hi', tokens_in=0, tokens_out=0)"),
 ]
 
@@ -141,8 +142,8 @@ def test_positional_and_keyword_construction_agree():
     assert Atom("p0", (Var("x"),)) == Atom(pred="p0", args=(Var(name="x"),))
     assert ForAll("x", ATOM) == ForAll(var="x", body=ATOM)
     assert Atom("p1") == Atom(pred="p1", args=())
-    assert Proposal(1, "Slot0(x)", ("nice",), True) == \
-        Proposal(unit=1, skeleton="Slot0(x)", slots=("nice",), is_query=True)
+    assert Proposal(1, "Slot0(x)", ("nice",), ((0, 4),)) == \
+        Proposal(unit=1, skeleton="Slot0(x)", slots=("nice",), slot_spans=((0, 4),))
     assert Completion("hi", 3, 4) == Completion(text="hi", tokens_in=3, tokens_out=4)
     assert ProvenanceEntry(0, 1, 2, "a") == ProvenanceEntry(surface="a", char_end=2,
                                                             char_start=1, unit=0)
@@ -172,6 +173,12 @@ CHECKS = [
     (lambda: SyntheticConfig(negation_rate=1.5), "negation_rate must be a fraction"),
     (lambda: DiversifyConfig(theta=1.5), "theta must be in (0, 1], got 1.5"),
     (lambda: DiversifyConfig(0.0), "theta must be in (0, 1], got 0.0"),
+    (lambda: DiversifyConfig(intensity=-1),
+     "intensity must be a sentence count or a fraction in [0, 1], got -1"),
+    (lambda: DiversifyConfig(intensity=1.5),
+     "intensity must be a sentence count or a fraction in [0, 1], got 1.5"),
+    (lambda: DiversifyConfig(intensity=True),
+     "intensity must be a sentence count or a fraction in [0, 1], got True"),
     (lambda: TranslationRecord("p0", "true"), "exactly one of program / parse_error must be set"),
     (lambda: TranslationRecord("p0", "true", parse_error="bad", program=CSPSpec(["A"])),
      "exactly one of program / parse_error must be set"),
@@ -184,10 +191,27 @@ CHECKS = [
     "verdict-option", "verdict-limit", "translator-kind", "translator-shots",
     "translator-temperature", "translator-oracle", "synthetic-counts", "synthetic-depth",
     "synthetic-branching", "synthetic-negation", "diversify-theta-high", "diversify-theta-zero",
-    "record-neither", "record-both", "record-prediction"])
+    "diversify-intensity-negative", "diversify-intensity-fraction-high",
+    "diversify-intensity-bool", "record-neither", "record-both", "record-prediction"])
 def test_construction_raises_the_checks_text(build, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just("full"), st.from_regex(r"\d+", fullmatch=True),
+                 st.from_regex(r"0*[01]\.\d*|\.\d+", fullmatch=True)))
+@example("0")
+@example("0.0")
+@example("1.")
+@example("1.000")
+def test_every_level_parse_intensity_reads_is_accepted(text):
+    try:
+        level = parse_intensity(text)
+    except ValueError:
+        assert float(text) > 1  # the one refusal the strategies reach
+        return
+    assert DiversifyConfig(intensity=level).intensity == level
 
 
 # Each class with a mutable default, built twice from its defaults alone, and

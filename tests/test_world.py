@@ -9,6 +9,7 @@ from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem, sent
 from symdrift.diversify.resources import Resources
 from symdrift.errors import TranslationFailure
 from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.evaluate import translate_one
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.harness.translators import NaiveTranslator, propose_from_templates
 from symdrift.problem import Problem, QUESTION_UNIT, TextUnit
@@ -117,13 +118,13 @@ def test_hand_written_texts_read_as_the_reference_reads_them():
     ("Anne is kind.", "Is the cat smart?"),
 ])
 def test_forms_no_world_writes_are_refused(premise, question):
-    """The regex reader read these; no world writes them, so the naive
-    translator records a parse error."""
+    """The regex reader read these; no world writes them, so a naive
+    translation is a parse-error record."""
     problem = make_problem([premise], question)
     reference_propose_from_templates(problem)
     with pytest.raises(TranslationFailure, match="no template matches"):
         propose_from_templates(problem)
-    record = NaiveTranslator().translate(as_item(problem))
+    record = translate_one(as_item(problem), NaiveTranslator())
     assert record.parse_error.startswith("no template matches")
 
 
@@ -135,7 +136,7 @@ def test_texts_of_one_form_give_one_skeleton_and_formula():
         for text in texts:
             problem, unit = hand_written_problem(form_name, text)
             proposal = next(p for p in propose_from_templates(problem) if p.unit == unit)
-            record = NaiveTranslator().translate(as_item(problem))
+            record = translate_one(as_item(problem), NaiveTranslator())
             formula = record.rendering[unit] if record.program else record.parse_error
             readings.add((proposal.skeleton, proposal.slots, formula))
         assert len(readings) == 1, readings
