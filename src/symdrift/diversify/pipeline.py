@@ -20,6 +20,7 @@ import math
 import re
 from typing import Callable, Collection, NamedTuple, Sequence
 
+from ..errors import ScorerUnavailable
 from ..problem import (
     ConceptInventory,
     DiversifiedProblem,
@@ -32,7 +33,7 @@ from ..problem import (
 from ..textproc import match_surface, tokenize
 from .concepts import SiteRows, identify_repeated, repeated_ids, select_sites
 from .resources import Resources
-from .similarity import FALLBACK, make_scorer, score_similarity
+from .similarity import FALLBACK, VECTORS, make_scorer, score_similarity
 from .variants import RuleRewriter, build_variants
 
 MAX_CANDIDATES_PER_UNIT = 64
@@ -51,13 +52,16 @@ class Candidate(NamedTuple):
 
 
 class _DiversifyFields(NamedTuple):
+    resources: Resources  # the run's lexicons, as the CLI loaded them
     theta: float = 0.90
     intensity: int | float = 1.0  # as `parse_intensity` reads it; 1.0 is `full`
     scorer: str = FALLBACK
-    resources: Resources | None = None
 
 
 class DiversifyConfig(_DiversifyFields):
+    """A rewrite run's settings and the lexicons it reads. Built once per
+    run, before any input is read, it is the one check that the scorer can
+    run on those lexicons."""
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
@@ -68,6 +72,12 @@ class DiversifyConfig(_DiversifyFields):
         if not (type(level) is int and level >= 0 or type(level) is float and 0 <= level <= 1):
             raise ValueError(f"intensity must be a sentence count or a fraction in [0, 1], "
                              f"got {level!r}")
+        if self.scorer not in (FALLBACK, VECTORS):
+            raise ValueError(f"unknown scorer {self.scorer!r}")
+        vectors = self.resources.vectors
+        if self.scorer == VECTORS and (vectors is None or vectors.dim == 0):
+            raise ScorerUnavailable("--scorer vectors needs a word-vector file: "
+                                    "set resources.vectors in the --config file")
 
 
 _COUNT = re.compile(r"\d+\Z")
@@ -311,10 +321,9 @@ def diversify_problem(p: Problem, cfg: DiversifyConfig) -> DiversifiedProblem:
     inventory = identify_repeated(p)
     if not inventory:
         return _pass_through(p, inventory)
-    resources = cfg.resources or Resources.load()
-    scorer = make_scorer(cfg.scorer, lexicon=resources.synonyms, vectors=resources.vectors)
+    scorer = make_scorer(cfg.scorer, cfg.resources)
     sites = select_sites(p, inventory)
-    variants = build_variants(inventory, resources.synonyms, resources.paraphrases)
+    variants = build_variants(inventory, cfg.resources.synonyms, cfg.resources.paraphrases)
     eligible = eligible_units(p, inventory, k)
     per_unit: dict[int, CandidatePool] = {}
     for unit_index, unit in p.units():

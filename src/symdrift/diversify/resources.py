@@ -1,6 +1,7 @@
 """Lexical resources: synonym lexicon, paraphrase table, word vectors.
 
-File formats (all TSV, `#` comments allowed):
+File formats (the lexicons are TSV with `#` comments allowed; a vector row
+is split on whitespace, and every row has the same number of values):
 
     synonyms.tsv     lemma <TAB> pos <TAB> syn1,syn2,... <TAB> hypernym?
     paraphrases.tsv  phrase <TAB> paraphrase <TAB> score
@@ -137,12 +138,17 @@ class WordVectors:
         p = Path(path)
         if not p.exists():
             raise ResourceMissing(f"vector file not found: {p}")
+        lines = [line for line in p.read_text(encoding="utf-8").splitlines() if line.strip()]
+        width = len(lines[0].split()) if lines else 0
         vectors: dict[str, tuple[float, ...]] = {}
-        for line in p.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
+        for line in lines:
             token, *values = line.split()
-            vectors[token.lower()] = tuple(float(v) for v in values)
+            try:
+                vectors[token.lower()] = tuple(map(float, values))
+            except ValueError:
+                values = None
+            if values is None or len(values) + 1 != width:
+                raise ResourceMissing(f"malformed row in {p}: {line!r}")
         return WordVectors(vectors)
 
     def get(self, token: str) -> tuple[float, ...] | None:

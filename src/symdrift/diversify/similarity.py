@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from ..errors import ScorerUnavailable
 from ..textproc import word_lemmas
-from .resources import SynonymLexicon, WordVectors
+from .resources import Resources, SynonymLexicon, WordVectors
 
 FALLBACK = "fallback"
 VECTORS = "vectors"
@@ -69,8 +68,6 @@ class VectorScorer:
     """Cosine over averaged offline word vectors."""
 
     def __init__(self, vectors: WordVectors):
-        if vectors is None or vectors.dim == 0:
-            raise ScorerUnavailable("vector scorer configured without a vector file")
         self._vectors = vectors
 
     def _embed(self, text: str) -> list[float]:
@@ -84,15 +81,12 @@ class VectorScorer:
         return _cosine(self._embed(a), self._embed(b))
 
 
-def make_scorer(kind: str, lexicon: SynonymLexicon | None = None,
-                vectors: WordVectors | None = None):
-    if kind == FALLBACK:
-        if lexicon is None:
-            raise ScorerUnavailable("fallback scorer needs the synonym lexicon")
-        return FallbackScorer(lexicon)
+def make_scorer(kind: str, resources: Resources):
+    """The `kind` scorer over `resources`; `DiversifyConfig` has checked
+    that they can run it."""
     if kind == VECTORS:
-        return VectorScorer(vectors)
-    raise ScorerUnavailable(f"unknown scorer kind {kind!r}")
+        return VectorScorer(resources.vectors)
+    return FallbackScorer(resources.synonyms)
 
 
 def score_similarity(a: str, b: str, scorer) -> float:

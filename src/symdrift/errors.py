@@ -100,15 +100,11 @@ class ScorerUnavailable(SymdriftError):
 # Translation / table maintenance
 
 
-class MentalError(SymdriftError):
+class OracleFailure(SymdriftError):
     pass
 
 
-class OracleFailure(MentalError):
-    pass
-
-
-class TranslationFailure(MentalError):
+class TranslationFailure(SymdriftError):
     pass
 
 

@@ -193,19 +193,6 @@ def ensure_predicate(registry: SymbolRegistry, name: str, arity: int) -> str:
 # Formula utilities
 
 
-def free_variables(f: Formula) -> set[str]:
-    """Exact set of variables not bound by an enclosing quantifier."""
-    if isinstance(f, Atom):
-        return {a.name for a in f.args if isinstance(a, Var)}
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, _BINARY):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, _QUANT):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def walk_atoms(f: Formula):
     """Yield every atom in the formula, left to right."""
     if isinstance(f, Atom):
@@ -317,7 +304,7 @@ def horn_parts(premise: Formula) -> tuple[list[Atom], Atom] | None:
     while isinstance(f, ForAll):
         f = f.body
     if isinstance(f, Atom):
-        return None if free_variables(f) else ([], f)
+        return None if any(isinstance(a, Var) for a in f.args) else ([], f)
     if not (isinstance(f, Implies) and isinstance(f.right, Atom)):
         return None
     body: list[Atom] = []

@@ -19,8 +19,7 @@ from pathlib import Path
 from .. import __version__
 from ..diversify.pipeline import DiversifyConfig, diversify_problem, parse_intensity
 from ..diversify.resources import Resources
-from ..diversify.similarity import VECTORS
-from ..errors import ClientError, FormatError, OracleFailure, ResourceMissing, SymdriftError
+from ..errors import ClientError, FormatError, OracleFailure, SymdriftError
 from ..metrics.sds import compute_sds
 from ..metrics.taxonomy import attribute_errors
 from ..problem import DiversifiedProblem, Problem
@@ -150,6 +149,8 @@ def _load_values(args) -> dict[str, str]:
 
 
 def _resources(values: dict[str, str]) -> Resources:
+    """The run's lexicons, from the files `resources.*` names or the bundled
+    ones: the one place a run loads them."""
     return Resources.load(**{f"{kind}_path": values.get(f"resources.{kind}")
                              for kind in RESOURCE_KINDS})
 
@@ -166,7 +167,7 @@ def _translation_setup(args) -> tuple[TranslatorConfig, Resources, object]:
         if not endpoint:
             raise ClientError("set SYMDRIFT_LLM_ENDPOINT to use a remote translator or oracle")
         client = HttpChatClient(endpoint, key)
-    return cfg, resources, make_translator(cfg, resources=resources, client=client)
+    return cfg, resources, make_translator(cfg, resources, client=client)
 
 
 def _emit(args, text: str) -> int:
@@ -211,13 +212,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_diversify(args) -> int:
     out_path = _require_out(args)
-    resources = _resources(args.values)
-    if args.scorer == VECTORS and (resources.vectors is None or resources.vectors.dim == 0):
-        raise ResourceMissing("--scorer vectors needs a word-vector file: "
-                              "set resources.vectors in the --config file")
     # Checked once, before the input is read.
-    cfg = DiversifyConfig(theta=args.theta, intensity=args.intensity, scorer=args.scorer,
-                          resources=resources)
+    cfg = DiversifyConfig(_resources(args.values), args.theta, args.intensity, args.scorer)
     out = [diversify_problem(item, cfg) for item in _plain_problems(_load_input(args.input))]
     save_dataset(out_path, out)
     changed = sum(1 for d in out if d.intensity > 0)
@@ -256,10 +252,8 @@ def _cmd_evaluate(args) -> int:
     out_dir = _require_out(args)
     cfg, resources, translator = _translation_setup(args)
     dataset = _load_input(args.input)
-    report = run_evaluation(dataset, translator, cfg, args.solver,
-                            out_dir=out_dir,
-                            extra_config={"seed": str(args.seed)},
-                            resources=resources)
+    report = run_evaluation(dataset, translator, cfg, args.solver, resources,
+                            out_dir=out_dir, extra_config={"seed": str(args.seed)})
     print(render_report_text(report))
     return EXIT_OK
 
@@ -277,8 +271,7 @@ def _cmd_sds(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, resources, translator = _translation_setup(args)
     dataset = _plain_problems(_load_input(args.input))
-    points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels,
-                             resources=resources)
+    points = intensity_sweep(dataset, translator, cfg, args.solver, args.levels, resources)
     return _emit(args, sweep_to_csv(points))
 
 

@@ -129,12 +129,11 @@ def _predicted_label(record: TranslationRecord, task_kind: str,
 
 
 def normalize_items(items: list[Problem | DiversifiedProblem],
-                    resources: Resources | None = None) -> list[DiversifiedProblem]:
-    """Wrap plain problems as zero-intensity diversifications so provenance
-    (and therefore alignment) exists for every record."""
-    if resources is None and not all(isinstance(i, DiversifiedProblem) for i in items):
-        resources = Resources.load()  # once per run, not once per problem
-    cfg = DiversifyConfig(intensity=0, resources=resources)
+                    resources: Resources) -> list[DiversifiedProblem]:
+    """Wrap plain problems as zero-intensity diversifications over the run's
+    `resources`, so provenance (and therefore alignment) exists for every
+    record."""
+    cfg = DiversifyConfig(resources, intensity=0)
     return [item if isinstance(item, DiversifiedProblem) else diversify_problem(item, cfg)
             for item in items]
 
@@ -173,13 +172,13 @@ def evaluate_one(item: DiversifiedProblem, translator, solver: str) -> Translati
 
 
 def run_evaluation(dataset: list[Problem | DiversifiedProblem], translator,
-                   translator_cfg: TranslatorConfig, solver: str,
+                   translator_cfg: TranslatorConfig, solver: str, resources: Resources,
                    out_dir: str | Path | None = None,
                    extra_config: dict[str, str] | None = None,
-                   resources: Resources | None = None,
                    workers: int = 1) -> RunReport:
     """Translate and solve every item, score the run, and persist it to
-    `out_dir` when given.
+    `out_dir` when given. Plain problems are normalized over the run's
+    `resources` (`normalize_items`).
 
     `workers` threads only help I/O-bound `llm` runs. The offline translators
     and solvers are pure Python and hold the interpreter lock, so two workers
@@ -238,20 +237,18 @@ class SweepPoint(NamedTuple):
 
 
 def intensity_sweep(dataset, translator, translator_cfg, solver: str,
-                    levels: list[int | float], resources=None) -> list[SweepPoint]:
+                    levels: list[int | float], resources: Resources) -> list[SweepPoint]:
     """Evaluate at each intensity level (ints are absolute sentence counts,
     floats are fractions of each problem's sentence count). Levels must be
     sorted ascending. The rewrite pass is deterministic, so the curve depends
     on no seed."""
     if levels != sorted(levels):
         raise ValueError("levels must be sorted ascending")
-    resources = resources or Resources.load()
     points = []
     for level in levels:
-        cfg = DiversifyConfig(intensity=level, resources=resources)
+        cfg = DiversifyConfig(resources, intensity=level)
         diversified = [diversify_problem(p, cfg) for p in dataset]
-        report = run_evaluation(diversified, translator, translator_cfg, solver,
-                                resources=resources)
+        report = run_evaluation(diversified, translator, translator_cfg, solver, resources)
         points.append(SweepPoint(
             level=float(level),
             k_mean=sum(d.intensity for d in diversified) / len(diversified),

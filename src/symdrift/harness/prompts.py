@@ -45,8 +45,6 @@ class PromptLibrary:
         return PromptLibrary(templates)
 
     def get(self, name: str) -> str:
-        if name not in self._templates:
-            raise ResourceMissing(f"prompt template missing: {name}")
         return self._templates[name]
 
     def exemplars(self, shots: int) -> str:

@@ -72,33 +72,27 @@ def record_from_json(data: dict) -> TranslationRecord:
     elif "csp" in block:
         program = csp_from_json(block["csp"])
         options = [Option(obj, position) for obj, position in block.get("options", [])]
-    record = TranslationRecord(
+    verdict = data.get("verdict")
+    names = {key.rstrip("?") for key in VERDICT}
+    return TranslationRecord(
         problem_id=str(data["problem_id"]),
         gold=data["gold"],
         raw_output=data.get("raw_output", ""),
         program=program,
         parse_error=data.get("parse_error"),
         options=options,
+        verdict=Verdict(**{k: v for k, v in verdict.items() if k in names}) if verdict else None,
+        exec_error=data.get("exec_error"),
+        predicted=data.get("predicted"),
+        alignment={c: set(symbols) for c, symbols in data.get("alignment", {}).items()},
+        span_symbols={(unit, start, end): symbol
+                      for unit, start, end, symbol in data.get("span_symbols", [])},
+        alignment_misses=list(data.get("alignment_misses", [])),
         tokens_in=data.get("tokens_in", 0),
         tokens_out=data.get("tokens_out", 0),
+        mental_trace=tuple(TraceEvent(*event) for event in data.get("trace", [])),
         table_text=data.get("table", ""),
     )
-    verdict = data.get("verdict")
-    if verdict:
-        names = {key.rstrip("?") for key in VERDICT}
-        record.verdict = Verdict(**{k: v for k, v in verdict.items() if k in names})
-    record.exec_error = data.get("exec_error")
-    record.predicted = data.get("predicted")
-    record.alignment = {
-        c: set(symbols) for c, symbols in data.get("alignment", {}).items()
-    }
-    record.span_symbols = {
-        (unit, start, end): symbol
-        for unit, start, end, symbol in data.get("span_symbols", [])
-    }
-    record.alignment_misses = list(data.get("alignment_misses", []))
-    record.mental_trace = tuple(TraceEvent(*event) for event in data.get("trace", []))
-    return record
 
 
 def write_records(path: str | Path, records: list[TranslationRecord]) -> None:

@@ -29,7 +29,7 @@ from ..mental.table import MentalTable, normalize_expression, rendering_symbols
 from ..mental.translate import Proposal, Skeleton, instantiate, translate_with_mental
 from ..metrics.records import SpanKey, TranslationRecord
 from ..problem import DiversifiedProblem, Problem, QUESTION_UNIT, TASK_KINDS
-from ..solver.csp import CSPSpec, Constraint, Option
+from ..solver.csp import AT_POSITION, CSPSpec, Constraint, NOT_AT_POSITION, Option
 from ..world import Form, NAME, PROOFWRITER
 from .config import GOLD, LLM, NAIVE, ORACLE_LLM, SPLIT_ADVERSARY, TranslatorConfig
 from .prompts import PromptLibrary
@@ -259,7 +259,9 @@ def extract_program_block(text: str, semantics_mode: str) -> LogicProgram:
     return parse_program(premises, query, semantics_mode)
 
 
-_CSP_CONSTRAINT = re.compile(r"^(\w+)\(([^)]*)\)$")
+# Every kind takes two arguments; a positional kind's second is an integer.
+_CSP_CONSTRAINT = re.compile(r"^(\w+)\(([^,)]*),([^,)]*)\)$")
+_POSITION = re.compile(r"\s*-?\d+\s*\Z")
 
 
 def extract_csp_block(text: str) -> tuple[CSPSpec, list[Option]]:
@@ -274,12 +276,12 @@ def extract_csp_block(text: str) -> tuple[CSPSpec, list[Option]]:
             objects = [o.strip() for o in rest.split(",") if o.strip()]
         elif key == "constraint":
             cm = _CSP_CONSTRAINT.match(rest)
-            if not cm:
+            positional = cm is not None and cm.group(1) in (AT_POSITION, NOT_AT_POSITION)
+            if not cm or positional and not _POSITION.match(cm.group(3)):
                 raise TranslationFailure(f"bad constraint line: {line!r}")
-            kind, args = cm.group(1), [a.strip() for a in cm.group(2).split(",")]
-            if kind in ("AtPosition", "NotAtPosition"):
-                args = [args[0], int(args[1])]
-            constraints.append(Constraint(kind, tuple(args)))
+            first, second = cm.group(2).strip(), cm.group(3).strip()
+            constraints.append(Constraint(cm.group(1),
+                                          (first, int(second) if positional else second)))
         elif key.startswith("option"):
             om = re.match(r"^(\w+) at (\d+)$", rest)
             if not om:
@@ -358,9 +360,10 @@ def parse_proposal_lines(text: str) -> list[Proposal]:
     return proposals
 
 
-def make_translator(cfg: TranslatorConfig, resources=None, client=None):
-    """Build the configured translator; LLM kinds need a client. Prompts are
-    loaded only for what renders them: the `llm` translator and oracle."""
+def make_translator(cfg: TranslatorConfig, resources: Resources, client=None):
+    """Build the configured translator; LLM kinds need a client, and the
+    lexicon oracle reads the run's `resources`. Prompts are loaded only for
+    what renders them: the `llm` translator and oracle."""
     if cfg.kind == GOLD:
         return GoldTranslator()
     if cfg.kind == SPLIT_ADVERSARY:
@@ -373,11 +376,9 @@ def make_translator(cfg: TranslatorConfig, resources=None, client=None):
             raise ValueError("llm oracle requires a client")
         oracle = LLMOracle(client, cfg.temperature, *prompts.oracle_templates())
     elif cfg.mental:
-        oracle = LexiconOracle((resources or Resources.load()).synonyms)
+        oracle = LexiconOracle(resources.synonyms)
     if cfg.kind == NAIVE:
         return NaiveTranslator(oracle=oracle)
-    if cfg.kind == LLM:
-        if client is None:
-            raise ValueError("llm translator requires a client")
-        return LLMTranslator(cfg, client, prompts, oracle=oracle)
-    raise ValueError(f"unknown translator kind {cfg.kind!r}")
+    if client is None:  # the `llm` kind, the one `TranslatorConfig` leaves
+        raise ValueError("llm translator requires a client")
+    return LLMTranslator(cfg, client, prompts, oracle=oracle)

@@ -95,10 +95,8 @@ def _single_modifier_superset(big: Counter, small: Counter) -> bool:
 
 def _remainder_lemma(expression: str, remainder: Counter, lexicon: SynonymLexicon) -> str:
     (rep,) = remainder.keys()
-    for lemma in content_lemmas(expression):
-        if lexicon.representative(lemma) == rep:
-            return lemma
-    return rep
+    return next(lemma for lemma in content_lemmas(expression)
+                if lexicon.representative(lemma) == rep)
 
 
 def _closure_with_links(synlex: SynonymLexicon) -> SynonymLexicon:

@@ -208,7 +208,7 @@ def _expand(rendering: Rendering, args: tuple, registry: SymbolRegistry) -> Form
 
 def translate_with_mental(problem: Problem, proposals: list[Proposal],
                           oracle: EquivalenceOracle | None,
-                          ) -> tuple[LogicProgram | None, MentalTable, tuple[TraceEvent, ...]]:
+                          ) -> tuple[LogicProgram, MentalTable, tuple[TraceEvent, ...]]:
     """Build `problem`'s program from its proposals, in the world of the
     problem's task kind. Every slot surface is routed through the table in
     proposal order, each skeleton is parsed once its slots are routed, and
@@ -216,12 +216,10 @@ def translate_with_mental(problem: Problem, proposals: list[Proposal],
     `oracle` None routes by exact normalized surface only, so every distinct
     surface gets its own symbol: the drift-prone baseline.
 
-    An empty proposal list returns (None, empty table, empty trace) rather
-    than fabricating a program.
+    Proposals with no query, an empty list among them, raise
+    `TranslationFailure` rather than fabricate a program.
     """
     state = TranslationState()
-    if not proposals:
-        return None, state.table, state.trace
     units = []
     for proposal in proposals:
         refs, norms = [], []

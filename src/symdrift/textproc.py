@@ -143,10 +143,7 @@ def lemmatize(word: str) -> str:
 
 
 def _tag(surface: str, lemma: str, sentence_initial: bool) -> str:
-    if not surface[0].isalpha() and not surface[0].isdigit():
-        return "PUNCT"
-    if surface[0].isdigit():
-        return "NUM"
+    """The part of speech of a word, a surface that starts with a letter."""
     lw = surface.lower()
     if lw in _CLOSED_CLASS:
         return _CLOSED_CLASS[lw]

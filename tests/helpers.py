@@ -54,7 +54,6 @@ from symdrift.fol.terms import (
     SymbolRegistry,
     Var,
     camel_identifier,
-    free_variables,
     map_atoms,
     type_check,
 )
@@ -746,7 +745,7 @@ def reference_is_horn(premise: Formula) -> bool:
     while isinstance(f, ForAll):
         f = f.body
     if isinstance(f, Atom):
-        return not free_variables(f)
+        return not any(isinstance(a, Var) for a in f.args)
     if isinstance(f, Implies):
         return _reference_is_atom_conjunction(f.left) and isinstance(f.right, Atom)
     return False
@@ -1373,7 +1372,7 @@ def _reference_record_json(record: TranslationRecord, program: LogicProgram | No
 # Translator inputs and the chat client's test double.
 
 
-def as_item(problem: Problem, resources: Resources | None = None) -> DiversifiedProblem:
+def as_item(problem: Problem, resources: Resources) -> DiversifiedProblem:
     """`problem` as every caller in `src/` hands it to a translator: wrapped
     by `normalize_items` as a zero-intensity diversification."""
     [item] = normalize_items([problem], resources)

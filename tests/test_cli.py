@@ -150,6 +150,22 @@ class TestExitCodes:
         assert run("diversify", "--in", "p.jsonl", "--scorer", "vectors",
                    "--config", "run.cfg", "--out", "d.jsonl") == EXIT_OK
 
+    @pytest.mark.parametrize("rows, bad", [
+        ("anne 1 0\nkind 0\n", "kind 0"),
+        ("anne 1 0\nkind 0 x\n", "kind 0 x"),
+    ], ids=["ragged", "not-a-number"])
+    def test_malformed_vector_file_is_data_error(self, workdir, capsys, rows, bad):
+        """A vector row with another width than the first, or a value that
+        is not a number, is refused with the file and the row."""
+        run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
+        Path("vectors.txt").write_text(rows)
+        Path("run.cfg").write_text("resources.vectors = vectors.txt\n")
+        capsys.readouterr()
+        assert run("diversify", "--in", "p.jsonl", "--scorer", "vectors",
+                   "--config", "run.cfg", "--out", "d.jsonl") == EXIT_DATA
+        assert f"data error: malformed row in vectors.txt: {bad!r}" in capsys.readouterr().err
+        assert not Path("d.jsonl").exists()
+
     def test_remote_scorer_is_usage_error(self, workdir, capsys):
         run("generate", "--n", "2", "--seed", "4", "--out", "p.jsonl")
         assert run("diversify", "--in", "p.jsonl", "--scorer", "remote",
@@ -448,6 +464,26 @@ class TestPipelineCommands:
         level, sweep_k = Path("curve.csv").read_text().splitlines()[1].split(",")[:2]
         assert level == "1.0"
         assert float(sweep_k) == diversify_k > 1
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--translator", "naive", "--mental", "on", "--out", "run"),
+        ("sweep", "--translator", "naive", "--mental", "on", "--levels", "0,0.5,1.0",
+         "--out", "curve.csv"),
+    ], ids=["evaluate", "sweep"])
+    def test_lexicons_load_once_per_run(self, workdir, monkeypatch, argv):
+        """A run over plain problems reads the lexicons once, in the CLI,
+        however many problems it normalizes or levels it rewrites at."""
+        run("generate", "--n", "6", "--seed", "1", "--out", "p.jsonl")
+        loads = []
+        load = Resources.load
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(Resources, "load", staticmethod(counting_load))
+        assert run(argv[0], "--in", "p.jsonl", *argv[1:]) == EXIT_OK
+        assert len(loads) == 1
 
     def test_library_config_reads_the_cli_intensity(self, workdir, capsys):
         """`DiversifyConfig(intensity=0.5)` gives what `diversify

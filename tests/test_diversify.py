@@ -152,15 +152,15 @@ class TestBuildVariants:
 
 class TestSimilarity:
     def test_synonym_counts_as_equal(self, resources):
-        scorer = make_scorer("fallback", lexicon=resources.synonyms)
+        scorer = make_scorer("fallback", resources)
         assert score_similarity("Anne is kind", "Anne is benevolent", scorer) == 1.0
 
     def test_divergent_content(self, resources):
-        scorer = make_scorer("fallback", lexicon=resources.synonyms)
+        scorer = make_scorer("fallback", resources)
         assert score_similarity("Anne is kind", "Anne is tall", scorer) == 0.5
 
     def test_identity(self, resources):
-        scorer = make_scorer("fallback", lexicon=resources.synonyms)
+        scorer = make_scorer("fallback", resources)
         assert score_similarity("Anne is kind", "Anne is kind", scorer) == 1.0
 
     def test_fallback_scorers_do_not_share_bags(self, resources):
@@ -179,15 +179,24 @@ class TestSimilarity:
         )
         from symdrift.diversify.resources import WordVectors
 
-        scorer = make_scorer("vectors", vectors=WordVectors.load(str(vec)))
+        scorer = make_scorer("vectors", Resources(resources.synonyms, resources.paraphrases,
+                                                  WordVectors.load(str(vec))))
         same = score_similarity("Anne is kind", "Anne is benevolent", scorer)
         different = score_similarity("Anne is kind", "Anne is tall", scorer)
         assert same == pytest.approx(1.0)
         assert different < same
 
-    def test_unconfigured_scorer(self):
-        with pytest.raises(ScorerUnavailable):
-            make_scorer("vectors", vectors=None)
+    def test_unconfigured_scorer(self, tmp_path, resources):
+        """No vector file, or one whose rows hold no values, cannot run the
+        vector scorer; the config refuses it."""
+        from symdrift.diversify.resources import WordVectors
+
+        empty = tmp_path / "vectors.txt"
+        empty.write_text("anne\nkind\n")
+        for vectors in (None, WordVectors.load(empty)):
+            with pytest.raises(ScorerUnavailable, match="set resources.vectors"):
+                DiversifyConfig(Resources(resources.synonyms, resources.paraphrases, vectors),
+                                scorer="vectors")
 
 
 class TestGenerateCandidates:
@@ -195,7 +204,7 @@ class TestGenerateCandidates:
         p = make_problem(sentences, question)
         inv = identify_repeated(p)
         variants = build_variants(inv, resources.synonyms, resources.paraphrases)
-        scorer = make_scorer("fallback", lexicon=resources.synonyms)
+        scorer = make_scorer("fallback", resources)
         return p, inv, variants, scorer
 
     @staticmethod

@@ -94,7 +94,7 @@ def _assert_same_choice(problems, resources, monkeypatch, scorer_for, theta: flo
 @pytest.mark.parametrize("theta", [0.3, 0.9, 1.0])
 def test_lazy_choice_matches_eager_with_fallback_scorer(generated, resources,
                                                         monkeypatch, theta):
-    scorer_for = lambda: make_scorer("fallback", lexicon=resources.synonyms)
+    scorer_for = lambda: make_scorer("fallback", resources)
     assert _assert_same_choice(generated, resources, monkeypatch, scorer_for, theta) > 0
 
 
@@ -105,7 +105,7 @@ def test_lazy_choice_matches_eager_when_first_choices_fail(generated, resources,
 
 def test_lazy_choice_scores_fewer_candidates_than_the_pool(generated, resources,
                                                            monkeypatch):
-    scorer = CountingScorer(make_scorer("fallback", lexicon=resources.synonyms))
+    scorer = CountingScorer(make_scorer("fallback", resources))
     monkeypatch.setattr(pipeline, "make_scorer", lambda *a, **k: scorer)
     pooled = 0
     generate = pipeline.generate_candidates
@@ -203,7 +203,7 @@ def test_splices_only_what_assembly_asks_about(generated, resources, monkeypatch
             units += 1
             raw_size += len(raw)
             duplicates += len(raw) - len({c.text for c in raw})
-    scorer = CountingScorer(make_scorer("fallback", lexicon=resources.synonyms))
+    scorer = CountingScorer(make_scorer("fallback", resources))
     monkeypatch.setattr(pipeline, "make_scorer", lambda *a, **k: scorer)
     splices = 0
     candidate = CandidatePool.candidate

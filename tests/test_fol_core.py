@@ -27,7 +27,6 @@ from symdrift.fol.terms import (
     Not,
     SymbolRegistry,
     Var,
-    free_variables,
 )
 from symdrift.mental.oracles import LexiconOracle
 from symdrift.mental.table import camel_case_symbol
@@ -312,21 +311,3 @@ class TestRewrites:
         out.validate()  # type-checks end to end
         infos = [out.registry.info(s) for s in out.registry.symbols()]
         assert {i.arity for i in infos if i.kind == "predicate"} == {1}
-
-
-class TestFreeVariables:
-    def test_open_atom(self):
-        r = _reg()
-        kind = r.declare("Kind", 1, "predicate")
-        assert free_variables(Atom(kind, (Var("x"),))) == {"x"}
-
-    def test_closed_quantifier(self):
-        r = _reg()
-        f = parse_formula("all x Kind(x)", r)
-        assert free_variables(f) == set()
-
-    def test_partially_bound(self):
-        r = _reg()
-        likes = r.declare("Likes", 2, "predicate")
-        f = ForAll("x", Atom(likes, (Var("x"), Var("y"))))
-        assert free_variables(f) == {"y"}

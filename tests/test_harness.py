@@ -293,20 +293,20 @@ class TestLLMTranslator:
             gold_answer="true", task_kind="proofwriter",
         )
 
-    def test_canned_valid_program(self):
+    def test_canned_valid_program(self, resources):
         reply = "```\npremise: Kind(Anne)\nquery: Kind(Anne)\n```"
         stub = StubClient(replies=[Completion(reply, 100, 20)])
         cfg = TranslatorConfig(kind="llm", shots=2)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        output = translator.translate(as_item(self._problem()))
+        output = translator.translate(as_item(self._problem(), resources))
         assert output.program is not None
         assert output.tokens_in == 100 and output.tokens_out == 20
 
-    def test_reply_without_block_records_parse_error(self):
+    def test_reply_without_block_records_parse_error(self, resources):
         stub = StubClient(replies=["sorry, no logic today"])
         cfg = TranslatorConfig(kind="llm")
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        output = translator.translate(as_item(self._problem()))
+        output = translator.translate(as_item(self._problem(), resources))
         assert output.program is None and output.parse_error
 
     @pytest.mark.parametrize("mental, reply, error", [
@@ -347,7 +347,7 @@ class TestLLMTranslator:
         cfg = TranslatorConfig(kind="llm", mental=True)
         oracle = LexiconOracle(resources.synonyms)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load(), oracle=oracle)
-        output = translator.translate(as_item(self._problem()))
+        output = translator.translate(as_item(self._problem(), resources))
         registry = output.program.registry
         names = {i.name for i in map(registry.info, registry.symbols()) if i.kind == "predicate"}
         assert names == {"Kind"}
@@ -388,11 +388,11 @@ class TestLLMTranslator:
             sys.setswitchinterval(interval)
         assert all(f'"query": "Kind({name})"' in r for name, r in zip(names, sequential))
 
-    def test_shots_rendered_into_prompt(self):
+    def test_shots_rendered_into_prompt(self, resources):
         stub = StubClient(replies=["``` \npremise: A(b)\nquery: A(b)\n```"])
         cfg = TranslatorConfig(kind="llm", shots=2)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
-        translator.translate(as_item(self._problem()))
+        translator.translate(as_item(self._problem(), resources))
         assert stub.prompts[0].count("Task (proofwriter):") >= 2
 
 
@@ -512,6 +512,26 @@ class TestEvaluation:
         )
         report = run_evaluation([p], translator, cfg, "auto", resources=resources)
         assert report.histogram["ExecError"] == 1
+
+    def test_constraint_with_a_wrong_argument_list_is_a_parse_error(self, resources):
+        """Every kind takes two arguments, a positional kind's second an
+        integer; any other constraint line is a parse-error record, and the
+        run goes on to the next problem."""
+        bad = ("LeftOf(Blue)", "LeftOf(Red, Blue, Green)", "AtPosition(Red)",
+               "AtPosition(Red, x)", "AtPosition(Red, 1, 2)")
+        replies = [f"```\nobjects: Red, Blue, Green\nconstraint: {c}\noption 0: Red at 1\n```"
+                   for c in bad]
+        cfg = TranslatorConfig(kind="llm")
+        translator = LLMTranslator(cfg, StubClient(replies), PromptLibrary.load())
+        problems = [Problem(
+            id=f"ded{i}", sentences=(TextUnit.from_text("The red book is first."),),
+            question=TextUnit.from_text("Which option is right?"), options=("Red at 1",),
+            gold_answer=0, task_kind="deduction",
+        ) for i in range(len(bad))]
+        report = run_evaluation(problems, translator, cfg, "auto", resources=resources)
+        assert report.histogram["ParseError"] == len(bad)
+        assert [r.parse_error for r in report.records] == \
+            [f"bad constraint line: 'constraint: {c}'" for c in bad]
 
     def test_deduction_options_survive_the_record_round_trip(self, resources):
         from symdrift.harness.evaluate import normalize_items, solve_one, translate_one
@@ -637,27 +657,6 @@ class TestEvaluation:
                                 "auto", resources=resources)
         assert len(report.records) == 3
         assert report.histogram["ParseError"] == 1
-
-    def test_lexicons_load_once_per_run(self, synthetic_batch, monkeypatch):
-        """With no resources given, a run over plain problems loads the
-        bundled lexicons once, not once per problem; so does a sweep."""
-        from symdrift.harness.evaluate import intensity_sweep
-
-        loads = []
-        load = Resources.load
-
-        def counting_load(*args, **kwargs):
-            loads.append(args)
-            return load(*args, **kwargs)
-
-        monkeypatch.setattr(Resources, "load", staticmethod(counting_load))
-        problems = synthetic_batch[:6]
-        report = run_evaluation(problems, NaiveTranslator(), TranslatorConfig(), "auto")
-        assert len(report.records) == len(problems)
-        assert len(loads) == 1
-        loads.clear()
-        intensity_sweep(problems, NaiveTranslator(), TranslatorConfig(), "auto", [0, 0.5, 1.0])
-        assert len(loads) == 1
 
     def test_report_invariants(self, resources, diversified_batch):
         report = run_evaluation(diversified_batch, NaiveTranslator(),

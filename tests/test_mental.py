@@ -338,8 +338,8 @@ class TestTranslateWithMental:
             id="none", sentences=(), question=TextUnit.from_text(""),
             gold_answer="true", task_kind="proofwriter",
         )
-        program, table, trace = translate_with_mental(empty, [], oracle)
-        assert program is None and not table.entries and not trace
+        with pytest.raises(TranslationFailure, match="^no query was translated$"):
+            translate_with_mental(empty, [], oracle)
 
     def test_trace_length_matches_processed_expressions(self, resources, oracle):
         d = self._diversified_fixture(resources)

@@ -10,6 +10,8 @@ imports `dataclasses`: a value type is a named tuple or a slotted class,
 which a start does not pay to generate code for. A failed translation
 becomes a record in one place, `evaluate.translate_one`, besides the `llm`
 translator's own and the reader of saved records (`PARSE_ERROR_RECORDS`).
+The lexicons are loaded in one place, the CLI's `_resources`, so a run reads
+the files its config names and no library function reads others.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ def test_parse_error_records_are_built_in_their_homes():
                 found.add((module, scope))
     # Equal, not a subset: a home that stops building them leaves the list too.
     assert found == set(PARSE_ERROR_RECORDS)
+
+
+def test_the_cli_alone_loads_the_lexicons():
+    found = {(module, scope) for module, tree in _trees() for scope, call in _calls(tree)
+             if isinstance(call.func, ast.Attribute) and call.func.attr == "load"
+             and getattr(call.func.value, "id", None) == "Resources"}
+    assert found == {("harness/cli.py", "_resources")}
 
 
 def test_no_module_imports_dataclasses():

@@ -25,6 +25,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symdrift.diversify.resources import Resources
 from symdrift.errors import ClientError, FormatError
 from symdrift.harness.cli import EXIT_DATA, EXIT_OK, main
 from symdrift.harness.client import HttpChatClient
@@ -155,6 +156,8 @@ def broken_rule(kind: str, row: dict) -> str | None:
         return "option verdicts carry an option index"
     if verdict is not None and verdict.get("limit_hit") and verdict["value"] != "unknown":
         return "a hit step limit always yields an unknown verdict"
+    if row.get("predicted") is not None and verdict is None:
+        return "a prediction requires a verdict"
     return None
 
 
@@ -217,7 +220,7 @@ def rows(tmp_path_factory) -> dict[str, list[dict]]:
     save_dataset(root / "books.jsonl", books)
     cfg = TranslatorConfig(kind="llm")
     translator = LLMTranslator(cfg, StubClient([CSP_REPLY, "garbled"]), PromptLibrary.load())
-    run_evaluation(books, translator, cfg, "auto", out_dir=root / "run-books")
+    run_evaluation(books, translator, cfg, "auto", Resources.load(), out_dir=root / "run-books")
     records = (_lines(root / "run-off/records.jsonl") + _lines(root / "run-on/records.jsonl")
                + _lines(root / "run-books/records.jsonl"))
     assert {r["program"] is None for r in records} == {True, False}
@@ -385,13 +388,15 @@ def _valid_row(rows, source: str) -> dict:
      "program.csp.objects must be a list of strings, got 'ABC'"),
     ("csp record", ("program", "options", 0), ["Blue", "1"], "bad program.options row"),
     ("csp record", ("verdict", "option_index"), "0", "verdict.option_index must be"),
+    ("csp record", ("verdict",), None, "malformed line: a prediction requires a verdict"),
     ("trace", ("correct",), "no", "correct must be a boolean, got 'no'"),
 ], ids=["answer_bool", "answer_capitalised", "question_number", "task_kind_unknown",
         "gold_mode_unknown", "intensity_string", "intensity_float", "no_repeats_string",
         "nested_answer_bool", "tokens_in_string", "verdict_steps_string",
         "verdict_value_unknown", "table_number", "raw_output_number", "misses_string",
         "record_mode_unknown", "problem_id_list", "csp_objects_string",
-        "csp_option_position_string", "option_index_string", "trace_correct_string"])
+        "csp_option_position_string", "option_index_string", "prediction_without_verdict",
+        "trace_correct_string"])
 def test_malformed_line_is_a_data_error(rows, tmp_path, monkeypatch, capsys, source, path,
                                         value, text):
     monkeypatch.chdir(tmp_path)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import symdrift.mental.table as table_module
 from symdrift.diversify.pipeline import AssemblyResult, DiversifyConfig, parse_intensity
+from symdrift.diversify.resources import ParaphraseTable, Resources, SynonymLexicon
 from symdrift.fol.cnf import Literal
 from symdrift.fol.parser import _Tok
 from symdrift.fol.terms import (
@@ -33,7 +34,7 @@ from symdrift.fol.terms import (
     SymbolInfo,
     SymbolRegistry,
     Var,
-    free_variables,
+    walk_atoms,
 )
 from symdrift.harness.client import Completion
 from symdrift.harness.config import CONFIG_DEFAULTS, SyntheticConfig, TranslatorConfig
@@ -135,7 +136,7 @@ def test_repr_reads_as_the_dataclass_printed(value, text):
 
 def test_error_texts_embed_the_repr():
     with pytest.raises(TypeError, match=re.escape("not a formula: Var(name='x')")):
-        free_variables(Var("x"))
+        list(walk_atoms(Var("x")))
 
 
 def test_positional_and_keyword_construction_agree():
@@ -159,6 +160,9 @@ def test_values_are_immutable():
 # The value types that were dataclasses: named tuples where the value is
 # immutable, slotted classes where it is a record the run fills in.
 
+# Empty lexicons, for configs whose checks read none.
+NO_LEXICONS = Resources(SynonymLexicon(), ParaphraseTable({}))
+
 CHECKS = [
     (lambda: Verdict("option"), "option verdicts carry an option index"),
     (lambda: Verdict(value="proved", limit_hit=True),
@@ -171,14 +175,15 @@ CHECKS = [
     (lambda: SyntheticConfig(50, 6), "depth must be within 1..5"),
     (lambda: SyntheticConfig(rule_branching=-1), "rule_branching must be >= 0"),
     (lambda: SyntheticConfig(negation_rate=1.5), "negation_rate must be a fraction"),
-    (lambda: DiversifyConfig(theta=1.5), "theta must be in (0, 1], got 1.5"),
-    (lambda: DiversifyConfig(0.0), "theta must be in (0, 1], got 0.0"),
-    (lambda: DiversifyConfig(intensity=-1),
+    (lambda: DiversifyConfig(NO_LEXICONS, theta=1.5), "theta must be in (0, 1], got 1.5"),
+    (lambda: DiversifyConfig(NO_LEXICONS, 0.0), "theta must be in (0, 1], got 0.0"),
+    (lambda: DiversifyConfig(NO_LEXICONS, intensity=-1),
      "intensity must be a sentence count or a fraction in [0, 1], got -1"),
-    (lambda: DiversifyConfig(intensity=1.5),
+    (lambda: DiversifyConfig(NO_LEXICONS, intensity=1.5),
      "intensity must be a sentence count or a fraction in [0, 1], got 1.5"),
-    (lambda: DiversifyConfig(intensity=True),
+    (lambda: DiversifyConfig(NO_LEXICONS, intensity=True),
      "intensity must be a sentence count or a fraction in [0, 1], got True"),
+    (lambda: DiversifyConfig(NO_LEXICONS, scorer="bogus"), "unknown scorer 'bogus'"),
     (lambda: TranslationRecord("p0", "true"), "exactly one of program / parse_error must be set"),
     (lambda: TranslationRecord("p0", "true", parse_error="bad", program=CSPSpec(["A"])),
      "exactly one of program / parse_error must be set"),
@@ -192,7 +197,8 @@ CHECKS = [
     "translator-temperature", "translator-oracle", "synthetic-counts", "synthetic-depth",
     "synthetic-branching", "synthetic-negation", "diversify-theta-high", "diversify-theta-zero",
     "diversify-intensity-negative", "diversify-intensity-fraction-high",
-    "diversify-intensity-bool", "record-neither", "record-both", "record-prediction"])
+    "diversify-intensity-bool", "diversify-scorer", "record-neither", "record-both",
+    "record-prediction"])
 def test_construction_raises_the_checks_text(build, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         build()
@@ -211,7 +217,7 @@ def test_every_level_parse_intensity_reads_is_accepted(text):
     except ValueError:
         assert float(text) > 1  # the one refusal the strategies reach
         return
-    assert DiversifyConfig(intensity=level).intensity == level
+    assert DiversifyConfig(NO_LEXICONS, intensity=level).intensity == level
 
 
 # Each class with a mutable default, built twice from its defaults alone, and
@@ -246,7 +252,7 @@ FROZEN = [
     (Constraint("LeftOf", ("A", "B")), "args"),
     (Option("A", 1), "position"),
     (MentalTable(), "entries"),
-    (DiversifyConfig(), "theta"),
+    (DiversifyConfig(NO_LEXICONS), "theta"),
     (TranslatorConfig(), "kind"),
     (SyntheticConfig(), "seed"),
     (SweepPoint(0.0, 0.0, 1.0, None), "sds"),

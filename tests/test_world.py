@@ -117,18 +117,18 @@ def test_hand_written_texts_read_as_the_reference_reads_them():
     ("Every kind cat is smart.", "Is Anne smart?"),
     ("Anne is kind.", "Is the cat smart?"),
 ])
-def test_forms_no_world_writes_are_refused(premise, question):
+def test_forms_no_world_writes_are_refused(premise, question, resources):
     """The regex reader read these; no world writes them, so a naive
     translation is a parse-error record."""
     problem = make_problem([premise], question)
     reference_propose_from_templates(problem)
     with pytest.raises(TranslationFailure, match="no template matches"):
         propose_from_templates(problem)
-    record = translate_one(as_item(problem), NaiveTranslator())
+    record = translate_one(as_item(problem, resources), NaiveTranslator())
     assert record.parse_error.startswith("no template matches")
 
 
-def test_texts_of_one_form_give_one_skeleton_and_formula():
+def test_texts_of_one_form_give_one_skeleton_and_formula(resources):
     """Every text of a form reads as the same naive skeleton and slots, and
     translates to the same formula: the form's texts are equivalent."""
     for form_name, texts in HAND_WRITTEN.items():
@@ -136,7 +136,7 @@ def test_texts_of_one_form_give_one_skeleton_and_formula():
         for text in texts:
             problem, unit = hand_written_problem(form_name, text)
             proposal = next(p for p in propose_from_templates(problem) if p.unit == unit)
-            record = translate_one(as_item(problem), NaiveTranslator())
+            record = translate_one(as_item(problem, resources), NaiveTranslator())
             formula = record.rendering[unit] if record.program else record.parse_error
             readings.add((proposal.skeleton, proposal.slots, formula))
         assert len(readings) == 1, readings
