@@ -15,6 +15,12 @@ identifiers are auto-registered, with arity locked at first use.
 
 `parse_program` is the one way a program is made from texts: a dataset's
 gold logic, a model's fenced program block, the synthetic generator's logic.
+It is two steps, which a caller may also take apart. `check_program` decides
+whether the texts make a program, and raises what the parse would, without
+building one; `build_program` builds the program from texts so checked. A
+dataset keeps its gold logic as checked texts, and only a reader of the
+program builds it. The check reads a second memo per distinct text: the
+symbols the text declares, and whether it is a fact or a Horn rule.
 
 Parsing is memoized per distinct text and bound per registry: each text is
 lexed, parsed and type-checked once into a scratch registry, and each call
@@ -34,6 +40,7 @@ from typing import NamedTuple
 
 from ..errors import ArityMismatch, FormulaSyntaxError
 from .terms import (
+    CLOSED_WORLD,
     CONSTANT,
     PREDICATE,
     And,
@@ -51,6 +58,7 @@ from .terms import (
     SymbolRegistry,
     Term,
     Var,
+    horn_parts,
     map_atoms,
     type_check,
 )
@@ -266,12 +274,58 @@ def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
     return map_atoms(formula, bind)
 
 
-def parse_program(premise_texts: Iterable[str], query_text: str,
-                  semantics_mode: str) -> LogicProgram:
+class ProgramTexts(NamedTuple):
+    """A program as formula texts that `check_program` accepted."""
+    premises: tuple[str, ...]
+    query: str
+    semantics_mode: str
+
+
+def check_program(premise_texts: Iterable[str], query_text: str,
+                  semantics_mode: str) -> ProgramTexts:
+    """The texts, if `parse_program` builds a program from them; otherwise
+    raise what it raises. The check reads each text's shape through the
+    memo: every name must keep one arity across the texts (in the memo's
+    scratch registries each text declares its own), and in the closed world
+    every premise must be a fact or a Horn rule. Symbol ids never decide
+    whether a parse succeeds, so a program that fails this check fails the
+    plain parse too, which then runs to raise its own error."""
+    texts = ProgramTexts(tuple(premise_texts), query_text, semantics_mode)
+    if not _well_formed(texts):
+        build_program(texts).check_world()
+    return texts
+
+
+def _well_formed(texts: ProgramTexts) -> bool:
+    try:
+        facts = [_text_facts(text) for text in (*texts.premises, texts.query)]
+    except Exception:  # whatever it was, the plain parse raises it again
+        return False
+    declared = set().union(*(symbols for symbols, _ in facts))
+    if len({(info.kind, info.name) for info in declared}) != len(declared):
+        return False  # a name declared at two arities
+    return texts.semantics_mode != CLOSED_WORLD or all(horn for _, horn in facts[:-1])
+
+
+@lru_cache(maxsize=None)
+def _text_facts(text: str) -> tuple[tuple[SymbolInfo, ...], bool]:
+    """What a program's check reads of one text: the symbols it declares,
+    and whether it is a fact or a Horn rule. Raises what `parse_shape`
+    raises."""
+    formula, symbols = parse_shape(text)
+    return tuple(info for _, info in symbols), horn_parts(formula) is not None
+
+
+def build_program(texts: ProgramTexts) -> LogicProgram:
     """Parse the premises, then the query, into one fresh registry. The parse
     type-checks every formula and reads an unbound argument as a constant, so
-    a parsed sentence is always closed: only `check_world` is left."""
+    a parsed sentence is always closed; `check_program` has read the world."""
     registry = SymbolRegistry()
-    premises = tuple(parse_formula(text, registry) for text in premise_texts)
-    query = parse_formula(query_text, registry)
-    return LogicProgram(registry, premises, query, semantics_mode).check_world()
+    premises = tuple(parse_formula(text, registry) for text in texts.premises)
+    query = parse_formula(texts.query, registry)
+    return LogicProgram(registry, premises, query, texts.semantics_mode)
+
+
+def parse_program(premise_texts: Iterable[str], query_text: str,
+                  semantics_mode: str) -> LogicProgram:
+    return build_program(check_program(premise_texts, query_text, semantics_mode))

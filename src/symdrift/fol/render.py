@@ -1,11 +1,16 @@
 """Formula rendering in the canonical dialect.
 
 The output round-trips: parsing it against the same registry rebuilds a
-structurally identical formula.
+structurally identical formula. `render_text` gives a formula text's
+canonical rendering, memoized per text, so a dataset writes its gold logic
+canonically without building the program.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from .parser import parse_shape
 from .terms import (
     And,
     Atom,
@@ -36,6 +41,17 @@ def render_program(program: LogicProgram) -> tuple[str, ...]:
     """The text of each premise, then of the query."""
     registry = program.registry
     return tuple(_render(f, registry, 0) for f in (*program.premises, program.query))
+
+
+@lru_cache(maxsize=None)
+def render_text(text: str) -> str:
+    """The canonical rendering of a formula text that parses: what
+    `render_program` gives for it in any program, as only names are printed."""
+    formula, symbols = parse_shape(text)
+    registry = SymbolRegistry()
+    for _, info in symbols:  # in order, so the ids are the shape's own
+        registry.declare(info.name, info.arity, info.kind)
+    return render_formula(formula, registry)
 
 
 def _term_str(t, registry: SymbolRegistry) -> str:

@@ -182,9 +182,16 @@ def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
     """The command's input dataset. It and the resources loaded before it
     live until the command ends, so they are frozen out of the cyclic
     collector, which would otherwise re-scan them in every full collection;
-    `main` unfreezes them."""
-    items = load_dataset(path)
-    gc.freeze()
+    `main` unfreezes them. The rows hold no reference cycle, so the collector
+    is paused while they are built: its passes would find no garbage."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        items = load_dataset(path)
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
     return items
 
 

@@ -9,7 +9,11 @@ or a line that is not JSON as a `FormatError` with the line number.
 Each row kind's fields are declared once, as a shape below (`PROBLEM`,
 `DIVERSIFIED`, `RECORD` with its `PROGRAM` and `VERDICT`, `TRACE`, `REPLY`).
 Every reader passes its row to `check` first, which raises a `FormatError`
-naming the field; `parse_jsonl` adds the line number.
+naming the field; `parse_jsonl` adds the line number. A row's gold logic is
+checked as `parse_program` would parse it (`check_program`), with the same
+error, and kept as its texts, written back as a parse renders them; only the
+translators that read the program build it. Provenance must point into its
+own problem's text (`DiversifiedProblem.check_spans`).
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import FormatError, SymdriftError
-from ..fol.parser import parse_program
-from ..fol.render import render_program
-from ..fol.terms import CLOSED_WORLD, LogicProgram, OPEN_WORLD
+from ..fol.parser import ProgramTexts, check_program
+from ..fol.render import render_text
+from ..fol.terms import CLOSED_WORLD, OPEN_WORLD
 from ..problem import (
     DiversifiedProblem,
     Problem,
@@ -111,16 +115,15 @@ def _describe(shape) -> str:
     return "an object" if isinstance(shape, dict) else _NAMES.get(shape, repr(shape))
 
 
-def program_to_json(program: LogicProgram, texts: tuple[str, ...] = ()) -> dict:
-    """`texts` is the program's `render_program` output when the caller
-    already has it."""
-    *premises, query = texts or render_program(program)
-    return {"premises": premises, "query": query, "mode": program.semantics_mode}
+def logic_to_json(texts: tuple[str, ...], semantics_mode: str) -> dict:
+    """A program's row from its premise texts, then its query text."""
+    *premises, query = texts
+    return {"premises": premises, "query": query, "mode": semantics_mode}
 
 
-def program_from_json(data: dict, field: str) -> LogicProgram:
+def texts_from_json(data: dict, field: str) -> ProgramTexts:
     try:
-        return parse_program(data["premises"], data["query"], data.get("mode", OPEN_WORLD))
+        return check_program(data["premises"], data["query"], data.get("mode", OPEN_WORLD))
     except (SymdriftError, RecursionError) as exc:  # the parser recurses on nesting
         raise FormatError(f"bad {field}: {exc}") from exc
 
@@ -135,8 +138,9 @@ def problem_to_json(p: Problem) -> dict:
     }
     if p.options is not None:
         out["options"] = list(p.options)
-    if p.gold_logic is not None:
-        out["gold_logic"] = program_to_json(p.gold_logic)
+    if (gold := p.gold_logic) is not None:  # written canonically, as a parse renders it
+        out["gold_logic"] = logic_to_json(tuple(map(render_text, (*gold.premises, gold.query))),
+                                          gold.semantics_mode)
     if p.gold_concepts is not None:
         out["gold_concepts"] = [
             [unit, start, end, concept]
@@ -147,11 +151,6 @@ def problem_to_json(p: Problem) -> dict:
 
 def problem_from_json(data: dict, field: str = "") -> Problem:
     check(data, PROBLEM, field)
-    logic = data.get("gold_logic")
-    gold_concepts = None
-    if "gold_concepts" in data:
-        gold_concepts = {(unit, start, end): concept
-                         for unit, start, end, concept in data["gold_concepts"]}
     return Problem(
         id=str(data["id"]),
         sentences=tuple(map(TextUnit.from_text, data["sentences"])),
@@ -159,8 +158,11 @@ def problem_from_json(data: dict, field: str = "") -> Problem:
         gold_answer=data["answer"],
         task_kind=data["task_kind"],
         options=tuple(data["options"]) if "options" in data else None,
-        gold_logic=logic and program_from_json(logic, "gold_logic"),
-        gold_concepts=gold_concepts,
+        gold_logic=(texts_from_json(data["gold_logic"], "gold_logic")
+                    if "gold_logic" in data else None),
+        gold_concepts=({(unit, start, end): concept
+                        for unit, start, end, concept in data["gold_concepts"]}
+                       if "gold_concepts" in data else None),
     )
 
 
@@ -179,17 +181,14 @@ def diversified_to_json(d: DiversifiedProblem) -> dict:
 
 def diversified_from_json(data: dict) -> DiversifiedProblem:
     check(data, DIVERSIFIED, "")
-    provenance = {
-        cid: [ProvenanceEntry(*row) for row in entries]
-        for cid, entries in data["provenance"].items()
-    }
     return DiversifiedProblem(
         base_id=str(data["base_id"]),
         problem=problem_from_json(data["problem"], "problem"),
-        provenance=provenance,
+        provenance={cid: [ProvenanceEntry(*row) for row in entries]
+                    for cid, entries in data["provenance"].items()},
         intensity=data["intensity"],
         no_repeats=data.get("no_repeats", False),
-    )
+    ).check_spans()
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

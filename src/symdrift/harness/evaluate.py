@@ -181,8 +181,8 @@ def run_evaluation(dataset: list[Problem | DiversifiedProblem], translator,
     `resources` (`normalize_items`).
 
     `workers` threads only help I/O-bound `llm` runs. The offline translators
-    and solvers are pure Python and hold the interpreter lock, so two workers
-    on the `mitigate` benchmark workload measured a 0.99x speedup.
+    and solvers are pure Python and hold the interpreter lock; the benchmark's
+    traced runs report what two workers gain as `harness.workers2_speedup`.
     """
     if not dataset:
         raise EmptyDataset("no problems to evaluate")

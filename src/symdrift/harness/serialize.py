@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..fol.parser import build_program
 from ..fol.terms import LogicProgram
 from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
@@ -13,9 +14,9 @@ from .datasets import (
     RECORD,
     VERDICT,
     check,
+    logic_to_json,
     parse_jsonl,
-    program_from_json,
-    program_to_json,
+    texts_from_json,
     write_jsonl,
 )
 
@@ -37,7 +38,7 @@ def csp_from_json(data: dict) -> CSPSpec:
 def record_to_json(r: TranslationRecord) -> dict:
     program = None
     if isinstance(r.program, LogicProgram):
-        program = {"logic": program_to_json(r.program, r.rendering)}
+        program = {"logic": logic_to_json(r.rendering, r.program.semantics_mode)}
     elif isinstance(r.program, CSPSpec):
         program = {"csp": csp_to_json(r.program),
                    "options": [[o.obj, o.position] for o in r.options]}
@@ -61,6 +62,10 @@ def record_to_json(r: TranslationRecord) -> dict:
         "trace": [list(e) for e in r.mental_trace],
         "table": r.table_text,
     }
+
+
+def program_from_json(data: dict, field: str) -> LogicProgram:
+    return build_program(texts_from_json(data, field))
 
 
 def record_from_json(data: dict) -> TranslationRecord:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-from ..fol.parser import parse_program
+from ..fol.parser import build_program, check_program
 from ..fol.terms import CLOSED_WORLD
 from ..problem import Problem, QUESTION_UNIT, TASK_PROOFWRITER, TextUnit
 from ..solver.chaining import forward_chain_cwa
@@ -67,14 +67,14 @@ def _generate_one(cfg: SyntheticConfig, rng: random.Random, index: int) -> Probl
         for start, end, concept in said.spans:
             key = (unit_index, bisect_left(starts, start), bisect_left(starts, end))
             gold_concepts[key] = concept
-    gold_logic = parse_program([said.formula for said in sentences], question.formula,
+    gold_logic = check_program([said.formula for said in sentences], question.formula,
                                CLOSED_WORLD)
 
     return Problem(
         id=f"syn{cfg.seed}_{index:04d}",
         sentences=tuple(units[:-1]),
         question=units[-1],
-        gold_answer=forward_chain_cwa(gold_logic).value,
+        gold_answer=forward_chain_cwa(build_program(gold_logic)).value,
         task_kind=TASK_PROOFWRITER,
         gold_logic=gold_logic,
         gold_concepts=gold_concepts,

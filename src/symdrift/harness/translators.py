@@ -122,9 +122,10 @@ class NaiveTranslator:
 
 
 def _require_gold(problem: Problem) -> LogicProgram:
+    """The problem's gold program, built once per translation."""
     if problem.gold_logic is None or problem.gold_concepts is None:
         raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
-    return problem.gold_logic
+    return problem.gold_program()
 
 
 def _provenance_ledger(diversified: DiversifiedProblem, concept_symbols: dict[str, str],
@@ -147,7 +148,7 @@ class GoldTranslator:
     def translate(self, item: DiversifiedProblem) -> TranslationRecord:
         problem = item.problem
         program = _require_gold(problem)
-        concept_symbols = _gold_concept_symbols(problem)
+        concept_symbols = _gold_concept_symbols(problem, program.registry)
         span_symbols = _provenance_ledger(
             item, concept_symbols, lambda concept_id, _entry: concept_symbols[concept_id])
         return translation_record(problem, program=program, span_symbols=span_symbols)
@@ -164,7 +165,7 @@ class SplitAdversaryTranslator:
         gold = _require_gold(problem)
         if len(gold.premises) != len(problem.sentences):
             raise MissingGold(f"problem {problem.id}: premises are not sentence-aligned")
-        concept_symbols = _gold_concept_symbols(problem)
+        concept_symbols = _gold_concept_symbols(problem, gold.registry)
         symbol_names: dict[tuple[str, str], str] = {}
         taken: set[str] = set()
 
@@ -204,11 +205,10 @@ class SplitAdversaryTranslator:
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
-def _gold_concept_symbols(problem: Problem) -> dict[str, str]:
+def _gold_concept_symbols(problem: Problem, registry: SymbolRegistry) -> dict[str, str]:
     """Concept id -> gold symbol name, for concepts whose camel-cased name is
-    declared in the gold registry (predicate or constant)."""
+    declared in the gold program's `registry` (predicate or constant)."""
     out: dict[str, str] = {}
-    registry = problem.gold_logic.registry
     for concept_id in set(problem.gold_concepts.values()):
         name = camel_identifier(concept_id)
         if registry.lookup(name, PREDICATE) or registry.lookup(name, CONSTANT):

@@ -1,14 +1,18 @@
 """Reasoning-problem data model shared by diversification, translation, metrics.
 
 A problem is an ordered list of premise sentences plus a question; text units
-are addressed by index, with `QUESTION_UNIT` (-1) naming the question. A
-concept inventory is a plain dict from concept id to entry.
+are addressed by index, with `QUESTION_UNIT` (-1) naming the question. A unit
+is its text: its tokens are read from `tokenize`'s memo when first asked for.
+A problem's gold logic is kept as the formula texts `check_program` accepted;
+`Problem.gold_program` builds the program for the translators that read it.
+A concept inventory is a plain dict from concept id to entry.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .fol.parser import ProgramTexts, build_program
 from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
 from .textproc import Token, tokenize
 
@@ -33,11 +37,14 @@ TASK_KINDS = {
 
 class TextUnit(NamedTuple):
     text: str
-    tokens: tuple[Token, ...]
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tokenize(self.text)
 
     @staticmethod
     def from_text(text: str) -> "TextUnit":
-        return TextUnit(text, tokenize(text))
+        return TextUnit(text)
 
 
 class Problem(NamedTuple):
@@ -47,9 +54,14 @@ class Problem(NamedTuple):
     gold_answer: str | int
     task_kind: str
     options: tuple[str, ...] | None = None
-    gold_logic: LogicProgram | None = None
+    gold_logic: ProgramTexts | None = None
     # (unit, token start, token end exclusive) -> concept id
     gold_concepts: dict[tuple[int, int, int], str] | None = None
+
+    def gold_program(self) -> LogicProgram:
+        """The gold logic built into a program, afresh on each call; its
+        texts were checked when they were made."""
+        return build_program(self.gold_logic)
 
     def unit(self, index: int) -> TextUnit:
         return self.question if index == QUESTION_UNIT else self.sentences[index]
@@ -112,7 +124,7 @@ class DiversifiedProblem:
                  provenance: dict[str, list[ProvenanceEntry]], intensity: int,
                  no_repeats: bool = False) -> None:
         self.base_id = base_id
-        self.problem = problem  # rewritten sentences/question, retokenized
+        self.problem = problem  # rewritten sentences and question
         self.provenance = provenance
         self.intensity = intensity  # premise sentences whose text changed
         self.no_repeats = no_repeats  # the source problem had nothing to diversify
@@ -126,10 +138,19 @@ class DiversifiedProblem:
         )
         if changed != self.intensity:
             raise ValueError(f"intensity {self.intensity} != changed count {changed}")
+        return self.check_spans()
+
+    def check_spans(self) -> "DiversifiedProblem":
+        """Raise `ValueError` naming the concept unless each provenance entry
+        points into its own text: its unit is a sentence index or
+        `QUESTION_UNIT`, and its span of that unit's text is its surface."""
         for cid, entries in self.provenance.items():
             for e in entries:
+                if not QUESTION_UNIT <= e.unit < len(self.problem.sentences):
+                    raise ValueError(f"provenance unit {e.unit} for {cid!r} is not "
+                                     f"a sentence index or {QUESTION_UNIT}")
                 text = self.problem.unit(e.unit).text
-                if text[e.char_start:e.char_end] != e.surface:
+                if e.char_start < 0 or text[e.char_start:e.char_end] != e.surface:
                     raise ValueError(
                         f"provenance span for {cid!r} does not match text: "
                         f"{text[e.char_start:e.char_end]!r} != {e.surface!r}"

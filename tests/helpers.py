@@ -883,8 +883,9 @@ def proof_depth(p: Problem) -> int | None:
     """Rule applications needed for the (positive form of the) query; None
     when it is underivable. Used to verify generator depth claims."""
     assert p.gold_logic is not None
-    saturation = reference_saturate(p.gold_logic)
-    query = p.gold_logic.query
+    gold = p.gold_program()
+    saturation = reference_saturate(gold)
+    query = gold.query
     atom = query.body if isinstance(query, Not) else query
     assert isinstance(atom, Atom)
     key = (atom.pred, tuple(a.symbol for a in atom.args))

@@ -78,7 +78,7 @@ def test_criterion_2_cwa_correctness(synthetic_200):
     started = time.monotonic()
     matches = sum(
         1 for p in synthetic_200
-        if forward_chain_cwa(p.gold_logic).value == p.gold_answer
+        if forward_chain_cwa(p.gold_program()).value == p.gold_answer
     )
     elapsed = time.monotonic() - started
     assert matches == len(synthetic_200) == 200
@@ -111,7 +111,7 @@ def _analytic_sds(diversified, resources) -> float:
     total = 0
     drift = 0
     for item in diversified:
-        symbols = _gold_concept_symbols(item.problem)
+        symbols = _gold_concept_symbols(item.problem, item.problem.gold_program().registry)
         for cid, entries in item.provenance.items():
             total += 1
             if cid not in symbols:

@@ -80,7 +80,8 @@ def test_generated_gold_programs_match_the_reference():
     problems = generate_synthetic(SyntheticConfig(n_problems=60, seed=7))
     steps = []
     for problem in problems:
-        expected = reference_forward_chain(problem.gold_logic)
-        assert forward_chain_cwa(problem.gold_logic) == expected
+        gold = problem.gold_program()
+        expected = reference_forward_chain(gold)
+        assert forward_chain_cwa(gold) == expected
         steps.append(expected.steps)
     assert max(steps) > 0

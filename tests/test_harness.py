@@ -100,12 +100,11 @@ class TestDatasets:
         save_dataset(path, synthetic_batch[:1])
         (loaded,) = load_dataset(path)
         assert loaded.gold_logic is not None
-        loaded.gold_logic.validate()
+        program = loaded.gold_program().validate()
         from symdrift.fol.render import render_formula
 
-        original = synthetic_batch[0].gold_logic
-        assert [render_formula(f, loaded.gold_logic.registry)
-                for f in loaded.gold_logic.premises] == \
+        original = synthetic_batch[0].gold_program()
+        assert [render_formula(f, program.registry) for f in program.premises] == \
             [render_formula(f, original.registry) for f in original.premises]
 
     def test_diversified_roundtrip(self, tmp_path, diversified_batch):
@@ -122,7 +121,7 @@ class TestSynthetic:
         from symdrift.solver.chaining import forward_chain_cwa
 
         for p in synthetic_batch:
-            assert forward_chain_cwa(p.gold_logic).value == p.gold_answer
+            assert forward_chain_cwa(p.gold_program()).value == p.gold_answer
 
     def test_determinism(self):
         cfg = SyntheticConfig(n_problems=10, seed=42)
@@ -153,8 +152,11 @@ class TestSynthetic:
 class TestTranslators:
     def test_gold_verbatim_on_undiversified(self, synthetic_batch, resources):
         p = synthetic_batch[0]
-        output = GoldTranslator().translate(as_item(p, resources))
-        assert output.program is p.gold_logic
+        output, gold = GoldTranslator().translate(as_item(p, resources)), p.gold_program()
+        assert (output.program.premises, output.program.query, output.program.semantics_mode) \
+            == (gold.premises, gold.query, gold.semantics_mode)
+        assert [(s, output.program.registry.info(s)) for s in output.program.registry.symbols()] \
+            == [(s, gold.registry.info(s)) for s in gold.registry.symbols()]
 
     def test_gold_missing_gold(self, resources):
         p = Problem(id="x", sentences=(TextUnit.from_text("Anne is kind."),),
@@ -193,16 +195,12 @@ class TestTranslators:
     def test_split_adversary_degrades_query_to_unknown(self, resources):
         """When the query concept's surfaces split across units, the broken
         chain leaves the query undecided under open-world enumeration."""
-        from symdrift.fol.parser import parse_formula
-        from symdrift.fol.terms import LogicProgram, SymbolRegistry
+        from symdrift.fol.parser import check_program
+        from symdrift.fol.terms import LogicProgram
         from symdrift.solver.enumeration import enumerate_models
 
-        registry = SymbolRegistry()
-        premises = (parse_formula("Kind(Anne)", registry),
-                    parse_formula("all x (Kind(x) -> Smart(x))", registry))
-        gold_logic = LogicProgram(registry, premises,
-                                  parse_formula("Smart(Anne)", registry),
-                                  "closed_world").validate()
+        gold_logic = check_program(["Kind(Anne)", "all x (Kind(x) -> Smart(x))"],
+                                   "Smart(Anne)", "closed_world")
         p = Problem(
             id="fx", sentences=(TextUnit.from_text("Anne is kind."),
                                 TextUnit.from_text("All kind people are smart.")),
@@ -404,14 +402,9 @@ class TestEvaluation:
         assert solver_for("folio", "auto") == "resolution"
 
     def test_three_way_open_world_labels(self, resources):
-        from symdrift.fol.parser import parse_formula
-        from symdrift.fol.terms import LogicProgram, SymbolRegistry
+        from symdrift.fol.parser import check_program
 
-        registry = SymbolRegistry()
-        premises = (parse_formula("Kind(Anne)", registry),)
-        gold_logic = LogicProgram(registry, premises,
-                                  parse_formula("Tall(Anne)", registry),
-                                  "open_world").validate()
+        gold_logic = check_program(["Kind(Anne)"], "Tall(Anne)", "open_world")
         p = Problem(
             id="fol", sentences=(TextUnit.from_text("Anne is kind."),),
             question=TextUnit.from_text("Is Anne tall?"),
@@ -432,7 +425,7 @@ class TestEvaluation:
             n_problems=20, depth=3, n_constants=2, n_predicates=5,
             negation_rate=0.5, seed=7,
         ))
-        assert any(isinstance(p.gold_logic.query, Not) and p.gold_answer == "true"
+        assert any(isinstance(p.gold_program().query, Not) and p.gold_answer == "true"
                    for p in problems)
         diversified = [diversify_problem(p, DiversifyConfig(resources=resources))
                        for p in problems]
@@ -709,8 +702,8 @@ class TestEvaluation:
         for p in small:
             d = diversify_problem(p, DiversifyConfig(resources=resources))
             rederived = GoldTranslator().translate(d).program
-            a = enumerate_models(LP(p.gold_logic.registry, p.gold_logic.premises,
-                                    p.gold_logic.query, "open_world"))
+            gold = p.gold_program()
+            a = enumerate_models(LP(gold.registry, gold.premises, gold.query, "open_world"))
             b = enumerate_models(LP(rederived.registry, rederived.premises,
                                     rederived.query, "open_world"))
             assert a.value == b.value

@@ -19,10 +19,10 @@ from symdrift.fol.render import render_formula, render_program
 from symdrift.fol.terms import LogicProgram, walk_atoms
 from symdrift.harness.client import Completion
 from symdrift.harness.config import SyntheticConfig, TranslatorConfig
-from symdrift.harness.datasets import load_dataset, program_from_json
+from symdrift.harness.datasets import load_dataset
 from symdrift.harness.evaluate import evaluate_one, normalize_items, solve_one
 from symdrift.harness.prompts import PromptLibrary
-from symdrift.harness.serialize import record_to_json
+from symdrift.harness.serialize import program_from_json, record_to_json
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.harness.translators import (
     LLMTranslator,
@@ -397,7 +397,7 @@ def test_gold_logic_loads_as_the_reference_does(case, tmp_path):
                          str(FormatError(f"bad gold_logic: {reference_error[1]}", line=3)))
     else:
         assert reference_error is None
-        _same_program(problem.gold_logic, reference)
+        _same_program(problem.gold_program(), reference)
 
 
 def _same_program(a, b) -> None:
@@ -420,10 +420,10 @@ def test_program_from_json_matches_the_reference(premises, query, mode):
 
 def test_generated_gold_programs_load_as_the_reference_does():
     for problem in generate_synthetic(SyntheticConfig(n_problems=40, seed=7)):
+        gold = problem.gold_program()
         data = json.loads(json.dumps({
-            "premises": [render_formula(f, problem.gold_logic.registry)
-                         for f in problem.gold_logic.premises],
-            "query": render_formula(problem.gold_logic.query, problem.gold_logic.registry),
-            "mode": problem.gold_logic.semantics_mode,
+            "premises": [render_formula(f, gold.registry) for f in gold.premises],
+            "query": render_formula(gold.query, gold.registry),
+            "mode": gold.semantics_mode,
         }))
         _same_program(program_from_json(data, "logic"), reference_program_from_json(data))

@@ -14,10 +14,9 @@ from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FolError, NotHorn
 from symdrift.fol.parser import parse_formula, parse_program, parse_shape
-from symdrift.fol.render import render_program
+from symdrift.fol.render import render_program, render_text
 from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, SymbolRegistry, horn_parts
 from symdrift.harness.config import SyntheticConfig
-from symdrift.harness.datasets import program_to_json
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.harness.translators import propose_from_templates
 
@@ -133,8 +132,8 @@ def test_generated_and_diversified_formulas_match_reference():
     for p in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
         d = diversify_problem(p, DiversifyConfig(resources=resources))
         for problem in (p, d.problem):
-            gold = program_to_json(problem.gold_logic)
-            programs.append([*gold["premises"], gold["query"]])
+            gold = problem.gold_logic  # the texts a saved set holds
+            programs.append([*map(render_text, gold.premises), render_text(gold.query)])
             skeletons += [prop.skeleton for prop in propose_from_templates(problem)]
     parse_shape.cache_clear()
     for _ in range(2):

@@ -145,6 +145,15 @@ def broken_rule(kind: str, row: dict) -> str | None:
     if kind == "trace" and row.get("correct") is True:
         missing = [k for k in ("instruction", "program", "table") if k not in row]
         return f"missing field {missing[0]!r}" if missing else None
+    if kind == "diversified":
+        sentences, question = row["problem"]["sentences"], row["problem"]["question"]
+        for entries in row["provenance"].values():
+            for unit, start, end, surface in entries:
+                if not -1 <= unit < len(sentences):
+                    return "is not a sentence index or -1"
+                text = question if unit == -1 else sentences[unit]
+                if start < 0 or text[start:end] != surface:
+                    return "does not match text"
     if kind != "record":
         return None
     program, verdict = row.get("program"), row.get("verdict")
@@ -421,6 +430,39 @@ def test_sds_refuses_an_alignment_that_is_not_a_list(rows, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "bad alignment entry 'ab': expected a list of strings (line 2)" in err
+
+
+@pytest.mark.parametrize("change, text", [
+    ("past the end", "does not match text: '' != "),
+    ("unit 42", "provenance unit 42 for "),
+    ("unit -2", "provenance unit -2 for "),
+    ("negative start", "does not match text: "),
+])
+def test_provenance_points_into_its_own_text(rows, tmp_path, monkeypatch, capsys, change,
+                                             text):
+    """A span that does not point into its own unit used to load and count
+    as an alignment miss; a unit below -1 read a sentence from the end."""
+    monkeypatch.chdir(tmp_path)
+    good = rows["diversified"][0]
+    bad = json.loads(json.dumps(good))
+    concept, entries = next((c, e) for c, e in sorted(bad["provenance"].items())
+                            if any(row[0] >= 0 for row in e))
+    entry = next(row for row in entries if row[0] >= 0)
+    sentence = bad["problem"]["sentences"][entry[0]]
+    if change == "past the end":
+        entry[1:3] = [len(sentence) + 1, len(sentence) + 1 + len(entry[3])]
+    elif change == "negative start":
+        entry[1:3] = [entry[1] - len(sentence), entry[2]]
+        assert sentence[entry[1]:entry[2]] == entry[3]  # the slice alone would pass
+    else:
+        entry[0] = int(change.split()[1])
+    Path("in.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--in", "in.jsonl", "--translator", "naive",
+                 "--out", "run"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{text}" in err and repr(concept) in err and err.rstrip().endswith("(line 2)"), err
+    assert not Path("run").exists()
 
 
 def _logic_record(rows) -> dict:

@@ -217,7 +217,7 @@ class TestResolution:
 
     def test_matches_reference_prover_on_gold_programs(self):
         for problem in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
-            gold = problem.gold_logic
+            gold = problem.gold_program()
             p = LogicProgram(gold.registry, gold.premises, gold.query, OPEN_WORLD).validate()
             assert prove_resolution(p) == reference_prove_resolution(p)
 

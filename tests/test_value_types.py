@@ -114,9 +114,9 @@ REPRS = [
     (Exists("x", ATOM), f"Exists(var='x', body={ATOM_TEXT})"),
     (SymbolInfo("Kind", 1, "predicate"), "SymbolInfo(name='Kind', arity=1, kind='predicate')"),
     (_Tok("->", 3), "_Tok(text='->', pos=3)"),
-    (TextUnit("Anne", (Token("Anne", "anne", "PROPN", 0, 4),)),
-     "TextUnit(text='Anne', tokens=(Token(surface='Anne', lemma='anne', pos='PROPN', "
-     "start=0, end=4),))"),
+    (TextUnit("Anne"), "TextUnit(text='Anne')"),
+    (Token("Anne", "anne", "PROPN", 0, 4),
+     "Token(surface='Anne', lemma='anne', pos='PROPN', start=0, end=4)"),
     (ConceptEntry(("kind",), ("ADJ",), (ConceptOccurrence(0, 2, 3, 9, 13, "kind"),)),
      "ConceptEntry(lemmas=('kind',), pos=('ADJ',), occurrences=(ConceptOccurrence(unit=0, "
      "tok_start=2, tok_end=3, char_start=9, char_end=13, surface='kind'),))"),
@@ -246,7 +246,7 @@ def test_default_built_values_share_no_list_or_dict(build, names):
 
 FROZEN = [
     (LogicProgram(SymbolRegistry(), (), ATOM), "query"),
-    (Problem("p0", (), TextUnit("Is Anne kind?", ()), "true", "proofwriter"), "sentences"),
+    (Problem("p0", (), TextUnit("Is Anne kind?"), "true", "proofwriter"), "sentences"),
     (SdsResult(0.0, 1, 0, 0, {}), "per_problem"),
     (Verdict("proved"), "value"),
     (Constraint("LeftOf", ("A", "B")), "args"),
