@@ -34,6 +34,7 @@ for the process and holds only immutable values, so threads share it.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable
 from functools import lru_cache
 from typing import NamedTuple
@@ -289,8 +290,10 @@ def check_program(premise_texts: Iterable[str], query_text: str,
     scratch registries each text declares its own), and in the closed world
     every premise must be a fact or a Horn rule. Symbol ids never decide
     whether a parse succeeds, so a program that fails this check fails the
-    plain parse too, which then runs to raise its own error."""
-    texts = ProgramTexts(tuple(premise_texts), query_text, semantics_mode)
+    plain parse too, which then runs to raise its own error. The texts are
+    interned: programs repeat a few hundred distinct formulas."""
+    texts = ProgramTexts(tuple(map(sys.intern, premise_texts)), sys.intern(query_text),
+                         semantics_mode)
     if not _well_formed(texts):
         build_program(texts).check_world()
     return texts

@@ -5,7 +5,8 @@ compare, export-sft. Every subcommand accepts --seed, --config (flat
 key=value file), and --out. A flag that names a setting (--n, --translator,
 --mental) stores it under its config key, so a given flag beats the file and
 the file beats the default. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 remote-service error.
+error, 3 remote-service error, 141 stdout closed by its reader (what a
+filter killed by SIGPIPE reports).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +61,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_REMOTE = 3
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 
 def _parse_levels(text: str) -> list[int | float]:
@@ -234,7 +237,7 @@ def _cmd_translate(args) -> int:
     items = normalize_items(_load_input(args.input), resources)
     records = [translate_one(item, translator) for item in items]
     write_records(out_path, records)
-    parsed = sum(1 for r in records if r.program is not None)
+    parsed = sum(1 for r in records if r.parse_error is None)
     print(f"translated {len(records)} problems ({parsed} parsed)")
     return EXIT_OK
 
@@ -319,13 +322,23 @@ def main(argv: list[str] | None = None) -> int:
         # Every subcommand reads its --config file, so a file that does not
         # read is refused by each of them alike.
         args.values = _load_values(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
     except (ClientError, OracleFailure) as exc:
         print(f"remote service error: {exc}", file=sys.stderr)
         return EXIT_REMOTE
     except SymdriftError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # Stdout's reader has gone (`symdrift ... | head -1`), after every file
+        # the command writes was written. Stdout's descriptor now points at
+        # the null device, so the interpreter's last flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,17 +9,19 @@ or a line that is not JSON as a `FormatError` with the line number.
 Each row kind's fields are declared once, as a shape below (`PROBLEM`,
 `DIVERSIFIED`, `RECORD` with its `PROGRAM` and `VERDICT`, `TRACE`, `REPLY`).
 Every reader passes its row to `check` first, which raises a `FormatError`
-naming the field; `parse_jsonl` adds the line number. A row's gold logic is
-checked as `parse_program` would parse it (`check_program`), with the same
-error, and kept as its texts, written back as a parse renders them; only the
-translators that read the program build it. Provenance must point into its
-own problem's text (`DiversifiedProblem.check_spans`).
+naming the field; `parse_jsonl` adds the line number. Gold logic is checked
+as `parse_program` would parse it (`check_program`), with the same error, and
+kept as its texts, written back as a parse renders them. Provenance must point
+into its own problem's text (`DiversifiedProblem.check_spans`). A string that
+repeats across rows (a unit or formula text, a concept id, a surface) is held
+once: the readers intern it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from sys import intern
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import FormatError, SymdriftError
@@ -115,10 +117,9 @@ def _describe(shape) -> str:
     return "an object" if isinstance(shape, dict) else _NAMES.get(shape, repr(shape))
 
 
-def logic_to_json(texts: tuple[str, ...], semantics_mode: str) -> dict:
-    """A program's row from its premise texts, then its query text."""
-    *premises, query = texts
-    return {"premises": premises, "query": query, "mode": semantics_mode}
+def logic_to_json(texts: ProgramTexts) -> dict:
+    """A program's row from its texts."""
+    return {"premises": list(texts.premises), "query": texts.query, "mode": texts.semantics_mode}
 
 
 def texts_from_json(data: dict, field: str) -> ProgramTexts:
@@ -139,13 +140,11 @@ def problem_to_json(p: Problem) -> dict:
     if p.options is not None:
         out["options"] = list(p.options)
     if (gold := p.gold_logic) is not None:  # written canonically, as a parse renders it
-        out["gold_logic"] = logic_to_json(tuple(map(render_text, (*gold.premises, gold.query))),
-                                          gold.semantics_mode)
+        out["gold_logic"] = logic_to_json(gold._replace(
+            premises=tuple(map(render_text, gold.premises)), query=render_text(gold.query)))
     if p.gold_concepts is not None:
-        out["gold_concepts"] = [
-            [unit, start, end, concept]
-            for (unit, start, end), concept in sorted(p.gold_concepts.items())
-        ]
+        out["gold_concepts"] = [[*span, concept]
+                                for span, concept in sorted(p.gold_concepts.items())]
     return out
 
 
@@ -160,7 +159,7 @@ def problem_from_json(data: dict, field: str = "") -> Problem:
         options=tuple(data["options"]) if "options" in data else None,
         gold_logic=(texts_from_json(data["gold_logic"], "gold_logic")
                     if "gold_logic" in data else None),
-        gold_concepts=({(unit, start, end): concept
+        gold_concepts=({(unit, start, end): intern(concept)
                         for unit, start, end, concept in data["gold_concepts"]}
                        if "gold_concepts" in data else None),
     )
@@ -184,7 +183,8 @@ def diversified_from_json(data: dict) -> DiversifiedProblem:
     return DiversifiedProblem(
         base_id=str(data["base_id"]),
         problem=problem_from_json(data["problem"], "problem"),
-        provenance={cid: [ProvenanceEntry(*row) for row in entries]
+        provenance={intern(cid): [ProvenanceEntry(unit, start, end, intern(surface))
+                                  for unit, start, end, surface in entries]
                     for cid, entries in data["provenance"].items()},
         intensity=data["intensity"],
         no_repeats=data.get("no_repeats", False),

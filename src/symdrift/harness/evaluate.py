@@ -3,6 +3,9 @@
 `evaluate_one` is exactly `translate_one` then `solve_one`, the two steps the
 CLI's `translate` and `solve` subcommands run separately; so a saved
 translation re-solved later gives the record `evaluate` would have written.
+A record holds its built logic program only between the two: `solve_one`
+decides it and drops it, and builds one from a record's logic texts when the
+record was read from disk or solved before.
 `intensity_sweep` repeats `run_evaluation` over diversification levels.
 
 Each engine decides a program in its own world (`ENGINES`), and each task is
@@ -35,6 +38,7 @@ from ..errors import (
     SolverMismatch,
     TranslationFailure,
 )
+from ..fol.parser import build_program
 from ..fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, Not, OPEN_WORLD
 from ..metrics.records import TranslationRecord
 from ..metrics.sds import SdsResult, align_symbols, compute_sds
@@ -151,18 +155,27 @@ def translate_one(item: DiversifiedProblem, translator) -> TranslationRecord:
 def solve_one(record: TranslationRecord, item: DiversifiedProblem,
               solver: str) -> TranslationRecord:
     """Solve and align a translated record in place. What an earlier solve
-    set is cleared first, so solving a solved record again changes nothing."""
+    set is cleared first, so solving a solved record again changes nothing.
+
+    The engine decides the program the translator built, or, for a record
+    read from disk or solved before, one built from the record's logic
+    texts. Once the verdict is in, the built program is dropped: the record
+    keeps its logic as texts. A constraint spec has no texts and stays."""
     problem = item.problem
     engine = ENGINES[solver_for(problem.task_kind, solver)]
     record.verdict = record.predicted = record.exec_error = None
     record.alignment = {}
     record.alignment_misses = []
-    if record.program is not None:
+    if record.parse_error is None:
+        if record.program is None:
+            record.program = build_program(record.logic)
         try:
             record.verdict = _solve(record, engine)
             record.predicted = _predicted_label(record, problem.task_kind, engine)
         except (SolverError, FolError, SolverMismatch) as exc:
             record.exec_error = f"{type(exc).__name__}: {exc}"
+        if record.logic is not None:
+            record.program = None
         align_symbols(record, item)
     return record
 
@@ -321,7 +334,7 @@ def persist_run(out_dir: Path, report: RunReport,
         "instruction": by_id[record.problem_id].problem.text(),
         "table": record.table_text,
         "trace": [list(event) for event in record.mental_trace],
-        "program": program_block(record.rendering) if record.rendering else "",
+        "program": program_block(record.logic) if record.logic is not None else "",
         "gold": record.gold,
         "correct": record.predicted == record.gold,
     } for record in report.records if record.mental_trace))

@@ -1,11 +1,17 @@
-"""Record (de)serialization for records.jsonl round trips."""
+"""Record (de)serialization for records.jsonl round trips.
+
+A record's logic program is stored as its texts and read back as texts:
+`record_from_json` checks them as a parse would (`check_program`, through
+`texts_from_json`), with the parse's error, and builds nothing. Only solving
+a record builds its program (`harness.evaluate.solve_one`). The check interns
+the texts, and the reader the alignment's concept ids: records repeat both.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
+from sys import intern
 
-from ..fol.parser import build_program
-from ..fol.terms import LogicProgram
 from ..metrics.records import TranslationRecord
 from ..mental.translate import TraceEvent
 from ..solver.csp import Constraint, CSPSpec, Option
@@ -37,8 +43,8 @@ def csp_from_json(data: dict) -> CSPSpec:
 
 def record_to_json(r: TranslationRecord) -> dict:
     program = None
-    if isinstance(r.program, LogicProgram):
-        program = {"logic": logic_to_json(r.rendering, r.program.semantics_mode)}
+    if r.logic is not None:
+        program = {"logic": logic_to_json(r.logic)}
     elif isinstance(r.program, CSPSpec):
         program = {"csp": csp_to_json(r.program),
                    "options": [[o.obj, o.position] for o in r.options]}
@@ -64,16 +70,12 @@ def record_to_json(r: TranslationRecord) -> dict:
     }
 
 
-def program_from_json(data: dict, field: str) -> LogicProgram:
-    return build_program(texts_from_json(data, field))
-
-
 def record_from_json(data: dict) -> TranslationRecord:
     check(data, RECORD, "")
     block = data.get("program") or {}
     program, options = None, []
     if "logic" in block:
-        program = program_from_json(block["logic"], "program.logic")
+        program = texts_from_json(block["logic"], "program.logic")
     elif "csp" in block:
         program = csp_from_json(block["csp"])
         options = [Option(obj, position) for obj, position in block.get("options", [])]
@@ -89,7 +91,7 @@ def record_from_json(data: dict) -> TranslationRecord:
         verdict=Verdict(**{k: v for k, v in verdict.items() if k in names}) if verdict else None,
         exec_error=data.get("exec_error"),
         predicted=data.get("predicted"),
-        alignment={c: set(symbols) for c, symbols in data.get("alignment", {}).items()},
+        alignment={intern(c): set(symbols) for c, symbols in data.get("alignment", {}).items()},
         span_symbols={(unit, start, end): symbol
                       for unit, start, end, symbol in data.get("span_symbols", [])},
         alignment_misses=list(data.get("alignment_misses", [])),

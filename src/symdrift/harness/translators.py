@@ -14,7 +14,7 @@ import re
 
 from ..diversify.resources import Resources
 from ..errors import MissingGold, OracleFailure, TranslationFailure
-from ..fol.parser import parse_program
+from ..fol.parser import ProgramTexts, parse_program
 from ..fol.terms import (
     CONSTANT,
     LogicProgram,
@@ -43,8 +43,8 @@ def translation_record(problem: Problem, table: MentalTable | None = None,
     record = TranslationRecord(problem_id=problem.id, gold=problem.gold_answer,
                                table_text=table.render_text() if table is not None else "",
                                **fields)
-    if "raw_output" not in fields and record.rendering:
-        record.raw_output = program_block(record.rendering)
+    if "raw_output" not in fields and record.logic is not None:
+        record.raw_output = program_block(record.logic)
     return record
 
 
@@ -216,11 +216,10 @@ def _gold_concept_symbols(problem: Problem, registry: SymbolRegistry) -> dict[st
     return out
 
 
-def program_block(texts: tuple[str, ...]) -> str:
-    """The fenced `premise:`/`query:` block of a program's `render_program`
-    texts."""
-    *premises, query = texts
-    return "\n".join(["```", *(f"premise: {p}" for p in premises), f"query: {query}", "```"])
+def program_block(logic: ProgramTexts) -> str:
+    """The fenced `premise:`/`query:` block of a record's logic texts."""
+    return "\n".join(["```", *(f"premise: {p}" for p in logic.premises),
+                      f"query: {logic.query}", "```"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
-"""Per-problem translation records: the unit metrics aggregate over."""
+"""Per-problem translation records: the unit metrics aggregate over.
+
+A record keeps a logic program as its texts (`logic`), rendered once from
+the program its translator built. The built program (`program`) is held
+only from translation to solving: `harness.evaluate.solve_one` drops it
+once the verdict is in, and a record read back from disk has none, so
+solving it builds one from the texts. A constraint spec has no text form
+and stays on its record.
+"""
 
 from __future__ import annotations
 
 import sys
 
+from ..fol.parser import ProgramTexts
 from ..fol.render import render_program
 from ..fol.terms import LogicProgram
 from ..solver.csp import CSPSpec, Option
@@ -21,10 +30,11 @@ class TranslationRecord:
     __slots__ = ("problem_id", "gold", "raw_output", "program", "parse_error", "options",
                  "verdict", "exec_error", "predicted", "alignment", "span_symbols",
                  "alignment_misses", "tokens_in", "tokens_out", "mental_trace", "table_text",
-                 "rendering")
+                 "logic")
 
     def __init__(self, problem_id: str, gold: str | int, raw_output: str = "",
-                 program: LogicProgram | CSPSpec | None = None, parse_error: str | None = None,
+                 program: LogicProgram | ProgramTexts | CSPSpec | None = None,
+                 parse_error: str | None = None,
                  options: list[Option] | None = None, verdict: Verdict | None = None,
                  exec_error: str | None = None, predicted: str | int | None = None,
                  alignment: dict[str, set[str]] | None = None,
@@ -38,7 +48,18 @@ class TranslationRecord:
         self.problem_id = problem_id
         self.gold = gold
         self.raw_output = raw_output
+        # the built program, until it is solved, or the constraint spec
         self.program = program
+        # A logic program's texts: checked texts read back from disk, or a
+        # built program's `render_program` texts, made once; every writer of
+        # the record reads them. Interned: a run's programs repeat a few
+        # hundred distinct formulas thousands of times.
+        self.logic = None
+        if isinstance(program, ProgramTexts):
+            self.logic, self.program = program, None
+        elif isinstance(program, LogicProgram):
+            *premises, query = map(sys.intern, render_program(program))
+            self.logic = ProgramTexts(tuple(premises), query, program.semantics_mode)
         self.parse_error = parse_error
         # answer options a constraint program is asked about
         self.options = [] if options is None else options
@@ -54,11 +75,6 @@ class TranslationRecord:
         self.tokens_out = tokens_out
         self.mental_trace = mental_trace
         self.table_text = table_text
-        # A logic program's `render_program` texts, made once when the record
-        # is built; every writer of the record reads them. Interned: a run's
-        # programs repeat a few hundred distinct formulas thousands of times.
-        self.rendering = (tuple(map(sys.intern, render_program(program)))
-                          if isinstance(program, LogicProgram) else ())
 
     def is_consistent(self) -> bool:
         """Every aligned concept maps to at most one symbol expression."""

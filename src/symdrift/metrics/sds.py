@@ -67,7 +67,7 @@ def align_symbols(record: TranslationRecord, item: DiversifiedProblem) -> dict[s
     the record's span ledger: each concept gets the symbols its occurrence
     spans were translated to. An occurrence with no ledger entry is appended
     to `record.alignment_misses` and adds no symbol."""
-    if record.program is None:
+    if record.parse_error is not None:
         raise AlignmentIncomplete("nothing to align: record has no program")
     alignment: dict[str, set[str]] = {}
     for concept_id, entries in item.provenance.items():

@@ -28,7 +28,7 @@ ATTRIBUTION_CATEGORIES = (
 
 def classify_error(record: TranslationRecord) -> str:
     """Mutually exclusive, exhaustive: parse beats exec beats logic."""
-    if record.program is None:
+    if record.parse_error is not None:
         return PARSE_ERROR
     if record.exec_error is not None:
         return EXEC_ERROR

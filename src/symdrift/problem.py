@@ -10,6 +10,7 @@ A concept inventory is a plain dict from concept id to entry.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .fol.parser import ProgramTexts, build_program
@@ -44,7 +45,8 @@ class TextUnit(NamedTuple):
 
     @staticmethod
     def from_text(text: str) -> "TextUnit":
-        return TextUnit(text)
+        """The unit of `text`, interned: problems repeat their sentences."""
+        return TextUnit(sys.intern(text))
 
 
 class Problem(NamedTuple):

@@ -6,13 +6,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
-from symdrift.harness.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
+from symdrift.harness.cli import EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_REMOTE, EXIT_USAGE, main
 from symdrift.harness.config import (
     SyntheticConfig,
     TranslatorConfig,
@@ -837,3 +840,57 @@ class TestSettingsAndInputs:
         assert code == (EXIT_DATA if again else EXIT_OK)
         assert len(frozen) == 1 and frozen[0] > 0
         assert gc.get_freeze_count() == 0
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`symdrift sds ... | head -1`) is
+    not a usage error: the command, whose files are written by then, exits
+    quietly with the status of a filter killed by SIGPIPE."""
+
+    @pytest.fixture()
+    def records(self, workdir, capsys):
+        run("generate", "--n", "3", "--seed", "3", "--out", "p.jsonl")
+        run("evaluate", "--in", "p.jsonl", "--translator", "naive", "--out", "run1")
+        capsys.readouterr()
+        return "run1/records.jsonl"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_closed_pipe_exits_quietly(self, records, unbuffered):
+        """Block-buffered or not, the write that fails is made inside `main`."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symdrift.harness.cli", "sds", "--records", records,
+                 "--out", "sds.json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+        assert json.loads(Path("sds.json").read_text())["concepts"] > 0
+
+    def test_a_stdout_whose_write_raises_exits_quietly(self, records, monkeypatch, capsys):
+        class ClosedStdout(io.TextIOBase):
+            def __init__(self, fd: int) -> None:
+                self.fd = fd
+
+            def write(self, text: str) -> int:
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self) -> int:
+                return self.fd
+
+        fd = os.open("stdout.txt", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+            assert run("sds", "--records", records) == EXIT_PIPE
+            monkeypatch.undo()
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_an_unwritable_out_is_still_a_usage_error(self, records, capsys):
+        assert run("sds", "--records", records, "--out", "absent/sds.json") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")

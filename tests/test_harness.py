@@ -189,7 +189,7 @@ class TestTranslators:
         program and the span ledger are the gold translator's."""
         item = as_item(synthetic_batch[0], resources)
         adv, gold = SplitAdversaryTranslator().translate(item), GoldTranslator().translate(item)
-        assert adv.rendering == gold.rendering
+        assert adv.logic == gold.logic
         assert adv.span_symbols == gold.span_symbols
 
     def test_split_adversary_degrades_query_to_unknown(self, resources):
@@ -452,7 +452,7 @@ class TestEvaluation:
             gold_answer="true", task_kind="folio",
         )
         [record] = run_evaluation([p], translator, cfg, "auto", resources=resources).records
-        assert record.parse_error is None and record.program is not None
+        assert record.parse_error is None and record.logic is not None
         assert record.predicted == "true"
 
     def test_limit_hit_on_a_closed_world_task_stays_unknown(self, resources, monkeypatch):
@@ -890,7 +890,7 @@ def test_report_text_names_dropped_concepts_and_limit_hits(diversified_batch, re
     assert "limit hits 0" in lines
 
     first = report.records[0]
-    record = TranslationRecord(first.problem_id, first.gold, program=first.program,
+    record = TranslationRecord(first.problem_id, first.gold, program=first.logic,
                                verdict=Verdict("unknown", limit_hit=True),
                                alignment={concept: set() for concept in first.alignment})
     unmeasured = report._replace(records=[record], sds=compute_sds([record]))

@@ -179,8 +179,8 @@ class TestRefinementFromTheFinalTable:
             PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms))
         record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
-        assert record.rendering == ("Big(Idol) & (Popular(Idol) & Show(Idol))",
-                                    "Popular(Gala) & Show(Gala)", "Show(Idol)")
+        assert record.logic[:2] == (("Big(Idol) & (Popular(Idol) & Show(Idol))",
+                                     "Popular(Gala) & Show(Gala)"), "Show(Idol)")
         assert [t.decision for t in record.mental_trace] == [EXTEND, REFINE, REFINE]
         # The table text expands each decomposition as the program does.
         assert record.table_text.splitlines() == [
@@ -229,7 +229,7 @@ class TestCamelCase:
             PromptLibrary.load(), oracle=LexiconOracle(resources.synonyms))
         record = translator.translate(as_item(OPEN_PROBLEM, resources))
         assert record.parse_error is None
-        assert record.rendering == ("GoodNatur(Anne)", "GoodNatur(Anne)")
+        assert record.logic[:2] == (("GoodNatur(Anne)",), "GoodNatur(Anne)")
 
     def test_plain_words_keep_their_symbols(self, resources):
         """Lexicon words and generator attributes name the symbols they did

@@ -15,14 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FormatError, TranslationFailure
+from symdrift.fol.parser import build_program
 from symdrift.fol.render import render_formula, render_program
 from symdrift.fol.terms import LogicProgram, walk_atoms
 from symdrift.harness.client import Completion
 from symdrift.harness.config import SyntheticConfig, TranslatorConfig
-from symdrift.harness.datasets import load_dataset
+from symdrift.harness.datasets import load_dataset, texts_from_json
 from symdrift.harness.evaluate import evaluate_one, normalize_items, solve_one
 from symdrift.harness.prompts import PromptLibrary
-from symdrift.harness.serialize import program_from_json, record_to_json
+from symdrift.harness.serialize import record_to_json
 from symdrift.harness.synthetic import generate_synthetic
 from symdrift.harness.translators import (
     LLMTranslator,
@@ -337,7 +338,7 @@ def test_llm_mental_records_equal_the_reference(diversified_seed7, resources):
         # The traces writer's program block comes from the same rendering.
         premises = expected["program"]["logic"]["premises"]
         query = expected["program"]["logic"]["query"]
-        assert program_block(record.rendering) == "\n".join(
+        assert program_block(record.logic) == "\n".join(
             ["```", *(f"premise: {p}" for p in premises), f"query: {query}", "```"])
 
 
@@ -411,7 +412,7 @@ def _same_program(a, b) -> None:
        st.sampled_from(("open_world", "closed_world")))
 def test_program_from_json_matches_the_reference(premises, query, mode):
     data = {"premises": premises, "query": query, "mode": mode}
-    new, new_error = _outcome(lambda: program_from_json(data, "logic"))
+    new, new_error = _outcome(lambda: build_program(texts_from_json(data, "logic")))
     old, old_error = _outcome(lambda: reference_program_from_json(data))
     assert new_error == (old_error and ("FormatError", f"bad logic: {old_error[1]}"))
     if new is not None:
@@ -426,4 +427,5 @@ def test_generated_gold_programs_load_as_the_reference_does():
             "query": render_formula(gold.query, gold.registry),
             "mode": gold.semantics_mode,
         }))
-        _same_program(program_from_json(data, "logic"), reference_program_from_json(data))
+        _same_program(build_program(texts_from_json(data, "logic")),
+                      reference_program_from_json(data))

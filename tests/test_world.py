@@ -137,6 +137,7 @@ def test_texts_of_one_form_give_one_skeleton_and_formula(resources):
             problem, unit = hand_written_problem(form_name, text)
             proposal = next(p for p in propose_from_templates(problem) if p.unit == unit)
             record = translate_one(as_item(problem, resources), NaiveTranslator())
-            formula = record.rendering[unit] if record.program else record.parse_error
+            formula = ((*record.logic.premises, record.logic.query)[unit]
+                       if record.parse_error is None else record.parse_error)
             readings.add((proposal.skeleton, proposal.slots, formula))
         assert len(readings) == 1, readings
