@@ -44,10 +44,6 @@ class UnknownSymbol(FolError):
     pass
 
 
-class NameCollision(FolError):
-    pass
-
-
 class UnsupportedSkolemFunction(FolError):
     """An existential quantifier occurs under a universal one (fragment limit)."""
 

@@ -13,13 +13,13 @@ Identifiers in application position are predicates; argument identifiers are
 variables when bound by an enclosing quantifier, constants otherwise. Unseen
 identifiers are auto-registered, with arity locked at first use.
 
-`parse_program` is the one way a program is made from texts: a dataset's
-gold logic, a model's fenced program block, the synthetic generator's logic.
-It is two steps, which a caller may also take apart. `check_program` decides
-whether the texts make a program, and raises what the parse would, without
-building one; `build_program` builds the program from texts so checked. A
-dataset keeps its gold logic as checked texts, and only a reader of the
-program builds it. The check reads a second memo per distinct text: the
+A program is made from texts in two steps. `check_program` decides whether
+the texts make a program, and raises what the parse would, without building
+one: a dataset's gold logic, a model's fenced program block and the
+synthetic generator's logic are all checked so and kept as texts.
+`build_program` builds the program from texts so checked; only solving one
+does (`harness.evaluate.solve_one`), and the generator, which solves its
+logic for the label. The check reads a second memo per distinct text: the
 symbols the text declares, and whether it is a fact or a Horn rule.
 
 Parsing is memoized per distinct text and bound per registry: each text is
@@ -284,14 +284,14 @@ class ProgramTexts(NamedTuple):
 
 def check_program(premise_texts: Iterable[str], query_text: str,
                   semantics_mode: str) -> ProgramTexts:
-    """The texts, if `parse_program` builds a program from them; otherwise
-    raise what it raises. The check reads each text's shape through the
-    memo: every name must keep one arity across the texts (in the memo's
-    scratch registries each text declares its own), and in the closed world
-    every premise must be a fact or a Horn rule. Symbol ids never decide
-    whether a parse succeeds, so a program that fails this check fails the
-    plain parse too, which then runs to raise its own error. The texts are
-    interned: programs repeat a few hundred distinct formulas."""
+    """The texts, if `build_program` builds a program from them that passes
+    `check_world`; otherwise raise what that raises. The check reads each
+    text's shape through the memo: every name must keep one arity across the
+    texts (in the memo's scratch registries each text declares its own), and
+    in the closed world every premise must be a fact or a Horn rule. Symbol
+    ids never decide whether a parse succeeds, so a program that fails this
+    check fails the plain parse too, which then runs to raise its own error.
+    The texts are interned: programs repeat a few hundred distinct formulas."""
     texts = ProgramTexts(tuple(map(sys.intern, premise_texts)), sys.intern(query_text),
                          semantics_mode)
     if not _well_formed(texts):
@@ -327,8 +327,3 @@ def build_program(texts: ProgramTexts) -> LogicProgram:
     premises = tuple(parse_formula(text, registry) for text in texts.premises)
     query = parse_formula(texts.query, registry)
     return LogicProgram(registry, premises, query, texts.semantics_mode)
-
-
-def parse_program(premise_texts: Iterable[str], query_text: str,
-                  semantics_mode: str) -> LogicProgram:
-    return build_program(check_program(premise_texts, query_text, semantics_mode))

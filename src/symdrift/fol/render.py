@@ -2,15 +2,18 @@
 
 The output round-trips: parsing it against the same registry rebuilds a
 structurally identical formula. `render_text` gives a formula text's
-canonical rendering, memoized per text, so a dataset writes its gold logic
-canonically without building the program.
+canonical rendering, memoized per text, and `render_texts` a program's, so
+checked texts are rendered as their program would be without building it:
+a dataset's gold logic as it is written, and the logic of a `gold` or `llm`
+record.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
-from .parser import parse_shape
+from .parser import ProgramTexts, parse_shape
 from .terms import (
     And,
     Atom,
@@ -45,13 +48,20 @@ def render_program(program: LogicProgram) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def render_text(text: str) -> str:
-    """The canonical rendering of a formula text that parses: what
+    """The canonical rendering of a formula text that parses, interned: what
     `render_program` gives for it in any program, as only names are printed."""
     formula, symbols = parse_shape(text)
     registry = SymbolRegistry()
     for _, info in symbols:  # in order, so the ids are the shape's own
         registry.declare(info.name, info.arity, info.kind)
-    return render_formula(formula, registry)
+    return sys.intern(render_formula(formula, registry))
+
+
+def render_texts(texts: ProgramTexts) -> ProgramTexts:
+    """Checked texts rendered canonically: the texts `render_program` gives
+    for the program they build."""
+    return texts._replace(premises=tuple(map(render_text, texts.premises)),
+                          query=render_text(texts.query))
 
 
 def _term_str(t, registry: SymbolRegistry) -> str:

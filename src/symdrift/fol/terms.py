@@ -11,12 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from ..errors import (
-    ArityMismatch,
-    NameCollision,
-    NotHorn,
-    UnknownSymbol,
-)
+from ..errors import ArityMismatch, NotHorn, UnknownSymbol
 
 PREDICATE = "predicate"
 CONSTANT = "constant"
@@ -25,7 +20,6 @@ OPEN_WORLD = "open_world"
 CLOSED_WORLD = "closed_world"
 CSP_MODE = "csp"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ALNUM_RUN = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -136,6 +130,7 @@ class SymbolRegistry:
 
     Names are unique case-sensitively within a kind. Ids are allocated
     sequentially (`p0, p1, ...` / `c0, c1, ...`) in declaration order.
+    Callers declare lexer identifiers or `camel_identifier`/`fresh_name` names.
     """
 
     def __init__(self) -> None:
@@ -144,16 +139,15 @@ class SymbolRegistry:
         self._counter = 0
 
     def declare(self, name: str, arity: int, kind: str) -> str:
-        if not _IDENT_RE.match(name):
-            raise NameCollision(f"invalid identifier {name!r}")
-        if arity < 0:
-            raise ArityMismatch(name, 0, arity)
+        """The id of the symbol `name` of `kind`, declared at `arity` on first
+        use; raises `ArityMismatch` when it was declared at another arity."""
         key = (kind, name)
-        if key in self._by_name:
-            existing = self._entries[self._by_name[key]]
-            if existing.arity != arity:
-                raise ArityMismatch(name, existing.arity, arity)
-            return self._by_name[key]
+        sid = self._by_name.get(key)
+        if sid is not None:
+            declared = self._entries[sid].arity
+            if declared != arity:
+                raise ArityMismatch(name, declared, arity)
+            return sid
         prefix = "p" if kind == PREDICATE else "c"
         sid = f"{prefix}{self._counter}"
         self._counter += 1
@@ -179,14 +173,6 @@ class SymbolRegistry:
 
     def symbols(self) -> list[str]:
         return list(self._entries)
-
-
-def ensure_predicate(registry: SymbolRegistry, name: str, arity: int) -> str:
-    """Fetch-or-declare a predicate by name; an existing one keeps its arity."""
-    sid = registry.lookup(name, PREDICATE)
-    if sid is None:
-        sid = registry.declare(name, arity, PREDICATE)
-    return sid
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +237,6 @@ class LogicProgram(NamedTuple):
     premises: tuple[Formula, ...]
     query: Formula
     semantics_mode: str = OPEN_WORLD
-
-    def validate(self) -> "LogicProgram":
-        """Type-check every formula against the registry, then `check_world`.
-        Every formula is a sentence already: the parser reads an argument no
-        quantifier binds as a constant."""
-        for f in (*self.premises, self.query):
-            type_check(f, self.registry)
-        return self.check_world()
 
     def check_world(self) -> "LogicProgram":
         """What the program's world requires beyond a valid program: in the

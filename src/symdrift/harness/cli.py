@@ -186,7 +186,10 @@ def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
     live until the command ends, so they are frozen out of the cyclic
     collector, which would otherwise re-scan them in every full collection;
     `main` unfreezes them. The rows hold no reference cycle, so the collector
-    is paused while they are built: its passes would find no garbage."""
+    is paused while they are built: its passes would find no garbage.
+
+    Each problem id may appear once: records, the SDS breakdown and `solve`
+    match a record to its problem by id."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -195,6 +198,12 @@ def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
     finally:
         if collecting:
             gc.enable()
+    seen: set[str] = set()
+    for item in items:
+        problem_id = item.problem.id if isinstance(item, DiversifiedProblem) else item.id
+        if problem_id in seen:
+            raise FormatError(f"problem id {problem_id!r} repeats in {path}")
+        seen.add(problem_id)
     return items
 
 

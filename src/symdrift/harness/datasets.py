@@ -10,11 +10,12 @@ Each row kind's fields are declared once, as a shape below (`PROBLEM`,
 `DIVERSIFIED`, `RECORD` with its `PROGRAM` and `VERDICT`, `TRACE`, `REPLY`).
 Every reader passes its row to `check` first, which raises a `FormatError`
 naming the field; `parse_jsonl` adds the line number. Gold logic is checked
-as `parse_program` would parse it (`check_program`), with the same error, and
-kept as its texts, written back as a parse renders them. Provenance must point
-into its own problem's text (`DiversifiedProblem.check_spans`). A string that
-repeats across rows (a unit or formula text, a concept id, a surface) is held
-once: the readers intern it.
+as `build_program` would build it (`check_program`), with the same error, and
+kept as its texts, written back as a built program renders them
+(`render_texts`). Provenance must point into its own problem's text
+(`DiversifiedProblem.check_spans`). A string that repeats across rows (a
+unit or formula text, a concept id, a surface) is held once: the readers
+intern it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import FormatError, SymdriftError
 from ..fol.parser import ProgramTexts, check_program
-from ..fol.render import render_text
+from ..fol.render import render_texts
 from ..fol.terms import CLOSED_WORLD, OPEN_WORLD
 from ..problem import (
     DiversifiedProblem,
@@ -139,9 +140,8 @@ def problem_to_json(p: Problem) -> dict:
     }
     if p.options is not None:
         out["options"] = list(p.options)
-    if (gold := p.gold_logic) is not None:  # written canonically, as a parse renders it
-        out["gold_logic"] = logic_to_json(gold._replace(
-            premises=tuple(map(render_text, gold.premises)), query=render_text(gold.query)))
+    if p.gold_logic is not None:
+        out["gold_logic"] = logic_to_json(render_texts(p.gold_logic))
     if p.gold_concepts is not None:
         out["gold_concepts"] = [[*span, concept]
                                 for span, concept in sorted(p.gold_concepts.items())]

@@ -3,9 +3,10 @@
 `evaluate_one` is exactly `translate_one` then `solve_one`, the two steps the
 CLI's `translate` and `solve` subcommands run separately; so a saved
 translation re-solved later gives the record `evaluate` would have written.
-A record holds its built logic program only between the two: `solve_one`
-decides it and drops it, and builds one from a record's logic texts when the
-record was read from disk or solved before.
+A record holds a built logic program only between the two: `solve_one`
+decides it and drops it. A record whose program arrived as text (the `gold`
+translator, an `llm` program block), was read from disk or was solved before
+holds none, and `solve_one` is the one place that builds it from the texts.
 `intensity_sweep` repeats `run_evaluation` over diversification levels.
 
 Each engine decides a program in its own world (`ENGINES`), and each task is
@@ -106,8 +107,8 @@ def solver_for(task_kind: str, solver: str) -> str:
 
 def _solve(record: TranslationRecord, engine: Engine) -> Verdict:
     """Decide the record's program in the engine's world. Every producer of a
-    record's program validated it, so only what the engine's world adds is
-    checked here."""
+    record's program checked it in its own world, so only what the engine's
+    world adds is checked here."""
     program = record.program
     if engine.world == CSP_MODE:
         if not isinstance(program, CSPSpec):
@@ -157,10 +158,11 @@ def solve_one(record: TranslationRecord, item: DiversifiedProblem,
     """Solve and align a translated record in place. What an earlier solve
     set is cleared first, so solving a solved record again changes nothing.
 
-    The engine decides the program the translator built, or, for a record
-    read from disk or solved before, one built from the record's logic
-    texts. Once the verdict is in, the built program is dropped: the record
-    keeps its logic as texts. A constraint spec has no texts and stays."""
+    The engine decides the program the translator built, or one built from
+    the record's logic texts: for a program handed over as text, and for a
+    record read from disk or solved before. Once the verdict is in, the built
+    program is dropped: the record keeps its logic as texts. A constraint
+    spec has no texts and stays."""
     problem = item.problem
     engine = ENGINES[solver_for(problem.task_kind, solver)]
     record.verdict = record.predicted = record.exec_error = None

@@ -3,9 +3,12 @@
 Every `translate()` returns an unsolved `TranslationRecord`: the program, the
 span-to-symbol ledger that `align_symbols` joins with the diversification
 provenance, any answer options, and the rendered table and trace of
-table-guided translation. `harness.evaluate.solve_one` fills in the rest. A
-translation that fails raises, and `harness.evaluate.translate_one` records
-it; the `llm` translator records its own, keeping the reply and its tokens.
+table-guided translation. A program that arrives as text (the gold logic, an
+`llm` program block) is handed over as its checked, canonical texts; one
+assembled from parts (table-guided, split-adversary) is handed over built.
+`harness.evaluate.solve_one` fills in the rest. A translation that fails
+raises, and `harness.evaluate.translate_one` records it; the `llm`
+translator records its own, keeping the reply and its tokens.
 """
 
 from __future__ import annotations
@@ -14,16 +17,9 @@ import re
 
 from ..diversify.resources import Resources
 from ..errors import MissingGold, OracleFailure, TranslationFailure
-from ..fol.parser import ProgramTexts, parse_program
-from ..fol.terms import (
-    CONSTANT,
-    LogicProgram,
-    PREDICATE,
-    SymbolRegistry,
-    camel_identifier,
-    fresh_name,
-    walk_atoms,
-)
+from ..fol.parser import ProgramTexts, check_program, parse_shape
+from ..fol.render import render_texts
+from ..fol.terms import LogicProgram, SymbolRegistry, camel_identifier, fresh_name, walk_atoms
 from ..mental.oracles import EquivalenceOracle, LexiconOracle, LLMOracle
 from ..mental.table import MentalTable, normalize_expression, rendering_symbols
 from ..mental.translate import Proposal, Skeleton, instantiate, translate_with_mental
@@ -121,11 +117,11 @@ class NaiveTranslator:
         return _table_guided(problem, propose_from_templates(problem), self.oracle)
 
 
-def _require_gold(problem: Problem) -> LogicProgram:
-    """The problem's gold program, built once per translation."""
+def _require_gold(problem: Problem) -> ProgramTexts:
+    """The problem's gold logic, as its checked texts."""
     if problem.gold_logic is None or problem.gold_concepts is None:
         raise MissingGold(f"problem {problem.id} lacks gold logic or concept spans")
-    return problem.gold_program()
+    return problem.gold_logic
 
 
 def _provenance_ledger(diversified: DiversifiedProblem, concept_symbols: dict[str, str],
@@ -142,30 +138,32 @@ def _provenance_ledger(diversified: DiversifiedProblem, concept_symbols: dict[st
 
 
 class GoldTranslator:
-    """Emits the gold program with every diversified surface mapped back to
-    its concept symbol through provenance; drift-free by construction."""
+    """Emits the gold logic, rendered canonically and unbuilt, with every
+    diversified surface mapped back to its concept symbol through
+    provenance; drift-free by construction."""
 
     def translate(self, item: DiversifiedProblem) -> TranslationRecord:
         problem = item.problem
-        program = _require_gold(problem)
-        concept_symbols = _gold_concept_symbols(problem, program.registry)
+        gold = _require_gold(problem)
+        concept_symbols = _gold_concept_symbols(problem, gold)
         span_symbols = _provenance_ledger(
             item, concept_symbols, lambda concept_id, _entry: concept_symbols[concept_id])
-        return translation_record(problem, program=program, span_symbols=span_symbols)
+        return translation_record(problem, program=render_texts(gold), span_symbols=span_symbols)
 
 
 class SplitAdversaryTranslator:
     """Keeps the gold structure but assigns one symbol per distinct surface
     form of each concept: maximal drift with otherwise-correct logic. Each
-    gold formula is instantiated as a skeleton whose slots are the concept
-    predicates its unit mentions, each rendered as its surface's symbol."""
+    gold text's shape is instantiated as a skeleton whose slots are the
+    concept predicates its unit mentions, each rendered as its surface's
+    symbol."""
 
     def translate(self, item: DiversifiedProblem) -> TranslationRecord:
         problem = item.problem
         gold = _require_gold(problem)
         if len(gold.premises) != len(problem.sentences):
             raise MissingGold(f"problem {problem.id}: premises are not sentence-aligned")
-        concept_symbols = _gold_concept_symbols(problem, gold.registry)
+        concept_symbols = _gold_concept_symbols(problem, gold)
         symbol_names: dict[tuple[str, str], str] = {}
         taken: set[str] = set()
 
@@ -184,10 +182,11 @@ class SplitAdversaryTranslator:
                 surface_at.setdefault((concept_id, e.unit), e.surface)
 
         pred_concepts = {symbol: concept_id for concept_id, symbol in concept_symbols.items()}
-        names = {sid: gold.registry.name_of(sid) for sid in gold.registry.symbols()}
         registry = SymbolRegistry()
         formulas = []
-        for unit, formula in (*enumerate(gold.premises), (QUESTION_UNIT, gold.query)):
+        for unit, text in (*enumerate(gold.premises), (QUESTION_UNIT, gold.query)):
+            formula, symbols = parse_shape(text)
+            names = {sid: info.name for sid, info in symbols}
             slots: dict[str, int] = {}
             renderings = []
             for atom in walk_atoms(formula):
@@ -198,20 +197,23 @@ class SplitAdversaryTranslator:
                     renderings.append(per_surface_symbol(concept_id, surface))
             formulas.append(instantiate(Skeleton(formula, names, slots), renderings, registry))
         *premises, query = formulas
-        program = LogicProgram(registry, tuple(premises), query, gold.semantics_mode).validate()
+        program = LogicProgram(registry, tuple(premises), query,
+                               gold.semantics_mode).check_world()
         span_symbols = _provenance_ledger(
             item, concept_symbols,
             lambda concept_id, e: per_surface_symbol(concept_id, surface_at[(concept_id, e.unit)]))
         return translation_record(problem, program=program, span_symbols=span_symbols)
 
 
-def _gold_concept_symbols(problem: Problem, registry: SymbolRegistry) -> dict[str, str]:
-    """Concept id -> gold symbol name, for concepts whose camel-cased name is
-    declared in the gold program's `registry` (predicate or constant)."""
+def _gold_concept_symbols(problem: Problem, gold: ProgramTexts) -> dict[str, str]:
+    """Concept id -> gold symbol name, for concepts whose camel-cased name a
+    gold text's shape declares (predicate or constant)."""
+    declared = {info.name for text in (*gold.premises, gold.query)
+                for _, info in parse_shape(text)[1]}
     out: dict[str, str] = {}
     for concept_id in set(problem.gold_concepts.values()):
         name = camel_identifier(concept_id)
-        if registry.lookup(name, PREDICATE) or registry.lookup(name, CONSTANT):
+        if name in declared:
             out[concept_id] = name
     return out
 
@@ -240,22 +242,23 @@ def _reply_lines(text: str, block: str | None) -> list[str]:
     return [line for raw in text.splitlines() if (line := raw.strip())]
 
 
-def extract_program_block(text: str, semantics_mode: str) -> LogicProgram:
-    """Parse the first fenced block of `premise:`/`query:` lines; the last
-    `query:` line is the query."""
+def extract_program_block(text: str, semantics_mode: str) -> ProgramTexts:
+    """The checked texts of the first fenced block of `premise:`/`query:`
+    lines, rendered canonically; the last `query:` line is the query."""
     premises: list[str] = []
     query: str | None = None
     for line in _reply_lines(text, "program"):
         key, _, rest = line.partition(":")
-        if key.lower() == "premise":
+        key = key.strip().lower()
+        if key == "premise":
             premises.append(rest)
-        elif key.lower() == "query":
+        elif key == "query":
             query = rest
         else:
             raise TranslationFailure(f"unexpected line in program block: {line!r}")
     if query is None:
         raise TranslationFailure("program block has no query line")
-    return parse_program(premises, query, semantics_mode)
+    return render_texts(check_program(premises, query, semantics_mode))
 
 
 # Every kind takes two arguments; a positional kind's second is an integer.

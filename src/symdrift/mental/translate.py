@@ -32,7 +32,6 @@ from ..fol.terms import (
     LogicProgram,
     PREDICATE,
     SymbolRegistry,
-    ensure_predicate,
     map_atoms,
 )
 from ..problem import Problem, QUESTION_UNIT, TASK_KINDS
@@ -183,12 +182,13 @@ def instantiate(skeleton: Skeleton, renderings: list[Rendering],
                 registry: SymbolRegistry) -> Formula:
     """The skeleton's formula over `registry`: slot k's predicate replaced by
     `renderings[k]` (a decomposition as the conjunction modifier & base),
-    every other symbol by the same-named one, declared on first use."""
+    every other symbol by the same-named one, declared on first use. A
+    predicate used at another arity than it was declared with raises
+    `ArityMismatch` at its atom."""
     names, slots = skeleton.names, skeleton.slots
 
     def constant(symbol: str) -> Const:
-        name = names[symbol]
-        return Const(registry.lookup(name, CONSTANT) or registry.declare(name, 0, CONSTANT))
+        return Const(registry.declare(names[symbol], 0, CONSTANT))
 
     def rebuild(atom: Atom) -> Formula:
         args = tuple(constant(a.symbol) if isinstance(a, Const) else a for a in atom.args)
@@ -201,7 +201,7 @@ def instantiate(skeleton: Skeleton, renderings: list[Rendering],
 def _expand(rendering: Rendering, args: tuple, registry: SymbolRegistry) -> Formula:
     # Module level: a recursive closure would be a reference cycle per call.
     if isinstance(rendering, str):
-        return Atom(ensure_predicate(registry, rendering, len(args)), args)
+        return Atom(registry.declare(rendering, len(args), PREDICATE), args)
     modifier, base = rendering
     return And(_expand(modifier, args, registry), _expand(base, args, registry))
 
@@ -217,7 +217,8 @@ def translate_with_mental(problem: Problem, proposals: list[Proposal],
     surface gets its own symbol: the drift-prone baseline.
 
     Proposals with no query, an empty list among them, raise
-    `TranslationFailure` rather than fabricate a program.
+    `TranslationFailure` rather than fabricate a program. Each formula is
+    type-checked as it is instantiated, so only the world is checked after.
     """
     state = TranslationState()
     units = []
@@ -235,17 +236,16 @@ def translate_with_mental(problem: Problem, proposals: list[Proposal],
         if not placed <= state.placed:
             state = state._replace(placed=state.placed | placed)
     state.table.audit()
+    if all(proposal.unit != QUESTION_UNIT for proposal in proposals):
+        raise TranslationFailure("no query was translated")
     renderings = state.table.renderings
     registry = SymbolRegistry()
     premises: list[Formula] = []
-    query = None
     for proposal, skeleton, norms in units:
         formula = instantiate(skeleton, [renderings[norm] for norm in norms], registry)
         if proposal.unit == QUESTION_UNIT:
             query = formula
         else:
             premises.append(formula)
-    if query is None:
-        raise TranslationFailure("no query was translated")
     program = LogicProgram(registry, tuple(premises), query, TASK_KINDS[problem.task_kind])
-    return program.validate(), state.table, state.trace
+    return program.check_world(), state.table, state.trace

@@ -1,11 +1,11 @@
 """Per-problem translation records: the unit metrics aggregate over.
 
-A record keeps a logic program as its texts (`logic`), rendered once from
-the program its translator built. The built program (`program`) is held
-only from translation to solving: `harness.evaluate.solve_one` drops it
-once the verdict is in, and a record read back from disk has none, so
-solving it builds one from the texts. A constraint spec has no text form
-and stays on its record.
+A record keeps a logic program as its texts (`logic`): checked texts as
+its translator handed them over or as read back from disk, or rendered once
+from the program its translator built. The built program (`program`) is
+held only from translation to solving: `harness.evaluate.solve_one` drops
+it once the verdict is in, and builds one from the texts for a record that
+has none. A constraint spec has no text form and stays on its record.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class TranslationRecord:
         self.raw_output = raw_output
         # the built program, until it is solved, or the constraint spec
         self.program = program
-        # A logic program's texts: checked texts read back from disk, or a
-        # built program's `render_program` texts, made once; every writer of
+        # A logic program's texts: checked texts as they were handed over, or
+        # a built program's `render_program` texts, made once; every writer of
         # the record reads them. Interned: a run's programs repeat a few
         # hundred distinct formulas thousands of times.
         self.logic = None

@@ -4,7 +4,7 @@ A problem is an ordered list of premise sentences plus a question; text units
 are addressed by index, with `QUESTION_UNIT` (-1) naming the question. A unit
 is its text: its tokens are read from `tokenize`'s memo when first asked for.
 A problem's gold logic is kept as the formula texts `check_program` accepted;
-`Problem.gold_program` builds the program for the translators that read it.
+no reader of it builds the program but solving.
 A concept inventory is a plain dict from concept id to entry.
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .fol.parser import ProgramTexts, build_program
-from .fol.terms import CLOSED_WORLD, CSP_MODE, LogicProgram, OPEN_WORLD
+from .fol.parser import ProgramTexts
+from .fol.terms import CLOSED_WORLD, CSP_MODE, OPEN_WORLD
 from .textproc import Token, tokenize
 
 QUESTION_UNIT = -1
@@ -59,11 +59,6 @@ class Problem(NamedTuple):
     gold_logic: ProgramTexts | None = None
     # (unit, token start, token end exclusive) -> concept id
     gold_concepts: dict[tuple[int, int, int], str] | None = None
-
-    def gold_program(self) -> LogicProgram:
-        """The gold logic built into a program, afresh on each call; its
-        texts were checked when they were made."""
-        return build_program(self.gold_logic)
 
     def unit(self, index: int) -> TextUnit:
         return self.question if index == QUESTION_UNIT else self.sentences[index]
@@ -145,16 +140,18 @@ class DiversifiedProblem:
     def check_spans(self) -> "DiversifiedProblem":
         """Raise `ValueError` naming the concept unless each provenance entry
         points into its own text: its unit is a sentence index or
-        `QUESTION_UNIT`, and its span of that unit's text is its surface."""
+        `QUESTION_UNIT`, its span lies within that unit's text, and the
+        span's text is its surface."""
         for cid, entries in self.provenance.items():
             for e in entries:
                 if not QUESTION_UNIT <= e.unit < len(self.problem.sentences):
                     raise ValueError(f"provenance unit {e.unit} for {cid!r} is not "
                                      f"a sentence index or {QUESTION_UNIT}")
                 text = self.problem.unit(e.unit).text
-                if e.char_start < 0 or text[e.char_start:e.char_end] != e.surface:
+                start, end = e.char_start, e.char_end
+                if not 0 <= start <= end <= len(text) or text[start:end] != e.surface:
                     raise ValueError(
-                        f"provenance span for {cid!r} does not match text: "
-                        f"{text[e.char_start:e.char_end]!r} != {e.surface!r}"
+                        f"provenance span {start}:{end} for {cid!r} does not match text: "
+                        f"{text[start:end]!r} != {e.surface!r}"
                     )
         return self

@@ -33,7 +33,7 @@ from symdrift.errors import (
     TranslationFailure,
 )
 from symdrift.fol.cnf import Clause, Literal, SkolemAllocator, to_cnf
-from symdrift.fol.parser import _Parser, parse_formula
+from symdrift.fol.parser import _Parser, build_program, parse_formula
 from symdrift.fol.render import render_formula
 from symdrift.fol.terms import (
     And,
@@ -135,7 +135,7 @@ def random_program(rng: random.Random, n_consts: int = 3, n_preds: int = 4,
     else:
         quant = ForAll if rng.random() < 0.5 else Exists
         query = quant("x", Atom(rng.choice(preds), (Var("x"),)))
-    return LogicProgram(registry, premises, query).validate()
+    return LogicProgram(registry, premises, query).check_world()
 
 
 def random_relational_program(rng: random.Random) -> LogicProgram:
@@ -164,7 +164,7 @@ def random_relational_program(rng: random.Random) -> LogicProgram:
         for v in reversed(vs):
             f = ForAll(v.name, f)
         premises.append(f)
-    return LogicProgram(registry, tuple(premises), literal(consts)).validate()
+    return LogicProgram(registry, tuple(premises), literal(consts)).check_world()
 
 
 def herbrand_padding(p: LogicProgram) -> list[str]:
@@ -883,7 +883,7 @@ def proof_depth(p: Problem) -> int | None:
     """Rule applications needed for the (positive form of the) query; None
     when it is underivable. Used to verify generator depth claims."""
     assert p.gold_logic is not None
-    gold = p.gold_program()
+    gold = build_program(p.gold_logic)
     saturation = reference_saturate(gold)
     query = gold.query
     atom = query.body if isinstance(query, Not) else query
@@ -892,13 +892,22 @@ def proof_depth(p: Problem) -> int | None:
     return saturation.depths.get(key)
 
 
+def reference_validate(p: LogicProgram) -> LogicProgram:
+    """The whole-program check the references keep: every formula
+    type-checked against the registry, then the world's check."""
+    for f in (*p.premises, p.query):
+        type_check(f, p.registry)
+    return p.check_world()
+
+
 def reference_program_from_json(data: dict) -> LogicProgram:
     """Program loading that parses every formula and then validates the
     whole program again, type check included."""
     registry = SymbolRegistry()
     premises = tuple(parse_formula(text, registry) for text in data["premises"])
     query = parse_formula(data["query"], registry)
-    return LogicProgram(registry, premises, query, data.get("mode", OPEN_WORLD)).validate()
+    return reference_validate(LogicProgram(registry, premises, query,
+                                           data.get("mode", OPEN_WORLD)))
 
 
 # ---------------------------------------------------------------------------
@@ -1216,8 +1225,8 @@ def reference_translate_with_mental(problem: Problem, proposals: list[Proposal],
             state = replace(state, premises=state.premises + (formula,))
     if state.query is None:
         raise TranslationFailure("no query was translated")
-    program = LogicProgram(state.registry, state.premises, state.query,
-                           state.semantics_mode).validate()
+    program = reference_validate(LogicProgram(state.registry, state.premises, state.query,
+                                              state.semantics_mode))
     return program, state.table, state.trace
 
 
@@ -1279,8 +1288,8 @@ def reference_evaluate_json(item: DiversifiedProblem, proposals: list[Proposal] 
     engine = ENGINES[solver_for(problem.task_kind, solver)]
     try:
         record.verdict = engine.decide(
-            LogicProgram(program.registry, program.premises, program.query,
-                         engine.world).validate(), record.options)
+            reference_validate(LogicProgram(program.registry, program.premises,
+                                            program.query, engine.world)), record.options)
         record.predicted = _predicted_label(record, problem.task_kind, engine)
     except (SolverError, FolError, SolverMismatch) as exc:
         record.exec_error = f"{type(exc).__name__}: {exc}"

@@ -13,7 +13,7 @@ import pytest
 
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
-from symdrift.fol.parser import parse_formula
+from symdrift.fol.parser import build_program, parse_formula
 from symdrift.fol.terms import LogicProgram, SymbolRegistry
 from symdrift.harness.config import SyntheticConfig, TranslatorConfig
 from symdrift.harness.evaluate import intensity_sweep, run_evaluation
@@ -78,7 +78,7 @@ def test_criterion_2_cwa_correctness(synthetic_200):
     started = time.monotonic()
     matches = sum(
         1 for p in synthetic_200
-        if forward_chain_cwa(p.gold_program()).value == p.gold_answer
+        if forward_chain_cwa(build_program(p.gold_logic)).value == p.gold_answer
     )
     elapsed = time.monotonic() - started
     assert matches == len(synthetic_200) == 200
@@ -111,7 +111,7 @@ def _analytic_sds(diversified, resources) -> float:
     total = 0
     drift = 0
     for item in diversified:
-        symbols = _gold_concept_symbols(item.problem, item.problem.gold_program().registry)
+        symbols = _gold_concept_symbols(item.problem, item.problem.gold_logic)
         for cid, entries in item.provenance.items():
             total += 1
             if cid not in symbols:
@@ -197,7 +197,7 @@ def test_criterion_7_refinement_soundness(resources):
         definition = parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))",
                                    plain.registry)
         unrefined = LogicProgram(plain.registry, (definition, *plain.premises),
-                                 plain.query).validate()
+                                 plain.query).check_world()
         preserved += enumerate_models(refined).value == enumerate_models(unrefined).value
     assert preserved == 50
     assert orders == {True, False}
@@ -255,7 +255,7 @@ def test_criterion_8_error_taxonomy(resources):
                                    program=program)
         try:
             forward_chain_cwa(LogicProgram(program.registry, program.premises,
-                                           program.query, "closed_world").validate())
+                                           program.query, "closed_world").check_world())
         except Exception as exc:
             record.exec_error = f"{type(exc).__name__}: {exc}"
         records.append((record, EXEC_ERROR))
@@ -268,7 +268,7 @@ def test_criterion_8_error_taxonomy(resources):
             (parse_formula("Tall(Anne)", registry),),
             parse_formula("Kind(Anne)", registry),
             "closed_world",
-        ).validate()
+        ).check_world()
         record = TranslationRecord(problem_id=f"logic{i}", gold="true",
                                    program=program)
         record.verdict = forward_chain_cwa(program)

@@ -220,8 +220,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("plain", [5, 0])
     def test_sweep_refuses_diversified_input(self, workdir, capsys, plain):
-        run("generate", "--n", "5", "--seed", "4", "--out", "p.jsonl")
-        run("diversify", "--in", "p.jsonl", "--out", "d.jsonl")
+        # The plain rows come from another seed: a problem id may appear once.
+        run("generate", "--n", "5", "--seed", "3", "--out", "p.jsonl")
+        run("generate", "--n", "5", "--seed", "4", "--out", "q.jsonl")
+        run("diversify", "--in", "q.jsonl", "--out", "d.jsonl")
         lines = Path("p.jsonl").read_text().splitlines()[:plain]
         lines += Path("d.jsonl").read_text().splitlines()
         Path("mixed.jsonl").write_text("\n".join(lines) + "\n")

@@ -27,6 +27,7 @@ from symdrift.fol.terms import (
     Not,
     SymbolRegistry,
     Var,
+    type_check,
 )
 from symdrift.mental.oracles import LexiconOracle
 from symdrift.mental.table import camel_case_symbol
@@ -183,9 +184,9 @@ class TestCnf:
         clauses = [c for f in premises for c in to_cnf(f, SkolemAllocator(r))]
         assert {a.name for c in clauses[:2] for l in c for a in l.args} == {"x0", "x1", "x2"}
         proved = LogicProgram(r, tuple(premises), parse_formula("Ancestor(anne, carl)", r))
-        assert prove_resolution(proved.validate()).value == "proved"
+        assert prove_resolution(proved.check_world()).value == "proved"
         unproved = LogicProgram(r, tuple(premises), parse_formula("Ancestor(carl, anne)", r))
-        assert prove_resolution(unproved.validate(), max_steps=10).value == "unknown"
+        assert prove_resolution(unproved.check_world(), max_steps=10).value == "unknown"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -302,12 +303,13 @@ class TestRewrites:
             definition = parse_formula("all x (PopularShow(x) <-> Popular(x) & Show(x))", r)
             plain = [parse_formula(s.replace("Slot0", camel_case_symbol(e)), r)
                      for s, e in units]
-            unrefined = LogicProgram(r, (definition, *plain[:-1]), plain[-1]).validate()
+            unrefined = LogicProgram(r, (definition, *plain[:-1]), plain[-1]).check_world()
             assert enumerate_models(refined).value == enumerate_models(unrefined).value
 
     def test_arity_stability_after_rewrites(self):
         out = _refined(("all x (Slot0(x) -> Fun(x))", "popular show"),
                        ("Slot0(Idol)", "show"), ("Fun(Idol)", "fun"))
-        out.validate()  # type-checks end to end
+        for f in (*out.premises, out.query):  # type-checks end to end
+            type_check(f, out.registry)
         infos = [out.registry.info(s) for s in out.registry.symbols()]
         assert {i.arity for i in infos if i.kind == "predicate"} == {1}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from symdrift.fol.parser import parse_formula
+from symdrift.fol.parser import build_program, parse_formula
 from symdrift.fol.terms import CLOSED_WORLD, LogicProgram, Not, SymbolRegistry
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
@@ -58,7 +58,7 @@ def random_horn_program(rng: random.Random) -> LogicProgram:
     registry = SymbolRegistry()
     premises = tuple(parse_formula(text, registry) for text in texts)
     return LogicProgram(registry, premises, parse_formula(query, registry),
-                        CLOSED_WORLD).validate()
+                        CLOSED_WORLD).check_world()
 
 
 def test_random_horn_programs_match_the_reference():
@@ -80,7 +80,7 @@ def test_generated_gold_programs_match_the_reference():
     problems = generate_synthetic(SyntheticConfig(n_problems=60, seed=7))
     steps = []
     for problem in problems:
-        gold = problem.gold_program()
+        gold = build_program(problem.gold_logic)
         expected = reference_forward_chain(gold)
         assert forward_chain_cwa(gold) == expected
         steps.append(expected.steps)

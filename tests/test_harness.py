@@ -17,6 +17,7 @@ from symdrift.errors import (
     NoTraces,
     SolverMismatch,
 )
+from symdrift.fol.parser import build_program
 from symdrift.fol.render import render_formula
 from symdrift.fol.terms import Not
 from symdrift.harness.client import Completion, HttpChatClient
@@ -46,7 +47,7 @@ from symdrift.harness.translators import (
 from symdrift.mental.oracles import LexiconOracle
 from symdrift.problem import Problem, TextUnit
 
-from .helpers import StubClient, as_item, proof_depth
+from .helpers import StubClient, as_item, proof_depth, reference_validate
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +101,10 @@ class TestDatasets:
         save_dataset(path, synthetic_batch[:1])
         (loaded,) = load_dataset(path)
         assert loaded.gold_logic is not None
-        program = loaded.gold_program().validate()
+        program = reference_validate(build_program(loaded.gold_logic))
         from symdrift.fol.render import render_formula
 
-        original = synthetic_batch[0].gold_program()
+        original = build_program(synthetic_batch[0].gold_logic)
         assert [render_formula(f, program.registry) for f in program.premises] == \
             [render_formula(f, original.registry) for f in original.premises]
 
@@ -121,7 +122,7 @@ class TestSynthetic:
         from symdrift.solver.chaining import forward_chain_cwa
 
         for p in synthetic_batch:
-            assert forward_chain_cwa(p.gold_program()).value == p.gold_answer
+            assert forward_chain_cwa(build_program(p.gold_logic)).value == p.gold_answer
 
     def test_determinism(self):
         cfg = SyntheticConfig(n_problems=10, seed=42)
@@ -152,10 +153,12 @@ class TestSynthetic:
 class TestTranslators:
     def test_gold_verbatim_on_undiversified(self, synthetic_batch, resources):
         p = synthetic_batch[0]
-        output, gold = GoldTranslator().translate(as_item(p, resources)), p.gold_program()
-        assert (output.program.premises, output.program.query, output.program.semantics_mode) \
+        output = GoldTranslator().translate(as_item(p, resources))
+        assert output.program is None  # handed over as text, built when solved
+        program, gold = build_program(output.logic), build_program(p.gold_logic)
+        assert (program.premises, program.query, program.semantics_mode) \
             == (gold.premises, gold.query, gold.semantics_mode)
-        assert [(s, output.program.registry.info(s)) for s in output.program.registry.symbols()] \
+        assert [(s, program.registry.info(s)) for s in program.registry.symbols()] \
             == [(s, gold.registry.info(s)) for s in gold.registry.symbols()]
 
     def test_gold_missing_gold(self, resources):
@@ -253,8 +256,8 @@ class TestExtraction:
         `query:` line, so symbol ids do not depend on the line order."""
         lines = ["premise: Kind(Anne)", "premise: all x (Kind(x) -> Smart(x))"]
         query = "query: Smart(Bob)"
-        premise_first, query_first = (
-            extract_program_block("```\n" + "\n".join(order) + "\n```", "closed_world")
+        premise_first, query_first = (build_program(
+            extract_program_block("```\n" + "\n".join(order) + "\n```", "closed_world"))
             for order in ([*lines, query], [query, *lines]))
         assert (query_first.premises, query_first.query) == \
             (premise_first.premises, premise_first.query)
@@ -262,10 +265,10 @@ class TestExtraction:
             [(s, premise_first.registry.info(s)) for s in premise_first.registry.symbols()]
 
     def test_last_query_line_wins(self):
-        program = extract_program_block(
+        texts = extract_program_block(
             "```\nquery: Kind(Anne)\npremise: Kind(Anne)\nquery: Tall(Bob)\n```",
             "closed_world")
-        assert render_formula(program.query, program.registry) == "Tall(Bob)"
+        assert texts.query == "Tall(Bob)"
 
     def test_missing_block(self):
         from symdrift.errors import TranslationFailure
@@ -297,7 +300,8 @@ class TestLLMTranslator:
         cfg = TranslatorConfig(kind="llm", shots=2)
         translator = LLMTranslator(cfg, stub, PromptLibrary.load())
         output = translator.translate(as_item(self._problem(), resources))
-        assert output.program is not None
+        assert output.program is None  # handed over as text, built when solved
+        assert output.logic == (("Kind(Anne)",), "Kind(Anne)", "closed_world")
         assert output.tokens_in == 100 and output.tokens_out == 20
 
     def test_reply_without_block_records_parse_error(self, resources):
@@ -425,7 +429,7 @@ class TestEvaluation:
             n_problems=20, depth=3, n_constants=2, n_predicates=5,
             negation_rate=0.5, seed=7,
         ))
-        assert any(isinstance(p.gold_program().query, Not) and p.gold_answer == "true"
+        assert any(isinstance(build_program(p.gold_logic).query, Not) and p.gold_answer == "true"
                    for p in problems)
         diversified = [diversify_problem(p, DiversifyConfig(resources=resources))
                        for p in problems]
@@ -701,8 +705,8 @@ class TestEvaluation:
             n_problems=10, n_predicates=4, n_constants=2, rule_branching=1, seed=8))
         for p in small:
             d = diversify_problem(p, DiversifyConfig(resources=resources))
-            rederived = GoldTranslator().translate(d).program
-            gold = p.gold_program()
+            rederived = build_program(GoldTranslator().translate(d).logic)
+            gold = build_program(p.gold_logic)
             a = enumerate_models(LP(gold.registry, gold.premises, gold.query, "open_world"))
             b = enumerate_models(LP(rederived.registry, rederived.premises,
                                     rederived.query, "open_world"))
@@ -731,7 +735,7 @@ class TestSftExport:
             program = extract_program_block(data["response"], "closed_world")
             matching = [p for p in by_id.values() if p.text() == data["instruction"]]
             assert matching
-            assert forward_chain_cwa(program).value == matching[0].gold_answer
+            assert forward_chain_cwa(build_program(program)).value == matching[0].gold_answer
 
     def test_incorrect_problems_excluded(self, tmp_path, resources, diversified_batch):
         run_dir = tmp_path / "run_naive"

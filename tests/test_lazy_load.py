@@ -1,6 +1,6 @@
 """Loading builds only what a command reads. A row's gold logic is checked
-as text, with the check `parse_program` starts with, and built only by the
-translators that read it; a unit's tokens come from `tokenize` when first
+as text (`check_program`) and built only when solved: the translators that
+read it build nothing; a unit's tokens come from `tokenize` when first
 asked for. The check fails exactly when the parse does, the built program is
 the parsed one, the lazy tokens are the eager ones, and a saved set is
 byte-identical to one written by building every program on load."""
@@ -14,11 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symdrift.fol.parser as parser_module
-import symdrift.problem as problem_module
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FormatError
-from symdrift.fol.parser import parse_program
+from symdrift.fol.parser import build_program, check_program
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.datasets import load_dataset, save_dataset
 from symdrift.harness.synthetic import generate_synthetic
@@ -98,22 +97,22 @@ def workdir(tmp_path_factory):
 @example({"premises": ["all x (Kind(x) -> Tall("], "query": "Tall(Anne)"})  # truncated
 @example({"premises": ["Kind(Anne)", " "], "query": "Kind(Anne)"})  # blank
 @example({"premises": [], "query": "(Kind(Anne))."})  # not canonical, but parses
-def test_loading_fails_exactly_when_parse_program_does(workdir, logic):
+def test_loading_fails_exactly_when_the_build_does(workdir, logic):
     row = {"id": "g", "sentences": ["Anne is kind."], "question": "Is Anne kind?",
            "answer": "true", "task_kind": "proofwriter", "gold_logic": logic}
     path = workdir / "problems.jsonl"
     path.write_text("\n" + json.dumps(row) + "\n")
     loaded, error = _outcome(lambda: load_dataset(path))
     mode = logic.get("mode", "open_world")
-    parsed, parse_error = _outcome(lambda: parse_program(logic["premises"], logic["query"],
-                                                         mode))
+    parsed, parse_error = _outcome(lambda: build_program(check_program(
+        logic["premises"], logic["query"], mode)))
     # The plain parse that builds every formula, then validates the program.
     reference, reference_error = _outcome(lambda: reference_program_from_json(logic))
     assert parse_error == reference_error
     assert error == (parse_error and (
         "FormatError", str(FormatError(f"bad gold_logic: {parse_error[1]}", line=2))))
     if loaded is not None:
-        program = loaded[0].gold_program()
+        program = build_program(loaded[0].gold_logic)
         _same_program(program, parsed)
         _same_program(program, reference)
 
@@ -151,17 +150,21 @@ def test_unit_tokens_are_the_eager_tokenization(sets):
             assert unit.tokens == tokenize.__wrapped__(unit.text)
 
 
-def test_gold_readers_build_once_and_do_not_check_again(sets):
+def test_gold_readers_build_nothing_and_do_not_check_again(sets):
+    """The gold translator hands over the gold texts, and split-adversary
+    instantiates each text's memoized shape: neither parses a formula."""
     _, _, root = sets
     items = load_dataset(root / "diversified.jsonl")
-    built = mock.Mock(wraps=problem_module.build_program)
+    built = mock.Mock(wraps=parser_module.build_program)
+    parsed = mock.Mock(wraps=parser_module.parse_formula)
     refuse = mock.Mock(side_effect=AssertionError("checked again"))
-    with mock.patch.object(problem_module, "build_program", built), \
+    with mock.patch.object(parser_module, "build_program", built), \
+            mock.patch.object(parser_module, "parse_formula", parsed), \
             mock.patch.object(parser_module, "_well_formed", refuse):
         for translator in (GoldTranslator(), SplitAdversaryTranslator()):
             for item in items:
-                assert translator.translate(item).program is not None
-    assert built.call_count == 2 * len(items)
+                assert translator.translate(item).logic is not None
+    assert (built.call_count, parsed.call_count) == (0, 0)
 
 
 def test_generate_parses_each_formula_once():

@@ -398,7 +398,7 @@ def test_gold_logic_loads_as_the_reference_does(case, tmp_path):
                          str(FormatError(f"bad gold_logic: {reference_error[1]}", line=3)))
     else:
         assert reference_error is None
-        _same_program(problem.gold_program(), reference)
+        _same_program(build_program(problem.gold_logic), reference)
 
 
 def _same_program(a, b) -> None:
@@ -421,7 +421,7 @@ def test_program_from_json_matches_the_reference(premises, query, mode):
 
 def test_generated_gold_programs_load_as_the_reference_does():
     for problem in generate_synthetic(SyntheticConfig(n_problems=40, seed=7)):
-        gold = problem.gold_program()
+        gold = build_program(problem.gold_logic)
         data = json.loads(json.dumps({
             "premises": [render_formula(f, gold.registry) for f in gold.premises],
             "query": render_formula(gold.query, gold.registry),

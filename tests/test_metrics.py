@@ -33,7 +33,7 @@ from symdrift.solver.verdict import Verdict
 def _program(texts, query):
     r = SymbolRegistry()
     premises = tuple(parse_formula(t, r) for t in texts)
-    return LogicProgram(r, premises, parse_formula(query, r)).validate()
+    return LogicProgram(r, premises, parse_formula(query, r)).check_world()
 
 
 def _record(problem_id="p0", gold="true", alignment=None, program=...,

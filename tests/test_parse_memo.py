@@ -1,7 +1,8 @@
 """The memoized parser against the unmemoized reference: same formula, same
 declarations and ids on the caller's registry, same error and message. Then
-`parse_program`, which makes a program from texts: its rendering parses back
-to itself, and the closed world refuses a non-Horn premise."""
+a program made from texts (`check_program`, then `build_program`): its
+rendering is the texts' own (`render_texts`) and parses back to itself, and
+the closed world refuses a non-Horn premise."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FolError, NotHorn
-from symdrift.fol.parser import parse_formula, parse_program, parse_shape
-from symdrift.fol.render import render_program, render_text
+from symdrift.fol.parser import build_program, check_program, parse_formula, parse_shape
+from symdrift.fol.render import render_program, render_text, render_texts
 from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, SymbolRegistry, horn_parts
 from symdrift.harness.config import SyntheticConfig
 from symdrift.harness.synthetic import generate_synthetic
@@ -152,18 +153,20 @@ def test_generated_and_diversified_formulas_match_reference():
 @given(st.lists(formula_texts(), min_size=0, max_size=3), formula_texts())
 def test_rendered_program_parses_back_to_itself(premises, query):
     try:
-        program = parse_program(premises, query, OPEN_WORLD)
+        program = build_program(check_program(premises, query, OPEN_WORLD))
     except FolError:
         assume(False)
     texts = render_program(program)
-    again = parse_program(texts[:-1], texts[-1], OPEN_WORLD)
+    rendered = render_texts(check_program(premises, query, OPEN_WORLD))
+    assert (*rendered.premises, rendered.query) == texts
+    again = build_program(check_program(texts[:-1], texts[-1], OPEN_WORLD))
     assert render_program(again) == texts
     assert (again.premises, again.query) == (program.premises, program.query)
     assert [(s, again.registry.info(s)) for s in again.registry.symbols()] == \
         [(s, program.registry.info(s)) for s in program.registry.symbols()]
     if all(horn_parts(premise) is not None for premise in program.premises):
-        closed = parse_program(texts[:-1], texts[-1], CLOSED_WORLD)
+        closed = build_program(check_program(texts[:-1], texts[-1], CLOSED_WORLD))
         assert render_program(closed) == texts
     else:
         with pytest.raises(NotHorn, match="premise is not a fact or Horn implication"):
-            parse_program(texts[:-1], texts[-1], CLOSED_WORLD)
+            build_program(check_program(texts[:-1], texts[-1], CLOSED_WORLD))

@@ -20,7 +20,6 @@ import pytest
 import symdrift.fol.parser as parser_module
 import symdrift.harness.evaluate as evaluate_module
 import symdrift.harness.synthetic as synthetic_module
-import symdrift.problem as problem_module
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FormatError
@@ -112,7 +111,7 @@ def _counting_builds():
     built = mock.Mock(wraps=parser_module.build_program)
     parsed = mock.Mock(wraps=parser_module.parse_formula)
     with contextlib.ExitStack() as stack:
-        for module in (parser_module, problem_module, evaluate_module, synthetic_module):
+        for module in (parser_module, evaluate_module, synthetic_module):
             stack.enter_context(mock.patch.object(module, "build_program", built))
         stack.enter_context(mock.patch.object(parser_module, "parse_formula", parsed))
         yield lambda: (built.call_count, parsed.call_count)

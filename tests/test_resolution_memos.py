@@ -192,7 +192,7 @@ def _program(*texts: str) -> LogicProgram:
     """Premises, then the query, parsed into one registry."""
     registry = SymbolRegistry()
     formulas = [parse_formula(t, registry) for t in texts]
-    return LogicProgram(registry, tuple(formulas[:-1]), formulas[-1]).validate()
+    return LogicProgram(registry, tuple(formulas[:-1]), formulas[-1]).check_world()
 
 
 def test_shared_premise_clauses_match_a_fresh_clausification(cold_memos):

@@ -152,7 +152,7 @@ def broken_rule(kind: str, row: dict) -> str | None:
                 if not -1 <= unit < len(sentences):
                     return "is not a sentence index or -1"
                 text = question if unit == -1 else sentences[unit]
-                if start < 0 or text[start:end] != surface:
+                if not 0 <= start <= end <= len(text) or text[start:end] != surface:
                     return "does not match text"
     if kind != "record":
         return None
@@ -437,11 +437,15 @@ def test_sds_refuses_an_alignment_that_is_not_a_list(rows, tmp_path, capsys):
     ("unit 42", "provenance unit 42 for "),
     ("unit -2", "provenance unit -2 for "),
     ("negative start", "does not match text: "),
+    ("end past the text", "does not match text: "),
+    ("end before start", "does not match text: '' != ''"),
 ])
 def test_provenance_points_into_its_own_text(rows, tmp_path, monkeypatch, capsys, change,
                                              text):
     """A span that does not point into its own unit used to load and count
-    as an alignment miss; a unit below -1 read a sentence from the end."""
+    as an alignment miss; a unit below -1 read a sentence from the end. A
+    span that ends past its unit's text, or before its start, slices to its
+    surface all the same, and is refused too."""
     monkeypatch.chdir(tmp_path)
     good = rows["diversified"][0]
     bad = json.loads(json.dumps(good))
@@ -454,6 +458,10 @@ def test_provenance_points_into_its_own_text(rows, tmp_path, monkeypatch, capsys
     elif change == "negative start":
         entry[1:3] = [entry[1] - len(sentence), entry[2]]
         assert sentence[entry[1]:entry[2]] == entry[3]  # the slice alone would pass
+    elif change == "end past the text":
+        entry[2:4] = [len(sentence) + 50, sentence[entry[1]:]]
+    elif change == "end before start":
+        entry[1:4] = [entry[1] + 1, entry[1], ""]
     else:
         entry[0] = int(change.split()[1])
     Path("in.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")

@@ -17,7 +17,7 @@ from symdrift.errors import (
     Unsatisfiable,
 )
 from symdrift.fol.cnf import Literal
-from symdrift.fol.parser import parse_formula
+from symdrift.fol.parser import build_program, parse_formula
 from symdrift.fol.terms import (
     And,
     Atom,
@@ -71,7 +71,7 @@ def _program(premises: list[str], query: str, mode: str = "open_world") -> Logic
     r = SymbolRegistry()
     parsed = tuple(parse_formula(t, r) for t in premises)
     q = parse_formula(query, r)
-    return LogicProgram(r, parsed, q, mode).validate()
+    return LogicProgram(r, parsed, q, mode).check_world()
 
 
 class TestEnumeration:
@@ -143,7 +143,7 @@ class TestEnumeration:
 
 def _program_raw(r, premises, query):
     parsed = tuple(parse_formula(t, r) for t in premises)
-    return LogicProgram(r, parsed, parse_formula(query, r)).validate()
+    return LogicProgram(r, parsed, parse_formula(query, r)).check_world()
 
 
 class TestResolution:
@@ -217,8 +217,8 @@ class TestResolution:
 
     def test_matches_reference_prover_on_gold_programs(self):
         for problem in generate_synthetic(SyntheticConfig(n_problems=60, seed=7)):
-            gold = problem.gold_program()
-            p = LogicProgram(gold.registry, gold.premises, gold.query, OPEN_WORLD).validate()
+            gold = build_program(problem.gold_logic)
+            p = LogicProgram(gold.registry, gold.premises, gold.query, OPEN_WORLD).check_world()
             assert prove_resolution(p) == reference_prove_resolution(p)
 
     def test_subsumption_prefilter_matches_plain_matcher(self):
@@ -332,7 +332,7 @@ class TestForwardChaining:
         fact = parse_formula("Kind(Anne)", r)
         with pytest.raises(NotHorn):
             LogicProgram(r, (premise, fact), parse_formula("Smart(Anne)", r),
-                         CLOSED_WORLD).validate()
+                         CLOSED_WORLD).check_world()
 
     def test_not_horn_errors_name_symbols(self):
         """Every NotHorn text renders its formula with the program's names,
@@ -344,7 +344,7 @@ class TestForwardChaining:
         closed = LogicProgram(r, (premise,), query, CLOSED_WORLD)
         body = parse_formula("all x (~Kind(x) -> Smart(x))", r)
         checks = [
-            (closed.validate, "premise is not a fact or Horn implication: "
+            (closed.check_world, "premise is not a fact or Horn implication: "
              "all x (Kind(x) -> Smart(x) | Tall(x))"),
             (lambda: saturate(open_program), "premise is not Horn: "
              "all x (Kind(x) -> Smart(x) | Tall(x))"),
@@ -419,7 +419,7 @@ class TestForwardChaining:
 
 def _program_raw_mode(r, premises, query, mode):
     parsed = tuple(parse_formula(t, r) for t in premises)
-    return LogicProgram(r, parsed, parse_formula(query, r), mode).validate()
+    return LogicProgram(r, parsed, parse_formula(query, r), mode).check_world()
 
 
 class TestCsp:
