@@ -13,22 +13,23 @@ Identifiers in application position are predicates; argument identifiers are
 variables when bound by an enclosing quantifier, constants otherwise. Unseen
 identifiers are auto-registered, with arity locked at first use.
 
-A program is made from texts in two steps. `check_program` decides whether
-the texts make a program, and raises what the parse would, without building
-one: a dataset's gold logic, a model's fenced program block and the
+A formula text is parsed once per process. `parse_shape` lexes, parses and
+type-checks it into a registry of its own and memoizes its shape: the
+formula over the shape's own ids, its symbols in declaration order, and
+whether it is a fact or a Horn rule. Every reader of a text reads that
+shape. `parse_formula` binds a shape to a caller's registry by declaring its
+symbols there in order, so it raises the text's own error, or the arity
+clash of the first name the registry holds at another arity; no text is
+parsed on a caller's registry. The memo lives for the process and holds only
+immutable values, so threads share it.
+
+A program is made from texts in two steps. `check_program` walks the texts'
+shapes in reading order and raises what building the program would, without
+building it: a dataset's gold logic, a model's fenced program block and the
 synthetic generator's logic are all checked so and kept as texts.
 `build_program` builds the program from texts so checked; only solving one
 does (`harness.evaluate.solve_one`), and the generator, which solves its
-logic for the label. The check reads a second memo per distinct text: the
-symbols the text declares, and whether it is a fact or a Horn rule.
-
-Parsing is memoized per distinct text and bound per registry: each text is
-lexed, parsed and type-checked once into a scratch registry, and each call
-binds the cached shape's symbols to the caller's registry by name. A text
-that cannot bind cleanly (a syntax error, or a name already declared with
-another arity) is parsed afresh on the caller's registry, so errors and the
-declarations they leave behind are those of a plain parse. The memo lives
-for the process and holds only immutable values, so threads share it.
+logic for the label.
 """
 
 from __future__ import annotations
@@ -215,11 +216,35 @@ class _Parser:
         return Const(const)
 
 
-def _parse_uncached(text: str, registry: SymbolRegistry) -> Formula:
+class Shape(NamedTuple):
+    """A formula text parsed on its own: the formula over its own symbol ids,
+    those symbols in declaration order (first occurrence: an atom's
+    constants, then its predicate), and whether it is a fact or a Horn rule."""
+    formula: Formula
+    symbols: tuple[tuple[str, SymbolInfo], ...]
+    horn: bool
+
+    def registry(self) -> SymbolRegistry:
+        """A fresh registry holding the shape's symbols under their own ids."""
+        registry = SymbolRegistry()
+        for _, info in self.symbols:  # in order, so the ids are the shape's own
+            registry.declare(info.name, info.arity, info.kind)
+        return registry
+
+
+@lru_cache(maxsize=None)
+def parse_shape(text: str) -> Shape:
+    """The text's shape, parsed into a fresh registry. Raises the text's own
+    syntax error, or the arity clash of a name it uses at two arities.
+
+    A trailing `.` (the external-prover statement terminator) is accepted and
+    ignored, so emitted files re-parse through this same entry point.
+    """
     if not text or not text.strip():
         raise FormulaSyntaxError("empty input", 0, "a formula")
+    registry = SymbolRegistry()
     parser = _Parser(text, registry)
-    result = parser.formula()
+    formula = parser.formula()
     trailing = parser.peek()
     if trailing is not None and trailing.text == ".":
         parser.take()
@@ -228,51 +253,30 @@ def _parse_uncached(text: str, registry: SymbolRegistry) -> Formula:
         raise FormulaSyntaxError(
             f"unexpected {trailing.text!r}", trailing.pos, "end of input"
         )
-    type_check(result, registry)
-    return result
-
-
-@lru_cache(maxsize=None)
-def parse_shape(text: str) -> tuple[Formula, tuple[tuple[str, SymbolInfo], ...]]:
-    """The formula parsed into a fresh registry, with that registry's symbols
-    in declaration order (first occurrence: an atom's constants, then its
-    predicate). Raises what `parse_formula` raises on a fresh registry."""
-    scratch = SymbolRegistry()
-    formula = _parse_uncached(text, scratch)
-    return formula, tuple((sid, scratch.info(sid)) for sid in scratch.symbols())
+    type_check(formula, registry)
+    return Shape(formula, tuple((sid, registry.info(sid)) for sid in registry.symbols()),
+                 horn_parts(formula) is not None)
 
 
 def parse_formula(text: str, registry: SymbolRegistry) -> Formula:
-    """Parse one formula, auto-registering unseen symbols into `registry`.
-
-    A trailing `.` (the external-prover statement terminator) is accepted and
-    ignored, so emitted files re-parse through this same entry point.
-    """
-    try:
-        formula, symbols = parse_shape(text)
-    except Exception:
-        # A text that fails on a fresh registry fails on any; the plain parse
-        # raises and leaves declarations exactly as it always has.
-        return _parse_uncached(text, registry)
+    """The text's formula over `registry`, its shape's symbols declared there
+    in order. Raises what `parse_shape` raises, or `ArityMismatch` at the
+    first name `registry` holds at another arity."""
+    shape = parse_shape(text)
     ids: dict[str, str] = {}
-    for scratch_id, info in symbols:
-        try:
-            sid = registry.declare(info.name, info.arity, info.kind)
-        except ArityMismatch:
-            # The declarations made so far are the ones a plain parse makes
-            # before it meets this name, so it picks up from here.
-            return _parse_uncached(text, registry)
-        if sid != scratch_id:
-            ids[scratch_id] = sid
+    for own_id, info in shape.symbols:
+        sid = registry.declare(info.name, info.arity, info.kind)
+        if sid != own_id:
+            ids[own_id] = sid
     if not ids:
-        return formula
+        return shape.formula
 
     def bind(atom: Atom) -> Atom:
         args = tuple(Const(ids.get(a.symbol, a.symbol)) if isinstance(a, Const) else a
                      for a in atom.args)
         return Atom(ids.get(atom.pred, atom.pred), args)
 
-    return map_atoms(formula, bind)
+    return map_atoms(shape.formula, bind)
 
 
 class ProgramTexts(NamedTuple):
@@ -285,43 +289,34 @@ class ProgramTexts(NamedTuple):
 def check_program(premise_texts: Iterable[str], query_text: str,
                   semantics_mode: str) -> ProgramTexts:
     """The texts, if `build_program` builds a program from them that passes
-    `check_world`; otherwise raise what that raises. The check reads each
-    text's shape through the memo: every name must keep one arity across the
-    texts (in the memo's scratch registries each text declares its own), and
-    in the closed world every premise must be a fact or a Horn rule. Symbol
-    ids never decide whether a parse succeeds, so a program that fails this
-    check fails the plain parse too, which then runs to raise its own error.
-    The texts are interned: programs repeat a few hundred distinct formulas."""
+    `check_world`; otherwise raise what that raises, without building it.
+    The texts' shapes are read in premise-then-query order, as the build
+    parses them: each text's own error, then the first name it declares at
+    another arity than an earlier text did; after them all, in the closed
+    world, the first premise that is not a fact or a Horn rule. The texts are
+    interned: programs repeat a few hundred distinct formulas."""
     texts = ProgramTexts(tuple(map(sys.intern, premise_texts)), sys.intern(query_text),
                          semantics_mode)
-    if not _well_formed(texts):
-        build_program(texts).check_world()
+    arities: dict[tuple[str, str], int] = {}
+    shapes = []
+    for text in (*texts.premises, texts.query):
+        shape = parse_shape(text)
+        for _, info in shape.symbols:
+            arity = arities.setdefault((info.kind, info.name), info.arity)
+            if arity != info.arity:
+                raise ArityMismatch(info.name, arity, info.arity)
+        shapes.append(shape)
+    if semantics_mode == CLOSED_WORLD:
+        for shape in shapes[:-1]:
+            if not shape.horn:  # worded as the built program's check words it
+                LogicProgram(shape.registry(), (shape.formula,), shape.formula,
+                             semantics_mode).check_world()
     return texts
 
 
-def _well_formed(texts: ProgramTexts) -> bool:
-    try:
-        facts = [_text_facts(text) for text in (*texts.premises, texts.query)]
-    except Exception:  # whatever it was, the plain parse raises it again
-        return False
-    declared = set().union(*(symbols for symbols, _ in facts))
-    if len({(info.kind, info.name) for info in declared}) != len(declared):
-        return False  # a name declared at two arities
-    return texts.semantics_mode != CLOSED_WORLD or all(horn for _, horn in facts[:-1])
-
-
-@lru_cache(maxsize=None)
-def _text_facts(text: str) -> tuple[tuple[SymbolInfo, ...], bool]:
-    """What a program's check reads of one text: the symbols it declares,
-    and whether it is a fact or a Horn rule. Raises what `parse_shape`
-    raises."""
-    formula, symbols = parse_shape(text)
-    return tuple(info for _, info in symbols), horn_parts(formula) is not None
-
-
 def build_program(texts: ProgramTexts) -> LogicProgram:
-    """Parse the premises, then the query, into one fresh registry. The parse
-    type-checks every formula and reads an unbound argument as a constant, so
+    """Bind the premises' shapes, then the query's, into one fresh registry.
+    A shape is type-checked and reads an unbound argument as a constant, so
     a parsed sentence is always closed; `check_program` has read the world."""
     registry = SymbolRegistry()
     premises = tuple(parse_formula(text, registry) for text in texts.premises)

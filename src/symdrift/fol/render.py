@@ -50,11 +50,8 @@ def render_program(program: LogicProgram) -> tuple[str, ...]:
 def render_text(text: str) -> str:
     """The canonical rendering of a formula text that parses, interned: what
     `render_program` gives for it in any program, as only names are printed."""
-    formula, symbols = parse_shape(text)
-    registry = SymbolRegistry()
-    for _, info in symbols:  # in order, so the ids are the shape's own
-        registry.declare(info.name, info.arity, info.kind)
-    return sys.intern(render_formula(formula, registry))
+    shape = parse_shape(text)
+    return sys.intern(render_formula(shape.formula, shape.registry()))
 
 
 def render_texts(texts: ProgramTexts) -> ProgramTexts:

@@ -212,20 +212,11 @@ def map_atoms(f: Formula, fn) -> Formula:
 
 
 def type_check(f: Formula, registry: SymbolRegistry) -> None:
-    """Check arity and symbol-kind agreement of every atom against `registry`."""
+    """Check that every atom's predicate has the arity `registry` declares."""
     for atom in walk_atoms(f):
         info = registry.info(atom.pred)
-        if info.kind != PREDICATE:
-            raise UnknownSymbol(f"{info.name!r} used as predicate but declared {info.kind}")
         if info.arity != len(atom.args):
             raise ArityMismatch(info.name, info.arity, len(atom.args))
-        for arg in atom.args:
-            if isinstance(arg, Const):
-                arg_info = registry.info(arg.symbol)
-                if arg_info.kind != CONSTANT:
-                    raise UnknownSymbol(
-                        f"{arg_info.name!r} used as constant but declared {arg_info.kind}"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .. import __version__
 from ..diversify.pipeline import DiversifyConfig, diversify_problem, parse_intensity
 from ..diversify.resources import Resources
 from ..errors import ClientError, FormatError, OracleFailure, SymdriftError
+from ..metrics.records import TranslationRecord
 from ..metrics.sds import compute_sds
 from ..metrics.taxonomy import attribute_errors
 from ..problem import DiversifiedProblem, Problem
@@ -186,10 +188,7 @@ def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
     live until the command ends, so they are frozen out of the cyclic
     collector, which would otherwise re-scan them in every full collection;
     `main` unfreezes them. The rows hold no reference cycle, so the collector
-    is paused while they are built: its passes would find no garbage.
-
-    Each problem id may appear once: records, the SDS breakdown and `solve`
-    match a record to its problem by id."""
+    is paused while they are built: its passes would find no garbage."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -198,13 +197,26 @@ def _load_input(path: str) -> list[Problem | DiversifiedProblem]:
     finally:
         if collecting:
             gc.enable()
+    _require_unique_ids((item.problem.id if isinstance(item, DiversifiedProblem) else item.id
+                         for item in items), path)
+    return items
+
+
+def _read_records(path: str | Path) -> list[TranslationRecord]:
+    """A records file whose problem ids are unique."""
+    records = read_records(path)
+    _require_unique_ids((record.problem_id for record in records), path)
+    return records
+
+
+def _require_unique_ids(problem_ids: Iterable[str], path: str | Path) -> None:
+    """Each problem id may appear once in a file: `solve`, `sds` and `compare`
+    match a record to its problem, or to its other run's record, by id."""
     seen: set[str] = set()
-    for item in items:
-        problem_id = item.problem.id if isinstance(item, DiversifiedProblem) else item.id
+    for problem_id in problem_ids:
         if problem_id in seen:
             raise FormatError(f"problem id {problem_id!r} repeats in {path}")
         seen.add(problem_id)
-    return items
 
 
 def _require_out(args) -> Path:
@@ -255,7 +267,7 @@ def _cmd_solve(args) -> int:
     out_path = _require_out(args)
     resources = _resources(args.values)
     items = {i.problem.id: i for i in normalize_items(_load_input(args.problems), resources)}
-    records = read_records(args.records)
+    records = _read_records(args.records)
     for record in records:
         item = items.get(record.problem_id)
         if item is None:
@@ -278,7 +290,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sds(args) -> int:
-    result = compute_sds(read_records(args.records))
+    result = compute_sds(_read_records(args.records))
     return _emit(args, json.dumps({
         "sds": result.value,
         "concepts": result.concepts,
@@ -295,8 +307,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    counts = attribute_errors(read_records(Path(args.before) / "records.jsonl"),
-                              read_records(Path(args.after) / "records.jsonl"))
+    counts = attribute_errors(_read_records(Path(args.before) / "records.jsonl"),
+                              _read_records(Path(args.after) / "records.jsonl"))
     return _emit(args, json.dumps(counts, indent=2, sort_keys=True) + "\n")
 
 

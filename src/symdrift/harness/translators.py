@@ -185,17 +185,17 @@ class SplitAdversaryTranslator:
         registry = SymbolRegistry()
         formulas = []
         for unit, text in (*enumerate(gold.premises), (QUESTION_UNIT, gold.query)):
-            formula, symbols = parse_shape(text)
-            names = {sid: info.name for sid, info in symbols}
+            shape = parse_shape(text)
+            names = {sid: info.name for sid, info in shape.symbols}
             slots: dict[str, int] = {}
             renderings = []
-            for atom in walk_atoms(formula):
+            for atom in walk_atoms(shape.formula):
                 concept_id = pred_concepts.get(names[atom.pred])
                 surface = surface_at.get((concept_id, unit))
                 if surface and atom.pred not in slots:
                     slots[atom.pred] = len(renderings)
                     renderings.append(per_surface_symbol(concept_id, surface))
-            formulas.append(instantiate(Skeleton(formula, names, slots), renderings, registry))
+            formulas.append(instantiate(Skeleton(shape.formula, names, slots), renderings, registry))
         *premises, query = formulas
         program = LogicProgram(registry, tuple(premises), query,
                                gold.semantics_mode).check_world()
@@ -209,7 +209,7 @@ def _gold_concept_symbols(problem: Problem, gold: ProgramTexts) -> dict[str, str
     """Concept id -> gold symbol name, for concepts whose camel-cased name a
     gold text's shape declares (predicate or constant)."""
     declared = {info.name for text in (*gold.premises, gold.query)
-                for _, info in parse_shape(text)[1]}
+                for _, info in parse_shape(text).symbols}
     out: dict[str, str] = {}
     for concept_id in set(problem.gold_concepts.values()):
         name = camel_identifier(concept_id)
@@ -227,7 +227,7 @@ def program_block(logic: ProgramTexts) -> str:
 # ---------------------------------------------------------------------------
 # Fenced-block readers of the LLM translator
 
-_FENCE = re.compile(r"```(?:[a-z]*\n)?(.*?)```", re.DOTALL)
+_FENCE = re.compile(r"```(?:\w*\n)?(.*?)```", re.DOTALL)
 
 
 def _reply_lines(text: str, block: str | None) -> list[str]:

@@ -169,13 +169,13 @@ class Skeleton(NamedTuple):
 
 def _parse_skeleton(proposal: Proposal) -> Skeleton:
     try:
-        formula, symbols = parse_shape(proposal.skeleton)
+        shape = parse_shape(proposal.skeleton)
     except Exception as exc:
         raise TranslationFailure(f"unusable skeleton {proposal.skeleton!r}: {exc}") from exc
     slot_index = {f"Slot{k}": k for k in range(len(proposal.slots))}
-    slots = {sid: slot_index[info.name] for sid, info in symbols
+    slots = {sid: slot_index[info.name] for sid, info in shape.symbols
              if info.kind == PREDICATE and info.name in slot_index}
-    return Skeleton(formula, {sid: info.name for sid, info in symbols}, slots)
+    return Skeleton(shape.formula, {sid: info.name for sid, info in shape.symbols}, slots)
 
 
 def instantiate(skeleton: Skeleton, renderings: list[Rendering],

@@ -285,6 +285,27 @@ class TestExtraction:
         assert spec.objects == ["A", "B", "C"]
         assert len(spec.constraints) == 2 and len(options) == 2
 
+    @pytest.mark.parametrize("tag", ["", "fol", "FOL", "prover9", "Z3_smt2"])
+    def test_every_reader_skips_a_fence_tag(self, tag):
+        """A fence's tag is any word: capitals and digits included."""
+        assert extract_program_block(f"```{tag}\npremise: Kind(Anne)\nquery: Kind(Anne)\n```",
+                                     "closed_world") == \
+            (("Kind(Anne)",), "Kind(Anne)", "closed_world")
+        spec, options = extract_csp_block(
+            f"```{tag}\nobjects: A, B\nconstraint: LeftOf(A, B)\noption 0: A at 1\n```")
+        assert (spec.objects, len(spec.constraints), len(options)) == (["A", "B"], 1, 1)
+        (proposal,) = parse_proposal_lines(f"```{tag}\nunit 0: Slot0(Anne) | kind\n```")
+        assert (proposal.unit, proposal.skeleton, proposal.slots) == (0, "Slot0(Anne)", ("kind",))
+
+    def test_every_reader_reads_content_on_the_fence_line(self):
+        """A fence line holding more than a word holds the block's first line."""
+        assert extract_program_block("```premise: Kind(Anne)\nquery: Kind(Anne)\n```",
+                                     "closed_world").premises == ("Kind(Anne)",)
+        spec, _ = extract_csp_block("```objects: A, B\nconstraint: LeftOf(A, B)\n```")
+        assert spec.objects == ["A", "B"]
+        (proposal,) = parse_proposal_lines("```unit 0: Slot0(Anne) | kind\n```")
+        assert (proposal.unit, proposal.skeleton) == (0, "Slot0(Anne)")
+
 
 class TestLLMTranslator:
     def _problem(self):

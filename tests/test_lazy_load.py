@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symdrift.fol.parser as parser_module
+import symdrift.harness.translators as translators_module
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
 from symdrift.errors import FormatError
@@ -160,7 +161,8 @@ def test_gold_readers_build_nothing_and_do_not_check_again(sets):
     refuse = mock.Mock(side_effect=AssertionError("checked again"))
     with mock.patch.object(parser_module, "build_program", built), \
             mock.patch.object(parser_module, "parse_formula", parsed), \
-            mock.patch.object(parser_module, "_well_formed", refuse):
+            mock.patch.object(parser_module, "check_program", refuse), \
+            mock.patch.object(translators_module, "check_program", refuse):
         for translator in (GoldTranslator(), SplitAdversaryTranslator()):
             for item in items:
                 assert translator.translate(item).logic is not None

@@ -1,25 +1,38 @@
 """The memoized parser against the unmemoized reference: same formula, same
-declarations and ids on the caller's registry, same error and message. Then
-a program made from texts (`check_program`, then `build_program`): its
-rendering is the texts' own (`render_texts`) and parses back to itself, and
-the closed world refuses a non-Horn premise."""
+declarations and ids on the caller's registry, same error. Then a program
+made from texts (`check_program`, then `build_program`): the check raises
+exactly what the build raises, its rendering is the texts' own
+(`render_texts`) and parses back to itself, and the closed world refuses a
+non-Horn premise."""
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import deepcopy
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import symdrift.fol.parser as parser_module
 from symdrift.diversify.pipeline import DiversifyConfig, diversify_problem
 from symdrift.diversify.resources import Resources
-from symdrift.errors import FolError, NotHorn
-from symdrift.fol.parser import build_program, check_program, parse_formula, parse_shape
+from symdrift.errors import ArityMismatch, FolError, NotHorn
+from symdrift.fol.parser import (
+    ProgramTexts,
+    build_program,
+    check_program,
+    parse_formula,
+    parse_shape,
+)
 from symdrift.fol.render import render_program, render_text, render_texts
 from symdrift.fol.terms import CLOSED_WORLD, OPEN_WORLD, SymbolRegistry, horn_parts
-from symdrift.harness.config import SyntheticConfig
+from symdrift.harness.config import SyntheticConfig, TranslatorConfig
+from symdrift.harness.datasets import load_dataset, save_dataset
+from symdrift.harness.evaluate import run_evaluation
+from symdrift.harness.serialize import read_records
 from symdrift.harness.synthetic import generate_synthetic
-from symdrift.harness.translators import propose_from_templates
+from symdrift.harness.translators import make_translator, propose_from_templates
 
 from .helpers import reference_parse
 
@@ -98,24 +111,44 @@ def _outcome(parse, text: str, registry: SymbolRegistry):
 @settings(max_examples=400, deadline=None)
 @given(text=parse_inputs(), registry=registries())
 def test_memoized_parse_matches_reference(text, registry):
+    """A parse that succeeds matches the reference in every respect. One that
+    fails raises the reference's error type, and its message unless the text
+    clashes with itself, when the text's own clash is named; the registry
+    keeps what it held and gains only names of the text, in its order."""
     expected = _outcome(reference_parse, text, deepcopy(registry))
+    before = [(sid, registry.info(sid)) for sid in registry.symbols()]
     # The first call may fill the memo; the second reads it.
-    assert _outcome(parse_formula, text, deepcopy(registry)) == expected
-    assert _outcome(parse_formula, text, deepcopy(registry)) == expected
+    for _ in range(2):
+        got = _outcome(parse_formula, text, deepcopy(registry))
+        if expected[0][0] == "ok":
+            assert got == expected
+            continue
+        (status, error_type, message), state, _ = got
+        assert (status, error_type) == expected[0][:2]
+        if message != expected[0][2]:
+            assert error_type is ArityMismatch
+            assert _outcome(parse_formula, text, SymbolRegistry())[0] == got[0]
+        assert state[:len(before)] == before
+        added = [info for _, info in state[len(before):]]
+        if added:
+            own = [info for _, info in parse_shape(text).symbols
+                   if registry.lookup(info.name, info.kind) is None]
+            assert added == own[:len(added)]
 
 
 def test_arity_clash_on_prepopulated_registry():
-    """A name declared with another arity than the text uses: the error and
-    the declarations left behind are the plain parse's, cached or not."""
+    """A text that clashes with itself raises its own clash and declares
+    nothing; one that clashes only with the registry raises at its first
+    clashing name, with the names before it declared. Cached or not."""
     for _ in range(2):
         registry = SymbolRegistry()
         registry.declare("P", 2, "predicate")
-        reference = SymbolRegistry()
-        reference.declare("P", 2, "predicate")
-        for text in ("P(a) & P(a, b)", "Q(a) & P(b)"):
-            assert _outcome(parse_formula, text, registry) == \
-                _outcome(reference_parse, text, reference)
-        assert registry.symbols() == reference.symbols()
+        with pytest.raises(ArityMismatch, match=r"^symbol 'P' declared with arity 1, used with 2$"):
+            parse_formula("P(a) & P(a, b)", registry)
+        assert registry.symbols() == ["p0"]
+        with pytest.raises(ArityMismatch, match=r"^symbol 'P' declared with arity 2, used with 1$"):
+            parse_formula("Q(a) & P(b)", registry)
+        assert [registry.info(sid).name for sid in registry.symbols()] == ["P", "a", "Q", "b"]
 
 
 def test_fresh_registry_shares_cached_formula():
@@ -147,6 +180,58 @@ def test_generated_and_diversified_formulas_match_reference():
             assert _outcome(parse_formula, text, SymbolRegistry()) == \
                 _outcome(reference_parse, text, SymbolRegistry())
     assert parse_shape.cache_info().hits >= len(skeletons)
+
+
+def _raised(step):
+    try:
+        return "ok", step()
+    except Exception as exc:  # compared by type and message
+        return "error", type(exc), str(exc)
+
+
+# A text that clashes with itself after an earlier name clashes with an
+# earlier text: the check and the build name the text's own clash.
+DOUBLY_WRONG = (["Kind(Anne, Bob)", "Kind(Anne) & Smart(Anne) & Smart(Anne, Bob)"],
+                "Kind(Anne, Bob)")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(formula_texts(), min_size=0, max_size=4), formula_texts(),
+       st.sampled_from((OPEN_WORLD, CLOSED_WORLD)))
+@example(*DOUBLY_WRONG, OPEN_WORLD)
+def test_check_raises_exactly_what_the_build_raises(premises, query, mode):
+    texts = ProgramTexts(tuple(premises), query, mode)
+    checked = _raised(lambda: check_program(*texts) == texts)
+    assert checked == _raised(lambda: build_program(texts).check_world() is not None)
+    if (premises, query) == DOUBLY_WRONG:
+        assert checked == ("error", ArityMismatch,
+                           "symbol 'Smart' declared with arity 1, used with 2")
+
+
+def test_each_distinct_text_is_parsed_once(tmp_path):
+    """Loading a generated and diversified set, translating it with every
+    offline translator, solving, saving the records and reading them back,
+    and saving the set: each distinct text that parses is parsed once."""
+    resources = Resources.load()
+    problems = generate_synthetic(SyntheticConfig(n_problems=30, seed=7))
+    save_dataset(tmp_path / "in.jsonl",
+                 [diversify_problem(p, DiversifyConfig(resources=resources)) for p in problems])
+    parse_shape.cache_clear()
+    made = mock.Mock(wraps=parser_module._Parser)
+    with mock.patch.object(parser_module, "_Parser", made):
+        items = load_dataset(tmp_path / "in.jsonl")
+        for i, cfg in enumerate((TranslatorConfig(kind="gold"),
+                                 TranslatorConfig(kind="split-adversary"),
+                                 TranslatorConfig(kind="naive", mental=False),
+                                 TranslatorConfig(kind="naive", mental=True))):
+            run_evaluation(items, make_translator(cfg, resources), cfg, "auto", resources,
+                           out_dir=tmp_path / f"run{i}")
+            read_records(tmp_path / f"run{i}" / "records.jsonl")
+        save_dataset(tmp_path / "out.jsonl", items)
+    parsed = Counter(call.args[0] for call in made.call_args_list)
+    parses = {text for text in parsed if _raised(lambda: parse_shape(text))[0] == "ok"}
+    assert len(parses) == parse_shape.cache_info().currsize > 0
+    assert {parsed[text] for text in parses} == {1}
 
 
 @settings(max_examples=300, deadline=None)

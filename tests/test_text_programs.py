@@ -143,3 +143,26 @@ def test_a_repeated_problem_id_is_a_data_error(tmp_path, monkeypatch, capsys, ar
     assert main(list(argv)) == EXIT_DATA
     assert capsys.readouterr().err == "data error: problem id 'a' repeats in p.jsonl\n"
     assert not Path(argv[-1]).exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sds", "compare"])
+def test_a_repeated_problem_id_in_records_is_a_data_error(tmp_path, monkeypatch, capsys,
+                                                          command):
+    """A records file concatenated with itself: `solve` solved each record
+    twice, `sds` counted each concept twice, and `compare` read the counts of
+    one copy."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "2", "--seed", "1", "--out", "p.jsonl"]) == EXIT_OK
+    Path("run").mkdir()
+    assert main(["translate", "--in", "p.jsonl", "--out", "run/records.jsonl"]) == EXIT_OK
+    records = Path("run/records.jsonl").read_text()
+    Path("run/records.jsonl").write_text(records + records)
+    first = json.loads(records.splitlines()[0])["problem_id"]
+    argv = {"solve": ["--records", "run/records.jsonl", "--problems", "p.jsonl"],
+            "sds": ["--records", "run/records.jsonl"],
+            "compare": ["--before", "run", "--after", "run"]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", "out"]) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"data error: problem id {first!r} repeats in run/records.jsonl\n"
+    assert not Path("out").exists()
